@@ -4,7 +4,9 @@ Symbolic impedance by exact nodal analysis, phasor (sinusoidal trajectory)
 solving, blocked-subnetwork detection at a minimum frequency, and
 state-space extraction with controllability/observability diagnostics.
 All paths with rational data are exact; floating point enters only when a
-frequency is irrational.
+frequency is irrational.  The elimination itself (Bareiss determinants over
+Q[s], Gauss-Jordan solves with nullspaces, minor gcds) lives in the
+elimination section of ``polyrat``; this module only sets up the systems.
 """
 
 from __future__ import annotations
@@ -16,8 +18,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 
-from .polyrat import (ONE, Polynomial, Q, QComplex, RationalFunction, _as_q,
-                      is_lossless, is_positive_real)
+from .polyrat import (Polynomial, Q, QComplex, RationalFunction, _as_q,
+                      _bareiss, _gauss_jordan, _minor_gcd, is_lossless,
+                      is_positive_real)
 from . import network as net
 from .network import (CAPACITOR, INDUCTOR, RESISTOR, Element, Network,
                       OnePort, OpenCircuit, ShortCircuit, one_port_boundary)
@@ -74,32 +77,6 @@ class NoImpedance:
 # exact impedance by nodal analysis
 # ---------------------------------------------------------------------------
 
-def _poly_det(matrix: List[List[Polynomial]]) -> Polynomial:
-    """Fraction-free Bareiss determinant over Q[s]."""
-    n = len(matrix)
-    if n == 0:
-        return ONE
-    m = [row[:] for row in matrix]
-    sign = 1
-    prev = ONE
-    for col in range(n - 1):
-        if m[col][col].is_zero():
-            swap = next((r for r in range(col + 1, n) if not m[r][col].is_zero()), None)
-            if swap is None:
-                return Polynomial()
-            m[col], m[swap] = m[swap], m[col]
-            sign = -sign
-        for r in range(col + 1, n):
-            for c in range(col + 1, n):
-                num = m[r][c] * m[col][col] - m[r][col] * m[col][c]
-                quo, rem = divmod(num, prev)
-                assert rem.is_zero(), "Bareiss division must be exact"
-                m[r][c] = quo
-            m[r][col] = Polynomial()
-        prev = m[col][col]
-    return m[n - 1][n - 1] * sign
-
-
 def _scaled_admittance(e: Element) -> Polynomial:
     """s * y_e as a polynomial: R -> s/R, L -> 1/L, C -> C s^2."""
     if e.kind == RESISTOR:
@@ -128,12 +105,12 @@ def impedance(n: Network) -> Union[RationalFunction, NoImpedance]:
             mat[i][i] = mat[i][i] + y
             if w != ground:
                 mat[i][idx[w]] = mat[i][idx[w]] - y
-    det = _poly_det(mat)
-    if det.is_zero():
-        return NoImpedance()
     a = idx[n.port[0]]
     minor = [[mat[r][c] for c in range(k) if c != a] for r in range(k) if r != a]
-    cof = _poly_det(minor)
+    det = _bareiss(mat)
+    if not det:
+        return NoImpedance()
+    cof = _bareiss(minor)
     h = RationalFunction(cof * Polynomial([0, 1]), det)
     assert is_positive_real(h), "network impedance must be positive-real"
     return h
@@ -143,24 +120,7 @@ def impedance_series_parallel(n: Network) -> Optional[RationalFunction]:
     """Independent oracle: recursive series/parallel reduction, or None if
     the network is not series-parallel."""
     tree = net.sp_tree(n)
-    if tree is None:
-        return None
-
-    def reduce_tree(t) -> RationalFunction:
-        if isinstance(t, net.Leaf):
-            return t.element.impedance()
-        parts = [reduce_tree(p) for p in t.parts]
-        if isinstance(t, net.Ser):
-            total = parts[0]
-            for p in parts[1:]:
-                total = total + p
-            return total
-        inv = parts[0].reciprocal()
-        for p in parts[1:]:
-            inv = inv + p.reciprocal()
-        return inv.reciprocal()
-
-    return reduce_tree(tree)
+    return None if tree is None else net.tree_impedance(tree)
 
 
 def storage_count(n: Network) -> int:
@@ -172,54 +132,6 @@ def mcmillan_gap(n: Network) -> int:
     if isinstance(h, NoImpedance):
         raise AnalysisError("network has no impedance")
     return storage_count(n) - h.mcmillan_degree
-
-
-# ---------------------------------------------------------------------------
-# complex linear algebra over QComplex (exact) or complex (float fallback)
-# ---------------------------------------------------------------------------
-
-def _solve_with_nullspace(rows, rhs, zero, is_zero):
-    """Gauss-Jordan returning (particular, nullspace basis) or None if the
-    system is inconsistent.  Works for QComplex (exact) and complex."""
-    m = len(rows)
-    ncols = len(rows[0]) if m else 0
-    aug = [list(rows[r]) + [rhs[r]] for r in range(m)]
-    pivots: List[int] = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for rr in range(r, m):
-            if not is_zero(aug[rr][c]):
-                piv = rr
-                break
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        pv = aug[r][c]
-        aug[r] = [x / pv for x in aug[r]]
-        for rr in range(m):
-            if rr != r and not is_zero(aug[rr][c]):
-                f = aug[rr][c]
-                aug[rr] = [x - f * y for x, y in zip(aug[rr], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    for rr in range(r, m):
-        if not is_zero(aug[rr][ncols]):
-            return None
-    particular = [zero] * ncols
-    for i, c in enumerate(pivots):
-        particular[c] = aug[i][ncols]
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [zero] * ncols
-        vec[fc] = zero + 1
-        for i, c in enumerate(pivots):
-            vec[c] = -aug[i][fc]
-        basis.append(vec)
-    return particular, basis
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +196,7 @@ def _phasor_system(n: Network, omega, drive: Tuple[str, object], exact: bool):
 
     def new_row():
         rows.append([zero] * ncols)
-        rhs.append(zero)
+        rhs.append([zero])
         return rows[-1]
 
     # KCL per non-ground node (element currents leave the head)
@@ -324,7 +236,7 @@ def _phasor_system(n: Network, omega, drive: Tuple[str, object], exact: bool):
             raise AnalysisError("degenerate port")
     else:
         raise ValueError(f"unknown drive mode {mode!r}")
-    rhs[-1] = value if not exact else QComplex(value.re, value.im)
+    rhs[-1] = [value if not exact else QComplex(value.re, value.im)]
 
     return rows, rhs, nodes, nidx, zero, is_zero
 
@@ -355,12 +267,12 @@ def phasor_solve(n: Network, omega, drive: Optional[Tuple[str, object]] = None,
         drive = (mode, val)
 
     rows, rhs, nodes, nidx, zero, is_zero = _phasor_system(n, omega, drive, exact)
-    solved = _solve_with_nullspace(rows, rhs, zero, is_zero)
+    solved = _gauss_jordan(rows, rhs, zero, is_zero)
     if solved is None:
         raise InconsistentDrive(
             f"no sinusoidal trajectory with drive {drive[0]}={drive[1]} at omega={omega}")
     particular, basis = solved
-    vec = list(particular)
+    vec = [x for (x,) in particular]
     if basis:
         rng = random.Random(seed if seed is not None else 0)
         for b in basis:
@@ -500,25 +412,15 @@ def blocked_report(n: Network, omega0, seed: int = 0, draws: int = 3) -> BlockRe
 
 def _element_components(n: Network, ids: Set[str]) -> List[Set[str]]:
     """Connected components (by shared vertices) of an element subset."""
-    elems = [e for e in n.elements if e.id in ids]
-    comps = []
-    remaining = {e.id: e for e in elems}
-    while remaining:
-        eid, e = next(iter(remaining.items()))
-        comp = {eid}
-        verts = {e.head, e.tail}
-        del remaining[eid]
-        grew = True
-        while grew:
-            grew = False
-            for oid, o in list(remaining.items()):
-                if o.head in verts or o.tail in verts:
-                    comp.add(oid)
-                    verts |= {o.head, o.tail}
-                    del remaining[oid]
-                    grew = True
-        comps.append(comp)
-    return sorted(comps, key=lambda c: sorted(c))
+    edges = [(e.head, e.tail, e.id) for e in n.elements if e.id in ids]
+    adj = net._adjacency(edges)
+    comps, done = [], set()
+    for (head, _, _) in edges:
+        if head not in done:
+            verts = net._reach(adj, head)
+            done |= verts
+            comps.append({eid for (u, _, eid) in edges if u in verts})
+    return sorted(comps, key=sorted)
 
 
 def _assert_blocked_laws(n: Network, report: BlockReport, sol: PhasorSolution):
@@ -693,42 +595,14 @@ def _find_inductor_cut(n: Network) -> Optional[List[str]]:
     comp: Dict[str, int] = {}
     cid = 0
     for v in n.vertices:
-        if v in comp:
-            continue
-        stack = [v]
-        comp[v] = cid
-        while stack:
-            x = stack.pop()
-            for (y, _) in adj.get(x, ()):
-                if y not in comp:
-                    comp[y] = cid
-                    stack.append(y)
-        cid += 1
+        if v not in comp:
+            comp.update(dict.fromkeys(net._reach(adj, v), cid))
+            cid += 1
     if cid == 1:
         return None
     cut = [e.id for e in n.elements
            if e.kind == INDUCTOR and comp[e.head] != comp[e.tail]]
     return sorted(cut)
-
-
-def _solve_rational_system(mat: List[List[Fraction]],
-                           rhs: List[List[Fraction]]) -> List[List[Fraction]]:
-    """Solve mat * X = rhs (multiple right-hand columns), exact."""
-    k = len(mat)
-    width = len(rhs[0])
-    aug = [list(mat[r]) + list(rhs[r]) for r in range(k)]
-    for col in range(k):
-        piv = next((r for r in range(col, k) if aug[r][col] != 0), None)
-        if piv is None:
-            raise AnalysisError("singular algebraic system in state extraction")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(k):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[k:] for row in aug]
 
 
 def state_space(n: Network) -> StateSpace:
@@ -796,7 +670,10 @@ def state_space(n: Network) -> StateSpace:
             mat[r][nidx[e.tail]] -= 1
         rhs[r][state_col(e.id)] += 1
 
-    sol = _solve_rational_system(mat, rhs)
+    solved = _gauss_jordan(mat, rhs, Q(0), lambda x: x == 0)
+    if solved is None or solved[1]:
+        raise AnalysisError("singular algebraic system in state extraction")
+    sol = solved[0]
 
     def potential_row(v: str) -> List[Fraction]:
         if v == ground:
@@ -881,32 +758,6 @@ def _si_minus_a(ss: StateSpace) -> List[List[Polynomial]]:
              for j in range(nn)] for i in range(nn)]
 
 
-def _wide_minor_gcd(rows: List[List[Polynomial]]) -> Polynomial:
-    """gcd of the maximal minors of an n x (n+1) polynomial matrix."""
-    nn = len(rows)
-    g = Polynomial()
-    for drop in range(nn + 1):
-        sub = [[row[c] for c in range(nn + 1) if c != drop] for row in rows]
-        d = _poly_det(sub)
-        g = d.monic() if g.is_zero() else g.gcd(d)
-        if not g.is_zero() and g.degree == 0:
-            return ONE
-    return g
-
-
-def _tall_minor_gcd(rows: List[List[Polynomial]]) -> Polynomial:
-    """gcd of the maximal minors of an (n+1) x n polynomial matrix."""
-    nn = len(rows) - 1
-    g = Polynomial()
-    for drop in range(nn + 1):
-        sub = [rows[r] for r in range(nn + 1) if r != drop]
-        d = _poly_det(sub)
-        g = d.monic() if g.is_zero() else g.gcd(d)
-        if not g.is_zero() and g.degree == 0:
-            return ONE
-    return g
-
-
 def pbh_diagnostics(ss: StateSpace) -> PBHReport:
     """Exact PBH analysis via polynomial minor gcds.
 
@@ -920,9 +771,11 @@ def pbh_diagnostics(ss: StateSpace) -> PBHReport:
     nn = ss.n
     sia = _si_minus_a(ss)
     wide = [sia[r] + [Polynomial([ss.B[r]])] for r in range(nn)]
-    u = _wide_minor_gcd(wide)
-    tall = [list(row) for row in sia] + [[Polynomial([c]) for c in ss.C]]
-    o = _tall_minor_gcd(tall)
+    u = _minor_gcd(wide)
+    # [sI - A; C] is tall: its maximal minors are those of its transpose
+    tall_t = [[sia[r][c] for r in range(nn)] + [Polynomial([ss.C[c]])]
+              for c in range(nn)]
+    o = _minor_gcd(tall_t)
 
     u_modes = tuple(rational_roots(u)) if u.degree >= 1 else ()
     o_modes = tuple(rational_roots(o)) if o.degree >= 1 else ()

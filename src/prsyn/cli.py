@@ -17,9 +17,8 @@ from fractions import Fraction
 from typing import List, Optional
 
 from . import analysis, network, synth
-from .polyrat import (BiquadParams, PolyratError, Q, QComplex, biquad_params,
-                      biquad_template, format_ratfunc, is_lossless,
-                      is_minimum_function, is_positive_real,
+from .polyrat import (PolyratError, QComplex, biquad_params, format_ratfunc,
+                      is_lossless, is_minimum_function, is_positive_real,
                       minimum_frequencies, parse_ratfunc)
 
 
@@ -35,15 +34,20 @@ def _fmt_c(z) -> str:
     return str(complex(z))
 
 
-def _parse_fraction(text: str) -> Fraction:
-    return Fraction(text)
+def _number(text: str) -> Fraction:
+    """argparse type of every numeric flag: an exact rational literal.  A
+    non-number or a zero denominator is a usage error (exit 2)."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(
+            f"not an exact number: {text!r}") from None
 
 
-def _parse_phasor(text: str) -> QComplex:
-    if "," in text:
-        re_s, im_s = text.split(",", 1)
-        return QComplex(Fraction(re_s), Fraction(im_s))
-    return QComplex(Fraction(text), 0)
+def _phasor(text: str) -> QComplex:
+    """argparse type of a drive phasor "re[,im]"; each part is a _number."""
+    re_s, comma, im_s = text.partition(",")
+    return QComplex(_number(re_s), _number(im_s) if comma else 0)
 
 
 def _load_network(path: str):
@@ -124,11 +128,10 @@ def _cmd_phasor(args) -> int:
     n = _load_network(args.netlist)
     drive = None
     if args.current is not None:
-        drive = ("current", _parse_phasor(args.current))
+        drive = ("current", args.current)
     elif args.voltage is not None:
-        drive = ("voltage", _parse_phasor(args.voltage))
-    sol = analysis.phasor_solve(n, _parse_fraction(args.omega), drive,
-                                seed=args.seed)
+        drive = ("voltage", args.voltage)
+    sol = analysis.phasor_solve(n, args.omega, drive, seed=args.seed)
     residual = analysis.energy_balance(sol)
     payload = {
         "omega": _fmt(sol.frequency),
@@ -151,8 +154,7 @@ def _cmd_phasor(args) -> int:
 
 def _cmd_blocked(args) -> int:
     n = _load_network(args.netlist)
-    rep = analysis.blocked_report(n, _parse_fraction(args.omega0),
-                                  seed=args.seed or 0)
+    rep = analysis.blocked_report(n, args.omega0, seed=args.seed or 0)
     ok = analysis.blocked_open_short_check(n, rep)
     payload = {
         "omega0": _fmt(rep.omega0),
@@ -207,7 +209,7 @@ def _cmd_dual(args) -> int:
 def _cmd_invert(args) -> int:
     n = _load_network(args.netlist)
     text = network.serialize_netlist(
-        network.frequency_invert(n, _parse_fraction(args.omega0)))
+        network.frequency_invert(n, args.omega0))
     _emit(args, {"netlist": text}, text.rstrip("\n"))
     return 0
 
@@ -254,13 +256,25 @@ def _cmd_batch(args) -> int:
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        code = main(shlex.split(line))
+        try:
+            argv = shlex.split(line)
+        except ValueError as exc:
+            print(f"error: {exc}: {line}", file=sys.stderr)
+            code = 2
+        else:
+            code = main(argv)
         worst = max(worst, code)
     return worst
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # one line on stderr, without the usage block
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="prsyn",
         description="Passive network synthesis for positive-real impedances")
     ap.add_argument("--json", action="store_true", help="machine-readable output")
@@ -284,7 +298,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("function")
     p.add_argument("--which", default="rpfg_first",
                    choices=list(synth.SEVEN_ELEMENT_VARIANTS))
-    p.add_argument("--omega0", type=Fraction, default=None,
+    p.add_argument("--omega0", type=_number, default=None,
                    help="minimum frequency (default: smallest)")
     p.set_defaults(fn=_cmd_synth)
 
@@ -294,14 +308,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("phasor", help="sinusoidal trajectory at a frequency")
     p.add_argument("netlist")
-    p.add_argument("--omega", required=True)
-    p.add_argument("--current", default=None, help="drive current re[,im]")
-    p.add_argument("--voltage", default=None, help="drive voltage re[,im]")
+    p.add_argument("--omega", type=_number, required=True)
+    p.add_argument("--current", type=_phasor, default=None,
+                   help="drive current re[,im]")
+    p.add_argument("--voltage", type=_phasor, default=None,
+                   help="drive voltage re[,im]")
     p.set_defaults(fn=_cmd_phasor)
 
     p = sub.add_parser("blocked", help="blocked-subnetwork report at omega0")
     p.add_argument("netlist")
-    p.add_argument("--omega0", required=True)
+    p.add_argument("--omega0", type=_number, required=True)
     p.set_defaults(fn=_cmd_blocked)
 
     p = sub.add_parser("ss", help="state-space extraction + PBH diagnostics")
@@ -314,7 +330,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("invert", help="frequency-inverted network netlist")
     p.add_argument("netlist")
-    p.add_argument("--omega0", required=True)
+    p.add_argument("--omega0", type=_number, required=True)
     p.set_defaults(fn=_cmd_invert)
 
     p = sub.add_parser("mech", help="electrical <-> mechanical analogy")

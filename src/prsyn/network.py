@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
-from .polyrat import Polynomial, Q, RationalFunction, _as_q
+from .polyrat import Polynomial, RationalFunction, _as_q
 
 RESISTOR, INDUCTOR, CAPACITOR = "R", "L", "C"
 ELECTRICAL_KINDS = (RESISTOR, INDUCTOR, CAPACITOR)
@@ -132,9 +132,6 @@ class Network:
             if e.id == eid:
                 return e
         raise KeyError(eid)
-
-    def storage_elements(self) -> Tuple[Element, ...]:
-        return tuple(e for e in self.elements if e.is_storage())
 
     def resistors(self) -> Tuple[Element, ...]:
         return tuple(e for e in self.elements if e.kind == RESISTOR)
@@ -263,21 +260,23 @@ def _adjacency(edges) -> Dict[str, List[Tuple[str, str]]]:
     return adj
 
 
+def _reach(adj, start: str) -> Set[str]:
+    """Vertices reachable from start in an adjacency map of _adjacency."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for (y, _) in adj.get(stack.pop(), ()):
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return seen
+
+
 def _connected(vertices, edges) -> bool:
     vertices = set(vertices)
     if not vertices:
         return True
-    adj = _adjacency(edges)
-    start = next(iter(vertices))
-    seen = {start}
-    stack = [start]
-    while stack:
-        x = stack.pop()
-        for (y, _) in adj.get(x, ()):
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return seen >= vertices
+    return _reach(_adjacency(edges), next(iter(vertices))) >= vertices
 
 
 def _edge_biconnected_components(vertices, edges) -> List[Set[str]]:
@@ -339,47 +338,16 @@ def cut_vertices(n: Network) -> Set[str]:
 
 
 def _articulation_points(vertices, edges) -> Set[str]:
-    adj: Dict[str, List[Tuple[str, int]]] = {v: [] for v in vertices}
-    for idx, (u, v, _) in enumerate(edges):
-        adj[u].append((v, idx))
-        adj[v].append((u, idx))
-    visited: Dict[str, int] = {}
-    low: Dict[str, int] = {}
+    """Cut vertices: the vertices shared by two or more biconnected
+    components (the components are taken over edge positions, so edge ids
+    need not be distinct)."""
+    numbered = [(u, v, i) for i, (u, v, _) in enumerate(edges)]
+    seen: Set[str] = set()
     points: Set[str] = set()
-    counter = 0
-    for root in vertices:
-        if root in visited:
-            continue
-        visited[root] = low[root] = counter
-        counter += 1
-        root_children = 0
-        dfs = [(root, None, iter(adj[root]))]
-        while dfs:
-            x, in_edge, it = dfs[-1]
-            advanced = False
-            for (y, idx) in it:
-                if idx == in_edge:
-                    continue
-                if y not in visited:
-                    if x == root:
-                        root_children += 1
-                    visited[y] = low[y] = counter
-                    counter += 1
-                    dfs.append((y, idx, iter(adj[y])))
-                    advanced = True
-                    break
-                else:
-                    low[x] = min(low[x], visited[y])
-            if advanced:
-                continue
-            dfs.pop()
-            if dfs:
-                px = dfs[-1][0]
-                low[px] = min(low[px], low[x])
-                if px != root and low[x] >= visited[px]:
-                    points.add(px)
-        if root_children > 1:
-            points.add(root)
+    for comp in _edge_biconnected_components(vertices, numbered):
+        verts = {x for i in comp for x in edges[i][:2]}
+        points |= seen & verts
+        seen |= verts
     return points
 
 
@@ -577,31 +545,12 @@ def _series_cut_vertex(elements, a, b) -> Optional[str]:
 
 
 def _reachable(edges, a, b) -> bool:
-    adj = _adjacency(edges)
-    seen = {a}
-    stack = [a]
-    while stack:
-        x = stack.pop()
-        if x == b:
-            return True
-        for (y, _) in adj.get(x, ()):
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return b in seen
+    return b in _reach(_adjacency(edges), a)
 
 
 def _series_split(elements, a, b, m):
     edges = [(e.head, e.tail, e.id) for e in elements if m not in (e.head, e.tail)]
-    adj = _adjacency(edges)
-    seen = {a}
-    stack = [a]
-    while stack:
-        x = stack.pop()
-        for (y, _) in adj.get(x, ()):
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
+    seen = _reach(_adjacency(edges), a)
     side_a = [e for e in elements if e.head in seen or e.tail in seen]
     side_b = [e for e in elements if e not in side_a]
     return side_a, side_b
@@ -677,35 +626,6 @@ def short_oneport(n: Network, p: OnePort) -> ReducedNetwork:
     kept = [Element(e.id, e.kind, ren(e.head), ren(e.tail), e.value)
             for e in n.elements if ren(e.head) != ren(e.tail)]
     port = (ren(n.port[0]), ren(n.port[1]))
-    verts = {v for e in kept for v in (e.head, e.tail)} | set(port)
-    return _prune_to_source(verts, kept, port)
-
-
-def open_elements(n: Network, ids: Iterable[str]) -> ReducedNetwork:
-    kept = [e for e in n.elements if e.id not in set(ids)]
-    return _prune_to_source(n.vertices, kept, n.port)
-
-
-def short_elements(n: Network, ids: Iterable[str]) -> ReducedNetwork:
-    """Short each listed element individually (merge its endpoints)."""
-    ids = set(ids)
-    parent: Dict[str, str] = {v: v for v in n.vertices}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for e in n.elements:
-        if e.id in ids:
-            ra, rb = find(e.head), find(e.tail)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-    kept = [Element(e.id, e.kind, find(e.head), find(e.tail), e.value)
-            for e in n.elements
-            if e.id not in ids and find(e.head) != find(e.tail)]
-    port = (find(n.port[0]), find(n.port[1]))
     verts = {v for e in kept for v in (e.head, e.tail)} | set(port)
     return _prune_to_source(verts, kept, port)
 
@@ -803,6 +723,23 @@ def par(*parts):
     for p in parts:
         flat.extend(p.parts if isinstance(p, Par) else [p])
     return Par(tuple(flat))
+
+
+def tree_impedance(tree) -> RationalFunction:
+    """Impedance of a two-terminal tree: series parts add, parallel parts
+    add as admittances."""
+    if isinstance(tree, Leaf):
+        return tree.element.impedance()
+    parts = [tree_impedance(p) for p in tree.parts]
+    if isinstance(tree, Ser):
+        total = parts[0]
+        for x in parts[1:]:
+            total = total + x
+        return total
+    inv = parts[0].reciprocal()
+    for x in parts[1:]:
+        inv = inv + x.reciprocal()
+    return inv.reciprocal()
 
 
 def tree_elements(tree) -> List[Element]:

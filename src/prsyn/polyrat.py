@@ -154,10 +154,6 @@ def qcomplex(x) -> QComplex:
     raise TypeError(f"cannot coerce {type(x).__name__} to QComplex")
 
 
-#: spec alias: exact or floating complex value
-ComplexValue = Union[QComplex, complex]
-
-
 class Polynomial:
     """Univariate polynomial with exact rational coefficients.
 
@@ -172,15 +168,6 @@ class Polynomial:
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
-
-    # -- construction helpers -------------------------------------------------
-    @staticmethod
-    def constant(c) -> "Polynomial":
-        return Polynomial([c])
-
-    @staticmethod
-    def x(power: int = 1, coeff=1) -> "Polynomial":
-        return Polynomial([0] * power + [coeff])
 
     # -- structure -------------------------------------------------------------
     @property
@@ -323,22 +310,6 @@ class Polynomial:
                 b += self.coeffs[m + 1] * power
             power *= -omega2
         return a, b
-
-    def substitute(self, inner: "Polynomial") -> "Polynomial":
-        out = Polynomial()
-        for c in reversed(self.coeffs):
-            out = out * inner + Polynomial([c])
-        return out
-
-    def scale_argument(self, a) -> "Polynomial":
-        """p(a*s) for rational a."""
-        a = _as_q(a)
-        power = Q(1)
-        out = []
-        for c in self.coeffs:
-            out.append(c * power)
-            power *= a
-        return Polynomial(out)
 
     def flip_sign(self) -> "Polynomial":
         """p(-s)."""
@@ -525,8 +496,8 @@ def reduce(num, den) -> RationalFunction:
 DEFAULT_POLE_TOL = 1e-12
 
 
-def eval_ratfunc(f: RationalFunction, z: ComplexValue,
-                 pole_tol: float = DEFAULT_POLE_TOL) -> ComplexValue:
+def eval_ratfunc(f: RationalFunction, z: Union[QComplex, complex],
+                 pole_tol: float = DEFAULT_POLE_TOL) -> Union[QComplex, complex]:
     """Evaluate f at a complex point; exact for QComplex arguments.
 
     Raises PoleAtPoint when the denominator vanishes (exactly on the
@@ -971,33 +942,44 @@ def biquad_params(h: RationalFunction) -> BiquadParams:
 
 
 # ---------------------------------------------------------------------------
-# Sylvester determinants
+# Exact elimination: the one home of determinants, solves and Sylvester rows
 # ---------------------------------------------------------------------------
 
-def sylvester_matrix(p: Polynomial, q: Polynomial, k: int) -> List[List[Fraction]]:
-    if p.is_zero() or q.is_zero():
-        raise DegreeTooSmall("polynomials must be nonzero")
-    m, n = int(p.degree), int(q.degree)
-    if not 0 <= k < min(m, n):
-        raise DegreeTooSmall(f"require 0 <= k < min(deg p, deg q) = {min(m, n)}")
-    size = m + n - 2 * k
-    pdesc = list(reversed(p.coeffs))
-    qdesc = list(reversed(q.coeffs))
-    rows = []
-    for i in range(n - k):
-        rows.append([pdesc[j - i] if 0 <= j - i <= m else Q(0)
-                     for j in range(size)])
-    for i in range(m - k):
-        rows.append([qdesc[j - i] if 0 <= j - i <= n else Q(0)
-                     for j in range(size)])
-    return rows
+def _bareiss(m):
+    """Determinant of the square matrix m by fraction-free elimination
+    (Bareiss 1968, Sylvester's identity), overwriting m.
+
+    Works over any exact ring whose entries are falsy at zero and whose
+    divmod is exact division with remainder, here int and Polynomial.  The
+    pivot of each column is the first nonzero entry at or below the
+    diagonal.  The empty matrix has determinant 1."""
+    n = len(m)
+    sign = 1
+    prev = None                 # the previous pivot; no division at step 0
+    for col in range(n - 1):
+        if not m[col][col]:
+            swap = next((r for r in range(col + 1, n) if m[r][col]), None)
+            if swap is None:
+                return m[col][col]          # the ring's zero
+            m[col], m[swap] = m[swap], m[col]
+            sign = -sign
+        top = m[col]
+        pivot = top[col]
+        for r in range(col + 1, n):
+            row = m[r]
+            lead = row[col]
+            for c in range(col + 1, n):
+                x = row[c] * pivot - lead * top[c]
+                if prev is not None:
+                    x, rem = divmod(x, prev)
+                    assert not rem, "Bareiss division must be exact"
+                row[c] = x
+        prev = pivot
+    return m[n - 1][n - 1] * sign if n else 1
 
 
 def det_bareiss(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
     """Exact determinant via integer Bareiss after clearing row denominators."""
-    n = len(matrix)
-    if n == 0:
-        return Q(1)
     scale = Q(1)
     m: List[List[int]] = []
     for row in matrix:
@@ -1005,21 +987,92 @@ def det_bareiss(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
         mult = math.lcm(*(x.denominator for x in row)) if row else 1
         scale *= mult
         m.append([int(x * mult) for x in row])
-    sign = 1
-    prev = 1
-    for col in range(n - 1):
-        if m[col][col] == 0:
-            swap = next((r for r in range(col + 1, n) if m[r][col] != 0), None)
-            if swap is None:
-                return Q(0)
-            m[col], m[swap] = m[swap], m[col]
-            sign = -sign
-        for r in range(col + 1, n):
-            for c in range(col + 1, n):
-                m[r][c] = (m[r][c] * m[col][col] - m[r][col] * m[col][c]) // prev
-            m[r][col] = 0
-        prev = m[col][col]
-    return Fraction(sign * m[n - 1][n - 1]) / scale
+    return Fraction(_bareiss(m)) / scale
+
+
+def _minor_gcd(rows: List[List[Polynomial]]) -> Polynomial:
+    """Monic gcd of the maximal minors of an n x (n+1) matrix over Q[s]
+    (pass the transpose of a tall matrix); stops early at a constant."""
+    g = ZERO
+    for drop in range(len(rows) + 1):
+        d = _as_poly(_bareiss([row[:drop] + row[drop + 1:] for row in rows]))
+        g = d.monic() if g.is_zero() else g.gcd(d)
+        if g.degree == 0:
+            return ONE
+    return g
+
+
+def _gauss_jordan(rows, rhs, zero, is_zero):
+    """Solve rows * X = rhs by Gauss-Jordan elimination over a field.
+
+    rows is m x n and rhs is m x k (k right-hand columns).  Returns
+    (X, basis): X is the n x k solution with every free unknown zero and
+    basis spans the nullspace of rows, one vector per free column in column
+    order; or None when the system is inconsistent.  The pivot of each
+    column is the first row at or below the current one whose entry is not
+    is_zero.  Works for Fraction, QComplex (exact) and complex."""
+    m = len(rows)
+    ncols = len(rows[0]) if m else 0
+    aug = [list(rows[r]) + list(rhs[r]) for r in range(m)]
+    pivots: List[int] = []
+    r = 0
+    for c in range(ncols):
+        piv = None
+        for rr in range(r, m):
+            if not is_zero(aug[rr][c]):
+                piv = rr
+                break
+        if piv is None:
+            continue
+        aug[r], aug[piv] = aug[piv], aug[r]
+        pv = aug[r][c]
+        aug[r] = [x / pv for x in aug[r]]
+        for rr in range(m):
+            if rr != r and not is_zero(aug[rr][c]):
+                f = aug[rr][c]
+                aug[rr] = [x - f * y for x, y in zip(aug[rr], aug[r])]
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    for rr in range(r, m):
+        if not all(is_zero(x) for x in aug[rr][ncols:]):
+            return None
+    solution = [[zero] * len(rhs[0]) for _ in range(ncols)]
+    for i, c in enumerate(pivots):
+        solution[c] = aug[i][ncols:]
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        vec = [zero] * ncols
+        vec[fc] = zero + 1
+        for i, c in enumerate(pivots):
+            vec[c] = -aug[i][fc]
+        basis.append(vec)
+    return solution, basis
+
+
+def _sylvester_rows(p: Polynomial, q: Polynomial, m: int, n: int,
+                    k: int) -> List[List[Fraction]]:
+    """Rows of the k-th truncated Sylvester matrix of p and q, read at the
+    degrees m >= deg p and n >= deg q (leading coefficients may vanish)."""
+    pdesc = [p.coeff(m - i) for i in range(m + 1)]
+    qdesc = [q.coeff(n - i) for i in range(n + 1)]
+    size = m + n - 2 * k
+    return ([[pdesc[j - i] if 0 <= j - i <= m else Q(0) for j in range(size)]
+             for i in range(n - k)]
+            + [[qdesc[j - i] if 0 <= j - i <= n else Q(0) for j in range(size)]
+               for i in range(m - k)])
+
+
+def sylvester_matrix(p: Polynomial, q: Polynomial, k: int) -> List[List[Fraction]]:
+    if p.is_zero() or q.is_zero():
+        raise DegreeTooSmall("polynomials must be nonzero")
+    m, n = int(p.degree), int(q.degree)
+    if not 0 <= k < min(m, n):
+        raise DegreeTooSmall(f"require 0 <= k < min(deg p, deg q) = {min(m, n)}")
+    return _sylvester_rows(p, q, m, n, k)
 
 
 def sylvester_determinant(p: Polynomial, q: Polynomial, k: int) -> Fraction:
@@ -1063,7 +1116,11 @@ def parse_poly(text: str) -> Polynomial:
             raise PolyratError(f"missing sign before {s[pos:]!r}")
         coef = Q(1)
         if m.group("coef"):
-            coef = Fraction(m.group("coef"))
+            try:
+                coef = Fraction(m.group("coef"))
+            except ZeroDivisionError:
+                raise PolyratError(
+                    f"zero denominator in {m.group('coef')!r}") from None
         if sign == "-":
             coef = -coef
         var = m.group("var1") or m.group("var2")

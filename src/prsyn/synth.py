@@ -11,13 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .polyrat import (BiquadParams, NotMinimum, NotRationalParams, Polynomial,
-                      Q, RationalFunction, _as_q, biquad_params,
-                      biquad_template, count_real_roots, is_minimum_function,
-                      is_positive_real, minimum_frequencies, rational_roots,
-                      sqrt_fraction, sylvester_determinant)
+                      Q, RationalFunction, _as_q, _sylvester_rows, biquad_params,
+                      biquad_template, count_real_roots, det_bareiss,
+                      is_minimum_function, is_positive_real,
+                      minimum_frequencies, rational_roots, sqrt_fraction,
+                      sylvester_determinant)
 from . import network as net
 from .network import (CAPACITOR, INDUCTOR, RESISTOR, Element, Leaf, Network,
                       par, ser)
@@ -695,21 +696,6 @@ class StructureMatch:
     corners: Tuple[str, str, str, str]      # (a, b, c, d)
 
 
-def _tree_impedance(tree) -> RationalFunction:
-    if isinstance(tree, Leaf):
-        return tree.element.impedance()
-    parts = [_tree_impedance(p) for p in tree.parts]
-    if isinstance(tree, net.Ser):
-        total = parts[0]
-        for x in parts[1:]:
-            total = total + x
-        return total
-    inv = parts[0].reciprocal()
-    for x in parts[1:]:
-        inv = inv + x.reciprocal()
-    return inv.reciprocal()
-
-
 def _arm_kinds(tree) -> List[str]:
     return [e.kind for e in net.tree_elements(tree)]
 
@@ -760,7 +746,7 @@ def match_minimum_structure(n: Network, omega0) -> StructureMatch:
     arms, (a, b, c, d) = net._bridge_positions(n, edges)
 
     def zval(tree) -> QC:
-        za, zb = _tree_impedance(tree).eval_jomega_pair(w2)
+        za, zb = net.tree_impedance(tree).eval_jomega_pair(w2)
         return (za, zb)
 
     base = {k: arms[k] for k in ("N1", "N2", "N3", "N4", "N5")}
@@ -942,20 +928,9 @@ def _sylvester_nominal(p: Polynomial, q: Polynomial, m: int, n: int) -> Fraction
     """Resultant-style determinant at the nominal degrees (m, n) of the
     generic family, so that specialization (vanishing leading coefficients)
     commutes with the determinant."""
-    from .polyrat import det_bareiss
     if int(p.degree) > m or int(q.degree) > n:
         raise ConstraintViolated("specialized degree exceeds the nominal one")
-    pdesc = [p.coeff(m - i) for i in range(m + 1)]
-    qdesc = [q.coeff(n - i) for i in range(n + 1)]
-    size = m + n
-    rows = []
-    for i in range(n):
-        rows.append([pdesc[j - i] if 0 <= j - i <= m else Q(0)
-                     for j in range(size)])
-    for i in range(m):
-        rows.append([qdesc[j - i] if 0 <= j - i <= n else Q(0)
-                     for j in range(size)])
-    return det_bareiss(rows)
+    return det_bareiss(_sylvester_rows(p, q, m, n, 0))
 
 
 def resultant_fixture_check(family: str, subs: Dict[str, Fraction]) -> bool:

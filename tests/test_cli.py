@@ -117,3 +117,59 @@ class TestPipelines:
         out = capsys.readouterr().out
         assert code == 1      # worst exit code wins
         assert "K=1" in out
+
+
+N1_NETLIST = ("L l4 a c 1\nR r1 a d 1/2\nC c3 c d 1\n"
+              "R r2 c b 1/2\nL l5 d b 1\nPORT a b\n")
+
+# (argv with {net} for the netlist path, expected exit code)
+MALFORMED = [
+    (["check", "1/0"], 3),
+    (["check", "2+6/0"], 3),
+    (["phasor", "{net}", "--omega", "abc"], 2),
+    (["phasor", "{net}", "--omega", "1/0"], 2),
+    (["phasor", "{net}", "--omega", "1", "--current", "x"], 2),
+    (["phasor", "{net}", "--omega", "1", "--voltage", "1,1/0"], 2),
+    (["blocked", "{net}", "--omega0", "1/0"], 2),
+    (["invert", "{net}", "--omega0", "abc"], 2),
+    (["synth", WORKED, "--omega0", "x"], 2),
+]
+
+
+class TestMalformedInput:
+    @pytest.fixture
+    def net(self, tmp_path):
+        path = tmp_path / "n1.net"
+        path.write_text(N1_NETLIST)
+        return str(path)
+
+    @staticmethod
+    def assert_one_line(err):
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, code", MALFORMED)
+    def test_exit_code_and_one_line(self, run, net, argv, code):
+        got, out, err = run(*(a.format(net=net) for a in argv))
+        assert (got, out) == (code, "")
+        self.assert_one_line(err)
+
+    @pytest.mark.parametrize("argv, code", MALFORMED)
+    def test_batch_goes_on(self, net, argv, code, monkeypatch, capsys):
+        import io
+        import shlex
+        import sys
+        line = shlex.join(a.format(net=net) for a in argv)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(f"{line}\ncheck s\n"))
+        assert main(["batch"]) == code
+        captured = capsys.readouterr()
+        assert captured.out.startswith("positive_real=true")
+        self.assert_one_line(captured.err)
+
+    def test_batch_unsplittable_line(self, monkeypatch, capsys):
+        import io
+        import sys
+        monkeypatch.setattr(sys, "stdin", io.StringIO('check "s\ncheck s\n'))
+        assert main(["batch"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out.startswith("positive_real=true")
+        self.assert_one_line(captured.err)

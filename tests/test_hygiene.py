@@ -1,0 +1,68 @@
+"""Source hygiene: no unused imports and no unreferenced helpers in prsyn.
+
+Every module of ``src/prsyn`` except ``__init__.py`` (whose imports are the
+public API) must use each name it imports, and every module-level function
+must be referenced somewhere in ``src/`` or ``tests/`` besides its own
+definition.  The checks read the sources with ``ast``; nothing is imported.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "prsyn"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SOURCES = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+
+
+def _tree(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _used_names(tree):
+    """Names read anywhere under a node, as identifiers, attribute names or
+    names bound by a from-import (a re-export or a test's import)."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            used.update(alias.name for alias in node.names)
+    return used
+
+
+def test_no_unused_imports():
+    unused = []
+    for path in MODULES:
+        tree = _tree(path)
+        loads = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = (alias.asname or alias.name).split(".")[0]
+                    if bound not in loads:
+                        unused.append(f"{path.name}: {bound}")
+    assert unused == []
+
+
+def test_every_module_function_is_referenced():
+    # (file, enclosing top-level function or None, name): a function that
+    # only calls itself is not referenced
+    refs = set()
+    for path in SOURCES:
+        for top in _tree(path).body:
+            owner = getattr(top, "name", None)
+            refs |= {(path, owner, name) for name in _used_names(top)}
+    unreferenced = []
+    for path in MODULES:
+        for fn in _tree(path).body:
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if not any(name == fn.name and (where, owner) != (path, fn.name)
+                       for where, owner, name in refs):
+                unreferenced.append(f"{path.name}: {fn.name}")
+    assert unreferenced == []

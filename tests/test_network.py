@@ -167,6 +167,36 @@ class TestBiconnectivity:
     def test_single_element_across_port(self):
         assert is_biconnected(parse_netlist("R r1 a b 1\nPORT a b"))
 
+    def test_articulation_points_match_brute_force(self):
+        # a cut vertex is one whose removal leaves more components behind
+        def components(verts, edges):
+            adj = {v: set() for v in verts}
+            for u, v, _ in edges:
+                adj[u].add(v)
+                adj[v].add(u)
+            count, seen = 0, set()
+            for v in verts:
+                if v not in seen:
+                    count += 1
+                    seen.add(v)
+                    stack = [v]
+                    while stack:
+                        for y in adj[stack.pop()] - seen:
+                            seen.add(y)
+                            stack.append(y)
+            return count
+
+        rng = random.Random(1968)
+        for _ in range(400):
+            verts = [f"v{i}" for i in range(rng.randint(2, 7))]
+            edges = [(*rng.sample(verts, 2), f"e{k}")
+                     for k in range(rng.randint(0, 10))]
+            base = components(verts, edges)
+            brute = {m for m in verts
+                     if components([v for v in verts if v != m],
+                                   [e for e in edges if m not in e[:2]]) > base}
+            assert _articulation_points(set(verts), edges) == brute
+
 
 class TestSeriesParallel:
     def test_series_tag(self):

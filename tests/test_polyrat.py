@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 
 from prsyn.polyrat import (BiquadParams, DegreeTooSmall, NotBiquadratic,
                            NotMinimum, Polynomial, Q, QComplex,
-                           RationalFunction, ZeroDenominator, biquad_params,
-                           biquad_template, det_bareiss, eval_ratfunc,
-                           format_ratfunc, is_lossless, is_minimum_function,
-                           is_positive_real, minimum_frequencies, parse_poly,
-                           parse_ratfunc, reduce, strict_hurwitz,
-                           sylvester_determinant, sylvester_matrix, PoleAtPoint)
+                           RationalFunction, ZeroDenominator, _bareiss,
+                           biquad_params, biquad_template, det_bareiss,
+                           eval_ratfunc, format_ratfunc, is_lossless,
+                           is_minimum_function, is_positive_real,
+                           minimum_frequencies, parse_poly, parse_ratfunc,
+                           reduce, strict_hurwitz, sylvester_determinant,
+                           sylvester_matrix, PoleAtPoint)
 
 S = Polynomial([0, 1])
 
@@ -256,6 +257,14 @@ class TestSylvester:
             m = [[Fraction(rng.randint(-6, 6), rng.randint(1, 4))
                   for _ in range(n)] for _ in range(n)]
             assert det_bareiss(m) == permutation_determinant(m)
+        # the same elimination loop over Q[s], with zero entries forcing
+        # row swaps
+        for _ in range(25):
+            n = rng.randint(1, 4)
+            m = [[Polynomial([Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                              for _ in range(rng.randint(0, 3))])
+                  for _ in range(n)] for _ in range(n)]
+            assert _bareiss([row[:] for row in m]) == permutation_determinant(m)
 
     def test_gcd_oracle_equivalence(self, rng):
         for _ in range(60):
