@@ -7,14 +7,12 @@ from .polyrat import (BiquadParams, Omega, Polynomial, QComplex,
                       is_minimum_function, is_positive_real,
                       minimum_frequencies, parse_poly, parse_ratfunc, reduce,
                       sylvester_determinant)
-from .network import (Element, MechanicalNetwork, Network, OnePort,
-                      OpenCircuit, ShortCircuit, cut_vertices, dual,
-                      frequency_invert, from_mechanical, has_C_cutset,
-                      has_C_path, has_L_cutset, has_L_path, incidence_matrix,
-                      is_biconnected, open_oneport, parse_netlist,
-                      report_grounded_capacitors, serialize_netlist,
-                      series_parallel_decomposition, short_oneport,
-                      to_mechanical)
+from .network import (Element, Network, OnePort, OpenCircuit, ShortCircuit,
+                      cut_vertices, dual, frequency_invert, from_mechanical,
+                      has_C_cutset, has_C_path, has_L_cutset, has_L_path,
+                      incidence_matrix, is_biconnected, open_oneport,
+                      parse_netlist, report_grounded_capacitors,
+                      serialize_netlist, short_oneport, to_mechanical)
 from .analysis import (BlockReport, CapacitorLoop, InductorCutset,
                        NoImpedance, PhasorSolution, StateSpace,
                        blocked_open_short_check, blocked_report,

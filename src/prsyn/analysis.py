@@ -60,17 +60,9 @@ def _numeric_tol() -> float:
     return float(os.environ.get("PRSYN_PRECISION", "1e-9"))
 
 
+@dataclass(frozen=True)
 class NoImpedance:
     """Degenerate value: the port current/voltage law collapses (q = 0)."""
-
-    def __repr__(self):
-        return "NoImpedance()"
-
-    def __eq__(self, other):
-        return isinstance(other, NoImpedance)
-
-    def __hash__(self):
-        return hash("NoImpedance")
 
 
 # ---------------------------------------------------------------------------
@@ -79,11 +71,10 @@ class NoImpedance:
 
 def _scaled_admittance(e: Element) -> Polynomial:
     """s * y_e as a polynomial: R -> s/R, L -> 1/L, C -> C s^2."""
-    if e.kind == RESISTOR:
-        return Polynomial([0, 1 / e.value])
-    if e.kind == INDUCTOR:
-        return Polynomial([1 / e.value])
-    return Polynomial([0, 0, e.value])
+    side, p = e.electrical().law
+    if side == "Y":
+        return Polynomial([0] * (p + 1) + [e.value])
+    return Polynomial([0] * (1 - p) + [1 / e.value])
 
 
 def impedance(n: Network) -> Union[RationalFunction, NoImpedance]:
@@ -153,22 +144,16 @@ class PhasorSolution:
 
 def _element_z_at(e: Element, omega, exact: bool):
     """Impedance value at s = j*omega, or None for a pole there."""
+    side, p = e.electrical().law
     if exact:
-        if e.kind == RESISTOR:
-            return QComplex(e.value, 0)
-        if e.kind == INDUCTOR:
-            return QComplex(0, omega * e.value)
-        if omega == 0:
-            return None                     # capacitor pole at s = 0
-        return QComplex(0, Fraction(-1, 1) / (omega * e.value))
-    w = float(omega)
-    if e.kind == RESISTOR:
-        return complex(float(e.value), 0.0)
-    if e.kind == INDUCTOR:
-        return 1j * w * float(e.value)
-    if w == 0.0:
-        return None
-    return -1j / (w * float(e.value))
+        mag = e.value * omega ** p
+        x = QComplex(0, mag) if p else QComplex(mag, 0)
+    else:
+        mag = float(e.value) * float(omega) ** p
+        x = complex(0.0, mag) if p else complex(mag, 0.0)
+    if side == "Z":
+        return x
+    return None if mag == 0 else 1 / x        # pole of 1/(value s^p)
 
 
 def _phasor_system(n: Network, omega, drive: Tuple[str, object], exact: bool):
@@ -352,13 +337,16 @@ class BlockReport:
 def blocked_report(n: Network, omega0, seed: int = 0, draws: int = 3) -> BlockReport:
     """Blocked/unblocked partition at a minimum frequency omega0.
 
-    Requires (checked): the impedance is not lossless, has no pole at
-    j*omega0, and H(j*omega0) is purely imaginary and nonzero.  Asserts the
-    structural laws a minimum-frequency trajectory must satisfy; with at
-    most four storage elements additionally asserts the counting laws."""
+    Requires (checked): omega0 > 0, the impedance is not lossless, has no
+    pole at j*omega0, and H(j*omega0) is purely imaginary and nonzero.
+    Asserts the structural laws a minimum-frequency trajectory must satisfy;
+    with at most four storage elements additionally asserts the counting
+    laws."""
     exact = not isinstance(omega0, float)
     if exact:
         omega0 = _as_q(omega0)
+    if omega0 <= 0:
+        raise HypothesesNotMet("omega0 must be positive")
     h = impedance(n)
     if isinstance(h, NoImpedance):
         raise HypothesesNotMet("network has no impedance")
@@ -612,6 +600,7 @@ def state_space(n: Network) -> StateSpace:
     Raises CapacitorLoop when the capacitors contain a circuit (their
     voltages are then linearly dependent) and InductorCutset when the
     inductors contain a cut-set (their currents are then constrained)."""
+    laws = [e.electrical().law for e in n.elements]
     loop = _find_capacitor_loop(n)
     if loop is not None:
         raise CapacitorLoop(loop, f"capacitor loop: {', '.join(loop)}")
@@ -619,8 +608,9 @@ def state_space(n: Network) -> StateSpace:
     if cut is not None:
         raise InductorCutset(cut, f"inductor cut-set: {', '.join(cut)}")
 
-    inductors = [e for e in n.elements if e.kind == INDUCTOR]
-    capacitors = [e for e in n.elements if e.kind == CAPACITOR]
+    # value * s is the impedance of an inductor, the admittance of a capacitor
+    inductors = [e for e, law in zip(n.elements, laws) if law == ("Z", 1)]
+    capacitors = [e for e, law in zip(n.elements, laws) if law == ("Y", 1)]
     states = [e.id for e in inductors] + [e.id for e in capacitors]
     nstate = len(states)
     ncols = nstate + 1                     # coefficients over (x..., i)
@@ -638,27 +628,28 @@ def state_space(n: Network) -> StateSpace:
 
     # KCL rows (currents leaving each non-ground node sum to zero; the
     # source injects the input current i at the plus terminal)
-    for e in n.elements:
-        if e.kind == RESISTOR:
-            g = 1 / e.value
-            for (v, sgn) in ((e.head, 1), (e.tail, -1)):
-                if v == ground:
-                    continue
-                r = nidx[v]
-                if e.head != ground:
-                    mat[r][nidx[e.head]] += sgn * g
-                if e.tail != ground:
-                    mat[r][nidx[e.tail]] -= sgn * g
-        elif e.kind == CAPACITOR:
-            c = len(nodes) + capacitors.index(e)
-            for (v, sgn) in ((e.head, 1), (e.tail, -1)):
-                if v != ground:
-                    mat[nidx[v]][c] += sgn
-        else:                               # inductor: known state current
-            col = state_col(e.id)
-            for (v, sgn) in ((e.head, 1), (e.tail, -1)):
-                if v != ground:
-                    rhs[nidx[v]][col] -= sgn
+    for e, law in zip(n.elements, laws):
+        match law:
+            case ("Z", 0):                  # resistor: conductance 1/R
+                g = 1 / e.value
+                for (v, sgn) in ((e.head, 1), (e.tail, -1)):
+                    if v == ground:
+                        continue
+                    r = nidx[v]
+                    if e.head != ground:
+                        mat[r][nidx[e.head]] += sgn * g
+                    if e.tail != ground:
+                        mat[r][nidx[e.tail]] -= sgn * g
+            case ("Y", 1):                  # capacitor: unknown current
+                c = len(nodes) + capacitors.index(e)
+                for (v, sgn) in ((e.head, 1), (e.tail, -1)):
+                    if v != ground:
+                        mat[nidx[v]][c] += sgn
+            case ("Z", 1):                  # inductor: known state current
+                col = state_col(e.id)
+                for (v, sgn) in ((e.head, 1), (e.tail, -1)):
+                    if v != ground:
+                        rhs[nidx[v]][col] -= sgn
     if n.port[0] != ground:
         rhs[nidx[n.port[0]]][nstate] += 1
     # capacitor voltage constraints: e_head - e_tail = v_C

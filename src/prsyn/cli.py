@@ -22,15 +22,9 @@ from .polyrat import (PolyratError, QComplex, biquad_params, format_ratfunc,
                       minimum_frequencies, parse_ratfunc)
 
 
-def _fmt(x) -> str:
-    if isinstance(x, Fraction):
-        return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-    return str(x)
-
-
 def _fmt_c(z) -> str:
     if isinstance(z, QComplex):
-        return f"{_fmt(z.re)}{'+' if z.im >= 0 else '-'}{_fmt(abs(z.im))}j"
+        return f"{z.re}{'+' if z.im >= 0 else '-'}{abs(z.im)}j"
     return str(complex(z))
 
 
@@ -70,8 +64,8 @@ def _cmd_check(args) -> int:
     freqs = []
     if pr and not lossless and not f.is_zero():
         freqs = minimum_frequencies(f)
-    freq_strs = [_fmt(w.exact) if w.exact is not None
-                 else (f"sqrt({_fmt(w.omega2)})" if w.omega2 is not None
+    freq_strs = [str(w.exact) if w.exact is not None
+                 else (f"sqrt({w.omega2})" if w.omega2 is not None
                        else repr(w.value))
                  for w in freqs]
     _emit(args, {
@@ -87,9 +81,9 @@ def _cmd_check(args) -> int:
 
 def _cmd_params(args) -> int:
     p = biquad_params(parse_ratfunc(args.function))
-    _emit(args, {"K": _fmt(p.K), "omega0": _fmt(p.omega0),
-                 "W": _fmt(p.W), "F": _fmt(p.F)},
-          f"K={_fmt(p.K)} omega0={_fmt(p.omega0)} W={_fmt(p.W)} F={_fmt(p.F)}")
+    _emit(args, {"K": str(p.K), "omega0": str(p.omega0),
+                 "W": str(p.W), "F": str(p.F)},
+          f"K={p.K} omega0={p.omega0} W={p.W} F={p.F}")
     return 0
 
 
@@ -134,17 +128,17 @@ def _cmd_phasor(args) -> int:
     sol = analysis.phasor_solve(n, args.omega, drive, seed=args.seed)
     residual = analysis.energy_balance(sol)
     payload = {
-        "omega": _fmt(sol.frequency),
+        "omega": str(sol.frequency),
         "source": {"current": _fmt_c(sol.source_current),
                    "voltage": _fmt_c(sol.source_voltage)},
         "elements": {eid: {"current": _fmt_c(sol.element_currents[eid]),
                            "voltage": _fmt_c(sol.element_voltages[eid])}
                      for eid in sorted(sol.element_currents)},
         "free_modes": sol.free_modes,
-        "energy_residual": _fmt(residual),
+        "energy_residual": str(residual),
     }
-    lines = [f"omega={_fmt(sol.frequency)} i={_fmt_c(sol.source_current)} "
-             f"v={_fmt_c(sol.source_voltage)} residual={_fmt(residual)}"]
+    lines = [f"omega={sol.frequency} i={_fmt_c(sol.source_current)} "
+             f"v={_fmt_c(sol.source_voltage)} residual={residual}"]
     for eid in sorted(sol.element_currents):
         lines.append(f"  {eid}: i={_fmt_c(sol.element_currents[eid])} "
                      f"v={_fmt_c(sol.element_voltages[eid])}")
@@ -157,7 +151,7 @@ def _cmd_blocked(args) -> int:
     rep = analysis.blocked_report(n, args.omega0, seed=args.seed or 0)
     ok = analysis.blocked_open_short_check(n, rep)
     payload = {
-        "omega0": _fmt(rep.omega0),
+        "omega0": str(rep.omega0),
         "blocked": [sorted(c) for c in rep.blocked],
         "unblocked": sorted(rep.unblocked),
         "blocked_oneport_flags": list(rep.blocked_oneport_flags),
@@ -178,22 +172,22 @@ def _cmd_ss(args) -> int:
     pbh = analysis.pbh_diagnostics(ss)
     payload = {
         "states": list(ss.state_labels),
-        "A": [[_fmt(x) for x in row] for row in ss.A],
-        "B": [_fmt(x) for x in ss.B],
-        "C": [_fmt(x) for x in ss.C],
-        "D": _fmt(ss.D),
-        "uncontrollable_modes": [_fmt(x) for x in pbh.uncontrollable_modes],
-        "unobservable_modes": [_fmt(x) for x in pbh.unobservable_modes],
+        "A": [[str(x) for x in row] for row in ss.A],
+        "B": [str(x) for x in ss.B],
+        "C": [str(x) for x in ss.C],
+        "D": str(ss.D),
+        "uncontrollable_modes": [str(x) for x in pbh.uncontrollable_modes],
+        "unobservable_modes": [str(x) for x in pbh.unobservable_modes],
         "stabilizable": pbh.stabilizable,
     }
     lines = [f"states: {' '.join(ss.state_labels)}"]
     for i, row in enumerate(ss.A):
-        lines.append("A[%d] = [%s]" % (i, ", ".join(_fmt(x) for x in row)))
-    lines.append("B = [%s]" % ", ".join(_fmt(x) for x in ss.B))
-    lines.append("C = [%s]" % ", ".join(_fmt(x) for x in ss.C))
-    lines.append(f"D = {_fmt(ss.D)}")
-    lines.append(f"uncontrollable_modes = [{', '.join(_fmt(x) for x in pbh.uncontrollable_modes)}]")
-    lines.append(f"unobservable_modes = [{', '.join(_fmt(x) for x in pbh.unobservable_modes)}]")
+        lines.append("A[%d] = [%s]" % (i, ", ".join(map(str, row))))
+    lines.append("B = [%s]" % ", ".join(map(str, ss.B)))
+    lines.append("C = [%s]" % ", ".join(map(str, ss.C)))
+    lines.append(f"D = {ss.D}")
+    lines.append(f"uncontrollable_modes = [{', '.join(map(str, pbh.uncontrollable_modes))}]")
+    lines.append(f"unobservable_modes = [{', '.join(map(str, pbh.unobservable_modes))}]")
     lines.append(f"stabilizable = {str(pbh.stabilizable).lower()}")
     _emit(args, payload, "\n".join(lines))
     return 0
@@ -217,13 +211,9 @@ def _cmd_invert(args) -> int:
 def _cmd_mech(args) -> int:
     n = _load_network(args.netlist)
     if args.reverse:
-        if not isinstance(n, network.MechanicalNetwork):
-            raise network.NetworkError("--reverse expects a mechanical netlist")
         out = network.from_mechanical(n)
         grounded = {}
     else:
-        if not isinstance(n, network.Network):
-            raise network.NetworkError("mech expects an electrical netlist")
         out = network.to_mechanical(n)
         grounded = network.report_grounded_capacitors(n)
     text = network.serialize_netlist(out)

@@ -1,10 +1,19 @@
-"""One-port RLC network model: netlist format, graph structure, transforms.
+"""One-port network model: kind table, netlist format, graph structure,
+transforms.
 
-A network is a labelled multigraph of R/L/C elements plus a distinguished
-source port.  The graph including a virtual source edge across the port
-must be connected and biconnected; elements outside the source's
-biconnected component are rejected at parse time and silently pruned by
-the open/short reductions (where the pruning is part of the operation).
+A network is a labelled multigraph of two-terminal elements plus a
+distinguished source port.  One ``Network`` type holds either electrical
+kinds (R, L, C) or their force-current mechanical analogues (damper,
+spring, inerter), never a mix.  Everything a kind means -- its domain,
+whether it stores energy, its dual, its frequency-inversion partner, its
+analogue and its impedance law -- is one row of ``KINDS``; the analysis
+and the transforms read that row instead of testing the kind.  Asking a
+mechanical kind for an electrical law or partner raises ``NetworkError``.
+
+The graph including a virtual source edge across the port must be
+connected and biconnected; elements outside the source's biconnected
+component are rejected at construction and silently pruned by the
+open/short reductions (where the pruning is part of the operation).
 """
 
 from __future__ import annotations
@@ -17,9 +26,8 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tup
 from .polyrat import Polynomial, RationalFunction, _as_q
 
 RESISTOR, INDUCTOR, CAPACITOR = "R", "L", "C"
-ELECTRICAL_KINDS = (RESISTOR, INDUCTOR, CAPACITOR)
 DAMPER, SPRING, INERTER = "DAMPER", "SPRING", "INERTER"
-MECHANICAL_KINDS = (DAMPER, SPRING, INERTER)
+ELECTRICAL, MECHANICAL = "electrical", "mechanical"
 
 
 class NetworkError(Exception):
@@ -47,6 +55,39 @@ class NotPlanarDualizable(NetworkError):
 
 
 @dataclass(frozen=True)
+class Kind:
+    """One row of the kind table ``KINDS``.
+
+    ``analogue`` and ``dual`` are (kind, inverts): the partner kind and
+    whether its value is the reciprocal of this one.  ``inverse`` is the
+    partner under s -> omega0^2/s; a storage value v becomes
+    1/(v omega0^2) there, any other value is kept.  ``law`` is (side, p)
+    with p in (0, 1): value * s**p is the element's impedance (side "Z")
+    or its admittance (side "Y").  Mechanical rows have no dual, inverse
+    or law."""
+
+    domain: str
+    storage: bool
+    analogue: Tuple[str, bool]
+    dual: Optional[Tuple[str, bool]] = None
+    inverse: Optional[str] = None
+    law: Optional[Tuple[str, int]] = None
+
+
+KINDS: Dict[str, Kind] = {
+    RESISTOR: Kind(ELECTRICAL, False, (DAMPER, True), (RESISTOR, True),
+                   RESISTOR, ("Z", 0)),
+    INDUCTOR: Kind(ELECTRICAL, True, (SPRING, True), (CAPACITOR, False),
+                   CAPACITOR, ("Z", 1)),
+    CAPACITOR: Kind(ELECTRICAL, True, (INERTER, False), (INDUCTOR, False),
+                    INDUCTOR, ("Y", 1)),
+    DAMPER: Kind(MECHANICAL, False, (RESISTOR, True)),
+    SPRING: Kind(MECHANICAL, True, (INDUCTOR, True)),
+    INERTER: Kind(MECHANICAL, True, (CAPACITOR, False)),
+}
+
+
+@dataclass(frozen=True)
 class Element:
     """Two-terminal element, oriented head -> tail as written in the netlist."""
 
@@ -58,28 +99,40 @@ class Element:
 
     def __post_init__(self):
         object.__setattr__(self, "value", _as_q(self.value))
-        if self.kind not in ELECTRICAL_KINDS + MECHANICAL_KINDS:
+        if self.kind not in KINDS:
             raise NetworkError(f"unknown element kind {self.kind!r}")
         if self.value <= 0:
             raise NonpositiveValue(f"element {self.id}: value must be positive")
         if self.head == self.tail:
             raise NetworkError(f"element {self.id}: self-loop not allowed")
 
+    def electrical(self) -> Kind:
+        """The kind's row of ``KINDS``; NetworkError unless it is electrical."""
+        row = KINDS[self.kind]
+        if row.domain != ELECTRICAL:
+            raise NetworkError(
+                f"element {self.id}: {self.kind} has no electrical law")
+        return row
+
+    def recast(self, partner: Tuple[str, bool]) -> Element:
+        """The same edge as partner = (kind, inverts) of a ``Kind`` row."""
+        kind, inverts = partner
+        return Element(self.id, kind, self.head, self.tail,
+                       1 / self.value if inverts else self.value)
+
     def impedance(self) -> RationalFunction:
         """Element impedance R, Ls, or 1/(Cs)."""
-        if self.kind == RESISTOR:
-            return RationalFunction(Polynomial([self.value]))
-        if self.kind == INDUCTOR:
-            return RationalFunction(Polynomial([0, self.value]))
-        if self.kind == CAPACITOR:
-            return RationalFunction(Polynomial([1]), Polynomial([0, self.value]))
-        raise NetworkError(f"element {self.id} has no electrical impedance")
+        side, p = self.electrical().law
+        w = Polynomial([0] * p + [self.value])
+        if side == "Z":
+            return RationalFunction(w)
+        return RationalFunction(Polynomial([1]), w)
 
     def is_storage(self) -> bool:
-        return self.kind in (INDUCTOR, CAPACITOR)
+        return KINDS[self.kind].storage
 
 
-def _check_graph(vertices, elements, port, *, cls_name):
+def _check_graph(vertices, elements, port):
     vset = set(vertices)
     if port[0] == port[1]:
         raise MissingPort("port terminals must be distinct")
@@ -102,27 +155,29 @@ def _check_graph(vertices, elements, port, *, cls_name):
     if outside or not _connected(vset, edges):
         bad = sorted(x for x in outside if x != "__source__")
         raise NotBiconnected(
-            f"{cls_name}: element(s) {', '.join(bad) or '<none>'} are not in "
+            f"element(s) {', '.join(bad) or '<none>'} are not in "
             "the source's biconnected component")
 
 
 class Network:
-    """Immutable RLC one-port."""
+    """Immutable one-port; its element kinds all lie in one ``domain``
+    (electrical when it has no elements)."""
 
-    __slots__ = ("vertices", "elements", "port")
+    __slots__ = ("vertices", "elements", "port", "domain")
 
     def __init__(self, vertices: Iterable[str], elements: Iterable[Element],
                  port: Tuple[str, str]):
         vertices = tuple(sorted(set(vertices)))
         elements = tuple(elements)
         port = (port[0], port[1])
-        for e in elements:
-            if e.kind not in ELECTRICAL_KINDS:
-                raise NetworkError(f"element {e.id}: not an electrical kind")
-        _check_graph(vertices, elements, port, cls_name="Network")
+        domains = {KINDS[e.kind].domain for e in elements} or {ELECTRICAL}
+        if len(domains) > 1:
+            raise NetworkError("cannot mix electrical and mechanical kinds")
+        _check_graph(vertices, elements, port)
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "port", port)
+        object.__setattr__(self, "domain", domains.pop())
 
     def __setattr__(self, *a):
         raise AttributeError("Network is immutable")
@@ -150,56 +205,6 @@ class Network:
     def __repr__(self):
         return (f"Network({len(self.elements)} elements, "
                 f"port {self.port[0]}->{self.port[1]})")
-
-    def __str__(self):
-        return serialize_netlist(self)
-
-
-@dataclass(frozen=True)
-class MechElement:
-    id: str
-    kind: str
-    head: str
-    tail: str
-    value: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", _as_q(self.value))
-        if self.kind not in MECHANICAL_KINDS:
-            raise NetworkError(f"unknown mechanical kind {self.kind!r}")
-        if self.value <= 0:
-            raise NonpositiveValue(f"element {self.id}: value must be positive")
-        if self.head == self.tail:
-            raise NetworkError(f"element {self.id}: self-loop not allowed")
-
-
-class MechanicalNetwork:
-    """Damper/spring/inerter one-port under the force-current analogy."""
-
-    __slots__ = ("vertices", "elements", "port")
-
-    def __init__(self, vertices, elements, port):
-        vertices = tuple(sorted(set(vertices)))
-        elements = tuple(elements)
-        port = (port[0], port[1])
-        _check_graph(vertices, elements, port, cls_name="MechanicalNetwork")
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "port", port)
-
-    def __setattr__(self, *a):
-        raise AttributeError("MechanicalNetwork is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, MechanicalNetwork):
-            return NotImplemented
-        return (self.vertices == other.vertices and self.port == other.port
-                and sorted(self.elements, key=lambda e: e.id)
-                == sorted(other.elements, key=lambda e: e.id))
-
-    def __hash__(self):
-        return hash((self.vertices, self.port,
-                     tuple(sorted(self.elements, key=lambda e: e.id))))
 
     def __str__(self):
         return serialize_netlist(self)
@@ -361,18 +366,14 @@ def is_biconnected(n: Network) -> bool:
 # netlist text format
 # ---------------------------------------------------------------------------
 
-_KIND_ALIASES = {k: k for k in ELECTRICAL_KINDS + MECHANICAL_KINDS}
-
-
-def parse_netlist(text: str):
+def parse_netlist(text: str) -> Network:
     """Parse the one-statement-per-line netlist grammar.
 
-    Electrical kinds R|L|C produce a Network; mechanical kinds
-    DAMPER|SPRING|INERTER produce a MechanicalNetwork.  '#' starts a comment.
+    An element statement names a kind of ``KINDS``: R|L|C or
+    DAMPER|SPRING|INERTER, not both in one netlist.  '#' starts a comment.
     """
     elements = []
     port = None
-    kinds_seen = set()
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -386,7 +387,7 @@ def parse_netlist(text: str):
                 raise NetlistSyntaxError(f"line {lineno}: duplicate PORT")
             port = (fields[1], fields[2])
             continue
-        if head not in _KIND_ALIASES:
+        if head not in KINDS:
             raise NetlistSyntaxError(f"line {lineno}: unknown statement {fields[0]!r}")
         if len(fields) != 5:
             raise NetlistSyntaxError(
@@ -397,52 +398,38 @@ def parse_netlist(text: str):
             raise NetlistSyntaxError(f"line {lineno}: bad value {fields[4]!r}") from exc
         if value <= 0:
             raise NonpositiveValue(f"line {lineno}: value must be positive")
-        kinds_seen.add("mech" if head in MECHANICAL_KINDS else "elec")
-        cls = MechElement if head in MECHANICAL_KINDS else Element
-        elements.append(cls(fields[1], head, fields[2], fields[3], value))
+        elements.append(Element(fields[1], head, fields[2], fields[3], value))
     if port is None:
         raise MissingPort("netlist has no PORT statement")
-    if kinds_seen == {"mech", "elec"}:
-        raise NetlistSyntaxError("cannot mix electrical and mechanical kinds")
     vertices = {v for e in elements for v in (e.head, e.tail)} | set(port)
-    if kinds_seen == {"mech"}:
-        return MechanicalNetwork(vertices, elements, port)
     return Network(vertices, elements, port)
 
 
-def serialize_netlist(n) -> str:
+def serialize_netlist(n: Network) -> str:
     """Deterministic netlist text; inverse of parse_netlist up to whitespace."""
-    lines = []
-    for e in sorted(n.elements, key=lambda e: (e.kind, e.id)):
-        v = e.value
-        txt = str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-        lines.append(f"{e.kind} {e.id} {e.head} {e.tail} {txt}")
+    lines = [f"{e.kind} {e.id} {e.head} {e.tail} {e.value}"
+             for e in sorted(n.elements, key=lambda e: (e.kind, e.id))]
     lines.append(f"PORT {n.port[0]} {n.port[1]}")
     return "\n".join(lines) + "\n"
 
 
-def network_to_json(n) -> str:
-    def fmt(v: Fraction) -> str:
-        return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-
+def network_to_json(n: Network) -> str:
     return json.dumps({
         "vertices": list(n.vertices),
         "port": list(n.port),
         "elements": [
             {"id": e.id, "kind": e.kind, "head": e.head, "tail": e.tail,
-             "value": fmt(e.value)}
+             "value": str(e.value)}
             for e in n.elements
         ],
     }, indent=2)
 
 
-def network_from_json(text: str):
+def network_from_json(text: str) -> Network:
     data = json.loads(text)
-    mech = any(e["kind"] in MECHANICAL_KINDS for e in data["elements"])
-    cls, ecls = ((MechanicalNetwork, MechElement) if mech else (Network, Element))
-    elems = [ecls(e["id"], e["kind"], e["head"], e["tail"], Fraction(e["value"]))
+    elems = [Element(e["id"], e["kind"], e["head"], e["tail"], Fraction(e["value"]))
              for e in data["elements"]]
-    return cls(data["vertices"], elems, tuple(data["port"]))
+    return Network(data["vertices"], elems, tuple(data["port"]))
 
 
 # ---------------------------------------------------------------------------
@@ -465,38 +452,6 @@ def incidence_matrix(n: Network) -> List[List[int]]:
 # ---------------------------------------------------------------------------
 # series / parallel structure
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SPDecomposition:
-    kind: str                      # "series" | "parallel" | "atomic"
-    first: Optional[OnePort] = None
-    second: Optional[OnePort] = None
-
-
-def series_parallel_decomposition(n: Network) -> SPDecomposition:
-    """Top-level split of the element graph into two one-ports, if any.
-
-    Series: the parts share exactly one vertex; parallel: exactly two
-    (the port terminals).  Impedances then add (series) or add reciprocally
-    (parallel)."""
-    a, b = n.port
-    groups = _parallel_groups(n.elements, a, b)
-    if len(groups) >= 2:
-        first = frozenset(e.id for e in groups[0])
-        rest = frozenset(e.id for g in groups[1:] for e in g)
-        return SPDecomposition(
-            "parallel",
-            OnePort(n, first, (a, b)),
-            OnePort(n, rest, (a, b)))
-    m = _series_cut_vertex(n.elements, a, b)
-    if m is not None:
-        side_a, side_b = _series_split(n.elements, a, b, m)
-        return SPDecomposition(
-            "series",
-            OnePort(n, frozenset(e.id for e in side_a), (a, m)),
-            OnePort(n, frozenset(e.id for e in side_b), (m, b)))
-    return SPDecomposition("atomic")
-
 
 def _parallel_groups(elements, a, b) -> List[List[Element]]:
     """Partition elements into port-to-port parallel groups: components of
@@ -560,30 +515,14 @@ def _series_split(elements, a, b, m):
 # open / short one-ports
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
 class OpenCircuit:
     """Degenerate outcome: no element path remains between the terminals."""
 
-    def __repr__(self):
-        return "OpenCircuit()"
 
-    def __eq__(self, other):
-        return isinstance(other, OpenCircuit)
-
-    def __hash__(self):
-        return hash("OpenCircuit")
-
-
+@dataclass(frozen=True)
 class ShortCircuit:
     """Degenerate outcome: the terminals coincide; impedance identically 0."""
-
-    def __repr__(self):
-        return "ShortCircuit()"
-
-    def __eq__(self, other):
-        return isinstance(other, ShortCircuit)
-
-    def __hash__(self):
-        return hash("ShortCircuit")
 
 
 ReducedNetwork = Union[Network, OpenCircuit, ShortCircuit]
@@ -669,11 +608,9 @@ def has_L_path(n: Network) -> bool:
 # ---------------------------------------------------------------------------
 
 def _invert_element(e: Element, w2: Fraction) -> Element:
-    if e.kind == RESISTOR:
-        return e
-    if e.kind == INDUCTOR:
-        return Element(e.id, CAPACITOR, e.head, e.tail, 1 / (e.value * w2))
-    return Element(e.id, INDUCTOR, e.head, e.tail, 1 / (e.value * w2))
+    row = e.electrical()
+    value = 1 / (e.value * w2) if row.storage else e.value
+    return Element(e.id, row.inverse, e.head, e.tail, value)
 
 
 def frequency_invert(n: Network, omega0) -> Network:
@@ -687,11 +624,7 @@ def frequency_invert(n: Network, omega0) -> Network:
 
 
 def _dual_element(e: Element) -> Element:
-    if e.kind == RESISTOR:
-        return Element(e.id, RESISTOR, e.head, e.tail, 1 / e.value)
-    if e.kind == INDUCTOR:
-        return Element(e.id, CAPACITOR, e.head, e.tail, e.value)
-    return Element(e.id, INDUCTOR, e.head, e.tail, e.value)
+    return e.recast(e.electrical().dual)
 
 
 # -- two-terminal impedance trees (used by dual and the constructors) -------
@@ -877,30 +810,17 @@ def skeleton(n: Network):
             changed = True
             break
     verts = {u for (u, v, _) in edges} | {v for (u, v, _) in edges}
+    deg, pairs = _degrees_and_pairs(edges, a, b)
     kind = "other"
     if len(edges) == 1 and {edges[0][0], edges[0][1]} == {a, b}:
         kind = "sp"
     elif len(verts) == 4 and len(edges) == 5:
-        degc = {v: 0 for v in verts}
-        for (u, v, _) in edges:
-            degc[u] += 1
-            degc[v] += 1
-        degc[a] += 1
-        degc[b] += 1
-        pairs = {frozenset((u, v)) for (u, v, _) in edges} | {frozenset((a, b))}
-        if all(d == 3 for d in degc.values()) and len(pairs) == 6:
+        if all(d == 3 for d in deg.values()) and len(pairs) == 6:
             kind = "bridge"
     elif len(verts) == 5 and len(edges) == 7:
-        degc = {v: 0 for v in verts}
-        for (u, v, _) in edges:
-            degc[u] += 1
-            degc[v] += 1
-        degc[a] += 1
-        degc[b] += 1
-        pairs = {frozenset((u, v)) for (u, v, _) in edges} | {frozenset((a, b))}
-        hubs = [v for v, d in degc.items() if d == 4]
+        hubs = [v for v, d in deg.items() if d == 4]
         if (len(pairs) == 8 and len(hubs) == 1
-                and all(d in (3, 4) for d in degc.values())):
+                and all(d in (3, 4) for d in deg.values())):
             hub = hubs[0]
             rim = [v for v in verts if v != hub]
             rim_pairs = [p for p in pairs if hub not in p]
@@ -910,6 +830,17 @@ def skeleton(n: Network):
                 else:
                     kind = "wheel_rim"
     return edges, kind
+
+
+def _degrees_and_pairs(edges, a, b):
+    """Per-vertex degree of a skeleton with the source edge a-b included,
+    and the set of vertex pairs joined by an edge or the source."""
+    deg: Dict[str, int] = {}
+    for (u, v, _) in edges + [(a, b, None)]:
+        deg[u] = deg.get(u, 0) + 1
+        deg[v] = deg.get(v, 0) + 1
+    pairs = {frozenset((u, v)) for (u, v, _) in edges} | {frozenset((a, b))}
+    return deg, pairs
 
 
 def _bridge_positions(n: Network, edges):
@@ -958,23 +889,11 @@ def dual(n: Network) -> Network:
         "dual is implemented for series-parallel, bridge, and wheel shapes")
 
 
-def _wheel_structure(n: Network, edges, kind):
-    a, b = n.port
-    verts = {u for (u, v, _) in edges} | {v for (u, v, _) in edges}
-    degc = {v: 0 for v in verts}
-    for (u, v, _) in edges:
-        degc[u] += 1
-        degc[v] += 1
-    degc[a] += 1
-    degc[b] += 1
-    hub = next(v for v, d in degc.items() if d == 4)
-    lookup = {frozenset((u, v)): t for (u, v, t) in edges}
-    return hub, lookup
-
-
 def _dual_wheel(n: Network, edges, kind) -> Network:
     a, b = n.port
-    hub, look = _wheel_structure(n, edges, kind)
+    deg, _ = _degrees_and_pairs(edges, a, b)
+    hub = next(v for v, d in deg.items() if d == 4)
+    look = {frozenset((u, v)): t for (u, v, t) in edges}
     if kind == "wheel_rim":
         # rim cycle a - b - q - p - a (source on rim a-b); spokes to hub x
         x = hub
@@ -1024,25 +943,22 @@ def _dual_wheel(n: Network, edges, kind) -> Network:
 # mechanical analogy (force-current)
 # ---------------------------------------------------------------------------
 
-_TO_MECH = {RESISTOR: DAMPER, INDUCTOR: SPRING, CAPACITOR: INERTER}
-_FROM_MECH = {DAMPER: RESISTOR, SPRING: INDUCTOR, INERTER: CAPACITOR}
+def _analogue(n: Network, domain: str) -> Network:
+    """Force-current analogue of a network whose kinds lie in domain."""
+    if n.domain != domain:
+        raise NetworkError(f"{domain} network expected, got {n.domain} kinds")
+    return Network(n.vertices,
+                   [e.recast(KINDS[e.kind].analogue) for e in n.elements], n.port)
 
 
-def to_mechanical(n: Network) -> MechanicalNetwork:
+def to_mechanical(n: Network) -> Network:
     """R -> damper c=1/R, L -> spring k=1/L, C -> inerter b=C; topology kept."""
-    elems = []
-    for e in n.elements:
-        value = e.value if e.kind == CAPACITOR else 1 / e.value
-        elems.append(MechElement(e.id, _TO_MECH[e.kind], e.head, e.tail, value))
-    return MechanicalNetwork(n.vertices, elems, n.port)
+    return _analogue(n, ELECTRICAL)
 
 
-def from_mechanical(m: MechanicalNetwork) -> Network:
-    elems = []
-    for e in m.elements:
-        value = e.value if e.kind == INERTER else 1 / e.value
-        elems.append(Element(e.id, _FROM_MECH[e.kind], e.head, e.tail, value))
-    return Network(m.vertices, elems, m.port)
+def from_mechanical(m: Network) -> Network:
+    """Damper c -> R=1/c, spring k -> L=1/k, inerter b -> C=b; topology kept."""
+    return _analogue(m, MECHANICAL)
 
 
 def report_grounded_capacitors(n: Network) -> Dict[str, bool]:

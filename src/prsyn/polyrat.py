@@ -1169,14 +1169,11 @@ def parse_ratfunc(text: str) -> RationalFunction:
                 or len(candidates) == 1):
             continue
         try:
-            return RationalFunction(parse_poly(left), parse_poly(right))
+            num, den = parse_poly(left), parse_poly(right)
         except PolyratError:
             continue
+        return RationalFunction(num, den)        # ZeroDenominator if den == 0
     return RationalFunction(parse_poly(s))
-
-
-def _format_coef(c: Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
 def format_poly(p: Polynomial) -> str:
@@ -1189,10 +1186,10 @@ def format_poly(p: Polynomial) -> str:
             continue
         mag = abs(c)
         if k == 0:
-            body = _format_coef(mag)
+            body = str(mag)
         else:
             var = "s" if k == 1 else f"s^{k}"
-            body = var if mag == 1 else f"{_format_coef(mag)} {var}"
+            body = var if mag == 1 else f"{mag} {var}"
         if not parts:
             parts.append(body if c > 0 else f"-{body}")
         else:

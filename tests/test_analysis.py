@@ -137,6 +137,12 @@ class TestBlocked:
         with pytest.raises(HypothesesNotMet):
             blocked_report(lossless, Q(1))
 
+    @pytest.mark.parametrize("omega0", [Q(-1), Q(0), -1.0])
+    def test_nonpositive_omega0_rejected(self, n1, omega0):
+        # H(-j) satisfies the other hypotheses whenever H(j) does
+        with pytest.raises(HypothesesNotMet, match="omega0 must be positive"):
+            blocked_report(n1, omega0)
+
 
 class TestStateSpace:
     def test_parallel_rl_hand_model(self):
@@ -249,6 +255,14 @@ class TestNumericTolerance:
         n = parse_netlist("R r1 a b 2\nL l1 a b 3\nPORT a b")
         sol = phasor_solve(n, 2.0 ** 0.5)
         assert energy_balance(sol) < 1e-9
+
+    def test_float_path_matches_exact(self, n1):
+        # the float element laws agree with the exact ones at a rational omega
+        exact = phasor_solve(n1, Q(2), ("current", 1))
+        approx = phasor_solve(n1, 2.0, ("current", 1))
+        for eid, i in exact.element_currents.items():
+            assert abs(complex(float(i.re), float(i.im))
+                       - approx.element_currents[eid]) < 1e-9
 
 
 class TestInconsistentDrive:

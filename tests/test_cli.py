@@ -133,6 +133,8 @@ MALFORMED = [
     (["blocked", "{net}", "--omega0", "1/0"], 2),
     (["invert", "{net}", "--omega0", "abc"], 2),
     (["synth", WORKED, "--omega0", "x"], 2),
+    (["check", "(s+1)/(s-s)"], 3),
+    (["blocked", "{net}", "--omega0", "-1"], 3),
 ]
 
 
@@ -165,6 +167,10 @@ class TestMalformedInput:
         assert captured.out.startswith("positive_real=true")
         self.assert_one_line(captured.err)
 
+    def test_zero_denominator_is_named(self, run):
+        _, _, err = run("check", "(s+1)/(s-s)")
+        assert "zero denominator" in err
+
     def test_batch_unsplittable_line(self, monkeypatch, capsys):
         import io
         import sys
@@ -173,3 +179,35 @@ class TestMalformedInput:
         captured = capsys.readouterr()
         assert captured.out.startswith("positive_real=true")
         self.assert_one_line(captured.err)
+
+
+MECH_NETLIST = "DAMPER d1 a b 2\nSPRING k1 a b 3\nPORT a b\n"
+
+
+class TestMechanicalNetlist:
+    @pytest.fixture
+    def net(self, tmp_path):
+        path = tmp_path / "m.net"
+        path.write_text(MECH_NETLIST)
+        return str(path)
+
+    @pytest.mark.parametrize("argv", [
+        ["impedance", "{net}"],
+        ["phasor", "{net}", "--omega", "1"],
+        ["blocked", "{net}", "--omega0", "1"],
+        ["ss", "{net}"],
+        ["dual", "{net}"],
+        ["invert", "{net}", "--omega0", "1"],
+        ["verify", "{net}", "s"],
+        ["mech", "{net}"],
+    ])
+    def test_electrical_only_commands_exit_3(self, run, net, argv):
+        code, out, err = run(*(a.format(net=net) for a in argv))
+        assert (code, out) == (3, "")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert "electrical" in err        # the reason, not a later symptom
+
+    def test_reverse(self, run, net):
+        code, out, _ = run("mech", "--reverse", net)
+        assert code == 0
+        assert out == "L k1 a b 1/3\nR d1 a b 1/2\nPORT a b\n"

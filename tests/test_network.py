@@ -1,23 +1,24 @@
 """Netlist model, graph structure, reductions, and transforms."""
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
 from prsyn.analysis import impedance
-from prsyn.network import (CAPACITOR, INDUCTOR, RESISTOR, Element,
-                           MechanicalNetwork, MissingPort, Network,
-                           NetlistSyntaxError, NonpositiveValue,
-                           NotBiconnected, NotPlanarDualizable, OnePort,
-                           OpenCircuit, ShortCircuit, _articulation_points,
-                           dual, frequency_invert, from_mechanical,
-                           has_C_cutset, has_C_path, has_L_cutset, has_L_path,
+from prsyn.network import (CAPACITOR, INDUCTOR, MECHANICAL, RESISTOR,
+                           Element, MissingPort, NetlistSyntaxError, Network,
+                           NetworkError, NonpositiveValue, NotBiconnected,
+                           NotPlanarDualizable, OnePort, OpenCircuit, Par,
+                           Ser, ShortCircuit, _articulation_points, dual,
+                           frequency_invert, from_mechanical, has_C_cutset,
+                           has_C_path, has_L_cutset, has_L_path,
                            incidence_matrix, is_biconnected, network_from_json,
                            network_to_json, open_oneport, parse_netlist,
                            report_grounded_capacitors, serialize_netlist,
-                           series_parallel_decomposition, short_oneport,
-                           skeleton, to_mechanical)
+                           short_oneport, skeleton, sp_tree, to_mechanical,
+                           tree_impedance)
 from prsyn.polyrat import BiquadParams, Q, biquad_params, biquad_template
 from prsyn.synth import build_named
 
@@ -201,28 +202,20 @@ class TestBiconnectivity:
 class TestSeriesParallel:
     def test_series_tag(self):
         n = parse_netlist("R r1 a m 1\nL l1 m b 3\nPORT a b")
-        d = series_parallel_decomposition(n)
-        assert d.kind == "series"
-        z1 = impedance_of_oneport(d.first)
-        z2 = impedance_of_oneport(d.second)
+        tree = sp_tree(n)
+        assert isinstance(tree, Ser)
+        z1, z2 = (tree_impedance(p) for p in tree.parts)
         assert z1 + z2 == impedance(n)
 
     def test_parallel_tag(self):
         n = parse_netlist("R r1 a b 1\nC c1 a b 3\nPORT a b")
-        d = series_parallel_decomposition(n)
-        assert d.kind == "parallel"
-        z1 = impedance_of_oneport(d.first)
-        z2 = impedance_of_oneport(d.second)
+        tree = sp_tree(n)
+        assert isinstance(tree, Par)
+        z1, z2 = (tree_impedance(p) for p in tree.parts)
         assert (z1.reciprocal() + z2.reciprocal()).reciprocal() == impedance(n)
 
     def test_bridge_is_atomic(self, n1):
-        assert series_parallel_decomposition(n1).kind == "atomic"
-
-
-def impedance_of_oneport(p: OnePort):
-    sub = Network({v for e in p.elements() for v in (e.head, e.tail)},
-                  p.elements(), p.terminals)
-    return impedance(sub)
+        assert sp_tree(n1) is None
 
 
 class TestOpenShort:
@@ -251,6 +244,12 @@ class TestOpenShort:
         n = parse_netlist("R r1 a b 1\nPORT a b")
         p = OnePort(n, frozenset({"r1"}), ("a", "b"))
         assert open_oneport(n, p) == OpenCircuit()
+
+    def test_degenerate_outcomes_compare_by_class(self):
+        assert OpenCircuit() == OpenCircuit() and ShortCircuit() == ShortCircuit()
+        assert OpenCircuit() != ShortCircuit()
+        assert repr(OpenCircuit()) == "OpenCircuit()"
+        assert len({OpenCircuit(), OpenCircuit()}) == 1
 
     def test_short_across_port(self):
         n = parse_netlist("R r1 a b 1\nR r2 a b 2\nPORT a b")
@@ -308,7 +307,7 @@ class TestDual:
         n = dual(parse_netlist("R r1 a m 2\nL l1 m b 3\nPORT a b"))
         kinds = sorted((e.kind, e.value) for e in n.elements)
         assert kinds == [(CAPACITOR, Q(3)), (RESISTOR, Q(1, 2))]
-        assert series_parallel_decomposition(n).kind == "parallel"
+        assert isinstance(sp_tree(n), Par)
 
     def test_single_resistor(self):
         n = dual(parse_netlist("R r1 a b 4\nPORT a b"))
@@ -365,7 +364,35 @@ class TestMechanical:
         m = to_mechanical(n1)
         text = serialize_netlist(m)
         again = parse_netlist(text)
-        assert isinstance(again, MechanicalNetwork) and again == m
+        assert again == m and again.domain == MECHANICAL
+        assert sorted(e.kind for e in again.elements) == [
+            "DAMPER", "DAMPER", "INERTER", "SPRING", "SPRING"]
+
+    def test_mechanical_json_roundtrip(self, n1):
+        m = to_mechanical(n1)
+        assert network_from_json(network_to_json(m)) == m
+
+    def test_mixed_domains_rejected(self):
+        elems = [Element("r1", RESISTOR, "a", "b", 1),
+                 Element("d1", "DAMPER", "a", "b", 2)]
+        with pytest.raises(NetworkError, match="cannot mix"):
+            Network({"a", "b"}, elems, ("a", "b"))
+        with pytest.raises(NetworkError, match="cannot mix"):
+            parse_netlist("R r1 a b 1\nDAMPER d1 a b 2\nPORT a b")
+        data = json.loads(network_to_json(parse_netlist(
+            "R r1 a b 1\nR d1 a b 2\nPORT a b")))
+        data["elements"][1]["kind"] = "DAMPER"
+        with pytest.raises(NetworkError, match="cannot mix"):
+            network_from_json(json.dumps(data))
+
+    def test_no_electrical_law_for_mechanical_kinds(self):
+        m = parse_netlist("DAMPER d1 a b 2\nSPRING k1 a b 3\nPORT a b")
+        for transform in (impedance, dual, to_mechanical,
+                          lambda n: frequency_invert(n, 1)):
+            with pytest.raises(NetworkError):
+                transform(m)
+        with pytest.raises(NetworkError):
+            m.elements[0].impedance()
 
 
 class TestGroundedCapacitors:
