@@ -3,16 +3,15 @@
 Symbolic impedance by exact nodal analysis, phasor (sinusoidal trajectory)
 solving, blocked-subnetwork detection at a minimum frequency, and
 state-space extraction with controllability/observability diagnostics.
-All paths with rational data are exact; floating point enters only when a
-frequency is irrational.  The elimination itself (Bareiss determinants over
-Q[s], Gauss-Jordan solves with nullspaces, minor gcds) lives in the
-elimination section of ``polyrat``; this module only sets up the systems.
+Everything is exact: frequencies are rationals (a float is a TypeError) and
+phasors are ``QComplex`` values.  The elimination itself (Bareiss
+determinants over Q[s], Gauss-Jordan solves with nullspaces, minor gcds)
+lives in the elimination section of ``polyrat``; this module only sets up
+the systems.
 """
 
 from __future__ import annotations
 
-import math
-import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,7 +19,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 
 from .polyrat import (Polynomial, Q, QComplex, RationalFunction, _as_q,
                       _bareiss, _gauss_jordan, _minor_gcd, is_lossless,
-                      is_positive_real)
+                      is_positive_real, qcomplex)
 from . import network as net
 from .network import (CAPACITOR, INDUCTOR, RESISTOR, Element, Network,
                       OnePort, OpenCircuit, ShortCircuit, one_port_boundary)
@@ -52,12 +51,6 @@ class CapacitorLoop(ExtractionFailure):
 
 class InductorCutset(ExtractionFailure):
     pass
-
-
-
-def _numeric_tol() -> float:
-    """Float-path tolerance; overridable via PRSYN_PRECISION."""
-    return float(os.environ.get("PRSYN_PRECISION", "1e-9"))
 
 
 @dataclass(frozen=True)
@@ -131,53 +124,39 @@ def mcmillan_gap(n: Network) -> int:
 
 @dataclass(frozen=True)
 class PhasorSolution:
-    """Sinusoidal trajectory at a fixed frequency: source and per-element
-    phasor current/voltage pairs (exact when the frequency is rational)."""
+    """Sinusoidal trajectory at a fixed rational frequency: source and
+    per-element phasor current/voltage pairs, all exact."""
 
-    frequency: object                      # Fraction or float
-    source_current: object                 # QComplex or complex
-    source_voltage: object
-    element_currents: Dict[str, object]
-    element_voltages: Dict[str, object]
+    frequency: Fraction
+    source_current: QComplex
+    source_voltage: QComplex
+    element_currents: Dict[str, QComplex]
+    element_voltages: Dict[str, QComplex]
     free_modes: int = 0                    # dimension of the solution space
 
 
-def _element_z_at(e: Element, omega, exact: bool):
+def _element_z_at(e: Element, omega: Fraction) -> Optional[QComplex]:
     """Impedance value at s = j*omega, or None for a pole there."""
     side, p = e.electrical().law
-    if exact:
-        mag = e.value * omega ** p
-        x = QComplex(0, mag) if p else QComplex(mag, 0)
-    else:
-        mag = float(e.value) * float(omega) ** p
-        x = complex(0.0, mag) if p else complex(mag, 0.0)
+    mag = e.value * omega ** p
+    x = QComplex(0, mag) if p else QComplex(mag, 0)
     if side == "Z":
         return x
     return None if mag == 0 else 1 / x        # pole of 1/(value s^p)
 
 
-def _phasor_system(n: Network, omega, drive: Tuple[str, object], exact: bool):
+def _phasor_system(n: Network, omega: Fraction, drive: Tuple[str, QComplex]):
     """Tableau rows for the phasor unknowns [potentials, element currents,
     source current]; ground is the port minus terminal."""
-    if exact:
-        zero = QComplex(0, 0)
-
-        def is_zero(x):
-            return x.is_zero()
-    else:
-        zero = 0j
-
-        def is_zero(x):
-            return abs(x) <= _numeric_tol() * 1e-3
-
+    zero = QComplex(0, 0)
     ground = n.port[1]
     nodes = [v for v in n.vertices if v != ground]
     nidx = {v: i for i, v in enumerate(nodes)}
     m = len(n.elements)
     ncols = len(nodes) + m + 1
     isrc = len(nodes) + m
-    rows: List[List[object]] = []
-    rhs: List[object] = []
+    rows: List[List[QComplex]] = []
+    rhs: List[List[QComplex]] = []
 
     def new_row():
         rows.append([zero] * ncols)
@@ -198,7 +177,7 @@ def _phasor_system(n: Network, omega, drive: Tuple[str, object], exact: bool):
     # element laws
     for j, e in enumerate(n.elements):
         row = new_row()
-        z = _element_z_at(e, omega, exact)
+        z = _element_z_at(e, omega)
         col = len(nodes) + j
         if z is None:
             row[col] = row[col] + 1         # pole at j*omega: current is zero
@@ -221,38 +200,33 @@ def _phasor_system(n: Network, omega, drive: Tuple[str, object], exact: bool):
             raise AnalysisError("degenerate port")
     else:
         raise ValueError(f"unknown drive mode {mode!r}")
-    rhs[-1] = [value if not exact else QComplex(value.re, value.im)]
+    rhs[-1] = [value]
 
-    return rows, rhs, nodes, nidx, zero, is_zero
+    return rows, rhs, nodes, nidx, zero
 
 
 def phasor_solve(n: Network, omega, drive: Optional[Tuple[str, object]] = None,
                  seed: Optional[int] = None) -> PhasorSolution:
-    """Solve for a sinusoidal trajectory at frequency omega.
+    """Solve for a sinusoidal trajectory at the rational frequency omega.
 
-    drive is ("current", phasor) or ("voltage", phasor); default drives unit
-    current unless the impedance has a pole at j*omega, in which case unit
-    voltage.  When internal resonant modes make the trajectory non-unique,
-    a deterministic pseudo-random combination of the free modes (from
-    ``seed``) is added so the returned trajectory is generic.
+    drive is ("current", phasor) or ("voltage", phasor), the phasor a
+    QComplex or a rational; default drives unit current unless the
+    impedance has a pole at j*omega, in which case unit voltage.  When
+    internal resonant modes make the trajectory non-unique, a deterministic
+    pseudo-random combination of the free modes (from ``seed``) is added so
+    the returned trajectory is generic.
     """
-    exact = not isinstance(omega, float)
-    if exact:
-        omega = _as_q(omega)
+    omega = _as_q(omega)
     if drive is None:
         h = impedance(n)
         pole = (not isinstance(h, NoImpedance)
-                and _has_pole_at_jomega(h, omega, exact))
-        one = QComplex(1, 0) if exact else 1 + 0j
-        drive = ("voltage", one) if pole else ("current", one)
+                and h.den.eval_jomega(omega * omega) == (0, 0))
+        drive = ("voltage" if pole else "current", QComplex(1, 0))
     else:
-        mode, val = drive
-        if exact and not isinstance(val, QComplex):
-            val = QComplex(val, 0)
-        drive = (mode, val)
+        drive = (drive[0], qcomplex(drive[1]))
 
-    rows, rhs, nodes, nidx, zero, is_zero = _phasor_system(n, omega, drive, exact)
-    solved = _gauss_jordan(rows, rhs, zero, is_zero)
+    rows, rhs, nodes, nidx, zero = _phasor_system(n, omega, drive)
+    solved = _gauss_jordan(rows, rhs, zero, QComplex.is_zero)
     if solved is None:
         raise InconsistentDrive(
             f"no sinusoidal trajectory with drive {drive[0]}={drive[1]} at omega={omega}")
@@ -261,24 +235,13 @@ def phasor_solve(n: Network, omega, drive: Optional[Tuple[str, object]] = None,
     if basis:
         rng = random.Random(seed if seed is not None else 0)
         for b in basis:
-            if exact:
-                c = QComplex(Fraction(rng.randint(1, 997), 61),
-                             Fraction(rng.randint(1, 991), 53))
-            else:
-                c = complex(rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0))
+            c = QComplex(Fraction(rng.randint(1, 997), 61),
+                         Fraction(rng.randint(1, 991), 53))
             vec = [x + c * y for x, y in zip(vec, b)]
-    return _package_solution(n, omega, vec, nodes, nidx, zero, len(basis), exact)
+    return _package_solution(n, omega, vec, nodes, nidx, zero, len(basis))
 
 
-def _has_pole_at_jomega(h: RationalFunction, omega, exact: bool) -> bool:
-    if exact:
-        a, b = h.den.eval_jomega(omega * omega)
-        return a == 0 and b == 0
-    val = complex(h.den(1j * float(omega)))
-    return abs(val) <= _numeric_tol()
-
-
-def _package_solution(n, omega, vec, nodes, nidx, zero, free_dim, exact):
+def _package_solution(n, omega, vec, nodes, nidx, zero, free_dim):
     ground = n.port[1]
 
     def pot(v):
@@ -294,27 +257,19 @@ def _package_solution(n, omega, vec, nodes, nidx, zero, free_dim, exact):
     return PhasorSolution(omega, src_i, src_v, currents, voltages, free_dim)
 
 
-def energy_balance(sol: PhasorSolution):
+def energy_balance(sol: PhasorSolution) -> Fraction:
     """|LHS - RHS| of the phasor power identity
-    v*conj(i) + conj(v)*i = sum_k v_k*conj(i_k) + conj(v_k)*i_k;
-    exactly zero (a Fraction) on rational paths."""
-    v, i = sol.source_voltage, sol.source_current
-    lhs = _conj(v) * i + _conj(i) * v
-    rhs = None
-    for eid, ik in sol.element_currents.items():
-        vk = sol.element_voltages[eid]
-        term = _conj(vk) * ik + _conj(ik) * vk
-        rhs = term if rhs is None else rhs + term
-    if rhs is None:
-        rhs = lhs * 0
-    diff = lhs - rhs
-    if isinstance(diff, QComplex):
-        return Q(0) if diff.is_zero() else math.sqrt(float(diff.abs2()))
+    v*conj(i) + conj(v)*i = sum_k v_k*conj(i_k) + conj(v_k)*i_k.
+
+    Each term x*conj(y) + conj(x)*y is the real number 2 Re(conj(x)*y), so
+    the difference is an exact Fraction, zero when the identity holds."""
+    def power(v: QComplex, i: QComplex) -> Fraction:
+        return 2 * (v.conjugate() * i).re
+
+    diff = power(sol.source_voltage, sol.source_current) - sum(
+        power(sol.element_voltages[eid], ik)
+        for eid, ik in sol.element_currents.items())
     return abs(diff)
-
-
-def _conj(x):
-    return x.conjugate()
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +281,7 @@ class BlockReport:
     """Partition of a network into maximal-blocked subnetworks and unblocked
     elements for a generic sinusoidal trajectory at omega0."""
 
-    omega0: object
+    omega0: Fraction
     blocked: Tuple[FrozenSet[str], ...]
     unblocked: FrozenSet[str]
     blocked_oneport_flags: Tuple[bool, ...]
@@ -342,9 +297,7 @@ def blocked_report(n: Network, omega0, seed: int = 0, draws: int = 3) -> BlockRe
     Asserts the structural laws a minimum-frequency trajectory must satisfy;
     with at most four storage elements additionally asserts the counting
     laws."""
-    exact = not isinstance(omega0, float)
-    if exact:
-        omega0 = _as_q(omega0)
+    omega0 = _as_q(omega0)
     if omega0 <= 0:
         raise HypothesesNotMet("omega0 must be positive")
     h = impedance(n)
@@ -352,33 +305,21 @@ def blocked_report(n: Network, omega0, seed: int = 0, draws: int = 3) -> BlockRe
         raise HypothesesNotMet("network has no impedance")
     if is_lossless(h):
         raise HypothesesNotMet("impedance is lossless")
-    if exact:
-        try:
-            re, im = h.eval_jomega_pair(omega0 * omega0)
-        except ZeroDivisionError:
-            raise HypothesesNotMet("impedance has a pole at j*omega0")
-        if re != 0 or im == 0:
-            raise HypothesesNotMet("H(j*omega0) must be nonzero purely imaginary")
-    else:
-        val = complex(h.num(1j * omega0)) / complex(h.den(1j * omega0))
-        if abs(val.real) > _numeric_tol() or abs(val.imag) < _numeric_tol():
-            raise HypothesesNotMet("H(j*omega0) must be nonzero purely imaginary")
+    try:
+        re, im = h.eval_jomega_pair(omega0 * omega0)
+    except ZeroDivisionError:
+        raise HypothesesNotMet("impedance has a pole at j*omega0")
+    if re != 0 or im == 0:
+        raise HypothesesNotMet("H(j*omega0) must be nonzero purely imaginary")
 
     zero_sets = []
     sols = []
     for t in range(draws):
         sol = phasor_solve(n, omega0, seed=seed * 1000003 + t)
         sols.append(sol)
-        zs = set()
-        for e in n.elements:
-            ik, vk = sol.element_currents[e.id], sol.element_voltages[e.id]
-            if exact:
-                if ik.is_zero() and vk.is_zero():
-                    zs.add(e.id)
-            else:
-                if abs(ik) <= _numeric_tol() and abs(vk) <= _numeric_tol():
-                    zs.add(e.id)
-        zero_sets.append(zs)
+        zero_sets.append({e.id for e in n.elements
+                          if sol.element_currents[e.id].is_zero()
+                          and sol.element_voltages[e.id].is_zero()})
     blocked_ids = set.intersection(*zero_sets)
     disagree = any(zs != blocked_ids for zs in zero_sets)
 
@@ -413,8 +354,8 @@ def _element_components(n: Network, ids: Set[str]) -> List[Set[str]]:
 
 def _assert_blocked_laws(n: Network, report: BlockReport, sol: PhasorSolution):
     # 1. the driving-point trajectory is nonzero in both coordinates
-    assert not _is_zero_phasor(sol.source_current), "driving current vanished"
-    assert not _is_zero_phasor(sol.source_voltage), "driving voltage vanished"
+    assert not sol.source_current.is_zero(), "driving current vanished"
+    assert not sol.source_voltage.is_zero(), "driving voltage vanished"
     # 2. every resistor is blocked
     blocked_all = set().union(*report.blocked) if report.blocked else set()
     for e in n.elements:
@@ -454,18 +395,11 @@ def _assert_blocked_laws(n: Network, report: BlockReport, sol: PhasorSolution):
         assert all(report.blocked_oneport_flags), "blocked subnetworks must be one-ports"
 
 
-def _is_zero_phasor(x) -> bool:
-    if isinstance(x, QComplex):
-        return x.is_zero()
-    return abs(x) <= _numeric_tol()
-
-
 def blocked_open_short_check(n: Network, report: BlockReport) -> bool:
     """Check that opening or shorting each maximal-blocked one-port
     preserves the impedance value at j*omega0 (sequentially for the second
     one when it remains a one-port)."""
-    omega0 = _as_q(report.omega0)
-    w2 = omega0 * omega0
+    w2 = report.omega0 * report.omega0
     h = impedance(n)
     target = h.eval_jomega_pair(w2)
 
@@ -577,7 +511,10 @@ def _find_capacitor_loop(n: Network) -> Optional[List[str]]:
 
 
 def _find_inductor_cut(n: Network) -> Optional[List[str]]:
-    """Inductors forming an all-inductor cut (with or without the source)."""
+    """Inductors forming an all-inductor cut (with or without the source).
+
+    n has an element, so its elements connect every vertex (the network
+    is biconnected with the source) and a cut is never empty."""
     edges = [(e.head, e.tail, e.id) for e in n.elements if e.kind != INDUCTOR]
     adj = net._adjacency(edges)
     comp: Dict[str, int] = {}
@@ -600,6 +537,8 @@ def state_space(n: Network) -> StateSpace:
     Raises CapacitorLoop when the capacitors contain a circuit (their
     voltages are then linearly dependent) and InductorCutset when the
     inductors contain a cut-set (their currents are then constrained)."""
+    if not n.elements:
+        raise AnalysisError("no element joins the port terminals")
     laws = [e.electrical().law for e in n.elements]
     loop = _find_capacitor_loop(n)
     if loop is not None:

@@ -2,9 +2,11 @@
 
 Exit codes: 0 success (or true verdict), 1 false verdict (check/verify),
 2 usage errors, 3 domain errors.  --json emits machine-readable reports in
-which every exact number is a fraction string.  The PRSYN_PRECISION
-environment variable overrides the default 1e-9 numeric tolerance used on
-floating-point paths.
+which every exact number is a fraction string and every phasor the text
+``re+imj``.  Every numeric flag, frequencies included, is an exact rational
+literal such as ``3/2``; nothing is computed in floating point except the
+approximate value printed for a minimum frequency whose square is
+irrational.
 """
 
 from __future__ import annotations
@@ -20,12 +22,6 @@ from . import analysis, network, synth
 from .polyrat import (PolyratError, QComplex, biquad_params, format_ratfunc,
                       is_lossless, is_minimum_function, is_positive_real,
                       minimum_frequencies, parse_ratfunc)
-
-
-def _fmt_c(z) -> str:
-    if isinstance(z, QComplex):
-        return f"{z.re}{'+' if z.im >= 0 else '-'}{abs(z.im)}j"
-    return str(complex(z))
 
 
 def _number(text: str) -> Fraction:
@@ -129,19 +125,19 @@ def _cmd_phasor(args) -> int:
     residual = analysis.energy_balance(sol)
     payload = {
         "omega": str(sol.frequency),
-        "source": {"current": _fmt_c(sol.source_current),
-                   "voltage": _fmt_c(sol.source_voltage)},
-        "elements": {eid: {"current": _fmt_c(sol.element_currents[eid]),
-                           "voltage": _fmt_c(sol.element_voltages[eid])}
+        "source": {"current": str(sol.source_current),
+                   "voltage": str(sol.source_voltage)},
+        "elements": {eid: {"current": str(sol.element_currents[eid]),
+                           "voltage": str(sol.element_voltages[eid])}
                      for eid in sorted(sol.element_currents)},
         "free_modes": sol.free_modes,
         "energy_residual": str(residual),
     }
-    lines = [f"omega={sol.frequency} i={_fmt_c(sol.source_current)} "
-             f"v={_fmt_c(sol.source_voltage)} residual={residual}"]
+    lines = [f"omega={sol.frequency} i={sol.source_current} "
+             f"v={sol.source_voltage} residual={residual}"]
     for eid in sorted(sol.element_currents):
-        lines.append(f"  {eid}: i={_fmt_c(sol.element_currents[eid])} "
-                     f"v={_fmt_c(sol.element_voltages[eid])}")
+        lines.append(f"  {eid}: i={sol.element_currents[eid]} "
+                     f"v={sol.element_voltages[eid]}")
     _emit(args, payload, "\n".join(lines))
     return 0
 

@@ -573,12 +573,19 @@ def short_oneport(n: Network, p: OnePort) -> ReducedNetwork:
 # driving-point cut-set / path predicates
 # ---------------------------------------------------------------------------
 
+def _require_domain(n: Network, domain: str) -> None:
+    if n.domain != domain:
+        raise NetworkError(f"{domain} network expected, got {n.domain} kinds")
+
+
 def _dp_cutset(n: Network, kind: str) -> bool:
+    _require_domain(n, ELECTRICAL)
     edges = [(e.head, e.tail, e.id) for e in n.elements if e.kind != kind]
     return not _reachable(edges, n.port[0], n.port[1])
 
 
 def _dp_path(n: Network, kind: str) -> bool:
+    _require_domain(n, ELECTRICAL)
     edges = [(e.head, e.tail, e.id) for e in n.elements if e.kind == kind]
     return _reachable(edges, n.port[0], n.port[1])
 
@@ -945,8 +952,7 @@ def _dual_wheel(n: Network, edges, kind) -> Network:
 
 def _analogue(n: Network, domain: str) -> Network:
     """Force-current analogue of a network whose kinds lie in domain."""
-    if n.domain != domain:
-        raise NetworkError(f"{domain} network expected, got {n.domain} kinds")
+    _require_domain(n, domain)
     return Network(n.vertices,
                    [e.recast(KINDS[e.kind].analogue) for e in n.elements], n.port)
 
@@ -964,6 +970,7 @@ def from_mechanical(m: Network) -> Network:
 def report_grounded_capacitors(n: Network) -> Dict[str, bool]:
     """Which capacitors touch the ground terminal (port minus); these are
     the inerters replaceable by masses under the analogy."""
+    _require_domain(n, ELECTRICAL)
     ground = n.port[1]
     return {e.id: ground in (e.head, e.tail)
             for e in n.elements if e.kind == CAPACITOR}

@@ -3,8 +3,9 @@
 Everything here is exact: coefficients are ``fractions.Fraction``, equality
 is true equality, and the positive-real / minimum-function predicates are
 decided with Routh arrays and Sturm chains rather than numerical root
-finding.  Floating point appears only in the optional high-precision
-fallbacks (evaluation at irrational points, root approximation).
+finding.  Values at s = j*w are ``QComplex`` numbers with rational parts.
+Floating point appears only in ``Omega.value``, the approximation of a
+minimum frequency whose square is irrational (``isolate_positive_roots``).
 """
 
 from __future__ import annotations
@@ -13,10 +14,10 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 Q = Fraction
-NEG_INF = float("-inf")
+NEG_INF = -math.inf
 
 
 
@@ -123,9 +124,6 @@ class QComplex:
     def conjugate(self) -> "QComplex":
         return QComplex(self.re, -self.im)
 
-    def abs2(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
-
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 
@@ -139,11 +137,11 @@ class QComplex:
     def __hash__(self):
         return hash((self.re, self.im))
 
-    def __complex__(self):
-        return float(self.re) + 1j * float(self.im)
-
     def __repr__(self):
         return f"QComplex({self.re!r}, {self.im!r})"
+
+    def __str__(self):
+        return f"{self.re}{'+' if self.im >= 0 else '-'}{abs(self.im)}j"
 
 
 def qcomplex(x) -> QComplex:
@@ -290,7 +288,7 @@ class Polynomial:
         return (self // self.gcd(self.derivative())).monic()
 
     def __call__(self, x):
-        """Horner evaluation; works for Fraction, complex, and QComplex."""
+        """Horner evaluation; works for Fraction and QComplex."""
         acc = x * 0  # typed zero so constants adopt the argument's type
         for c in reversed(self.coeffs):
             acc = acc * x + c
@@ -425,20 +423,6 @@ class RationalFunction:
     def __call__(self, x):
         return self.num(x) / self.den(x)
 
-    def eval_jomega(self, omega2: Fraction) -> QComplex:
-        """Exact value at s = j*w0 with w0**2 = omega2, provided the result
-        lies in Q + jQ*w0 with w0 rational, or omega2 makes it expressible.
-
-        Returns the value as a QComplex when w0 is rational; otherwise
-        raises NotRationalParams (callers needing irrational w0 use floats).
-        """
-        w0 = sqrt_fraction(omega2)
-        if w0 is None:
-            raise NotRationalParams("omega0 is irrational; use float path")
-        na, nb = self.num.eval_jomega(omega2)
-        da, db = self.den.eval_jomega(omega2)
-        return QComplex(na, nb * w0) / QComplex(da, db * w0)
-
     def eval_jomega_pair(self, omega2: Fraction) -> Tuple[Fraction, Fraction]:
         """Value at s = j*w0 as an exact pair (a, b) meaning a + j*b*w0.
 
@@ -493,28 +477,17 @@ def reduce(num, den) -> RationalFunction:
     return RationalFunction(num, den)
 
 
-DEFAULT_POLE_TOL = 1e-12
+def eval_ratfunc(f: RationalFunction, z) -> QComplex:
+    """Exact value of f at a complex point z (a QComplex or a rational).
 
-
-def eval_ratfunc(f: RationalFunction, z: Union[QComplex, complex],
-                 pole_tol: float = DEFAULT_POLE_TOL) -> Union[QComplex, complex]:
-    """Evaluate f at a complex point; exact for QComplex arguments.
-
-    Raises PoleAtPoint when the denominator vanishes (exactly on the
-    QComplex path, within ``pole_tol`` relative to the leading scale on the
-    float path).
+    Raises PoleAtPoint when the denominator vanishes there and TypeError
+    for a float or complex z.
     """
-    if isinstance(z, QComplex):
-        d = f.den(z)
-        if d.is_zero():
-            raise PoleAtPoint("denominator vanishes at the given point")
-        return f.num(z) / d
-    z = complex(z)
-    d = complex(f.den(z))
-    scale = max(1.0, abs(z)) ** max(int(f.den.degree), 0)
-    if abs(d) <= pole_tol * scale:
+    z = qcomplex(z)
+    d = f.den(z)
+    if d.is_zero():
         raise PoleAtPoint("denominator vanishes at the given point")
-    return complex(f.num(z)) / d
+    return f.num(z) / d
 
 
 # ---------------------------------------------------------------------------
@@ -1010,7 +983,7 @@ def _gauss_jordan(rows, rhs, zero, is_zero):
     basis spans the nullspace of rows, one vector per free column in column
     order; or None when the system is inconsistent.  The pivot of each
     column is the first row at or below the current one whose entry is not
-    is_zero.  Works for Fraction, QComplex (exact) and complex."""
+    is_zero.  Works for Fraction and QComplex."""
     m = len(rows)
     ncols = len(rows[0]) if m else 0
     aug = [list(rows[r]) + list(rhs[r]) for r in range(m)]

@@ -14,9 +14,9 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .polyrat import (BiquadParams, NotMinimum, NotRationalParams, Polynomial,
-                      Q, RationalFunction, _as_q, _sylvester_rows, biquad_params,
-                      biquad_template, count_real_roots, det_bareiss,
-                      is_minimum_function, is_positive_real,
+                      Q, QComplex, RationalFunction, _as_q, _sylvester_rows,
+                      biquad_params, biquad_template, count_real_roots,
+                      det_bareiss, is_minimum_function, is_positive_real,
                       minimum_frequencies, rational_roots, sqrt_fraction,
                       sylvester_determinant)
 from . import network as net
@@ -745,9 +745,9 @@ def match_minimum_structure(n: Network, omega0) -> StructureMatch:
         raise NoMatch("network does not reduce to the five-arm bridge")
     arms, (a, b, c, d) = net._bridge_positions(n, edges)
 
-    def zval(tree) -> QC:
+    def zval(tree) -> QComplex:
         za, zb = net.tree_impedance(tree).eval_jomega_pair(w2)
-        return (za, zb)
+        return QComplex(za, zb * w0)        # za + j*zb*w0
 
     base = {k: arms[k] for k in ("N1", "N2", "N3", "N4", "N5")}
     # the bridge's two-terminal symmetries: swap c<->d and/or a<->b
@@ -760,7 +760,7 @@ def match_minimum_structure(n: Network, omega0) -> StructureMatch:
     for rel in relabelings:
         t = {pos: base[rel[pos]] for pos in base}
         z = {pos: zval(t[pos]) for pos in t}
-        cond = _test_conditions(t, z, w2)
+        cond = _test_conditions(t, z)
         if cond is not None:
             assignment = {pos: tuple(sorted(e.id for e in net.tree_elements(t[pos])))
                           for pos in t}
@@ -768,20 +768,7 @@ def match_minimum_structure(n: Network, omega0) -> StructureMatch:
     raise NoMatch("no structural condition holds at j*omega0")
 
 
-def _neg(z):
-    return (-z[0], -z[1])
-
-
-def _zmul(z1, z2, w2):
-    # (a1 + j b1 w0)(a2 + j b2 w0) with w0^2 = w2
-    return (z1[0] * z2[0] - w2 * z1[1] * z2[1], z1[0] * z2[1] + z1[1] * z2[0])
-
-
-def _zadd(z1, z2):
-    return (z1[0] + z2[0], z1[1] + z2[1])
-
-
-def _test_conditions(t, z, w2) -> Optional[int]:
+def _test_conditions(t, z) -> Optional[int]:
     kinds = {pos: _arm_kinds(t[pos]) for pos in t}
 
     def all_kind(pos, kind):
@@ -792,16 +779,16 @@ def _test_conditions(t, z, w2) -> Optional[int]:
         for k23, k45 in ((CAPACITOR, INDUCTOR), (INDUCTOR, CAPACITOR)):
             if (_is_single(t["N2"], k23) and _is_single(t["N3"], k23)
                     and _is_single(t["N4"], k45) and _is_single(t["N5"], k45)):
-                lhs = _zadd(_zmul(z["N2"], _zadd(z["N3"], z["N4"]), w2),
-                            _zmul(z["N4"], _zadd(z["N3"], z["N5"]), w2))
-                if lhs == (0, 0):
+                lhs = (z["N2"] * (z["N3"] + z["N4"])
+                       + z["N4"] * (z["N3"] + z["N5"]))
+                if lhs.is_zero():
                     return 1
     # condition 2
     if (_is_single(t["N1"], CAPACITOR) and _is_single(t["N2"], CAPACITOR)
             and all_kind("N3", RESISTOR)
             and _is_single(t["N4"], INDUCTOR) and _is_single(t["N5"], INDUCTOR)):
-        if (_zmul(z["N1"], z["N2"], w2) == _zmul(z["N4"], z["N5"], w2)
-                and z["N1"] != _neg(z["N4"]) and z["N1"] != _neg(z["N5"])):
+        if (z["N1"] * z["N2"] == z["N4"] * z["N5"]
+                and z["N1"] != -z["N4"] and z["N1"] != -z["N5"]):
             return 2
     # condition 3
     n1k = kinds["N1"]
@@ -811,18 +798,15 @@ def _test_conditions(t, z, w2) -> Optional[int]:
         for k3, k45 in ((CAPACITOR, INDUCTOR), (INDUCTOR, CAPACITOR)):
             if (all_kind("N3", k3) and all_kind("N4", k45)
                     and all_kind("N5", k45)):
-                if z["N3"] == _neg(z["N4"]) and z["N3"] == _neg(z["N5"]):
+                if z["N3"] == -z["N4"] and z["N3"] == -z["N5"]:
                     return 3
     # condition 4
     if all_kind("N1", RESISTOR) and all_kind("N2", RESISTOR) and _is_lc_pair(t["N4"]):
         for k3, k5 in ((CAPACITOR, INDUCTOR), (INDUCTOR, CAPACITOR)):
             if _is_single(t["N3"], k3) and _is_single(t["N5"], k5):
-                if z["N3"] == _neg(z["N4"]) and z["N3"] == _neg(z["N5"]):
+                if z["N3"] == -z["N4"] and z["N3"] == -z["N5"]:
                     return 4
     return None
-
-
-QC = Tuple[Fraction, Fraction]
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from prsyn.analysis import (CapacitorLoop, HypothesesNotMet, InductorCutset,
                             state_space, storage_count)
 from prsyn.network import Network, OnePort, parse_netlist
 from prsyn.polyrat import (BiquadParams, Polynomial, Q, QComplex,
-                           RationalFunction, biquad_template,
+                           RationalFunction, biquad_template, eval_ratfunc,
                            is_positive_real, parse_ratfunc)
 from prsyn.synth import build_named, build_seven_element, theorem2_step
 
@@ -139,7 +139,12 @@ class TestBlocked:
 
     @pytest.mark.parametrize("omega0", [Q(-1), Q(0), -1.0])
     def test_nonpositive_omega0_rejected(self, n1, omega0):
-        # H(-j) satisfies the other hypotheses whenever H(j) does
+        # H(-j) satisfies the other hypotheses whenever H(j) does; a float
+        # is no exact frequency and is refused before its sign is read
+        if isinstance(omega0, float):
+            with pytest.raises(TypeError):
+                blocked_report(n1, omega0)
+            return
         with pytest.raises(HypothesesNotMet, match="omega0 must be positive"):
             blocked_report(n1, omega0)
 
@@ -244,25 +249,42 @@ class TestCounts:
 
 
 class TestNumericTolerance:
-    def test_precision_env_override(self, monkeypatch):
-        from prsyn.analysis import _numeric_tol
-        assert _numeric_tol() == 1e-9
-        monkeypatch.setenv("PRSYN_PRECISION", "1e-6")
-        assert _numeric_tol() == 1e-6
+    """There is no numeric tolerance: every value at s = j*omega is exact,
+    and a float or complex argument is a TypeError."""
 
-    def test_float_path_phasor(self):
-        # irrational frequency: float fallback with the default tolerance
-        n = parse_netlist("R r1 a b 2\nL l1 a b 3\nPORT a b")
-        sol = phasor_solve(n, 2.0 ** 0.5)
-        assert energy_balance(sol) < 1e-9
+    def test_precision_env_override(self, n1, monkeypatch):
+        # the former PRSYN_PRECISION knob is read by nothing
+        before = phasor_solve(n1, Q(2), ("current", 1))
+        monkeypatch.setenv("PRSYN_PRECISION", "1e-6")
+        after = phasor_solve(n1, Q(2), ("current", 1))
+        assert after == before
+        assert energy_balance(after) == 0
+
+    def test_float_path_phasor(self, n1):
+        # a float frequency (rational or not), drive or minimum frequency
+        # is refused; the exact forms of the same arguments are accepted
+        calls = [lambda: phasor_solve(n1, 2.0),
+                 lambda: phasor_solve(n1, 2 ** 0.5),
+                 lambda: phasor_solve(n1, Q(2), ("current", 1.0)),
+                 lambda: phasor_solve(n1, Q(2), ("voltage", 1j)),
+                 lambda: blocked_report(n1, 1.0)]
+        for call in calls:
+            with pytest.raises(TypeError):
+                call()
+        assert phasor_solve(n1, 2, ("current", 1)).frequency == 2
 
     def test_float_path_matches_exact(self, n1):
-        # the float element laws agree with the exact ones at a rational omega
-        exact = phasor_solve(n1, Q(2), ("current", 1))
-        approx = phasor_solve(n1, 2.0, ("current", 1))
-        for eid, i in exact.element_currents.items():
-            assert abs(complex(float(i.re), float(i.im))
-                       - approx.element_currents[eid]) < 1e-9
+        # the one exact path agrees with H(j*omega), and eval_ratfunc
+        # refuses a float or complex point
+        h = impedance(n1)
+        for call in (lambda: eval_ratfunc(h, 0j),
+                     lambda: eval_ratfunc(h, 1.0)):
+            with pytest.raises(TypeError):
+                call()
+        assert eval_ratfunc(h, 0) == h.num.coeff(0) / h.den.coeff(0)
+        sol = phasor_solve(n1, Q(2), ("current", 1))
+        assert sol.source_current == QComplex(1, 0)
+        assert sol.source_voltage == eval_ratfunc(h, QComplex(0, 2))
 
 
 class TestInconsistentDrive:

@@ -181,6 +181,23 @@ class TestMalformedInput:
         self.assert_one_line(captured.err)
 
 
+class TestDomainMessages:
+    def test_inconsistent_drive_prints_phasor(self, run, tmp_path):
+        net = tmp_path / "tank.net"
+        net.write_text("L l1 a b 1\nC c1 a b 1\nPORT a b\n")  # pole at j*1
+        code, out, err = run("phasor", str(net), "--omega", "1",
+                             "--current", "1,-1/2")
+        assert (code, out) == (3, "")
+        assert err == ("error: no sinusoidal trajectory with drive "
+                       "current=1-1/2j at omega=1\n")
+
+    def test_ss_of_bare_port_names_the_cause(self, run, tmp_path):
+        net = tmp_path / "port.net"
+        net.write_text("PORT a b\n")
+        assert run("ss", str(net)) == (
+            3, "", "error: no element joins the port terminals\n")
+
+
 MECH_NETLIST = "DAMPER d1 a b 2\nSPRING k1 a b 3\nPORT a b\n"
 
 

@@ -1,9 +1,12 @@
-"""Source hygiene: no unused imports and no unreferenced helpers in prsyn.
+"""Source hygiene: no unused imports, no unreferenced helpers, no
+environment knobs and no floating-point arithmetic in prsyn.
 
 Every module of ``src/prsyn`` except ``__init__.py`` (whose imports are the
 public API) must use each name it imports, and every module-level function
 must be referenced somewhere in ``src/`` or ``tests/`` besides its own
-definition.  The checks read the sources with ``ast``; nothing is imported.
+definition.  No module reads the environment, and none calls ``float`` or
+``complex`` except where ``polyrat`` approximates an irrational minimum
+frequency.  The checks read the sources with ``ast``; nothing is imported.
 """
 
 import ast
@@ -66,3 +69,40 @@ def test_every_module_function_is_referenced():
                        for where, owner, name in refs):
                 unreferenced.append(f"{path.name}: {fn.name}")
     assert unreferenced == []
+
+
+def _calls(node, names):
+    """Line numbers of calls to the builtins ``names`` under node."""
+    return [c.lineno for c in ast.walk(node)
+            if isinstance(c, ast.Call) and isinstance(c.func, ast.Name)
+            and c.func.id in names]
+
+
+def test_no_environment_knobs():
+    # behaviour is set by arguments only, never by the environment
+    reads = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(_tree(path)):
+            if (isinstance(node, ast.Attribute)
+                    and node.attr in ("environ", "getenv")
+                    or isinstance(node, ast.ImportFrom)
+                    and node.module == "os"):
+                reads.append(f"{path.name}:{node.lineno}")
+    assert reads == []
+
+
+# polyrat functions that compute Omega.value, the float approximation of a
+# minimum frequency whose square is irrational
+OMEGA_VALUE = {"isolate_positive_roots", "minimum_frequencies"}
+
+
+def test_no_float_arithmetic():
+    found = []
+    for path in MODULES:
+        for top in _tree(path).body:
+            names = {"float", "complex"}
+            if (path.name == "polyrat.py"
+                    and getattr(top, "name", None) in OMEGA_VALUE):
+                names = {"complex"}
+            found += [f"{path.name}:{line}" for line in _calls(top, names)]
+    assert found == []

@@ -388,7 +388,9 @@ class TestMechanical:
     def test_no_electrical_law_for_mechanical_kinds(self):
         m = parse_netlist("DAMPER d1 a b 2\nSPRING k1 a b 3\nPORT a b")
         for transform in (impedance, dual, to_mechanical,
-                          lambda n: frequency_invert(n, 1)):
+                          lambda n: frequency_invert(n, 1),
+                          has_C_cutset, has_L_cutset, has_C_path, has_L_path,
+                          report_grounded_capacitors):
             with pytest.raises(NetworkError):
                 transform(m)
         with pytest.raises(NetworkError):

@@ -91,8 +91,6 @@ class TestEval:
         f = RationalFunction(Polynomial([1]), S)
         with pytest.raises(PoleAtPoint):
             eval_ratfunc(f, QComplex(0, 0))
-        with pytest.raises(PoleAtPoint):
-            eval_ratfunc(f, 0j)
 
 
 class TestPositiveReal:

@@ -302,6 +302,17 @@ class TestMatcher:
         m = match_minimum_structure(q, 1)
         assert m.lemma8_condition == 2
 
+    def test_n10_condition_two_off_unit_frequency(self):
+        # at omega0 = 3/2 the arms must be read at s = j*3/2; every
+        # condition compares purely reactive arm values and is homogeneous
+        # in them, so this checks the evaluation point (omega0**2)
+        w0 = Q(3, 2)
+        q = build_quartet(QuartetParams("N10", A=Q(2), B=Q(3), C=Q(5),
+                                        D=Q(1)), w0)
+        assert match_minimum_structure(q, w0).lemma8_condition == 2
+        with pytest.raises(NoMatch, match="not a minimum frequency"):
+            match_minimum_structure(q, 1)
+
     def test_series_rl_no_match(self):
         with pytest.raises(NoMatch):
             match_minimum_structure(
