@@ -108,8 +108,7 @@ def _cmd_impedance(args) -> int:
     n = _load_network(args.netlist)
     h = analysis.impedance(n)
     if isinstance(h, analysis.NoImpedance):
-        _emit(args, {"impedance": None}, "no impedance (degenerate port law)")
-        return 1
+        raise analysis.AnalysisError("no impedance (degenerate port law)")
     _emit(args, {"impedance": format_ratfunc(h)}, format_ratfunc(h))
     return 0
 

@@ -983,7 +983,11 @@ def _gauss_jordan(rows, rhs, zero, is_zero):
     basis spans the nullspace of rows, one vector per free column in column
     order; or None when the system is inconsistent.  The pivot of each
     column is the first row at or below the current one whose entry is not
-    is_zero.  Works for Fraction and QComplex."""
+    is_zero.  Works for Fraction and QComplex.
+
+    The update is sparse: each step touches only the pivot row's nonzero
+    columns (entries left of the pivot column are already zero), so an
+    entry that would change by f * 0 is never rewritten."""
     m = len(rows)
     ncols = len(rows[0]) if m else 0
     aug = [list(rows[r]) + list(rhs[r]) for r in range(m)]
@@ -998,12 +1002,17 @@ def _gauss_jordan(rows, rhs, zero, is_zero):
         if piv is None:
             continue
         aug[r], aug[piv] = aug[piv], aug[r]
-        pv = aug[r][c]
-        aug[r] = [x / pv for x in aug[r]]
+        top = aug[r]
+        pv = top[c]
+        nz = [j for j in range(c, len(top)) if not is_zero(top[j])]
+        for j in nz:
+            top[j] = top[j] / pv
         for rr in range(m):
-            if rr != r and not is_zero(aug[rr][c]):
-                f = aug[rr][c]
-                aug[rr] = [x - f * y for x, y in zip(aug[rr], aug[r])]
+            row = aug[rr]
+            if rr != r and not is_zero(row[c]):
+                f = row[c]
+                for j in nz:
+                    row[j] = row[j] - f * top[j]
         pivots.append(c)
         r += 1
         if r == m:
@@ -1015,8 +1024,9 @@ def _gauss_jordan(rows, rhs, zero, is_zero):
     for i, c in enumerate(pivots):
         solution[c] = aug[i][ncols:]
     basis = []
+    pivot_set = set(pivots)
     for fc in range(ncols):
-        if fc in pivots:
+        if fc in pivot_set:
             continue
         vec = [zero] * ncols
         vec[fc] = zero + 1

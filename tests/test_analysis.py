@@ -137,6 +137,26 @@ class TestBlocked:
         with pytest.raises(HypothesesNotMet):
             blocked_report(lossless, Q(1))
 
+    @pytest.mark.parametrize("name", ["n1", "rpfg"])
+    def test_impedance_computed_once(self, name, request, monkeypatch):
+        # blocked_report computes H once and keeps H(j*omega0) in the
+        # report; the open/short check then needs only the reduced networks
+        import prsyn.analysis as analysis
+        n = request.getfixturevalue(name)
+        calls = []
+
+        def counted(net):
+            calls.append(net)
+            return impedance(net)
+
+        monkeypatch.setattr(analysis, "impedance", counted)
+        rep = blocked_report(n, Q(1))
+        assert len(calls) == 1 and calls[0] is n
+        calls.clear()
+        assert blocked_open_short_check(n, rep)
+        assert calls and all(net is not n for net in calls)
+        assert rep.value == impedance(n).eval_jomega_pair(Q(1))
+
     @pytest.mark.parametrize("omega0", [Q(-1), Q(0), -1.0])
     def test_nonpositive_omega0_rejected(self, n1, omega0):
         # H(-j) satisfies the other hypotheses whenever H(j) does; a float

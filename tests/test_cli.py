@@ -197,6 +197,12 @@ class TestDomainMessages:
         assert run("ss", str(net)) == (
             3, "", "error: no element joins the port terminals\n")
 
+    def test_impedance_of_bare_port_is_a_domain_error(self, run, tmp_path):
+        net = tmp_path / "port.net"
+        net.write_text("PORT a b\n")
+        assert run("impedance", str(net)) == (
+            3, "", "error: no impedance (degenerate port law)\n")
+
 
 MECH_NETLIST = "DAMPER d1 a b 2\nSPRING k1 a b 3\nPORT a b\n"
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from prsyn.polyrat import (BiquadParams, DegreeTooSmall, NotBiquadratic,
                            NotMinimum, Polynomial, Q, QComplex,
                            RationalFunction, ZeroDenominator, _bareiss,
+                           _gauss_jordan,
                            biquad_params, biquad_template, det_bareiss,
                            eval_ratfunc, format_ratfunc, is_lossless,
                            is_minimum_function, is_positive_real,
@@ -271,6 +272,130 @@ class TestSylvester:
             q = Polynomial([rng.randint(-4, 4) for _ in range(rng.randint(1, 5))]
                            + [rng.randint(1, 4)])
             assert (sylvester_determinant(p, q, 0) == 0) == (p.gcd(q).degree >= 1)
+
+
+def dense_gauss_jordan(rows, rhs, zero, is_zero):
+    """Reference: the dense Gauss-Jordan loop, every entry of every row
+    rewritten at each pivot; same pivot rule and outputs as _gauss_jordan."""
+    m = len(rows)
+    ncols = len(rows[0]) if m else 0
+    aug = [list(rows[r]) + list(rhs[r]) for r in range(m)]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = None
+        for rr in range(r, m):
+            if not is_zero(aug[rr][c]):
+                piv = rr
+                break
+        if piv is None:
+            continue
+        aug[r], aug[piv] = aug[piv], aug[r]
+        pv = aug[r][c]
+        aug[r] = [x / pv for x in aug[r]]
+        for rr in range(m):
+            if rr != r and not is_zero(aug[rr][c]):
+                f = aug[rr][c]
+                aug[rr] = [x - f * y for x, y in zip(aug[rr], aug[r])]
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    for rr in range(r, m):
+        if not all(is_zero(x) for x in aug[rr][ncols:]):
+            return None
+    solution = [[zero] * len(rhs[0]) for _ in range(ncols)]
+    for i, c in enumerate(pivots):
+        solution[c] = aug[i][ncols:]
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        vec = [zero] * ncols
+        vec[fc] = zero + 1
+        for i, c in enumerate(pivots):
+            vec[c] = -aug[i][fc]
+        basis.append(vec)
+    return solution, basis
+
+
+def _nonzero_fraction(rng):
+    return Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 5))
+
+
+def _nonzero_qcomplex(rng):
+    im = rng.choice([0, 1]) * Fraction(rng.randint(-7, 7), rng.randint(1, 4))
+    return QComplex(_nonzero_fraction(rng), im)
+
+
+def sparse_system(rng, kind, entry, zero):
+    """A random sparse system rows * X = rhs over entry's field.
+
+    "full": n x n and nonsingular (row-mixed, row-permuted triangular);
+    "deficient": one column a combination of two others, rhs in the range;
+    "inconsistent": one row a multiple of another, rhs off by one there."""
+    n = rng.randint(3, 7)
+    k = rng.randint(1, 3)
+
+    def sparse(cols, density=0.3):
+        return [entry(rng) if rng.random() < density else zero
+                for _ in range(cols)]
+
+    if kind == "full":
+        rows = [[zero] * i + [entry(rng)] + sparse(n - i - 1)
+                for i in range(n)]
+        for _ in range(rng.randint(0, n)):
+            i, j = rng.sample(range(n), 2)
+            f = entry(rng)
+            rows[i] = [x + f * y for x, y in zip(rows[i], rows[j])]
+        rng.shuffle(rows)
+        return rows, [sparse(k, 0.5) for _ in range(n)]
+    rows = [sparse(n) for _ in range(n)]
+    if kind == "deficient":
+        t, u, v = rng.sample(range(n), 3)
+        a, b = entry(rng), entry(rng)
+        for row in rows:
+            row[t] = a * row[u] + b * row[v]
+        x0 = [sparse(k, 0.6) for _ in range(n)]
+        rhs = [[sum((row[j] * x0[j][c] for j in range(n)), zero)
+                for c in range(k)] for row in rows]
+        return rows, rhs
+    t, u = rng.sample(range(n), 2)
+    a = entry(rng)
+    rows[t] = [a * x for x in rows[u]]
+    rhs = [sparse(k, 0.5) for _ in range(n)]
+    rhs[t] = [a * x for x in rhs[u]]
+    c = rng.randrange(k)
+    rhs[t][c] = rhs[t][c] + 1
+    return rows, rhs
+
+
+class TestGaussJordan:
+    @pytest.mark.parametrize("field", ["fraction", "qcomplex"])
+    def test_sparse_update_matches_dense_reference(self, field):
+        if field == "fraction":
+            entry, zero, is_zero = _nonzero_fraction, Q(0), (lambda x: x == 0)
+        else:
+            entry, zero, is_zero = _nonzero_qcomplex, QComplex(0, 0), QComplex.is_zero
+        rng = random.Random(7919)
+        for _ in range(60):
+            for kind in ("full", "deficient", "inconsistent"):
+                rows, rhs = sparse_system(rng, kind, entry, zero)
+                expect = dense_gauss_jordan(rows, rhs, zero, is_zero)
+                got = _gauss_jordan([r[:] for r in rows], [r[:] for r in rhs],
+                                    zero, is_zero)
+                assert got == expect
+                if kind == "inconsistent":
+                    assert got is None
+                elif kind == "deficient":
+                    assert got is not None and got[1]
+                else:
+                    assert got is not None and not got[1]
+                    X = got[0]
+                    assert all(sum((row[j] * X[j][c] for j in range(len(X))),
+                                   zero) == rhs[i][c]
+                               for i, row in enumerate(rows)
+                               for c in range(len(rhs[0])))
 
 
 class TestTextFormat:
