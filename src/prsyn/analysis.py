@@ -75,6 +75,14 @@ def impedance(n: Network) -> Union[RationalFunction, NoImpedance]:
 
     Nodal analysis over Q[s] with all admittances scaled by s, determinants
     by fraction-free elimination; H = s * cofactor / determinant."""
+    h = _nodal_impedance(n)
+    assert isinstance(h, NoImpedance) or is_positive_real(h), \
+        "network impedance must be positive-real"
+    return h
+
+
+def _nodal_impedance(n: Network) -> Union[RationalFunction, NoImpedance]:
+    """impedance(n) without the positive-real assertion."""
     ground = n.port[1]
     nodes = [v for v in n.vertices if v != ground]
     idx = {v: i for i, v in enumerate(nodes)}
@@ -95,9 +103,7 @@ def impedance(n: Network) -> Union[RationalFunction, NoImpedance]:
     if not det:
         return NoImpedance()
     cof = _bareiss(minor)
-    h = RationalFunction(cof * Polynomial([0, 1]), det)
-    assert is_positive_real(h), "network impedance must be positive-real"
-    return h
+    return RationalFunction(cof * Polynomial([0, 1]), det)
 
 
 def impedance_series_parallel(n: Network) -> Optional[RationalFunction]:
@@ -145,9 +151,10 @@ def _element_z_at(e: Element, omega: Fraction) -> Optional[QComplex]:
     return None if mag == 0 else 1 / x        # pole of 1/(value s^p)
 
 
-def _phasor_system(n: Network, omega: Fraction, drive: Tuple[str, QComplex]):
-    """Tableau rows for the phasor unknowns [potentials, element currents,
-    source current]; ground is the port minus terminal."""
+def _phasor_space(n: Network, omega: Fraction, drive: Tuple[str, QComplex]):
+    """Solve the phasor tableau of unknowns [potentials, element currents,
+    source current], ground the port minus terminal, for (particular
+    solution, nullspace basis, nodes, node index) or InconsistentDrive."""
     zero = QComplex(0, 0)
     ground = n.port[1]
     nodes = [v for v in n.vertices if v != ground]
@@ -202,50 +209,27 @@ def _phasor_system(n: Network, omega: Fraction, drive: Tuple[str, QComplex]):
         raise ValueError(f"unknown drive mode {mode!r}")
     rhs[-1] = [value]
 
-    return rows, rhs, nodes, nidx, zero
-
-
-def phasor_solve(n: Network, omega, drive: Optional[Tuple[str, object]] = None,
-                 seed: Optional[int] = None) -> PhasorSolution:
-    """Solve for a sinusoidal trajectory at the rational frequency omega.
-
-    drive is ("current", phasor) or ("voltage", phasor), the phasor a
-    QComplex or a rational; default drives unit current unless the
-    impedance has a pole at j*omega, in which case unit voltage.  When
-    internal resonant modes make the trajectory non-unique, a deterministic
-    pseudo-random combination of the free modes (from ``seed``) is added so
-    the returned trajectory is generic.
-    """
-    omega = _as_q(omega)
-    if drive is None:
-        h = impedance(n)
-        pole = (not isinstance(h, NoImpedance)
-                and h.den.eval_jomega(omega * omega) == (0, 0))
-        drive = ("voltage" if pole else "current", QComplex(1, 0))
-    else:
-        drive = (drive[0], qcomplex(drive[1]))
-
-    rows, rhs, nodes, nidx, zero = _phasor_system(n, omega, drive)
     solved = _gauss_jordan(rows, rhs, zero, QComplex.is_zero)
     if solved is None:
         raise InconsistentDrive(
-            f"no sinusoidal trajectory with drive {drive[0]}={drive[1]} at omega={omega}")
+            f"no sinusoidal trajectory with drive {mode}={value} at omega={omega}")
     particular, basis = solved
-    vec = [x for (x,) in particular]
+    return [x for (x,) in particular], basis, nodes, nidx
+
+
+def _phasor_draw(n: Network, omega: Fraction, space, seed) -> PhasorSolution:
+    """One trajectory from a _phasor_space result: the particular solution
+    plus a pseudo-random combination (from seed) of the free modes."""
+    vec, basis, nodes, nidx = space
     if basis:
         rng = random.Random(seed if seed is not None else 0)
         for b in basis:
             c = QComplex(Fraction(rng.randint(1, 997), 61),
                          Fraction(rng.randint(1, 991), 53))
             vec = [x + c * y for x, y in zip(vec, b)]
-    return _package_solution(n, omega, vec, nodes, nidx, zero, len(basis))
-
-
-def _package_solution(n, omega, vec, nodes, nidx, zero, free_dim):
-    ground = n.port[1]
 
     def pot(v):
-        return zero if v == ground else vec[nidx[v]]
+        return QComplex(0, 0) if v == n.port[1] else vec[nidx[v]]
 
     currents = {}
     voltages = {}
@@ -254,7 +238,31 @@ def _package_solution(n, omega, vec, nodes, nidx, zero, free_dim):
         voltages[e.id] = pot(e.head) - pot(e.tail)
     src_i = vec[len(nodes) + len(n.elements)]
     src_v = pot(n.port[0]) - pot(n.port[1])
-    return PhasorSolution(omega, src_i, src_v, currents, voltages, free_dim)
+    return PhasorSolution(omega, src_i, src_v, currents, voltages, len(basis))
+
+
+def phasor_solve(n: Network, omega, drive: Optional[Tuple[str, object]] = None,
+                 seed: Optional[int] = None) -> PhasorSolution:
+    """Solve for a sinusoidal trajectory at the rational frequency omega.
+
+    drive is ("current", phasor) or ("voltage", phasor), the phasor a
+    QComplex or a rational; default drives unit current unless the
+    impedance has a pole at j*omega (tested without the positive-real
+    check), in which case unit voltage.  When internal resonant modes make
+    the trajectory non-unique, a deterministic pseudo-random combination of
+    the free modes (from ``seed``) is added so the returned trajectory is
+    generic.  ``_phasor_space`` solves the tableau and ``_phasor_draw``
+    adds the combination; ``blocked_report`` solves once for its draws.
+    """
+    omega = _as_q(omega)
+    if drive is None:
+        h = _nodal_impedance(n)
+        pole = (not isinstance(h, NoImpedance)
+                and h.den.eval_jomega(omega * omega) == (0, 0))
+        drive = ("voltage" if pole else "current", QComplex(1, 0))
+    else:
+        drive = (drive[0], qcomplex(drive[1]))
+    return _phasor_draw(n, omega, _phasor_space(n, omega, drive), seed)
 
 
 def energy_balance(sol: PhasorSolution) -> Fraction:
@@ -315,10 +323,10 @@ def blocked_report(n: Network, omega0, seed: int = 0, draws: int = 3) -> BlockRe
 
     zero_sets = []
     sols = []
+    # no pole at j*omega0 (checked above): phasor_solve's default drive
+    space = _phasor_space(n, omega0, ("current", QComplex(1, 0)))
     for t in range(draws):
-        # no pole at j*omega0 (checked above): phasor_solve's default drive
-        sol = phasor_solve(n, omega0, ("current", QComplex(1, 0)),
-                           seed=seed * 1000003 + t)
+        sol = _phasor_draw(n, omega0, space, seed * 1000003 + t)
         sols.append(sol)
         zero_sets.append({e.id for e in n.elements
                           if sol.element_currents[e.id].is_zero()

@@ -1066,6 +1066,25 @@ def sylvester_determinant(p: Polynomial, q: Polynomial, k: int) -> Fraction:
     return det_bareiss(sylvester_matrix(p, q, k))
 
 
+def _interpolate(xs: Sequence[Fraction], ys: Sequence[Fraction]) -> Polynomial:
+    """The unique polynomial of degree < len(xs) through the points (x, y).
+
+    Newton form (von zur Gathen & Gerhard, Modern Computer Algebra, ch. 5):
+    divided differences c, then Horner expansion of c0 + (s - x0)(c1 +
+    (s - x1)(c2 + ...)) into ascending coefficients; O(n^2) Fraction
+    operations.  A repeated x raises ZeroDivisionError."""
+    c = [_as_q(y) for y in ys]
+    for j in range(1, len(c)):
+        for i in range(len(c) - 1, j - 1, -1):
+            c[i] = (c[i] - c[i - 1]) / (xs[i] - xs[i - j])
+    out: List[Fraction] = []
+    for ci, xi in zip(reversed(c), reversed(xs)):
+        # out <- out * (s - xi) + ci; the first step multiplies zero
+        out = [a - xi * b for a, b in zip([Q(0)] + out, out + [Q(0)])]
+        out[0] += ci
+    return Polynomial(out)
+
+
 # ---------------------------------------------------------------------------
 # Text format: "poly / poly", coefficients as integers or p/q fractions
 # ---------------------------------------------------------------------------

@@ -9,16 +9,17 @@ fixture checks used to certify the classifier's boundary algebra.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .polyrat import (BiquadParams, NotMinimum, NotRationalParams, Polynomial,
-                      Q, QComplex, RationalFunction, _as_q, _sylvester_rows,
-                      biquad_params, biquad_template, count_real_roots,
-                      det_bareiss, is_minimum_function, is_positive_real,
-                      minimum_frequencies, rational_roots, sqrt_fraction,
-                      sylvester_determinant)
+                      Q, QComplex, RationalFunction, _as_q, _interpolate,
+                      _sylvester_rows, biquad_params, biquad_template,
+                      count_real_roots, det_bareiss, is_minimum_function,
+                      is_positive_real, minimum_frequencies, rational_roots,
+                      sqrt_fraction, sylvester_determinant)
 from . import network as net
 from .network import (CAPACITOR, INDUCTOR, RESISTOR, Element, Leaf, Network,
                       par, ser)
@@ -849,34 +850,24 @@ def bridge_structural_polys(arms: Dict[int, Tuple[Polynomial, Polynomial]]):
 
     The terms are the spanning-tree sums of the four-vertex bridge graph;
     clearing all arm denominators keeps the natural polynomial degrees
-    (equal to the number of storage elements for single-storage arms)."""
-    num = Polynomial()
-    for combo in _TWOTREE_COMPLEMENTS:
-        term = ONE_POLY
-        for k in range(1, 6):
-            term = term * (arms[k][0] if k in combo else arms[k][1])
-        num = num + term
-    den = Polynomial()
-    for combo in _TREE_COMPLEMENTS:
-        term = ONE_POLY
-        for k in range(1, 6):
-            term = term * (arms[k][0] if k in combo else arms[k][1])
-        den = den + term
-    return num, den
+    (equal to the number of storage elements for single-storage arms).
+    They are grouped by the num/den choice for arms 1, 2 and 5: each
+    group sums its arm-3 x arm-4 products, then multiplies once by its
+    arm-1 x arm-2 x arm-5 product.  All these products serve num and den."""
+    sides = (0, 1)
+    p34 = {(c3, c4): arms[3][c3] * arms[4][c4] for c3 in sides for c4 in sides}
+    p12 = {(c1, c2): arms[1][c1] * arms[2][c2] for c1 in sides for c2 in sides}
+    p125 = {(c1, c2, c5): p * arms[5][c5] for (c1, c2), p in p12.items()
+            for c5 in sides}
 
+    def total(combos):
+        groups = defaultdict(Polynomial)
+        for combo in combos:
+            c1, c2, c3, c4, c5 = (0 if k in combo else 1 for k in range(1, 6))
+            groups[c1, c2, c5] += p34[c3, c4]
+        return sum((p125[k] * s for k, s in groups.items()), Polynomial())
 
-def _lagrange(points: List[Tuple[Fraction, Fraction]]) -> Polynomial:
-    total = Polynomial()
-    for i, (xi, yi) in enumerate(points):
-        li = Polynomial([1])
-        denom = Q(1)
-        for j, (xj, _) in enumerate(points):
-            if j == i:
-                continue
-            li = li * Polynomial([-xj, 1])
-            denom *= (xi - xj)
-        total = total + li * (yi / denom)
-    return total
+    return total(_TWOTREE_COMPLEMENTS), total(_TREE_COMPLEMENTS)
 
 
 def _poly_sqrt(p: Polynomial) -> Optional[Polynomial]:
@@ -978,8 +969,9 @@ def _q8_struct(g1, g2, c2, F, w0):
 
 def _check_q8(subs, w0) -> bool:
     g1, g2, c2 = subs["g1"], subs["g2"], subs["c2"]
-    r0_pts, r1_pts = [], []
-    for F in _fixture_samples():
+    xs = _fixture_samples()
+    r0_vals, r1_vals = [], []
+    for F in xs:
         p, q = _q8_struct(g1, g2, c2, F, w0)
         cof0 = c2 * w0 ** 16 * (1 + c2) * (1 + F * F * g1 * g2) ** 4
         cof1 = -c2 * w0 ** 9 * (1 + F * F * g1 * g2) ** 2
@@ -987,12 +979,10 @@ def _check_q8(subs, w0) -> bool:
         r1 = sylvester_determinant(p, q, 1)
         if cof0 == 0 or cof1 == 0:
             return False
-        val0 = r0 / cof0
-        val1 = r1 / cof1
-        r0_pts.append((F, val0))
-        r1_pts.append((F, val1))
-    f1sq = _lagrange(r0_pts)
-    f2 = _lagrange(r1_pts)
+        r0_vals.append(r0 / cof0)
+        r1_vals.append(r1 / cof1)
+    f1sq = _interpolate(xs, r0_vals)
+    f2 = _interpolate(xs, r1_vals)
     f1 = _poly_sqrt(f1sq)
     if f1 is None:
         return False
@@ -1073,21 +1063,23 @@ def _check_n11_n12(family, subs, w0) -> bool:
         def cof1(v):
             return F ** 6 * w0 ** 9
 
-    pts0, pts1 = [], []
-    for v in _fixture_samples():
+    # f1_printed^2 has degree <= 2 < 24 and the interpolant is unique, so
+    # comparing every sample with it is comparing the interpolant with it
+    xs = _fixture_samples()
+    vals0, vals1 = [], []
+    for v in xs:
         p, q = _n1112_struct(family, r1, g2, g3, F, v, w0)
         c0, c1 = cof0(v), cof1(v)
         if c0 == 0 or c1 == 0:
             return False
-        pts0.append((v, sylvester_determinant(p, q, 0) / c0))
-        pts1.append((v, sylvester_determinant(p, q, 1) / c1))
-    f1sq = _lagrange(pts0)
-    f2 = _lagrange(pts1)
-    if f1sq != f1_printed * f1_printed:
+        vals0.append(sylvester_determinant(p, q, 0) / c0)
+        vals1.append(sylvester_determinant(p, q, 1) / c1)
+    if any(y != f1_printed(v) ** 2 for v, y in zip(xs, vals0)):
         return False
+    f2 = _interpolate(xs, vals1)
     vx = Q(29, 4)
     p, q = _n1112_struct(family, r1, g2, g3, F, vx, w0)
-    if sylvester_determinant(p, q, 0) != cof0(vx) * f1sq(vx):
+    if sylvester_determinant(p, q, 0) != cof0(vx) * f1_printed(vx) ** 2:
         return False
     if sylvester_determinant(p, q, 1) != cof1(vx) * f2(vx):
         return False
@@ -1118,13 +1110,14 @@ def n12_has_no_feasible_solution(r1, g2, g3, F) -> bool:
         return b != 0          # b = g3 > 0, so always true here
     # boundary g2 = 0 (open parallel resistor): interpolate R0, R1 in x1 and
     # look for a common positive root directly
-    pts0, pts1 = [], []
-    for v in _fixture_samples(16):
+    xs = _fixture_samples(16)
+    vals0, vals1 = [], []
+    for v in xs:
         p, q = _n1112_struct("N12", r1, g2, g3, F, v, w0=Q(1), strict=False)
-        pts0.append((v, sylvester_determinant(p, q, 0)))
-        pts1.append((v, sylvester_determinant(p, q, 1)))
-    rho0 = _lagrange(pts0)
-    rho1 = _lagrange(pts1)
+        vals0.append(sylvester_determinant(p, q, 0))
+        vals1.append(sylvester_determinant(p, q, 1))
+    rho0 = _interpolate(xs, vals0)
+    rho1 = _interpolate(xs, vals1)
     if rho0.is_zero() and rho1.is_zero():
         return False
     g = rho0.gcd(rho1) if not (rho0.is_zero() or rho1.is_zero()) else \

@@ -13,8 +13,8 @@ from prsyn.analysis import (CapacitorLoop, HypothesesNotMet, InductorCutset,
                             state_space, storage_count)
 from prsyn.network import Network, OnePort, parse_netlist
 from prsyn.polyrat import (BiquadParams, Polynomial, Q, QComplex,
-                           RationalFunction, biquad_template, eval_ratfunc,
-                           is_positive_real, parse_ratfunc)
+                           RationalFunction, _gauss_jordan, biquad_template,
+                           eval_ratfunc, is_positive_real, parse_ratfunc)
 from prsyn.synth import build_named, build_seven_element, theorem2_step
 
 from conftest import random_sp_network
@@ -156,6 +156,42 @@ class TestBlocked:
         assert blocked_open_short_check(n, rep)
         assert calls and all(net is not n for net in calls)
         assert rep.value == impedance(n).eval_jomega_pair(Q(1))
+
+    @pytest.mark.parametrize("name", ["n1", "rpfg", "n1_free_modes"])
+    def test_one_tableau_solve_per_report(self, name, request, monkeypatch):
+        # blocked_report solves the phasor tableau once and draws its three
+        # trajectories from that solution, with phasor_solve's seeds;
+        # n1_free_modes adds a branch of two tanks resonant at omega0 = 1
+        # across the port, so its node m gives one free mode
+        import prsyn.analysis as analysis
+        if name == "n1_free_modes":
+            n = parse_netlist(N1_TEXT + "L la a m 1\nC ca a m 1\n"
+                              "L lb m b 1\nC cb m b 1\n")
+        else:
+            n = request.getfixturevalue(name)
+        solves = []
+
+        def counted(*args):
+            solves.append(args)
+            return _gauss_jordan(*args)
+
+        monkeypatch.setattr(analysis, "_gauss_jordan", counted)
+        for seed in (0, 5):
+            solves.clear()
+            rep = blocked_report(n, Q(1), seed=seed)
+            assert len(solves) == 1
+            sols = [phasor_solve(n, Q(1), ("current", 1),
+                                 seed=seed * 1000003 + t) for t in range(3)]
+            assert sols[0].free_modes == (1 if name == "n1_free_modes" else 0)
+            zero_sets = [{eid for eid, i in sol.element_currents.items()
+                          if i.is_zero() and sol.element_voltages[eid].is_zero()}
+                         for sol in sols]
+            blocked_ids = set.intersection(*zero_sets)
+            assert set().union(*rep.blocked) == blocked_ids
+            assert rep.unblocked == {e.id for e in n.elements} - blocked_ids
+            assert rep.draws_disagree == any(zs != blocked_ids
+                                             for zs in zero_sets)
+            assert blocked_open_short_check(n, rep)
 
     @pytest.mark.parametrize("omega0", [Q(-1), Q(0), -1.0])
     def test_nonpositive_omega0_rejected(self, n1, omega0):
@@ -327,6 +363,25 @@ class TestDriveNormalization:
         sol = phasor_solve(n, Q(1))     # impedance pole at j*1
         assert sol.source_voltage == QComplex(1, 0)
         assert sol.source_current == QComplex(0, 0)
+
+    def test_default_drive_skips_pr_check(self, n1, monkeypatch):
+        # the default drive only asks whether the nodal determinant
+        # vanishes at j*omega; the positive-real check is impedance()'s
+        import prsyn.analysis as analysis
+        checks = []
+
+        def counted(h):
+            checks.append(h)
+            return is_positive_real(h)
+
+        monkeypatch.setattr(analysis, "is_positive_real", counted)
+        tank = parse_netlist("L l1 a b 1\nC c1 a b 1\nPORT a b")
+        sol = phasor_solve(tank, Q(1))     # impedance pole at j*1
+        assert sol.source_voltage == QComplex(1, 0)
+        assert phasor_solve(n1, Q(1)).source_current == QComplex(1, 0)
+        assert checks == []
+        impedance(n1)
+        assert len(checks) == 1
 
     def test_no_pole_defaults_to_current_drive(self):
         n = parse_netlist("R r1 a b 3\nPORT a b")

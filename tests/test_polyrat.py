@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from prsyn.polyrat import (BiquadParams, DegreeTooSmall, NotBiquadratic,
                            NotMinimum, Polynomial, Q, QComplex,
                            RationalFunction, ZeroDenominator, _bareiss,
-                           _gauss_jordan,
+                           _gauss_jordan, _interpolate,
                            biquad_params, biquad_template, det_bareiss,
                            eval_ratfunc, format_ratfunc, is_lossless,
                            is_minimum_function, is_positive_real,
@@ -396,6 +396,48 @@ class TestGaussJordan:
                                    zero) == rhs[i][c]
                                for i, row in enumerate(rows)
                                for c in range(len(rhs[0])))
+
+
+def lagrange_reference(points):
+    """The Lagrange-basis interpolation that Newton's form replaced."""
+    total = Polynomial()
+    for i, (xi, yi) in enumerate(points):
+        li = Polynomial([1])
+        denom = Q(1)
+        for j, (xj, _) in enumerate(points):
+            if j == i:
+                continue
+            li = li * Polynomial([-xj, 1])
+            denom *= (xi - xj)
+        total = total + li * (yi / denom)
+    return total
+
+
+class TestInterpolate:
+    def test_matches_lagrange_reference(self):
+        from prsyn.synth import _fixture_samples
+        rng = random.Random(4099)
+        abscissae = [_fixture_samples(24), _fixture_samples(16)]
+        for n in range(1, 25):
+            d = rng.randint(1, 6)
+            abscissae.append([Fraction(x, d)
+                              for x in rng.sample(range(-40, 41), n)])
+        for i, xs in enumerate(abscissae):
+            zeros = (0.0, 0.4, 1.0)[i % 3]     # share of zero ordinates
+            ys = [Q(0) if rng.random() < zeros
+                  else Fraction(rng.randint(-99, 99), rng.randint(1, 9))
+                  for _ in xs]
+            got = _interpolate(xs, ys)
+            assert got == lagrange_reference(list(zip(xs, ys)))
+            assert got.degree < len(xs)
+            assert all(got(x) == y for x, y in zip(xs, ys))
+
+    def test_repeated_abscissa_raises(self):
+        points = [(Q(1), Q(2)), (Q(3), Q(1)), (Q(1), Q(5))]
+        for interp in (lambda: _interpolate(*zip(*points)),
+                       lambda: lagrange_reference(points)):
+            with pytest.raises(ZeroDivisionError):
+                interp()
 
 
 class TestTextFormat:

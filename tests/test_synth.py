@@ -366,6 +366,42 @@ class TestResultantFixtures:
                 Fraction(rng.randint(1, 9), rng.randint(1, 9)))
 
 
+def bridge_reference(arms):
+    """The term-by-term expansion: every term's five factors multiplied in
+    turn, 16 terms of 5 products each."""
+    from prsyn.synth import ONE_POLY, _TREE_COMPLEMENTS, _TWOTREE_COMPLEMENTS
+    out = []
+    for combos in (_TWOTREE_COMPLEMENTS, _TREE_COMPLEMENTS):
+        total = Polynomial()
+        for combo in combos:
+            term = ONE_POLY
+            for k in range(1, 6):
+                term = term * (arms[k][0] if k in combo else arms[k][1])
+            total = total + term
+        out.append(total)
+    return tuple(out)
+
+
+class TestBridgeStructuralPolys:
+    def test_matches_term_by_term_reference(self):
+        from prsyn.synth import ONE_POLY, bridge_structural_polys
+        rng = random.Random(6151)
+
+        def poly():
+            kind = rng.randrange(4)
+            if kind == 0:
+                return Polynomial()
+            if kind == 1:
+                return ONE_POLY
+            size = 1 if kind == 2 else rng.randint(2, 4)
+            return Polynomial([Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+                               for _ in range(size)])
+
+        for _ in range(300):
+            arms = {k: (poly(), poly()) for k in range(1, 6)}
+            assert bridge_structural_polys(arms) == bridge_reference(arms)
+
+
 class TestFig2Params:
     def test_derived_symbols(self):
         fp = Fig2Params(1, 1, Q(3, 4), Q(1, 8))
