@@ -1,13 +1,16 @@
 """Independent verification engine for RLC one-ports.
 
-Symbolic impedance by exact nodal analysis, phasor (sinusoidal trajectory)
-solving, blocked-subnetwork detection at a minimum frequency, and
-state-space extraction with controllability/observability diagnostics.
-Everything is exact: frequencies are rationals (a float is a TypeError) and
-phasors are ``QComplex`` values.  The elimination itself (Bareiss
-determinants over Q[s], Gauss-Jordan solves with nullspaces, minor gcds)
-lives in the elimination section of ``polyrat``; this module only sets up
-the systems.
+Symbolic impedance, phasor (sinusoidal trajectory) solving, blocked-
+subnetwork detection at a minimum frequency, and state-space extraction
+with controllability/observability diagnostics.  Impedance, phasors and
+state space share one modified nodal formulation, ``_nodal_matrix``:
+admittance stamps with the port minus terminal grounded, plus a current
+unknown only for an element whose admittance does not exist (an inductor
+at omega = 0, a capacitor holding its state voltage).  Everything is
+exact: frequencies are rationals (a float is a TypeError) and phasors are
+``QComplex`` values.  The elimination itself (Bareiss determinants over
+Q[s], Gauss-Jordan solves with nullspaces, minor gcds) lives in the
+elimination section of ``polyrat``; this module only sets up the systems.
 """
 
 from __future__ import annotations
@@ -70,40 +73,51 @@ def _scaled_admittance(e: Element) -> Polynomial:
     return Polynomial([0] * (1 - p) + [1 / e.value])
 
 
+def _nodal_matrix(n: Network, admittance, zero):
+    """Modified nodal matrix of n (Ho, Ruehli & Brennan 1975) with the port
+    minus terminal grounded, and the index of every other vertex.
+
+    admittance holds, for each element of n in order, the admittance to
+    stamp, or None for an element without one: its current is then an
+    unknown after the potentials (in element order) that leaves the head
+    in KCL, and its row reads v_head - v_tail."""
+    ground = n.port[1]
+    idx = {v: i for i, v in enumerate(v for v in n.vertices if v != ground)}
+    ys = list(admittance)
+    size = len(idx) + sum(y is None for y in ys)
+    mat = [[zero] * size for _ in range(size)]
+    col = len(idx)
+    for e, y in zip(n.elements, ys):
+        ends = [(idx[v], sgn) for v, sgn in ((e.head, 1), (e.tail, -1))
+                if v != ground]
+        if y is None:
+            for i, sgn in ends:
+                mat[i][col] = mat[i][col] + sgn
+                mat[col][i] = mat[col][i] + sgn
+            col += 1
+            continue
+        for i, si in ends:
+            for j, sj in ends:
+                mat[i][j] = mat[i][j] + y if si == sj else mat[i][j] - y
+    return mat, idx
+
+
 def impedance(n: Network) -> Union[RationalFunction, NoImpedance]:
     """Exact driving-point impedance, asserted positive-real.
 
     Nodal analysis over Q[s] with all admittances scaled by s, determinants
     by fraction-free elimination; H = s * cofactor / determinant."""
-    h = _nodal_impedance(n)
-    assert isinstance(h, NoImpedance) or is_positive_real(h), \
-        "network impedance must be positive-real"
-    return h
-
-
-def _nodal_impedance(n: Network) -> Union[RationalFunction, NoImpedance]:
-    """impedance(n) without the positive-real assertion."""
-    ground = n.port[1]
-    nodes = [v for v in n.vertices if v != ground]
-    idx = {v: i for i, v in enumerate(nodes)}
-    k = len(nodes)
-    mat = [[Polynomial() for _ in range(k)] for _ in range(k)]
-    for e in n.elements:
-        y = _scaled_admittance(e)
-        for (u, w) in ((e.head, e.tail), (e.tail, e.head)):
-            if u == ground:
-                continue
-            i = idx[u]
-            mat[i][i] = mat[i][i] + y
-            if w != ground:
-                mat[i][idx[w]] = mat[i][idx[w]] - y
+    mat, idx = _nodal_matrix(n, map(_scaled_admittance, n.elements),
+                             Polynomial())
     a = idx[n.port[0]]
-    minor = [[mat[r][c] for c in range(k) if c != a] for r in range(k) if r != a]
+    minor = [[x for c, x in enumerate(row) if c != a]
+             for r, row in enumerate(mat) if r != a]
     det = _bareiss(mat)
     if not det:
         return NoImpedance()
-    cof = _bareiss(minor)
-    return RationalFunction(cof * Polynomial([0, 1]), det)
+    h = RationalFunction(_bareiss(minor) * Polynomial([0, 1]), det)
+    assert is_positive_real(h), "network impedance must be positive-real"
+    return h
 
 
 def impedance_series_parallel(n: Network) -> Optional[RationalFunction]:
@@ -141,86 +155,52 @@ class PhasorSolution:
     free_modes: int = 0                    # dimension of the solution space
 
 
-def _element_z_at(e: Element, omega: Fraction) -> Optional[QComplex]:
-    """Impedance value at s = j*omega, or None for a pole there."""
+def _element_y_at(e: Element, omega: Fraction) -> Optional[QComplex]:
+    """Admittance value at s = j*omega, or None where the impedance is zero
+    there (an inductor at omega = 0)."""
     side, p = e.electrical().law
     mag = e.value * omega ** p
     x = QComplex(0, mag) if p else QComplex(mag, 0)
-    if side == "Z":
+    if side == "Y":
         return x
-    return None if mag == 0 else 1 / x        # pole of 1/(value s^p)
+    return None if mag == 0 else 1 / x
 
 
 def _phasor_space(n: Network, omega: Fraction, drive: Tuple[str, QComplex]):
-    """Solve the phasor tableau of unknowns [potentials, element currents,
-    source current], ground the port minus terminal, for (particular
-    solution, nullspace basis, nodes, node index) or InconsistentDrive."""
+    """Solve the modified nodal system at s = j*omega, the port minus
+    terminal grounded.  Its unknowns are the other potentials, one current
+    per element whose impedance is zero there and the source current.
+    Returns (particular solution, nullspace basis, element admittances,
+    vertex index) or raises InconsistentDrive."""
     zero = QComplex(0, 0)
-    ground = n.port[1]
-    nodes = [v for v in n.vertices if v != ground]
-    nidx = {v: i for i, v in enumerate(nodes)}
-    m = len(n.elements)
-    ncols = len(nodes) + m + 1
-    isrc = len(nodes) + m
-    rows: List[List[QComplex]] = []
-    rhs: List[List[QComplex]] = []
-
-    def new_row():
-        rows.append([zero] * ncols)
-        rhs.append([zero])
-        return rows[-1]
-
-    # KCL per non-ground node (element currents leave the head)
-    kcl = {v: new_row() for v in nodes}
-    for j, e in enumerate(n.elements):
-        col = len(nodes) + j
-        if e.head != ground:
-            kcl[e.head][col] = kcl[e.head][col] + 1
-        if e.tail != ground:
-            kcl[e.tail][col] = kcl[e.tail][col] - 1
-    if n.port[0] != ground:
-        kcl[n.port[0]][isrc] = kcl[n.port[0]][isrc] - 1
-
-    # element laws
-    for j, e in enumerate(n.elements):
-        row = new_row()
-        z = _element_z_at(e, omega)
-        col = len(nodes) + j
-        if z is None:
-            row[col] = row[col] + 1         # pole at j*omega: current is zero
-            continue
-        if e.head != ground:
-            row[nidx[e.head]] = row[nidx[e.head]] + 1
-        if e.tail != ground:
-            row[nidx[e.tail]] = row[nidx[e.tail]] - 1
-        row[col] = row[col] - z
-
-    # drive
-    row = new_row()
+    ys = [_element_y_at(e, omega) for e in n.elements]
+    mat, idx = _nodal_matrix(n, ys, zero)
+    # the source current, injected at the plus terminal, then the drive
+    rows = [r + [zero] for r in mat]
+    rows[idx[n.port[0]]][-1] = zero - 1
+    row = [zero] * len(rows[0])
     mode, value = drive
     if mode == "current":
-        row[isrc] = row[isrc] + 1
+        row[-1] = zero + 1
     elif mode == "voltage":
-        if n.port[0] != ground:
-            row[nidx[n.port[0]]] = row[nidx[n.port[0]]] + 1
-        else:
-            raise AnalysisError("degenerate port")
+        row[idx[n.port[0]]] = zero + 1
     else:
         raise ValueError(f"unknown drive mode {mode!r}")
-    rhs[-1] = [value]
+    rows.append(row)
+    rhs = [[zero]] * len(mat) + [[value]]
 
     solved = _gauss_jordan(rows, rhs, zero, QComplex.is_zero)
     if solved is None:
         raise InconsistentDrive(
             f"no sinusoidal trajectory with drive {mode}={value} at omega={omega}")
     particular, basis = solved
-    return [x for (x,) in particular], basis, nodes, nidx
+    return [x for (x,) in particular], basis, ys, idx
 
 
 def _phasor_draw(n: Network, omega: Fraction, space, seed) -> PhasorSolution:
     """One trajectory from a _phasor_space result: the particular solution
     plus a pseudo-random combination (from seed) of the free modes."""
-    vec, basis, nodes, nidx = space
+    vec, basis, ys, idx = space
     if basis:
         rng = random.Random(seed if seed is not None else 0)
         for b in basis:
@@ -229,16 +209,16 @@ def _phasor_draw(n: Network, omega: Fraction, space, seed) -> PhasorSolution:
             vec = [x + c * y for x, y in zip(vec, b)]
 
     def pot(v):
-        return QComplex(0, 0) if v == n.port[1] else vec[nidx[v]]
+        return vec[idx[v]] if v in idx else QComplex(0, 0)
 
     currents = {}
     voltages = {}
-    for j, e in enumerate(n.elements):
-        currents[e.id] = vec[len(nodes) + j]
-        voltages[e.id] = pot(e.head) - pot(e.tail)
-    src_i = vec[len(nodes) + len(n.elements)]
-    src_v = pot(n.port[0]) - pot(n.port[1])
-    return PhasorSolution(omega, src_i, src_v, currents, voltages, len(basis))
+    extra = iter(range(len(idx), len(vec) - 1))   # zero-impedance currents
+    for e, y in zip(n.elements, ys):
+        v = voltages[e.id] = pot(e.head) - pot(e.tail)
+        currents[e.id] = vec[next(extra)] if y is None else y * v
+    return PhasorSolution(omega, vec[-1], pot(n.port[0]), currents, voltages,
+                          len(basis))
 
 
 def phasor_solve(n: Network, omega, drive: Optional[Tuple[str, object]] = None,
@@ -246,23 +226,31 @@ def phasor_solve(n: Network, omega, drive: Optional[Tuple[str, object]] = None,
     """Solve for a sinusoidal trajectory at the rational frequency omega.
 
     drive is ("current", phasor) or ("voltage", phasor), the phasor a
-    QComplex or a rational; default drives unit current unless the
-    impedance has a pole at j*omega (tested without the positive-real
-    check), in which case unit voltage.  When internal resonant modes make
-    the trajectory non-unique, a deterministic pseudo-random combination of
+    QComplex or a rational.  The default drives unit current and, only if
+    that is inconsistent, unit voltage.  For omega != 0 that is unit
+    voltage exactly where the impedance has a pole at j*omega: a null
+    vector of the nodal matrix Y(j*omega) is real, and Y' is positive
+    definite on it, so the residue at the port vanishes exactly when every
+    null vector has a zero port potential.  At omega = 0 a pole at s = 0
+    that blocks direct current (a series capacitor) also gets unit
+    voltage, with zero current.  When internal resonant modes make the
+    trajectory non-unique, a deterministic pseudo-random combination of
     the free modes (from ``seed``) is added so the returned trajectory is
-    generic.  ``_phasor_space`` solves the tableau and ``_phasor_draw``
-    adds the combination; ``blocked_report`` solves once for its draws.
+    generic.  ``_phasor_space`` solves the one nodal system and
+    ``_phasor_draw`` adds the combination; ``blocked_report`` solves once
+    for its draws.  A network with no element raises AnalysisError.
     """
     omega = _as_q(omega)
-    if drive is None:
-        h = _nodal_impedance(n)
-        pole = (not isinstance(h, NoImpedance)
-                and h.den.eval_jomega(omega * omega) == (0, 0))
-        drive = ("voltage" if pole else "current", QComplex(1, 0))
+    if not n.elements:
+        raise AnalysisError("no element joins the port terminals")
+    if drive is not None:
+        space = _phasor_space(n, omega, (drive[0], qcomplex(drive[1])))
     else:
-        drive = (drive[0], qcomplex(drive[1]))
-    return _phasor_draw(n, omega, _phasor_space(n, omega, drive), seed)
+        try:
+            space = _phasor_space(n, omega, ("current", QComplex(1, 0)))
+        except InconsistentDrive:
+            space = _phasor_space(n, omega, ("voltage", QComplex(1, 0)))
+    return _phasor_draw(n, omega, space, seed)
 
 
 def energy_balance(sol: PhasorSolution) -> Fraction:
@@ -566,51 +554,23 @@ def state_space(n: Network) -> StateSpace:
     nstate = len(states)
     ncols = nstate + 1                     # coefficients over (x..., i)
 
+    # a resistor is a conductance; an inductor is a source of its state
+    # current (admittance zero); a capacitor is a source of its state
+    # voltage, so its current is an unknown after the potentials
     ground = n.port[1]
-    nodes = [v for v in n.vertices if v != ground]
-    nidx = {v: i for i, v in enumerate(nodes)}
-    ncap = len(capacitors)
-    k = len(nodes) + ncap                  # unknowns: potentials + cap currents
-    mat = [[Q(0)] * k for _ in range(k)]
-    rhs = [[Q(0)] * ncols for _ in range(k)]
-
+    ys = [None if law == ("Y", 1) else Q(0) if law == ("Z", 1) else 1 / e.value
+          for e, law in zip(n.elements, laws)]
+    mat, nidx = _nodal_matrix(n, ys, Q(0))
+    nnode = len(nidx)
+    rhs = [[Q(0)] * ncols for _ in mat]
     state_col = {eid: i for i, eid in enumerate(states)}
-    cap_col = {e.id: len(nodes) + j for j, e in enumerate(capacitors)}
-
-    # KCL rows (currents leaving each non-ground node sum to zero; the
-    # source injects the input current i at the plus terminal)
-    for e, law in zip(n.elements, laws):
-        match law:
-            case ("Z", 0):                  # resistor: conductance 1/R
-                g = 1 / e.value
-                for (v, sgn) in ((e.head, 1), (e.tail, -1)):
-                    if v == ground:
-                        continue
-                    r = nidx[v]
-                    if e.head != ground:
-                        mat[r][nidx[e.head]] += sgn * g
-                    if e.tail != ground:
-                        mat[r][nidx[e.tail]] -= sgn * g
-            case ("Y", 1):                  # capacitor: unknown current
-                c = cap_col[e.id]
-                for (v, sgn) in ((e.head, 1), (e.tail, -1)):
-                    if v != ground:
-                        mat[nidx[v]][c] += sgn
-            case ("Z", 1):                  # inductor: known state current
-                col = state_col[e.id]
-                for (v, sgn) in ((e.head, 1), (e.tail, -1)):
-                    if v != ground:
-                        rhs[nidx[v]][col] -= sgn
-    if n.port[0] != ground:
-        rhs[nidx[n.port[0]]][nstate] += 1
-    # capacitor voltage constraints: e_head - e_tail = v_C
-    for j, e in enumerate(capacitors):
-        r = len(nodes) + j
-        if e.head != ground:
-            mat[r][nidx[e.head]] += 1
-        if e.tail != ground:
-            mat[r][nidx[e.tail]] -= 1
-        rhs[r][state_col[e.id]] += 1
+    for e in inductors:                    # the state current leaves the head
+        for (v, sgn) in ((e.head, 1), (e.tail, -1)):
+            if v != ground:
+                rhs[nidx[v]][state_col[e.id]] -= sgn
+    rhs[nidx[n.port[0]]][nstate] += 1      # the input current i
+    for j, e in enumerate(capacitors):     # e_head - e_tail = v_C
+        rhs[nnode + j][state_col[e.id]] += 1
 
     solved = _gauss_jordan(mat, rhs, Q(0), lambda x: x == 0)
     if solved is None or solved[1]:
@@ -630,7 +590,7 @@ def state_space(n: Network) -> StateSpace:
         a_rows.append(row[:nstate])
         b_col.append(row[nstate])
     for j, e in enumerate(capacitors):
-        irow = sol[len(nodes) + j]
+        irow = sol[nnode + j]
         row = [x / e.value for x in irow]
         a_rows.append(row[:nstate])
         b_col.append(row[nstate])

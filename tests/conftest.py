@@ -97,6 +97,24 @@ def random_sp_network(rng: random.Random, max_elems=6) -> Network:
     return Network(verts, elements, ("p", "n"))
 
 
+def random_biconnected_network(rng: random.Random, max_vertices=5,
+                               max_elems=8) -> Network:
+    """Random RLC one-port on 2 to max_vertices vertices: a path p -> n
+    through every vertex (a cycle with the source edge, so biconnected)
+    plus random chords, each edge in a random direction.  With four or
+    more vertices some are not series-parallel."""
+    verts = (["p"] + [f"v{i}" for i in range(rng.randint(0, max_vertices - 2))]
+             + ["n"])
+    edges = list(zip(verts, verts[1:]))
+    edges += [tuple(rng.sample(verts, 2))
+              for _ in range(rng.randint(len(verts) // 2,
+                                        max_elems - len(edges)))]
+    elements = [Element(f"e{j}", rng.choice([RESISTOR, INDUCTOR, CAPACITOR]),
+                        *rng.sample(edge, 2), rand_q(rng))
+                for j, edge in enumerate(edges)]
+    return Network(verts, elements, ("p", "n"))
+
+
 @pytest.fixture
 def rng():
     return random.Random(20250808)

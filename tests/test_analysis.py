@@ -5,19 +5,23 @@ from fractions import Fraction
 
 import pytest
 
-from prsyn.analysis import (CapacitorLoop, HypothesesNotMet, InductorCutset,
+from prsyn.analysis import (AnalysisError, CapacitorLoop, ExtractionFailure,
+                            HypothesesNotMet,
+                            InconsistentDrive, InductorCutset,
                             NoImpedance, blocked_open_short_check,
                             blocked_report, energy_balance, impedance,
                             impedance_series_parallel, mcmillan_gap,
                             pbh_diagnostics, phasor_solve, ss_impedance,
                             state_space, storage_count)
-from prsyn.network import Network, OnePort, parse_netlist
+from prsyn.network import (Network, NotPlanarDualizable, OnePort, dual,
+                           parse_netlist)
 from prsyn.polyrat import (BiquadParams, Polynomial, Q, QComplex,
-                           RationalFunction, _gauss_jordan, biquad_template,
+                           RationalFunction, _bareiss, _gauss_jordan,
+                           biquad_template,
                            eval_ratfunc, is_positive_real, parse_ratfunc)
 from prsyn.synth import build_named, build_seven_element, theorem2_step
 
-from conftest import random_sp_network
+from conftest import random_biconnected_network, random_sp_network
 
 N1_TEXT = """
 L l4 a c 1
@@ -159,8 +163,8 @@ class TestBlocked:
 
     @pytest.mark.parametrize("name", ["n1", "rpfg", "n1_free_modes"])
     def test_one_tableau_solve_per_report(self, name, request, monkeypatch):
-        # blocked_report solves the phasor tableau once and draws its three
-        # trajectories from that solution, with phasor_solve's seeds;
+        # blocked_report solves the nodal phasor system once and draws its
+        # three trajectories from that solution, with phasor_solve's seeds;
         # n1_free_modes adds a branch of two tanks resonant at omega0 = 1
         # across the port, so its node m gives one free mode
         import prsyn.analysis as analysis
@@ -365,25 +369,221 @@ class TestDriveNormalization:
         assert sol.source_current == QComplex(0, 0)
 
     def test_default_drive_skips_pr_check(self, n1, monkeypatch):
-        # the default drive only asks whether the nodal determinant
-        # vanishes at j*omega; the positive-real check is impedance()'s
+        # the default drive only asks whether unit current is consistent;
+        # neither the positive-real check nor a determinant over Q[s] runs
         import prsyn.analysis as analysis
         checks = []
+        determinants = []
 
         def counted(h):
             checks.append(h)
             return is_positive_real(h)
 
+        def counted_bareiss(m):
+            determinants.append(m)
+            return _bareiss(m)
+
         monkeypatch.setattr(analysis, "is_positive_real", counted)
+        monkeypatch.setattr(analysis, "_bareiss", counted_bareiss)
         tank = parse_netlist("L l1 a b 1\nC c1 a b 1\nPORT a b")
         sol = phasor_solve(tank, Q(1))     # impedance pole at j*1
         assert sol.source_voltage == QComplex(1, 0)
         assert phasor_solve(n1, Q(1)).source_current == QComplex(1, 0)
-        assert checks == []
+        assert checks == [] and determinants == []
         impedance(n1)
-        assert len(checks) == 1
+        assert len(checks) == 1 and len(determinants) == 2
+
+    def test_network_without_element_rejected(self):
+        n = parse_netlist("PORT a b")
+        for drive in (None, ("current", 1), ("voltage", 1)):
+            with pytest.raises(AnalysisError,
+                               match="^no element joins the port terminals$"):
+                phasor_solve(n, Q(1), drive)
 
     def test_no_pole_defaults_to_current_drive(self):
         n = parse_netlist("R r1 a b 3\nPORT a b")
         sol = phasor_solve(n, Q(2))
         assert sol.source_current == QComplex(1, 0)
+
+
+def _tableau(n, omega, drive):
+    """Reference copy of the phasor tableau the nodal system replaced.
+
+    Unknowns [potentials, element currents, source current], the port
+    minus terminal grounded; rows are KCL per non-ground vertex (element
+    currents leave the head, the source injects at the plus terminal), one
+    element law each and the drive.  Returns (rows, rhs, vertex index)."""
+    zero = QComplex(0, 0)
+    ground = n.port[1]
+    nodes = [v for v in n.vertices if v != ground]
+    nidx = {v: i for i, v in enumerate(nodes)}
+    m = len(n.elements)
+    ncols = len(nodes) + m + 1
+    isrc = len(nodes) + m
+    rows, rhs = [], []
+
+    def new_row():
+        rows.append([zero] * ncols)
+        rhs.append([zero])
+        return rows[-1]
+
+    kcl = {v: new_row() for v in nodes}
+    for j, e in enumerate(n.elements):
+        col = len(nodes) + j
+        if e.head != ground:
+            kcl[e.head][col] = kcl[e.head][col] + 1
+        if e.tail != ground:
+            kcl[e.tail][col] = kcl[e.tail][col] - 1
+    kcl[n.port[0]][isrc] = kcl[n.port[0]][isrc] - 1
+    for j, e in enumerate(n.elements):
+        row = new_row()
+        col = len(nodes) + j
+        side, p = e.electrical().law
+        mag = e.value * omega ** p
+        x = QComplex(0, mag) if p else QComplex(mag, 0)
+        z = x if side == "Z" else None if mag == 0 else 1 / x
+        if z is None:
+            row[col] = row[col] + 1         # pole at j*omega: current is zero
+            continue
+        if e.head != ground:
+            row[nidx[e.head]] = row[nidx[e.head]] + 1
+        if e.tail != ground:
+            row[nidx[e.tail]] = row[nidx[e.tail]] - 1
+        row[col] = row[col] - z
+    row = new_row()
+    mode, value = drive
+    if mode == "current":
+        row[isrc] = row[isrc] + 1
+    else:
+        row[nidx[n.port[0]]] = row[nidx[n.port[0]]] + 1
+    rhs[-1] = [value]
+    return rows, rhs, nidx
+
+
+def _tableau_vector(n, sol, nidx):
+    """[potentials, element currents, source current] of a trajectory,
+    the potentials recovered from the element voltages; asserts KVL."""
+    pot = {n.port[1]: QComplex(0, 0)}
+    while len(pot) < len(n.vertices):
+        for e in n.elements:
+            v = sol.element_voltages[e.id]
+            if e.head in pot and e.tail not in pot:
+                pot[e.tail] = pot[e.head] - v
+            elif e.tail in pot and e.head not in pot:
+                pot[e.head] = pot[e.tail] + v
+    for e in n.elements:
+        assert pot[e.head] - pot[e.tail] == sol.element_voltages[e.id]
+    assert pot[n.port[0]] == sol.source_voltage
+    return ([pot[v] for v in sorted(nidx, key=nidx.get)]
+            + [sol.element_currents[e.id] for e in n.elements]
+            + [sol.source_current])
+
+
+def _tank_network(rng):
+    """A random biconnected network, half the time with an L-C tank
+    resonant at omega = 1 added, in parallel or in series, so some
+    trajectories have free modes."""
+    n = random_biconnected_network(rng)
+    if rng.random() < 0.5:
+        return n
+    a, b = rng.sample(n.vertices, 2)
+    inductance = rng.randint(1, 5)
+    tank = (f"L lt {a} {b} {inductance}\nC ct {a} {b} 1/{inductance}\n"
+            if rng.random() < 0.5 else
+            f"L lt {a} tk {inductance}\nC ct tk {b} 1/{inductance}\n")
+    return parse_netlist(str(n) + tank)
+
+
+class TestNodalAgainstTableau:
+    """The modified nodal system agrees with the element tableau it
+    replaced, at frequencies with poles, zeros and internal resonances."""
+
+    def test_random_networks(self, rng, monkeypatch):
+        import prsyn.analysis as analysis
+        solved_space = analysis._phasor_space
+        drives_used = []
+
+        def recorded(n, omega, drive):
+            space = solved_space(n, omega, drive)
+            drives_used.append(drive[0])
+            return space
+
+        monkeypatch.setattr(analysis, "_phasor_space", recorded)
+        one = QComplex(1, 0)
+        seen = {"unique": 0, "free": 0, "inconsistent": 0, "zero_default": 0}
+        for _ in range(60):
+            n = _tank_network(rng)
+            h = impedance(n)
+            for omega in (Q(0), Q(1), Q(2), Q(1, 2), Q(-1)):
+                consistent = {}
+                for mode in ("current", "voltage"):
+                    rows, rhs, nidx = _tableau(n, omega, (mode, one))
+                    ref = _gauss_jordan(rows, rhs, QComplex(0, 0),
+                                        QComplex.is_zero)
+                    consistent[mode] = ref is not None
+                    if ref is None:
+                        with pytest.raises(InconsistentDrive):
+                            phasor_solve(n, omega, (mode, one))
+                        seen["inconsistent"] += 1
+                        continue
+                    sol = phasor_solve(n, omega, (mode, one), seed=7)
+                    x, basis = [y for (y,) in ref[0]], ref[1]
+                    assert sol.free_modes == len(basis)
+                    got = _tableau_vector(n, sol, nidx)
+                    for row, (b,) in zip(rows, rhs):
+                        assert sum((r * y for r, y in zip(row, got)),
+                                   QComplex(0, 0)) == b
+                    if basis:
+                        seen["free"] += 1
+                    else:
+                        assert got == x
+                        seen["unique"] += 1
+                drives_used.clear()
+                sol = phasor_solve(n, omega, seed=7)
+                mode = drives_used[-1]
+                assert mode == ("current" if consistent["current"]
+                                else "voltage")
+                if omega != 0:
+                    # the former rule: unit voltage at a pole of H at j*omega
+                    pole = h.den.eval_jomega(omega * omega) == (0, 0)
+                    assert mode == ("voltage" if pole else "current")
+                elif mode == "voltage":
+                    seen["zero_default"] += 1
+                assert sol == phasor_solve(n, omega, (mode, one), seed=7)
+        assert min(seen.values()) >= 5, seen
+
+
+class TestFourRoutes:
+    """Nodal analysis, the series-parallel oracle, state space, phasor and
+    the dual agree on random biconnected graphs, many not series-parallel."""
+
+    def test_random_biconnected_graphs(self, rng):
+        routes = {"sp": 0, "not_sp": 0, "state_space": 0, "dual": 0}
+        for _ in range(150):
+            n = random_biconnected_network(rng)
+            h = impedance(n)
+            sp = impedance_series_parallel(n)
+            if sp is None:
+                routes["not_sp"] += 1
+            else:
+                assert sp == h
+                routes["sp"] += 1
+            try:
+                ss = state_space(n)
+            except ExtractionFailure:
+                pass
+            else:
+                assert ss_impedance(ss) == h
+                routes["state_space"] += 1
+            omega = next(w for w in (Q(1, 3), Q(5, 2), Q(7, 4), Q(11, 3))
+                         if h.den.eval_jomega(w * w) != (0, 0))
+            sol = phasor_solve(n, omega, ("current", QComplex(2, -1)))
+            assert (sol.source_voltage / sol.source_current
+                    == eval_ratfunc(h, QComplex(0, omega)))
+            try:
+                d = dual(n)
+            except NotPlanarDualizable:
+                continue
+            assert impedance(d) == 1 / h
+            routes["dual"] += 1
+        assert min(routes.values()) >= 10, routes

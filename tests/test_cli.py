@@ -99,6 +99,16 @@ class TestPipelines:
         assert code == 0 and data["open_short_check"]
         assert sorted(map(sorted, data["blocked"])) == [["r1"], ["r2"]]
 
+    def test_phasor_default_drive_at_zero_frequency(self, run, tmp_path):
+        # the series capacitor blocks direct current: the default drive is
+        # unit voltage, which the capacitor takes whole
+        net = tmp_path / "cl.net"
+        net.write_text("C c1 a m 1\nL l1 m b 1\nPORT a b\n")
+        assert run("phasor", str(net), "--omega", "0") == (0, (
+            "omega=0 i=0+0j v=1+0j residual=0\n"
+            "  c1: i=0+0j v=1+0j\n"
+            "  l1: i=0+0j v=0+0j\n"), "")
+
     def test_ss_json(self, run, tmp_path):
         net = tmp_path / "rl.net"
         net.write_text("R r1 a b 2\nL l1 a b 3\nPORT a b\n")
@@ -195,6 +205,12 @@ class TestDomainMessages:
         net = tmp_path / "port.net"
         net.write_text("PORT a b\n")
         assert run("ss", str(net)) == (
+            3, "", "error: no element joins the port terminals\n")
+
+    def test_phasor_of_bare_port_names_the_cause(self, run, tmp_path):
+        net = tmp_path / "port.net"
+        net.write_text("PORT a b\n")
+        assert run("phasor", str(net), "--omega", "1") == (
             3, "", "error: no element joins the port terminals\n")
 
     def test_impedance_of_bare_port_is_a_domain_error(self, run, tmp_path):
