@@ -22,7 +22,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 
 from .polyrat import (Polynomial, Q, QComplex, RationalFunction, _as_q,
                       _bareiss, _gauss_jordan, _minor_gcd, is_lossless,
-                      is_positive_real, qcomplex)
+                      is_positive_real, qcomplex, real_roots, strict_hurwitz)
 from . import network as net
 from .network import (CAPACITOR, INDUCTOR, RESISTOR, Element, Network,
                       OnePort, OpenCircuit, ShortCircuit, one_port_boundary)
@@ -664,12 +664,11 @@ def pbh_diagnostics(ss: StateSpace) -> PBHReport:
     """Exact PBH analysis via polynomial minor gcds.
 
     The uncontrollable (resp. unobservable) modes are the roots of the gcd
-    of the maximal minors of [sI - A, B] (resp. [sI - A; C]); rational
-    roots are listed explicitly and irrational ones remain inside the
-    returned polynomials.  Stabilizability is decided exactly with a
-    Hurwitz test on the uncontrollable polynomial."""
-    from .polyrat import rational_roots, strict_hurwitz
-
+    of the maximal minors of [sI - A, B] (resp. [sI - A; C]).  The modes
+    are the rational roots that ``real_roots`` finds, ascending; irrational
+    and complex roots remain inside the returned polynomials.
+    Stabilizability is decided exactly with a Hurwitz test on the
+    uncontrollable polynomial."""
     nn = ss.n
     sia = _si_minus_a(ss)
     wide = [sia[r] + [Polynomial([ss.B[r]])] for r in range(nn)]
@@ -679,8 +678,8 @@ def pbh_diagnostics(ss: StateSpace) -> PBHReport:
               for c in range(nn)]
     o = _minor_gcd(tall_t)
 
-    u_modes = tuple(rational_roots(u)) if u.degree >= 1 else ()
-    o_modes = tuple(rational_roots(o)) if o.degree >= 1 else ()
+    u_modes = tuple(r for r in real_roots(u) if isinstance(r, Fraction))
+    o_modes = tuple(r for r in real_roots(o) if isinstance(r, Fraction))
     controllable = u.degree < 1
     observable = o.degree < 1
     stabilizable = controllable or strict_hurwitz(u)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import shlex
 import sys
 from fractions import Fraction
@@ -60,9 +61,11 @@ def _cmd_check(args) -> int:
     freqs = []
     if pr and not lossless and not f.is_zero():
         freqs = minimum_frequencies(f)
+    # an irrational w**2 prints as the square root of its bracket's
+    # midpoint, the one float prsyn prints
     freq_strs = [str(w.exact) if w.exact is not None
                  else (f"sqrt({w.omega2})" if w.omega2 is not None
-                       else repr(w.value))
+                       else repr(math.sqrt(float(sum(w.bracket) / 2))))
                  for w in freqs]
     _emit(args, {
         "positive_real": pr,

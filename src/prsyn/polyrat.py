@@ -4,8 +4,10 @@ Everything here is exact: coefficients are ``fractions.Fraction``, equality
 is true equality, and the positive-real / minimum-function predicates are
 decided with Routh arrays and Sturm chains rather than numerical root
 finding.  Values at s = j*w are ``QComplex`` numbers with rational parts.
-Floating point appears only in ``Omega.value``, the approximation of a
-minimum frequency whose square is irrational (``isolate_positive_roots``).
+Real roots come from one exact isolator, ``real_roots``: a rational root is
+a Fraction and an irrational one an open interval with rational ends, so a
+minimum frequency whose square is irrational is kept as such a bracket.
+No computation here uses floating point.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 Q = Fraction
 NEG_INF = -math.inf
@@ -531,155 +533,61 @@ def count_real_roots(p: Polynomial, a="-inf", b="+inf") -> int:
     return _variations(chain, a) - _variations(chain, b)
 
 
-def _pollard_rho(n: int) -> int:
-    if n % 2 == 0:
-        return 2
-    import random as _random
-    rng = _random.Random(0xC0FFEE ^ n)
-    while True:
-        x = rng.randrange(2, n - 1)
-        y, c, d = x, rng.randrange(1, n - 1), 1
-        while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = math.gcd(abs(x - y), n)
-        if d != n:
-            return d
+def real_roots(p: Polynomial, lo=None,
+               width=None) -> List[Union[Fraction, Tuple[Fraction, Fraction]]]:
+    """The distinct real roots of p above lo (all of them when lo is None),
+    ascending: a Fraction for a rational root, an open interval (a, b) with
+    rational ends for an irrational one, narrower than width when given.
 
-
-def _is_probable_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d, r = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _factorize(n: int) -> Dict[int, int]:
-    factors: Dict[int, int] = {}
-    stack = [n]
-    while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
-        if _is_probable_prime(m):
-            factors[m] = factors.get(m, 0) + 1
-            continue
-        d = _pollard_rho(m)
-        stack.append(d)
-        stack.append(m // d)
-    return factors
-
-
-def _divisors(n: int) -> List[int]:
-    divs = [1]
-    for prime, mult in _factorize(n).items():
-        divs = [d * prime ** k for d in divs for k in range(mult + 1)]
-    return divs
-
-
-def rational_roots(p: Polynomial) -> List[Fraction]:
-    """All rational roots (without multiplicity), by the rational root test;
-    closed forms for degrees one and two, divisor enumeration via exact
-    integer factorization otherwise."""
+    Degrees one and two with rational roots take closed forms.  Otherwise
+    Sturm bisection isolates each root of the square-free part in an
+    interval (a, b] and refines it below min(width, 1/L^2), L the leading
+    coefficient with denominators cleared.  A rational root's denominator
+    divides L and two distinct fractions with denominators <= L lie at
+    least 1/L^2 apart, so the only candidate is the fraction nearest the
+    midpoint with denominator <= L, and it is tested exactly."""
     if p.is_zero():
         raise ValueError("zero polynomial")
-    cs = list(p.coeffs)
-    low = 0
-    while cs[low] == 0:
-        low += 1
-    roots = [Q(0)] if low > 0 else []
-    cs = cs[low:]
-    if len(cs) == 1:
-        return sorted(roots)
-    if len(cs) == 2:
-        roots.append(-cs[0] / cs[1])
-        return sorted(set(roots))
-    if len(cs) == 3:
+    if p.degree > 2:
+        p = p.square_free_part()
+    cs = p.coeffs
+    roots = None
+    if len(cs) <= 2:
+        roots = [-cs[0] / cs[1]] if len(cs) == 2 else []
+    elif len(cs) == 3:
         c0, c1, c2 = cs
         disc = c1 * c1 - 4 * c2 * c0
-        root = sqrt_fraction(disc) if disc >= 0 else None
+        root = sqrt_fraction(disc)
         if root is not None:
-            roots.extend({(-c1 + root) / (2 * c2), (-c1 - root) / (2 * c2)})
-        return sorted(set(roots))
-    mult = math.lcm(*(c.denominator for c in cs))
-    ics = [int(c * mult) for c in cs]
-    a0, an = abs(ics[0]), abs(ics[-1])
-    poly = Polynomial(ics)
-    for pnum in _divisors(a0):
-        for pden in _divisors(an):
-            for cand in (Fraction(pnum, pden), Fraction(-pnum, pden)):
-                if cand not in roots and poly(cand) == 0:
-                    roots.append(cand)
-    return sorted(roots)
-
-
-def isolate_positive_roots(p: Polynomial, tol: float = 1e-12) -> List[Fraction]:
-    """Midpoint approximations (bracket width <= tol) of the distinct real
-    roots of p in (0, oo).  Intended for polynomials already stripped of
-    rational roots; exact rational roots are still located correctly."""
-    p = p.square_free_part()
-    if p.degree < 1:
-        return []
+            roots = sorted({(-c1 + root) / (2 * c2), (-c1 - root) / (2 * c2)})
+        elif disc < 0:
+            roots = []
+    if roots is not None:
+        return [r for r in roots if lo is None or r > lo]
     chain = sturm_chain(p)
-
-    def var(x):
-        return _variations(chain, x)
-
-    total = var(Q(0)) - var("+inf")
-    if total == 0:
+    lead = abs(cs[-1]) * math.lcm(*(c.denominator for c in cs))
+    fine = Fraction(1, lead * lead)
+    if width is not None:
+        fine = min(fine, _as_q(width))
+    bound = 1 + max(abs(c) for c in cs) / abs(cs[-1])
+    a = -bound if lo is None else _as_q(lo)
+    if a >= bound:
         return []
-    lead = abs(p.leading())
-    bound = Q(1) + max(abs(c) for c in p.coeffs) / lead
-    while var(Q(0)) - var(bound) < total:
-        bound *= 2
-
-    def split_point(a, b):
-        mid = (a + b) / 2
-        step = (b - a) / 4
-        while p(mid) == 0:  # never a root after rational-root stripping
-            mid += step
-            step /= 2
-        return mid
-
-    intervals = [(Q(0), bound)]
-    brackets: List[Tuple[Fraction, Fraction]] = []
-    while intervals:
-        a, b = intervals.pop()
-        n = var(a) - var(b)
-        if n == 0:
-            continue
-        if n == 1:
-            brackets.append((a, b))
-            continue
-        mid = split_point(a, b)
-        intervals.append((a, mid))
-        intervals.append((mid, b))
-    out = []
-    for a, b in sorted(brackets):
-        while float(b - a) > tol:
-            mid = split_point(a, b)
-            if var(a) - var(mid) == 1:
-                b = mid
-            else:
-                a = mid
-        out.append((a + b) / 2)
+    # (a, V(a), b, V(b)) with V(a) - V(b) roots in (a, b]; left half on top
+    todo = [(a, _variations(chain, a), bound, _variations(chain, bound))]
+    out: List[Union[Fraction, Tuple[Fraction, Fraction]]] = []
+    while todo:
+        a, va, b, vb = todo.pop()
+        if va - vb > 1 or va - vb == 1 and b - a >= fine:
+            m = (a + b) / 2
+            vm = _variations(chain, m)
+            if vm > vb:
+                todo.append((m, vm, b, vb))
+            if va > vm:
+                todo.append((a, va, m, vm))
+        elif va - vb == 1:
+            c = ((a + b) / 2).limit_denominator(lead)
+            out.append(c if a < c <= b and p(c) == 0 else (a, b))
     return out
 
 
@@ -782,10 +690,11 @@ def is_lossless(g: RationalFunction) -> bool:
 
 @dataclass(frozen=True)
 class Omega:
-    """A frequency w > 0 with exact square; w itself exact when possible."""
+    """A frequency w > 0 known by its square: exact when w**2 is rational,
+    otherwise an open rational bracket lo < w**2 < hi."""
 
-    omega2: Optional[Fraction]     # exact w**2, None if irrational
-    value: float                   # high-precision approximation of w
+    omega2: Optional[Fraction]                      # exact w**2, or None
+    bracket: Optional[Tuple[Fraction, Fraction]]    # None when omega2 is set
 
     @property
     def exact(self) -> Optional[Fraction]:
@@ -797,57 +706,44 @@ class Omega:
     def __repr__(self):
         if self.omega2 is not None:
             return f"Omega(omega2={self.omega2})"
-        return f"Omega(~{self.value!r})"
+        return f"Omega({self.bracket[0]} < omega2 < {self.bracket[1]})"
 
 
 def minimum_frequencies(g: RationalFunction) -> List[Omega]:
-    """All w > 0 with Re(g(jw)) = 0, ascending.
+    """All w > 0 with Re(g(jw)) = 0, ascending; an irrational w**2 is
+    bracketed to a width below 2**-60.
 
     Requires g PR and not lossless (a lossless function has zero real part
     everywhere, which NotPR also covers for the caller's purposes).
     """
     if not is_positive_real(g):
         raise NotPR("minimum frequencies are defined for PR functions")
-    if is_lossless(g):
+    e = even_part_profile(g)
+    if e.is_zero():
         raise NotPR("function is lossless; real part vanishes identically")
-    work = even_part_profile(g).square_free_part()
-    out: List[Omega] = []
-    for r in rational_roots(work):
-        if r > 0:
-            out.append(Omega(r, math.sqrt(float(r))))
-        work = work // Polynomial([-r, 1])
-    for v in isolate_positive_roots(work):
-        out.append(Omega(None, math.sqrt(float(v))))
-    out.sort(key=lambda o: o.value)
-    return out
+    return [Omega(r, None) if isinstance(r, Fraction) else Omega(None, r)
+            for r in real_roots(e, Q(0), Fraction(1, 2**60))]
 
 
 def is_minimum_function(g: RationalFunction) -> bool:
-    """PR, not identically zero, no poles/zeros on jR or at infinity, and
-    the real part vanishes at some w0 > 0."""
+    """PR, not identically zero, no poles/zeros on jR or at infinity, not
+    lossless, and the real part vanishes at some w0 > 0."""
     if g.is_zero() or not is_positive_real(g):
         return False
     if g.num.degree != g.den.degree:
         return False                      # pole or zero at infinity
     if _has_imaginary_axis_root(g.num) or _has_imaginary_axis_root(g.den):
         return False
-    if is_lossless(g):
-        return False
-    return bool(minimum_frequencies(g))
+    e = even_part_profile(g)
+    return not e.is_zero() and count_real_roots(e, Q(0), "+inf") > 0
 
 
 def _has_imaginary_axis_root(p: Polynomial) -> bool:
-    if p.is_zero():
-        return True
-    if p(Q(0)) == 0:
+    if p.is_zero() or p(Q(0)) == 0:
         return True
     even = Polynomial(p.coeffs[0::2])
     odd = Polynomial(p.coeffs[1::2])
-    g = even.gcd(odd) if not odd.is_zero() else even
-    if odd.is_zero():
-        g = even
-    elif even.is_zero():
-        return True
+    g = even if odd.is_zero() else even.gcd(odd)
     if g.degree < 1:
         return False
     # p(jw) = even(-w^2) + jw*odd(-w^2); common root u = -w^2 < 0 needed

@@ -18,7 +18,7 @@ from .polyrat import (BiquadParams, NotMinimum, NotRationalParams, Polynomial,
                       Q, QComplex, RationalFunction, _as_q, _interpolate,
                       _sylvester_rows, biquad_params, biquad_template,
                       count_real_roots, det_bareiss, is_minimum_function,
-                      is_positive_real, minimum_frequencies, rational_roots,
+                      is_positive_real, minimum_frequencies, real_roots,
                       sqrt_fraction, sylvester_determinant)
 from . import network as net
 from .network import (CAPACITOR, INDUCTOR, RESISTOR, Element, Leaf, Network,
@@ -90,14 +90,9 @@ class SynthesisStep:
 
 
 def _smallest_positive_rational_root(p: Polynomial) -> Optional[Fraction]:
-    roots = [r for r in rational_roots(p) if r > 0]
-    if not roots:
-        return None
-    r = min(roots)
-    # must also be the smallest positive *real* root
-    if count_real_roots(p, Q(0), r) != 1:
-        return None
-    return r
+    """The smallest positive real root of p when it is rational, else None."""
+    roots = real_roots(p, Q(0))
+    return roots[0] if roots and isinstance(roots[0], Fraction) else None
 
 
 def theorem2_step(h: RationalFunction, omega0=None,

@@ -35,6 +35,16 @@ class TestVerdicts:
         assert run("check", "s")[0] == 0
         assert run("check", "s - 1")[0] == 1
 
+    def test_check_irrational_frequency(self, run):
+        # omega^2 = sqrt(2): the printed float is 2**0.25 to the last digit
+        code, out, _ = run("check", "(s^4 + 45/16 s^3 + 21/4 s^2 + 117/16 s"
+                           " + 4)/(s^4 + 4 s^3 + 6 s^2 + 4 s + 1)")
+        assert code == 0
+        assert out.strip() == (
+            "positive_real=true lossless=false minimum_function=true "
+            f"minimum_frequencies=[{2 ** 0.25!r}]")
+        assert repr(2 ** 0.25) == "1.189207115002721"
+
     def test_domain_error_exit(self, run):
         code, _, err = run("params", "s + 1")   # not a minimum function
         assert code == 3 and "error" in err

@@ -4,9 +4,9 @@ environment knobs and no floating-point arithmetic in prsyn.
 Every module of ``src/prsyn`` except ``__init__.py`` (whose imports are the
 public API) must use each name it imports, and every module-level function
 must be referenced somewhere in ``src/`` or ``tests/`` besides its own
-definition.  No module reads the environment, and none calls ``float`` or
-``complex`` except where ``polyrat`` approximates an irrational minimum
-frequency.  The checks read the sources with ``ast``; nothing is imported.
+definition.  No module reads the environment, none calls ``complex``, and
+only the CLI ``check`` formatter calls ``float``, to print a minimum
+frequency whose square is irrational.  The checks read the sources with ``ast``; nothing is imported.
 """
 
 import ast
@@ -91,9 +91,9 @@ def test_no_environment_knobs():
     assert reads == []
 
 
-# polyrat functions that compute Omega.value, the float approximation of a
-# minimum frequency whose square is irrational
-OMEGA_VALUE = {"isolate_positive_roots", "minimum_frequencies"}
+# the one function that calls float: the CLI check formatter prints a
+# minimum frequency whose square is irrational as an approximate float
+FLOAT_PRINT = ("cli.py", "_cmd_check")
 
 
 def test_no_float_arithmetic():
@@ -101,8 +101,7 @@ def test_no_float_arithmetic():
     for path in MODULES:
         for top in _tree(path).body:
             names = {"float", "complex"}
-            if (path.name == "polyrat.py"
-                    and getattr(top, "name", None) in OMEGA_VALUE):
+            if (path.name, getattr(top, "name", None)) == FLOAT_PRINT:
                 names = {"complex"}
             found += [f"{path.name}:{line}" for line in _calls(top, names)]
     assert found == []

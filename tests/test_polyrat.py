@@ -1,7 +1,9 @@
 """Exact algebra layer: reduction, predicates, parameters, resultants."""
 
 import itertools
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -12,12 +14,14 @@ from prsyn.polyrat import (BiquadParams, DegreeTooSmall, NotBiquadratic,
                            NotMinimum, Polynomial, Q, QComplex,
                            RationalFunction, ZeroDenominator, _bareiss,
                            _gauss_jordan, _interpolate,
-                           biquad_params, biquad_template, det_bareiss,
+                           biquad_params, biquad_template, count_real_roots,
+                           det_bareiss,
                            eval_ratfunc, format_ratfunc, is_lossless,
                            is_minimum_function, is_positive_real,
                            minimum_frequencies, parse_poly, parse_ratfunc,
-                           reduce, strict_hurwitz, sylvester_determinant,
-                           sylvester_matrix, PoleAtPoint)
+                           real_roots, reduce, strict_hurwitz,
+                           sylvester_determinant, sylvester_matrix,
+                           PoleAtPoint)
 
 S = Polynomial([0, 1])
 
@@ -469,7 +473,137 @@ class TestIrrationalOmega:
         freqs = minimum_frequencies(h)
         assert len(freqs) == 1
         assert freqs[0].omega2 == 2 and freqs[0].exact is None
-        assert abs(freqs[0].value - 2 ** 0.5) < 1e-9
         assert is_minimum_function(h)
         with pytest.raises(NotRationalParams):
             biquad_params(h)
+
+    def test_irrational_square_is_bracketed(self):
+        # E(v) is proportional to (v^2 - 2)^2: the one minimum frequency has
+        # omega^2 = sqrt(2), kept as an exact bracket narrower than 2**-60
+        h = parse_ratfunc("(s^4 + 45/16 s^3 + 21/4 s^2 + 117/16 s + 4)"
+                          "/(s^4 + 4 s^3 + 6 s^2 + 4 s + 1)")
+        (w,) = minimum_frequencies(h)
+        lo, hi = w.bracket
+        assert w.omega2 is None and w.exact is None
+        assert lo * lo < 2 < hi * hi and hi - lo < Fraction(1, 2 ** 60)
+
+
+def rational_roots_reference(p):
+    """Distinct rational roots of p, ascending, by the rational root test:
+    a root u/v in lowest terms of the integer multiple of p has u dividing
+    its lowest nonzero coefficient and v its leading one.  Divisors are
+    found by trial division, so only for small coefficients."""
+    mult = math.lcm(*(c.denominator for c in p.coeffs))
+    ics = [int(c * mult) for c in p.coeffs]
+    low = next(k for k, c in enumerate(ics) if c)
+    ics = ics[low:]
+    roots = {Fraction(0)} if low else set()
+
+    def divisors(n):
+        n = abs(n)
+        small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+        return set(small) | {n // d for d in small}
+
+    n = len(ics) - 1
+    for u in divisors(ics[0]):
+        for v in divisors(ics[-1]):
+            for uu in (u, -u):
+                # v^n p(uu/v), in integers
+                if sum(c * uu ** k * v ** (n - k) for k, c in enumerate(ics)) == 0:
+                    roots.add(Fraction(uu, v))
+    return sorted(roots)
+
+
+def random_integer_poly(rng, degree):
+    """A product of factors with small integer coefficients and exactly the
+    given degree: linear factors v s - u (roots u/v, sometimes 0, sometimes
+    repeated) and dense factors whose roots are mostly irrational or
+    complex."""
+    p = Polynomial([rng.choice([-3, -1, 1, 2])])
+    while p.degree < degree:
+        room = degree - int(p.degree)
+        if rng.random() < 0.5:
+            factor = Polynomial([rng.randint(-6, 6), rng.randint(1, 4)])
+            p = p * factor ** rng.randint(1, min(room, 2))
+        else:
+            k = rng.randint(1, room)
+            p = p * Polynomial([rng.randint(-5, 5) for _ in range(k)]
+                               + [rng.choice([-2, -1, 1, 3])])
+    return p
+
+
+class TestRealRoots:
+    @staticmethod
+    def check(p, lo=None, width=None):
+        roots = real_roots(p, lo, width)
+        rationals = [r for r in roots if isinstance(r, Fraction)]
+        assert rationals == [r for r in rational_roots_reference(p)
+                             if lo is None or r > lo]
+        assert len(roots) == count_real_roots(p, "-inf" if lo is None else lo)
+        ends = []
+        for r in roots:
+            if isinstance(r, Fraction):
+                ends += [r, r]
+                continue
+            a, b = r
+            # one root in (a, b] and none at b: exactly one in (a, b)
+            assert a < b and p(b) != 0 and count_real_roots(p, a, b) == 1
+            assert width is None or b - a < width
+            ends += [a, b]
+        assert ends == sorted(ends)
+        assert lo is None or all(x >= lo for x in ends)
+        return roots
+
+    def test_against_rational_root_test(self, rng):
+        for degree in range(1, 8):
+            for _ in range(40):
+                p = random_integer_poly(rng, degree)
+                self.check(p)
+                self.check(p, Fraction(rng.randint(-8, 8), rng.randint(1, 3)))
+
+    def test_rational_coefficients_and_width(self, rng):
+        for _ in range(60):
+            p = random_integer_poly(rng, rng.randint(1, 6))
+            p = p * Fraction(rng.randint(1, 9), rng.randint(1, 9))
+            self.check(p, None, Fraction(1, 2 ** rng.randint(0, 80)))
+
+    def test_repeated_roots_and_zero(self):
+        # s^3 (s - 2/3)^2 (s^2 - 2)^3 (s^2 + 1)
+        p = (S ** 3 * Polynomial([Q(-2, 3), 1]) ** 2
+             * Polynomial([-2, 0, 1]) ** 3 * Polynomial([1, 0, 1]))
+        roots = self.check(p)
+        assert roots[1:4] == [0, Q(2, 3), roots[3]]
+        assert not isinstance(roots[0], Fraction) and roots[0][1] < 0
+        assert self.check(p, Q(0))[0] == Q(2, 3)
+        (above,) = self.check(p, Q(2, 3))       # sqrt(2), bracketed afresh
+        assert not isinstance(above, Fraction)
+
+    def test_closed_forms(self):
+        assert real_roots(Polynomial([3])) == []
+        assert real_roots(Polynomial([1, 2])) == [Q(-1, 2)]
+        assert real_roots(Polynomial([6, -5, 1])) == [2, 3]
+        assert real_roots(Polynomial([6, -5, 1]), Q(2)) == [3]
+        assert real_roots(Polynomial([1, 2, 1])) == [-1]
+        assert real_roots(Polynomial([1, 0, 1])) == []
+        (a, b), (c, d) = self.check(Polynomial([-2, 0, 1]))
+        assert b <= c and a * a > 2 > b * b and c * c < 2 < d * d
+
+    def test_zero_polynomial(self):
+        with pytest.raises(ValueError):
+            real_roots(Polynomial())
+
+    def test_many_prime_factors_and_semiprime_are_fast(self):
+        # the rational root test meets 2**10 divisors of the primorial
+        # 6469693230 on each side, and a 96-bit semiprime constant term;
+        # the isolator never factors
+        start = time.perf_counter()
+        p = Polynomial([6469693230, 1, 0, 6469693230])
+        ((a, b),) = real_roots(p)
+        assert count_real_roots(p) == count_real_roots(p, a, b) == 1
+        p1, p2 = 281474976710597, 281474976710677   # primes near 2**48
+        p = Polynomial([-p1, 1]) * Polynomial([-p2, 1, 1])
+        assert (p1 * p2).bit_length() == 96 and p(0) == p1 * p2
+        roots = real_roots(p)
+        assert len(roots) == 3 and roots[2] == p1
+        assert all(count_real_roots(p, a, b) == 1 for a, b in roots[:2])
+        assert time.perf_counter() - start < 2
