@@ -8,8 +8,8 @@ admittance stamps with the port minus terminal grounded, plus a current
 unknown only for an element whose admittance does not exist (an inductor
 at omega = 0, a capacitor holding its state voltage).  Everything is
 exact: frequencies are rationals (a float is a TypeError) and phasors are
-``QComplex`` values.  The elimination itself (Bareiss determinants over
-Q[s], Gauss-Jordan solves with nullspaces, minor gcds) lives in the
+``QComplex`` values.  The elimination (Q[s] determinants by Bareiss over
+Z[s], Gauss-Jordan solves with nullspaces, minor gcds) lives in the
 elimination section of ``polyrat``; this module only sets up the systems.
 """
 
@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 
 from .polyrat import (Polynomial, Q, QComplex, RationalFunction, _as_q,
-                      _bareiss, _gauss_jordan, _minor_gcd, is_lossless,
+                      _gauss_jordan, _minor_gcd, det_poly, is_lossless,
                       is_positive_real, qcomplex, real_roots, strict_hurwitz)
 from . import network as net
 from .network import (CAPACITOR, INDUCTOR, RESISTOR, Element, Network,
@@ -106,16 +106,16 @@ def impedance(n: Network) -> Union[RationalFunction, NoImpedance]:
     """Exact driving-point impedance, asserted positive-real.
 
     Nodal analysis over Q[s] with all admittances scaled by s, determinants
-    by fraction-free elimination; H = s * cofactor / determinant."""
+    by ``det_poly`` (Bareiss over Z[s]); H = s * cofactor / determinant."""
     mat, idx = _nodal_matrix(n, map(_scaled_admittance, n.elements),
                              Polynomial())
     a = idx[n.port[0]]
     minor = [[x for c, x in enumerate(row) if c != a]
              for r, row in enumerate(mat) if r != a]
-    det = _bareiss(mat)
+    det = det_poly(mat)
     if not det:
         return NoImpedance()
-    h = RationalFunction(_bareiss(minor) * Polynomial([0, 1]), det)
+    h = RationalFunction(det_poly(minor) * Polynomial([0, 1]), det)
     assert is_positive_real(h), "network impedance must be positive-real"
     return h
 

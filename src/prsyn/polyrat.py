@@ -16,6 +16,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 Q = Fraction
@@ -683,9 +684,11 @@ def is_positive_real(g: RationalFunction) -> bool:
 
 
 def is_lossless(g: RationalFunction) -> bool:
-    if g.is_zero():
-        return False
-    return is_positive_real(g) and even_part_numerator(g).is_zero()
+    return is_positive_real(g) and _lossless_if_pr(g)
+
+
+def _lossless_if_pr(g: RationalFunction) -> bool:
+    return not g.is_zero() and even_part_numerator(g).is_zero()
 
 
 @dataclass(frozen=True)
@@ -718,6 +721,10 @@ def minimum_frequencies(g: RationalFunction) -> List[Omega]:
     """
     if not is_positive_real(g):
         raise NotPR("minimum frequencies are defined for PR functions")
+    return _minimum_frequencies_if_pr(g)
+
+
+def _minimum_frequencies_if_pr(g: RationalFunction) -> List[Omega]:
     e = even_part_profile(g)
     if e.is_zero():
         raise NotPR("function is lossless; real part vanishes identically")
@@ -728,10 +735,12 @@ def minimum_frequencies(g: RationalFunction) -> List[Omega]:
 def is_minimum_function(g: RationalFunction) -> bool:
     """PR, not identically zero, no poles/zeros on jR or at infinity, not
     lossless, and the real part vanishes at some w0 > 0."""
-    if g.is_zero() or not is_positive_real(g):
-        return False
-    if g.num.degree != g.den.degree:
-        return False                      # pole or zero at infinity
+    return is_positive_real(g) and _minimum_if_pr(g)
+
+
+def _minimum_if_pr(g: RationalFunction) -> bool:
+    if g.is_zero() or g.num.degree != g.den.degree:
+        return False          # zero, or a pole or zero at infinity
     if _has_imaginary_axis_root(g.num) or _has_imaginary_axis_root(g.den):
         return False
     e = even_part_profile(g)
@@ -792,7 +801,7 @@ def biquad_params(h: RationalFunction) -> BiquadParams:
         raise NotMinimum("not a minimum function")
     if h.mcmillan_degree != 2:
         raise NotBiquadratic("McMillan degree is not two")
-    freqs = minimum_frequencies(h)
+    freqs = _minimum_frequencies_if_pr(h)
     if len(freqs) != 1 or freqs[0].omega2 is None:
         raise NotBiquadratic("expected a single rational minimum frequency")
     v = freqs[0].omega2
@@ -814,14 +823,53 @@ def biquad_params(h: RationalFunction) -> BiquadParams:
 # Exact elimination: the one home of determinants, solves and Sylvester rows
 # ---------------------------------------------------------------------------
 
+class _ZPoly:
+    """Element of Z[s] for the Bareiss kernel: ascending int coefficients
+    with no trailing zeros.  Multiplies by an int or a _ZPoly; its divmod
+    is exact division, with a nonzero remainder when that fails."""
+
+    __slots__ = ("c",)
+
+    def __init__(self, c: List[int]):
+        while c and not c[-1]:
+            c.pop()
+        self.c = c
+
+    def __bool__(self):
+        return bool(self.c)
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return _ZPoly([x * other for x in self.c])
+        out = [0] * (len(self.c) + len(other.c))
+        for i, x in enumerate(self.c):
+            for j, y in enumerate(other.c, i):
+                out[j] += x * y
+        return _ZPoly(out)
+
+    def __sub__(self, other):
+        return _ZPoly([x - y for x, y in zip_longest(self.c, other.c,
+                                                     fillvalue=0)])
+
+    def __divmod__(self, other):
+        rem, d = list(self.c), other.c
+        quot = [0] * max(len(rem) - len(d) + 1, 0)
+        for k in reversed(range(len(quot))):
+            q = quot[k] = rem[k + len(d) - 1] // d[-1]
+            for j, y in enumerate(d, k):
+                rem[j] -= q * y
+        return _ZPoly(quot), _ZPoly(rem)
+
+
 def _bareiss(m):
     """Determinant of the square matrix m by fraction-free elimination
     (Bareiss 1968, Sylvester's identity), overwriting m.
 
     Works over any exact ring whose entries are falsy at zero and whose
-    divmod is exact division with remainder, here int and Polynomial.  The
-    pivot of each column is the first nonzero entry at or below the
-    diagonal.  The empty matrix has determinant 1."""
+    divmod is exact division with remainder: here int (``det_bareiss``)
+    and Z[s] as ``_ZPoly`` (``det_poly``).  The pivot of each column is
+    the first nonzero entry at or below the diagonal.  The empty matrix
+    has determinant 1."""
     n = len(m)
     sign = 1
     prev = None                 # the previous pivot; no division at step 0
@@ -847,16 +895,28 @@ def _bareiss(m):
     return m[n - 1][n - 1] * sign if n else 1
 
 
+def _integer_rows(matrix, coeffs):
+    """matrix with each row times the lcm of its coefficient denominators,
+    and the product of those multipliers.  coeffs(x) gives the Fractions of
+    entry x, which becomes the list of their scaled integers."""
+    rows = [[coeffs(x) for x in row] for row in matrix]
+    mults = [math.lcm(*(c.denominator for x in row for c in x)) for row in rows]
+    return ([[[c.numerator * (m // c.denominator) for c in x] for x in row]
+             for row, m in zip(rows, mults)], math.prod(mults))
+
+
 def det_bareiss(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
     """Exact determinant via integer Bareiss after clearing row denominators."""
-    scale = Q(1)
-    m: List[List[int]] = []
-    for row in matrix:
-        row = [_as_q(x) for x in row]
-        mult = math.lcm(*(x.denominator for x in row)) if row else 1
-        scale *= mult
-        m.append([int(x * mult) for x in row])
-    return Fraction(_bareiss(m)) / scale
+    rows, scale = _integer_rows(matrix, lambda x: (_as_q(x),))
+    return Fraction(_bareiss([[x[0] for x in row] for row in rows]), scale)
+
+
+def det_poly(matrix: Sequence[Sequence[Polynomial]]) -> Polynomial:
+    """Exact determinant over Q[s]: Bareiss over Z[s] after clearing row
+    denominators (Gauss's lemma), divided by the product of the multipliers."""
+    rows, scale = _integer_rows(matrix, lambda p: p.coeffs)
+    d = _bareiss([[_ZPoly(x) for x in row] for row in rows])
+    return Polynomial(Fraction(c, scale) for c in d.c) if rows else ONE
 
 
 def _minor_gcd(rows: List[List[Polynomial]]) -> Polynomial:
@@ -864,7 +924,7 @@ def _minor_gcd(rows: List[List[Polynomial]]) -> Polynomial:
     (pass the transpose of a tall matrix); stops early at a constant."""
     g = ZERO
     for drop in range(len(rows) + 1):
-        d = _as_poly(_bareiss([row[:drop] + row[drop + 1:] for row in rows]))
+        d = det_poly([row[:drop] + row[drop + 1:] for row in rows])
         g = d.monic() if g.is_zero() else g.gcd(d)
         if g.degree == 0:
             return ONE

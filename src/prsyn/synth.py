@@ -16,10 +16,10 @@ from typing import Dict, List, Optional, Tuple
 
 from .polyrat import (BiquadParams, NotMinimum, NotRationalParams, Polynomial,
                       Q, QComplex, RationalFunction, _as_q, _interpolate,
-                      _sylvester_rows, biquad_params, biquad_template,
-                      count_real_roots, det_bareiss, is_minimum_function,
-                      is_positive_real, minimum_frequencies, real_roots,
-                      sqrt_fraction, sylvester_determinant)
+                      _minimum_frequencies_if_pr, _sylvester_rows,
+                      biquad_params, biquad_template, count_real_roots,
+                      det_bareiss, is_minimum_function, is_positive_real,
+                      real_roots, sqrt_fraction, sylvester_determinant)
 from . import network as net
 from .network import (CAPACITOR, INDUCTOR, RESISTOR, Element, Leaf, Network,
                       par, ser)
@@ -115,7 +115,7 @@ def theorem2_step(h: RationalFunction, omega0=None,
         except NotRationalParams:
             pass
     if omega0 is None:
-        freqs = minimum_frequencies(h)
+        freqs = _minimum_frequencies_if_pr(h)
         omega0 = freqs[0].exact
         if omega0 is None:
             raise NotRationalParams("smallest minimum frequency is irrational")

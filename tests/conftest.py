@@ -115,6 +115,25 @@ def random_biconnected_network(rng: random.Random, max_vertices=5,
     return Network(verts, elements, ("p", "n"))
 
 
+def ladder_network(size: int, rng: random.Random) -> Network:
+    """RLC ladder of even ``size``: series arms alternate L and R, shunt arms
+    to the port minus terminal alternate C and R, ending on a shunt arm.
+    32 elements give degree 15."""
+    kinds = (INDUCTOR, CAPACITOR, RESISTOR, RESISTOR)
+    elements, node = [], "p"
+    for i in range(size):
+        if i % 2 == 0:
+            nxt = f"v{i}"
+            elements.append(Element(f"e{i}", kinds[i % 4], node, nxt,
+                                    rand_q(rng)))
+            node = nxt
+        else:
+            elements.append(Element(f"e{i}", kinds[i % 4], node, "n",
+                                    rand_q(rng)))
+    verts = {v for e in elements for v in (e.head, e.tail)}
+    return Network(verts, elements, ("p", "n"))
+
+
 @pytest.fixture
 def rng():
     return random.Random(20250808)

@@ -16,12 +16,13 @@ from prsyn.analysis import (AnalysisError, CapacitorLoop, ExtractionFailure,
 from prsyn.network import (Network, NotPlanarDualizable, OnePort, dual,
                            parse_netlist)
 from prsyn.polyrat import (BiquadParams, Polynomial, Q, QComplex,
-                           RationalFunction, _bareiss, _gauss_jordan,
-                           biquad_template,
+                           RationalFunction, _gauss_jordan,
+                           biquad_template, det_poly,
                            eval_ratfunc, is_positive_real, parse_ratfunc)
 from prsyn.synth import build_named, build_seven_element, theorem2_step
 
-from conftest import random_biconnected_network, random_sp_network
+from conftest import (ladder_network, random_biconnected_network,
+                      random_sp_network)
 
 N1_TEXT = """
 L l4 a c 1
@@ -70,6 +71,14 @@ class TestImpedance:
         for _ in range(200):
             n = random_sp_network(rng)
             assert impedance_series_parallel(n) == impedance(n)
+
+    @pytest.mark.parametrize("size", [6, 12, 20, 32])
+    def test_ladder_matches_series_parallel_oracle(self, size):
+        # rows with large denominator lcms, up to degree 16 over 15
+        n = ladder_network(size, random.Random(size))
+        h = impedance(n)
+        assert h == impedance_series_parallel(n)
+        assert h.mcmillan_degree == storage_count(n)
 
 
 class TestPhasor:
@@ -379,12 +388,12 @@ class TestDriveNormalization:
             checks.append(h)
             return is_positive_real(h)
 
-        def counted_bareiss(m):
+        def counted_det(m):
             determinants.append(m)
-            return _bareiss(m)
+            return det_poly(m)
 
         monkeypatch.setattr(analysis, "is_positive_real", counted)
-        monkeypatch.setattr(analysis, "_bareiss", counted_bareiss)
+        monkeypatch.setattr(analysis, "det_poly", counted_det)
         tank = parse_netlist("L l1 a b 1\nC c1 a b 1\nPORT a b")
         sol = phasor_solve(tank, Q(1))     # impedance pole at j*1
         assert sol.source_voltage == QComplex(1, 0)

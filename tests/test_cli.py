@@ -35,6 +35,28 @@ class TestVerdicts:
         assert run("check", "s")[0] == 0
         assert run("check", "s - 1")[0] == 1
 
+    def test_check_runs_one_pr_test(self, run, monkeypatch):
+        # lossless, minimum and the frequencies all follow from one PR test
+        import prsyn.cli as cli
+        import prsyn.polyrat as polyrat
+        calls = []
+
+        def counted(g, pr=polyrat.is_positive_real):
+            calls.append(g)
+            return pr(g)
+
+        monkeypatch.setattr(polyrat, "is_positive_real", counted)
+        monkeypatch.setattr(cli, "is_positive_real", counted)
+        assert run("check", WORKED) == (0, "positive_real=true lossless=false "
+                                           "minimum_function=true "
+                                           "minimum_frequencies=[1]\n", "")
+        assert len(calls) == 1
+        code, out, _ = run("--json", "check", WORKED)
+        assert code == 0 and json.loads(out) == {
+            "positive_real": True, "lossless": False,
+            "minimum_function": True, "minimum_frequencies": ["1"]}
+        assert len(calls) == 2
+
     def test_check_irrational_frequency(self, run):
         # omega^2 = sqrt(2): the printed float is 2**0.25 to the last digit
         code, out, _ = run("check", "(s^4 + 45/16 s^3 + 21/4 s^2 + 117/16 s"

@@ -6,7 +6,10 @@ public API) must use each name it imports, and every module-level function
 must be referenced somewhere in ``src/`` or ``tests/`` besides its own
 definition.  No module reads the environment, none calls ``complex``, and
 only the CLI ``check`` formatter calls ``float``, to print a minimum
-frequency whose square is irrational.  The checks read the sources with ``ast``; nothing is imported.
+frequency whose square is irrational.  The one Bareiss loop, ``_bareiss``,
+is named only by its two entry points in the elimination section of
+``polyrat``, so no determinant over Q[s] runs beside the Z[s] one.  The
+checks read the sources with ``ast``; nothing is imported.
 """
 
 import ast
@@ -105,3 +108,19 @@ def test_no_float_arithmetic():
                 names = {"complex"}
             found += [f"{path.name}:{line}" for line in _calls(top, names)]
     assert found == []
+
+
+# the entry points of the one Bareiss loop: int rows and Z[s] rows
+BAREISS_ENTRY_POINTS = {("src/prsyn/polyrat.py", "det_bareiss"),
+                        ("src/prsyn/polyrat.py", "det_poly")}
+
+
+def test_bareiss_named_only_by_its_entry_points():
+    # no call, import or alias of _bareiss anywhere else in src/ or tests/
+    found = set()
+    for path in SOURCES:
+        for top in _tree(path).body:
+            if "_bareiss" in _used_names(top):
+                found.add((path.relative_to(ROOT).as_posix(),
+                           getattr(top, "name", None)))
+    assert found == BAREISS_ENTRY_POINTS

@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 
 from prsyn.polyrat import (BiquadParams, DegreeTooSmall, NotBiquadratic,
                            NotMinimum, Polynomial, Q, QComplex,
-                           RationalFunction, ZeroDenominator, _bareiss,
+                           RationalFunction, ZeroDenominator,
                            _gauss_jordan, _interpolate,
                            biquad_params, biquad_template, count_real_roots,
-                           det_bareiss,
+                           det_bareiss, det_poly,
                            eval_ratfunc, format_ratfunc, is_lossless,
                            is_minimum_function, is_positive_real,
                            minimum_frequencies, parse_poly, parse_ratfunc,
@@ -49,6 +49,34 @@ def permutation_determinant(m):
             prod *= m[i][j]
         total += sign * prod
     return total
+
+
+def q_bareiss_reference(m):
+    """Reference: the Bareiss loop run directly over Q[s], each exact
+    division a Polynomial divmod with Fraction coefficients."""
+    n = len(m)
+    sign = 1
+    prev = None
+    for col in range(n - 1):
+        if not m[col][col]:
+            swap = next((r for r in range(col + 1, n) if m[r][col]), None)
+            if swap is None:
+                return Polynomial()
+            m[col], m[swap] = m[swap], m[col]
+            sign = -sign
+        top = m[col]
+        pivot = top[col]
+        for r in range(col + 1, n):
+            row = m[r]
+            lead = row[col]
+            for c in range(col + 1, n):
+                x = row[c] * pivot - lead * top[c]
+                if prev is not None:
+                    x, rem = divmod(x, prev)
+                    assert rem.is_zero()
+                row[c] = x
+        prev = pivot
+    return m[n - 1][n - 1] * sign if n else Polynomial([1])
 
 
 class TestReduce:
@@ -260,14 +288,50 @@ class TestSylvester:
             m = [[Fraction(rng.randint(-6, 6), rng.randint(1, 4))
                   for _ in range(n)] for _ in range(n)]
             assert det_bareiss(m) == permutation_determinant(m)
-        # the same elimination loop over Q[s], with zero entries forcing
-        # row swaps
+        # the same elimination loop over Z[s] behind det_poly, with zero
+        # entries forcing row swaps
         for _ in range(25):
             n = rng.randint(1, 4)
             m = [[Polynomial([Fraction(rng.randint(-4, 4), rng.randint(1, 3))
                               for _ in range(rng.randint(0, 3))])
                   for _ in range(n)] for _ in range(n)]
-            assert _bareiss([row[:] for row in m]) == permutation_determinant(m)
+            assert det_poly(m) == permutation_determinant(m)
+        assert det_poly([]) == Polynomial([1])
+
+    def test_det_poly_matches_q_bareiss_reference(self):
+        rng = random.Random(1968)
+
+        def entry():
+            if rng.random() < 0.3:
+                return Polynomial()
+            # denominators up to 10**9, either sign on every coefficient
+            return Polynomial([Fraction(rng.randint(-10**6, 10**6),
+                                        rng.randint(1, 10**9))
+                               for _ in range(rng.randint(1, 3))])
+
+        kinds = ("plain", "swap", "singular", "negative")
+        for trial in range(24):
+            kind = kinds[trial % 4]
+            n = rng.randint(1, 8)
+            m = [[entry() for _ in range(n)] for _ in range(n)]
+            if kind == "swap":
+                # zero diagonal entries: column 0 needs a row swap
+                for i in range(min(n - 1, 3)):
+                    m[i][i] = Polynomial()
+            if kind == "singular":
+                # one row a Q[s] combination of two others, or zero
+                i, j, k = (rng.randrange(n) for _ in range(3))
+                a, b = entry(), entry()
+                m[k] = ([a * x + b * y for x, y in zip(m[i], m[j])]
+                        if k not in (i, j) else [Polynomial()] * n)
+            if kind == "negative":
+                # every entry with a negative leading coefficient
+                m = [[-x if x and x.leading() > 0 else x for x in row]
+                     for row in m]
+            expected = q_bareiss_reference([row[:] for row in m])
+            assert det_poly(m) == expected
+            if kind == "singular":
+                assert expected.is_zero()
 
     def test_gcd_oracle_equivalence(self, rng):
         for _ in range(60):
