@@ -9,8 +9,10 @@ unknown only for an element whose admittance does not exist (an inductor
 at omega = 0, a capacitor holding its state voltage).  Everything is
 exact: frequencies are rationals (a float is a TypeError) and phasors are
 ``QComplex`` values.  The elimination (Q[s] determinants by Bareiss over
-Z[s], Gauss-Jordan solves with nullspaces, minor gcds) lives in the
-elimination section of ``polyrat``; this module only sets up the systems.
+Z[s], Gauss-Jordan solves with nullspaces) lives in the elimination
+section of ``polyrat``; this module only sets up the systems.  The state-
+space impedance and the PBH polynomials come from det(sI - A) and Krylov
+annihilators.
 """
 
 from __future__ import annotations
@@ -20,9 +22,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 
-from .polyrat import (Polynomial, Q, QComplex, RationalFunction, _as_q,
-                      _gauss_jordan, _minor_gcd, det_poly, is_lossless,
-                      is_positive_real, qcomplex, real_roots, strict_hurwitz)
+from .polyrat import (ONE, Polynomial, Q, QComplex, RationalFunction, _as_q,
+                      _gauss_jordan, det_poly, is_lossless, is_positive_real,
+                      qcomplex, real_roots, strict_hurwitz)
 from . import network as net
 from .network import (CAPACITOR, INDUCTOR, RESISTOR, Element, Network,
                       OnePort, OpenCircuit, ShortCircuit, one_port_boundary)
@@ -599,41 +601,26 @@ def state_space(n: Network) -> StateSpace:
                       tuple(vout[:nstate]), vout[nstate], tuple(states))
 
 
-def ss_impedance(ss: StateSpace) -> RationalFunction:
-    """D + C (sI - A)^{-1} B as an exact rational function (Faddeev
-    recursion for the resolvent)."""
+def _si_minus_a(ss: StateSpace) -> List[List[Polynomial]]:
     nn = ss.n
-    A = [[Q(x) for x in row] for row in ss.A]
-    # Faddeev-LeVerrier: M_{k+1} = A M_k + c_k I, char coeffs c_k
-    M = [[Q(1) if i == j else Q(0) for j in range(nn)] for i in range(nn)]
-    coeffs = [Q(1)]                         # char poly s^n + c1 s^(n-1) + ...
-    CMB_terms: List[Fraction] = []
+    return [[Polynomial([-ss.A[i][j], 1]) if i == j else Polynomial([-ss.A[i][j]])
+             for j in range(nn)] for i in range(nn)]
 
-    def mat_mul(X, Y):
-        return [[sum(X[i][t] * Y[t][j] for t in range(nn)) for j in range(nn)]
-                for i in range(nn)]
 
-    def trace(X):
-        return sum(X[i][i] for i in range(nn))
+def ss_impedance(ss: StateSpace) -> RationalFunction:
+    """D + C (sI - A)^{-1} B as an exact rational function.
 
-    def cmb(X) -> Fraction:
-        return sum(ss.C[i] * X[i][j] * ss.B[j]
-                   for i in range(nn) for j in range(nn))
-
-    CMB_terms.append(cmb(M))
-    Mk = M
-    for k in range(1, nn + 1):
-        AM = mat_mul(A, Mk)
-        ck = -trace(AM) / k
-        coeffs.append(ck)
-        if k < nn:
-            Mk = [[AM[i][j] + (ck if i == j else 0) for j in range(nn)]
-                  for i in range(nn)]
-            CMB_terms.append(cmb(Mk))
-
-    char = Polynomial(list(reversed(coeffs)))
-    num = Polynomial(list(reversed(CMB_terms)))
-    return RationalFunction(num, char) + RationalFunction(Polynomial([ss.D]))
+    By the Schur complement, det([[sI - A, B], [-C, D]]) = chi (D +
+    C (sI - A)^{-1} B) with chi = det(sI - A), so the impedance is the
+    quotient of two ``det_poly`` determinants.  Both are divisible by the
+    uncontrollable and the unobservable polynomials of ``pbh_diagnostics``,
+    which ``RationalFunction`` cancels; with the single input column of a
+    one-port these are chi / m(A, B) and chi / m(A^T, C), m the Krylov
+    annihilator (``_annihilator``)."""
+    sia = _si_minus_a(ss)
+    big = [row + [Polynomial([b])] for row, b in zip(sia, ss.B)]
+    big.append([Polynomial([-c]) for c in ss.C] + [Polynomial([ss.D])])
+    return RationalFunction(det_poly(big), det_poly(sia))
 
 
 # ---------------------------------------------------------------------------
@@ -654,29 +641,37 @@ class PBHReport:
     stabilizable: bool
 
 
-def _si_minus_a(ss: StateSpace) -> List[List[Polynomial]]:
-    nn = ss.n
-    return [[Polynomial([-ss.A[i][j], 1]) if i == j else Polynomial([-ss.A[i][j]])
-             for j in range(nn)] for i in range(nn)]
+def _annihilator(a, b) -> Polynomial:
+    """The monic m of least degree with m(A) b = 0, A given by its rows a.
+
+    In the nullspace of the Krylov matrix [b, Ab, ..., A^n b] that
+    ``_gauss_jordan`` returns, the first basis vector belongs to the first
+    column A^k b that depends on the ones before it; its entries are the
+    coefficients of m, with 1 at s^k.  With no state, m = 1."""
+    cols = [list(b)]
+    for _ in b:
+        cols.append([sum(x * y for x, y in zip(row, cols[-1])) for row in a])
+    _, basis = _gauss_jordan(list(zip(*cols)), [[]] * len(b), Q(0),
+                             lambda x: x == 0)
+    return Polynomial(basis[0]) if basis else ONE
 
 
 def pbh_diagnostics(ss: StateSpace) -> PBHReport:
-    """Exact PBH analysis via polynomial minor gcds.
+    """Exact PBH analysis from det(sI - A) and two Krylov annihilators.
 
-    The uncontrollable (resp. unobservable) modes are the roots of the gcd
-    of the maximal minors of [sI - A, B] (resp. [sI - A; C]).  The modes
-    are the rational roots that ``real_roots`` finds, ascending; irrational
-    and complex roots remain inside the returned polynomials.
-    Stabilizability is decided exactly with a Hurwitz test on the
-    uncontrollable polynomial."""
-    nn = ss.n
-    sia = _si_minus_a(ss)
-    wide = [sia[r] + [Polynomial([ss.B[r]])] for r in range(nn)]
-    u = _minor_gcd(wide)
-    # [sI - A; C] is tall: its maximal minors are those of its transpose
-    tall_t = [[sia[r][c] for r in range(nn)] + [Polynomial([ss.C[c]])]
-              for c in range(nn)]
-    o = _minor_gcd(tall_t)
+    The uncontrollable (resp. unobservable) modes are the roots of the
+    monic gcd of the maximal minors of [sI - A, B] (resp. [sI - A; C]).
+    B is a single column, so the controllable subspace is cyclic (Kalman
+    1963; Kailath 1980, sec. 6.2) and that gcd is chi / m(A, B), where
+    chi = det(sI - A) and m(A, B) is the annihilator of B
+    (``_annihilator``); dually, with the single row C, it is chi /
+    m(A^T, C).  The modes are the rational roots that ``real_roots``
+    finds, ascending; irrational and complex roots remain inside the
+    returned polynomials.  Stabilizability is decided exactly with a
+    Hurwitz test on the whole uncontrollable polynomial."""
+    chi = det_poly(_si_minus_a(ss))
+    u = chi // _annihilator(ss.A, ss.B)
+    o = chi // _annihilator(list(zip(*ss.A)), ss.C)
 
     u_modes = tuple(r for r in real_roots(u) if isinstance(r, Fraction))
     o_modes = tuple(r for r in real_roots(o) if isinstance(r, Fraction))

@@ -919,18 +919,6 @@ def det_poly(matrix: Sequence[Sequence[Polynomial]]) -> Polynomial:
     return Polynomial(Fraction(c, scale) for c in d.c) if rows else ONE
 
 
-def _minor_gcd(rows: List[List[Polynomial]]) -> Polynomial:
-    """Monic gcd of the maximal minors of an n x (n+1) matrix over Q[s]
-    (pass the transpose of a tall matrix); stops early at a constant."""
-    g = ZERO
-    for drop in range(len(rows) + 1):
-        d = det_poly([row[:drop] + row[drop + 1:] for row in rows])
-        g = d.monic() if g.is_zero() else g.gcd(d)
-        if g.degree == 0:
-            return ONE
-    return g
-
-
 def _gauss_jordan(rows, rhs, zero, is_zero):
     """Solve rows * X = rhs by Gauss-Jordan elimination over a field.
 
@@ -1072,19 +1060,18 @@ def parse_poly(text: str) -> Polynomial:
         sign = m.group("sign")
         if sign is None and not first:
             raise PolyratError(f"missing sign before {s[pos:]!r}")
-        coef = Q(1)
-        if m.group("coef"):
-            try:
-                coef = Fraction(m.group("coef"))
-            except ZeroDivisionError:
-                raise PolyratError(
-                    f"zero denominator in {m.group('coef')!r}") from None
+        try:
+            coef = Fraction(m.group("coef") or 1)
+            var = m.group("var1") or m.group("var2")
+            power = int(m.group("pow1") or m.group("pow2") or 1) if var else 0
+        except ZeroDivisionError:
+            raise PolyratError(
+                f"zero denominator in {m.group('coef')!r}") from None
+        except ValueError:          # more digits than int() converts
+            raise PolyratError(
+                f"too many digits near {s[pos:pos + 20]!r}") from None
         if sign == "-":
             coef = -coef
-        var = m.group("var1") or m.group("var2")
-        power = 0
-        if var:
-            power = int(m.group("pow1") or m.group("pow2") or 1)
         terms[power] = terms.get(power, Q(0)) + coef
         pos = m.end()
         first = False

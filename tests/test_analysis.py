@@ -8,7 +8,8 @@ import pytest
 from prsyn.analysis import (AnalysisError, CapacitorLoop, ExtractionFailure,
                             HypothesesNotMet,
                             InconsistentDrive, InductorCutset,
-                            NoImpedance, blocked_open_short_check,
+                            NoImpedance, PBHReport, StateSpace,
+                            blocked_open_short_check,
                             blocked_report, energy_balance, impedance,
                             impedance_series_parallel, mcmillan_gap,
                             pbh_diagnostics, phasor_solve, ss_impedance,
@@ -18,7 +19,8 @@ from prsyn.network import (Network, NotPlanarDualizable, OnePort, dual,
 from prsyn.polyrat import (BiquadParams, Polynomial, Q, QComplex,
                            RationalFunction, _gauss_jordan,
                            biquad_template, det_poly,
-                           eval_ratfunc, is_positive_real, parse_ratfunc)
+                           eval_ratfunc, is_positive_real, parse_ratfunc,
+                           real_roots, strict_hurwitz)
 from prsyn.synth import build_named, build_seven_element, theorem2_step
 
 from conftest import (ladder_network, random_biconnected_network,
@@ -30,6 +32,16 @@ R r1 a d 1/2
 C c3 c d 1
 R r2 c b 1/2
 L l5 d b 1
+PORT a b
+"""
+
+
+TANKS_TEXT = """
+L l1 a m 1
+L l2 m b 1
+C c1 a m 1
+C c2 m b 1
+R r1 a b 1
 PORT a b
 """
 
@@ -300,6 +312,43 @@ class TestPBH:
         assert int(rep.uncontrollable_poly.degree) \
             + int(rep.unobservable_poly.degree) >= 3
 
+    def test_complex_modes_stay_in_the_polynomials(self):
+        # two L-C tanks resonant at omega = 1 in series across a resistor:
+        # the modes +-j are neither controllable nor observable, have no
+        # rational root to list, and make the model unstabilizable
+        n = parse_netlist(TANKS_TEXT)
+        rep = pbh_diagnostics(state_space(n))
+        assert rep.uncontrollable_poly == Polynomial([1, 0, 1])
+        assert rep.unobservable_poly == Polynomial([1, 0, 1])
+        assert rep.uncontrollable_modes == () and rep.unobservable_modes == ()
+        assert (rep.controllable, rep.observable, rep.stabilizable) == \
+            (False, False, False)
+
+    def test_determinants_on_rpfg_five_states(self, rpfg, monkeypatch):
+        # det(sI - A) and the bordered determinant for the impedance;
+        # det(sI - A) once plus one nullspace solve per annihilator for PBH
+        import prsyn.analysis as analysis
+        ss = state_space(rpfg)
+        assert ss.n == 5
+        determinants = []
+        solves = []
+
+        def counted_det(m):
+            determinants.append(m)
+            return det_poly(m)
+
+        def counted_solve(*args):
+            solves.append(args)
+            return _gauss_jordan(*args)
+
+        monkeypatch.setattr(analysis, "det_poly", counted_det)
+        monkeypatch.setattr(analysis, "_gauss_jordan", counted_solve)
+        ss_impedance(ss)
+        assert (len(determinants), len(solves)) == (2, 0)
+        determinants.clear()
+        pbh_diagnostics(ss)
+        assert (len(determinants), len(solves)) == (1, 2)
+
 
 class TestCounts:
     def test_n1(self, n1):
@@ -560,6 +609,102 @@ class TestNodalAgainstTableau:
                     seen["zero_default"] += 1
                 assert sol == phasor_solve(n, omega, (mode, one), seed=7)
         assert min(seen.values()) >= 5, seen
+
+
+def _faddeev_ss_impedance(ss):
+    """Reference copy of the Faddeev-LeVerrier resolvent that ss_impedance
+    replaced: M_0 = I, M_k = A M_(k-1) + c_k I with c_k = -tr(A M_(k-1))/k,
+    the coefficients of det(sI - A), and C M_k B those of its numerator.
+    It takes no determinant, so it checks the det_poly route from outside."""
+    nn = ss.n
+    ms = [[Q(int(i == j)) for j in range(nn)] for i in range(nn)]
+    char, num = [Q(1)], []                  # leading coefficient first
+    for k in range(1, nn + 1):
+        num.append(sum(ss.C[i] * ms[i][j] * ss.B[j]
+                       for i in range(nn) for j in range(nn)))
+        am = [[sum(ss.A[i][t] * ms[t][j] for t in range(nn))
+               for j in range(nn)] for i in range(nn)]
+        char.append(-sum(am[i][i] for i in range(nn)) / k)
+        ms = [[am[i][j] + (char[-1] if i == j else 0) for j in range(nn)]
+              for i in range(nn)]
+    return (RationalFunction(Polynomial(num[::-1]), Polynomial(char[::-1]))
+            + RationalFunction(Polynomial([ss.D])))
+
+
+def _minor_gcd_pbh(ss):
+    """Reference copy of the PBH route pbh_diagnostics replaced: the monic
+    gcd of the maximal minors of [sI - A, B] and of [sI - A; C] (through
+    its transpose), every minor by det_poly, then the same verdicts."""
+    nn = ss.n
+    sia = [[Polynomial([-ss.A[i][j], int(i == j)]) for j in range(nn)]
+           for i in range(nn)]
+
+    def minor_gcd(rows):
+        g = Polynomial()
+        for drop in range(nn + 1):
+            d = det_poly([row[:drop] + row[drop + 1:] for row in rows])
+            g = d.monic() if g.is_zero() else g.gcd(d)
+        return g
+
+    u = minor_gcd([sia[r] + [Polynomial([ss.B[r]])] for r in range(nn)])
+    o = minor_gcd([[sia[r][c] for r in range(nn)] + [Polynomial([ss.C[c]])]
+                   for c in range(nn)])
+    u_modes = tuple(r for r in real_roots(u) if isinstance(r, Fraction))
+    o_modes = tuple(r for r in real_roots(o) if isinstance(r, Fraction))
+    return PBHReport(u, o, u_modes, o_modes, u.degree < 1, o.degree < 1,
+                     u.degree < 1 or strict_hurwitz(u))
+
+
+SS_SHAPES = ("dense", "scalar", "block", "b_zero", "c_zero")
+
+
+def _random_state_space(rng, nn, shape):
+    """Random (A, B, C, D) over Q with nn states.  "scalar" is A = lambda I,
+    so every annihilator has degree at most 1; "block" is A = [[A11, A12],
+    [0, A22]] with B = [B1; 0], so the A22 states are uncontrollable;
+    "b_zero" and "c_zero" zero one port vector."""
+    def q():
+        return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+
+    k = rng.randint(1, nn - 1) if shape == "block" else nn
+    lam = q()
+    a = [[lam * (i == j) if shape == "scalar"
+          else Q(0) if i >= k > j or rng.random() < 0.3 else q()
+          for j in range(nn)] for i in range(nn)]
+    b = [q() if i < k and shape != "b_zero" else Q(0) for i in range(nn)]
+    c = [Q(0) if shape == "c_zero" else q() for _ in range(nn)]
+    return StateSpace(tuple(map(tuple, a)), tuple(b), tuple(c), q(),
+                      tuple(f"x{i}" for i in range(nn)))
+
+
+class TestStateSpaceAgainstReferences:
+    """ss_impedance and pbh_diagnostics agree with the Faddeev resolvent and
+    the minor-gcd PBH route they replaced, on random (A, B, C, D) over Q."""
+
+    def test_random_systems(self):
+        rng = random.Random(1963)
+        seen = dict.fromkeys(("n0", "scalar", "block_uncontrollable",
+                              "b_zero", "c_zero", "controllable",
+                              "observable", "neither"), 0)
+        for i in range(300):
+            nn = i % 7
+            shape = SS_SHAPES[(i // 7) % len(SS_SHAPES)]
+            if shape == "block" and nn < 2:
+                shape = "dense"
+            ss = _random_state_space(rng, nn, shape)
+            ref = _minor_gcd_pbh(ss)
+            assert pbh_diagnostics(ss) == ref
+            assert ss_impedance(ss) == _faddeev_ss_impedance(ss)
+            seen["n0"] += nn == 0
+            seen["scalar"] += shape == "scalar" and nn >= 2
+            seen["block_uncontrollable"] += (shape == "block"
+                                             and not ref.controllable)
+            seen["b_zero"] += shape == "b_zero" and nn > 0
+            seen["c_zero"] += shape == "c_zero" and nn > 0
+            seen["controllable"] += nn > 0 and ref.controllable
+            seen["observable"] += nn > 0 and ref.observable
+            seen["neither"] += not (ref.controllable or ref.observable)
+        assert min(seen.values()) >= 10, seen
 
 
 class TestFourRoutes:

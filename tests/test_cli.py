@@ -1,6 +1,7 @@
 """Command-line contract: output formats and exit codes."""
 
 import json
+import random
 
 import pytest
 
@@ -18,6 +19,9 @@ def run(capsys):
 
 WORKED = "(s^2+1/2 s+2/3)/(s^2+1/3 s+3/2)"
 HALF = "(s^2+s+1/2)/(s^2+1/2 s+2)"
+# two L-C tanks resonant at omega = 1 in series, with a resistor across
+TANKS_NETLIST = ("L l1 a m 1\nL l2 m b 1\nC c1 a m 1\nC c2 m b 1\n"
+                 "R r1 a b 1\nPORT a b\n")
 
 
 class TestVerdicts:
@@ -150,6 +154,24 @@ class TestPipelines:
         assert data["A"] == [["-2/3"]] and data["D"] == "2"
         assert data["stabilizable"] is True
 
+    def test_ss_complex_modes(self, run, tmp_path):
+        # the modes +-j are in neither list (rational roots only), and
+        # stabilizable is decided on the whole polynomial s^2 + 1
+        net = tmp_path / "tanks.net"
+        net.write_text(TANKS_NETLIST)
+        assert run("ss", str(net)) == (0, (
+            "states: l1 l2 c1 c2\n"
+            "A[0] = [0, 0, 1, 0]\n"
+            "A[1] = [0, 0, 0, 1]\n"
+            "A[2] = [-1, 0, -1, -1]\n"
+            "A[3] = [0, -1, -1, -1]\n"
+            "B = [0, 0, 1, 1]\n"
+            "C = [0, 0, 1, 1]\n"
+            "D = 0\n"
+            "uncontrollable_modes = []\n"
+            "unobservable_modes = []\n"
+            "stabilizable = false\n"), "")
+
     def test_batch(self, run, monkeypatch, capsys):
         import io
         import sys
@@ -177,6 +199,9 @@ MALFORMED = [
     (["synth", WORKED, "--omega0", "x"], 2),
     (["check", "(s+1)/(s-s)"], 3),
     (["blocked", "{net}", "--omega0", "-1"], 3),
+    # more digits than int() converts, in a coefficient and in a power
+    (["check", "1" * 5000 + " s + 1"], 3),
+    (["check", "s^" + "2" * 5000], 3),
 ]
 
 
@@ -253,6 +278,85 @@ class TestDomainMessages:
 
 
 MECH_NETLIST = "DAMPER d1 a b 2\nSPRING k1 a b 3\nPORT a b\n"
+
+
+# seeds for the mutation fuzz, and what a mutation may insert
+FUZZ_POLYS = ["s^2 + 1/2 s + 2/3", "3/4 s^3 - s + 7", "(s + 1)", "2.5 s",
+              "-4 * s^2", "1"]
+FUZZ_RATFUNCS = [WORKED, HALF, "1/2 s / (s + 1)", "(s+1)/(s-s)", "s"]
+FUZZ_NETLISTS = [N1_NETLIST, TANKS_NETLIST, MECH_NETLIST]
+FUZZ_CHARS = "0123456789s^/+-*.() \t\n#e_xRLCP"
+FUZZ_TOKENS = ["R", "L", "C", "PORT", "DAMPER", "SPRING", "INERTER", "a", "b",
+               "m", "r1", "l1", "0", "-1", "1/0", "2/3", "1.5", "#", "\n", "s",
+               "(", ")", "/"]
+
+
+def _mutate(rng, text):
+    """One to four edits: delete a character, insert one, put a token in
+    place of one, duplicate a run of up to eight, or reverse a slice."""
+    out = list(text)
+    for _ in range(rng.randint(1, 4)):
+        i = rng.randrange(len(out) + 1)
+        op = rng.randrange(5)
+        if op == 0:
+            del out[i:i + 1]
+        elif op == 1:
+            out.insert(i, rng.choice(FUZZ_CHARS))
+        elif op == 2:
+            out[i:i + 1] = rng.choice(FUZZ_TOKENS)
+        elif op == 3:
+            out[i:i] = out[i:i + rng.randint(1, 8)]
+        else:
+            j = rng.randrange(len(out) + 1)
+            out[min(i, j):max(i, j)] = out[min(i, j):max(i, j)][::-1]
+    return "".join(out)
+
+
+class TestParserFuzz:
+    """Mutated inputs: the parsers raise only their documented errors, and
+    the CLI turns a rejected netlist into exit 3 with one stderr line."""
+
+    def test_parsers_raise_only_documented_errors(self):
+        from prsyn.network import NetworkError, parse_netlist
+        from prsyn.polyrat import PolyratError, parse_poly, parse_ratfunc
+        rng = random.Random(1969)
+        cases = [(parse_poly, FUZZ_POLYS, PolyratError),
+                 (parse_ratfunc, FUZZ_RATFUNCS, PolyratError),
+                 (parse_netlist, FUZZ_NETLISTS, NetworkError)]
+        outcomes = {}
+        for k in range(20000):
+            parse, seeds, error = cases[k % 3]
+            text = _mutate(rng, rng.choice(seeds))
+            try:
+                parse(text)
+                ok = True
+            except error:
+                ok = False
+            key = (parse.__name__, ok)
+            outcomes[key] = outcomes.get(key, 0) + 1
+        assert len(outcomes) == 6 and min(outcomes.values()) >= 200, outcomes
+
+    def test_cli_rejects_mutated_netlists(self, run, tmp_path):
+        from prsyn.network import NetworkError, parse_netlist
+        rng = random.Random(1970)
+        commands = [["impedance"], ["ss"], ["phasor", "--omega", "1"],
+                    ["blocked", "--omega0", "1"], ["dual"], ["mech"],
+                    ["verify", "s"]]
+        path = tmp_path / "mutant.net"
+        calls = 0
+        while calls < 300:
+            text = _mutate(rng, rng.choice(FUZZ_NETLISTS))
+            try:
+                parse_netlist(text)
+                continue
+            except NetworkError:
+                pass
+            path.write_text(text)
+            cmd = commands[calls % len(commands)]
+            code, out, err = run(cmd[0], str(path), *cmd[1:])
+            assert (code, out) == (3, ""), (text, cmd)
+            assert len(err.splitlines()) == 1 and "Traceback" not in err
+            calls += 1
 
 
 class TestMechanicalNetlist:
