@@ -12,6 +12,7 @@ irrational.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import shlex
@@ -261,6 +262,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache     # built once: it costs more than most commands take
 def _build_parser() -> argparse.ArgumentParser:
     ap = _Parser(
         prog="prsyn",
@@ -337,9 +339,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    ap = _build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -366,6 +366,11 @@ def is_biconnected(n: Network) -> bool:
 # netlist text format
 # ---------------------------------------------------------------------------
 
+# The largest decimal exponent an element value may carry: Fraction("1eN")
+# computes 10**N, and 1e1000 is already far beyond any physical value.
+MAX_EXPONENT = 1000
+
+
 def parse_netlist(text: str) -> Network:
     """Parse the one-statement-per-line netlist grammar.
 
@@ -392,7 +397,12 @@ def parse_netlist(text: str) -> Network:
         if len(fields) != 5:
             raise NetlistSyntaxError(
                 f"line {lineno}: expected '{head} <id> <node+> <node-> <value>'")
+        exponent = fields[4].lower().partition("e")[2]
         try:
+            if exponent and abs(int(exponent)) > MAX_EXPONENT:
+                raise NetlistSyntaxError(
+                    f"line {lineno}: exponent beyond {MAX_EXPONENT} in "
+                    f"{fields[4]!r}")
             value = Fraction(fields[4])
         except (ValueError, ZeroDivisionError) as exc:
             raise NetlistSyntaxError(f"line {lineno}: bad value {fields[4]!r}") from exc

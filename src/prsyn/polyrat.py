@@ -2,8 +2,8 @@
 
 Everything here is exact: coefficients are ``fractions.Fraction``, equality
 is true equality, and the positive-real / minimum-function predicates are
-decided with Routh arrays and Sturm chains rather than numerical root
-finding.  Values at s = j*w are ``QComplex`` numbers with rational parts.
+decided with Routh's test and Sturm chains, run as remainder sequences
+over Z[s], rather than numerical root finding.  Values at s = j*w are ``QComplex`` numbers with rational parts.
 Real roots come from one exact isolator, ``real_roots``: a rational root is
 a Fraction and an irrational one an open interval with rational ends, so a
 minimum frequency whose square is irrational is kept as such a bracket.
@@ -280,10 +280,12 @@ class Polynomial:
         return Polynomial([k * c for k, c in enumerate(self.coeffs)][1:])
 
     def gcd(self, other: "Polynomial") -> "Polynomial":
-        a, b = self, _as_poly(other)
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic() if not a.is_zero() else a
+        """The monic gcd (zero for two zeros) by the primitive remainder
+        sequence over Z[s] (Collins 1967; Knuth, TAOCP vol. 2, 4.6.1)."""
+        a, b = _ZPoly.cleared(self), _ZPoly.cleared(_as_poly(other))
+        while b:
+            a, b = b, a.prem(b)
+        return Polynomial(a.c).monic()
 
     def square_free_part(self) -> "Polynomial":
         if self.degree < 1:
@@ -498,11 +500,17 @@ def eval_ratfunc(f: RationalFunction, z) -> QComplex:
 # ---------------------------------------------------------------------------
 
 def sturm_chain(p: Polynomial) -> List[Polynomial]:
-    chain = [p, p.derivative()]
-    while not chain[-1].is_zero():
-        chain.append(-(chain[-2] % chain[-1]))
+    """Sturm chain of p as a primitive PRS over Z[s] (Brown & Traub 1971):
+    prem(a, b) is lc(b)^(d+1) times the remainder, d = deg a - deg b, so
+    negating it when that power is positive makes each member a positive
+    multiple of the chain p, p', -rem(p, p'), ... with the same signs."""
+    chain = [_ZPoly.cleared(p), _ZPoly.cleared(p.derivative())]
+    while chain[-1]:
+        a, b = chain[-2], chain[-1]
+        flip = b.c[-1] > 0 or (len(a.c) - len(b.c)) % 2
+        chain.append(a.prem(b) * (-1 if flip else 1))
     chain.pop()
-    return chain
+    return [Polynomial(z.c) for z in chain]
 
 
 def _sign_at(p: Polynomial, x) -> int:
@@ -593,35 +601,23 @@ def real_roots(p: Polynomial, lo=None,
 
 
 def strict_hurwitz(p: Polynomial) -> bool:
-    """True iff all roots of p lie in the open left half-plane."""
+    """True iff all roots of p lie in the open left half-plane.
+
+    Routh's test: with lc p > 0, the rows of the Routh array are the
+    remainders of Euclid on f, the terms of p of the parity of its degree,
+    and g, the others; p is strict Hurwitz iff they drop one degree at a
+    time, all with positive leading coefficients.  The primitive PRS over
+    Z[s] gives positive multiples of the rows while those stay positive."""
     if p.is_zero():
         return False
-    if p.leading() < 0:
-        p = -p
-    deg = int(p.degree)
-    if deg == 0:
-        return True
-    if any(c <= 0 for c in p.coeffs):
-        return False
-    # Routh array on descending coefficients; strict Hurwitz iff the whole
-    # first column stays positive
-    desc = list(reversed(p.coeffs))
-    row0 = desc[0::2]
-    row1 = desc[1::2]
-    width = len(row0)
-    row1 = row1 + [Q(0)] * (width - len(row1))
-    for _ in range(deg - 1):
-        if row1[0] == 0:
+    c = _ZPoly.cleared(p if p.leading() > 0 else -p).c
+    n = len(c) - 1
+    f, g = (_ZPoly([x if k % 2 == r else 0 for k, x in enumerate(c)])
+            for r in (n % 2, 1 - n % 2))
+    while len(f.c) > 1:
+        if len(g.c) != len(f.c) - 1 or g.c[-1] <= 0:
             return False
-        new = []
-        for k in range(width - 1):
-            a = row0[k + 1] if k + 1 < width else Q(0)
-            b = row1[k + 1] if k + 1 < width else Q(0)
-            new.append((row1[0] * a - row0[0] * b) / row1[0])
-        new.append(Q(0))
-        row0, row1 = row1, new
-        if row1[0] <= 0:
-            return False
+        f, g = g, f.prem(g)
     return True
 
 
@@ -647,9 +643,10 @@ def _nonnegative_on_nonneg_axis(e: Polynomial) -> bool:
         return True
     if e(Q(0)) < 0 or e.leading() < 0:
         return False
-    # no sign change on (0, oo): odd-multiplicity roots must be absent there
-    odd = _odd_multiplicity_part(e)
-    return count_real_roots(odd, Q(0), "+inf") == 0
+    # no sign change on (0, oo): odd-multiplicity roots must be absent
+    # there; the odd part is square-free, so its Sturm chain counts them
+    chain = sturm_chain(_odd_multiplicity_part(e))
+    return _variations(chain, Q(0)) == _variations(chain, "+inf")
 
 
 def _odd_multiplicity_part(p: Polynomial) -> Polynomial:
@@ -752,7 +749,7 @@ def _has_imaginary_axis_root(p: Polynomial) -> bool:
         return True
     even = Polynomial(p.coeffs[0::2])
     odd = Polynomial(p.coeffs[1::2])
-    g = even if odd.is_zero() else even.gcd(odd)
+    g = even.gcd(odd)
     if g.degree < 1:
         return False
     # p(jw) = even(-w^2) + jw*odd(-w^2); common root u = -w^2 < 0 needed
@@ -824,7 +821,7 @@ def biquad_params(h: RationalFunction) -> BiquadParams:
 # ---------------------------------------------------------------------------
 
 class _ZPoly:
-    """Element of Z[s] for the Bareiss kernel: ascending int coefficients
+    """Element of Z[s] for Bareiss and the PRS: ascending int coefficients
     with no trailing zeros.  Multiplies by an int or a _ZPoly; its divmod
     is exact division, with a nonzero remainder when that fails."""
 
@@ -834,6 +831,31 @@ class _ZPoly:
         while c and not c[-1]:
             c.pop()
         self.c = c
+
+    @classmethod
+    def primitive(cls, c: List[int]) -> "_ZPoly":
+        """The ints c divided by their content, their gcd."""
+        g = math.gcd(*c)
+        return cls([x // g for x in c] if g > 1 else c)
+
+    @classmethod
+    def cleared(cls, p: Polynomial) -> "_ZPoly":
+        """The primitive positive integer multiple of p."""
+        m = math.lcm(*(c.denominator for c in p.coeffs))
+        return cls.primitive([c.numerator * (m // c.denominator)
+                              for c in p.coeffs])
+
+    def prem(self, other: "_ZPoly") -> "_ZPoly":
+        """Primitive part of the pseudo-remainder lc(other)^(d+1) * self
+        mod other, d = deg self - deg other >= 0 (of self when d < 0)."""
+        r, d = list(self.c), other.c
+        lead, n = d[-1], len(d) - 1
+        for k in reversed(range(len(r) - n)):
+            q = r.pop()                     # coefficient of s^(k+n)
+            r = [x * lead for x in r]
+            for j, y in enumerate(d[:-1], k):
+                r[j] -= q * y
+        return _ZPoly.primitive(r)
 
     def __bool__(self):
         return bool(self.c)
@@ -1033,6 +1055,9 @@ def _interpolate(xs: Sequence[Fraction], ys: Sequence[Fraction]) -> Polynomial:
 # Text format: "poly / poly", coefficients as integers or p/q fractions
 # ---------------------------------------------------------------------------
 
+# The highest power of s a literal may name: "s^N" allocates N + 1 entries.
+MAX_POWER = 1000
+
 _TERM_RE = re.compile(
     r"""\s*(?P<sign>[+-])?\s*
         (?:
@@ -1070,6 +1095,9 @@ def parse_poly(text: str) -> Polynomial:
         except ValueError:          # more digits than int() converts
             raise PolyratError(
                 f"too many digits near {s[pos:pos + 20]!r}") from None
+        if power > MAX_POWER:
+            raise PolyratError(
+                f"power above s^{MAX_POWER} near {s[pos:pos + 20]!r}")
         if sign == "-":
             coef = -coef
         terms[power] = terms.get(power, Q(0)) + coef

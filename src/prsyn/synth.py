@@ -1115,8 +1115,7 @@ def n12_has_no_feasible_solution(r1, g2, g3, F) -> bool:
     rho1 = _interpolate(xs, vals1)
     if rho0.is_zero() and rho1.is_zero():
         return False
-    g = rho0.gcd(rho1) if not (rho0.is_zero() or rho1.is_zero()) else \
-        (rho0 if rho1.is_zero() else rho1)
+    g = rho0.gcd(rho1)
     if g.degree < 1:
         return True
-    return count_real_roots(g.square_free_part(), Q(0), "+inf") == 0
+    return count_real_roots(g, Q(0), "+inf") == 0

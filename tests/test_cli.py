@@ -182,11 +182,26 @@ class TestPipelines:
         assert code == 1      # worst exit code wins
         assert "K=1" in out
 
+    def test_batch_builds_the_parser_once(self, monkeypatch, capsys):
+        import io
+        import sys
+        import prsyn.cli as cli
+        monkeypatch.setattr(sys, "stdin", io.StringIO(
+            f'params "{WORKED}"\ncheck "s - 1"\ncheck x\ncheck s\n'))
+        cli._build_parser.cache_clear()
+        assert main(["batch"]) == 3
+        # one build for "batch" itself, reused by its four lines
+        assert cli._build_parser.cache_info().misses == 1
+        captured = capsys.readouterr()
+        assert captured.out.count("\n") == 3 and "K=1" in captured.out
+        assert captured.err.count("\n") == 1
+
 
 N1_NETLIST = ("L l4 a c 1\nR r1 a d 1/2\nC c3 c d 1\n"
               "R r2 c b 1/2\nL l5 d b 1\nPORT a b\n")
 
-# (argv with {net} for the netlist path, expected exit code)
+# (argv with {net} for the netlist path and {huge} for a netlist whose
+# value exponent is past MAX_EXPONENT, expected exit code)
 MALFORMED = [
     (["check", "1/0"], 3),
     (["check", "2+6/0"], 3),
@@ -202,32 +217,37 @@ MALFORMED = [
     # more digits than int() converts, in a coefficient and in a power
     (["check", "1" * 5000 + " s + 1"], 3),
     (["check", "s^" + "2" * 5000], 3),
+    # a power past MAX_POWER is refused before any coefficient is built
+    (["check", "s^9999999999"], 3),
+    (["impedance", "{huge}"], 3),
 ]
 
 
 class TestMalformedInput:
     @pytest.fixture
-    def net(self, tmp_path):
-        path = tmp_path / "n1.net"
-        path.write_text(N1_NETLIST)
-        return str(path)
+    def paths(self, tmp_path):
+        net, huge = tmp_path / "n1.net", tmp_path / "huge.net"
+        net.write_text(N1_NETLIST)
+        # an exponent past MAX_EXPONENT is refused before 10**N is computed
+        huge.write_text("R r1 a b 1e3000000\nPORT a b\n")
+        return {"net": str(net), "huge": str(huge)}
 
     @staticmethod
     def assert_one_line(err):
         assert len(err.splitlines()) == 1 and "Traceback" not in err
 
     @pytest.mark.parametrize("argv, code", MALFORMED)
-    def test_exit_code_and_one_line(self, run, net, argv, code):
-        got, out, err = run(*(a.format(net=net) for a in argv))
+    def test_exit_code_and_one_line(self, run, paths, argv, code):
+        got, out, err = run(*(a.format(**paths) for a in argv))
         assert (got, out) == (code, "")
         self.assert_one_line(err)
 
     @pytest.mark.parametrize("argv, code", MALFORMED)
-    def test_batch_goes_on(self, net, argv, code, monkeypatch, capsys):
+    def test_batch_goes_on(self, paths, argv, code, monkeypatch, capsys):
         import io
         import shlex
         import sys
-        line = shlex.join(a.format(net=net) for a in argv)
+        line = shlex.join(a.format(**paths) for a in argv)
         monkeypatch.setattr(sys, "stdin", io.StringIO(f"{line}\ncheck s\n"))
         assert main(["batch"]) == code
         captured = capsys.readouterr()
@@ -335,6 +355,23 @@ class TestParserFuzz:
             key = (parse.__name__, ok)
             outcomes[key] = outcomes.get(key, 0) + 1
         assert len(outcomes) == 6 and min(outcomes.values()) >= 200, outcomes
+
+    def test_power_and_exponent_limits(self):
+        # the limits themselves parse; one past them is a documented error
+        # raised before s^N or 10**N is built
+        from prsyn.network import (MAX_EXPONENT, NetlistSyntaxError,
+                                   parse_netlist)
+        from prsyn.polyrat import MAX_POWER, PolyratError, parse_poly
+        assert parse_poly(f"s^{MAX_POWER}").degree == MAX_POWER
+        for text in (f"s^{MAX_POWER + 1}", "2 s^9999999999 + 1"):
+            with pytest.raises(PolyratError, match="power above"):
+                parse_poly(text)
+        netlist = "R r1 a b {}\nPORT a b\n"
+        for value in (f"1e{MAX_EXPONENT}", f"1.5E-{MAX_EXPONENT}"):
+            parse_netlist(netlist.format(value))
+        for value in (f"1e{MAX_EXPONENT + 1}", "1e3000000", "2.5e-1_000_000"):
+            with pytest.raises(NetlistSyntaxError, match="exponent beyond"):
+                parse_netlist(netlist.format(value))
 
     def test_cli_rejects_mutated_netlists(self, run, tmp_path):
         from prsyn.network import NetworkError, parse_netlist

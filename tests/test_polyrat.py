@@ -19,9 +19,9 @@ from prsyn.polyrat import (BiquadParams, DegreeTooSmall, NotBiquadratic,
                            eval_ratfunc, format_ratfunc, is_lossless,
                            is_minimum_function, is_positive_real,
                            minimum_frequencies, parse_poly, parse_ratfunc,
-                           real_roots, reduce, strict_hurwitz,
+                           real_roots, reduce, strict_hurwitz, sturm_chain,
                            sylvester_determinant, sylvester_matrix,
-                           PoleAtPoint)
+                           PoleAtPoint, _variations)
 
 S = Polynomial([0, 1])
 
@@ -671,3 +671,178 @@ class TestRealRoots:
         assert len(roots) == 3 and roots[2] == p1
         assert all(count_real_roots(p, a, b) == 1 for a, b in roots[:2])
         assert time.perf_counter() - start < 2
+
+
+def q_gcd_reference(p, q):
+    """Polynomial.gcd as Euclid over Q[s]: the reference for the PRS."""
+    a, b = p, q
+    while not b.is_zero():
+        a, b = b, a % b
+    return a.monic() if not a.is_zero() else a
+
+
+def q_sturm_reference(p):
+    """sturm_chain as remainders over Q[s]: p, p', -rem(p, p'), ..."""
+    chain = [p, p.derivative()]
+    while not chain[-1].is_zero():
+        chain.append(-(chain[-2] % chain[-1]))
+    chain.pop()
+    return chain
+
+
+def q_count_reference(p, a, b):
+    """count_real_roots through the two references."""
+    p = (p // q_gcd_reference(p, p.derivative())).monic()
+    chain = q_sturm_reference(p)
+    return _variations(chain, a) - _variations(chain, b)
+
+
+def routh_reference(p):
+    """strict_hurwitz as the Routh array over Q: every entry of the first
+    column positive."""
+    if p.is_zero():
+        return False
+    if p.leading() < 0:
+        p = -p
+    deg = int(p.degree)
+    if deg == 0:
+        return True
+    if any(c <= 0 for c in p.coeffs):
+        return False
+    desc = list(reversed(p.coeffs))
+    row0 = desc[0::2]
+    row1 = desc[1::2]
+    width = len(row0)
+    row1 = row1 + [Q(0)] * (width - len(row1))
+    for _ in range(deg - 1):
+        if row1[0] == 0:
+            return False
+        new = []
+        for k in range(width - 1):
+            a = row0[k + 1] if k + 1 < width else Q(0)
+            b = row1[k + 1] if k + 1 < width else Q(0)
+            new.append((row1[0] * a - row0[0] * b) / row1[0])
+        new.append(Q(0))
+        row0, row1 = row1, new
+        if row1[0] <= 0:
+            return False
+    return True
+
+
+def random_rational_poly(rng):
+    """Zero, a nonzero constant, a sparse polynomial (whose Sturm chain
+    skips degrees), or a product of up to three linear and quadratic
+    factors, some squared or cubed; coefficients have denominators up to
+    10**9 and the leading one either sign."""
+    def q(nonzero=False):
+        den = rng.choice([1, rng.randint(1, 12), rng.randint(1, 10 ** 9)])
+        num = rng.randint(-12, 12)
+        while nonzero and not num:
+            num = rng.randint(-12, 12)
+        return Fraction(num, den)
+
+    kind = rng.randrange(8)
+    if kind == 0:
+        return Polynomial()
+    if kind == 2:
+        return Polynomial([q() if rng.random() < 0.3 else 0
+                           for _ in range(rng.randint(2, 8))]
+                          + [q(nonzero=True)])
+    p = Polynomial([q(nonzero=True)])
+    for _ in range(0 if kind == 1 else rng.randint(1, 3)):
+        factor = Polynomial([q() for _ in range(rng.randint(1, 2))]
+                            + [q(nonzero=True)])
+        p = p * factor ** rng.choice([1, 1, 2, 3])
+    return p
+
+
+class TestIntegerPRS:
+    """gcd and Sturm chains run as primitive PRS over Z[s]; they must give
+    what Euclid over Q[s] gives."""
+
+    def test_gcd_matches_rational_euclid(self):
+        rng = random.Random(1967)
+        zero, polys = Polynomial(), [Polynomial(), Polynomial([Q(-3, 7)])]
+        polys += [random_rational_poly(rng) for _ in range(150)]
+        for p in polys:
+            common = random_rational_poly(rng)
+            q = random_rational_poly(rng)
+            pairs = [(p, zero), (zero, p), (p, p.derivative()),
+                     (p * common, q * common), (-p, q)]
+            for a, b in pairs:
+                assert a.gcd(b) == q_gcd_reference(a, b), (a, b)
+        assert zero.gcd(zero) == zero
+
+    def test_root_counts_and_chains_match(self):
+        rng = random.Random(1971)
+        for _ in range(150):
+            p = random_rational_poly(rng)
+            if p.is_zero():
+                with pytest.raises(ValueError):
+                    count_real_roots(p)
+                continue
+            lo = Fraction(rng.randint(-30, 30), rng.randint(1, 7))
+            for a, b in [("-inf", "+inf"), (lo, "+inf"), ("-inf", lo),
+                         (Q(0), "+inf")]:
+                assert count_real_roots(p, a, b) == q_count_reference(p, a, b)
+            # each member a positive rational multiple of the reference one
+            for new, ref in itertools.zip_longest(sturm_chain(p),
+                                                  q_sturm_reference(p)):
+                ratio = new.leading() / ref.leading()
+                assert ratio > 0 and new == ref * ratio
+            if p.degree < 1:
+                continue
+            roots = real_roots(p, lo)
+            assert len(roots) == q_count_reference(p, lo, "+inf")
+            for r in roots:
+                if isinstance(r, Fraction):
+                    assert r > lo and p(r) == 0
+                else:
+                    a, b = r
+                    assert a >= lo and p(b) != 0
+                    assert q_count_reference(p, a, b) == 1
+
+    def test_routh_matches_rational_array(self):
+        # products of s + a and s^2 + b s + c: strict Hurwitz exactly when
+        # every a, b, c > 0, so both verdicts are common; a tenth of the
+        # cases also get one coefficient nudged
+        rng = random.Random(1877)
+        verdicts = []
+        polys = [random_rational_poly(rng) for _ in range(100)]
+        for _ in range(400):
+            p = Polynomial([rng.choice([-1, 1]) * rng.randint(1, 10 ** 9)])
+            for _ in range(rng.randint(1, 5)):
+                q = [Fraction(rng.randint(-1, 12), rng.randint(1, 10 ** 9))
+                     for _ in range(rng.randint(1, 2))]
+                p = p * Polynomial(q + [1])
+            if rng.random() < 0.1:
+                k = rng.randrange(len(p.coeffs))
+                p = p + Polynomial([0] * k + [rng.randint(-2, 2)])
+            polys.append(p)
+        for p in polys:
+            verdicts.append(strict_hurwitz(p))
+            assert verdicts[-1] == routh_reference(p), p
+        assert 50 < sum(verdicts) < len(verdicts) - 50
+
+    def test_no_rational_euclid_in_the_pr_check(self, monkeypatch):
+        # Q[s] division from inside gcd or sturm_chain means a Fraction
+        # Euclid loop is back; exact divisions elsewhere (p // g) may stay
+        import sys
+        from conftest import ladder_network
+        from prsyn import polyrat
+        from prsyn.analysis import impedance
+        loops = {Polynomial.gcd.__code__, polyrat.sturm_chain.__code__}
+        inside, outside = [], []
+        divmod_ = Polynomial.__divmod__
+
+        def counted(self, other):
+            frame = sys._getframe(1)
+            while frame is not None and frame.f_code not in loops:
+                frame = frame.f_back
+            (outside if frame is None else inside).append(1)
+            return divmod_(self, other)
+
+        monkeypatch.setattr(Polynomial, "__divmod__", counted)
+        h = impedance(ladder_network(32, random.Random(32)))
+        assert is_positive_real(h)
+        assert inside == [] and outside
