@@ -23,8 +23,8 @@ from fractions import Fraction
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 
 from .polyrat import (ONE, Polynomial, Q, QComplex, RationalFunction, _as_q,
-                      _gauss_jordan, det_poly, is_lossless, is_positive_real,
-                      qcomplex, real_roots, strict_hurwitz)
+                      _gauss_jordan, _lossless_if_pr, det_poly,
+                      is_positive_real, qcomplex, real_roots, strict_hurwitz)
 from . import network as net
 from .network import (CAPACITOR, INDUCTOR, RESISTOR, Element, Network,
                       OnePort, OpenCircuit, ShortCircuit, one_port_boundary)
@@ -123,8 +123,8 @@ def impedance(n: Network) -> Union[RationalFunction, NoImpedance]:
 
 
 def impedance_series_parallel(n: Network) -> Optional[RationalFunction]:
-    """Independent oracle: recursive series/parallel reduction, or None if
-    the network is not series-parallel."""
+    """Independent oracle: the series/parallel reduction of ``net.sp_tree``,
+    or None if the network is not series-parallel."""
     tree = net.sp_tree(n)
     return None if tree is None else net.tree_impedance(tree)
 
@@ -302,7 +302,7 @@ def blocked_report(n: Network, omega0, seed: int = 0, draws: int = 3) -> BlockRe
     h = impedance(n)
     if isinstance(h, NoImpedance):
         raise HypothesesNotMet("network has no impedance")
-    if is_lossless(h):
+    if _lossless_if_pr(h):              # impedance() asserted PR
         raise HypothesesNotMet("impedance is lossless")
     try:
         re, im = h.eval_jomega_pair(omega0 * omega0)
@@ -469,47 +469,15 @@ class StateSpace:
 
 
 def _find_capacitor_loop(n: Network) -> Optional[List[str]]:
-    caps = [e for e in n.elements if e.kind == CAPACITOR]
-    adj: Dict[str, List[Tuple[str, str]]] = {}
-    for e in caps:
-        adj.setdefault(e.head, []).append((e.tail, e.id))
-        adj.setdefault(e.tail, []).append((e.head, e.id))
-    seen: Dict[str, Tuple[Optional[str], Optional[str]]] = {}
-    for root in adj:
-        if root in seen:
-            continue
-        seen[root] = (None, None)
-        stack = [root]
-        while stack:
-            x = stack.pop()
-            for (y, eid) in adj[x]:
-                if eid == seen[x][1]:
-                    continue
-                if y in seen:
-                    # found a cycle: walk both endpoints to their root paths
-                    path_x, path_y = [], []
-                    v = x
-                    while v is not None:
-                        path_x.append(v)
-                        v = seen[v][0]
-                    v = y
-                    while v is not None:
-                        path_y.append(v)
-                        v = seen[v][0]
-                    common = next(v for v in path_x if v in set(path_y))
-                    cyc = [eid]
-                    v = x
-                    while v != common:
-                        cyc.append(seen[v][1])
-                        v = seen[v][0]
-                    v = y
-                    while v != common:
-                        cyc.append(seen[v][1])
-                        v = seen[v][0]
-                    return sorted(set(cyc))
-                seen[y] = (x, eid)
-                stack.append(y)
-    return None
+    """Capacitors on an all-capacitor circuit, or None: the capacitors in
+    a block (biconnected component) of two or more edges of the capacitor
+    subgraph, since an edge lies on a circuit exactly when its block holds
+    another edge.  The dual of ``_find_inductor_cut``."""
+    edges = [(e.head, e.tail, e.id) for e in n.elements if e.kind == CAPACITOR]
+    verts = {v for (u, w, _) in edges for v in (u, w)}
+    loop = [eid for block in net._edge_biconnected_components(verts, edges)
+            if len(block) > 1 for eid in block]
+    return sorted(loop) or None
 
 
 def _find_inductor_cut(n: Network) -> Optional[List[str]]:

@@ -28,12 +28,12 @@ from .polyrat import (PolyratError, QComplex, _lossless_if_pr, _minimum_if_pr,
 
 def _number(text: str) -> Fraction:
     """argparse type of every numeric flag: an exact rational literal.  A
-    non-number or a zero denominator is a usage error (exit 2)."""
+    non-number, a zero denominator or a decimal exponent beyond
+    ``network.MAX_EXPONENT`` is a usage error (exit 2)."""
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(
-            f"not an exact number: {text!r}") from None
+        return network.exact_number(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _phasor(text: str) -> QComplex:

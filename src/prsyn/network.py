@@ -277,6 +277,10 @@ def _reach(adj, start: str) -> Set[str]:
     return seen
 
 
+def _reachable(edges, a, b) -> bool:
+    return b in _reach(_adjacency(edges), a)
+
+
 def _connected(vertices, edges) -> bool:
     vertices = set(vertices)
     if not vertices:
@@ -366,9 +370,22 @@ def is_biconnected(n: Network) -> bool:
 # netlist text format
 # ---------------------------------------------------------------------------
 
-# The largest decimal exponent an element value may carry: Fraction("1eN")
+# The largest decimal exponent an exact number may carry: Fraction("1eN")
 # computes 10**N, and 1e1000 is already far beyond any physical value.
 MAX_EXPONENT = 1000
+
+
+def exact_number(text: str) -> Fraction:
+    """The rational literal text (such as 3/2 or 1.5e-3) as a Fraction.
+    ValueError when text is not one, or when its decimal exponent exceeds
+    MAX_EXPONENT in magnitude; that is checked before 10**N is computed."""
+    exponent = text.lower().partition("e")[2]
+    try:
+        if not exponent or abs(int(exponent)) <= MAX_EXPONENT:
+            return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"not an exact number: {text!r}") from None
+    raise ValueError(f"exponent beyond {MAX_EXPONENT} in {text!r}")
 
 
 def parse_netlist(text: str) -> Network:
@@ -397,15 +414,10 @@ def parse_netlist(text: str) -> Network:
         if len(fields) != 5:
             raise NetlistSyntaxError(
                 f"line {lineno}: expected '{head} <id> <node+> <node-> <value>'")
-        exponent = fields[4].lower().partition("e")[2]
         try:
-            if exponent and abs(int(exponent)) > MAX_EXPONENT:
-                raise NetlistSyntaxError(
-                    f"line {lineno}: exponent beyond {MAX_EXPONENT} in "
-                    f"{fields[4]!r}")
-            value = Fraction(fields[4])
-        except (ValueError, ZeroDivisionError) as exc:
-            raise NetlistSyntaxError(f"line {lineno}: bad value {fields[4]!r}") from exc
+            value = exact_number(fields[4])
+        except ValueError as exc:
+            raise NetlistSyntaxError(f"line {lineno}: {exc}") from None
         if value <= 0:
             raise NonpositiveValue(f"line {lineno}: value must be positive")
         elements.append(Element(fields[1], head, fields[2], fields[3], value))
@@ -457,68 +469,6 @@ def incidence_matrix(n: Network) -> List[List[int]]:
         rows[e.head][j] = 1
         rows[e.tail][j] = -1
     return [rows[v] for v in n.vertices]
-
-
-# ---------------------------------------------------------------------------
-# series / parallel structure
-# ---------------------------------------------------------------------------
-
-def _parallel_groups(elements, a, b) -> List[List[Element]]:
-    """Partition elements into port-to-port parallel groups: components of
-    the graph with the port vertices removed, plus direct a-b edges."""
-    internal_adj: Dict[str, List[Element]] = {}
-    for e in elements:
-        for v in (e.head, e.tail):
-            if v not in (a, b):
-                internal_adj.setdefault(v, []).append(e)
-    assigned: Dict[str, int] = {}
-    groups: List[List[Element]] = []
-    for v in internal_adj:
-        if v in assigned:
-            continue
-        gid = len(groups)
-        comp_elems: List[Element] = []
-        stack = [v]
-        assigned[v] = gid
-        seen_e = set()
-        while stack:
-            x = stack.pop()
-            for e in internal_adj[x]:
-                if e.id in seen_e:
-                    continue
-                seen_e.add(e.id)
-                comp_elems.append(e)
-                for y in (e.head, e.tail):
-                    if y not in (a, b) and y not in assigned:
-                        assigned[y] = gid
-                        stack.append(y)
-        groups.append(comp_elems)
-    for e in elements:
-        if {e.head, e.tail} == {a, b}:
-            groups.append([e])
-    return groups
-
-
-def _series_cut_vertex(elements, a, b) -> Optional[str]:
-    verts = {v for e in elements for v in (e.head, e.tail)}
-    edges = [(e.head, e.tail, e.id) for e in elements]
-    for m in sorted(verts - {a, b}):
-        kept = [ed for ed in edges if m not in (ed[0], ed[1])]
-        if not _reachable(kept, a, b):
-            return m
-    return None
-
-
-def _reachable(edges, a, b) -> bool:
-    return b in _reach(_adjacency(edges), a)
-
-
-def _series_split(elements, a, b, m):
-    edges = [(e.head, e.tail, e.id) for e in elements if m not in (e.head, e.tail)]
-    seen = _reach(_adjacency(edges), a)
-    side_a = [e for e in elements if e.head in seen or e.tail in seen]
-    side_b = [e for e in elements if e not in side_a]
-    return side_a, side_b
 
 
 # ---------------------------------------------------------------------------
@@ -747,35 +697,6 @@ def assemble(edge_trees: Sequence[Tuple[str, str, object]],
     return Network(verts, out, port)
 
 
-def sp_tree(n: Network):
-    """Series-parallel tree of the whole network, or None if not SP."""
-    return _sp_tree_rec(list(n.elements), n.port[0], n.port[1])
-
-
-def _sp_tree_rec(elements, a, b):
-    if len(elements) == 1:
-        e = elements[0]
-        return Leaf(e) if {e.head, e.tail} == {a, b} else None
-    groups = _parallel_groups(elements, a, b)
-    if len(groups) >= 2:
-        parts = []
-        for g in groups:
-            t = _sp_tree_rec(g, a, b)
-            if t is None:
-                return None
-            parts.append(t)
-        return par(*parts)
-    m = _series_cut_vertex(elements, a, b)
-    if m is None:
-        return None
-    side_a, side_b = _series_split(elements, a, b, m)
-    ta = _sp_tree_rec(side_a, a, m)
-    tb = _sp_tree_rec(side_b, m, b)
-    if ta is None or tb is None:
-        return None
-    return ser(ta, tb)
-
-
 # -- skeleton classification -------------------------------------------------
 
 def skeleton(n: Network):
@@ -849,6 +770,13 @@ def skeleton(n: Network):
     return edges, kind
 
 
+def sp_tree(n: Network):
+    """Series-parallel tree of the whole network, or None if not SP: the
+    single arm that ``skeleton`` reduces a series-parallel network to."""
+    edges, kind = skeleton(n)
+    return edges[0][2] if kind == "sp" else None
+
+
 def _degrees_and_pairs(edges, a, b):
     """Per-vertex degree of a skeleton with the source edge a-b included,
     and the set of vertex pairs joined by an edge or the source."""
@@ -886,10 +814,10 @@ def dual(n: Network) -> Network:
     (complete graph on four vertices, arms series-parallel); and the
     4-wheel skeletons used by the seven-element realizations.  Other
     topologies raise NotPlanarDualizable."""
-    tree = sp_tree(n)
-    if tree is not None:
-        return assemble([(n.port[0], n.port[1], dual_tree(tree))], n.port)
     edges, kind = skeleton(n)
+    if kind == "sp":
+        return assemble([(n.port[0], n.port[1], dual_tree(edges[0][2]))],
+                        n.port)
     if kind == "bridge":
         arms, (a, b, c, d) = _bridge_positions(n, edges)
         out = [

@@ -14,8 +14,8 @@ from prsyn.analysis import (AnalysisError, CapacitorLoop, ExtractionFailure,
                             impedance_series_parallel, mcmillan_gap,
                             pbh_diagnostics, phasor_solve, ss_impedance,
                             state_space, storage_count)
-from prsyn.network import (Network, NotPlanarDualizable, OnePort, dual,
-                           parse_netlist)
+from prsyn.network import (Element, Network, NotPlanarDualizable, OnePort,
+                           dual, parse_netlist)
 from prsyn.polyrat import (BiquadParams, Polynomial, Q, QComplex,
                            RationalFunction, _gauss_jordan,
                            biquad_template, det_poly,
@@ -155,6 +155,26 @@ class TestBlocked:
             assert rpfg.element(eid).is_storage()
         assert blocked_open_short_check(rpfg, rep)
 
+    def test_one_pr_test_per_report(self, monkeypatch):
+        # impedance() has asserted PR; the lossless test reuses that
+        import prsyn.analysis as analysis
+        import prsyn.polyrat as polyrat
+        calls = []
+
+        def counted(g, pr=polyrat.is_positive_real):
+            calls.append(g)
+            return pr(g)
+
+        monkeypatch.setattr(polyrat, "is_positive_real", counted)
+        monkeypatch.setattr(analysis, "is_positive_real", counted)
+        n = build_named("Fig2b", BiquadParams(1, 1, Q(3, 4), Q(1, 8)))
+        rep = blocked_report(n, Q(1))
+        assert {"r1", "r2"} <= set().union(*rep.blocked)
+        assert len(calls) == 1
+        with pytest.raises(HypothesesNotMet, match="lossless"):
+            blocked_report(parse_netlist("L l1 a b 1\nPORT a b"), Q(1))
+        assert len(calls) == 2
+
     def test_hypotheses_checked(self, n1):
         with pytest.raises(HypothesesNotMet):
             blocked_report(n1, Q(7))     # not a minimum frequency
@@ -256,6 +276,50 @@ class TestStateSpace:
         with pytest.raises(CapacitorLoop) as exc:
             state_space(n)
         assert set(exc.value.element_ids) == {"c1", "c2", "c3"}
+
+    def test_every_capacitor_circuit_is_named(self):
+        # two capacitor circuits, apart: both are named, in one sorted list
+        n = parse_netlist(
+            "C c1 a m 1\nC c2 a m 2\nR r1 m k 1\nC c3 k b 1\nC c4 k j 1\n"
+            "C c5 j b 1\nL l1 a b 1\nPORT a b")
+        with pytest.raises(CapacitorLoop) as exc:
+            state_space(n)
+        assert exc.value.element_ids == ("c1", "c2", "c3", "c4", "c5")
+        assert str(exc.value) == "capacitor loop: c1, c2, c3, c4, c5"
+
+    def test_capacitor_loop_matches_brute_force(self):
+        # a capacitor is named iff its ends stay joined by the other
+        # capacitors; random multigraphs, half of them with a capacitor
+        # added in parallel to a random element
+        from prsyn.analysis import _find_capacitor_loop
+
+        def joined(edges, a, b):
+            part = {}
+
+            def find(v):
+                while part.get(v, v) != v:
+                    v = part[v]
+                return v
+            for u, v in edges:
+                part[find(u)] = find(v)
+            return find(a) == find(b)
+
+        rng = random.Random(1972)
+        found = 0
+        for trial in range(300):
+            base = random_biconnected_network(rng, 6, 10)
+            elements = [Element(e.id, rng.choice("CCRL"), e.head, e.tail,
+                                e.value) for e in base.elements]
+            if trial % 2:
+                e = rng.choice(elements)
+                elements.append(Element("x", "C", e.tail, e.head, 1))
+            n = Network(base.vertices, elements, base.port)
+            caps = [e for e in elements if e.kind == "C"]
+            brute = sorted(e.id for e in caps if joined(
+                [(f.head, f.tail) for f in caps if f is not e], e.head, e.tail))
+            assert _find_capacitor_loop(n) == (brute or None)
+            found += bool(brute)
+        assert 50 < found < 250
 
     def test_transfer_equality_random(self, rng):
         done = 0

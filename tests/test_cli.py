@@ -2,6 +2,7 @@
 
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -220,6 +221,8 @@ MALFORMED = [
     # a power past MAX_POWER is refused before any coefficient is built
     (["check", "s^9999999999"], 3),
     (["impedance", "{huge}"], 3),
+    # a numeric flag's exponent past MAX_EXPONENT is a usage error
+    (["phasor", "{net}", "--omega", "1e3000000"], 2),
 ]
 
 
@@ -372,6 +375,12 @@ class TestParserFuzz:
         for value in (f"1e{MAX_EXPONENT + 1}", "1e3000000", "2.5e-1_000_000"):
             with pytest.raises(NetlistSyntaxError, match="exponent beyond"):
                 parse_netlist(netlist.format(value))
+        # a numeric flag has the same limit
+        import argparse
+        from prsyn.cli import _number
+        assert _number(f"1.5E-{MAX_EXPONENT}") == Fraction(15, 10 ** 1001)
+        with pytest.raises(argparse.ArgumentTypeError, match="exponent beyond"):
+            _number(f"1e{MAX_EXPONENT + 1}")
 
     def test_cli_rejects_mutated_netlists(self, run, tmp_path):
         from prsyn.network import NetworkError, parse_netlist

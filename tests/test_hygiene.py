@@ -8,7 +8,9 @@ definition.  No module reads the environment, none calls ``complex``, and
 only the CLI ``check`` formatter calls ``float``, to print a minimum
 frequency whose square is irrational.  The one Bareiss loop, ``_bareiss``,
 is named only by its two entry points in the elimination section of
-``polyrat``, so no determinant over Q[s] runs beside the Z[s] one.  The
+``polyrat``, so no determinant over Q[s] runs beside the Z[s] one.  In the
+graph code of ``network`` and ``analysis`` only ``_reach`` and the block
+decomposition ``_edge_biconnected_components`` run a stack loop.  The
 checks read the sources with ``ast``; nothing is imported.
 """
 
@@ -124,3 +126,23 @@ def test_bareiss_named_only_by_its_entry_points():
                 found.add((path.relative_to(ROOT).as_posix(),
                            getattr(top, "name", None)))
     assert found == BAREISS_ENTRY_POINTS
+
+
+# the one graph walk and the one block decomposition: no other stack loop
+# in the graph code of network and analysis
+GRAPH_WALKS = {("network.py", "_reach"),
+               ("network.py", "_edge_biconnected_components")}
+
+
+def test_one_graph_walk():
+    # a `while` loop that calls .pop() is a hand-written DFS
+    found = set()
+    for name in ("network.py", "analysis.py"):
+        for top in _tree(PACKAGE / name).body:
+            for loop in ast.walk(top):
+                if isinstance(loop, ast.While) and any(
+                        isinstance(c, ast.Call)
+                        and isinstance(c.func, ast.Attribute)
+                        and c.func.attr == "pop" for c in ast.walk(loop)):
+                    found.add((name, getattr(top, "name", None)))
+    assert found <= GRAPH_WALKS

@@ -10,19 +10,21 @@ from prsyn.analysis import impedance
 from prsyn.network import (CAPACITOR, INDUCTOR, MECHANICAL, RESISTOR,
                            Element, MissingPort, NetlistSyntaxError, Network,
                            NetworkError, NonpositiveValue, NotBiconnected,
-                           NotPlanarDualizable, OnePort, OpenCircuit, Par,
-                           Ser, ShortCircuit, _articulation_points, dual,
+                           NotPlanarDualizable, OnePort, OpenCircuit, Leaf,
+                           Par, Ser, ShortCircuit, _adjacency,
+                           _articulation_points, _reach, dual,
                            frequency_invert, from_mechanical, has_C_cutset,
                            has_C_path, has_L_cutset, has_L_path,
                            incidence_matrix, is_biconnected, network_from_json,
                            network_to_json, open_oneport, parse_netlist,
                            report_grounded_capacitors, serialize_netlist,
-                           short_oneport, skeleton, sp_tree, to_mechanical,
-                           tree_impedance)
+                           par, ser, short_oneport, skeleton, sp_tree,
+                           to_mechanical, tree_impedance)
 from prsyn.polyrat import BiquadParams, Q, biquad_params, biquad_template
 from prsyn.synth import build_named
 
-from conftest import random_sp_network
+from conftest import (ladder_network, random_biconnected_network,
+                      random_sp_network)
 
 N1_TEXT = """
 # three-storage witness wired as the four-vertex bridge
@@ -199,6 +201,67 @@ class TestBiconnectivity:
             assert _articulation_points(set(verts), edges) == brute
 
 
+# the former recursive series-parallel reducer, kept as a reference: split
+# into parallel groups at the port, else in series at the first cut vertex
+
+def _reference_parallel_groups(elements, a, b):
+    internal_adj = {}
+    for e in elements:
+        for v in (e.head, e.tail):
+            if v not in (a, b):
+                internal_adj.setdefault(v, []).append(e)
+    assigned, groups = {}, []
+    for v in internal_adj:
+        if v in assigned:
+            continue
+        gid = len(groups)
+        comp_elems, stack, seen_e = [], [v], set()
+        assigned[v] = gid
+        while stack:
+            x = stack.pop()
+            for e in internal_adj[x]:
+                if e.id in seen_e:
+                    continue
+                seen_e.add(e.id)
+                comp_elems.append(e)
+                for y in (e.head, e.tail):
+                    if y not in (a, b) and y not in assigned:
+                        assigned[y] = gid
+                        stack.append(y)
+        groups.append(comp_elems)
+    for e in elements:
+        if {e.head, e.tail} == {a, b}:
+            groups.append([e])
+    return groups
+
+
+def _reference_reach(elements, a, skip):
+    edges = [(e.head, e.tail, e.id) for e in elements
+             if skip not in (e.head, e.tail)]
+    return _reach(_adjacency(edges), a)
+
+
+def _reference_sp_tree(elements, a, b):
+    if len(elements) == 1:
+        e = elements[0]
+        return Leaf(e) if {e.head, e.tail} == {a, b} else None
+    groups = _reference_parallel_groups(elements, a, b)
+    if len(groups) >= 2:
+        parts = [_reference_sp_tree(g, a, b) for g in groups]
+        return None if None in parts else par(*parts)
+    verts = {v for e in elements for v in (e.head, e.tail)}
+    m = next((m for m in sorted(verts - {a, b})
+              if b not in _reference_reach(elements, a, m)), None)
+    if m is None:
+        return None
+    seen = _reference_reach(elements, a, m)
+    side_a = [e for e in elements if e.head in seen or e.tail in seen]
+    side_b = [e for e in elements if e not in side_a]
+    ta = _reference_sp_tree(side_a, a, m)
+    tb = _reference_sp_tree(side_b, m, b)
+    return None if ta is None or tb is None else ser(ta, tb)
+
+
 class TestSeriesParallel:
     def test_series_tag(self):
         n = parse_netlist("R r1 a m 1\nL l1 m b 3\nPORT a b")
@@ -216,6 +279,29 @@ class TestSeriesParallel:
 
     def test_bridge_is_atomic(self, n1):
         assert sp_tree(n1) is None
+
+    def test_matches_recursive_reference(self):
+        # sp_tree reads skeleton; the reference is the former recursive
+        # reducer, the same tree up to the order of the parts
+        def unordered(tree):
+            if isinstance(tree, Leaf):
+                return tree.element.id
+            return (type(tree).__name__, frozenset(map(unordered, tree.parts)))
+
+        rng = random.Random(1982)
+        nets = ([random_sp_network(rng, 10) for _ in range(60)]
+                + [random_biconnected_network(rng, 6, 10) for _ in range(60)]
+                + [ladder_network(size, rng) for size in (2, 6, 12, 20, 32)])
+        kinds = set()
+        for n in nets:
+            got = sp_tree(n)
+            want = _reference_sp_tree(list(n.elements), *n.port)
+            assert (got is None) == (want is None)
+            kinds.add(want is None)
+            if want is not None:
+                assert unordered(got) == unordered(want)
+                assert tree_impedance(got) == tree_impedance(want)
+        assert kinds == {True, False}
 
 
 class TestOpenShort:
@@ -327,6 +413,20 @@ class TestDual:
 
     def test_bridge_dual(self, n1):
         assert impedance(dual(n1)) == impedance(n1).reciprocal()
+
+    def test_one_skeleton_per_dual(self, n1, monkeypatch):
+        import prsyn.network as network
+        calls = []
+
+        def counted(n, skeleton=network.skeleton):
+            calls.append(n)
+            return skeleton(n)
+
+        monkeypatch.setattr(network, "skeleton", counted)
+        sp = parse_netlist("R r1 a m 2\nL l1 m b 3\nC c1 a b 1\nPORT a b")
+        for n in (sp, n1):
+            assert impedance(dual(n)) == impedance(n).reciprocal()
+        assert calls == [sp, n1]
 
     def test_unsupported_shape(self):
         # triangular prism: 6 vertices, 9 edges including the source
