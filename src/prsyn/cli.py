@@ -299,10 +299,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("phasor", help="sinusoidal trajectory at a frequency")
     p.add_argument("netlist")
     p.add_argument("--omega", type=_number, required=True)
-    p.add_argument("--current", type=_phasor, default=None,
-                   help="drive current re[,im]")
-    p.add_argument("--voltage", type=_phasor, default=None,
-                   help="drive voltage re[,im]")
+    drive = p.add_mutually_exclusive_group()
+    drive.add_argument("--current", type=_phasor, default=None,
+                       help="drive current re[,im]")
+    drive.add_argument("--voltage", type=_phasor, default=None,
+                       help="drive voltage re[,im]")
     p.set_defaults(fn=_cmd_phasor)
 
     p = sub.add_parser("blocked", help="blocked-subnetwork report at omega0")

@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from .polyrat import Polynomial, RationalFunction, _as_q
@@ -697,19 +698,73 @@ def assemble(edge_trees: Sequence[Tuple[str, str, object]],
     return Network(verts, out, port)
 
 
-# -- skeleton classification -------------------------------------------------
+# -- the non-series-parallel shapes -------------------------------------------
+#
+# Each shape is a template with its port at vertices a-b: its arm slots in
+# assembly order, as (slot, u, v) on template vertices.  The constructors
+# assemble a template, ``skeleton`` recognises one, ``dual`` carries one onto
+# its dual shape and the bridge matcher reads its arms off one.
+
+SHAPES: Dict[str, Tuple[Tuple[str, str, str], ...]] = {
+    # Wheatstone bridge, internal vertices c and d
+    "bridge": (("N4", "a", "c"), ("N1", "a", "d"), ("N3", "c", "d"),
+               ("N2", "c", "b"), ("N5", "d", "b")),
+    # 4-wheel, source on the rim: hub x, rim cycle a-b-q-p-a
+    "wheel_rim": (("sa", "x", "a"), ("sb", "x", "b"), ("sp", "x", "p"),
+                  ("sq", "x", "q"), ("rap", "a", "p"), ("rbq", "b", "q"),
+                  ("rpq", "p", "q")),
+    # 4-wheel, source on a spoke: hub a, rim cycle b-r1-r2-r3-b
+    "wheel_spoke": (("ar1", "a", "r1"), ("ar2", "a", "r2"), ("ar3", "a", "r3"),
+                    ("br1", "b", "r1"), ("br3", "b", "r3"),
+                    ("r12", "r1", "r2"), ("r23", "r2", "r3")),
+}
+
+# The planar dual of each shape, and of each slot: the slot of the dual
+# shape whose arm crosses it.  DUAL_SLOT is its own inverse.
+DUAL_SHAPE = {"bridge": "bridge", "wheel_rim": "wheel_spoke",
+              "wheel_spoke": "wheel_rim"}
+DUAL_SLOT = {x: y for pair in (("N1", "N2"), ("N3", "N3"), ("N4", "N4"),
+                               ("N5", "N5"), ("sa", "br3"), ("sb", "br1"),
+                               ("sp", "r23"), ("sq", "r12"), ("rap", "ar3"),
+                               ("rbq", "ar1"), ("rpq", "ar2"))
+             for (x, y) in (pair, pair[::-1])}
+
+
+def assemble_shape(shape: str, names: Optional[Dict[str, str]] = None,
+                   **arms) -> Network:
+    """The network with arms[slot] at each slot of shape; a template vertex
+    v is named names[v] when given, else v."""
+    name = (names or {}).get
+    return assemble([(name(u, u), name(v, v), arms[slot])
+                     for (slot, u, v) in SHAPES[shape]],
+                    (name("a", "a"), name("b", "b")))
+
+
+def embeddings(edges, port: Tuple[str, str], shape: str):
+    """Yield (vertex map, {slot: arm}) for each way to carry the template
+    of shape onto skeleton edges (u, v, arm), with its port a-b on port:
+    first the port as given, then reversed, and within each the inner
+    vertices in sorted order."""
+    slots = SHAPES[shape]
+    inner = sorted({x for (u, v, _) in edges for x in (u, v)} - set(port))
+    tinner = sorted({x for (_, u, v) in slots for x in (u, v)} - {"a", "b"})
+    if len(edges) != len(slots) or len(inner) != len(tinner):
+        return
+    lookup = {frozenset((u, v)): t for (u, v, t) in edges}
+    for (a, b) in (port, port[::-1]):
+        for image in permutations(inner):
+            vmap = dict(zip(tinner, image), a=a, b=b)
+            pairs = [frozenset((vmap[u], vmap[v])) for (_, u, v) in slots]
+            if all(p in lookup for p in pairs):
+                yield vmap, {s: lookup[p] for ((s, _, _), p) in zip(slots, pairs)}
+
 
 def skeleton(n: Network):
     """Reduce parallel bundles and internal degree-2 chains to composite
     arms; return (edges, kind) where edges are (u, v, tree) on the reduced
-    vertex set and kind classifies the shape:
-
-    "sp"          -- single arm between the port vertices
-    "bridge"      -- K4 on {port+, port-, c, d}
-    "wheel_rim"   -- 4-wheel, source on the rim
-    "wheel_spoke" -- 4-wheel, source on a spoke
-    "other"
-    """
+    vertex set and kind classifies the shape: "sp" (a single arm between
+    the port vertices), a shape of ``SHAPES`` that embeds onto the edges,
+    or "other"."""
     a, b = n.port
     edges: List[Tuple[str, str, object]] = [(e.head, e.tail, Leaf(e))
                                             for e in n.elements]
@@ -747,27 +802,10 @@ def skeleton(n: Network):
             edges.append((x, y, ser(t1, t2)))
             changed = True
             break
-    verts = {u for (u, v, _) in edges} | {v for (u, v, _) in edges}
-    deg, pairs = _degrees_and_pairs(edges, a, b)
-    kind = "other"
     if len(edges) == 1 and {edges[0][0], edges[0][1]} == {a, b}:
-        kind = "sp"
-    elif len(verts) == 4 and len(edges) == 5:
-        if all(d == 3 for d in deg.values()) and len(pairs) == 6:
-            kind = "bridge"
-    elif len(verts) == 5 and len(edges) == 7:
-        hubs = [v for v, d in deg.items() if d == 4]
-        if (len(pairs) == 8 and len(hubs) == 1
-                and all(d in (3, 4) for d in deg.values())):
-            hub = hubs[0]
-            rim = [v for v in verts if v != hub]
-            rim_pairs = [p for p in pairs if hub not in p]
-            if len(rim_pairs) == 4 and all(frozenset((hub, v)) in pairs for v in rim):
-                if hub in (a, b):
-                    kind = "wheel_spoke"
-                else:
-                    kind = "wheel_rim"
-    return edges, kind
+        return edges, "sp"
+    return edges, next((s for s in SHAPES
+                        if next(embeddings(edges, n.port, s), None)), "other")
 
 
 def sp_tree(n: Network):
@@ -777,111 +815,26 @@ def sp_tree(n: Network):
     return edges[0][2] if kind == "sp" else None
 
 
-def _degrees_and_pairs(edges, a, b):
-    """Per-vertex degree of a skeleton with the source edge a-b included,
-    and the set of vertex pairs joined by an edge or the source."""
-    deg: Dict[str, int] = {}
-    for (u, v, _) in edges + [(a, b, None)]:
-        deg[u] = deg.get(u, 0) + 1
-        deg[v] = deg.get(v, 0) + 1
-    pairs = {frozenset((u, v)) for (u, v, _) in edges} | {frozenset((a, b))}
-    return deg, pairs
-
-
-def _bridge_positions(n: Network, edges):
-    """Map skeleton edges of a bridge to positions N1..N5.
-
-    Layout: port a-b; internal c,d; N4: a-c, N1: a-d, N3: c-d, N2: c-b,
-    N5: d-b.  The labelling of (c, d) is the lexicographically first valid
-    choice; callers needing the symmetric variants permute themselves."""
-    a, b = n.port
-    verts = {u for (u, v, _) in edges} | {v for (u, v, _) in edges}
-    c, d = sorted(verts - {a, b})
-    lookup = {frozenset((u, v)): t for (u, v, t) in edges}
-    return {
-        "N1": lookup[frozenset((a, d))],
-        "N2": lookup[frozenset((c, b))],
-        "N3": lookup[frozenset((c, d))],
-        "N4": lookup[frozenset((a, c))],
-        "N5": lookup[frozenset((d, b))],
-    }, (a, b, c, d)
-
-
 def dual(n: Network) -> Network:
     """Dual network with impedance 1/H(s).
 
-    Supported: series-parallel networks; the Wheatstone-bridge skeleton
-    (complete graph on four vertices, arms series-parallel); and the
-    4-wheel skeletons used by the seven-element realizations.  Other
-    topologies raise NotPlanarDualizable."""
+    Supported: series-parallel networks and the shapes of ``SHAPES`` with
+    series-parallel arms; other topologies raise NotPlanarDualizable.  The
+    dual arm of each slot goes to its dual slot in the dual shape.  A
+    bridge's dual keeps the network's vertex names; a wheel's dual takes
+    the dual template's names, its port renamed da-db."""
     edges, kind = skeleton(n)
     if kind == "sp":
         return assemble([(n.port[0], n.port[1], dual_tree(edges[0][2]))],
                         n.port)
-    if kind == "bridge":
-        arms, (a, b, c, d) = _bridge_positions(n, edges)
-        out = [
-            (a, c, dual_tree(arms["N4"])),
-            (a, d, dual_tree(arms["N2"])),   # N1 and N2 swap positions
-            (c, d, dual_tree(arms["N3"])),
-            (c, b, dual_tree(arms["N1"])),
-            (d, b, dual_tree(arms["N5"])),
-        ]
-        return assemble(out, n.port)
-    if kind in ("wheel_rim", "wheel_spoke"):
-        return _dual_wheel(n, edges, kind)
-    raise NotPlanarDualizable(
-        "dual is implemented for series-parallel, bridge, and wheel shapes")
-
-
-def _dual_wheel(n: Network, edges, kind) -> Network:
-    a, b = n.port
-    deg, _ = _degrees_and_pairs(edges, a, b)
-    hub = next(v for v, d in deg.items() if d == 4)
-    look = {frozenset((u, v)): t for (u, v, t) in edges}
-    if kind == "wheel_rim":
-        # rim cycle a - b - q - p - a (source on rim a-b); spokes to hub x
-        x = hub
-        rim = [v for v in (set(u for (u, v, _) in edges)
-                           | set(v for (u, v, _) in edges)) if v != x]
-        q = next(v for v in rim if v not in (a, b)
-                 and frozenset((b, v)) in look)
-        p = next(v for v in rim if v not in (a, b, q)
-                 and frozenset((a, v)) in look)
-        if frozenset((q, p)) not in look:
-            raise NotPlanarDualizable("unrecognised wheel embedding")
-        # dual: hub O = a', rim (T_ab=b', T_bq, T_qp, T_pa); source on spoke
-        out = [
-            ("da", "r1", dual_tree(look[frozenset((b, q))])),
-            ("da", "r2", dual_tree(look[frozenset((q, p))])),
-            ("da", "r3", dual_tree(look[frozenset((p, a))])),
-            ("db", "r1", dual_tree(look[frozenset((x, b))])),
-            ("db", "r3", dual_tree(look[frozenset((x, a))])),
-            ("r1", "r2", dual_tree(look[frozenset((x, q))])),
-            ("r2", "r3", dual_tree(look[frozenset((x, p))])),
-        ]
-        return assemble(out, ("da", "db"))
-    # wheel_spoke: hub is a port vertex; other port vertex t0 on the rim
-    h0 = hub
-    t0 = b if hub == a else a
-    rim = [v for v in (set(u for (u, v, _) in edges)
-                       | set(v for (u, v, _) in edges)) if v != h0]
-    t1cands = [v for v in rim if v != t0 and frozenset((t0, v)) in look]
-    t1 = t1cands[0]
-    t3 = next(v for v in rim if v not in (t0, t1) and frozenset((t0, v)) in look)
-    t2 = next(v for v in rim if v not in (t0, t1, t3))
-    if (frozenset((t1, t2)) not in look or frozenset((t2, t3)) not in look):
-        raise NotPlanarDualizable("unrecognised wheel embedding")
-    out = [
-        ("dx", "da", dual_tree(look[frozenset((t3, t0))])),
-        ("dx", "db", dual_tree(look[frozenset((t0, t1))])),
-        ("dx", "dq", dual_tree(look[frozenset((t1, t2))])),
-        ("dx", "dp", dual_tree(look[frozenset((t2, t3))])),
-        ("db", "dq", dual_tree(look[frozenset((h0, t1))])),
-        ("dq", "dp", dual_tree(look[frozenset((h0, t2))])),
-        ("dp", "da", dual_tree(look[frozenset((h0, t3))])),
-    ]
-    return assemble(out, ("da", "db"))
+    if kind == "other":
+        raise NotPlanarDualizable(
+            "dual is implemented for series-parallel, bridge, and wheel shapes")
+    vmap, arms = next(embeddings(edges, n.port, kind))
+    shape = DUAL_SHAPE[kind]
+    names = vmap if shape == kind else {"a": "da", "b": "db"}
+    return assemble_shape(shape, names, **{
+        DUAL_SLOT[slot]: dual_tree(arm) for slot, arm in arms.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .polyrat import (BiquadParams, NotMinimum, NotRationalParams, Polynomial,
                       Q, QComplex, RationalFunction, _as_q, _interpolate,
-                      _minimum_frequencies_if_pr, _sylvester_rows,
+                      _minimum_frequencies_if_pr, _minimum_if_pr, _sylvester_rows,
                       biquad_params, biquad_template, count_real_roots,
                       det_bareiss, is_minimum_function, is_positive_real,
                       real_roots, sqrt_fraction, sylvester_determinant)
@@ -205,7 +205,8 @@ def _theorem2_step_biquad(h: RationalFunction, omega0,
         derived = {"eta": w2 + 2 * alpha * mu, "zeta": mu + 2 * alpha}
         derived["psi"] = derived["eta"] + mu * mu
     step = SynthesisStep(branch, w0, x, mu, alpha, K * W, reduced, derived)
-    assert verify_theorem2_identity(h, step)
+    if not verify_theorem2_identity(h, step):
+        raise SynthError("cubic composite identity failed")
     return step
 
 
@@ -235,30 +236,6 @@ def _leaf(eid, kind, v):
     return Leaf(Element(eid, kind, "_", "__", v))
 
 
-def _bridge(n1, n2, n3, n4, n5) -> Network:
-    """Wheatstone bridge: port a-b, internal c,d; arms N4: a-c, N1: a-d,
-    N3: c-d, N2: c-b, N5: d-b."""
-    return net.assemble(
-        [("a", "c", n4), ("a", "d", n1), ("c", "d", n3), ("c", "b", n2),
-         ("d", "b", n5)], ("a", "b"))
-
-
-def _wheel_rim(sa, sb, sp, sq, rap, rbq, rpq) -> Network:
-    """4-wheel with the port on the rim: hub x, rim cycle a-b-q-p-a; the
-    source occupies the rim slot a-b."""
-    return net.assemble(
-        [("x", "a", sa), ("x", "b", sb), ("x", "p", sp), ("x", "q", sq),
-         ("a", "p", rap), ("b", "q", rbq), ("p", "q", rpq)], ("a", "b"))
-
-
-def _wheel_spoke(ar1, ar2, ar3, br1, br3, r12, r23) -> Network:
-    """4-wheel with the port on a spoke: hub a, rim cycle b-r1-r2-r3-b."""
-    return net.assemble(
-        [("a", "r1", ar1), ("a", "r2", ar2), ("a", "r3", ar3),
-         ("b", "r1", br1), ("b", "r3", br3), ("r1", "r2", r12),
-         ("r2", "r3", r23)], ("a", "b"))
-
-
 SEVEN_ELEMENT_VARIANTS = ("rpfg_first", "rpfg_second", "alt_first", "alt_second")
 
 
@@ -281,25 +258,28 @@ def build_seven_element(step: SynthesisStep, which: str) -> Network:
     if step.variant == "X_positive":
         chi, gam, phi = step.derived["chi"], step.derived["gamma"], step.derived["phi"]
         if which == "rpfg_first":
-            return _bridge(
-                n1=ser(_leaf("r1", RESISTOR, h / w),
+            return net.assemble_shape(
+                "bridge",
+                N1=ser(_leaf("r1", RESISTOR, h / w),
                        par(_leaf("l2", INDUCTOR, 2 * ab * h * phi / (w2 * chi)),
                            _leaf("c2", CAPACITOR, chi / (2 * ab * h * phi)))),
-                n2=_leaf("r2", RESISTOR, h * w),
-                n3=_leaf("l3", INDUCTOR, h * m / chi),
-                n4=_leaf("l4", INDUCTOR, h / m),
-                n5=_leaf("c5", CAPACITOR, chi / (h * m * w2)))
+                N2=_leaf("r2", RESISTOR, h * w),
+                N3=_leaf("l3", INDUCTOR, h * m / chi),
+                N4=_leaf("l4", INDUCTOR, h / m),
+                N5=_leaf("c5", CAPACITOR, chi / (h * m * w2)))
         if which == "rpfg_second":
-            return _bridge(
-                n1=_leaf("r1", RESISTOR, h / w),
-                n2=par(_leaf("r2", RESISTOR, h * w),
+            return net.assemble_shape(
+                "bridge",
+                N1=_leaf("r1", RESISTOR, h / w),
+                N2=par(_leaf("r2", RESISTOR, h * w),
                        ser(_leaf("l2", INDUCTOR, h * gam * m / (2 * ab * phi)),
                            _leaf("c2", CAPACITOR, 2 * ab * phi / (h * gam * m * w2)))),
-                n3=_leaf("l3", INDUCTOR, h * gam / w2),
-                n4=_leaf("l4", INDUCTOR, h / m),
-                n5=_leaf("c5", CAPACITOR, 1 / (h * gam)))
+                N3=_leaf("l3", INDUCTOR, h * gam / w2),
+                N4=_leaf("l4", INDUCTOR, h / m),
+                N5=_leaf("c5", CAPACITOR, 1 / (h * gam)))
         if which == "alt_first":
-            return _wheel_rim(
+            return net.assemble_shape(
+                "wheel_rim",
                 sa=_leaf("r1", RESISTOR, h * w),
                 sb=_leaf("l1", INDUCTOR, h / m),
                 sp=_leaf("l2", INDUCTOR, 2 * ab * h * m * m / (chi * chi)),
@@ -308,7 +288,8 @@ def build_seven_element(step: SynthesisStep, which: str) -> Network:
                 rbq=_leaf("r2", RESISTOR, h / w),
                 rpq=_leaf("c2", CAPACITOR, chi / (2 * ab * h * phi)))
         # alt_second
-        return _wheel_spoke(
+        return net.assemble_shape(
+            "wheel_spoke",
             ar1=_leaf("r1", RESISTOR, h * w),
             ar2=_leaf("c1", CAPACITOR, 2 * ab * phi / (h * gam * m * w2)),
             ar3=_leaf("c2", CAPACITOR, 1 / (h * gam)),
@@ -319,25 +300,28 @@ def build_seven_element(step: SynthesisStep, which: str) -> Network:
 
     eta, zeta, psi = step.derived["eta"], step.derived["zeta"], step.derived["psi"]
     if which == "rpfg_first":
-        return _bridge(
-            n1=_leaf("r1", RESISTOR, h / w),
-            n2=par(_leaf("r2", RESISTOR, h * w),
+        return net.assemble_shape(
+            "bridge",
+            N1=_leaf("r1", RESISTOR, h / w),
+            N2=par(_leaf("r2", RESISTOR, h * w),
                    ser(_leaf("c2", CAPACITOR, 2 * ab * psi / (eta * h * w2)),
                        _leaf("l2", INDUCTOR, eta * h / (2 * ab * psi)))),
-            n3=_leaf("c3", CAPACITOR, m / (eta * h)),
-            n4=_leaf("c4", CAPACITOR, 1 / (h * m)),
-            n5=_leaf("l5", INDUCTOR, h * eta / (m * w2)))
+            N3=_leaf("c3", CAPACITOR, m / (eta * h)),
+            N4=_leaf("c4", CAPACITOR, 1 / (h * m)),
+            N5=_leaf("l5", INDUCTOR, h * eta / (m * w2)))
     if which == "rpfg_second":
-        return _bridge(
-            n1=ser(_leaf("r1", RESISTOR, h / w),
+        return net.assemble_shape(
+            "bridge",
+            N1=ser(_leaf("r1", RESISTOR, h / w),
                    par(_leaf("c1", CAPACITOR, m * zeta / (2 * ab * psi * h)),
                        _leaf("l1", INDUCTOR, 2 * ab * h * psi / (zeta * m * w2)))),
-            n2=_leaf("r2", RESISTOR, h * w),
-            n3=_leaf("c3", CAPACITOR, zeta / (h * w2)),
-            n4=_leaf("c4", CAPACITOR, 1 / (h * m)),
-            n5=_leaf("l5", INDUCTOR, h / zeta))
+            N2=_leaf("r2", RESISTOR, h * w),
+            N3=_leaf("c3", CAPACITOR, zeta / (h * w2)),
+            N4=_leaf("c4", CAPACITOR, 1 / (h * m)),
+            N5=_leaf("l5", INDUCTOR, h / zeta))
     if which == "alt_first":
-        return _wheel_spoke(
+        return net.assemble_shape(
+            "wheel_spoke",
             ar1=_leaf("r1", RESISTOR, h * w),
             ar2=_leaf("l1", INDUCTOR, eta * h / (2 * ab * psi)),
             ar3=_leaf("l2", INDUCTOR, h * eta / (m * w2)),
@@ -346,7 +330,8 @@ def build_seven_element(step: SynthesisStep, which: str) -> Network:
             r12=_leaf("c2", CAPACITOR, 2 * ab / (h * w2)),
             r23=_leaf("c3", CAPACITOR, 2 * ab * m * m / (h * eta * eta)))
     # alt_second
-    return _wheel_rim(
+    return net.assemble_shape(
+        "wheel_rim",
         sa=_leaf("r1", RESISTOR, h * w),
         sb=_leaf("c1", CAPACITOR, 1 / (h * m)),
         sp=_leaf("c2", CAPACITOR, zeta * zeta / (2 * ab * h * w2)),
@@ -410,63 +395,69 @@ def build_named(name: str, p: BiquadParams) -> Network:
     if name == "N1":
         if W != Q(1, 2) or F <= 0:
             raise ConditionViolated("N1 requires W = 1/2 and F > 0")
-        return _bridge(
-            n1=_leaf("r1", RESISTOR, K / 2),
-            n2=_leaf("r2", RESISTOR, K / 2),
-            n3=_leaf("c3", CAPACITOR, 1 / (K * F * w0)),
-            n4=_leaf("l4", INDUCTOR, K * F / w0),
-            n5=_leaf("l5", INDUCTOR, K * F / w0))
+        return net.assemble_shape(
+            "bridge",
+            N1=_leaf("r1", RESISTOR, K / 2),
+            N2=_leaf("r2", RESISTOR, K / 2),
+            N3=_leaf("c3", CAPACITOR, 1 / (K * F * w0)),
+            N4=_leaf("l4", INDUCTOR, K * F / w0),
+            N5=_leaf("l5", INDUCTOR, K * F / w0))
     if name == "N2":
         if W != 2 or F >= 0:
             raise ConditionViolated("N2 requires W = 2 and F < 0")
-        return _bridge(
-            n1=_leaf("r1", RESISTOR, 2 * K),
-            n2=_leaf("r2", RESISTOR, 2 * K),
-            n3=_leaf("l3", INDUCTOR, -K * F / w0),
-            n4=_leaf("c4", CAPACITOR, -1 / (K * F * w0)),
-            n5=_leaf("c5", CAPACITOR, -1 / (K * F * w0)))
+        return net.assemble_shape(
+            "bridge",
+            N1=_leaf("r1", RESISTOR, 2 * K),
+            N2=_leaf("r2", RESISTOR, 2 * K),
+            N3=_leaf("l3", INDUCTOR, -K * F / w0),
+            N4=_leaf("c4", CAPACITOR, -1 / (K * F * w0)),
+            N5=_leaf("c5", CAPACITOR, -1 / (K * F * w0)))
     if name == "N3":
         if not (Q(1, 2) < W < 1 and F > 0
                 and F * F * phi * phi == W * W * eta):
             raise ConditionViolated("N3 requires condition (c)")
-        return _bridge(
-            n1=_leaf("r1", RESISTOR, K * W * W / (phi * psi)),
-            n2=_leaf("r2", RESISTOR, K),
-            n3=_leaf("c3", CAPACITOR, 1 / (K * F * w0)),
-            n4=par(_leaf("l4", INDUCTOR, K * F * phi / (W * w0)),
+        return net.assemble_shape(
+            "bridge",
+            N1=_leaf("r1", RESISTOR, K * W * W / (phi * psi)),
+            N2=_leaf("r2", RESISTOR, K),
+            N3=_leaf("c3", CAPACITOR, 1 / (K * F * w0)),
+            N4=par(_leaf("l4", INDUCTOR, K * F * phi / (W * w0)),
                    _leaf("c4", CAPACITOR, eta / (K * F * phi * w0))),
-            n5=_leaf("l5", INDUCTOR, K * F / w0))
+            N5=_leaf("l5", INDUCTOR, K * F / w0))
     if name == "N4":
         if not (1 < W < 2 and F < 0 and F * F * gam == W * phi * phi):
             raise ConditionViolated("N4 requires condition (d)")
-        return _bridge(
-            n1=_leaf("r1", RESISTOR, K),
-            n2=_leaf("r2", RESISTOR, -K * phi * psi),
-            n3=_leaf("l3", INDUCTOR, -K * F / w0),
-            n4=ser(_leaf("c4", CAPACITOR, phi / (K * F * w0)),
+        return net.assemble_shape(
+            "bridge",
+            N1=_leaf("r1", RESISTOR, K),
+            N2=_leaf("r2", RESISTOR, -K * phi * psi),
+            N3=_leaf("l3", INDUCTOR, -K * F / w0),
+            N4=ser(_leaf("c4", CAPACITOR, phi / (K * F * w0)),
                    _leaf("l4", INDUCTOR, K * F * gam / (phi * w0))),
-            n5=_leaf("c5", CAPACITOR, -1 / (K * F * w0)))
+            N5=_leaf("c5", CAPACITOR, -1 / (K * F * w0)))
     if name == "N5":
         if not (1 < W < 2 and F < 0
                 and F * F * phi * phi == W * W * W * gam):
             raise ConditionViolated("N5 requires condition (e)")
-        return _bridge(
-            n1=_leaf("r1", RESISTOR, -K * W * W / (phi * psi)),
-            n2=_leaf("r2", RESISTOR, K * W * W),
-            n3=_leaf("l3", INDUCTOR, -K * F / w0),
-            n4=par(_leaf("c4", CAPACITOR, 1 / (K * F * phi * w0)),
+        return net.assemble_shape(
+            "bridge",
+            N1=_leaf("r1", RESISTOR, -K * W * W / (phi * psi)),
+            N2=_leaf("r2", RESISTOR, K * W * W),
+            N3=_leaf("l3", INDUCTOR, -K * F / w0),
+            N4=par(_leaf("c4", CAPACITOR, 1 / (K * F * phi * w0)),
                    _leaf("l4", INDUCTOR, K * F * phi / (gam * w0))),
-            n5=_leaf("c5", CAPACITOR, -1 / (K * F * w0)))
+            N5=_leaf("c5", CAPACITOR, -1 / (K * F * w0)))
     if name == "N6":
         if not (Q(1, 2) < W < 1 and F > 0
                 and F * F * eta == W * W * phi * phi):
             raise ConditionViolated("N6 requires condition (f)")
-        return _bridge(
-            n1=_leaf("r1", RESISTOR, K * phi * psi),
-            n2=_leaf("r2", RESISTOR, K * W * W),
-            n3=_leaf("c3", CAPACITOR, 1 / (K * F * w0)),
-            n4=_leaf("l4", INDUCTOR, K * F / w0),
-            n5=ser(_leaf("c5", CAPACITOR, phi / (K * F * eta * w0)),
+        return net.assemble_shape(
+            "bridge",
+            N1=_leaf("r1", RESISTOR, K * phi * psi),
+            N2=_leaf("r2", RESISTOR, K * W * W),
+            N3=_leaf("c3", CAPACITOR, 1 / (K * F * w0)),
+            N4=_leaf("l4", INDUCTOR, K * F / w0),
+            N5=ser(_leaf("c5", CAPACITOR, phi / (K * F * eta * w0)),
                    _leaf("l5", INDUCTOR, K * F * W / (phi * w0))))
     if name in ("Fig2a", "Fig2b"):
         return _build_fig2(name, p)
@@ -580,44 +571,48 @@ def _quartet_base(fam: str, qp: QuartetParams, w0: Fraction) -> Network:
     if fam == "N7":
         if not (A > 0 and B > 0 and C > 0):
             raise ConstraintViolated("N7 requires A, B, C > 0")
-        return _bridge(
-            n1=_leaf("r1", RESISTOR, A),
-            n2=_leaf("r2", RESISTOR, B),
-            n3=_leaf("c3", CAPACITOR, 1 / (C * w0)),
-            n4=_leaf("l4", INDUCTOR, C / w0),
-            n5=_leaf("l5", INDUCTOR, C / w0))
+        return net.assemble_shape(
+            "bridge",
+            N1=_leaf("r1", RESISTOR, A),
+            N2=_leaf("r2", RESISTOR, B),
+            N3=_leaf("c3", CAPACITOR, 1 / (C * w0)),
+            N4=_leaf("l4", INDUCTOR, C / w0),
+            N5=_leaf("l5", INDUCTOR, C / w0))
     if fam == "N8":
         if not (A > 0 and B > 0 and C > 0 and D > 0):
             raise ConstraintViolated("N8 requires A, B, C, D > 0")
-        E = C * D / (C + D)
-        return _bridge(
-            n1=_leaf("r1", RESISTOR, A),
-            n2=_leaf("r2", RESISTOR, B),
-            n3=_leaf("c3", CAPACITOR, 1 / (D * w0)),
-            n4=par(_leaf("l4", INDUCTOR, E / w0),
+        E = qp.derived_E()
+        return net.assemble_shape(
+            "bridge",
+            N1=_leaf("r1", RESISTOR, A),
+            N2=_leaf("r2", RESISTOR, B),
+            N3=_leaf("c3", CAPACITOR, 1 / (D * w0)),
+            N4=par(_leaf("l4", INDUCTOR, E / w0),
                    _leaf("c4", CAPACITOR, 1 / (C * w0))),
-            n5=_leaf("l5", INDUCTOR, D / w0))
+            N5=_leaf("l5", INDUCTOR, D / w0))
     if fam == "N9":
         if not (A > 0 and B > 0 and C > 0 and D > 0):
             raise ConstraintViolated("N9 requires A, B, C, D > 0")
-        E = (A + B) / (B + D)
-        return _bridge(
-            n1=_leaf("r1", RESISTOR, C),
-            n2=_leaf("c2", CAPACITOR, 1 / (B * w0)),
-            n3=_leaf("c3", CAPACITOR, 1 / (A * w0)),
-            n4=_leaf("l4", INDUCTOR, A / (E * w0)),
-            n5=_leaf("l5", INDUCTOR, D * E / w0))
+        E = qp.derived_E()
+        return net.assemble_shape(
+            "bridge",
+            N1=_leaf("r1", RESISTOR, C),
+            N2=_leaf("c2", CAPACITOR, 1 / (B * w0)),
+            N3=_leaf("c3", CAPACITOR, 1 / (A * w0)),
+            N4=_leaf("l4", INDUCTOR, A / (E * w0)),
+            N5=_leaf("l5", INDUCTOR, D * E / w0))
     if fam == "N10":
         if not (A > 0 and B > 0 and C > 0 and (B - D) * (C - D) > 0 and B != C):
             raise ConstraintViolated(
                 "N10 requires A, B, C, (B-D)(C-D) > 0 and B != C")
-        E = (B - D) / (C - D)
-        return _bridge(
-            n1=_leaf("c1", CAPACITOR, 1 / (C * E * w0)),
-            n2=_leaf("c2", CAPACITOR, E / (B * w0)),
-            n3=_leaf("r3", RESISTOR, A),
-            n4=_leaf("l4", INDUCTOR, B / w0),
-            n5=_leaf("l5", INDUCTOR, C / w0))
+        E = qp.derived_E()
+        return net.assemble_shape(
+            "bridge",
+            N1=_leaf("c1", CAPACITOR, 1 / (C * E * w0)),
+            N2=_leaf("c2", CAPACITOR, E / (B * w0)),
+            N3=_leaf("r3", RESISTOR, A),
+            N4=_leaf("l4", INDUCTOR, B / w0),
+            N5=_leaf("l5", INDUCTOR, C / w0))
     if fam in ("N11", "N11a", "N11b", "N12", "N12a", "N12b"):
         base = fam[:3]
         degen = fam[3:]
@@ -643,12 +638,13 @@ def _quartet_base(fam: str, qp: QuartetParams, w0: Fraction) -> Network:
             inner.append(_leaf("r3", RESISTOR, 1 / C))
         parts.append(par(*inner) if len(inner) > 1 else inner[0])
         n1 = ser(*parts) if len(parts) > 1 else parts[0]
-        return _bridge(
-            n1=n1,
-            n2=_leaf("r2", RESISTOR, B),
-            n3=_leaf("c3", CAPACITOR, 1 / (E * w0)),
-            n4=_leaf("l4", INDUCTOR, E / w0),
-            n5=_leaf("l5", INDUCTOR, E / w0))
+        return net.assemble_shape(
+            "bridge",
+            N1=n1,
+            N2=_leaf("r2", RESISTOR, B),
+            N3=_leaf("c3", CAPACITOR, 1 / (E * w0)),
+            N4=_leaf("l4", INDUCTOR, E / w0),
+            N5=_leaf("l5", INDUCTOR, E / w0))
     raise ValueError(f"unknown quartet family {fam!r}")
 
 
@@ -689,7 +685,7 @@ class StructureMatch:
 
     lemma8_condition: int
     bridge_assignment: Dict[str, Tuple[str, ...]]
-    corners: Tuple[str, str, str, str]      # (a, b, c, d)
+    corners: Tuple[str, str, str, str]      # (a, b, c, d), first embedding
 
 
 def _arm_kinds(tree) -> List[str]:
@@ -697,15 +693,12 @@ def _arm_kinds(tree) -> List[str]:
 
 
 def _is_single(tree, kind) -> bool:
-    ks = _arm_kinds(tree)
-    return len(ks) == 1 and ks[0] == kind
+    return _arm_kinds(tree) == [kind]
 
 
 def _is_lc_pair(tree) -> bool:
-    if not isinstance(tree, (net.Ser, net.Par)):
-        return False
-    ks = sorted(_arm_kinds(tree))
-    return len(ks) == 2 and ks == [CAPACITOR, INDUCTOR]
+    return (isinstance(tree, (net.Ser, net.Par))
+            and sorted(_arm_kinds(tree)) == [CAPACITOR, INDUCTOR])
 
 
 def match_minimum_structure(n: Network, omega0) -> StructureMatch:
@@ -731,36 +724,29 @@ def match_minimum_structure(n: Network, omega0) -> StructureMatch:
     if analysis.storage_count(n) > 4:
         raise NoMatch("more than four storage elements")
     h = analysis.impedance(n)
-    if isinstance(h, analysis.NoImpedance) or not is_minimum_function(h):
+    # impedance() has asserted PR; the minimum test reuses that
+    if isinstance(h, analysis.NoImpedance) or not _minimum_if_pr(h):
         raise NoMatch("impedance is not a minimum function")
     re, im = h.eval_jomega_pair(w2)
     if re != 0 or im == 0:
         raise NoMatch(f"omega0={w0} is not a minimum frequency")
-    edges, kind = net.skeleton(n)
-    if kind != "bridge":
+    # the bridge's two-terminal symmetries: identity, c<->d, a<->b, both
+    found = list(net.embeddings(net.skeleton(n)[0], n.port, "bridge"))
+    if not found:
         raise NoMatch("network does not reduce to the five-arm bridge")
-    arms, (a, b, c, d) = net._bridge_positions(n, edges)
 
     def zval(tree) -> QComplex:
         za, zb = net.tree_impedance(tree).eval_jomega_pair(w2)
         return QComplex(za, zb * w0)        # za + j*zb*w0
 
-    base = {k: arms[k] for k in ("N1", "N2", "N3", "N4", "N5")}
-    # the bridge's two-terminal symmetries: swap c<->d and/or a<->b
-    relabelings = [
-        {"N1": "N1", "N2": "N2", "N3": "N3", "N4": "N4", "N5": "N5"},
-        {"N1": "N4", "N2": "N5", "N3": "N3", "N4": "N1", "N5": "N2"},
-        {"N1": "N5", "N2": "N4", "N3": "N3", "N4": "N2", "N5": "N1"},
-        {"N1": "N2", "N2": "N1", "N3": "N3", "N4": "N5", "N5": "N4"},
-    ]
-    for rel in relabelings:
-        t = {pos: base[rel[pos]] for pos in base}
+    for _, t in found:
         z = {pos: zval(t[pos]) for pos in t}
         cond = _test_conditions(t, z)
         if cond is not None:
             assignment = {pos: tuple(sorted(e.id for e in net.tree_elements(t[pos])))
-                          for pos in t}
-            return StructureMatch(cond, assignment, (a, b, c, d))
+                          for pos in sorted(t)}
+            return StructureMatch(cond, assignment,
+                                  tuple(found[0][0][v] for v in "abcd"))
     raise NoMatch("no structural condition holds at j*omega0")
 
 

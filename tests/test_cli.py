@@ -23,6 +23,11 @@ HALF = "(s^2+s+1/2)/(s^2+1/2 s+2)"
 # two L-C tanks resonant at omega = 1 in series, with a resistor across
 TANKS_NETLIST = ("L l1 a m 1\nL l2 m b 1\nC c1 a m 1\nC c2 m b 1\n"
                  "R r1 a b 1\nPORT a b\n")
+# the X > 0 alt_second realization of WORKED with its rim named v1-v3: a
+# 4-wheel with the source on a spoke
+SPOKE_NETLIST = ("C c1 a v2 169/56\nC c2 a v3 6/7\nL l1 b v1 1\n"
+                 "L l2 v1 v2 8/13\nL l3 v2 v3 49/26\nR r1 a v1 4/9\n"
+                 "R r2 b v3 1\nPORT a b\n")
 
 
 class TestVerdicts:
@@ -114,6 +119,21 @@ class TestPipelines:
         assert code == 0 and "C l1" in out
         code, out, _ = run("invert", str(net), "--omega0", "2")
         assert code == 0 and "C l1 m b 1/12" in out
+
+    def test_spoke_dual_ignores_hash_seed(self, tmp_path):
+        # two interpreters with different string hashes print one dual
+        import os
+        import subprocess
+        import sys
+        net = tmp_path / "spoke.net"
+        net.write_text(SPOKE_NETLIST)
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        outs = [subprocess.run(
+            [sys.executable, "-m", "prsyn.cli", "dual", str(net)],
+            env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src),
+            capture_output=True, text=True, check=True).stdout
+            for seed in ("1", "2")]
+        assert outs[0] == outs[1] and "PORT da db" in outs[0]
 
     def test_mech(self, run, tmp_path):
         net = tmp_path / "n.net"
@@ -223,6 +243,8 @@ MALFORMED = [
     (["impedance", "{huge}"], 3),
     # a numeric flag's exponent past MAX_EXPONENT is a usage error
     (["phasor", "{net}", "--omega", "1e3000000"], 2),
+    # one drive at a time
+    (["phasor", "{net}", "--omega", "1", "--current", "1", "--voltage", "1"], 2),
 ]
 
 

@@ -7,18 +7,19 @@ from fractions import Fraction
 import pytest
 
 from prsyn.analysis import impedance
-from prsyn.network import (CAPACITOR, INDUCTOR, MECHANICAL, RESISTOR,
-                           Element, MissingPort, NetlistSyntaxError, Network,
-                           NetworkError, NonpositiveValue, NotBiconnected,
+from prsyn.network import (CAPACITOR, DUAL_SHAPE, DUAL_SLOT, INDUCTOR,
+                           MECHANICAL, RESISTOR, SHAPES, Element, MissingPort,
+                           NetlistSyntaxError, Network, NetworkError,
+                           NonpositiveValue, NotBiconnected,
                            NotPlanarDualizable, OnePort, OpenCircuit, Leaf,
                            Par, Ser, ShortCircuit, _adjacency,
-                           _articulation_points, _reach, dual,
-                           frequency_invert, from_mechanical, has_C_cutset,
-                           has_C_path, has_L_cutset, has_L_path,
+                           _articulation_points, _reach, assemble_shape, dual,
+                           embeddings, frequency_invert, from_mechanical,
+                           has_C_cutset, has_C_path, has_L_cutset, has_L_path,
                            incidence_matrix, is_biconnected, network_from_json,
                            network_to_json, open_oneport, parse_netlist,
-                           report_grounded_capacitors, serialize_netlist,
-                           par, ser, short_oneport, skeleton, sp_tree,
+                           report_grounded_capacitors, serialize_netlist, par,
+                           ser, short_oneport, skeleton, sp_tree,
                            to_mechanical, tree_impedance)
 from prsyn.polyrat import BiquadParams, Q, biquad_params, biquad_template
 from prsyn.synth import build_named
@@ -446,6 +447,76 @@ class TestDual:
         assert kind == "other"
         with pytest.raises(NotPlanarDualizable):
             dual(n)
+
+
+def _one_leaf_per_slot(shape):
+    kinds = (RESISTOR, INDUCTOR, CAPACITOR)
+    return {slot: Leaf(Element(f"e{i}", kinds[i % 3], "_", "__", Q(i + 2, 3)))
+            for i, (slot, _, _) in enumerate(SHAPES[shape])}
+
+
+def _element_multiset(n):
+    return sorted((e.id, e.kind, e.value) for e in n.elements)
+
+
+class TestShapes:
+    """The one table of non-series-parallel shapes: assembly, recognition,
+    embedding and duality all read ``SHAPES``."""
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_assembled_shape_is_recognised(self, shape):
+        arms = _one_leaf_per_slot(shape)
+        n = assemble_shape(shape, **arms)
+        edges, kind = skeleton(n)
+        assert kind == shape
+        vmap, found = next(embeddings(edges, n.port, shape))
+        assert vmap == {v: v for (_, x, y) in SHAPES[shape] for v in (x, y)}
+        assert ({slot: t.element.id for slot, t in found.items()}
+                == {slot: t.element.id for slot, t in arms.items()})
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_dual_slots_are_an_involution_onto_the_dual_shape(self, shape):
+        slots = [slot for (slot, _, _) in SHAPES[shape]]
+        dual_slots = [slot for (slot, _, _) in SHAPES[DUAL_SHAPE[shape]]]
+        assert DUAL_SHAPE[DUAL_SHAPE[shape]] == shape
+        assert sorted(DUAL_SLOT[slot] for slot in slots) == sorted(dual_slots)
+        assert all(DUAL_SLOT[DUAL_SLOT[slot]] == slot for slot in slots)
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_dual_of_dual(self, shape):
+        n = assemble_shape(shape, **_one_leaf_per_slot(shape))
+        d = dual(n)
+        assert skeleton(d)[1] == DUAL_SHAPE[shape]
+        assert impedance(d) == impedance(n).reciprocal()
+        back = dual(d)
+        assert _element_multiset(back) == _element_multiset(n)
+        assert impedance(back) == impedance(n)
+
+    def test_bridge_embeddings_in_symmetry_order(self, n1):
+        # identity, c<->d, a<->b, both
+        edges, _ = skeleton(n1)
+        maps = [vmap for vmap, _ in embeddings(edges, n1.port, "bridge")]
+        assert [tuple(m[v] for v in "abcd") for m in maps] == [
+            ("a", "b", "c", "d"), ("a", "b", "d", "c"),
+            ("b", "a", "c", "d"), ("b", "a", "d", "c")]
+
+    def test_spoke_hub_on_port_minus(self):
+        # the hub is the port's minus terminal: only the reversed port embeds
+        n = assemble_shape("wheel_spoke", **_one_leaf_per_slot("wheel_spoke"))
+        m = Network(n.vertices, n.elements, n.port[::-1])
+        edges, kind = skeleton(m)
+        assert kind == "wheel_spoke"
+        found = list(embeddings(edges, m.port, "wheel_spoke"))
+        assert found and all(vmap["a"] == m.port[1] for vmap, _ in found)
+        assert impedance(dual(m)) == impedance(m).reciprocal()
+        assert _element_multiset(dual(dual(m))) == _element_multiset(m)
+
+    def test_wheel_dual_names(self):
+        n = assemble_shape("wheel_rim", **_one_leaf_per_slot("wheel_rim"))
+        d = dual(n)
+        assert d.port == ("da", "db")
+        assert set(d.vertices) == {"da", "db", "r1", "r2", "r3"}
+        assert set(dual(d).vertices) == {"da", "db", "p", "q", "x"}
 
 
 class TestMechanical:

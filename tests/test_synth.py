@@ -13,8 +13,8 @@ from prsyn.polyrat import (BiquadParams, NotMinimum, Polynomial, Q,
                            sylvester_determinant)
 from prsyn.synth import (SEVEN_ELEMENT_VARIANTS, Classification,
                          ConditionViolated, ConstraintViolated, Fig2Params,
-                         NoMatch,
-                         NonConstantReduced, QuartetParams, SynthesisStep,
+                         NoMatch, NonConstantReduced, QuartetParams,
+                         SynthError, SynthesisStep,
                          WrongBranch, build_named, build_quartet,
                          build_seven_element, classify_biquad,
                          match_minimum_structure, n12_has_no_feasible_solution,
@@ -90,6 +90,15 @@ class TestTheorem2Step:
         bad = SynthesisStep(step.variant, step.omega0, step.X, step.mu_or_nu,
                             ab, step.h, step.reduced, d)
         assert not verify_theorem2_identity(h, bad)
+
+    def test_failed_biquad_identity_raises(self, monkeypatch):
+        # a typed error, not an assert that python -O would drop
+        import prsyn.synth as synth
+        monkeypatch.setattr(synth, "verify_theorem2_identity",
+                            lambda h, step: False)
+        h = biquad_template(BiquadParams(1, 1, Q(2, 3), 1))
+        with pytest.raises(SynthError, match="cubic composite identity"):
+            theorem2_step(h)
 
     def test_degree_three_minimum_function(self):
         # composite built from a non-constant reduced function; the step
@@ -312,6 +321,22 @@ class TestMatcher:
         assert match_minimum_structure(q, w0).lemma8_condition == 2
         with pytest.raises(NoMatch, match="not a minimum frequency"):
             match_minimum_structure(q, 1)
+
+    def test_one_pr_test_per_match(self, monkeypatch):
+        # impedance() has asserted PR; the minimum test reuses that
+        import prsyn.analysis as analysis
+        import prsyn.polyrat as polyrat
+        calls = []
+
+        def counted(g, pr=polyrat.is_positive_real):
+            calls.append(g)
+            return pr(g)
+
+        monkeypatch.setattr(polyrat, "is_positive_real", counted)
+        monkeypatch.setattr(analysis, "is_positive_real", counted)
+        n = build_named("N1", BiquadParams(1, 1, Q(1, 2), 1))
+        assert match_minimum_structure(n, 1).lemma8_condition == 3
+        assert len(calls) == 1
 
     def test_series_rl_no_match(self):
         with pytest.raises(NoMatch):
