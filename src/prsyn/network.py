@@ -24,7 +24,7 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
-from .polyrat import Polynomial, RationalFunction, _as_q
+from .polyrat import ONE, Polynomial, RationalFunction, _as_q
 
 RESISTOR, INDUCTOR, CAPACITOR = "R", "L", "C"
 DAMPER, SPRING, INERTER = "DAMPER", "SPRING", "INERTER"
@@ -120,14 +120,6 @@ class Element:
         kind, inverts = partner
         return Element(self.id, kind, self.head, self.tail,
                        1 / self.value if inverts else self.value)
-
-    def impedance(self) -> RationalFunction:
-        """Element impedance R, Ls, or 1/(Cs)."""
-        side, p = self.electrical().law
-        w = Polynomial([0] * p + [self.value])
-        if side == "Z":
-            return RationalFunction(w)
-        return RationalFunction(Polynomial([1]), w)
 
     def is_storage(self) -> bool:
         return KINDS[self.kind].storage
@@ -626,21 +618,26 @@ def par(*parts):
     return Par(tuple(flat))
 
 
-def tree_impedance(tree) -> RationalFunction:
-    """Impedance of a two-terminal tree: series parts add, parallel parts
-    add as admittances."""
+def tree_pair(tree) -> Tuple[Polynomial, Polynomial]:
+    """Unreduced (num, den) of a two-terminal tree's impedance, no gcd
+    taken: a leaf's law is its row of ``KINDS``, series parts add and
+    parallel parts add as admittances."""
     if isinstance(tree, Leaf):
-        return tree.element.impedance()
-    parts = [tree_impedance(p) for p in tree.parts]
-    if isinstance(tree, Ser):
-        total = parts[0]
-        for x in parts[1:]:
-            total = total + x
-        return total
-    inv = parts[0].reciprocal()
-    for x in parts[1:]:
-        inv = inv + x.reciprocal()
-    return inv.reciprocal()
+        side, p = tree.element.electrical().law
+        w = Polynomial([0] * p + [tree.element.value])
+        return (w, ONE) if side == "Z" else (ONE, w)
+    pairs = [tree_pair(p) for p in tree.parts]
+    if isinstance(tree, Par):
+        pairs = [(d, n) for (n, d) in pairs]
+    num, den = pairs[0]
+    for (n, d) in pairs[1:]:
+        num, den = num * d + n * den, den * d
+    return (num, den) if isinstance(tree, Ser) else (den, num)
+
+
+def tree_impedance(tree) -> RationalFunction:
+    """Impedance of a two-terminal tree, reduced once."""
+    return RationalFunction(*tree_pair(tree))
 
 
 def tree_elements(tree) -> List[Element]:

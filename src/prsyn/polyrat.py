@@ -434,16 +434,12 @@ class RationalFunction:
         Works even when w0 itself is irrational (only omega2 must be
         rational).  Raises ZeroDivisionError on a pole.
         """
-        omega2 = _as_q(omega2)
-        na, nb = self.num.eval_jomega(omega2)
-        da, db = self.den.eval_jomega(omega2)
-        d = da * da + omega2 * db * db
-        if d == 0:
-            raise ZeroDivisionError("pole at j*omega0")
-        return ((na * da + omega2 * nb * db) / d, (nb * da - na * db) / d)
+        return _jomega_quotient(self.num, self.den, _as_q(omega2))
 
     def compose_winv(self, omega2: Fraction) -> "RationalFunction":
         """H(omega0**2 / s) for rational omega0**2."""
+        if self.is_zero():
+            return self
         omega2 = _as_q(omega2)
         dmax = max(int(self.num.degree), int(self.den.degree))
 
@@ -457,16 +453,23 @@ class RationalFunction:
 
         return RationalFunction(rev(self.num), rev(self.den))
 
-    def derivative(self) -> "RationalFunction":
-        return RationalFunction(
-            self.num.derivative() * self.den - self.num * self.den.derivative(),
-            self.den * self.den)
-
     def __repr__(self):
         return f"RationalFunction({self.num!r}, {self.den!r})"
 
     def __str__(self):
         return format_ratfunc(self)
+
+
+def _jomega_quotient(num: Polynomial, den: Polynomial,
+                     omega2: Fraction) -> Tuple[Fraction, Fraction]:
+    """num/den at s = j*w0, where w0**2 = omega2, as an exact pair (a, b)
+    meaning a + j*b*w0.  Raises ZeroDivisionError when den(j*w0) = 0."""
+    na, nb = num.eval_jomega(omega2)
+    da, db = den.eval_jomega(omega2)
+    d = da * da + omega2 * db * db
+    if d == 0:
+        raise ZeroDivisionError("pole at j*omega0")
+    return ((na * da + omega2 * nb * db) / d, (nb * da - na * db) / d)
 
 
 def as_ratfunc(x) -> RationalFunction:

@@ -12,14 +12,16 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from itertools import combinations
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .polyrat import (BiquadParams, NotMinimum, NotRationalParams, Polynomial,
                       Q, QComplex, RationalFunction, _as_q, _interpolate,
-                      _minimum_frequencies_if_pr, _minimum_if_pr, _sylvester_rows,
-                      biquad_params, biquad_template, count_real_roots,
-                      det_bareiss, is_minimum_function, is_positive_real,
-                      real_roots, sqrt_fraction, sylvester_determinant)
+                      _jomega_quotient, _minimum_frequencies_if_pr,
+                      _minimum_if_pr, _sylvester_rows, biquad_params,
+                      biquad_template, count_real_roots, det_bareiss,
+                      is_minimum_function, is_positive_real, real_roots,
+                      sqrt_fraction, sylvester_determinant)
 from . import network as net
 from .network import (CAPACITOR, INDUCTOR, RESISTOR, Element, Leaf, Network,
                       par, ser)
@@ -57,10 +59,8 @@ class NoMatch(SynthError):
 class SynthesisStep:
     """Data of one realization step at a minimum frequency omega0.
 
-    For X > 0: mu_or_nu = mu with X = H(mu)/mu, derived carries
-    chi = w0^2 + 2*alpha*mu, gamma = mu + 2*alpha, phi = chi + mu^2.
-    For X < 0: mu_or_nu = nu with -w0^2 X = H(nu)*nu, derived carries
-    eta = w0^2 + 2*beta*nu, zeta = nu + 2*beta, psi = eta + nu^2.
+    For X > 0: mu_or_nu = mu with X = H(mu)/mu.
+    For X < 0: mu_or_nu = nu with -w0^2 X = H(nu)*nu.
     """
 
     variant: str                    # "X_positive" | "X_negative"
@@ -70,23 +70,26 @@ class SynthesisStep:
     alpha_or_beta: Fraction
     h: Fraction                     # H at mu (or nu)
     reduced: RationalFunction       # H_r (or H~_r)
-    derived: Dict[str, Fraction]
 
     def __post_init__(self):
         w0, m, ab = self.omega0, self.mu_or_nu, self.alpha_or_beta
-        d = self.derived
         if self.variant == "X_positive":
             assert self.X > 0 and m > 0 and ab > 0
             assert self.X == self.h / m
-            assert d["chi"] == w0 * w0 + 2 * ab * m
-            assert d["gamma"] == m + 2 * ab
-            assert d["phi"] == d["chi"] + m * m
         else:
             assert self.X < 0 and m > 0 and ab > 0
             assert -w0 * w0 * self.X == self.h * m
-            assert d["eta"] == w0 * w0 + 2 * ab * m
-            assert d["zeta"] == m + 2 * ab
-            assert d["psi"] == d["eta"] + m * m
+
+    @property
+    def derived(self) -> Dict[str, Fraction]:
+        """For X > 0: chi = w0^2 + 2*alpha*mu, gamma = mu + 2*alpha,
+        phi = chi + mu^2.  For X < 0: eta = w0^2 + 2*beta*nu,
+        zeta = nu + 2*beta, psi = eta + nu^2."""
+        m, ab = self.mu_or_nu, self.alpha_or_beta
+        first = self.omega0 * self.omega0 + 2 * ab * m
+        names = (("chi", "gamma", "phi") if self.variant == "X_positive"
+                 else ("eta", "zeta", "psi"))
+        return dict(zip(names, (first, m + 2 * ab, first + m * m)))
 
 
 def _smallest_positive_rational_root(p: Polynomial) -> Optional[Fraction]:
@@ -146,18 +149,15 @@ def theorem2_step(h: RationalFunction, omega0=None,
         y = RationalFunction(mu * hval * q - s_poly * p, mu * p - hval * s_poly * q)
     else:
         y = RationalFunction(mu * p - hval * s_poly * q, mu * hval * q - s_poly * p)
-    # residue of y at s = j*omega0 (a real rational for a genuine step)
-    dnum_a, dnum_b = y.num.eval_jomega(w2)
-    dden = y.den.derivative()
-    dd_a, dd_b = dden.eval_jomega(w2)
-    den_norm = dd_a * dd_a + w2 * dd_b * dd_b
-    if den_norm == 0:
-        raise SynthError("resonant pole missing from the quotient function")
-    res_re = (dnum_a * dd_a + w2 * dnum_b * dd_b) / den_norm
-    res_im = (dnum_b * dd_a - dnum_a * dd_b) / den_norm
+    # residue y.num/y.den' of y at s = j*omega0 (a real rational for a
+    # genuine step)
+    try:
+        alpha, res_im = _jomega_quotient(y.num, y.den.derivative(), w2)
+    except ZeroDivisionError:
+        raise SynthError(
+            "resonant pole missing from the quotient function") from None
     if res_im != 0:
         raise SynthError("residue at j*omega0 is not real")
-    alpha = res_re
     if alpha <= 0:
         raise SynthError("residue at j*omega0 is not positive")
     resonant = RationalFunction(Polynomial([0, 2 * alpha]), Polynomial([w2, 0, 1]))
@@ -166,13 +166,7 @@ def theorem2_step(h: RationalFunction, omega0=None,
         raise SynthError("reduced function is not positive-real")
     if reduced.mcmillan_degree > h.mcmillan_degree - 2:
         raise SynthError("McMillan degree did not drop by two")
-    if x > 0:
-        derived = {"chi": w2 + 2 * alpha * mu, "gamma": mu + 2 * alpha}
-        derived["phi"] = derived["chi"] + mu * mu
-    else:
-        derived = {"eta": w2 + 2 * alpha * mu, "zeta": mu + 2 * alpha}
-        derived["psi"] = derived["eta"] + mu * mu
-    step = SynthesisStep(branch, omega0, x, mu, alpha, hval, reduced, derived)
+    step = SynthesisStep(branch, omega0, x, mu, alpha, hval, reduced)
     if not verify_theorem2_identity(h, step):
         raise SynthError("cubic composite identity failed")
     return step
@@ -191,20 +185,15 @@ def _theorem2_step_biquad(h: RationalFunction, omega0,
     branch = "X_positive" if x > 0 else "X_negative"
     if variant is not None and variant != branch:
         raise WrongBranch(f"requested {variant} but H(j*omega0) gives {branch}")
-    w2 = w0 * w0
     if F > 0:
         mu = W * w0 / F
         alpha = (F * F + W * W) * (1 - W) * w0 / (2 * W * W * F)
         reduced = RationalFunction(Polynomial([W]))
-        derived = {"chi": w2 + 2 * alpha * mu, "gamma": mu + 2 * alpha}
-        derived["phi"] = derived["chi"] + mu * mu
     else:
         mu = -F * w0 / W
         alpha = (F * F + W * W) * (1 - W) * w0 / (2 * W * F)
         reduced = RationalFunction(Polynomial([1]), Polynomial([W]))
-        derived = {"eta": w2 + 2 * alpha * mu, "zeta": mu + 2 * alpha}
-        derived["psi"] = derived["eta"] + mu * mu
-    step = SynthesisStep(branch, w0, x, mu, alpha, K * W, reduced, derived)
+    step = SynthesisStep(branch, w0, x, mu, alpha, K * W, reduced)
     if not verify_theorem2_identity(h, step):
         raise SynthError("cubic composite identity failed")
     return step
@@ -254,9 +243,10 @@ def build_seven_element(step: SynthesisStep, which: str) -> Network:
     w0 = step.omega0
     w2 = w0 * w0
     h, ab, m = step.h, step.alpha_or_beta, step.mu_or_nu
+    d = step.derived
 
     if step.variant == "X_positive":
-        chi, gam, phi = step.derived["chi"], step.derived["gamma"], step.derived["phi"]
+        chi, gam, phi = d["chi"], d["gamma"], d["phi"]
         if which == "rpfg_first":
             return net.assemble_shape(
                 "bridge",
@@ -298,7 +288,7 @@ def build_seven_element(step: SynthesisStep, which: str) -> Network:
             r12=_leaf("l2", INDUCTOR, h / (2 * ab)),
             r23=_leaf("l3", INDUCTOR, h * gam * gam / (2 * ab * w2)))
 
-    eta, zeta, psi = step.derived["eta"], step.derived["zeta"], step.derived["psi"]
+    eta, zeta, psi = d["eta"], d["zeta"], d["psi"]
     if which == "rpfg_first":
         return net.assemble_shape(
             "bridge",
@@ -380,9 +370,6 @@ def classify_biquad(p: BiquadParams) -> Classification:
         return Classification(4, "f", build_named("N6", p))
     step = theorem2_step(biquad_template(p), p.omega0)
     return Classification(5, "none", build_seven_element(step, "rpfg_first"))
-
-
-NAMED_NETWORKS = ("N1", "N2", "N3", "N4", "N5", "N6", "Fig2a", "Fig2b")
 
 
 def build_named(name: str, p: BiquadParams) -> Network:
@@ -571,50 +558,14 @@ def _quartet_base(fam: str, qp: QuartetParams, w0: Fraction) -> Network:
     if fam == "N7":
         if not (A > 0 and B > 0 and C > 0):
             raise ConstraintViolated("N7 requires A, B, C > 0")
-        return net.assemble_shape(
-            "bridge",
-            N1=_leaf("r1", RESISTOR, A),
-            N2=_leaf("r2", RESISTOR, B),
-            N3=_leaf("c3", CAPACITOR, 1 / (C * w0)),
-            N4=_leaf("l4", INDUCTOR, C / w0),
-            N5=_leaf("l5", INDUCTOR, C / w0))
-    if fam == "N8":
+    elif fam in ("N8", "N9"):
         if not (A > 0 and B > 0 and C > 0 and D > 0):
-            raise ConstraintViolated("N8 requires A, B, C, D > 0")
-        E = qp.derived_E()
-        return net.assemble_shape(
-            "bridge",
-            N1=_leaf("r1", RESISTOR, A),
-            N2=_leaf("r2", RESISTOR, B),
-            N3=_leaf("c3", CAPACITOR, 1 / (D * w0)),
-            N4=par(_leaf("l4", INDUCTOR, E / w0),
-                   _leaf("c4", CAPACITOR, 1 / (C * w0))),
-            N5=_leaf("l5", INDUCTOR, D / w0))
-    if fam == "N9":
-        if not (A > 0 and B > 0 and C > 0 and D > 0):
-            raise ConstraintViolated("N9 requires A, B, C, D > 0")
-        E = qp.derived_E()
-        return net.assemble_shape(
-            "bridge",
-            N1=_leaf("r1", RESISTOR, C),
-            N2=_leaf("c2", CAPACITOR, 1 / (B * w0)),
-            N3=_leaf("c3", CAPACITOR, 1 / (A * w0)),
-            N4=_leaf("l4", INDUCTOR, A / (E * w0)),
-            N5=_leaf("l5", INDUCTOR, D * E / w0))
-    if fam == "N10":
+            raise ConstraintViolated(f"{fam} requires A, B, C, D > 0")
+    elif fam == "N10":
         if not (A > 0 and B > 0 and C > 0 and (B - D) * (C - D) > 0 and B != C):
             raise ConstraintViolated(
                 "N10 requires A, B, C, (B-D)(C-D) > 0 and B != C")
-        E = qp.derived_E()
-        return net.assemble_shape(
-            "bridge",
-            N1=_leaf("c1", CAPACITOR, 1 / (C * E * w0)),
-            N2=_leaf("c2", CAPACITOR, E / (B * w0)),
-            N3=_leaf("r3", RESISTOR, A),
-            N4=_leaf("l4", INDUCTOR, B / w0),
-            N5=_leaf("l5", INDUCTOR, C / w0))
-    if fam in ("N11", "N11a", "N11b", "N12", "N12a", "N12b"):
-        base = fam[:3]
+    elif fam in ("N11", "N11a", "N11b", "N12", "N12a", "N12b"):
         degen = fam[3:]
         E = qp.derived_E()
         if degen == "a":
@@ -626,26 +577,48 @@ def _quartet_base(fam: str, qp: QuartetParams, w0: Fraction) -> Network:
         else:
             if not (A > 0 and B > 0 and C > 0 and D > 0 and E > 0):
                 raise ConstraintViolated(f"{fam} requires A, B, C, D, E > 0")
-        storage = (_leaf("c1", CAPACITOR, 1 / (D * w0)) if base == "N11"
-                   else _leaf("l1", INDUCTOR, D / w0))
-        # N1-arm: series(R_A, parallel(R_{1/C}, storage)); the annotations:
-        # A = 0 shorts the series resistor, C = 0 opens the parallel one
-        parts = []
-        if degen != "a":
-            parts.append(_leaf("r1", RESISTOR, A))
-        inner = [storage]
-        if degen != "b":
-            inner.append(_leaf("r3", RESISTOR, 1 / C))
-        parts.append(par(*inner) if len(inner) > 1 else inner[0])
-        n1 = ser(*parts) if len(parts) > 1 else parts[0]
-        return net.assemble_shape(
-            "bridge",
-            N1=n1,
-            N2=_leaf("r2", RESISTOR, B),
-            N3=_leaf("c3", CAPACITOR, 1 / (E * w0)),
-            N4=_leaf("l4", INDUCTOR, E / w0),
-            N5=_leaf("l5", INDUCTOR, E / w0))
-    raise ValueError(f"unknown quartet family {fam!r}")
+    else:
+        raise ValueError(f"unknown quartet family {fam!r}")
+    return net.assemble_shape("bridge", **_quartet_arms(fam, qp, w0))
+
+
+def _quartet_arms(fam: str, qp: QuartetParams, w0: Fraction) -> Dict[str, object]:
+    """The bridge arms {slot: tree} of a quartet family member, unvalidated.
+    In N11/N12 the N1 arm is series(R_A, parallel(storage, R_{1/C})):
+    A = 0 omits the series resistor and C = 0 the parallel one."""
+    A, B, C, D = qp.A, qp.B, qp.C, qp.D
+    if fam == "N7":
+        return dict(N1=_leaf("r1", RESISTOR, A), N2=_leaf("r2", RESISTOR, B),
+                    N3=_leaf("c3", CAPACITOR, 1 / (C * w0)),
+                    N4=_leaf("l4", INDUCTOR, C / w0),
+                    N5=_leaf("l5", INDUCTOR, C / w0))
+    E = qp.derived_E()
+    if fam == "N8":
+        return dict(N1=_leaf("r1", RESISTOR, A), N2=_leaf("r2", RESISTOR, B),
+                    N3=_leaf("c3", CAPACITOR, 1 / (D * w0)),
+                    N4=par(_leaf("l4", INDUCTOR, E / w0),
+                           _leaf("c4", CAPACITOR, 1 / (C * w0))),
+                    N5=_leaf("l5", INDUCTOR, D / w0))
+    if fam == "N9":
+        return dict(N1=_leaf("r1", RESISTOR, C),
+                    N2=_leaf("c2", CAPACITOR, 1 / (B * w0)),
+                    N3=_leaf("c3", CAPACITOR, 1 / (A * w0)),
+                    N4=_leaf("l4", INDUCTOR, A / (E * w0)),
+                    N5=_leaf("l5", INDUCTOR, D * E / w0))
+    if fam == "N10":
+        return dict(N1=_leaf("c1", CAPACITOR, 1 / (C * E * w0)),
+                    N2=_leaf("c2", CAPACITOR, E / (B * w0)),
+                    N3=_leaf("r3", RESISTOR, A),
+                    N4=_leaf("l4", INDUCTOR, B / w0),
+                    N5=_leaf("l5", INDUCTOR, C / w0))
+    storage = (_leaf("c1", CAPACITOR, 1 / (D * w0)) if fam.startswith("N11")
+               else _leaf("l1", INDUCTOR, D / w0))
+    inner = storage if C == 0 else par(storage, _leaf("r3", RESISTOR, 1 / C))
+    return dict(N1=inner if A == 0 else ser(_leaf("r1", RESISTOR, A), inner),
+                N2=_leaf("r2", RESISTOR, B),
+                N3=_leaf("c3", CAPACITOR, 1 / (E * w0)),
+                N4=_leaf("l4", INDUCTOR, E / w0),
+                N5=_leaf("l5", INDUCTOR, E / w0))
 
 
 def build_quartet(qp: QuartetParams, omega0) -> Network:
@@ -685,7 +658,7 @@ class StructureMatch:
 
     lemma8_condition: int
     bridge_assignment: Dict[str, Tuple[str, ...]]
-    corners: Tuple[str, str, str, str]      # (a, b, c, d), first embedding
+    corners: Tuple[str, str, str, str]      # (a, b, c, d), matched embedding
 
 
 def _arm_kinds(tree) -> List[str]:
@@ -739,14 +712,14 @@ def match_minimum_structure(n: Network, omega0) -> StructureMatch:
         za, zb = net.tree_impedance(tree).eval_jomega_pair(w2)
         return QComplex(za, zb * w0)        # za + j*zb*w0
 
-    for _, t in found:
+    for vmap, t in found:
         z = {pos: zval(t[pos]) for pos in t}
         cond = _test_conditions(t, z)
         if cond is not None:
             assignment = {pos: tuple(sorted(e.id for e in net.tree_elements(t[pos])))
                           for pos in sorted(t)}
             return StructureMatch(cond, assignment,
-                                  tuple(found[0][0][v] for v in "abcd"))
+                                  tuple(vmap[v] for v in "abcd"))
     raise NoMatch("no structural condition holds at j*omega0")
 
 
@@ -795,60 +768,61 @@ def _test_conditions(t, z) -> Optional[int]:
 # structural Sylvester-resultant fixtures
 # ---------------------------------------------------------------------------
 
-# arm index sets whose impedances multiply in the bridge formula
-_TREE_COMPLEMENTS = [(1, 2), (1, 3), (1, 5), (2, 3), (2, 4), (3, 4), (3, 5), (4, 5)]
-_TWOTREE_COMPLEMENTS = [(2, 3, 5), (1, 2, 5), (1, 2, 3), (2, 4, 5),
-                        (3, 4, 5), (1, 4, 5), (1, 2, 4), (1, 3, 4)]
+def _bridge_complements(merge_port: bool) -> List[FrozenSet[str]]:
+    """The bridge slots off each spanning tree (merge_port False) or off
+    each spanning 2-tree that separates a from b: a spanning tree of the
+    bridge with b merged into a."""
+    def at(v):
+        return "a" if merge_port and v == "b" else v
+
+    arms = [(at(u), at(v), slot) for (slot, u, v) in net.SHAPES["bridge"]]
+    verts = {x for (u, v, _) in arms for x in (u, v)}
+    slots = frozenset(slot for (_, _, slot) in arms)
+    # len(verts) - 1 arms that reach every vertex form a spanning tree
+    return [slots - {slot for (_, _, slot) in tree}
+            for tree in combinations(arms, len(verts) - 1)
+            if net._reach(net._adjacency(tree), "a") == verts]
 
 
-def _pair_R(v):
-    return (Polynomial([v]), ONE_POLY)
+_TREE_OFF = _bridge_complements(False)
+_TWOTREE_OFF = _bridge_complements(True)
 
 
-def _pair_L(v):
-    return (Polynomial([0, v]), ONE_POLY)
-
-
-def _pair_C(v):
-    # impedance 1/(v s)
-    return (ONE_POLY, Polynomial([0, v]))
-
-
-ONE_POLY = Polynomial([1])
-
-
-def _pair_ser(p1, p2):
-    return (p1[0] * p2[1] + p2[0] * p1[1], p1[1] * p2[1])
-
-
-def _pair_par(p1, p2):
-    return (p1[0] * p2[0], p1[0] * p2[1] + p2[0] * p1[1])
-
-
-def bridge_structural_polys(arms: Dict[int, Tuple[Polynomial, Polynomial]]):
+def bridge_structural_polys(arms: Dict[str, Tuple[Polynomial, Polynomial]]):
     """Unreduced numerator/denominator polynomials of the five-arm bridge
-    impedance, with every arm given as an unreduced (num, den) pair.
+    impedance, with the arm at each slot N1..N5 given as an unreduced
+    (num, den) pair.
 
-    The terms are the spanning-tree sums of the four-vertex bridge graph;
-    clearing all arm denominators keeps the natural polynomial degrees
-    (equal to the number of storage elements for single-storage arms).
-    They are grouped by the num/den choice for arms 1, 2 and 5: each
-    group sums its arm-3 x arm-4 products, then multiplies once by its
-    arm-1 x arm-2 x arm-5 product.  All these products serve num and den."""
+    The terms are the spanning-tree sums of the four-vertex bridge graph
+    (Kirchhoff): a term takes the den of each arm on the tree and the num
+    of each arm off it, the 2-trees that separate the port giving the
+    numerator and the trees the denominator.  Clearing all arm
+    denominators keeps the natural polynomial degrees (equal to the number
+    of storage elements for single-storage arms).  The terms are grouped by
+    the num/den choice for N1, N2 and N5: each group sums its N3 x N4
+    products, then multiplies once by its N1 x N2 x N5 product.  All these
+    products serve num and den."""
     sides = (0, 1)
-    p34 = {(c3, c4): arms[3][c3] * arms[4][c4] for c3 in sides for c4 in sides}
-    p12 = {(c1, c2): arms[1][c1] * arms[2][c2] for c1 in sides for c2 in sides}
-    p125 = {(c1, c2, c5): p * arms[5][c5] for (c1, c2), p in p12.items()
+    p34 = {(c3, c4): arms["N3"][c3] * arms["N4"][c4] for c3 in sides for c4 in sides}
+    p12 = {(c1, c2): arms["N1"][c1] * arms["N2"][c2] for c1 in sides for c2 in sides}
+    p125 = {(c1, c2, c5): p * arms["N5"][c5] for (c1, c2), p in p12.items()
             for c5 in sides}
 
-    def total(combos):
+    def total(offs):
         groups = defaultdict(Polynomial)
-        for combo in combos:
-            c1, c2, c3, c4, c5 = (0 if k in combo else 1 for k in range(1, 6))
-            groups[c1, c2, c5] += p34[c3, c4]
+        for off in offs:
+            c = {slot: 0 if slot in off else 1 for slot in arms}
+            groups[c["N1"], c["N2"], c["N5"]] += p34[c["N3"], c["N4"]]
         return sum((p125[k] * s for k, s in groups.items()), Polynomial())
 
-    return total(_TWOTREE_COMPLEMENTS), total(_TREE_COMPLEMENTS)
+    return total(_TWOTREE_OFF), total(_TREE_OFF)
+
+
+def _quartet_polys(fam: str, w0: Fraction, **params):
+    """bridge_structural_polys of a quartet family member's arms."""
+    arms = _quartet_arms(fam, QuartetParams(fam, **params), w0)
+    return bridge_structural_polys({slot: net.tree_pair(t)
+                                    for slot, t in arms.items()})
 
 
 def _poly_sqrt(p: Polynomial) -> Optional[Polynomial]:
@@ -901,7 +875,13 @@ def resultant_fixture_check(family: str, subs: Dict[str, Fraction]) -> bool:
     both printed factorizations and their resultant identity.
     family "N11"/"N12": subs r1, g2, g3, F, omega0; f1 has a known closed
     form, f2 is reconstructed, and both the R0/R1 factorizations and the
-    final resultant identity are checked."""
+    final resultant identity are checked.
+
+    The families are quartet families under a change of parameters and
+    are built from their arms, so the point must be physical: every
+    parameter positive, except r1 and g2, which may be 0 (a shorted
+    series or an open parallel resistor).  A negative one raises
+    NonpositiveValue."""
     subs = {k: _as_q(v) for k, v in subs.items()}
     w0 = subs.get("omega0", Q(1))
     if family == "Q7":
@@ -917,14 +897,7 @@ def resultant_fixture_check(family: str, subs: Dict[str, Fraction]) -> bool:
 
 
 def _q7_struct(g1, g2, F, w0):
-    arms = {
-        1: _pair_R(1 / g1),
-        2: _pair_R(1 / g2),
-        3: _pair_C(1 / (F * w0)),
-        4: _pair_L(F / w0),
-        5: _pair_L(F / w0),
-    }
-    num, den = bridge_structural_polys(arms)
+    num, den = _quartet_polys("N7", w0, A=1 / g1, B=1 / g2, C=F)
     if num.degree != 3 or den.degree != 3 or num(Q(0)) == 0:
         raise ConstraintViolated("Q7 structural polynomials are degenerate")
     c = w0 ** 3 / num(Q(0))
@@ -932,16 +905,7 @@ def _q7_struct(g1, g2, F, w0):
 
 
 def _q8_struct(g1, g2, c2, F, w0):
-    clab = F / c2
-    e = clab * F / (clab + F)
-    arms = {
-        1: _pair_R(1 / g1),
-        2: _pair_R(1 / g2),
-        3: _pair_C(1 / (F * w0)),
-        4: _pair_par(_pair_L(e / w0), _pair_C(1 / (clab * w0))),
-        5: _pair_L(F / w0),
-    }
-    num, den = bridge_structural_polys(arms)
+    num, den = _quartet_polys("N8", w0, A=1 / g1, B=1 / g2, C=F / c2, D=F)
     if num.degree != 4 or den.degree != 4 or num(Q(0)) == 0:
         raise ConstraintViolated("Q8 structural polynomials are degenerate")
     c = (1 + c2) * w0 ** 4 / num(Q(0))
@@ -985,18 +949,9 @@ def _check_q8(subs, w0) -> bool:
 
 
 def _n1112_struct(family, r1, g2, g3, F, var, w0, strict=True):
-    # var is c1 (N11) or x1 (N12); g2 = 0 opens the parallel resistor
-    storage = _pair_C(var / (F * w0)) if family == "N11" else _pair_L(F / (var * w0))
-    inner = storage if g2 == 0 else _pair_par(_pair_R(1 / g2), storage)
-    arm1 = _pair_ser(_pair_R(r1), inner)
-    arms = {
-        1: arm1,
-        2: _pair_R(1 / g3),
-        3: _pair_C(1 / (F * w0)),
-        4: _pair_L(F / w0),
-        5: _pair_L(F / w0),
-    }
-    num, den = bridge_structural_polys(arms)
+    # var is c1 (N11) or x1 (N12); r1 = 0 shorts the series resistor and
+    # g2 = 0 opens the parallel one
+    num, den = _quartet_polys(family, w0, A=r1, B=1 / g3, C=g2, D=F / var, E=F)
     if strict and (num.degree != 4 or den.degree != 4 or num(Q(0)) == 0):
         raise ConstraintViolated(f"{family} structural polynomials are degenerate")
     if not strict:

@@ -68,10 +68,12 @@ class TestImpedance:
 
     def test_n1_fixture(self, n1):
         # independent oracle: spanning-tree bridge formula
-        from prsyn.synth import bridge_structural_polys, _pair_R, _pair_L, _pair_C
+        from prsyn.synth import bridge_structural_polys
+        # unreduced (num, den) arms: R = 1/2, C = 1 and L = 1
+        half, s, one = Polynomial([Q(1, 2)]), Polynomial([0, 1]), Polynomial([1])
         num, den = bridge_structural_polys({
-            1: _pair_R(Q(1, 2)), 2: _pair_R(Q(1, 2)), 3: _pair_C(Q(1)),
-            4: _pair_L(Q(1)), 5: _pair_L(Q(1))})
+            "N1": (half, one), "N2": (half, one), "N3": (one, s),
+            "N4": (s, one), "N5": (s, one)})
         assert RationalFunction(num, den) == impedance(n1)
         assert impedance(n1) == biquad_template(BiquadParams(1, 1, Q(1, 2), 1))
 

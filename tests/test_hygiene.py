@@ -3,8 +3,9 @@ environment knobs and no floating-point arithmetic in prsyn.
 
 Every module of ``src/prsyn`` except ``__init__.py`` (whose imports are the
 public API) must use each name it imports, and every module-level function
-must be referenced somewhere in ``src/`` or ``tests/`` besides its own
-definition.  No module reads the environment, none calls ``complex``, and
+and constant must be referenced somewhere in ``src/`` or ``tests/``
+besides its own definition or assignment.  No module reads the
+environment, none calls ``complex``, and
 only the CLI ``check`` formatter calls ``float``, to print a minimum
 frequency whose square is irrational.  The one Bareiss loop, ``_bareiss``,
 is named only by its two entry points in the elimination section of
@@ -73,6 +74,29 @@ def test_every_module_function_is_referenced():
             if not any(name == fn.name and (where, owner) != (path, fn.name)
                        for where, owner, name in refs):
                 unreferenced.append(f"{path.name}: {fn.name}")
+    assert unreferenced == []
+
+
+def _assigned_names(top):
+    """Names a module-level assignment binds, dunders left out."""
+    targets = (top.targets if isinstance(top, ast.Assign)
+               else [top.target] if isinstance(top, ast.AnnAssign) else [])
+    return {t.id for t in targets
+            if isinstance(t, ast.Name) and not t.id.startswith("__")}
+
+
+def test_every_module_constant_is_referenced():
+    # a constant read only by its own assignment is not referenced
+    refs = [(path, top, _used_names(top))
+            for path in SOURCES for top in _tree(path).body]
+    unreferenced = []
+    for path in MODULES:
+        for top in _tree(path).body:
+            for name in sorted(_assigned_names(top)):
+                if not any(name in used and (where, node.lineno)
+                           != (path, top.lineno)
+                           for where, node, used in refs):
+                    unreferenced.append(f"{path.name}: {name}")
     assert unreferenced == []
 
 

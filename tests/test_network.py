@@ -20,8 +20,9 @@ from prsyn.network import (CAPACITOR, DUAL_SHAPE, DUAL_SLOT, INDUCTOR,
                            network_to_json, open_oneport, parse_netlist,
                            report_grounded_capacitors, serialize_netlist, par,
                            ser, short_oneport, skeleton, sp_tree,
-                           to_mechanical, tree_impedance)
-from prsyn.polyrat import BiquadParams, Q, biquad_params, biquad_template
+                           to_mechanical, tree_impedance, tree_pair)
+from prsyn.polyrat import (BiquadParams, Polynomial, Q, RationalFunction,
+                           biquad_params, biquad_template)
 from prsyn.synth import build_named
 
 from conftest import (ladder_network, random_biconnected_network,
@@ -305,6 +306,50 @@ class TestSeriesParallel:
         assert kinds == {True, False}
 
 
+def _stepwise_tree_impedance(tree):
+    """The former tree evaluator, kept as a reference: every leaf, series
+    sum and parallel sum is reduced as it is formed."""
+    if isinstance(tree, Leaf):
+        e = tree.element
+        if e.kind == RESISTOR:
+            return RationalFunction(Polynomial([e.value]))
+        if e.kind == INDUCTOR:
+            return RationalFunction(Polynomial([0, e.value]))
+        return RationalFunction(Polynomial([1]), Polynomial([0, e.value]))
+    parts = [_stepwise_tree_impedance(p) for p in tree.parts]
+    if isinstance(tree, Ser):
+        total = parts[0]
+        for x in parts[1:]:
+            total = total + x
+        return total
+    inv = parts[0].reciprocal()
+    for x in parts[1:]:
+        inv = inv + x.reciprocal()
+    return inv.reciprocal()
+
+
+class TestTreeImpedance:
+    def test_matches_stepwise_reference(self):
+        # every series-parallel network, ladder and arm of a reduced
+        # skeleton, reduced once at the end against at every step
+        rng = random.Random(1847)
+        nets = ([random_sp_network(rng, 10) for _ in range(150)]
+                + [random_biconnected_network(rng, 6, 10) for _ in range(150)]
+                + [ladder_network(size, rng) for size in (2, 6, 12, 20, 32)])
+        trees = [arm for n in nets for (_, _, arm) in skeleton(n)[0]]
+        assert any(isinstance(t, Par) for t in trees)
+        assert any(isinstance(t, Ser) for t in trees)
+        for tree in trees:
+            assert tree_impedance(tree) == _stepwise_tree_impedance(tree)
+
+    def test_pair_is_unreduced(self):
+        # l1 || l2 keeps the common factor s: (l1 l2 s^2, (l1 + l2) s)
+        tree = par(Leaf(Element("l1", INDUCTOR, "a", "b", 2)),
+                   Leaf(Element("l2", INDUCTOR, "a", "b", 3)))
+        assert tree_pair(tree) == (Polynomial([0, 0, 6]), Polynomial([0, 5]))
+        assert tree_impedance(tree) == RationalFunction(Polynomial([0, Q(6, 5)]))
+
+
 class TestOpenShort:
     def test_open_bridge_arm_formula(self, n1):
         # opening the N1 arm leaves Z4 + Z2 || (Z3 + Z5)
@@ -565,7 +610,7 @@ class TestMechanical:
             with pytest.raises(NetworkError):
                 transform(m)
         with pytest.raises(NetworkError):
-            m.elements[0].impedance()
+            tree_pair(Leaf(m.elements[0]))
 
 
 class TestGroundedCapacitors:

@@ -125,6 +125,12 @@ class TestEval:
         with pytest.raises(PoleAtPoint):
             eval_ratfunc(f, QComplex(0, 0))
 
+    def test_compose_winv_of_zero_and_constants(self):
+        zero = RationalFunction(0)
+        assert zero.compose_winv(1) == zero
+        assert zero.compose_winv(Q(9, 4)) == zero
+        assert RationalFunction(3).compose_winv(Q(1, 2)) == 3
+
 
 class TestPositiveReal:
     def test_inductor(self):

@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from prsyn.analysis import impedance, mcmillan_gap, storage_count
-from prsyn.network import dual, frequency_invert, parse_netlist
+from prsyn.network import (Network, NonpositiveValue, dual, frequency_invert,
+                           parse_netlist)
 from prsyn.polyrat import (BiquadParams, NotMinimum, Polynomial, Q,
                            RationalFunction, biquad_params, biquad_template,
                            is_positive_real, parse_ratfunc,
@@ -82,14 +83,30 @@ class TestTheorem2Step:
     def test_perturbed_alpha_breaks_identity(self):
         h = biquad_template(BiquadParams(1, 1, Q(2, 3), 1))
         step = theorem2_step(h)
-        d = dict(step.derived)
         ab = step.alpha_or_beta + Q(1, 1000)
-        d["chi"] = step.omega0 ** 2 + 2 * ab * step.mu_or_nu
-        d["gamma"] = step.mu_or_nu + 2 * ab
-        d["phi"] = d["chi"] + step.mu_or_nu ** 2
         bad = SynthesisStep(step.variant, step.omega0, step.X, step.mu_or_nu,
-                            ab, step.h, step.reduced, d)
+                            ab, step.h, step.reduced)
         assert not verify_theorem2_identity(h, bad)
+
+    def test_derived_symbols(self):
+        for W, F in ((Q(2, 3), Q(1)), (Q(3, 2), Q(-1))):
+            step = theorem2_step(biquad_template(BiquadParams(1, 2, W, F)))
+            w2, m, ab = step.omega0 ** 2, step.mu_or_nu, step.alpha_or_beta
+            first, second, third = (("chi", "gamma", "phi") if F > 0
+                                    else ("eta", "zeta", "psi"))
+            assert step.derived == {first: w2 + 2 * ab * m, second: m + 2 * ab,
+                                    third: w2 + 2 * ab * m + m * m}
+
+    def test_missing_resonant_pole_raises(self, monkeypatch):
+        # the general path's residue quotient has no value at j*omega0
+        import prsyn.synth as synth
+
+        def pole(num, den, omega2):
+            raise ZeroDivisionError("pole at j*omega0")
+
+        monkeypatch.setattr(synth, "_jomega_quotient", pole)
+        with pytest.raises(SynthError, match="resonant pole missing"):
+            theorem2_step(_degree_three_minimum_function())
 
     def test_failed_biquad_identity_raises(self, monkeypatch):
         # a typed error, not an assert that python -O would drop
@@ -104,20 +121,25 @@ class TestTheorem2Step:
         # composite built from a non-constant reduced function; the step
         # must recover a consistent decomposition, and the seven-element
         # constructor must refuse it
-        hr = parse_ratfunc("(2 s + 1)/(s + 1)")
-        mu, alpha, w0 = Q(1), Q(1), Q(1)
-        hval = Q(2)
-        s3 = RationalFunction(Polynomial([0, 1, 0, 1]))
-        num = s3 + hr * RationalFunction(Polynomial([mu, 0, 2 * alpha + mu]))
-        den = (hr * RationalFunction(Polynomial([0, 2 * alpha * mu + 1, 0, 1]))
-               + RationalFunction(Polynomial([mu, 0, mu])))
-        h = hval * num / den
+        h = _degree_three_minimum_function()
         step = theorem2_step(h)
         assert verify_theorem2_identity(h, step)
         assert step.reduced.mcmillan_degree <= h.mcmillan_degree - 2
         if not step.reduced.is_constant():
             with pytest.raises(NonConstantReduced):
                 build_seven_element(step, "rpfg_first")
+
+
+def _degree_three_minimum_function():
+    """The cubic composite of H_r = (2s+1)/(s+1) at mu = alpha = omega0 = 1
+    and H(mu) = 2."""
+    hr = parse_ratfunc("(2 s + 1)/(s + 1)")
+    mu, alpha, hval = Q(1), Q(1), Q(2)
+    s3 = RationalFunction(Polynomial([0, 1, 0, 1]))
+    num = s3 + hr * RationalFunction(Polynomial([mu, 0, 2 * alpha + mu]))
+    den = (hr * RationalFunction(Polynomial([0, 2 * alpha * mu + 1, 0, 1]))
+           + RationalFunction(Polynomial([mu, 0, mu])))
+    return hval * num / den
 
 
 class TestSevenElement:
@@ -338,6 +360,19 @@ class TestMatcher:
         assert match_minimum_structure(n, 1).lemma8_condition == 3
         assert len(calls) == 1
 
+    def test_corners_of_the_matched_embedding(self):
+        # with the port reversed only the a<->b, c<->d relabelling gives
+        # condition 3; the corners are that embedding's, so the assigned
+        # N4 arm l5 lies on corners a-c
+        n = build_named("N1", BiquadParams(1, 1, Q(1, 2), 1))
+        rev = Network(n.vertices, n.elements, n.port[::-1])
+        m = match_minimum_structure(rev, 1)
+        assert m.lemma8_condition == 3
+        assert m.corners == ("b", "a", "d", "c")
+        assert m.bridge_assignment["N4"] == ("l5",)
+        a, _, c, _ = m.corners
+        assert {n.element("l5").head, n.element("l5").tail} == {a, c}
+
     def test_series_rl_no_match(self):
         with pytest.raises(NoMatch):
             match_minimum_structure(
@@ -382,6 +417,12 @@ class TestResultantFixtures:
             "N12", {"r1": Q(1, 3), "g2": Q(2, 5), "g3": Q(7, 4), "F": Q(1, 2),
                     "omega0": 1})
 
+    def test_points_must_be_physical(self):
+        # the fixtures are built from quartet arms: a negative conductance
+        # is a nonpositive element value
+        with pytest.raises(NonpositiveValue):
+            resultant_fixture_check("Q7", {"g1": -1, "g2": 2, "F": 1})
+
     def test_n12_infeasibility(self, rng):
         for _ in range(30):
             assert n12_has_no_feasible_solution(
@@ -391,17 +432,23 @@ class TestResultantFixtures:
                 Fraction(rng.randint(1, 9), rng.randint(1, 9)))
 
 
+# the former literal tables: arm numbers k (slot "Nk") off each spanning
+# tree and off each 2-tree separating the port
+TREE_COMPLEMENTS = [(1, 2), (1, 3), (1, 5), (2, 3), (2, 4), (3, 4), (3, 5), (4, 5)]
+TWOTREE_COMPLEMENTS = [(2, 3, 5), (1, 2, 5), (1, 2, 3), (2, 4, 5),
+                       (3, 4, 5), (1, 4, 5), (1, 2, 4), (1, 3, 4)]
+
+
 def bridge_reference(arms):
     """The term-by-term expansion: every term's five factors multiplied in
     turn, 16 terms of 5 products each."""
-    from prsyn.synth import ONE_POLY, _TREE_COMPLEMENTS, _TWOTREE_COMPLEMENTS
     out = []
-    for combos in (_TWOTREE_COMPLEMENTS, _TREE_COMPLEMENTS):
+    for combos in (TWOTREE_COMPLEMENTS, TREE_COMPLEMENTS):
         total = Polynomial()
         for combo in combos:
-            term = ONE_POLY
+            term = Polynomial([1])
             for k in range(1, 6):
-                term = term * (arms[k][0] if k in combo else arms[k][1])
+                term = term * arms[f"N{k}"][0 if k in combo else 1]
             total = total + term
         out.append(total)
     return tuple(out)
@@ -409,7 +456,7 @@ def bridge_reference(arms):
 
 class TestBridgeStructuralPolys:
     def test_matches_term_by_term_reference(self):
-        from prsyn.synth import ONE_POLY, bridge_structural_polys
+        from prsyn.synth import bridge_structural_polys
         rng = random.Random(6151)
 
         def poly():
@@ -417,14 +464,118 @@ class TestBridgeStructuralPolys:
             if kind == 0:
                 return Polynomial()
             if kind == 1:
-                return ONE_POLY
+                return Polynomial([1])
             size = 1 if kind == 2 else rng.randint(2, 4)
             return Polynomial([Fraction(rng.randint(-9, 9), rng.randint(1, 7))
                                for _ in range(size)])
 
         for _ in range(300):
-            arms = {k: (poly(), poly()) for k in range(1, 6)}
+            arms = {f"N{k}": (poly(), poly()) for k in range(1, 6)}
             assert bridge_structural_polys(arms) == bridge_reference(arms)
+
+    def test_complements_match_the_literal_tables(self):
+        from prsyn.synth import _TREE_OFF, _TWOTREE_OFF
+
+        def slots(table):
+            return sorted(sorted(f"N{k}" for k in combo) for combo in table)
+
+        assert sorted(map(sorted, _TREE_OFF)) == slots(TREE_COMPLEMENTS)
+        assert sorted(map(sorted, _TWOTREE_OFF)) == slots(TWOTREE_COMPLEMENTS)
+
+
+# the former hand-coded arm algebra of the fixtures, kept as a reference:
+# unreduced (num, den) impedance pairs
+def _pair_R(v):
+    return (Polynomial([v]), Polynomial([1]))
+
+
+def _pair_L(v):
+    return (Polynomial([0, v]), Polynomial([1]))
+
+
+def _pair_C(v):
+    return (Polynomial([1]), Polynomial([0, v]))
+
+
+def _pair_ser(p1, p2):
+    return (p1[0] * p2[1] + p2[0] * p1[1], p1[1] * p2[1])
+
+
+def _pair_par(p1, p2):
+    return (p1[0] * p2[0], p1[0] * p2[1] + p2[0] * p1[1])
+
+
+def _reference_arms(family, v, w0):
+    """The former fixture arm dicts, keyed by slot, at point v."""
+    F = v["F"]
+    if family == "Q7":
+        n1, n2 = _pair_R(1 / v["g1"]), _pair_R(1 / v["g2"])
+        n4 = _pair_L(F / w0)
+    elif family == "Q8":
+        n1, n2 = _pair_R(1 / v["g1"]), _pair_R(1 / v["g2"])
+        clab = F / v["c2"]
+        e = clab * F / (clab + F)
+        n4 = _pair_par(_pair_L(e / w0), _pair_C(1 / (clab * w0)))
+    else:
+        storage = (_pair_C(v["var"] / (F * w0)) if family == "N11"
+                   else _pair_L(F / (v["var"] * w0)))
+        inner = (storage if v["g2"] == 0
+                 else _pair_par(_pair_R(1 / v["g2"]), storage))
+        n1, n2 = _pair_ser(_pair_R(v["r1"]), inner), _pair_R(1 / v["g3"])
+        n4 = _pair_L(F / w0)
+    return {"N1": n1, "N2": n2, "N3": _pair_C(1 / (F * w0)), "N4": n4,
+            "N5": _pair_L(F / w0)}
+
+
+class TestFixtureArms:
+    """The fixtures read the quartet arms: each arm's unreduced pair, and
+    the normalised structural polynomials, equal those of the former
+    hand-coded algebra, r1 = 0 and g2 = 0 included."""
+
+    def test_arms_match_the_pair_algebra(self):
+        from prsyn.network import tree_pair
+        from prsyn.synth import (QuartetParams, _n1112_struct, _q7_struct,
+                                 _q8_struct, _quartet_arms,
+                                 bridge_structural_polys)
+        rng = random.Random(1961)
+
+        def q(zero=False):
+            if zero and rng.random() < 0.25:
+                return Q(0)
+            return Fraction(rng.randint(1, 9), rng.randint(1, 9))
+
+        seen_zero = set()
+        for _ in range(60):
+            F, w0, g1, g2, c2 = q(), q(), q(), q(), q()
+            n1112 = {"F": F, "r1": q(zero=True), "g2": q(zero=True),
+                     "g3": q(), "var": q()}
+            seen_zero |= {k for k in ("r1", "g2") if n1112[k] == 0}
+            r1, g2z, g3, var = (n1112[k] for k in ("r1", "g2", "g3", "var"))
+            points = [
+                ("Q7", "N7", {"F": F, "g1": g1, "g2": g2},
+                 dict(A=1 / g1, B=1 / g2, C=F),
+                 _q7_struct(g1, g2, F, w0), w0 ** 3),
+                ("Q8", "N8", {"F": F, "g1": g1, "g2": g2, "c2": c2},
+                 dict(A=1 / g1, B=1 / g2, C=F / c2, D=F),
+                 _q8_struct(g1, g2, c2, F, w0), (1 + c2) * w0 ** 4),
+            ] + [
+                (fam, fam, n1112, dict(A=r1, B=1 / g3, C=g2z, D=F / var, E=F),
+                 _n1112_struct(fam, r1, g2z, g3, F, var, w0, strict=False),
+                 None)
+                for fam in ("N11", "N12")]
+            for family, fam, v, params, struct, target0 in points:
+                arms = _quartet_arms(fam, QuartetParams(fam, **params), w0)
+                want = _reference_arms(family, v, w0)
+                got = {slot: tree_pair(t) for slot, t in arms.items()}
+                assert got == want
+                num, den = bridge_reference(want)
+                assert bridge_structural_polys(got) == (num, den)
+                if target0 is None:
+                    assert struct == (num, den)
+                else:
+                    c = target0 / num(Q(0))
+                    assert struct == (num * c, den * (c * F))
+        assert seen_zero == {"r1", "g2"}
 
 
 class TestFig2Params:
