@@ -8,11 +8,11 @@ admittance stamps with the port minus terminal grounded, plus a current
 unknown only for an element whose admittance does not exist (an inductor
 at omega = 0, a capacitor holding its state voltage).  Everything is
 exact: frequencies are rationals (a float is a TypeError) and phasors are
-``QComplex`` values.  The elimination (Q[s] determinants by Bareiss over
-Z[s], Gauss-Jordan solves with nullspaces) lives in the elimination
-section of ``polyrat``; this module only sets up the systems.  The state-
-space impedance and the PBH polynomials come from det(sI - A) and Krylov
-annihilators.
+``QComplex`` values.  The elimination (Q[s] determinants by Bareiss on
+Polynomial entries, Gauss-Jordan solves with nullspaces) lives in the
+elimination section of ``polyrat``; this module only sets up the systems.
+The state-space impedance and the PBH polynomials come from det(sI - A)
+and Krylov annihilators.
 """
 
 from __future__ import annotations
@@ -108,7 +108,7 @@ def impedance(n: Network) -> Union[RationalFunction, NoImpedance]:
     """Exact driving-point impedance, asserted positive-real.
 
     Nodal analysis over Q[s] with all admittances scaled by s, determinants
-    by ``det_poly`` (Bareiss over Z[s]); H = s * cofactor / determinant."""
+    by ``det_poly`` (Bareiss over Q[s]); H = s * cofactor / determinant."""
     mat, idx = _nodal_matrix(n, map(_scaled_admittance, n.elements),
                              Polynomial())
     a = idx[n.port[0]]

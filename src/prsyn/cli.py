@@ -12,6 +12,7 @@ irrational.
 from __future__ import annotations
 
 import argparse
+import decimal
 import functools
 import json
 import math
@@ -43,8 +44,11 @@ def _phasor(text: str) -> QComplex:
 
 
 def _load_network(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return network.parse_netlist(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return network.parse_netlist(fh.read())
+    except UnicodeDecodeError as exc:
+        raise network.NetlistSyntaxError(f"{path}: {exc}") from None
 
 
 def _emit(args, payload: dict, human: str) -> None:
@@ -62,11 +66,21 @@ def _cmd_check(args) -> int:
     freqs = []
     if pr and not lossless and not f.is_zero():
         freqs = _minimum_frequencies_if_pr(f)
-    # an irrational w**2 prints as the square root of its bracket's
-    # midpoint, the one float prsyn prints
+
+    def approx_root(x: Fraction) -> str:
+        # the one float prsyn prints; a Decimal of 17 digits where x
+        # overflows a float or underflows it to zero
+        try:
+            if float(x):
+                return repr(math.sqrt(float(x)))
+        except OverflowError:
+            pass
+        return str(decimal.Context(prec=17).sqrt(
+            decimal.Decimal(x.numerator) / x.denominator))
+    # an irrational w**2 prints as the square root of its bracket's midpoint
     freq_strs = [str(w.exact) if w.exact is not None
                  else (f"sqrt({w.omega2})" if w.omega2 is not None
-                       else repr(math.sqrt(float(sum(w.bracket) / 2))))
+                       else approx_root(sum(w.bracket) / 2))
                  for w in freqs]
     _emit(args, {
         "positive_real": pr,

@@ -441,9 +441,14 @@ def network_to_json(n: Network) -> str:
 
 
 def network_from_json(text: str) -> Network:
+    """Inverse of network_to_json; values are read by exact_number."""
     data = json.loads(text)
-    elems = [Element(e["id"], e["kind"], e["head"], e["tail"], Fraction(e["value"]))
-             for e in data["elements"]]
+    try:
+        elems = [Element(e["id"], e["kind"], e["head"], e["tail"],
+                         exact_number(str(e["value"])))
+                 for e in data["elements"]]
+    except ValueError as exc:
+        raise NetlistSyntaxError(str(exc)) from None
     return Network(data["vertices"], elems, tuple(data["port"]))
 
 

@@ -1,9 +1,15 @@
 """Exact polynomial and rational-function algebra over the rationals.
 
-Everything here is exact: coefficients are ``fractions.Fraction``, equality
-is true equality, and the positive-real / minimum-function predicates are
-decided with Routh's test and Sturm chains, run as remainder sequences
-over Z[s], rather than numerical root finding.  Values at s = j*w are ``QComplex`` numbers with rational parts.
+Everything here is exact, and there is one polynomial type, ``Polynomial``:
+a positive rational content times a primitive polynomial with integer
+coefficients (Gauss's lemma).  A product multiplies contents and integer
+parts with no gcd, a sum takes one common denominator and one integer gcd,
+and ``coeffs`` builds the ``fractions.Fraction`` coefficients on demand.
+Equality is true equality.  The positive-real / minimum-function
+predicates are decided with Routh's test and Sturm chains, run as
+primitive remainder sequences on the integer parts, rather than numerical
+root finding, and determinants over Q[s] by Bareiss on Polynomial entries.
+Values at s = j*w are ``QComplex`` numbers with rational parts.
 Real roots come from one exact isolator, ``real_roots``: a rational root is
 a Fraction and an irrational one an open interval with rational ends, so a
 minimum frequency whose square is irrational is kept as such a bracket.
@@ -156,103 +162,108 @@ def qcomplex(x) -> QComplex:
 
 
 class Polynomial:
-    """Univariate polynomial with exact rational coefficients.
+    """Univariate polynomial with exact rational coefficients, stored as a
+    positive Fraction ``content`` times ``prim``, a tuple of ints ascending
+    by degree, with gcd 1, no trailing zeros and the polynomial's sign.  The
+    zero polynomial has content 0, an empty ``prim`` and degree -inf.  The
+    form is unique, so equality compares the two fields; ``coeffs`` gives
+    the Fraction coefficients, ascending."""
 
-    Coefficients are stored ascending by degree with no trailing zeros; the
-    zero polynomial stores an empty tuple and reports degree -inf.
-    """
-
-    __slots__ = ("coeffs",)
+    __slots__ = ("content", "prim")
 
     def __init__(self, coeffs: Iterable = ()):  # ascending degree
         cs = [_as_q(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        m = math.lcm(*(c.denominator for c in cs))
+        p = _poly([c.numerator * (m // c.denominator) for c in cs], 1, m)
+        self.content, self.prim = p.content, p.prim
 
     # -- structure -------------------------------------------------------------
     @property
+    def coeffs(self) -> Tuple[Fraction, ...]:
+        n, d = self.content.numerator, self.content.denominator
+        return tuple(Fraction(n * x, d) for x in self.prim)
+
+    @property
     def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+        return len(self.prim) - 1 if self.prim else NEG_INF
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.prim
 
     def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
+        return len(self.prim) <= 1
 
     def leading(self) -> Fraction:
-        if not self.coeffs:
+        if not self.prim:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return self.content * self.prim[-1]
 
     def coeff(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Q(0)
+        return self.content * self.prim[k] if 0 <= k < len(self.prim) else Q(0)
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.prim)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Polynomial([other])
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.prim == other.prim and self.content == other.content
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.content, self.prim))
 
     # -- arithmetic -------------------------------------------------------------
     def __add__(self, other):
+        # over one common denominator: with contents a and b, the sum is
+        # gcd(an, bn) / lcm(ad, bd) times x * prim + y * other.prim for
+        # integers x and y, and one integer gcd makes that primitive
         other = _as_poly(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial([self.coeff(k) + other.coeff(k) for k in range(n)])
+        if not self.prim or not other.prim:
+            return self if other.is_zero() else other
+        (an, ad), (bn, bd) = (self.content.as_integer_ratio(),
+                              other.content.as_integer_ratio())
+        g, den = math.gcd(an, bn), math.lcm(ad, bd)
+        x, y = an // g * (den // ad), bn // g * (den // bd)
+        return _poly([x * c + y * d for c, d in zip_longest(
+            self.prim, other.prim, fillvalue=0)], g, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial([-c for c in self.coeffs])
+        return _new(self.content, tuple(-x for x in self.prim))
 
     def __sub__(self, other):
-        return self + (-_as_poly(other))
+        return self + -_as_poly(other)
 
     def __rsub__(self, other):
         return _as_poly(other) - self
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            q = _as_q(other)
-            return Polynomial([c * q for c in self.coeffs])
         other = _as_poly(other)
-        if self.is_zero() or other.is_zero():
-            return Polynomial()
-        out = [Q(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Polynomial(out)
+        a, b = self.prim, other.prim
+        if not a or not b:
+            return ZERO
+        # the product of primitives is primitive (Gauss's lemma): no gcd
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+        return _new(self.content * other.content, tuple(out))
 
     __rmul__ = __mul__
 
     def __divmod__(self, other):
         other = _as_poly(other)
-        if other.is_zero():
+        if not other.prim:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dn, dd = len(rem) - 1, other.degree
-        if dn < dd:
-            return Polynomial(), self
-        quot = [Q(0)] * (dn - dd + 1)
-        lead = other.leading()
-        for k in range(dn - dd, -1, -1):
-            c = rem[dd + k] / lead
-            quot[k] = c
-            if c != 0:
-                for j, b in enumerate(other.coeffs):
-                    rem[j + k] -= c * b
-        return Polynomial(quot), Polynomial(rem[:dd])
+        quot, rem, scale = _divide(self.prim, other.prim)
+        a, b = self.content, other.content
+        return (_poly(quot, a.numerator * b.denominator,
+                      a.denominator * b.numerator * scale),
+                _poly(rem, a.numerator, a.denominator * scale))
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -261,69 +272,118 @@ class Polynomial:
         return divmod(self, other)[1]
 
     def __pow__(self, n: int):
-        out = Polynomial([1])
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
+        if n < 0:
+            raise ValueError("negative power of a polynomial")
+        out = ONE
+        for _ in range(n):
+            out = out * self
         return out
 
     def monic(self) -> "Polynomial":
-        if self.is_zero():
-            return self
-        lead = self.leading()
-        return Polynomial([c / lead for c in self.coeffs])
+        lead = self.prim[-1] if self.prim else 1
+        return _poly(list(self.prim), 1 if lead > 0 else -1, abs(lead))
 
     def derivative(self) -> "Polynomial":
-        return Polynomial([k * c for k, c in enumerate(self.coeffs)][1:])
+        c = self.content
+        return _poly([k * x for k, x in enumerate(self.prim)][1:],
+                     c.numerator, c.denominator)
+
+    def prem(self, other: "Polynomial") -> "Polynomial":
+        """The primitive part of self mod other, a positive multiple of
+        that remainder, divided out over Z[s] on the integer parts."""
+        return _poly(_divide(self.prim, other.prim)[1])
 
     def gcd(self, other: "Polynomial") -> "Polynomial":
         """The monic gcd (zero for two zeros) by the primitive remainder
         sequence over Z[s] (Collins 1967; Knuth, TAOCP vol. 2, 4.6.1)."""
-        a, b = _ZPoly.cleared(self), _ZPoly.cleared(_as_poly(other))
+        a, b = self, _as_poly(other)
         while b:
             a, b = b, a.prem(b)
-        return Polynomial(a.c).monic()
+        return a.monic()
 
     def square_free_part(self) -> "Polynomial":
         if self.degree < 1:
-            return self.monic() if not self.is_zero() else self
+            return self.monic()
         return (self // self.gcd(self.derivative())).monic()
 
     def __call__(self, x):
         """Horner evaluation; works for Fraction and QComplex."""
         acc = x * 0  # typed zero so constants adopt the argument's type
-        for c in reversed(self.coeffs):
+        for c in reversed(self.prim):
             acc = acc * x + c
-        return acc
+        return acc * self.content
 
     def eval_jomega(self, omega2: Fraction) -> Tuple[Fraction, Fraction]:
         """Evaluate at s = j*w0 where w0**2 = omega2 (rational, > 0).
 
         Returns (a, b) with p(j*w0) = a + j*b*w0, both exact rationals.
         """
-        omega2 = _as_q(omega2)
+        omega2, p = _as_q(omega2), self.prim
         a = b = Q(0)
         power = Q(1)  # (-omega2)**m
-        for m in range(0, len(self.coeffs), 2):
-            a += self.coeffs[m] * power
-            if m + 1 < len(self.coeffs):
-                b += self.coeffs[m + 1] * power
+        for m in range(0, len(p), 2):
+            a += p[m] * power
+            if m + 1 < len(p):
+                b += p[m + 1] * power
             power *= -omega2
-        return a, b
+        return a * self.content, b * self.content
 
     def flip_sign(self) -> "Polynomial":
         """p(-s)."""
-        return Polynomial([c if k % 2 == 0 else -c
-                           for k, c in enumerate(self.coeffs)])
+        return _new(self.content, tuple(-x if k % 2 else x
+                                        for k, x in enumerate(self.prim)))
 
     def __repr__(self):
         return f"Polynomial({list(self.coeffs)!r})"
 
     def __str__(self):
         return format_poly(self)
+
+
+def _new(content: Fraction, prim: Tuple[int, ...]) -> Polynomial:
+    """The Polynomial content * prim of an already canonical pair."""
+    p = object.__new__(Polynomial)
+    p.content, p.prim = content, prim
+    return p
+
+
+def _poly(ints: List[int], num: int = 1, den: int = 1) -> Polynomial:
+    """The Polynomial num/den times the ints, made canonical: trailing
+    zeros dropped, the gcd of the ints and the sign of num moved."""
+    while ints and not ints[-1]:
+        ints.pop()
+    if not ints:
+        return _new(Q(0), ())
+    g = math.gcd(*ints)
+    if num < 0:
+        g = -g
+    if g != 1:
+        ints = [x // g for x in ints]
+    return _new(Fraction(num * g, den), tuple(ints))
+
+
+def _divide(a: Sequence[int], b: Sequence[int]):
+    """(quot, rem, scale) with scale * a = quot * b + rem over Z[s], deg rem
+    < deg b and scale > 0, for ascending ints a and b (b nonzero).  Long
+    division scaling up only at a step whose top coefficient lc(b) does not
+    divide: never when b is primitive and divides a (Gauss's lemma)."""
+    rem, n, lead = list(a), len(b) - 1, b[-1]
+    quot = [0] * max(len(rem) - n, 0)
+    scale = 1
+    for k in reversed(range(len(quot))):
+        top = rem.pop()                     # coefficient of s^(k+n)
+        q, r = divmod(top, lead)
+        if r:
+            f = abs(lead) // math.gcd(top, lead)
+            rem = [x * f for x in rem]
+            quot[k + 1:] = [x * f for x in quot[k + 1:]]
+            scale *= f
+            q = top * f // lead
+        quot[k] = q
+        if q:
+            for j, y in enumerate(b[:-1], k):
+                rem[j] -= q * y
+    return quot, rem, scale
 
 
 def _as_poly(x) -> Polynomial:
@@ -356,9 +416,8 @@ class RationalFunction:
         g = num.gcd(den)
         if g.degree >= 1:
             num, den = num // g, den // g
-        lead = den.leading()
-        object.__setattr__(self, "num", num * (1 / lead))
-        object.__setattr__(self, "den", den * (1 / lead))
+        object.__setattr__(self, "num", num * (1 / den.leading()))
+        object.__setattr__(self, "den", den.monic())
 
     @property
     def mcmillan_degree(self) -> int:
@@ -444,12 +503,8 @@ class RationalFunction:
         dmax = max(int(self.num.degree), int(self.den.degree))
 
         def rev(p: Polynomial) -> Polynomial:
-            out = [Q(0)] * (dmax + 1)
-            power = Q(1)
-            for k, c in enumerate(p.coeffs):
-                out[dmax - k] = c * power
-                power *= omega2
-            return Polynomial(out)
+            return Polynomial([p.coeff(k) * omega2 ** k
+                               for k in range(dmax, -1, -1)])
 
         return RationalFunction(rev(self.num), rev(self.den))
 
@@ -504,16 +559,13 @@ def eval_ratfunc(f: RationalFunction, z) -> QComplex:
 
 def sturm_chain(p: Polynomial) -> List[Polynomial]:
     """Sturm chain of p as a primitive PRS over Z[s] (Brown & Traub 1971):
-    prem(a, b) is lc(b)^(d+1) times the remainder, d = deg a - deg b, so
-    negating it when that power is positive makes each member a positive
-    multiple of the chain p, p', -rem(p, p'), ... with the same signs."""
-    chain = [_ZPoly.cleared(p), _ZPoly.cleared(p.derivative())]
+    each member a positive multiple of the chain p, p', -rem(p, p'), ...,
+    so with the same signs."""
+    chain = [p, p.derivative()]
     while chain[-1]:
-        a, b = chain[-2], chain[-1]
-        flip = b.c[-1] > 0 or (len(a.c) - len(b.c)) % 2
-        chain.append(a.prem(b) * (-1 if flip else 1))
+        chain.append(-chain[-2].prem(chain[-1]))
     chain.pop()
-    return [Polynomial(z.c) for z in chain]
+    return chain
 
 
 def _sign_at(p: Polynomial, x) -> int:
@@ -554,7 +606,8 @@ def real_roots(p: Polynomial, lo=None,
     Degrees one and two with rational roots take closed forms.  Otherwise
     Sturm bisection isolates each root of the square-free part in an
     interval (a, b] and refines it below min(width, 1/L^2), L the leading
-    coefficient with denominators cleared.  A rational root's denominator
+    coefficient with denominators cleared: the content's numerator times
+    the primitive part's leading coefficient.  A rational root's denominator
     divides L and two distinct fractions with denominators <= L lie at
     least 1/L^2 apart, so the only candidate is the fraction nearest the
     midpoint with denominator <= L, and it is tested exactly."""
@@ -577,11 +630,11 @@ def real_roots(p: Polynomial, lo=None,
     if roots is not None:
         return [r for r in roots if lo is None or r > lo]
     chain = sturm_chain(p)
-    lead = abs(cs[-1]) * math.lcm(*(c.denominator for c in cs))
+    lead = p.content.numerator * abs(p.prim[-1])
     fine = Fraction(1, lead * lead)
     if width is not None:
         fine = min(fine, _as_q(width))
-    bound = 1 + max(abs(c) for c in cs) / abs(cs[-1])
+    bound = 1 + Fraction(max(map(abs, p.prim)), abs(p.prim[-1]))
     a = -bound if lo is None else _as_q(lo)
     if a >= bound:
         return []
@@ -610,15 +663,15 @@ def strict_hurwitz(p: Polynomial) -> bool:
     remainders of Euclid on f, the terms of p of the parity of its degree,
     and g, the others; p is strict Hurwitz iff they drop one degree at a
     time, all with positive leading coefficients.  The primitive PRS over
-    Z[s] gives positive multiples of the rows while those stay positive."""
+    Z[s] gives positive multiples of the rows."""
     if p.is_zero():
         return False
-    c = _ZPoly.cleared(p if p.leading() > 0 else -p).c
+    c = p.prim if p.prim[-1] > 0 else (-p).prim
     n = len(c) - 1
-    f, g = (_ZPoly([x if k % 2 == r else 0 for k, x in enumerate(c)])
+    f, g = (_poly([x if k % 2 == r else 0 for k, x in enumerate(c)])
             for r in (n % 2, 1 - n % 2))
-    while len(f.c) > 1:
-        if len(g.c) != len(f.c) - 1 or g.c[-1] <= 0:
+    while len(f.prim) > 1:
+        if len(g.prim) != len(f.prim) - 1 or g.prim[-1] <= 0:
             return False
         f, g = g, f.prem(g)
     return True
@@ -633,12 +686,10 @@ def even_part_numerator(g: RationalFunction) -> Polynomial:
 def even_part_profile(g: RationalFunction) -> Polynomial:
     """E(v) with E(w**2) = r(jw), the even-part numerator on the j-axis."""
     r = even_part_numerator(g)
-    out = []
-    for k in range(0, len(r.coeffs), 2):
-        if k + 1 < len(r.coeffs) and r.coeffs[k + 1] != 0:
-            raise AssertionError("even-part numerator must be even")
-        out.append(r.coeffs[k] * (-1) ** (k // 2))
-    return Polynomial(out)
+    if any(r.prim[1::2]):
+        raise AssertionError("even-part numerator must be even")
+    return _new(r.content, tuple(-x if m % 2 else x
+                                 for m, x in enumerate(r.prim[0::2])))
 
 
 def _nonnegative_on_nonneg_axis(e: Polynomial) -> bool:
@@ -750,8 +801,8 @@ def _minimum_if_pr(g: RationalFunction) -> bool:
 def _has_imaginary_axis_root(p: Polynomial) -> bool:
     if p.is_zero() or p(Q(0)) == 0:
         return True
-    even = Polynomial(p.coeffs[0::2])
-    odd = Polynomial(p.coeffs[1::2])
+    even = _poly(list(p.prim[0::2]))
+    odd = _poly(list(p.prim[1::2]))
     g = even.gcd(odd)
     if g.degree < 1:
         return False
@@ -823,76 +874,13 @@ def biquad_params(h: RationalFunction) -> BiquadParams:
 # Exact elimination: the one home of determinants, solves and Sylvester rows
 # ---------------------------------------------------------------------------
 
-class _ZPoly:
-    """Element of Z[s] for Bareiss and the PRS: ascending int coefficients
-    with no trailing zeros.  Multiplies by an int or a _ZPoly; its divmod
-    is exact division, with a nonzero remainder when that fails."""
-
-    __slots__ = ("c",)
-
-    def __init__(self, c: List[int]):
-        while c and not c[-1]:
-            c.pop()
-        self.c = c
-
-    @classmethod
-    def primitive(cls, c: List[int]) -> "_ZPoly":
-        """The ints c divided by their content, their gcd."""
-        g = math.gcd(*c)
-        return cls([x // g for x in c] if g > 1 else c)
-
-    @classmethod
-    def cleared(cls, p: Polynomial) -> "_ZPoly":
-        """The primitive positive integer multiple of p."""
-        m = math.lcm(*(c.denominator for c in p.coeffs))
-        return cls.primitive([c.numerator * (m // c.denominator)
-                              for c in p.coeffs])
-
-    def prem(self, other: "_ZPoly") -> "_ZPoly":
-        """Primitive part of the pseudo-remainder lc(other)^(d+1) * self
-        mod other, d = deg self - deg other >= 0 (of self when d < 0)."""
-        r, d = list(self.c), other.c
-        lead, n = d[-1], len(d) - 1
-        for k in reversed(range(len(r) - n)):
-            q = r.pop()                     # coefficient of s^(k+n)
-            r = [x * lead for x in r]
-            for j, y in enumerate(d[:-1], k):
-                r[j] -= q * y
-        return _ZPoly.primitive(r)
-
-    def __bool__(self):
-        return bool(self.c)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return _ZPoly([x * other for x in self.c])
-        out = [0] * (len(self.c) + len(other.c))
-        for i, x in enumerate(self.c):
-            for j, y in enumerate(other.c, i):
-                out[j] += x * y
-        return _ZPoly(out)
-
-    def __sub__(self, other):
-        return _ZPoly([x - y for x, y in zip_longest(self.c, other.c,
-                                                     fillvalue=0)])
-
-    def __divmod__(self, other):
-        rem, d = list(self.c), other.c
-        quot = [0] * max(len(rem) - len(d) + 1, 0)
-        for k in reversed(range(len(quot))):
-            q = quot[k] = rem[k + len(d) - 1] // d[-1]
-            for j, y in enumerate(d, k):
-                rem[j] -= q * y
-        return _ZPoly(quot), _ZPoly(rem)
-
-
 def _bareiss(m):
     """Determinant of the square matrix m by fraction-free elimination
     (Bareiss 1968, Sylvester's identity), overwriting m.
 
     Works over any exact ring whose entries are falsy at zero and whose
     divmod is exact division with remainder: here int (``det_bareiss``)
-    and Z[s] as ``_ZPoly`` (``det_poly``).  The pivot of each column is
+    and Polynomial (``det_poly``).  The pivot of each column is
     the first nonzero entry at or below the diagonal.  The empty matrix
     has determinant 1."""
     n = len(m)
@@ -920,28 +908,20 @@ def _bareiss(m):
     return m[n - 1][n - 1] * sign if n else 1
 
 
-def _integer_rows(matrix, coeffs):
-    """matrix with each row times the lcm of its coefficient denominators,
-    and the product of those multipliers.  coeffs(x) gives the Fractions of
-    entry x, which becomes the list of their scaled integers."""
-    rows = [[coeffs(x) for x in row] for row in matrix]
-    mults = [math.lcm(*(c.denominator for x in row for c in x)) for row in rows]
-    return ([[[c.numerator * (m // c.denominator) for c in x] for x in row]
-             for row, m in zip(rows, mults)], math.prod(mults))
-
-
 def det_bareiss(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
     """Exact determinant via integer Bareiss after clearing row denominators."""
-    rows, scale = _integer_rows(matrix, lambda x: (_as_q(x),))
-    return Fraction(_bareiss([[x[0] for x in row] for row in rows]), scale)
+    rows = [[_as_q(x) for x in row] for row in matrix]
+    mults = [math.lcm(*(x.denominator for x in row)) for row in rows]
+    return Fraction(_bareiss([[x.numerator * (m // x.denominator) for x in row]
+                              for row, m in zip(rows, mults)]),
+                    math.prod(mults))
 
 
 def det_poly(matrix: Sequence[Sequence[Polynomial]]) -> Polynomial:
-    """Exact determinant over Q[s]: Bareiss over Z[s] after clearing row
-    denominators (Gauss's lemma), divided by the product of the multipliers."""
-    rows, scale = _integer_rows(matrix, lambda p: p.coeffs)
-    d = _bareiss([[_ZPoly(x) for x in row] for row in rows])
-    return Polynomial(Fraction(c, scale) for c in d.c) if rows else ONE
+    """Exact determinant over Q[s]: Bareiss on the Polynomial entries,
+    whose products keep contents apart (Gauss's lemma) and whose exact
+    divisions run over Z[s] on the primitive parts."""
+    return _as_poly(_bareiss([list(row) for row in matrix]))
 
 
 def _gauss_jordan(rows, rhs, zero, is_zero):

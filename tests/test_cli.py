@@ -77,6 +77,25 @@ class TestVerdicts:
             f"minimum_frequencies=[{2 ** 0.25!r}]")
         assert repr(2 ** 0.25) == "1.189207115002721"
 
+    @pytest.mark.parametrize("scale, printed", [
+        (Fraction(1, 10 ** 200), "1.1892071150027211E+200"),
+        (10 ** 200, "1.1892071150027211E-200")])
+    def test_check_frequency_beyond_float_range(self, run, scale, printed):
+        # the function above with s -> s * scale: omega^2 = sqrt(2) / scale^2
+        # overflows a float or underflows it to zero, so omega is printed
+        # as a Decimal of 17 digits
+        num = [2, Fraction(117, 32), Fraction(21, 8), Fraction(45, 32),
+               Fraction(1, 2)]
+        den = [1, 4, 6, 4, 1]
+
+        def text(cs):
+            return " + ".join(f"{c * Fraction(scale) ** k} s^{k}"
+                              for k, c in enumerate(cs))
+        for argv in (["check"], ["--json", "check"]):
+            code, out, err = run(*argv, f"({text(num)}) / ({text(den)})")
+            assert (code, err) == (0, "")
+            assert printed in out
+
     def test_domain_error_exit(self, run):
         code, _, err = run("params", "s + 1")   # not a minimum function
         assert code == 3 and "error" in err
@@ -245,6 +264,8 @@ MALFORMED = [
     (["phasor", "{net}", "--omega", "1e3000000"], 2),
     # one drive at a time
     (["phasor", "{net}", "--omega", "1", "--current", "1", "--voltage", "1"], 2),
+    # a netlist file that is not UTF-8 text
+    (["impedance", "{utf16}"], 3),
 ]
 
 
@@ -255,7 +276,9 @@ class TestMalformedInput:
         net.write_text(N1_NETLIST)
         # an exponent past MAX_EXPONENT is refused before 10**N is computed
         huge.write_text("R r1 a b 1e3000000\nPORT a b\n")
-        return {"net": str(net), "huge": str(huge)}
+        utf16 = tmp_path / "utf16.net"
+        utf16.write_bytes(b"\xff\xfe" + N1_NETLIST.encode("utf-16-le"))
+        return {"net": str(net), "huge": str(huge), "utf16": str(utf16)}
 
     @staticmethod
     def assert_one_line(err):

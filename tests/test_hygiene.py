@@ -9,7 +9,8 @@ environment, none calls ``complex``, and
 only the CLI ``check`` formatter calls ``float``, to print a minimum
 frequency whose square is irrational.  The one Bareiss loop, ``_bareiss``,
 is named only by its two entry points in the elimination section of
-``polyrat``, so no determinant over Q[s] runs beside the Z[s] one.  In the
+``polyrat``, so no second determinant loop runs beside it, and
+``Polynomial`` is the one polynomial class of ``polyrat``.  In the
 graph code of ``network`` and ``analysis`` only ``_reach`` and the block
 decomposition ``_edge_biconnected_components`` run a stack loop.  The
 checks read the sources with ``ast``; nothing is imported.
@@ -136,7 +137,7 @@ def test_no_float_arithmetic():
     assert found == []
 
 
-# the entry points of the one Bareiss loop: int rows and Z[s] rows
+# the entry points of the one Bareiss loop: int rows and Polynomial rows
 BAREISS_ENTRY_POINTS = {("src/prsyn/polyrat.py", "det_bareiss"),
                         ("src/prsyn/polyrat.py", "det_poly")}
 
@@ -150,6 +151,25 @@ def test_bareiss_named_only_by_its_entry_points():
                 found.add((path.relative_to(ROOT).as_posix(),
                            getattr(top, "name", None)))
     assert found == BAREISS_ENTRY_POINTS
+
+
+# the classes of polyrat with arithmetic, one per number type: QComplex for
+# Q(j), Polynomial for Q[s] and RationalFunction for Q(s)
+ARITHMETIC_CLASSES = {"QComplex", "Polynomial", "RationalFunction"}
+
+
+def test_one_polynomial_type():
+    # a second polynomial class, such as an integer kernel beside
+    # Polynomial, fails: only Polynomial has division with remainder
+    arithmetic, euclidean = set(), set()
+    for top in _tree(PACKAGE / "polyrat.py").body:
+        if isinstance(top, ast.ClassDef):
+            defs = {n.name for n in top.body if isinstance(n, ast.FunctionDef)}
+            if defs & {"__add__", "__sub__", "__mul__"}:
+                arithmetic.add(top.name)
+            if defs & {"__divmod__", "prem", "gcd"}:
+                euclidean.add(top.name)
+    assert arithmetic == ARITHMETIC_CLASSES and euclidean == {"Polynomial"}
 
 
 # the one graph walk and the one block decomposition: no other stack loop

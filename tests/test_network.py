@@ -2,6 +2,7 @@
 
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -78,6 +79,19 @@ class TestParse:
 
     def test_json_roundtrip(self, n1):
         assert network_from_json(network_to_json(n1)) == n1
+
+    def test_json_values_read_as_netlist_values(self):
+        # the exponent is refused before 10**N is computed, so the huge one
+        # returns at once; a non-number raises the same error
+        data = json.loads(network_to_json(parse_netlist("R r1 a b 1\nPORT a b")))
+        for bad in ("x", "1/0", "1e5000000000"):
+            data["elements"][0]["value"] = bad
+            start = time.process_time()
+            with pytest.raises(NetlistSyntaxError):
+                network_from_json(json.dumps(data))
+            assert time.process_time() - start < 1
+        data["elements"][0]["value"] = "1.5e-2"
+        assert network_from_json(json.dumps(data)).elements[0].value == Q(3, 200)
 
 
 class TestIncidence:

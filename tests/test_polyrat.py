@@ -16,8 +16,8 @@ from prsyn.polyrat import (BiquadParams, DegreeTooSmall, NotBiquadratic,
                            _gauss_jordan, _interpolate,
                            biquad_params, biquad_template, count_real_roots,
                            det_bareiss, det_poly,
-                           eval_ratfunc, format_ratfunc, is_lossless,
-                           is_minimum_function, is_positive_real,
+                           eval_ratfunc, format_poly, format_ratfunc,
+                           is_lossless, is_minimum_function, is_positive_real,
                            minimum_frequencies, parse_poly, parse_ratfunc,
                            real_roots, reduce, strict_hurwitz, sturm_chain,
                            sylvester_determinant, sylvester_matrix,
@@ -53,7 +53,7 @@ def permutation_determinant(m):
 
 def q_bareiss_reference(m):
     """Reference: the Bareiss loop run directly over Q[s], each exact
-    division a Polynomial divmod with Fraction coefficients."""
+    division a Polynomial divmod checked to leave no remainder."""
     n = len(m)
     sign = 1
     prev = None
@@ -294,8 +294,8 @@ class TestSylvester:
             m = [[Fraction(rng.randint(-6, 6), rng.randint(1, 4))
                   for _ in range(n)] for _ in range(n)]
             assert det_bareiss(m) == permutation_determinant(m)
-        # the same elimination loop over Z[s] behind det_poly, with zero
-        # entries forcing row swaps
+        # the same elimination loop on the Polynomial entries of det_poly,
+        # with zero entries forcing row swaps
         for _ in range(25):
             n = rng.randint(1, 4)
             m = [[Polynomial([Fraction(rng.randint(-4, 4), rng.randint(1, 3))
@@ -852,3 +852,207 @@ class TestIntegerPRS:
         h = impedance(ladder_network(32, random.Random(32)))
         assert is_positive_real(h)
         assert inside == [] and outside
+
+
+class FractionPolynomial:
+    """Reference: Polynomial as it was before it stored content times a
+    primitive integer part, a tuple of Fraction coefficients, ascending,
+    with no trailing zeros; gcd is Euclid over Q[s]."""
+
+    def __init__(self, coeffs=()):
+        cs = [Fraction(c) for c in coeffs]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        self.coeffs = tuple(cs)
+
+    @property
+    def degree(self):
+        return len(self.coeffs) - 1 if self.coeffs else -math.inf
+
+    def is_zero(self):
+        return not self.coeffs
+
+    def leading(self):
+        return self.coeffs[-1]
+
+    def coeff(self, k):
+        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Q(0)
+
+    def __add__(self, other):
+        n = max(len(self.coeffs), len(other.coeffs))
+        return FractionPolynomial([self.coeff(k) + other.coeff(k)
+                                   for k in range(n)])
+
+    def __neg__(self):
+        return FractionPolynomial([-c for c in self.coeffs])
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return FractionPolynomial([c * other for c in self.coeffs])
+        if self.is_zero() or other.is_zero():
+            return FractionPolynomial()
+        out = [Q(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                out[i + j] += a * b
+        return FractionPolynomial(out)
+
+    def __divmod__(self, other):
+        rem = list(self.coeffs)
+        dn, dd = len(rem) - 1, len(other.coeffs) - 1
+        if dn < dd:
+            return FractionPolynomial(), self
+        quot = [Q(0)] * (dn - dd + 1)
+        for k in range(dn - dd, -1, -1):
+            c = quot[k] = rem[dd + k] / other.leading()
+            for j, b in enumerate(other.coeffs):
+                rem[j + k] -= c * b
+        return FractionPolynomial(quot), FractionPolynomial(rem[:dd])
+
+    def monic(self):
+        if self.is_zero():
+            return self
+        return FractionPolynomial([c / self.leading() for c in self.coeffs])
+
+    def derivative(self):
+        return FractionPolynomial([k * c for k, c in enumerate(self.coeffs)][1:])
+
+    def gcd(self, other):
+        a, b = self, other
+        while not b.is_zero():
+            a, b = b, divmod(a, b)[1]
+        return a.monic()
+
+    def __call__(self, x):
+        acc = x * 0
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc
+
+    def eval_jomega(self, omega2):
+        a = b = Q(0)
+        power = Q(1)
+        for m in range(0, len(self.coeffs), 2):
+            a += self.coeffs[m] * power
+            if m + 1 < len(self.coeffs):
+                b += self.coeffs[m + 1] * power
+            power *= -omega2
+        return a, b
+
+    def flip_sign(self):
+        return FractionPolynomial([-c if k % 2 else c
+                                   for k, c in enumerate(self.coeffs)])
+
+    def __repr__(self):
+        return f"Polynomial({list(self.coeffs)!r})"
+
+
+def random_coefficients(rng):
+    """Coefficient lists for both representations: empty, all zero, a
+    constant, or up to seven terms of ints and Fractions with denominators
+    up to 10**9, either sign, sometimes with trailing zeros."""
+    def q():
+        den = rng.choice([1, rng.randint(1, 12), rng.randint(1, 10 ** 9)])
+        num = rng.choice([0, rng.randint(-12, 12), rng.randint(-10 ** 9, 10 ** 9)])
+        return num if den == 1 and rng.random() < 0.5 else Fraction(num, den)
+
+    kind = rng.randrange(6)
+    if kind == 0:
+        return [0] * rng.randint(0, 2)
+    cs = [q() for _ in range(1 if kind == 1 else rng.randint(2, 7))]
+    return cs + [0] * (rng.random() < 0.2)
+
+
+def assert_same(new, ref):
+    """new is the reference polynomial, in canonical content x primitive
+    form: content positive and the integer part primitive, its leading
+    entry nonzero (content 0 and no entries for zero)."""
+    assert new.coeffs == ref.coeffs
+    assert type(new.coeffs) is tuple
+    assert all(type(c) is Fraction for c in new.coeffs)
+    if ref.is_zero():
+        assert (new.content, new.prim) == (0, ())
+    else:
+        assert new.content > 0 and math.gcd(*new.prim) == 1 and new.prim[-1]
+        assert all(type(x) is int for x in new.prim)
+
+
+class TestContentPrimitiveForm:
+    """Polynomial stores content x primitive ints; every operation must give
+    what the Fraction-tuple reference gives."""
+
+    def test_operations_match_fraction_reference(self):
+        rng = random.Random(1801)
+        for _ in range(400):
+            a, b = random_coefficients(rng), random_coefficients(rng)
+            p, q = Polynomial(a), Polynomial(b)
+            pr, qr = FractionPolynomial(a), FractionPolynomial(b)
+            assert_same(p, pr)
+            assert_same(p + q, pr + qr)
+            assert_same(p - q, pr - qr)
+            assert_same(q - p, qr - pr)
+            assert_same(p * q, pr * qr)
+            c = rng.choice([0, 1, -1, 3, Fraction(-7, 10 ** 9), Fraction(5, 6)])
+            assert_same(p * c, pr * c)
+            assert_same(c * p, pr * c)
+            assert_same(-p, -pr)
+            if not qr.is_zero():
+                for new, ref in zip(divmod(p, q), divmod(pr, qr)):
+                    assert_same(new, ref)
+                # an exact division, as Bareiss and the gcd reduction do
+                for new, ref in zip(divmod(p * q, q), divmod(pr * qr, qr)):
+                    assert_same(new, ref)
+            assert_same(p.monic(), pr.monic())
+            assert_same(p.derivative(), pr.derivative())
+            assert_same(p.flip_sign(), pr.flip_sign())
+            assert_same(p.gcd(q), pr.gcd(qr))
+            assert p.degree == pr.degree
+            assert all(p.coeff(k) == pr.coeff(k) for k in range(-1, 9))
+            x = Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 9))
+            z = QComplex(x, Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+            omega2 = Fraction(rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 9))
+            assert p(x) == pr(x) and type(p(x)) is Fraction
+            assert p(z) == pr(z)
+            assert p.eval_jomega(omega2) == pr.eval_jomega(omega2)
+
+    def test_equal_by_any_route_have_equal_hash(self):
+        rng = random.Random(1839)
+        for _ in range(200):
+            a, b = random_coefficients(rng), random_coefficients(rng)
+            p, q = Polynomial(a), Polynomial(b)
+            routes = [Polynomial([str(c) for c in a]), Polynomial(p.coeffs),
+                      -(-p), (p * 3) * Fraction(1, 3), p + q - q,
+                      p * Polynomial([Fraction(1, 10 ** 9)]) * 10 ** 9]
+            if q:
+                routes.append((p * q) // q)
+            if p:
+                routes.append(p.monic() * p.leading())
+            for r in routes:
+                assert r == p and hash(r) == hash(p)
+            assert len(set(routes + [p])) == 1
+        assert Polynomial([Q(3, 2)]) == Q(3, 2) and Polynomial() == 0
+
+    def test_coefficients_and_text(self):
+        p = Polynomial([Q(1, 2), 0, -3])
+        assert p.coeffs == (Q(1, 2), Q(0), Q(-3))
+        assert repr(p) == "Polynomial([Fraction(1, 2), Fraction(0, 1), " \
+                          "Fraction(-3, 1)])"
+        assert str(p) == "-3 s^2 + 1/2"
+        assert (repr(Polynomial()), str(Polynomial())) == ("Polynomial([])", "0")
+        assert str(Polynomial([-1, Q(-2, 7), 1])) == "s^2 - 2/7 s - 1"
+        rng = random.Random(1842)
+        for _ in range(100):
+            a = random_coefficients(rng)
+            ref = FractionPolynomial(a)
+            assert repr(Polynomial(a)) == repr(ref)
+            assert str(Polynomial(a)) == format_poly(ref)
+
+    def test_negative_power_raises(self):
+        # the square-and-multiply loop never ends on n = -1 (-1 >> 1 == -1)
+        with pytest.raises(ValueError):
+            Polynomial([1]) ** -1
+        p = Polynomial([1, Q(-1, 2)])
+        assert p ** 0 == 1 and p ** 3 == p * p * p
