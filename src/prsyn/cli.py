@@ -69,12 +69,9 @@ def _cmd_check(args) -> int:
 
     def approx_root(x: Fraction) -> str:
         # the one float prsyn prints; a Decimal of 17 digits where x
-        # overflows a float or underflows it to zero
-        try:
-            if float(x):
-                return repr(math.sqrt(float(x)))
-        except OverflowError:
-            pass
+        # overflows a float or falls below its normal range
+        if sys.float_info.min <= x <= sys.float_info.max:
+            return repr(math.sqrt(x))
         return str(decimal.Context(prec=17).sqrt(
             decimal.Decimal(x.numerator) / x.denominator))
     # an irrational w**2 prints as the square root of its bracket's midpoint

@@ -274,9 +274,12 @@ class Polynomial:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        out = ONE
-        for _ in range(n):
-            out = out * self
+        out, base = ONE, self
+        while n:
+            if n & 1:
+                out = out * base
+            base = base * base
+            n >>= 1
         return out
 
     def monic(self) -> "Polynomial":

@@ -79,11 +79,13 @@ class TestVerdicts:
 
     @pytest.mark.parametrize("scale, printed", [
         (Fraction(1, 10 ** 200), "1.1892071150027211E+200"),
-        (10 ** 200, "1.1892071150027211E-200")])
+        (10 ** 200, "1.1892071150027211E-200"),
+        # omega^2 near 1.4e-316 is a subnormal float, good to 3 digits
+        (10 ** 158, "1.1892071150027211E-158")])
     def test_check_frequency_beyond_float_range(self, run, scale, printed):
         # the function above with s -> s * scale: omega^2 = sqrt(2) / scale^2
-        # overflows a float or underflows it to zero, so omega is printed
-        # as a Decimal of 17 digits
+        # overflows a float or falls below its normal range, so omega is
+        # printed as a Decimal of 17 digits
         num = [2, Fraction(117, 32), Fraction(21, 8), Fraction(45, 32),
                Fraction(1, 2)]
         den = [1, 4, 6, 4, 1]
