@@ -8,9 +8,10 @@ admittance stamps with the port minus terminal grounded, plus a current
 unknown only for an element whose admittance does not exist (an inductor
 at omega = 0, a capacitor holding its state voltage).  Everything is
 exact: frequencies are rationals (a float is a TypeError) and phasors are
-``QComplex`` values.  The elimination (Q[s] determinants by Bareiss on
-Polynomial entries, Gauss-Jordan solves with nullspaces) lives in the
-elimination section of ``polyrat``; this module only sets up the systems.
+``QComplex`` values.  The elimination lives in the elimination section of
+``polyrat``: ``det_poly`` over Q[s] and ``solve`` over Q or Q(j), with
+nullspaces, both one fraction-free loop over Z[s], Z or Z[j]; this module
+only sets up the systems.
 The state-space impedance and the PBH polynomials come from det(sI - A)
 and Krylov annihilators.
 """
@@ -23,8 +24,8 @@ from fractions import Fraction
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 
 from .polyrat import (ONE, Polynomial, Q, QComplex, RationalFunction, _as_q,
-                      _gauss_jordan, _lossless_if_pr, det_poly,
-                      is_positive_real, qcomplex, real_roots, strict_hurwitz)
+                      _lossless_if_pr, det_poly, is_positive_real, qcomplex,
+                      real_roots, solve, strict_hurwitz)
 from . import network as net
 from .network import (CAPACITOR, INDUCTOR, RESISTOR, Element, Network,
                       OnePort, OpenCircuit, ShortCircuit, one_port_boundary)
@@ -191,7 +192,7 @@ def _phasor_space(n: Network, omega: Fraction, drive: Tuple[str, QComplex]):
     rows.append(row)
     rhs = [[zero]] * len(mat) + [[value]]
 
-    solved = _gauss_jordan(rows, rhs, zero, QComplex.is_zero)
+    solved = solve(rows, rhs)
     if solved is None:
         raise InconsistentDrive(
             f"no sinusoidal trajectory with drive {mode}={value} at omega={omega}")
@@ -542,7 +543,7 @@ def state_space(n: Network) -> StateSpace:
     for j, e in enumerate(capacitors):     # e_head - e_tail = v_C
         rhs[nnode + j][state_col[e.id]] += 1
 
-    solved = _gauss_jordan(mat, rhs, Q(0), lambda x: x == 0)
+    solved = solve(mat, rhs)
     if solved is None or solved[1]:
         raise AnalysisError("singular algebraic system in state extraction")
     sol = solved[0]
@@ -612,15 +613,15 @@ class PBHReport:
 def _annihilator(a, b) -> Polynomial:
     """The monic m of least degree with m(A) b = 0, A given by its rows a.
 
-    In the nullspace of the Krylov matrix [b, Ab, ..., A^n b] that
-    ``_gauss_jordan`` returns, the first basis vector belongs to the first
-    column A^k b that depends on the ones before it; its entries are the
-    coefficients of m, with 1 at s^k.  With no state, m = 1."""
+    The Krylov matrix [b, Ab, ..., A^n b] is rational, so ``solve`` runs
+    the fraction-free loop on its cleared int rows, with no right-hand
+    column.  In the nullspace it returns, the first basis vector belongs to
+    the first column A^k b that depends on the ones before it; its entries
+    are the coefficients of m, with 1 at s^k.  With no state, m = 1."""
     cols = [list(b)]
     for _ in b:
         cols.append([sum(x * y for x, y in zip(row, cols[-1])) for row in a])
-    _, basis = _gauss_jordan(list(zip(*cols)), [[]] * len(b), Q(0),
-                             lambda x: x == 0)
+    _, basis = solve(list(zip(*cols)), [[]] * len(b))
     return Polynomial(basis[0]) if basis else ONE
 
 

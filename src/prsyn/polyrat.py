@@ -8,8 +8,11 @@ and ``coeffs`` builds the ``fractions.Fraction`` coefficients on demand.
 Equality is true equality.  The positive-real / minimum-function
 predicates are decided with Routh's test and Sturm chains, run as
 primitive remainder sequences on the integer parts, rather than numerical
-root finding, and determinants over Q[s] by Bareiss on Polynomial entries.
-Values at s = j*w are ``QComplex`` numbers with rational parts.
+root finding.  Values at s = j*w are ``QComplex`` numbers with rational
+parts.  Determinants and linear solves run one fraction-free elimination
+loop, ``_eliminate``, over Z, the Gaussian integers Z[j] or Z[s] on
+Polynomial entries: a determinant takes its forward half, and a solve,
+after clearing row denominators, its back half too.
 Real roots come from one exact isolator, ``real_roots``: a rational root is
 a Fraction and an irrational one an open interval with rational ends, so a
 minimum frequency whose square is irrational is kept as such a bracket.
@@ -874,116 +877,165 @@ def biquad_params(h: RationalFunction) -> BiquadParams:
 
 
 # ---------------------------------------------------------------------------
-# Exact elimination: the one home of determinants, solves and Sylvester rows
+# Exact elimination: the one home of determinants, solves and Sylvester rows.
+# One fraction-free loop runs over Z, Z[j] and Z[s]: its forward half gives
+# the determinants, and a solve adds the back half.
 # ---------------------------------------------------------------------------
 
-def _bareiss(m):
-    """Determinant of the square matrix m by fraction-free elimination
-    (Bareiss 1968, Sylvester's identity), overwriting m.
+class _GaussInt:
+    """A Gaussian integer re + im*j with int parts: the ring Z[j] that
+    ``solve`` clears a QComplex system into, with only the operations that
+    ``_eliminate`` uses."""
 
-    Works over any exact ring whose entries are falsy at zero and whose
-    divmod is exact division with remainder: here int (``det_bareiss``)
-    and Polynomial (``det_poly``).  The pivot of each column is
-    the first nonzero entry at or below the diagonal.  The empty matrix
-    has determinant 1."""
-    n = len(m)
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: int, im: int):
+        self.re = re
+        self.im = im
+
+    def __mul__(self, other):
+        return _GaussInt(self.re * other.re - self.im * other.im,
+                         self.re * other.im + self.im * other.re)
+
+    def __sub__(self, other):
+        return _GaussInt(self.re - other.re, self.im - other.im)
+
+    def __bool__(self):
+        return bool(self.re or self.im)
+
+    def __divmod__(self, other):
+        norm = other.re * other.re + other.im * other.im
+        qr, rr = divmod(self.re * other.re + self.im * other.im, norm)
+        qi, ri = divmod(self.im * other.re - self.re * other.im, norm)
+        q = _GaussInt(qr, qi)
+        return q, (self - q * other if rr or ri else _GaussInt(0, 0))
+
+
+def _eliminate(m, width, back):
+    """Fraction-free elimination of the rows m in place (Bareiss 1968); with
+    back, one-step fraction-free Gauss-Jordan (Nakos, Turner & Williams
+    1997, "Fraction-free algorithms for linear and polynomial equations").
+
+    The entries lie in an integral domain whose zero is falsy and whose
+    divmod is division with remainder: int, _GaussInt or Polynomial.  The
+    pivot of each of the first width columns is its first nonzero entry at
+    or below the current row; a column with none is skipped.  Each step sets
+    a_ij to (p a_ij - a_ic a_rj) / p_prev on the rows below the pivot row
+    and, with back, on the rows above it too.  Returns (pivot columns, swap
+    sign).  Pivot columns keep their pivots and stale entries that are never
+    read; after back, each pivot row holds the last pivot d as the
+    coefficient of its pivot column."""
+    rows = len(m)
+    pivots: List[int] = []
+    skipped: List[int] = []     # no pivot: zero from the current row down
     sign = 1
     prev = None                 # the previous pivot; no division at step 0
-    for col in range(n - 1):
-        if not m[col][col]:
-            swap = next((r for r in range(col + 1, n) if m[r][col]), None)
-            if swap is None:
-                return m[col][col]          # the ring's zero
-            m[col], m[swap] = m[swap], m[col]
+    for c in range(width):
+        r = len(pivots)
+        if r == rows:
+            break
+        piv = r if m[r][c] else next(
+            (i for i in range(r + 1, rows) if m[i][c]), None)
+        if piv is None:
+            skipped.append(c)
+            continue
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
             sign = -sign
-        top = m[col]
-        pivot = top[col]
-        for r in range(col + 1, n):
-            row = m[r]
-            lead = row[col]
-            for c in range(col + 1, n):
-                x = row[c] * pivot - lead * top[c]
+        top = m[r]
+        p = top[c]
+        cols = range(c + 1, len(top))
+        if back:
+            cols = skipped + list(cols)
+        for i in range(0 if back else r + 1, rows):
+            if i == r:
+                continue
+            row = m[i]
+            lead = row[c]
+            for j in cols:
+                x = row[j] * p - lead * top[j]
                 if prev is not None:
                     x, rem = divmod(x, prev)
-                    assert not rem, "Bareiss division must be exact"
-                row[c] = x
-        prev = pivot
-    return m[n - 1][n - 1] * sign if n else 1
+                    if rem:
+                        raise ArithmeticError(
+                            "fraction-free elimination left a remainder")
+                row[j] = x
+        pivots.append(c)
+        prev = p
+    return pivots, sign
+
+
+def _int_rows(rows: Sequence[Sequence[Fraction]]):
+    """Each row times the lcm of its denominators: (int rows, the lcms)."""
+    rows = [[_as_q(x) for x in row] for row in rows]
+    mults = [math.lcm(*(x.denominator for x in row)) for row in rows]
+    return ([[x.numerator * (k // x.denominator) for x in row]
+             for row, k in zip(rows, mults)], mults)
 
 
 def det_bareiss(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
     """Exact determinant via integer Bareiss after clearing row denominators."""
-    rows = [[_as_q(x) for x in row] for row in matrix]
-    mults = [math.lcm(*(x.denominator for x in row)) for row in rows]
-    return Fraction(_bareiss([[x.numerator * (m // x.denominator) for x in row]
-                              for row, m in zip(rows, mults)]),
-                    math.prod(mults))
+    m, mults = _int_rows(matrix)
+    pivots, sign = _eliminate(m, len(m), False)
+    if len(pivots) < len(m):
+        return Fraction(0)
+    return Fraction(m[-1][-1] * sign if m else 1, math.prod(mults))
 
 
 def det_poly(matrix: Sequence[Sequence[Polynomial]]) -> Polynomial:
     """Exact determinant over Q[s]: Bareiss on the Polynomial entries,
     whose products keep contents apart (Gauss's lemma) and whose exact
     divisions run over Z[s] on the primitive parts."""
-    return _as_poly(_bareiss([list(row) for row in matrix]))
+    m = [list(row) for row in matrix]
+    pivots, sign = _eliminate(m, len(m), False)
+    if len(pivots) < len(m):
+        return Polynomial()
+    return m[-1][-1] * sign if m else Polynomial([1])
 
 
-def _gauss_jordan(rows, rhs, zero, is_zero):
-    """Solve rows * X = rhs by Gauss-Jordan elimination over a field.
+def solve(rows, rhs):
+    """Solve rows * X = rhs exactly: over Q(j) when an entry is a QComplex,
+    over Q otherwise.
 
     rows is m x n and rhs is m x k (k right-hand columns).  Returns
     (X, basis): X is the n x k solution with every free unknown zero and
     basis spans the nullspace of rows, one vector per free column in column
-    order; or None when the system is inconsistent.  The pivot of each
-    column is the first row at or below the current one whose entry is not
-    is_zero.  Works for Fraction and QComplex.
+    order; or None when the system is inconsistent.  Each row of
+    [rows | rhs] is cleared of denominators into Z, or Z[j], and
+    ``_eliminate`` runs with its back half, so every answer is one entry
+    over the last pivot d: a Fraction, or a QComplex."""
+    ncols = len(rows[0]) if rows else 0
+    aug = [list(a) + list(b) for a, b in zip(rows, rhs)]
+    if any(isinstance(x, QComplex) for row in aug for x in row):
+        zero, one = QComplex(0, 0), QComplex(1, 0)
+        parts, _ = _int_rows([[y for x in map(qcomplex, row)
+                               for y in (x.re, x.im)] for row in aug])
+        aug = [[_GaussInt(*p) for p in zip(row[::2], row[1::2])]
+               for row in parts]
 
-    The update is sparse: each step touches only the pivot row's nonzero
-    columns (entries left of the pivot column are already zero), so an
-    entry that would change by f * 0 is never rewritten."""
-    m = len(rows)
-    ncols = len(rows[0]) if m else 0
-    aug = [list(rows[r]) + list(rhs[r]) for r in range(m)]
-    pivots: List[int] = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for rr in range(r, m):
-            if not is_zero(aug[rr][c]):
-                piv = rr
-                break
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        top = aug[r]
-        pv = top[c]
-        nz = [j for j in range(c, len(top)) if not is_zero(top[j])]
-        for j in nz:
-            top[j] = top[j] / pv
-        for rr in range(m):
-            row = aug[rr]
-            if rr != r and not is_zero(row[c]):
-                f = row[c]
-                for j in nz:
-                    row[j] = row[j] - f * top[j]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    for rr in range(r, m):
-        if not all(is_zero(x) for x in aug[rr][ncols:]):
-            return None
+        def over(x):
+            norm = d.re * d.re + d.im * d.im
+            return QComplex(Fraction(x.re * d.re + x.im * d.im, norm),
+                            Fraction(x.im * d.re - x.re * d.im, norm))
+    else:
+        zero, one = Fraction(0), Fraction(1)
+        aug, _ = _int_rows(aug)
+
+        def over(x):
+            return Fraction(x, d)
+    pivots, _ = _eliminate(aug, ncols, True)
+    if any(x for row in aug[len(pivots):] for x in row[ncols:]):
+        return None
+    d = aug[len(pivots) - 1][pivots[-1]] if pivots else None
     solution = [[zero] * len(rhs[0]) for _ in range(ncols)]
     for i, c in enumerate(pivots):
-        solution[c] = aug[i][ncols:]
+        solution[c] = [over(x) for x in aug[i][ncols:]]
     basis = []
-    pivot_set = set(pivots)
-    for fc in range(ncols):
-        if fc in pivot_set:
-            continue
+    for fc in sorted(set(range(ncols)) - set(pivots)):
         vec = [zero] * ncols
-        vec[fc] = zero + 1
+        vec[fc] = one
         for i, c in enumerate(pivots):
-            vec[c] = -aug[i][fc]
+            vec[c] = -over(aug[i][fc])
         basis.append(vec)
     return solution, basis
 

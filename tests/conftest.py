@@ -134,6 +134,52 @@ def ladder_network(size: int, rng: random.Random) -> Network:
     return Network(verts, elements, ("p", "n"))
 
 
+def dense_gauss_jordan(rows, rhs, zero, is_zero):
+    """Reference: the dense Gauss-Jordan loop, every entry of every row
+    rewritten at each pivot, over a field given by zero and is_zero; the
+    pivot rule and outputs of ``polyrat.solve``, and no code shared with it."""
+    m = len(rows)
+    ncols = len(rows[0]) if m else 0
+    aug = [list(rows[r]) + list(rhs[r]) for r in range(m)]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = None
+        for rr in range(r, m):
+            if not is_zero(aug[rr][c]):
+                piv = rr
+                break
+        if piv is None:
+            continue
+        aug[r], aug[piv] = aug[piv], aug[r]
+        pv = aug[r][c]
+        aug[r] = [x / pv for x in aug[r]]
+        for rr in range(m):
+            if rr != r and not is_zero(aug[rr][c]):
+                f = aug[rr][c]
+                aug[rr] = [x - f * y for x, y in zip(aug[rr], aug[r])]
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    for rr in range(r, m):
+        if not all(is_zero(x) for x in aug[rr][ncols:]):
+            return None
+    solution = [[zero] * len(rhs[0]) for _ in range(ncols)]
+    for i, c in enumerate(pivots):
+        solution[c] = aug[i][ncols:]
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        vec = [zero] * ncols
+        vec[fc] = zero + 1
+        for i, c in enumerate(pivots):
+            vec[c] = -aug[i][fc]
+        basis.append(vec)
+    return solution, basis
+
+
 @pytest.fixture
 def rng():
     return random.Random(20250808)

@@ -17,14 +17,13 @@ from prsyn.analysis import (AnalysisError, CapacitorLoop, ExtractionFailure,
 from prsyn.network import (Element, Network, NotPlanarDualizable, OnePort,
                            dual, parse_netlist)
 from prsyn.polyrat import (BiquadParams, Polynomial, Q, QComplex,
-                           RationalFunction, _gauss_jordan,
-                           biquad_template, det_poly,
+                           RationalFunction, biquad_template, det_poly,
                            eval_ratfunc, is_positive_real, parse_ratfunc,
-                           real_roots, strict_hurwitz)
+                           real_roots, solve, strict_hurwitz)
 from prsyn.synth import build_named, build_seven_element, theorem2_step
 
-from conftest import (ladder_network, random_biconnected_network,
-                      random_sp_network)
+from conftest import (dense_gauss_jordan, ladder_network,
+                      random_biconnected_network, random_sp_network)
 
 N1_TEXT = """
 L l4 a c 1
@@ -220,9 +219,9 @@ class TestBlocked:
 
         def counted(*args):
             solves.append(args)
-            return _gauss_jordan(*args)
+            return solve(*args)
 
-        monkeypatch.setattr(analysis, "_gauss_jordan", counted)
+        monkeypatch.setattr(analysis, "solve", counted)
         for seed in (0, 5):
             solves.clear()
             rep = blocked_report(n, Q(1), seed=seed)
@@ -405,10 +404,10 @@ class TestPBH:
 
         def counted_solve(*args):
             solves.append(args)
-            return _gauss_jordan(*args)
+            return solve(*args)
 
         monkeypatch.setattr(analysis, "det_poly", counted_det)
-        monkeypatch.setattr(analysis, "_gauss_jordan", counted_solve)
+        monkeypatch.setattr(analysis, "solve", counted_solve)
         ss_impedance(ss)
         assert (len(determinants), len(solves)) == (2, 0)
         determinants.clear()
@@ -642,8 +641,8 @@ class TestNodalAgainstTableau:
                 consistent = {}
                 for mode in ("current", "voltage"):
                     rows, rhs, nidx = _tableau(n, omega, (mode, one))
-                    ref = _gauss_jordan(rows, rhs, QComplex(0, 0),
-                                        QComplex.is_zero)
+                    ref = dense_gauss_jordan(rows, rhs, QComplex(0, 0),
+                                             QComplex.is_zero)
                     consistent[mode] = ref is not None
                     if ref is None:
                         with pytest.raises(InconsistentDrive):

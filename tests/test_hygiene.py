@@ -7,10 +7,13 @@ and constant must be referenced somewhere in ``src/`` or ``tests/``
 besides its own definition or assignment.  No module reads the
 environment, none calls ``complex``, and
 only the CLI ``check`` formatter calls ``float``, to print a minimum
-frequency whose square is irrational.  The one Bareiss loop, ``_bareiss``,
-is named only by its two entry points in the elimination section of
-``polyrat``, so no second determinant loop runs beside it, and
-``Polynomial`` is the one polynomial class of ``polyrat``.  In the
+frequency whose square is irrational.  The one fraction-free elimination
+loop, ``_eliminate``, is named only by its three entry points in the
+elimination section of ``polyrat``: the determinants over Z and Z[s] run
+its forward half and the solves over Z and Z[j] its back half too, so no
+second elimination loop runs beside it.  ``Polynomial`` is the one
+polynomial class of ``polyrat``, and ``_GaussInt`` the one other ring with
+division.  In the
 graph code of ``network`` and ``analysis`` only ``_reach`` and the block
 decomposition ``_edge_biconnected_components`` run a stack loop.  The
 checks read the sources with ``ast``; nothing is imported.
@@ -137,30 +140,36 @@ def test_no_float_arithmetic():
     assert found == []
 
 
-# the entry points of the one Bareiss loop: int rows and Polynomial rows
+# the entry points of the one elimination loop: int and Polynomial rows
+# forward, int or _GaussInt rows forward and back
 BAREISS_ENTRY_POINTS = {("src/prsyn/polyrat.py", "det_bareiss"),
-                        ("src/prsyn/polyrat.py", "det_poly")}
+                        ("src/prsyn/polyrat.py", "det_poly"),
+                        ("src/prsyn/polyrat.py", "solve")}
 
 
 def test_bareiss_named_only_by_its_entry_points():
-    # no call, import or alias of _bareiss anywhere else in src/ or tests/
+    # no call, import or alias of _eliminate anywhere else in src/ or tests/
     found = set()
     for path in SOURCES:
         for top in _tree(path).body:
-            if "_bareiss" in _used_names(top):
+            if "_eliminate" in _used_names(top):
                 found.add((path.relative_to(ROOT).as_posix(),
                            getattr(top, "name", None)))
     assert found == BAREISS_ENTRY_POINTS
 
 
 # the classes of polyrat with arithmetic, one per number type: QComplex for
-# Q(j), Polynomial for Q[s] and RationalFunction for Q(s)
-ARITHMETIC_CLASSES = {"QComplex", "Polynomial", "RationalFunction"}
+# Q(j), Polynomial for Q[s] and RationalFunction for Q(s); and _GaussInt,
+# the Z[j] that the elimination loop runs on for a QComplex solve
+ARITHMETIC_CLASSES = {"QComplex", "Polynomial", "RationalFunction",
+                      "_GaussInt"}
+EUCLIDEAN_CLASSES = {"Polynomial", "_GaussInt"}
 
 
 def test_one_polynomial_type():
     # a second polynomial class, such as an integer kernel beside
-    # Polynomial, fails: only Polynomial has division with remainder
+    # Polynomial, fails: only Polynomial and _GaussInt have division with
+    # remainder
     arithmetic, euclidean = set(), set()
     for top in _tree(PACKAGE / "polyrat.py").body:
         if isinstance(top, ast.ClassDef):
@@ -169,7 +178,7 @@ def test_one_polynomial_type():
                 arithmetic.add(top.name)
             if defs & {"__divmod__", "prem", "gcd"}:
                 euclidean.add(top.name)
-    assert arithmetic == ARITHMETIC_CLASSES and euclidean == {"Polynomial"}
+    assert arithmetic == ARITHMETIC_CLASSES and euclidean == EUCLIDEAN_CLASSES
 
 
 # the one graph walk and the one block decomposition: no other stack loop

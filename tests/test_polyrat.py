@@ -2,7 +2,11 @@
 
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
+import textwrap
 import time
 from fractions import Fraction
 
@@ -13,15 +17,18 @@ from hypothesis import strategies as st
 from prsyn.polyrat import (BiquadParams, DegreeTooSmall, NotBiquadratic,
                            NotMinimum, Polynomial, Q, QComplex,
                            RationalFunction, ZeroDenominator,
-                           _gauss_jordan, _interpolate,
+                           _interpolate,
                            biquad_params, biquad_template, count_real_roots,
                            det_bareiss, det_poly,
                            eval_ratfunc, format_poly, format_ratfunc,
                            is_lossless, is_minimum_function, is_positive_real,
                            minimum_frequencies, parse_poly, parse_ratfunc,
-                           real_roots, reduce, strict_hurwitz, sturm_chain,
+                           real_roots, reduce, solve, strict_hurwitz,
+                           sturm_chain,
                            sylvester_determinant, sylvester_matrix,
                            PoleAtPoint, _variations)
+
+from conftest import dense_gauss_jordan
 
 S = Polynomial([0, 1])
 
@@ -342,6 +349,42 @@ class TestSylvester:
             if kind == "singular":
                 assert expected == ()
 
+    def test_inexact_division_raises_under_optimize(self):
+        # the exact-division check of the elimination loop is no assert:
+        # under -O a ring whose divisions leave a remainder still raises
+        code = textwrap.dedent("""
+            import sys
+            from prsyn.polyrat import _eliminate
+
+            class Lossy:
+                def __init__(self, v):
+                    self.v = v
+
+                def __mul__(self, other):
+                    return Lossy(self.v * other.v)
+
+                def __sub__(self, other):
+                    return Lossy(self.v - other.v)
+
+                def __bool__(self):
+                    return self.v != 0
+
+                def __divmod__(self, other):
+                    return Lossy(self.v // other.v), Lossy(1)
+
+            m = [[Lossy(v) for v in row] for row in ((2, 1, 1), (1, 3, 1), (1, 1, 4))]
+            try:
+                _eliminate(m, 3, False)
+            except ArithmeticError:
+                sys.exit(0 if sys.flags.optimize else 2)
+            sys.exit(1)
+            """)
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        proc = subprocess.run([sys.executable, "-O", "-c", code],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+
     def test_gcd_oracle_equivalence(self, rng):
         for _ in range(60):
             p = Polynomial([rng.randint(-4, 4) for _ in range(rng.randint(1, 5))]
@@ -349,51 +392,6 @@ class TestSylvester:
             q = Polynomial([rng.randint(-4, 4) for _ in range(rng.randint(1, 5))]
                            + [rng.randint(1, 4)])
             assert (sylvester_determinant(p, q, 0) == 0) == (p.gcd(q).degree >= 1)
-
-
-def dense_gauss_jordan(rows, rhs, zero, is_zero):
-    """Reference: the dense Gauss-Jordan loop, every entry of every row
-    rewritten at each pivot; same pivot rule and outputs as _gauss_jordan."""
-    m = len(rows)
-    ncols = len(rows[0]) if m else 0
-    aug = [list(rows[r]) + list(rhs[r]) for r in range(m)]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for rr in range(r, m):
-            if not is_zero(aug[rr][c]):
-                piv = rr
-                break
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        pv = aug[r][c]
-        aug[r] = [x / pv for x in aug[r]]
-        for rr in range(m):
-            if rr != r and not is_zero(aug[rr][c]):
-                f = aug[rr][c]
-                aug[rr] = [x - f * y for x, y in zip(aug[rr], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    for rr in range(r, m):
-        if not all(is_zero(x) for x in aug[rr][ncols:]):
-            return None
-    solution = [[zero] * len(rhs[0]) for _ in range(ncols)]
-    for i, c in enumerate(pivots):
-        solution[c] = aug[i][ncols:]
-    basis = []
-    for fc in range(ncols):
-        if fc in pivots:
-            continue
-        vec = [zero] * ncols
-        vec[fc] = zero + 1
-        for i, c in enumerate(pivots):
-            vec[c] = -aug[i][fc]
-        basis.append(vec)
-    return solution, basis
 
 
 def _nonzero_fraction(rng):
@@ -447,32 +445,57 @@ def sparse_system(rng, kind, entry, zero):
     return rows, rhs
 
 
+def _wide(entry):
+    """entry scaled by a random rational with a denominator up to 10**9."""
+    return lambda rng: entry(rng) * Fraction(rng.randint(1, 10**6),
+                                             rng.randint(1, 10**9))
+
+
 class TestGaussJordan:
     @pytest.mark.parametrize("field", ["fraction", "qcomplex"])
     def test_sparse_update_matches_dense_reference(self, field):
+        # solve against the dense field reference: random sparse systems,
+        # also with 10**9 denominators and with no right-hand column (as
+        # _annihilator passes), no rows, 1 x 1 systems and a zero matrix
         if field == "fraction":
             entry, zero, is_zero = _nonzero_fraction, Q(0), (lambda x: x == 0)
         else:
             entry, zero, is_zero = _nonzero_qcomplex, QComplex(0, 0), QComplex.is_zero
         rng = random.Random(7919)
-        for _ in range(60):
-            for kind in ("full", "deficient", "inconsistent"):
-                rows, rhs = sparse_system(rng, kind, entry, zero)
-                expect = dense_gauss_jordan(rows, rhs, zero, is_zero)
-                got = _gauss_jordan([r[:] for r in rows], [r[:] for r in rhs],
-                                    zero, is_zero)
-                assert got == expect
-                if kind == "inconsistent":
-                    assert got is None
-                elif kind == "deficient":
-                    assert got is not None and got[1]
-                else:
-                    assert got is not None and not got[1]
-                    X = got[0]
-                    assert all(sum((row[j] * X[j][c] for j in range(len(X))),
-                                   zero) == rhs[i][c]
-                               for i, row in enumerate(rows)
-                               for c in range(len(rhs[0])))
+        kinds = ("full", "deficient", "inconsistent")
+        cases = [(kind, *sparse_system(rng, kind, entry, zero))
+                 for _ in range(60) for kind in kinds]
+        cases += [(kind, *sparse_system(rng, kind, _wide(entry), zero))
+                  for _ in range(10) for kind in kinds]
+        for _ in range(10):
+            rows, _ = sparse_system(rng, "deficient", entry, zero)
+            cases.append(("deficient", rows, [[] for _ in rows]))
+        a, b = entry(rng), entry(rng)
+        cases += [("full", [], []),
+                  ("full", [[a]], [[b]]),
+                  ("deficient", [[zero]], [[zero]]),
+                  ("inconsistent", [[zero]], [[b]]),
+                  ("deficient", [[zero] * 4 for _ in range(3)],
+                   [[zero] * 2 for _ in range(3)])]
+        for kind, rows, rhs in cases:
+            expect = dense_gauss_jordan(rows, rhs, zero, is_zero)
+            got = solve([r[:] for r in rows], [r[:] for r in rhs])
+            assert got == expect
+            if kind == "inconsistent":
+                assert got is None
+                continue
+            X, basis = got
+            # the field's own type, also where no pivot exists
+            assert all(type(x) is type(zero)
+                       for vec in X + basis for x in vec)
+            if kind == "deficient":
+                assert basis
+            else:
+                assert not basis
+                assert all(sum((row[j] * X[j][c] for j in range(len(X))),
+                               zero) == rhs[i][c]
+                           for i, row in enumerate(rows)
+                           for c in range(len(rhs[0])))
 
 
 def lagrange_reference(points):
@@ -836,7 +859,6 @@ class TestIntegerPRS:
     def test_no_rational_euclid_in_the_pr_check(self, monkeypatch):
         # Q[s] division from inside gcd or sturm_chain means a Fraction
         # Euclid loop is back; exact divisions elsewhere (p // g) may stay
-        import sys
         from conftest import ladder_network
         from prsyn import polyrat
         from prsyn.analysis import impedance
