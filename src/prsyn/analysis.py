@@ -9,11 +9,11 @@ unknown only for an element whose admittance does not exist (an inductor
 at omega = 0, a capacitor holding its state voltage).  Everything is
 exact: frequencies are rationals (a float is a TypeError) and phasors are
 ``QComplex`` values.  The elimination lives in the elimination section of
-``polyrat``: ``det_poly`` over Q[s] and ``solve`` over Q or Q(j), with
-nullspaces, both one fraction-free loop over Z[s], Z or Z[j]; this module
-only sets up the systems.
-The state-space impedance and the PBH polynomials come from det(sI - A)
-and Krylov annihilators.
+``polyrat``: ``leading_minors`` and ``det_poly`` over Q[s] and ``solve``
+over Q or Q(j), with nullspaces, all one fraction-free loop over Z[s], Z
+or Z[j]; this module only sets up the systems.  Each impedance is the
+quotient of the last two leading minors of one matrix.
+The PBH polynomials come from det(sI - A) and Krylov annihilators.
 """
 
 from __future__ import annotations
@@ -24,8 +24,9 @@ from fractions import Fraction
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 
 from .polyrat import (ONE, Polynomial, Q, QComplex, RationalFunction, _as_q,
-                      _lossless_if_pr, det_poly, is_positive_real, qcomplex,
-                      real_roots, solve, strict_hurwitz)
+                      _lossless_if_pr, det_poly, is_positive_real,
+                      leading_minors, qcomplex, real_roots, solve,
+                      strict_hurwitz)
 from . import network as net
 from .network import (CAPACITOR, INDUCTOR, RESISTOR, Element, Network,
                       OnePort, OpenCircuit, ShortCircuit, one_port_boundary)
@@ -108,17 +109,23 @@ def _nodal_matrix(n: Network, admittance, zero):
 def impedance(n: Network) -> Union[RationalFunction, NoImpedance]:
     """Exact driving-point impedance, asserted positive-real.
 
-    Nodal analysis over Q[s] with all admittances scaled by s, determinants
-    by ``det_poly`` (Bareiss over Q[s]); H = s * cofactor / determinant."""
+    Nodal analysis over Q[s] with all admittances scaled by s; H = s *
+    cofactor / determinant.  With the port vertex ordered last, the
+    cofactor and the determinant are the last two leading minors, read
+    from one ``leading_minors`` pass (Bareiss over Q[s]).  At s = 1 the
+    scaled entries 1/R, 1/L and C are positive and the elements connect
+    every vertex, so the matrix is positive definite there and no leading
+    minor vanishes, unless a vertex has no path to ground and the
+    determinant is identically zero: a bare port."""
     mat, idx = _nodal_matrix(n, map(_scaled_admittance, n.elements),
                              Polynomial())
     a = idx[n.port[0]]
-    minor = [[x for c, x in enumerate(row) if c != a]
-             for r, row in enumerate(mat) if r != a]
-    det = det_poly(mat)
-    if not det:
+    order = [i for i in range(len(mat)) if i != a] + [a]
+    minors = [ONE] + leading_minors([[mat[r][c] for c in order]
+                                     for r in order])
+    if len(minors) <= len(mat):
         return NoImpedance()
-    h = RationalFunction(det_poly(minor) * Polynomial([0, 1]), det)
+    h = RationalFunction(minors[-2] * Polynomial([0, 1]), minors[-1])
     assert is_positive_real(h), "network impedance must be positive-real"
     return h
 
@@ -581,15 +588,19 @@ def ss_impedance(ss: StateSpace) -> RationalFunction:
 
     By the Schur complement, det([[sI - A, B], [-C, D]]) = chi (D +
     C (sI - A)^{-1} B) with chi = det(sI - A), so the impedance is the
-    quotient of two ``det_poly`` determinants.  Both are divisible by the
-    uncontrollable and the unobservable polynomials of ``pbh_diagnostics``,
-    which ``RationalFunction`` cancels; with the single input column of a
-    one-port these are chi / m(A, B) and chi / m(A^T, C), m the Krylov
-    annihilator (``_annihilator``)."""
+    quotient of the last two leading minors of that bordered matrix, read
+    from one ``leading_minors`` pass: the k-th leading minor of sI - A is
+    monic of degree k, never zero, so chi is the n-th, and the bordered
+    determinant the (n+1)-th, or zero where the minors stop.  Both are
+    divisible by the uncontrollable and the unobservable polynomials of
+    ``pbh_diagnostics``, which ``RationalFunction`` cancels; with the
+    single input column of a one-port these are chi / m(A, B) and chi /
+    m(A^T, C), m the Krylov annihilator (``_annihilator``)."""
     sia = _si_minus_a(ss)
     big = [row + [Polynomial([b])] for row, b in zip(sia, ss.B)]
     big.append([Polynomial([-c]) for c in ss.C] + [Polynomial([ss.D])])
-    return RationalFunction(det_poly(big), det_poly(sia))
+    minors = [ONE] + leading_minors(big) + [Polynomial()]
+    return RationalFunction(minors[ss.n + 1], minors[ss.n])
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,9 @@ primitive remainder sequences on the integer parts, rather than numerical
 root finding.  Values at s = j*w are ``QComplex`` numbers with rational
 parts.  Determinants and linear solves run one fraction-free elimination
 loop, ``_eliminate``, over Z, the Gaussian integers Z[j] or Z[s] on
-Polynomial entries: a determinant takes its forward half, and a solve,
-after clearing row denominators, its back half too.
+Polynomial entries: a determinant, or the run of nonzero leading minors,
+takes its forward half, and a solve, after clearing row denominators, its
+back half too.
 Real roots come from one exact isolator, ``real_roots``: a rational root is
 a Fraction and an irrational one an open interval with rational ends, so a
 minimum frequency whose square is irrational is kept as such a bracket.
@@ -879,7 +880,7 @@ def biquad_params(h: RationalFunction) -> BiquadParams:
 # ---------------------------------------------------------------------------
 # Exact elimination: the one home of determinants, solves and Sylvester rows.
 # One fraction-free loop runs over Z, Z[j] and Z[s]: its forward half gives
-# the determinants, and a solve adds the back half.
+# the determinants and leading minors, and a solve adds the back half.
 # ---------------------------------------------------------------------------
 
 class _GaussInt:
@@ -919,7 +920,8 @@ def _eliminate(m, width, back):
     The entries lie in an integral domain whose zero is falsy and whose
     divmod is division with remainder: int, _GaussInt or Polynomial.  The
     pivot of each of the first width columns is its first nonzero entry at
-    or below the current row; a column with none is skipped.  Each step sets
+    or below the current row.  A column with none ends a forward run, whose
+    determinant is then zero, and is skipped with back.  Each step sets
     a_ij to (p a_ij - a_ic a_rj) / p_prev on the rows below the pivot row
     and, with back, on the rows above it too.  Returns (pivot columns, swap
     sign).  Pivot columns keep their pivots and stale entries that are never
@@ -937,6 +939,8 @@ def _eliminate(m, width, back):
         piv = r if m[r][c] else next(
             (i for i in range(r + 1, rows) if m[i][c]), None)
         if piv is None:
+            if not back:
+                break
             skipped.append(c)
             continue
         if piv != r:
@@ -991,6 +995,24 @@ def det_poly(matrix: Sequence[Sequence[Polynomial]]) -> Polynomial:
     if len(pivots) < len(m):
         return Polynomial()
     return m[-1][-1] * sign if m else Polynomial([1])
+
+
+def leading_minors(matrix: Sequence[Sequence[Polynomial]]) -> List[Polynomial]:
+    """The leading principal minors M_1, M_2, ... of a square matrix over
+    Q[s], up to but not including the first that is zero, from one forward
+    pass of ``_eliminate``: before any row swap, the k-th pivot of the
+    Bareiss loop is M_k (Bareiss 1968, by Sylvester's identity).  The loop
+    swaps rows only at a zero pivot, the first zero leading minor, so the
+    minors stop at the first row that is no longer the matrix's own."""
+    m = [list(row) for row in matrix]
+    own = list(m)
+    pivots, _ = _eliminate(m, len(m), False)
+    minors = []
+    for k in range(len(pivots)):
+        if m[k] is not own[k]:
+            break
+        minors.append(m[k][k])
+    return minors
 
 
 def solve(rows, rhs):

@@ -18,8 +18,8 @@ from prsyn.network import (Element, Network, NotPlanarDualizable, OnePort,
                            dual, parse_netlist)
 from prsyn.polyrat import (BiquadParams, Polynomial, Q, QComplex,
                            RationalFunction, biquad_template, det_poly,
-                           eval_ratfunc, is_positive_real, parse_ratfunc,
-                           real_roots, solve, strict_hurwitz)
+                           eval_ratfunc, is_positive_real, leading_minors,
+                           parse_ratfunc, real_roots, solve, strict_hurwitz)
 from prsyn.synth import build_named, build_seven_element, theorem2_step
 
 from conftest import (dense_gauss_jordan, ladder_network,
@@ -56,7 +56,25 @@ def rpfg():
     return build_seven_element(theorem2_step(h), "rpfg_first")
 
 
+def count_eliminations(monkeypatch):
+    """Record the name of each Q[s] elimination entry point that analysis
+    calls, in order: one name per forward pass of the Bareiss loop."""
+    import prsyn.analysis as analysis
+    calls = []
+    for name, fn in (("det_poly", det_poly),
+                     ("leading_minors", leading_minors)):
+        def counted(m, name=name, fn=fn):
+            calls.append(name)
+            return fn(m)
+        monkeypatch.setattr(analysis, name, counted)
+    return calls
+
+
 class TestImpedance:
+    def test_bare_port_has_no_impedance(self):
+        # the 1x1 nodal matrix [0]: its only leading minor is zero
+        assert impedance(parse_netlist("PORT a b")) == NoImpedance()
+
     def test_single_resistor(self):
         assert impedance(parse_netlist("R r1 a b 5\nPORT a b")) == \
             RationalFunction(Polynomial([5]))
@@ -390,29 +408,24 @@ class TestPBH:
             (False, False, False)
 
     def test_determinants_on_rpfg_five_states(self, rpfg, monkeypatch):
-        # det(sI - A) and the bordered determinant for the impedance;
-        # det(sI - A) once plus one nullspace solve per annihilator for PBH
+        # one pass on the bordered matrix for the impedance; det(sI - A)
+        # once plus one nullspace solve per annihilator for PBH
         import prsyn.analysis as analysis
         ss = state_space(rpfg)
         assert ss.n == 5
-        determinants = []
+        eliminations = count_eliminations(monkeypatch)
         solves = []
-
-        def counted_det(m):
-            determinants.append(m)
-            return det_poly(m)
 
         def counted_solve(*args):
             solves.append(args)
             return solve(*args)
 
-        monkeypatch.setattr(analysis, "det_poly", counted_det)
         monkeypatch.setattr(analysis, "solve", counted_solve)
         ss_impedance(ss)
-        assert (len(determinants), len(solves)) == (2, 0)
-        determinants.clear()
+        assert (eliminations, len(solves)) == (["leading_minors"], 0)
+        eliminations.clear()
         pbh_diagnostics(ss)
-        assert (len(determinants), len(solves)) == (1, 2)
+        assert (eliminations, len(solves)) == (["det_poly"], 2)
 
 
 class TestCounts:
@@ -493,28 +506,24 @@ class TestDriveNormalization:
 
     def test_default_drive_skips_pr_check(self, n1, monkeypatch):
         # the default drive only asks whether unit current is consistent;
-        # neither the positive-real check nor a determinant over Q[s] runs
+        # neither the positive-real check nor an elimination over Q[s] runs,
+        # and the impedance takes one
         import prsyn.analysis as analysis
         checks = []
-        determinants = []
+        eliminations = count_eliminations(monkeypatch)
 
         def counted(h):
             checks.append(h)
             return is_positive_real(h)
 
-        def counted_det(m):
-            determinants.append(m)
-            return det_poly(m)
-
         monkeypatch.setattr(analysis, "is_positive_real", counted)
-        monkeypatch.setattr(analysis, "det_poly", counted_det)
         tank = parse_netlist("L l1 a b 1\nC c1 a b 1\nPORT a b")
         sol = phasor_solve(tank, Q(1))     # impedance pole at j*1
         assert sol.source_voltage == QComplex(1, 0)
         assert phasor_solve(n1, Q(1)).source_current == QComplex(1, 0)
-        assert checks == [] and determinants == []
+        assert checks == [] and eliminations == []
         impedance(n1)
-        assert len(checks) == 1 and len(determinants) == 2
+        assert len(checks) == 1 and eliminations == ["leading_minors"]
 
     def test_network_without_element_rejected(self):
         n = parse_netlist("PORT a b")

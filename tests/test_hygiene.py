@@ -8,10 +8,10 @@ besides its own definition or assignment.  No module reads the
 environment, none calls ``complex``, and
 only the CLI ``check`` formatter calls ``float``, to print a minimum
 frequency whose square is irrational.  The one fraction-free elimination
-loop, ``_eliminate``, is named only by its three entry points in the
-elimination section of ``polyrat``: the determinants over Z and Z[s] run
-its forward half and the solves over Z and Z[j] its back half too, so no
-second elimination loop runs beside it.  ``Polynomial`` is the one
+loop, ``_eliminate``, is named only by its four entry points in the
+elimination section of ``polyrat``: the determinants over Z and Z[s] and
+the leading minors over Z[s] run its forward half and the solves over Z
+and Z[j] its back half too, so no second elimination loop runs beside it.  ``Polynomial`` is the one
 polynomial class of ``polyrat``, and ``_GaussInt`` the one other ring with
 division.  In the
 graph code of ``network`` and ``analysis`` only ``_reach`` and the block
@@ -141,9 +141,11 @@ def test_no_float_arithmetic():
 
 
 # the entry points of the one elimination loop: int and Polynomial rows
-# forward, int or _GaussInt rows forward and back
+# forward (determinants and leading minors), int or _GaussInt rows forward
+# and back
 BAREISS_ENTRY_POINTS = {("src/prsyn/polyrat.py", "det_bareiss"),
                         ("src/prsyn/polyrat.py", "det_poly"),
+                        ("src/prsyn/polyrat.py", "leading_minors"),
                         ("src/prsyn/polyrat.py", "solve")}
 
 

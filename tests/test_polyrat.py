@@ -22,7 +22,7 @@ from prsyn.polyrat import (BiquadParams, DegreeTooSmall, NotBiquadratic,
                            det_bareiss, det_poly,
                            eval_ratfunc, format_poly, format_ratfunc,
                            is_lossless, is_minimum_function, is_positive_real,
-                           minimum_frequencies, parse_poly, parse_ratfunc,
+                           leading_minors, minimum_frequencies, parse_poly, parse_ratfunc,
                            real_roots, reduce, solve, strict_hurwitz,
                            sturm_chain,
                            sylvester_determinant, sylvester_matrix,
@@ -348,6 +348,85 @@ class TestSylvester:
             assert det_poly(m).coeffs == expected
             if kind == "singular":
                 assert expected == ()
+
+    def test_leading_minors_match_q_bareiss_reference(self):
+        rng = random.Random(1968 * 17)
+
+        def entry():
+            if rng.random() < 0.3:
+                return Polynomial()
+            return Polynomial([Fraction(rng.randint(-10**6, 10**6),
+                                        rng.randint(1, 10**9))
+                               for _ in range(rng.randint(1, 3))])
+
+        def expected(m):
+            # each M_k from its own k x k block, up to the first zero
+            out = []
+            for k in range(1, len(m) + 1):
+                minor = q_bareiss_reference([row[:k] for row in m[:k]])
+                if minor == ():
+                    break
+                out.append(minor)
+            return out
+
+        for trial in range(30):
+            n = rng.randint(1, 7)
+            m = [[entry() for _ in range(n)] for _ in range(n)]
+            if trial % 2:
+                for i in range(n):      # a nonzero diagonal: longer runs
+                    m[i][i] = m[i][i] or Polynomial([rng.randint(1, 9)])
+            if trial % 3 == 0 and n >= 3:
+                # rows 0 and k agree up to a factor in the first k + 1
+                # columns, so M_{k+1} = 0 and the run stops before it
+                k, x = rng.randrange(1, n - 1), entry() or Polynomial([2])
+                m[k][:k + 1] = [x * y for y in m[0][:k + 1]]
+            assert [x.coeffs for x in leading_minors(m)] == expected(m)
+
+        # M_2 = 0 but det != 0: the loop swaps rows at step 2, and every
+        # later pivot is a minor of the swapped matrix, not a leading one
+        a, b, x = (Polynomial([Fraction(3, 10**9), 1]), Polynomial([2, 0, 5]),
+                   Polynomial([Fraction(-7, 4), 1]))
+        m = [[a, b, Polynomial([1])],
+             [x * a, x * b, Polynomial([0, 1])],
+             [Polynomial([1]), Polynomial([4]), Polynomial([6, 1])]]
+        assert det_poly(m)
+        assert [p.coeffs for p in leading_minors(m)] == expected(m) \
+            == [a.coeffs]
+        assert leading_minors([]) == []
+
+    def test_forward_run_stops_at_a_column_without_pivot(self):
+        # the determinant of a matrix whose first column is zero is known
+        # there: no step of the elimination runs, so nothing is divided
+        class Counted:
+            divmods = 0
+
+            def __init__(self, v):
+                self.v = v
+
+            def __mul__(self, other):
+                return Counted(self.v * getattr(other, "v", other))
+
+            def __sub__(self, other):
+                return Counted(self.v - other.v)
+
+            def __bool__(self):
+                return self.v != 0
+
+            def __divmod__(self, other):
+                Counted.divmods += 1
+                q, r = divmod(self.v, other.v)
+                return Counted(q), Counted(r)
+
+        def counted(rows):
+            return [[Counted(v) for v in row] for row in rows]
+
+        rows = ((2, 1, 1, 0), (1, 3, 1, 2), (1, 1, 4, 1), (0, 2, 1, 5))
+        assert det_poly(counted(rows)).v == det_bareiss(rows)
+        assert Counted.divmods > 0
+        Counted.divmods = 0
+        zero_first = [(0,) + row[1:] for row in rows]
+        assert det_poly(counted(zero_first)) == Polynomial()
+        assert Counted.divmods == 0
 
     def test_inexact_division_raises_under_optimize(self):
         # the exact-division check of the elimination loop is no assert:
