@@ -13,7 +13,8 @@ parts.  Determinants and linear solves run one fraction-free elimination
 loop, ``_eliminate``, over Z, the Gaussian integers Z[j] or Z[s] on
 Polynomial entries: a determinant, or the run of nonzero leading minors,
 takes its forward half, and a solve, after clearing row denominators, its
-back half too.
+back half too.  A Sylvester determinant runs on the integer rows of the
+primitive parts, and Sturm signs and interpolation stay in Z as well.
 Real roots come from one exact isolator, ``real_roots``: a rational root is
 a Fraction and an irrational one an open interval with rational ends, so a
 minimum frequency whose square is irrational is kept as such a bracket.
@@ -576,16 +577,23 @@ def sturm_chain(p: Polynomial) -> List[Polynomial]:
 
 
 def _sign_at(p: Polynomial, x) -> int:
+    """The sign of p at x, "+inf" or "-inf" included.  At x = a/b (b > 0)
+    it is the sign of the integer sum prim_i a^i b^(n-i), n = deg p, by
+    homogeneous Horner: that is p(x) b^n / content, and content > 0."""
     if x == "+inf":
-        return 0 if p.is_zero() else (1 if p.leading() > 0 else -1)
+        return 0 if p.is_zero() else (1 if p.prim[-1] > 0 else -1)
     if x == "-inf":
         if p.is_zero():
             return 0
-        lead = p.leading()
-        s = 1 if lead > 0 else -1
-        return s if int(p.degree) % 2 == 0 else -s
-    v = p(_as_q(x))
-    return 0 if v == 0 else (1 if v > 0 else -1)
+        s = 1 if p.prim[-1] > 0 else -1
+        return s if len(p.prim) % 2 else -s
+    x = _as_q(x)
+    a, b = x.numerator, x.denominator
+    acc, bpow = 0, 1
+    for c in reversed(p.prim):
+        acc = acc * a + c * bpow
+        bpow *= b
+    return (acc > 0) - (acc < 0)
 
 
 def _variations(chain: Sequence[Polynomial], x) -> int:
@@ -977,13 +985,19 @@ def _int_rows(rows: Sequence[Sequence[Fraction]]):
              for row, k in zip(rows, mults)], mults)
 
 
+def _det_z(m: List[List[int]]) -> int:
+    """Determinant of a square int matrix, by the forward half of
+    ``_eliminate`` on the rows m in place."""
+    pivots, sign = _eliminate(m, len(m), False)
+    if len(pivots) < len(m):
+        return 0
+    return m[-1][-1] * sign if m else 1
+
+
 def det_bareiss(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
     """Exact determinant via integer Bareiss after clearing row denominators."""
     m, mults = _int_rows(matrix)
-    pivots, sign = _eliminate(m, len(m), False)
-    if len(pivots) < len(m):
-        return Fraction(0)
-    return Fraction(m[-1][-1] * sign if m else 1, math.prod(mults))
+    return Fraction(_det_z(m), math.prod(mults))
 
 
 def det_poly(matrix: Sequence[Sequence[Polynomial]]) -> Polynomial:
@@ -1063,52 +1077,91 @@ def solve(rows, rhs):
 
 
 def _sylvester_rows(p: Polynomial, q: Polynomial, m: int, n: int,
-                    k: int) -> List[List[Fraction]]:
-    """Rows of the k-th truncated Sylvester matrix of p and q, read at the
-    degrees m >= deg p and n >= deg q (leading coefficients may vanish)."""
-    pdesc = [p.coeff(m - i) for i in range(m + 1)]
-    qdesc = [q.coeff(n - i) for i in range(n + 1)]
+                    k: int) -> List[List[int]]:
+    """Rows of the k-th truncated Sylvester matrix of the primitive parts of
+    p and q, read at the degrees m >= deg p and n >= deg q (leading
+    coefficients may vanish): n - k rows of p's, then m - k rows of q's."""
     size = m + n - 2 * k
-    return ([[pdesc[j - i] if 0 <= j - i <= m else Q(0) for j in range(size)]
-             for i in range(n - k)]
-            + [[qdesc[j - i] if 0 <= j - i <= n else Q(0) for j in range(size)]
-               for i in range(m - k)])
+    pdesc = [0] * (m + 1 - len(p.prim)) + list(reversed(p.prim))
+    qdesc = [0] * (n + 1 - len(q.prim)) + list(reversed(q.prim))
+    return ([([0] * i + pdesc + [0] * size)[:size] for i in range(n - k)]
+            + [([0] * i + qdesc + [0] * size)[:size] for i in range(m - k)])
 
 
-def sylvester_matrix(p: Polynomial, q: Polynomial, k: int) -> List[List[Fraction]]:
+def _sylvester_degrees(p: Polynomial, q: Polynomial, k: int) -> Tuple[int, int]:
     if p.is_zero() or q.is_zero():
         raise DegreeTooSmall("polynomials must be nonzero")
     m, n = int(p.degree), int(q.degree)
     if not 0 <= k < min(m, n):
         raise DegreeTooSmall(f"require 0 <= k < min(deg p, deg q) = {min(m, n)}")
-    return _sylvester_rows(p, q, m, n, k)
+    return m, n
+
+
+def sylvester_matrix(p: Polynomial, q: Polynomial, k: int) -> List[List[Fraction]]:
+    """The k-th truncated Sylvester matrix of p and q, Fraction entries."""
+    m, n = _sylvester_degrees(p, q, k)
+    rows = _sylvester_rows(p, q, m, n, k)
+    return [[c * x for x in row]
+            for c, row in zip([p.content] * (n - k) + [q.content] * (m - k),
+                              rows)]
+
+
+def _sylvester_det(p: Polynomial, q: Polynomial, m: int, n: int,
+                   k: int) -> Fraction:
+    """R_k of p and q read at the degrees m >= deg p and n >= deg q: the
+    integer determinant of the rows of the primitive parts, times each
+    content to the number of its rows (the determinant is linear in each
+    row).  A zero p or q has content 0, and no rows when its exponent is 0."""
+    det = _det_z(_sylvester_rows(p, q, m, n, k))
+    return det * p.content ** (n - k) * q.content ** (m - k)
 
 
 def sylvester_determinant(p: Polynomial, q: Polynomial, k: int) -> Fraction:
-    """Determinant R_k of the truncated Sylvester matrix of p and q.
+    """Determinant R_k of the truncated Sylvester matrix of p and q, over Z:
+    Bareiss on the rows of the primitive parts, then the contents, p's to
+    the power n - k and q's to m - k (m = deg p, n = deg q).
 
     R_0 = ... = R_{r-1} = 0 exactly when p and q share at least r roots
     (counted with multiplicity)."""
-    return det_bareiss(sylvester_matrix(p, q, k))
+    m, n = _sylvester_degrees(p, q, k)
+    return _sylvester_det(p, q, m, n, k)
 
 
 def _interpolate(xs: Sequence[Fraction], ys: Sequence[Fraction]) -> Polynomial:
     """The unique polynomial of degree < len(xs) through the points (x, y).
 
-    Newton form (von zur Gathen & Gerhard, Modern Computer Algebra, ch. 5):
-    divided differences c, then Horner expansion of c0 + (s - x0)(c1 +
-    (s - x1)(c2 + ...)) into ascending coefficients; O(n^2) Fraction
-    operations.  A repeated x raises ZeroDivisionError."""
-    c = [_as_q(y) for y in ys]
-    for j in range(1, len(c)):
-        for i in range(len(c) - 1, j - 1, -1):
-            c[i] = (c[i] - c[i - 1]) / (xs[i] - xs[i - j])
-    out: List[Fraction] = []
-    for ci, xi in zip(reversed(c), reversed(xs)):
-        # out <- out * (s - xi) + ci; the first step multiplies zero
-        out = [a - xi * b for a, b in zip([Q(0)] + out, out + [Q(0)])]
-        out[0] += ci
-    return Polynomial(out)
+    Lagrange form over Z (von zur Gathen & Gerhard, Modern Computer
+    Algebra, ch. 5): with x_i = a_i/b and y_i = Y_i/L over common
+    denominators, it is P(t/b) = sum_i Y_i M(t)/((t - a_i) D_i) / L, for the
+    master polynomial M = prod (t - a_i) and D_i = prod_{k != i} (a_i - a_k).
+    With W the lcm of the D_i, one synthetic division of M by t - a_i per
+    point, weighted by Y_i W / D_i, sums the integer numerator; then t = b x
+    and one division by L W.  O(n^2) int operations.  A repeated x makes a
+    D_i zero and raises ZeroDivisionError."""
+    xs, ys = [_as_q(x) for x in xs], [_as_q(y) for y in ys]
+    b = math.lcm(*(x.denominator for x in xs))
+    lcd = math.lcm(*(y.denominator for y in ys))
+    a = [x.numerator * (b // x.denominator) for x in xs]
+    big_y = [y.numerator * (lcd // y.denominator) for y in ys]
+    n = len(a)
+    master = [1]                        # ascending; times (t - ai) each step
+    for ai in a:
+        master = [lo - ai * hi for lo, hi in zip([0] + master, master + [0])]
+    dens = [math.prod(ai - ak for k, ak in enumerate(a) if k != i)
+            for i, ai in enumerate(a)]
+    w = math.lcm(*dens)
+    acc = [0] * n
+    for ai, yi, di in zip(a, big_y, dens):
+        c = yi * (w // di)
+        quot = 0                        # M / (t - ai), top coefficient first
+        for j in range(n, 0, -1):
+            quot = master[j] + ai * quot
+            acc[j - 1] += c * quot
+    scale = 1
+    for j in range(n):                  # t = b x
+        acc[j] *= scale
+        scale *= b
+    return _poly(acc, 1, lcd * w)
 
 
 # ---------------------------------------------------------------------------

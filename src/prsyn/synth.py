@@ -18,8 +18,8 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 from .polyrat import (BiquadParams, NotMinimum, NotRationalParams, Polynomial,
                       Q, QComplex, RationalFunction, _as_q, _interpolate,
                       _jomega_quotient, _minimum_frequencies_if_pr,
-                      _minimum_if_pr, _sylvester_rows, biquad_params,
-                      biquad_template, count_real_roots, det_bareiss,
+                      _minimum_if_pr, _sylvester_det, biquad_params,
+                      biquad_template, count_real_roots,
                       is_minimum_function, is_positive_real, real_roots,
                       sqrt_fraction, sylvester_determinant)
 from . import network as net
@@ -611,14 +611,19 @@ def _quartet_arms(fam: str, qp: QuartetParams, w0: Fraction) -> Dict[str, object
                     N3=_leaf("r3", RESISTOR, A),
                     N4=_leaf("l4", INDUCTOR, B / w0),
                     N5=_leaf("l5", INDUCTOR, C / w0))
-    storage = (_leaf("c1", CAPACITOR, 1 / (D * w0)) if fam.startswith("N11")
-               else _leaf("l1", INDUCTOR, D / w0))
-    inner = storage if C == 0 else par(storage, _leaf("r3", RESISTOR, 1 / C))
-    return dict(N1=inner if A == 0 else ser(_leaf("r1", RESISTOR, A), inner),
+    return dict(N1=_n1112_arm(fam, A, C, D, w0),
                 N2=_leaf("r2", RESISTOR, B),
                 N3=_leaf("c3", CAPACITOR, 1 / (E * w0)),
                 N4=_leaf("l4", INDUCTOR, E / w0),
                 N5=_leaf("l5", INDUCTOR, E / w0))
+
+
+def _n1112_arm(fam: str, A: Fraction, C: Fraction, D: Fraction, w0: Fraction):
+    """The N1 arm of an N11/N12 member, the one arm that D enters."""
+    storage = (_leaf("c1", CAPACITOR, 1 / (D * w0)) if fam.startswith("N11")
+               else _leaf("l1", INDUCTOR, D / w0))
+    inner = storage if C == 0 else par(storage, _leaf("r3", RESISTOR, 1 / C))
+    return inner if A == 0 else ser(_leaf("r1", RESISTOR, A), inner)
 
 
 def build_quartet(qp: QuartetParams, omega0) -> Network:
@@ -788,34 +793,50 @@ _TREE_OFF = _bridge_complements(False)
 _TWOTREE_OFF = _bridge_complements(True)
 
 
-def bridge_structural_polys(arms: Dict[str, Tuple[Polynomial, Polynomial]]):
-    """Unreduced numerator/denominator polynomials of the five-arm bridge
-    impedance, with the arm at each slot N1..N5 given as an unreduced
-    (num, den) pair.
+def _bridge_n1_cofactors(arms: Dict[str, Tuple[Polynomial, Polynomial]]):
+    """The N1 cofactors of the five-arm bridge: ((num0, num1), (den0, den1))
+    with num = n1 * num0 + d1 * num1 and den = n1 * den0 + d1 * den1 for
+    any (n1, d1) at slot N1, read from the unreduced (num, den) pairs of
+    the arms at N2..N5 alone (an N1 entry of arms is not read).
 
     The terms are the spanning-tree sums of the four-vertex bridge graph
     (Kirchhoff): a term takes the den of each arm on the tree and the num
     of each arm off it, the 2-trees that separate the port giving the
-    numerator and the trees the denominator.  Clearing all arm
-    denominators keeps the natural polynomial degrees (equal to the number
-    of storage elements for single-storage arms).  The terms are grouped by
-    the num/den choice for N1, N2 and N5: each group sums its N3 x N4
-    products, then multiplies once by its N1 x N2 x N5 product.  All these
-    products serve num and den."""
+    numerator and the trees the denominator; each sum is linear in N1's
+    pair.  The terms are grouped by the num/den choice for N1, N2 and N5:
+    each group sums its N3 x N4 products, then multiplies once by its
+    N2 x N5 product.  All these products serve num and den."""
     sides = (0, 1)
     p34 = {(c3, c4): arms["N3"][c3] * arms["N4"][c4] for c3 in sides for c4 in sides}
-    p12 = {(c1, c2): arms["N1"][c1] * arms["N2"][c2] for c1 in sides for c2 in sides}
-    p125 = {(c1, c2, c5): p * arms["N5"][c5] for (c1, c2), p in p12.items()
-            for c5 in sides}
+    p25 = {(c2, c5): arms["N2"][c2] * arms["N5"][c5] for c2 in sides for c5 in sides}
 
-    def total(offs):
+    def cofactors(offs):
         groups = defaultdict(Polynomial)
         for off in offs:
-            c = {slot: 0 if slot in off else 1 for slot in arms}
+            # the arm at a slot off the tree gives its num (0), else its den
+            c = {slot: 0 if slot in off else 1
+                 for slot in ("N1", "N2", "N3", "N4", "N5")}
             groups[c["N1"], c["N2"], c["N5"]] += p34[c["N3"], c["N4"]]
-        return sum((p125[k] * s for k, s in groups.items()), Polynomial())
+        return tuple(sum((p25[c2, c5] * total for (c1, c2, c5), total
+                          in groups.items() if c1 == side), Polynomial())
+                     for side in sides)
 
-    return total(_TWOTREE_OFF), total(_TREE_OFF)
+    return cofactors(_TWOTREE_OFF), cofactors(_TREE_OFF)
+
+
+def _contract(n1: Tuple[Polynomial, Polynomial], cofactors):
+    """The bridge's (num, den) from N1's pair and its N1 cofactors."""
+    return tuple(n1[0] * c0 + n1[1] * c1 for c0, c1 in cofactors)
+
+
+def bridge_structural_polys(arms: Dict[str, Tuple[Polynomial, Polynomial]]):
+    """Unreduced numerator/denominator polynomials of the five-arm bridge
+    impedance, with the arm at each slot N1..N5 given as an unreduced
+    (num, den) pair: N1's pair contracted with its two N1 cofactors
+    (``_bridge_n1_cofactors``).  Clearing all arm denominators keeps the
+    natural polynomial degrees (equal to the number of storage elements for
+    single-storage arms)."""
+    return _contract(arms["N1"], _bridge_n1_cofactors(arms))
 
 
 def _quartet_polys(fam: str, w0: Fraction, **params):
@@ -857,10 +878,12 @@ def _fixture_samples(var_count: int = 24) -> List[Fraction]:
 def _sylvester_nominal(p: Polynomial, q: Polynomial, m: int, n: int) -> Fraction:
     """Resultant-style determinant at the nominal degrees (m, n) of the
     generic family, so that specialization (vanishing leading coefficients)
-    commutes with the determinant."""
-    if int(p.degree) > m or int(q.degree) > n:
+    commutes with the determinant; over Z on the primitive parts, as
+    ``sylvester_determinant``.  A zero p or q (degree -inf) is read as
+    all-zero rows."""
+    if p.degree > m or q.degree > n:
         raise ConstraintViolated("specialized degree exceeds the nominal one")
-    return det_bareiss(_sylvester_rows(p, q, m, n, 0))
+    return _sylvester_det(p, q, m, n, 0)
 
 
 def resultant_fixture_check(family: str, subs: Dict[str, Fraction]) -> bool:
@@ -920,12 +943,10 @@ def _check_q8(subs, w0) -> bool:
         p, q = _q8_struct(g1, g2, c2, F, w0)
         cof0 = c2 * w0 ** 16 * (1 + c2) * (1 + F * F * g1 * g2) ** 4
         cof1 = -c2 * w0 ** 9 * (1 + F * F * g1 * g2) ** 2
-        r0 = sylvester_determinant(p, q, 0)
-        r1 = sylvester_determinant(p, q, 1)
         if cof0 == 0 or cof1 == 0:
             return False
-        r0_vals.append(r0 / cof0)
-        r1_vals.append(r1 / cof1)
+        r0_vals.append(sylvester_determinant(p, q, 0) / cof0)
+        r1_vals.append(sylvester_determinant(p, q, 1) / cof1)
     f1sq = _interpolate(xs, r0_vals)
     f2 = _interpolate(xs, r1_vals)
     f1 = _poly_sqrt(f1sq)
@@ -948,20 +969,41 @@ def _check_q8(subs, w0) -> bool:
     return res == rhs
 
 
-def _n1112_struct(family, r1, g2, g3, F, var, w0, strict=True):
+def _n1112_structs(family, r1, g2, g3, F, samples, w0, strict=True):
+    """The structural pair of ``_n1112_struct`` at each var in samples,
+    lazily and in order.  Only arm N1 holds var, so the N1 cofactors of
+    arms N2..N5 are built once and each sample contracts them with N1's
+    pair."""
     # var is c1 (N11) or x1 (N12); r1 = 0 shorts the series resistor and
     # g2 = 0 opens the parallel one
-    num, den = _quartet_polys(family, w0, A=r1, B=1 / g3, C=g2, D=F / var, E=F)
-    if strict and (num.degree != 4 or den.degree != 4 or num(Q(0)) == 0):
-        raise ConstraintViolated(f"{family} structural polynomials are degenerate")
-    if not strict:
-        return num, den
-    if family == "N11":
-        target0 = F * (1 + r1 * g2) * w0 ** 4
-    else:
-        target0 = r1 * var * w0 ** 4
-    c = target0 / num(Q(0))
-    return num * c, den * (c * F)
+    arms = _quartet_arms(family, QuartetParams(
+        family, A=r1, B=1 / g3, C=g2, D=F / samples[0], E=F), w0)
+    cofactors = _bridge_n1_cofactors({slot: net.tree_pair(arms[slot])
+                                      for slot in ("N2", "N3", "N4", "N5")})
+    for var in samples:
+        n1 = _n1112_arm(family, r1, g2, F / var, w0)
+        num, den = _contract(net.tree_pair(n1), cofactors)
+        if not strict:
+            yield num, den
+            continue
+        if num.degree != 4 or den.degree != 4 or num.coeff(0) == 0:
+            raise ConstraintViolated(
+                f"{family} structural polynomials are degenerate")
+        if family == "N11":
+            target0 = F * (1 + r1 * g2) * w0 ** 4
+        else:
+            target0 = r1 * var * w0 ** 4
+        c = target0 / num.coeff(0)
+        yield num * c, den * (c * F)
+
+
+def _n1112_struct(family, r1, g2, g3, F, var, w0, strict=True):
+    """The N11/N12 structural (num, den) pair at one var: the bridge's
+    unreduced pair; with strict, scaled so that num(0) is the family's
+    closed form and den carries one more factor F, after checking both are
+    of degree 4 with num(0) != 0 (ConstraintViolated otherwise).  One
+    sample costs one N1-cofactor build and one contraction."""
+    return next(_n1112_structs(family, r1, g2, g3, F, [var], w0, strict))
 
 
 def _check_n11_n12(family, subs, w0) -> bool:
@@ -1002,9 +1044,10 @@ def _check_n11_n12(family, subs, w0) -> bool:
     # f1_printed^2 has degree <= 2 < 24 and the interpolant is unique, so
     # comparing every sample with it is comparing the interpolant with it
     xs = _fixture_samples()
+    vx = Q(29, 4)                       # the spot check after interpolation
+    structs = _n1112_structs(family, r1, g2, g3, F, xs + [vx], w0)
     vals0, vals1 = [], []
-    for v in xs:
-        p, q = _n1112_struct(family, r1, g2, g3, F, v, w0)
+    for v, (p, q) in zip(xs, structs):
         c0, c1 = cof0(v), cof1(v)
         if c0 == 0 or c1 == 0:
             return False
@@ -1013,8 +1056,7 @@ def _check_n11_n12(family, subs, w0) -> bool:
     if any(y != f1_printed(v) ** 2 for v, y in zip(xs, vals0)):
         return False
     f2 = _interpolate(xs, vals1)
-    vx = Q(29, 4)
-    p, q = _n1112_struct(family, r1, g2, g3, F, vx, w0)
+    p, q = next(structs)
     if sylvester_determinant(p, q, 0) != cof0(vx) * f1_printed(vx) ** 2:
         return False
     if sylvester_determinant(p, q, 1) != cof1(vx) * f2(vx):
@@ -1048,8 +1090,7 @@ def n12_has_no_feasible_solution(r1, g2, g3, F) -> bool:
     # look for a common positive root directly
     xs = _fixture_samples(16)
     vals0, vals1 = [], []
-    for v in xs:
-        p, q = _n1112_struct("N12", r1, g2, g3, F, v, w0=Q(1), strict=False)
+    for p, q in _n1112_structs("N12", r1, g2, g3, F, xs, Q(1), strict=False):
         vals0.append(sylvester_determinant(p, q, 0))
         vals1.append(sylvester_determinant(p, q, 1))
     rho0 = _interpolate(xs, vals0)

@@ -9,11 +9,14 @@ environment, none calls ``complex``, and
 only the CLI ``check`` formatter calls ``float``, to print a minimum
 frequency whose square is irrational.  The one fraction-free elimination
 loop, ``_eliminate``, is named only by its four entry points in the
-elimination section of ``polyrat``: the determinants over Z and Z[s] and
-the leading minors over Z[s] run its forward half and the solves over Z
-and Z[j] its back half too, so no second elimination loop runs beside it.  ``Polynomial`` is the one
-polynomial class of ``polyrat``, and ``_GaussInt`` the one other ring with
-division.  In the
+elimination section of ``polyrat``: the determinants over Z (``_det_z``,
+which ``det_bareiss`` runs after clearing row denominators and Sylvester
+determinants run on the rows of primitive parts) and over Z[s]
+(``det_poly``) and the leading minors over Z[s] (``leading_minors``) run
+its forward half, and the solves over Z and Z[j] (``solve``) its back half
+too, so no second elimination loop runs beside it.  ``Polynomial`` is the
+one polynomial class of ``polyrat``, and ``_GaussInt`` the one other ring
+with division.  In the
 graph code of ``network`` and ``analysis`` only ``_reach`` and the block
 decomposition ``_edge_biconnected_components`` run a stack loop.  The
 checks read the sources with ``ast``; nothing is imported.
@@ -143,7 +146,7 @@ def test_no_float_arithmetic():
 # the entry points of the one elimination loop: int and Polynomial rows
 # forward (determinants and leading minors), int or _GaussInt rows forward
 # and back
-BAREISS_ENTRY_POINTS = {("src/prsyn/polyrat.py", "det_bareiss"),
+BAREISS_ENTRY_POINTS = {("src/prsyn/polyrat.py", "_det_z"),
                         ("src/prsyn/polyrat.py", "det_poly"),
                         ("src/prsyn/polyrat.py", "leading_minors"),
                         ("src/prsyn/polyrat.py", "solve")}

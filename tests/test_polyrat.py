@@ -472,6 +472,74 @@ class TestSylvester:
                            + [rng.randint(1, 4)])
             assert (sylvester_determinant(p, q, 0) == 0) == (p.gcd(q).degree >= 1)
 
+    def test_determinant_matches_fraction_references(self):
+        # rows of primitive parts times the contents' powers, against the
+        # Fraction matrix built from the coefficients
+        rng = random.Random(1853)
+        for trial in range(40):
+            p = _wide_poly(rng, rng.randint(1, 5), negative=trial % 2 == 0)
+            q = _wide_poly(rng, rng.randint(1, 5), negative=trial % 3 == 0)
+            if trial % 4 == 0:          # a shared root: R_0 = 0
+                root = Polynomial([Fraction(rng.randint(-10**6, 10**6),
+                                            rng.randint(1, 10**9)), -1])
+                p, q = p * root, q * root
+            m, n = int(p.degree), int(q.degree)
+            for k in range(min(m, n)):
+                ref = sylvester_reference(p, q, m, n, k)
+                assert sylvester_matrix(p, q, k) == ref
+                assert sylvester_determinant(p, q, k) == fraction_determinant(ref)
+            if trial % 4 == 0:
+                assert sylvester_determinant(p, q, 0) == 0
+
+    def test_nominal_degrees_above_the_real_ones(self):
+        from prsyn.synth import _sylvester_nominal
+        rng = random.Random(1840)
+        for trial in range(30):
+            p = (Polynomial() if trial % 5 == 0 else
+                 _wide_poly(rng, rng.randint(0, 3), negative=trial % 2 == 0))
+            q = _wide_poly(rng, rng.randint(0, 4), negative=trial % 3 == 0)
+            m = int(p.degree) + rng.randint(0, 2) if p else rng.randint(1, 3)
+            n = int(q.degree) + rng.randint(0 if m else 1, 2)
+            want = fraction_determinant(sylvester_reference(p, q, m, n, 0))
+            assert _sylvester_nominal(p, q, m, n) == want
+            if not p:
+                assert want == 0
+        # the Q8 identity's degrees (2, 6) with a zero f1
+        f2 = _wide_poly(rng, 5, negative=True)
+        assert _sylvester_nominal(Polynomial(), f2, 2, 6) == 0
+
+
+def _wide_poly(rng, deg, negative):
+    """A polynomial of degree deg with 10^9 denominators, its leading
+    coefficient negative when asked."""
+    cs = [Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**9))
+          for _ in range(deg + 1)]
+    lead = Fraction(rng.randint(1, 10**6), rng.randint(1, 10**9))
+    cs[-1] = -lead if negative else lead
+    return Polynomial(cs)
+
+
+def sylvester_reference(p, q, m, n, k):
+    """The k-th truncated Sylvester matrix of p and q read at the degrees
+    m >= deg p and n >= deg q, from the Fraction coefficients: n - k
+    shifted rows of p's, then m - k of q's."""
+    pdesc = [p.coeff(m - i) for i in range(m + 1)]
+    qdesc = [q.coeff(n - i) for i in range(n + 1)]
+    size = m + n - 2 * k
+    return ([[pdesc[j - i] if 0 <= j - i <= m else Q(0) for j in range(size)]
+             for i in range(n - k)]
+            + [[qdesc[j - i] if 0 <= j - i <= n else Q(0) for j in range(size)]
+               for i in range(m - k)])
+
+
+def fraction_determinant(m):
+    """det over Q: permutation expansion up to 5 x 5, the Q[s] Bareiss
+    reference on constant entries above."""
+    if len(m) <= 5:
+        return permutation_determinant(m)
+    coeffs = q_bareiss_reference([[Polynomial([x]) for x in row] for row in m])
+    return coeffs[0] if coeffs else Q(0)
+
 
 def _nonzero_fraction(rng):
     return Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 5))
@@ -578,7 +646,8 @@ class TestGaussJordan:
 
 
 def lagrange_reference(points):
-    """The Lagrange-basis interpolation that Newton's form replaced."""
+    """Lagrange-basis interpolation over Q, one Polynomial product per
+    node and basis polynomial."""
     total = Polynomial()
     for i, (xi, yi) in enumerate(points):
         li = Polynomial([1])
@@ -609,6 +678,22 @@ class TestInterpolate:
             got = _interpolate(xs, ys)
             assert got == lagrange_reference(list(zip(xs, ys)))
             assert got.degree < len(xs)
+            assert all(got(x) == y for x, y in zip(xs, ys))
+
+    def test_wide_ordinates_and_negative_nodes(self):
+        # 200-bit ordinates over 200-bit denominators, at nodes of either
+        # sign with unlike denominators, in no order
+        rng = random.Random(5303)
+        for n in range(1, 21):
+            xs = set()
+            while len(xs) < n:
+                xs.add(Fraction(rng.randint(-10**4, 10**4), rng.randint(1, 60)))
+            xs = sorted(xs)
+            rng.shuffle(xs)
+            ys = [Fraction(rng.choice((-1, 1)) * rng.getrandbits(200),
+                           rng.getrandbits(200) | 1) for _ in xs]
+            got = _interpolate(xs, ys)
+            assert got == lagrange_reference(list(zip(xs, ys)))
             assert all(got(x) == y for x, y in zip(xs, ys))
 
     def test_repeated_abscissa_raises(self):
@@ -912,6 +997,29 @@ class TestIntegerPRS:
                     a, b = r
                     assert a >= lo and p(b) != 0
                     assert q_count_reference(p, a, b) == 1
+
+    def test_signs_match_fraction_evaluation(self):
+        # the integer homogeneous-Horner sign against p(x) over Q: at zero,
+        # at points of either sign with 10^9 denominators, at a root and
+        # at both infinities
+        from prsyn.polyrat import _sign_at
+
+        def sign(v):
+            return (v > 0) - (v < 0)
+
+        rng = random.Random(1879)
+        for _ in range(300):
+            root = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**9))
+            p = random_rational_poly(rng) * Polynomial([-root, 1])
+            points = [Q(0), rng.randint(-5, 5), root,
+                      Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**9)),
+                      Fraction(rng.randint(-40, 40), rng.randint(1, 7))]
+            for x in points:
+                assert _sign_at(p, x) == sign(p(Fraction(x))), (p, x)
+            lead = sign(p.leading()) if p else 0
+            assert _sign_at(p, "+inf") == lead
+            assert _sign_at(p, "-inf") == (lead * (-1) ** int(p.degree)
+                                           if p else 0)
 
     def test_routh_matches_rational_array(self):
         # products of s + a and s^2 + b s + c: strict Hurwitz exactly when

@@ -577,6 +577,31 @@ class TestFixtureArms:
                     assert struct == (num * c, den * (c * F))
         assert seen_zero == {"r1", "g2"}
 
+    def test_per_check_cofactors_match_the_direct_bridge(self):
+        # one N1-cofactor build per check, contracted with N1's pair at
+        # each sample, gives the bridge's own pair at every fixture sample
+        from prsyn.network import tree_pair
+        from prsyn.synth import (QuartetParams, _fixture_samples,
+                                 _n1112_structs, _quartet_arms,
+                                 bridge_structural_polys)
+        points = [(Q(1, 3), Q(2, 5), Q(7, 4), Q(1, 2), Q(1)),
+                  (Q(0), Q(2, 5), Q(7, 4), Q(3, 2), Q(4, 3)),      # r1 = 0
+                  (Q(5, 2), Q(0), Q(3), Q(4, 3), Q(2)),            # g2 = 0
+                  (Q(0), Q(0), Q(1, 6), Q(5), Q(1, 3))]            # both
+        for fam in ("N11", "N12"):
+            for r1, g2, g3, F, w0 in points:
+                for xs in (_fixture_samples(), _fixture_samples(16)):
+                    got = list(_n1112_structs(fam, r1, g2, g3, F, xs, w0,
+                                              strict=False))
+                    assert len(got) == len(xs)
+                    for v, pair in zip(xs, got):
+                        qp = QuartetParams(fam, A=r1, B=1 / g3, C=g2,
+                                           D=F / v, E=F)
+                        arms = {slot: tree_pair(t) for slot, t
+                                in _quartet_arms(fam, qp, w0).items()}
+                        assert pair == bridge_structural_polys(arms) \
+                            == bridge_reference(arms)
+
 
 class TestFig2Params:
     def test_derived_symbols(self):
