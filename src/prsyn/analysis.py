@@ -12,7 +12,8 @@ exact: frequencies are rationals (a float is a TypeError) and phasors are
 ``polyrat``: ``leading_minors`` and ``det_poly`` over Q[s] and ``solve``
 over Q or Q(j), with nullspaces, all one fraction-free loop over Z[s], Z
 or Z[j]; this module only sets up the systems.  Each impedance is the
-quotient of the last two leading minors of one matrix.
+quotient of the last two leading minors of one matrix, its vertices in
+minimum-degree order with the port vertex last.
 The PBH polynomials come from det(sI - A) and Krylov annihilators.
 """
 
@@ -106,21 +107,43 @@ def _nodal_matrix(n: Network, admittance, zero):
     return mat, idx
 
 
+def _min_degree_order(n: Network, idx: Dict[str, int]) -> List[int]:
+    """The order in which ``impedance`` eliminates the vertices of idx:
+    greedy minimum degree on the pattern of the element ends (Tinney &
+    Walker 1967), ties to the lower index, and the port plus terminal last.
+    Eliminating a vertex joins its neighbours (its fill-in)."""
+    adj: List[Set[int]] = [set() for _ in idx]
+    for e in n.elements:
+        if e.head in idx and e.tail in idx:
+            adj[idx[e.head]].add(idx[e.tail])
+            adj[idx[e.tail]].add(idx[e.head])
+    port = idx[n.port[0]]
+    left = set(range(len(idx))) - {port}
+    order = []
+    for _ in range(len(left)):
+        v = min(left, key=lambda u: (len(adj[u]), u))
+        left.remove(v)
+        order.append(v)
+        for u in adj[v]:
+            adj[u] = (adj[u] | adj[v]) - {u, v}
+    return order + [port]
+
+
 def impedance(n: Network) -> Union[RationalFunction, NoImpedance]:
     """Exact driving-point impedance, asserted positive-real.
 
     Nodal analysis over Q[s] with all admittances scaled by s; H = s *
-    cofactor / determinant.  With the port vertex ordered last, the
-    cofactor and the determinant are the last two leading minors, read
-    from one ``leading_minors`` pass (Bareiss over Q[s]).  At s = 1 the
-    scaled entries 1/R, 1/L and C are positive and the elements connect
-    every vertex, so the matrix is positive definite there and no leading
-    minor vanishes, unless a vertex has no path to ground and the
-    determinant is identically zero: a bare port."""
+    cofactor / determinant.  In ``_min_degree_order``, which keeps fill-in
+    low and puts the port vertex last, the cofactor and the determinant
+    are the last two leading minors, read from one ``leading_minors`` pass
+    (Bareiss over Q[s]).  At s = 1 the scaled entries 1/R, 1/L and C are
+    positive and the elements connect every vertex, so the matrix is
+    positive definite there and, in any symmetric order, no leading minor
+    vanishes, unless a vertex has no path to ground and the determinant is
+    identically zero: a bare port."""
     mat, idx = _nodal_matrix(n, map(_scaled_admittance, n.elements),
                              Polynomial())
-    a = idx[n.port[0]]
-    order = [i for i in range(len(mat)) if i != a] + [a]
+    order = _min_degree_order(n, idx)
     minors = [ONE] + leading_minors([[mat[r][c] for c in order]
                                      for r in order])
     if len(minors) <= len(mat):

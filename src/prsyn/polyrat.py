@@ -13,7 +13,8 @@ parts.  Determinants and linear solves run one fraction-free elimination
 loop, ``_eliminate``, over Z, the Gaussian integers Z[j] or Z[s] on
 Polynomial entries: a determinant, or the run of nonzero leading minors,
 takes its forward half, and a solve, after clearing row denominators, its
-back half too.  A Sylvester determinant runs on the integer rows of the
+back half too.  A row with a zero in the pivot column skips that step and
+catches up when it is next read, so sparse rows cost little.  A Sylvester determinant runs on the integer rows of the
 primitive parts, and Sturm signs and interpolation stay in Z as well.
 Real roots come from one exact isolator, ``real_roots``: a rational root is
 a Fraction and an irrational one an open interval with rational ends, so a
@@ -920,6 +921,14 @@ class _GaussInt:
         return q, (self - q * other if rr or ri else _GaussInt(0, 0))
 
 
+def _exact(x, d):
+    """x / d for d dividing x; a remainder raises, also under ``-O``."""
+    q, rem = divmod(x, d)
+    if rem:
+        raise ArithmeticError("fraction-free elimination left a remainder")
+    return q
+
+
 def _eliminate(m, width, back):
     """Fraction-free elimination of the rows m in place (Bareiss 1968); with
     back, one-step fraction-free Gauss-Jordan (Nakos, Turner & Williams
@@ -927,19 +936,38 @@ def _eliminate(m, width, back):
 
     The entries lie in an integral domain whose zero is falsy and whose
     divmod is division with remainder: int, _GaussInt or Polynomial.  The
-    pivot of each of the first width columns is its first nonzero entry at
-    or below the current row.  A column with none ends a forward run, whose
-    determinant is then zero, and is skipped with back.  Each step sets
-    a_ij to (p a_ij - a_ic a_rj) / p_prev on the rows below the pivot row
-    and, with back, on the rows above it too.  Returns (pivot columns, swap
-    sign).  Pivot columns keep their pivots and stale entries that are never
-    read; after back, each pivot row holds the last pivot d as the
+    pivot p_k of each of the first width columns is its first nonzero entry
+    at or below the current row.  A column with none ends a forward run,
+    whose determinant is then zero, and is skipped with back.  Step k sets
+    a_ij to (p_k a_ij - a_ic a_rj) / p_(k-1), p_(-1) being 1, on the rows
+    below the pivot row and, with back, on the rows above it too.
+
+    Where a_ic is zero the step would only scale the row by p_k / p_(k-1),
+    so the row is skipped.  A row holds the entries of the step t it was
+    last brought to; the scalings telescope, so at step k its entries are
+    p_(k-1) / p_(t-1) times those.  A new pivot row is caught up by that
+    factor, and a row with a_ic nonzero takes step k from its step-t
+    entries, dividing by p_(t-1) in place of p_(k-1).  Only live columns
+    are scaled: stale pivot-column entries are not divisible.  Returns
+    (pivot columns, swap sign).  Pivot columns keep their pivots and stale
+    entries that are never read; after back, every row is caught up on the
+    other columns, and each pivot row holds the last pivot d as the
     coefficient of its pivot column."""
     rows = len(m)
     pivots: List[int] = []
     skipped: List[int] = []     # no pivot: zero from the current row down
+    ps: list = []               # the pivot of each step so far
+    at = [0] * rows             # the step each row was last brought to
     sign = 1
-    prev = None                 # the previous pivot; no division at step 0
+
+    def catch_up(i, cols):
+        t, row = at[i], m[i]
+        if t < len(ps):
+            for j in cols:
+                x = row[j] * ps[-1]
+                row[j] = _exact(x, ps[t - 1]) if t else x
+            at[i] = len(ps)
+
     for c in range(width):
         r = len(pivots)
         if r == rows:
@@ -953,27 +981,28 @@ def _eliminate(m, width, back):
             continue
         if piv != r:
             m[r], m[piv] = m[piv], m[r]
+            at[r], at[piv] = at[piv], at[r]
             sign = -sign
+        cols = skipped + list(range(c + 1, len(m[r])))
+        catch_up(r, [c] + cols)
         top = m[r]
         p = top[c]
-        cols = range(c + 1, len(top))
-        if back:
-            cols = skipped + list(cols)
         for i in range(0 if back else r + 1, rows):
-            if i == r:
-                continue
-            row = m[i]
+            row, t = m[i], at[i]
             lead = row[c]
+            if i == r or not lead:
+                continue
             for j in cols:
                 x = row[j] * p - lead * top[j]
-                if prev is not None:
-                    x, rem = divmod(x, prev)
-                    if rem:
-                        raise ArithmeticError(
-                            "fraction-free elimination left a remainder")
-                row[j] = x
+                row[j] = _exact(x, ps[t - 1]) if t else x
+            at[i] = r + 1
+        at[r] = r + 1
         pivots.append(c)
-        prev = p
+        ps.append(p)
+    if back:
+        rest = [j for j in range(len(m[0]) if m else 0) if j not in pivots]
+        for i in range(rows):
+            catch_up(i, rest)
     return pivots, sign
 
 

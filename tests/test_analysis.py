@@ -9,6 +9,7 @@ from prsyn.analysis import (AnalysisError, CapacitorLoop, ExtractionFailure,
                             HypothesesNotMet,
                             InconsistentDrive, InductorCutset,
                             NoImpedance, PBHReport, StateSpace,
+                            _min_degree_order,
                             blocked_open_short_check,
                             blocked_report, energy_balance, impedance,
                             impedance_series_parallel, mcmillan_gap,
@@ -110,6 +111,48 @@ class TestImpedance:
         h = impedance(n)
         assert h == impedance_series_parallel(n)
         assert h.mcmillan_degree == storage_count(n)
+
+
+def renamed(n, rng):
+    """n with its vertices renamed at random, so that their string order,
+    and the vertex index of the nodal matrix, changes."""
+    old = list(n.vertices)
+    new = old
+    while [old[new.index(v)] for v in sorted(new)] == old:
+        new = [f"w{k}" for k in rng.sample(range(10**6), len(old))]
+    name = dict(zip(old, new))
+    return Network(new, [Element(e.id, e.kind, name[e.head], name[e.tail],
+                                 e.value) for e in n.elements],
+                   (name[n.port[0]], name[n.port[1]]))
+
+
+class TestEliminationOrder:
+    def test_impedance_does_not_depend_on_vertex_names(self, rng, rpfg):
+        nets = [ladder_network(rng.choice(range(6, 34, 2)), rng)
+                for _ in range(8)]
+        nets += [random_sp_network(rng, 10) for _ in range(20)]
+        for n in nets + [rpfg]:
+            h = impedance(n)
+            oracle = impedance_series_parallel(n)
+            assert oracle is None or h == oracle
+            for _ in range(2):
+                m = renamed(n, rng)
+                assert impedance(m) == h
+                idx = {v: i for i, v in enumerate(v for v in m.vertices
+                                                  if v != m.port[1])}
+                order = _min_degree_order(m, idx)
+                assert sorted(order) == list(range(len(idx)))
+                assert order[-1] == idx[m.port[0]]
+        assert impedance_series_parallel(rpfg) is None
+        assert impedance(rpfg) == biquad_template(BiquadParams(1, 1, Q(2, 3), 1))
+
+    def test_ladder_is_eliminated_from_its_far_end(self):
+        # a ladder's nodal matrix is tridiagonal along its series path, and
+        # eliminating it from the far end inward makes no fill-in
+        n = ladder_network(12, random.Random(12))
+        idx = {v: i for i, v in enumerate(v for v in n.vertices if v != "n")}
+        path = ["v10", "v8", "v6", "v4", "v2", "v0", "p"]
+        assert _min_degree_order(n, idx) == [idx[v] for v in path]
 
 
 class TestPhasor:

@@ -156,6 +156,20 @@ class TestPipelines:
             for seed in ("1", "2")]
         assert outs[0] == outs[1] and "PORT da db" in outs[0]
 
+    def test_python_m_prsyn(self, run):
+        # the package runs as a module, with the output of cli.main
+        import os
+        import subprocess
+        import sys
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        proc = subprocess.run(
+            [sys.executable, "-m", "prsyn", "check", "1/(s+1)"],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, timeout=60)
+        code, out, _ = run("check", "1/(s+1)")
+        assert proc.returncode == code == 0, proc.stderr
+        assert proc.stdout == out
+
     def test_mech(self, run, tmp_path):
         net = tmp_path / "n.net"
         net.write_text("C c1 a b 3\nR r1 a b 2\nPORT a b\n")

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from prsyn.polyrat import (BiquadParams, DegreeTooSmall, NotBiquadratic,
                            NotMinimum, Polynomial, Q, QComplex,
                            RationalFunction, ZeroDenominator,
-                           _interpolate,
+                           _det_z, _interpolate,
                            biquad_params, biquad_template, count_real_roots,
                            det_bareiss, det_poly,
                            eval_ratfunc, format_poly, format_ratfunc,
@@ -87,6 +87,43 @@ def q_bareiss_reference(m):
                 row[c] = x
         prev = pivot
     return (m[n - 1][n - 1] * sign).coeffs if n else (Q(1),)
+
+
+def leading_minors_reference(m):
+    # each M_k from its own k x k block, up to the first zero
+    out = []
+    for k in range(1, len(m) + 1):
+        minor = q_bareiss_reference([row[:k] for row in m[:k]])
+        if minor == ():
+            break
+        out.append(minor)
+    return out
+
+
+class Counted:
+    """An int ring that counts its divisions with remainder."""
+    divmods = 0
+
+    def __init__(self, v):
+        self.v = v
+
+    def __mul__(self, other):
+        return Counted(self.v * getattr(other, "v", other))
+
+    def __sub__(self, other):
+        return Counted(self.v - other.v)
+
+    def __bool__(self):
+        return self.v != 0
+
+    def __divmod__(self, other):
+        Counted.divmods += 1
+        q, r = divmod(self.v, other.v)
+        return Counted(q), Counted(r)
+
+
+def counted(rows):
+    return [[Counted(v) for v in row] for row in rows]
 
 
 class TestReduce:
@@ -359,16 +396,6 @@ class TestSylvester:
                                         rng.randint(1, 10**9))
                                for _ in range(rng.randint(1, 3))])
 
-        def expected(m):
-            # each M_k from its own k x k block, up to the first zero
-            out = []
-            for k in range(1, len(m) + 1):
-                minor = q_bareiss_reference([row[:k] for row in m[:k]])
-                if minor == ():
-                    break
-                out.append(minor)
-            return out
-
         for trial in range(30):
             n = rng.randint(1, 7)
             m = [[entry() for _ in range(n)] for _ in range(n)]
@@ -380,7 +407,8 @@ class TestSylvester:
                 # columns, so M_{k+1} = 0 and the run stops before it
                 k, x = rng.randrange(1, n - 1), entry() or Polynomial([2])
                 m[k][:k + 1] = [x * y for y in m[0][:k + 1]]
-            assert [x.coeffs for x in leading_minors(m)] == expected(m)
+            assert [x.coeffs for x in leading_minors(m)] \
+                == leading_minors_reference(m)
 
         # M_2 = 0 but det != 0: the loop swaps rows at step 2, and every
         # later pivot is a minor of the swapped matrix, not a leading one
@@ -390,36 +418,13 @@ class TestSylvester:
              [x * a, x * b, Polynomial([0, 1])],
              [Polynomial([1]), Polynomial([4]), Polynomial([6, 1])]]
         assert det_poly(m)
-        assert [p.coeffs for p in leading_minors(m)] == expected(m) \
-            == [a.coeffs]
+        assert [p.coeffs for p in leading_minors(m)] \
+            == leading_minors_reference(m) == [a.coeffs]
         assert leading_minors([]) == []
 
     def test_forward_run_stops_at_a_column_without_pivot(self):
         # the determinant of a matrix whose first column is zero is known
         # there: no step of the elimination runs, so nothing is divided
-        class Counted:
-            divmods = 0
-
-            def __init__(self, v):
-                self.v = v
-
-            def __mul__(self, other):
-                return Counted(self.v * getattr(other, "v", other))
-
-            def __sub__(self, other):
-                return Counted(self.v - other.v)
-
-            def __bool__(self):
-                return self.v != 0
-
-            def __divmod__(self, other):
-                Counted.divmods += 1
-                q, r = divmod(self.v, other.v)
-                return Counted(q), Counted(r)
-
-        def counted(rows):
-            return [[Counted(v) for v in row] for row in rows]
-
         rows = ((2, 1, 1, 0), (1, 3, 1, 2), (1, 1, 4, 1), (0, 2, 1, 5))
         assert det_poly(counted(rows)).v == det_bareiss(rows)
         assert Counted.divmods > 0
@@ -643,6 +648,110 @@ class TestGaussJordan:
                                zero) == rhs[i][c]
                            for i, row in enumerate(rows)
                            for c in range(len(rhs[0])))
+
+
+def _q_entry(rng):
+    """A nonzero Polynomial of degree up to 2 whose coefficients have
+    denominators up to 10**9."""
+    return Polynomial([Fraction(rng.randint(-10**6, 10**6),
+                                rng.randint(1, 10**9))
+                       for _ in range(rng.randint(1, 3))]) or Polynomial([1])
+
+
+class TestSparseElimination:
+    """Rows whose entry in the pivot column is zero skip that step and are
+    caught up later; every entry point must still match its reference."""
+
+    def test_banded_and_permuted_q_matrices(self):
+        rng = random.Random(1967)
+        zero = Polynomial()
+        kinds = ("banded", "permuted", "swap", "zero_minor")
+        for trial in range(24):
+            kind = kinds[trial % 4]
+            n = rng.randint(3, 8)
+            band = 1 if kind != "banded" else rng.randint(1, 2)
+            m = [[_q_entry(rng) if abs(i - j) <= band else zero
+                  for j in range(n)] for i in range(n)]
+            if kind == "permuted":
+                rows, cols = list(range(n)), list(range(n))
+                rng.shuffle(rows)
+                rng.shuffle(cols)
+                m = [[m[i][j] for j in cols] for i in rows]
+            if kind == "swap":
+                m[0][0] = zero          # column 0 takes row 1 as its pivot
+            if kind == "zero_minor":
+                # rows 0 and 1 agree up to a factor in the first two
+                # columns, so M_2 = 0 and the run swaps rows 1 and 2
+                x = _q_entry(rng)
+                m[1][:2] = [x * y for y in m[0][:2]]
+            assert det_poly(m).coeffs == q_bareiss_reference(m)
+            minors = [x.coeffs for x in leading_minors(m)]
+            assert minors == leading_minors_reference(m)
+            if kind == "zero_minor":
+                assert len(minors) == 1 and det_poly(m)
+
+    def test_sparse_int_determinants_match_permutation_oracle(self):
+        rng = random.Random(1853)
+        swaps = 0
+        for _ in range(150):
+            n = rng.randint(2, 6)
+            m = [[rng.randint(-99, 99) if rng.random() < 0.25 else 0
+                  for _ in range(n)] for _ in range(n)]
+            swaps += not m[0][0] and any(row[0] for row in m)
+            assert _det_z([row[:] for row in m]) == permutation_determinant(m)
+        assert swaps > 10
+
+    @pytest.mark.parametrize("field", ["fraction", "qcomplex"])
+    def test_sparse_solves_match_dense_reference(self, field):
+        # wide systems with empty columns (skipped, no pivot) and more
+        # unknowns than rows (free columns), consistent or not
+        if field == "fraction":
+            entry, zero, is_zero = _nonzero_fraction, Q(0), (lambda x: x == 0)
+        else:
+            entry, zero, is_zero = _nonzero_qcomplex, QComplex(0, 0), QComplex.is_zero
+        rng = random.Random(1997)
+        free = 0
+        for trial in range(80):
+            n, ncols, k = rng.randint(2, 7), rng.randint(2, 9), rng.randint(1, 2)
+            rows = [[entry(rng) if rng.random() < 0.2 else zero
+                     for _ in range(ncols)] for _ in range(n)]
+            for j in rng.sample(range(ncols), rng.randint(0, ncols // 3)):
+                for row in rows:
+                    row[j] = zero
+            if trial % 2:
+                x0 = [[entry(rng) for _ in range(k)] for _ in range(ncols)]
+                rhs = [[sum((row[j] * x0[j][c] for j in range(ncols)), zero)
+                        for c in range(k)] for row in rows]
+            else:
+                rhs = [[entry(rng) if rng.random() < 0.3 else zero
+                        for _ in range(k)] for _ in range(n)]
+            expect = dense_gauss_jordan(rows, rhs, zero, is_zero)
+            assert solve([r[:] for r in rows], [r[:] for r in rhs]) == expect
+            free += expect is not None and bool(expect[1])
+        assert free > 20
+
+    def test_tridiagonal_divisions_are_linear(self):
+        # det of a tridiagonal matrix by the continuant recurrence
+        # f_k = a_k f_(k-1) - b_(k-1) c_(k-1) f_(k-2)
+        n = 12
+        rng = random.Random(67)
+        a = [rng.randint(1, 9) for _ in range(n)]
+        b = [rng.randint(1, 9) for _ in range(n - 1)]
+        c = [rng.randint(-9, -1) for _ in range(n - 1)]
+        rows = [[a[i] if i == j else b[i] if j == i + 1 else c[j]
+                 if i == j + 1 else 0 for j in range(n)] for i in range(n)]
+        f = [1, a[0]]
+        for k in range(1, n):
+            f.append(a[k] * f[-1] - b[k - 1] * c[k - 1] * f[-2])
+        Counted.divmods = 0
+        assert det_poly(counted(rows)).v == f[-1]
+        assert Counted.divmods <= 6 * n
+        # dense: from step 1 on every entry right of and below the pivot
+        # is divided once, (n - 2)^2 + ... + 1^2 = 5 divisions at n = 4
+        dense = ((2, 1, 1, 3), (1, 3, 1, 2), (1, 1, 4, 1), (3, 2, 1, 5))
+        Counted.divmods = 0
+        assert det_poly(counted(dense)).v == permutation_determinant(dense)
+        assert Counted.divmods == 5
 
 
 def lagrange_reference(points):
