@@ -9,12 +9,15 @@ unknown only for an element whose admittance does not exist (an inductor
 at omega = 0, a capacitor holding its state voltage).  Everything is
 exact: frequencies are rationals (a float is a TypeError) and phasors are
 ``QComplex`` values.  The elimination lives in the elimination section of
-``polyrat``: ``leading_minors`` and ``det_poly`` over Q[s] and ``solve``
-over Q or Q(j), with nullspaces, all one fraction-free loop over Z[s], Z
-or Z[j]; this module only sets up the systems.  Each impedance is the
-quotient of the last two leading minors of one matrix, its vertices in
-minimum-degree order with the port vertex last.
-The PBH polynomials come from det(sI - A) and Krylov annihilators.
+``polyrat``: ``leading_minors`` over Q[s] and ``solve`` over Q or Q(j),
+with nullspaces, both one fraction-free loop over Z[s], Z or Z[j]; this
+module only sets up the systems.  Each impedance is the quotient of the
+last two leading minors of one matrix, its vertices in minimum-degree
+order with the port vertex last.  The PBH polynomials come from det(sI -
+A), the last leading minor of sI - A, and Krylov annihilators.  Whether a
+function is PR, lossless or minimum is asked of ``polyrat`` alone, whose
+``is_positive_real`` keeps its verdict, so the report after an impedance
+does not test it again.
 """
 
 from __future__ import annotations
@@ -25,9 +28,8 @@ from fractions import Fraction
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 
 from .polyrat import (ONE, Polynomial, Q, QComplex, RationalFunction, _as_q,
-                      _lossless_if_pr, det_poly, is_positive_real,
-                      leading_minors, qcomplex, real_roots, solve,
-                      strict_hurwitz)
+                      is_lossless, is_positive_real, leading_minors, qcomplex,
+                      real_roots, solve, strict_hurwitz)
 from . import network as net
 from .network import (CAPACITOR, INDUCTOR, RESISTOR, Element, Network,
                       OnePort, OpenCircuit, ShortCircuit, one_port_boundary)
@@ -314,12 +316,16 @@ class BlockReport:
     blocked: Tuple[FrozenSet[str], ...]
     unblocked: FrozenSet[str]
     blocked_oneport_flags: Tuple[bool, ...]
-    blocked_terminals: Tuple[Optional[Tuple[str, str]], ...]
     draws_disagree: bool
     value: Tuple[Fraction, Fraction]       # H(j*omega0) as eval_jomega_pair
 
 
-def blocked_report(n: Network, omega0, seed: int = 0, draws: int = 3) -> BlockReport:
+# phasor draws per blocked report: an element is blocked when it carries no
+# current and no voltage in every draw
+BLOCKED_DRAWS = 3
+
+
+def blocked_report(n: Network, omega0, seed: int = 0) -> BlockReport:
     """Blocked/unblocked partition at a minimum frequency omega0.
 
     Requires (checked): omega0 > 0, the impedance is not lossless, has no
@@ -333,7 +339,7 @@ def blocked_report(n: Network, omega0, seed: int = 0, draws: int = 3) -> BlockRe
     h = impedance(n)
     if isinstance(h, NoImpedance):
         raise HypothesesNotMet("network has no impedance")
-    if _lossless_if_pr(h):              # impedance() asserted PR
+    if is_lossless(h):
         raise HypothesesNotMet("impedance is lossless")
     try:
         re, im = h.eval_jomega_pair(omega0 * omega0)
@@ -346,7 +352,7 @@ def blocked_report(n: Network, omega0, seed: int = 0, draws: int = 3) -> BlockRe
     sols = []
     # no pole at j*omega0 (checked above): phasor_solve's default drive
     space = _phasor_space(n, omega0, ("current", QComplex(1, 0)))
-    for t in range(draws):
+    for t in range(BLOCKED_DRAWS):
         sol = _phasor_draw(n, omega0, space, seed * 1000003 + t)
         sols.append(sol)
         zero_sets.append({e.id for e in n.elements
@@ -358,15 +364,13 @@ def blocked_report(n: Network, omega0, seed: int = 0, draws: int = 3) -> BlockRe
     comps = _element_components(n, blocked_ids)
     unblocked = frozenset(e.id for e in n.elements) - blocked_ids
     flags = []
-    terminals = []
     for comp in comps:
         boundary = one_port_boundary(n, comp)
         flags.append(len(boundary) == 2)
-        terminals.append(tuple(sorted(boundary)) if len(boundary) == 2 else None)
 
     report = BlockReport(omega0, tuple(frozenset(c) for c in comps),
-                         frozenset(unblocked), tuple(flags), tuple(terminals),
-                         disagree, (re, im))
+                         frozenset(unblocked), tuple(flags), disagree,
+                         (re, im))
     _assert_blocked_laws(n, report, sols[0])
     return report
 
@@ -450,32 +454,26 @@ def blocked_open_short_check(n: Network, report: BlockReport) -> bool:
             return None
 
     current = n
-    for comp, flag, terms in zip(report.blocked, report.blocked_oneport_flags,
-                                 report.blocked_terminals):
+    for comp, flag in zip(report.blocked, report.blocked_oneport_flags):
         if not flag:
             return False
-        if current is not n:
-            # the one-port must survive into the reduced network
-            present = {e.id for e in current.elements}
-            if not comp <= present:
-                continue
-            boundary = one_port_boundary(current, comp)
-            if len(boundary) != 2:
-                continue
-            port_obj = OnePort(current, frozenset(comp), tuple(sorted(boundary)))
-        else:
-            port_obj = OnePort(current, frozenset(comp), terms)
+        # the one-port must survive into the reduced network
+        if not comp <= {e.id for e in current.elements}:
+            continue
+        boundary = one_port_boundary(current, comp)
+        if len(boundary) != 2:
+            continue
+        port_obj = OnePort(current, frozenset(comp), tuple(sorted(boundary)))
         succeeded = None
         for op in (net.open_oneport, net.short_oneport):
             reduced = op(current, port_obj)
             if value_at(reduced) == target:
                 succeeded = reduced
                 break
-        if succeeded is None or isinstance(succeeded, (OpenCircuit, ShortCircuit)):
-            if succeeded is None:
-                return False
-            continue
-        current = succeeded
+        if succeeded is None:
+            return False
+        if isinstance(succeeded, Network):
+            current = succeeded
     return True
 
 
@@ -668,11 +666,13 @@ def pbh_diagnostics(ss: StateSpace) -> PBHReport:
     1963; Kailath 1980, sec. 6.2) and that gcd is chi / m(A, B), where
     chi = det(sI - A) and m(A, B) is the annihilator of B
     (``_annihilator``); dually, with the single row C, it is chi /
-    m(A^T, C).  The modes are the rational roots that ``real_roots``
-    finds, ascending; irrational and complex roots remain inside the
-    returned polynomials.  Stabilizability is decided exactly with a
-    Hurwitz test on the whole uncontrollable polynomial."""
-    chi = det_poly(_si_minus_a(ss))
+    m(A^T, C).  chi is the last leading minor of sI - A: the k-th is monic
+    of degree k, so the ``leading_minors`` pass never stops early, and
+    with no state chi = 1.  The modes are the rational roots that
+    ``real_roots`` finds, ascending; irrational and complex roots remain
+    inside the returned polynomials.  Stabilizability is decided exactly
+    with a Hurwitz test on the whole uncontrollable polynomial."""
+    chi = ([ONE] + leading_minors(_si_minus_a(ss)))[-1]
     u = chi // _annihilator(ss.A, ss.B)
     o = chi // _annihilator(list(zip(*ss.A)), ss.C)
 

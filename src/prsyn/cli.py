@@ -22,9 +22,9 @@ from fractions import Fraction
 from typing import List, Optional
 
 from . import analysis, network, synth
-from .polyrat import (PolyratError, QComplex, _lossless_if_pr, _minimum_if_pr,
-                      _minimum_frequencies_if_pr, biquad_params, format_ratfunc,
-                      is_positive_real, parse_ratfunc)
+from .polyrat import (PolyratError, QComplex, biquad_params, format_ratfunc,
+                      is_lossless, is_minimum_function, is_positive_real,
+                      minimum_frequencies, parse_ratfunc)
 
 
 def _number(text: str) -> Fraction:
@@ -60,12 +60,12 @@ def _emit(args, payload: dict, human: str) -> None:
 
 def _cmd_check(args) -> int:
     f = parse_ratfunc(args.function)
-    pr = is_positive_real(f)        # the one PR test; the rest assume it
-    lossless = pr and _lossless_if_pr(f)
-    minimum = pr and _minimum_if_pr(f)
+    pr = is_positive_real(f)        # the other predicates reuse its verdict
+    lossless = is_lossless(f)
+    minimum = is_minimum_function(f)
     freqs = []
     if pr and not lossless and not f.is_zero():
-        freqs = _minimum_frequencies_if_pr(f)
+        freqs = minimum_frequencies(f)
 
     def approx_root(x: Fraction) -> str:
         # the one float prsyn prints; a Decimal of 17 digits where x

@@ -333,30 +333,16 @@ def _edge_biconnected_components(vertices, edges) -> List[Set[str]]:
 
 
 def cut_vertices(n: Network) -> Set[str]:
-    """Articulation points of the graph including the source edge."""
-    edges = [(e.head, e.tail, e.id) for e in n.elements]
-    edges.append((n.port[0], n.port[1], "__source__"))
-    return _articulation_points(n.vertices, edges)
-
-
-def _articulation_points(vertices, edges) -> Set[str]:
-    """Cut vertices: the vertices shared by two or more biconnected
-    components (the components are taken over edge positions, so edge ids
-    need not be distinct)."""
-    numbered = [(u, v, i) for i, (u, v, _) in enumerate(edges)]
-    seen: Set[str] = set()
-    points: Set[str] = set()
-    for comp in _edge_biconnected_components(vertices, numbered):
-        verts = {x for i in comp for x in edges[i][:2]}
-        points |= seen & verts
-        seen |= verts
-    return points
+    """Articulation points of the graph including the source edge: none,
+    since ``_check_graph`` rejects every network whose graph with the
+    source edge is not connected and biconnected."""
+    return set()
 
 
 def is_biconnected(n: Network) -> bool:
-    edges = [(e.head, e.tail, e.id) for e in n.elements]
-    edges.append((n.port[0], n.port[1], "__source__"))
-    return _connected(n.vertices, edges) and not _articulation_points(n.vertices, edges)
+    """True: ``_check_graph`` rejects every network whose graph with the
+    source edge is not connected and biconnected."""
+    return True
 
 
 # ---------------------------------------------------------------------------

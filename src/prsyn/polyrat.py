@@ -8,13 +8,17 @@ and ``coeffs`` builds the ``fractions.Fraction`` coefficients on demand.
 Equality is true equality.  The positive-real / minimum-function
 predicates are decided with Routh's test and Sturm chains, run as
 primitive remainder sequences on the integer parts, rather than numerical
-root finding.  Values at s = j*w are ``QComplex`` numbers with rational
-parts.  Determinants and linear solves run one fraction-free elimination
-loop, ``_eliminate``, over Z, the Gaussian integers Z[j] or Z[s] on
-Polynomial entries: a determinant, or the run of nonzero leading minors,
-takes its forward half, and a solve, after clearing row denominators, its
-back half too.  A row with a zero in the pivot column skips that step and
-catches up when it is next read, so sparse rows cost little.  A Sylvester determinant runs on the integer rows of the
+root finding.  Only ``is_positive_real`` runs the PR test, and it keeps
+its verdict on the ``RationalFunction``, so every other predicate asks it
+and a function is tested at most once.  Values at s = j*w are
+``QComplex`` numbers with rational parts.  Determinants and linear solves
+run one fraction-free elimination loop, ``_eliminate``, with three entry
+points: ``_det_z`` over Z, ``leading_minors`` over Z[s] on Polynomial
+entries (a determinant over Q[s] is the last of a full run) and ``solve``
+over Z or the Gaussian integers Z[j], after clearing row denominators,
+which adds the back half.  A row with a zero in the pivot column skips
+that step and catches up when it is next read, so sparse rows cost
+little.  A Sylvester determinant runs on the integer rows of the
 primitive parts, and Sturm signs and interpolation stay in Z as well.
 Real roots come from one exact isolator, ``real_roots``: a rational root is
 a Fraction and an irrational one an open interval with rational ends, so a
@@ -409,9 +413,10 @@ S = Polynomial([0, 1])
 
 
 class RationalFunction:
-    """Coprime quotient of two Polynomials with monic denominator."""
+    """Coprime quotient of two Polynomials with monic denominator; _pr
+    holds the verdict of ``is_positive_real`` once it has been taken."""
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "_pr")
 
     def __init__(self, num, den=ONE):
         num = _as_poly(num)
@@ -742,20 +747,20 @@ def is_positive_real(g: RationalFunction) -> bool:
     Uses the classical bilinear equivalence: g is PR iff g is identically
     zero, or num+den is strict Hurwitz and the even-part numerator is
     nonnegative along the imaginary axis.  Simplicity and positivity of the
-    residues of imaginary-axis poles are implied.
+    residues of imaginary-axis poles are implied.  The verdict is kept on
+    g, so the other predicates on g and later calls do not test it again.
     """
-    if g.is_zero():
-        return True
-    return (strict_hurwitz(g.num + g.den)
+    pr = getattr(g, "_pr", None)
+    if pr is None:
+        pr = g._pr = g.is_zero() or (
+            strict_hurwitz(g.num + g.den)
             and _nonnegative_on_nonneg_axis(even_part_profile(g)))
+    return pr
 
 
 def is_lossless(g: RationalFunction) -> bool:
-    return is_positive_real(g) and _lossless_if_pr(g)
-
-
-def _lossless_if_pr(g: RationalFunction) -> bool:
-    return not g.is_zero() and even_part_numerator(g).is_zero()
+    return (is_positive_real(g) and not g.is_zero()
+            and even_part_numerator(g).is_zero())
 
 
 @dataclass(frozen=True)
@@ -788,10 +793,6 @@ def minimum_frequencies(g: RationalFunction) -> List[Omega]:
     """
     if not is_positive_real(g):
         raise NotPR("minimum frequencies are defined for PR functions")
-    return _minimum_frequencies_if_pr(g)
-
-
-def _minimum_frequencies_if_pr(g: RationalFunction) -> List[Omega]:
     e = even_part_profile(g)
     if e.is_zero():
         raise NotPR("function is lossless; real part vanishes identically")
@@ -802,12 +803,8 @@ def _minimum_frequencies_if_pr(g: RationalFunction) -> List[Omega]:
 def is_minimum_function(g: RationalFunction) -> bool:
     """PR, not identically zero, no poles/zeros on jR or at infinity, not
     lossless, and the real part vanishes at some w0 > 0."""
-    return is_positive_real(g) and _minimum_if_pr(g)
-
-
-def _minimum_if_pr(g: RationalFunction) -> bool:
-    if g.is_zero() or g.num.degree != g.den.degree:
-        return False          # zero, or a pole or zero at infinity
+    if not is_positive_real(g) or g.is_zero() or g.num.degree != g.den.degree:
+        return False          # not PR, zero, or a pole or zero at infinity
     if _has_imaginary_axis_root(g.num) or _has_imaginary_axis_root(g.den):
         return False
     e = even_part_profile(g)
@@ -868,7 +865,7 @@ def biquad_params(h: RationalFunction) -> BiquadParams:
         raise NotMinimum("not a minimum function")
     if h.mcmillan_degree != 2:
         raise NotBiquadratic("McMillan degree is not two")
-    freqs = _minimum_frequencies_if_pr(h)
+    freqs = minimum_frequencies(h)
     if len(freqs) != 1 or freqs[0].omega2 is None:
         raise NotBiquadratic("expected a single rational minimum frequency")
     v = freqs[0].omega2
@@ -889,7 +886,8 @@ def biquad_params(h: RationalFunction) -> BiquadParams:
 # ---------------------------------------------------------------------------
 # Exact elimination: the one home of determinants, solves and Sylvester rows.
 # One fraction-free loop runs over Z, Z[j] and Z[s]: its forward half gives
-# the determinants and leading minors, and a solve adds the back half.
+# the determinants over Z and the leading minors over Z[s], and a solve adds
+# the back half.
 # ---------------------------------------------------------------------------
 
 class _GaussInt:
@@ -1007,11 +1005,11 @@ def _eliminate(m, width, back):
 
 
 def _int_rows(rows: Sequence[Sequence[Fraction]]):
-    """Each row times the lcm of its denominators: (int rows, the lcms)."""
+    """Each row times the lcm of its denominators, as int rows."""
     rows = [[_as_q(x) for x in row] for row in rows]
     mults = [math.lcm(*(x.denominator for x in row)) for row in rows]
-    return ([[x.numerator * (k // x.denominator) for x in row]
-             for row, k in zip(rows, mults)], mults)
+    return [[x.numerator * (k // x.denominator) for x in row]
+            for row, k in zip(rows, mults)]
 
 
 def _det_z(m: List[List[int]]) -> int:
@@ -1021,23 +1019,6 @@ def _det_z(m: List[List[int]]) -> int:
     if len(pivots) < len(m):
         return 0
     return m[-1][-1] * sign if m else 1
-
-
-def det_bareiss(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Exact determinant via integer Bareiss after clearing row denominators."""
-    m, mults = _int_rows(matrix)
-    return Fraction(_det_z(m), math.prod(mults))
-
-
-def det_poly(matrix: Sequence[Sequence[Polynomial]]) -> Polynomial:
-    """Exact determinant over Q[s]: Bareiss on the Polynomial entries,
-    whose products keep contents apart (Gauss's lemma) and whose exact
-    divisions run over Z[s] on the primitive parts."""
-    m = [list(row) for row in matrix]
-    pivots, sign = _eliminate(m, len(m), False)
-    if len(pivots) < len(m):
-        return Polynomial()
-    return m[-1][-1] * sign if m else Polynomial([1])
 
 
 def leading_minors(matrix: Sequence[Sequence[Polynomial]]) -> List[Polynomial]:
@@ -1073,8 +1054,8 @@ def solve(rows, rhs):
     aug = [list(a) + list(b) for a, b in zip(rows, rhs)]
     if any(isinstance(x, QComplex) for row in aug for x in row):
         zero, one = QComplex(0, 0), QComplex(1, 0)
-        parts, _ = _int_rows([[y for x in map(qcomplex, row)
-                               for y in (x.re, x.im)] for row in aug])
+        parts = _int_rows([[y for x in map(qcomplex, row)
+                            for y in (x.re, x.im)] for row in aug])
         aug = [[_GaussInt(*p) for p in zip(row[::2], row[1::2])]
                for row in parts]
 
@@ -1084,7 +1065,7 @@ def solve(rows, rhs):
                             Fraction(x.im * d.re - x.re * d.im, norm))
     else:
         zero, one = Fraction(0), Fraction(1)
-        aug, _ = _int_rows(aug)
+        aug = _int_rows(aug)
 
         def over(x):
             return Fraction(x, d)
@@ -1117,24 +1098,6 @@ def _sylvester_rows(p: Polynomial, q: Polynomial, m: int, n: int,
             + [([0] * i + qdesc + [0] * size)[:size] for i in range(m - k)])
 
 
-def _sylvester_degrees(p: Polynomial, q: Polynomial, k: int) -> Tuple[int, int]:
-    if p.is_zero() or q.is_zero():
-        raise DegreeTooSmall("polynomials must be nonzero")
-    m, n = int(p.degree), int(q.degree)
-    if not 0 <= k < min(m, n):
-        raise DegreeTooSmall(f"require 0 <= k < min(deg p, deg q) = {min(m, n)}")
-    return m, n
-
-
-def sylvester_matrix(p: Polynomial, q: Polynomial, k: int) -> List[List[Fraction]]:
-    """The k-th truncated Sylvester matrix of p and q, Fraction entries."""
-    m, n = _sylvester_degrees(p, q, k)
-    rows = _sylvester_rows(p, q, m, n, k)
-    return [[c * x for x in row]
-            for c, row in zip([p.content] * (n - k) + [q.content] * (m - k),
-                              rows)]
-
-
 def _sylvester_det(p: Polynomial, q: Polynomial, m: int, n: int,
                    k: int) -> Fraction:
     """R_k of p and q read at the degrees m >= deg p and n >= deg q: the
@@ -1152,7 +1115,11 @@ def sylvester_determinant(p: Polynomial, q: Polynomial, k: int) -> Fraction:
 
     R_0 = ... = R_{r-1} = 0 exactly when p and q share at least r roots
     (counted with multiplicity)."""
-    m, n = _sylvester_degrees(p, q, k)
+    if p.is_zero() or q.is_zero():
+        raise DegreeTooSmall("polynomials must be nonzero")
+    m, n = int(p.degree), int(q.degree)
+    if not 0 <= k < min(m, n):
+        raise DegreeTooSmall(f"require 0 <= k < min(deg p, deg q) = {min(m, n)}")
     return _sylvester_det(p, q, m, n, k)
 
 

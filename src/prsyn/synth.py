@@ -17,10 +17,9 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .polyrat import (BiquadParams, NotMinimum, NotRationalParams, Polynomial,
                       Q, QComplex, RationalFunction, _as_q, _interpolate,
-                      _jomega_quotient, _minimum_frequencies_if_pr,
-                      _minimum_if_pr, _sylvester_det, biquad_params,
-                      biquad_template, count_real_roots,
-                      is_minimum_function, is_positive_real, real_roots,
+                      _jomega_quotient, _sylvester_det, biquad_params,
+                      biquad_template, count_real_roots, is_minimum_function,
+                      is_positive_real, minimum_frequencies, real_roots,
                       sqrt_fraction, sylvester_determinant)
 from . import network as net
 from .network import (CAPACITOR, INDUCTOR, RESISTOR, Element, Leaf, Network,
@@ -118,8 +117,7 @@ def theorem2_step(h: RationalFunction, omega0=None,
         except NotRationalParams:
             pass
     if omega0 is None:
-        freqs = _minimum_frequencies_if_pr(h)
-        omega0 = freqs[0].exact
+        omega0 = minimum_frequencies(h)[0].exact
         if omega0 is None:
             raise NotRationalParams("smallest minimum frequency is irrational")
     omega0 = _as_q(omega0)
@@ -342,32 +340,75 @@ class Classification:
     witness_network: Network
 
 
+# Conditions (a)-(f) and the named bridges that realize them, one row each:
+# (letter, network, storage count, condition on (W, F), arms from (K, w0, W,
+# F)).  The squared comparisons are exact.
+CONDITIONS = (
+    ("a", "N1", 3, lambda W, F: W == Q(1, 2) and F > 0,
+     lambda K, w0, W, F: dict(
+         N1=_leaf("r1", RESISTOR, K / 2),
+         N2=_leaf("r2", RESISTOR, K / 2),
+         N3=_leaf("c3", CAPACITOR, 1 / (K * F * w0)),
+         N4=_leaf("l4", INDUCTOR, K * F / w0),
+         N5=_leaf("l5", INDUCTOR, K * F / w0))),
+    ("b", "N2", 3, lambda W, F: W == 2 and F < 0,
+     lambda K, w0, W, F: dict(
+         N1=_leaf("r1", RESISTOR, 2 * K),
+         N2=_leaf("r2", RESISTOR, 2 * K),
+         N3=_leaf("l3", INDUCTOR, -K * F / w0),
+         N4=_leaf("c4", CAPACITOR, -1 / (K * F * w0)),
+         N5=_leaf("c5", CAPACITOR, -1 / (K * F * w0)))),
+    ("c", "N3", 4,
+     lambda W, F: (Q(1, 2) < W < 1
+                   and F * F * (1 - W) ** 2 == W * W * (2 * W - 1)),
+     lambda K, w0, W, F: dict(
+         N1=_leaf("r1", RESISTOR, K * W * W / ((1 - W) * (1 + W))),
+         N2=_leaf("r2", RESISTOR, K),
+         N3=_leaf("c3", CAPACITOR, 1 / (K * F * w0)),
+         N4=par(_leaf("l4", INDUCTOR, K * F * (1 - W) / (W * w0)),
+                _leaf("c4", CAPACITOR, (2 * W - 1) / (K * F * (1 - W) * w0))),
+         N5=_leaf("l5", INDUCTOR, K * F / w0))),
+    ("d", "N4", 4,
+     lambda W, F: 1 < W < 2 and F * F * (2 - W) == W * (1 - W) ** 2,
+     lambda K, w0, W, F: dict(
+         N1=_leaf("r1", RESISTOR, K),
+         N2=_leaf("r2", RESISTOR, -K * (1 - W) * (1 + W)),
+         N3=_leaf("l3", INDUCTOR, -K * F / w0),
+         N4=ser(_leaf("c4", CAPACITOR, (1 - W) / (K * F * w0)),
+                _leaf("l4", INDUCTOR, K * F * (2 - W) / ((1 - W) * w0))),
+         N5=_leaf("c5", CAPACITOR, -1 / (K * F * w0)))),
+    ("e", "N5", 4,
+     lambda W, F: 1 < W < 2 and F * F * (1 - W) ** 2 == W ** 3 * (2 - W),
+     lambda K, w0, W, F: dict(
+         N1=_leaf("r1", RESISTOR, -K * W * W / ((1 - W) * (1 + W))),
+         N2=_leaf("r2", RESISTOR, K * W * W),
+         N3=_leaf("l3", INDUCTOR, -K * F / w0),
+         N4=par(_leaf("c4", CAPACITOR, 1 / (K * F * (1 - W) * w0)),
+                _leaf("l4", INDUCTOR, K * F * (1 - W) / ((2 - W) * w0))),
+         N5=_leaf("c5", CAPACITOR, -1 / (K * F * w0)))),
+    ("f", "N6", 4,
+     lambda W, F: (Q(1, 2) < W < 1
+                   and F * F * (2 * W - 1) == W * W * (1 - W) ** 2),
+     lambda K, w0, W, F: dict(
+         N1=_leaf("r1", RESISTOR, K * (1 - W) * (1 + W)),
+         N2=_leaf("r2", RESISTOR, K * W * W),
+         N3=_leaf("c3", CAPACITOR, 1 / (K * F * w0)),
+         N4=_leaf("l4", INDUCTOR, K * F / w0),
+         N5=ser(_leaf("c5", CAPACITOR, (1 - W) / (K * F * (2 * W - 1) * w0)),
+                _leaf("l5", INDUCTOR, K * F * W / ((1 - W) * w0))))),
+)
+
+
 def classify_biquad(p: BiquadParams) -> Classification:
     """Minimum number of energy storage elements over all RLC realizations
-    of the biquadratic minimum function with parameters p, with a witness.
-
-    Three-element conditions: (a) W = 1/2, F > 0; (b) W = 2, F < 0.
-    Four-element boundary conditions (exact squared comparisons):
-    (c) 1/2<W<1, F^2 (1-W)^2 = W^2 (2W-1);
-    (d) 1<W<2,   F^2 (2-W)   = W (1-W)^2;
-    (e) 1<W<2,   F^2 (1-W)^2 = W^3 (2-W);
-    (f) 1/2<W<1, F^2 (2W-1)  = W^2 (1-W)^2.
-    Anything else needs five storage elements (witness: seven-element
-    realization)."""
-    W, F = p.W, p.F
-    phi = 1 - W
-    if W == Q(1, 2) and F > 0:
-        return Classification(3, "a", build_named("N1", p))
-    if W == 2 and F < 0:
-        return Classification(3, "b", build_named("N2", p))
-    if Q(1, 2) < W < 1 and F * F * phi * phi == W * W * (2 * W - 1):
-        return Classification(4, "c", build_named("N3", p))
-    if 1 < W < 2 and F * F * (2 - W) == W * phi * phi:
-        return Classification(4, "d", build_named("N4", p))
-    if 1 < W < 2 and F * F * phi * phi == W * W * W * (2 - W):
-        return Classification(4, "e", build_named("N5", p))
-    if Q(1, 2) < W < 1 and F * F * (2 * W - 1) == W * W * phi * phi:
-        return Classification(4, "f", build_named("N6", p))
+    of the biquadratic minimum function with parameters p, with a witness:
+    the named bridge of the first row of ``CONDITIONS`` that holds, three
+    storage elements for (a) W = 1/2 or (b) W = 2, four on the boundaries
+    (c)-(f).  Anything else needs five storage elements (witness:
+    seven-element realization)."""
+    for letter, name, storage, holds, _ in CONDITIONS:
+        if holds(p.W, p.F):
+            return Classification(storage, letter, build_named(name, p))
     step = theorem2_step(biquad_template(p), p.omega0)
     return Classification(5, "none", build_seven_element(step, "rpfg_first"))
 
@@ -375,79 +416,17 @@ def classify_biquad(p: BiquadParams) -> Classification:
 def build_named(name: str, p: BiquadParams) -> Network:
     """Wire one of the named fixed-topology realizations for parameters p.
 
-    Parameter constraints of the corresponding classification condition are
-    validated exactly (ConditionViolated)."""
-    K, w0, W, F = p.K, p.omega0, p.W, p.F
-    phi, psi, eta, gam = 1 - W, 1 + W, 2 * W - 1, 2 - W
-    if name == "N1":
-        if W != Q(1, 2) or F <= 0:
-            raise ConditionViolated("N1 requires W = 1/2 and F > 0")
-        return net.assemble_shape(
-            "bridge",
-            N1=_leaf("r1", RESISTOR, K / 2),
-            N2=_leaf("r2", RESISTOR, K / 2),
-            N3=_leaf("c3", CAPACITOR, 1 / (K * F * w0)),
-            N4=_leaf("l4", INDUCTOR, K * F / w0),
-            N5=_leaf("l5", INDUCTOR, K * F / w0))
-    if name == "N2":
-        if W != 2 or F >= 0:
-            raise ConditionViolated("N2 requires W = 2 and F < 0")
-        return net.assemble_shape(
-            "bridge",
-            N1=_leaf("r1", RESISTOR, 2 * K),
-            N2=_leaf("r2", RESISTOR, 2 * K),
-            N3=_leaf("l3", INDUCTOR, -K * F / w0),
-            N4=_leaf("c4", CAPACITOR, -1 / (K * F * w0)),
-            N5=_leaf("c5", CAPACITOR, -1 / (K * F * w0)))
-    if name == "N3":
-        if not (Q(1, 2) < W < 1 and F > 0
-                and F * F * phi * phi == W * W * eta):
-            raise ConditionViolated("N3 requires condition (c)")
-        return net.assemble_shape(
-            "bridge",
-            N1=_leaf("r1", RESISTOR, K * W * W / (phi * psi)),
-            N2=_leaf("r2", RESISTOR, K),
-            N3=_leaf("c3", CAPACITOR, 1 / (K * F * w0)),
-            N4=par(_leaf("l4", INDUCTOR, K * F * phi / (W * w0)),
-                   _leaf("c4", CAPACITOR, eta / (K * F * phi * w0))),
-            N5=_leaf("l5", INDUCTOR, K * F / w0))
-    if name == "N4":
-        if not (1 < W < 2 and F < 0 and F * F * gam == W * phi * phi):
-            raise ConditionViolated("N4 requires condition (d)")
-        return net.assemble_shape(
-            "bridge",
-            N1=_leaf("r1", RESISTOR, K),
-            N2=_leaf("r2", RESISTOR, -K * phi * psi),
-            N3=_leaf("l3", INDUCTOR, -K * F / w0),
-            N4=ser(_leaf("c4", CAPACITOR, phi / (K * F * w0)),
-                   _leaf("l4", INDUCTOR, K * F * gam / (phi * w0))),
-            N5=_leaf("c5", CAPACITOR, -1 / (K * F * w0)))
-    if name == "N5":
-        if not (1 < W < 2 and F < 0
-                and F * F * phi * phi == W * W * W * gam):
-            raise ConditionViolated("N5 requires condition (e)")
-        return net.assemble_shape(
-            "bridge",
-            N1=_leaf("r1", RESISTOR, -K * W * W / (phi * psi)),
-            N2=_leaf("r2", RESISTOR, K * W * W),
-            N3=_leaf("l3", INDUCTOR, -K * F / w0),
-            N4=par(_leaf("c4", CAPACITOR, 1 / (K * F * phi * w0)),
-                   _leaf("l4", INDUCTOR, K * F * phi / (gam * w0))),
-            N5=_leaf("c5", CAPACITOR, -1 / (K * F * w0)))
-    if name == "N6":
-        if not (Q(1, 2) < W < 1 and F > 0
-                and F * F * eta == W * W * phi * phi):
-            raise ConditionViolated("N6 requires condition (f)")
-        return net.assemble_shape(
-            "bridge",
-            N1=_leaf("r1", RESISTOR, K * phi * psi),
-            N2=_leaf("r2", RESISTOR, K * W * W),
-            N3=_leaf("c3", CAPACITOR, 1 / (K * F * w0)),
-            N4=_leaf("l4", INDUCTOR, K * F / w0),
-            N5=ser(_leaf("c5", CAPACITOR, phi / (K * F * eta * w0)),
-                   _leaf("l5", INDUCTOR, K * F * W / (phi * w0))))
+    For N1-N6 the condition of its ``CONDITIONS`` row is validated exactly
+    (ConditionViolated)."""
     if name in ("Fig2a", "Fig2b"):
         return _build_fig2(name, p)
+    for letter, named, _, holds, arms in CONDITIONS:
+        if named == name:
+            if not holds(p.W, p.F):
+                raise ConditionViolated(
+                    f"{name} requires condition ({letter})")
+            return net.assemble_shape("bridge",
+                                      **arms(p.K, p.omega0, p.W, p.F))
     raise ValueError(f"unknown named network {name!r}")
 
 
@@ -702,8 +681,7 @@ def match_minimum_structure(n: Network, omega0) -> StructureMatch:
     if analysis.storage_count(n) > 4:
         raise NoMatch("more than four storage elements")
     h = analysis.impedance(n)
-    # impedance() has asserted PR; the minimum test reuses that
-    if isinstance(h, analysis.NoImpedance) or not _minimum_if_pr(h):
+    if isinstance(h, analysis.NoImpedance) or not is_minimum_function(h):
         raise NoMatch("impedance is not a minimum function")
     re, im = h.eval_jomega_pair(w2)
     if re != 0 or im == 0:

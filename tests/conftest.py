@@ -180,6 +180,22 @@ def dense_gauss_jordan(rows, rhs, zero, is_zero):
     return solution, basis
 
 
+def count_pr_tests(monkeypatch):
+    """Record each PR test that ``polyrat`` evaluates, not each call of
+    ``is_positive_real``: the test of a nonzero function starts with the
+    strict Hurwitz test of num + den, which nothing else in polyrat runs,
+    and a verdict read back from the function runs none."""
+    import prsyn.polyrat as polyrat
+    tests = []
+
+    def counted(p, hurwitz=polyrat.strict_hurwitz):
+        tests.append(p)
+        return hurwitz(p)
+
+    monkeypatch.setattr(polyrat, "strict_hurwitz", counted)
+    return tests
+
+
 @pytest.fixture
 def rng():
     return random.Random(20250808)

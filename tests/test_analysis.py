@@ -1,6 +1,11 @@
 """Verification engine: impedance, phasors, blocking, state space, PBH."""
 
+import functools
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
@@ -18,12 +23,12 @@ from prsyn.analysis import (AnalysisError, CapacitorLoop, ExtractionFailure,
 from prsyn.network import (Element, Network, NotPlanarDualizable, OnePort,
                            dual, parse_netlist)
 from prsyn.polyrat import (BiquadParams, Polynomial, Q, QComplex,
-                           RationalFunction, biquad_template, det_poly,
+                           RationalFunction, biquad_template,
                            eval_ratfunc, is_positive_real, leading_minors,
                            parse_ratfunc, real_roots, solve, strict_hurwitz)
 from prsyn.synth import build_named, build_seven_element, theorem2_step
 
-from conftest import (dense_gauss_jordan, ladder_network,
+from conftest import (count_pr_tests, dense_gauss_jordan, ladder_network,
                       random_biconnected_network, random_sp_network)
 
 N1_TEXT = """
@@ -58,16 +63,17 @@ def rpfg():
 
 
 def count_eliminations(monkeypatch):
-    """Record the name of each Q[s] elimination entry point that analysis
-    calls, in order: one name per forward pass of the Bareiss loop."""
+    """Record each call of ``leading_minors``, the one Q[s] elimination
+    entry point, from analysis: one name per forward pass of the Bareiss
+    loop."""
     import prsyn.analysis as analysis
     calls = []
-    for name, fn in (("det_poly", det_poly),
-                     ("leading_minors", leading_minors)):
-        def counted(m, name=name, fn=fn):
-            calls.append(name)
-            return fn(m)
-        monkeypatch.setattr(analysis, name, counted)
+
+    def counted(m):
+        calls.append("leading_minors")
+        return leading_minors(m)
+
+    monkeypatch.setattr(analysis, "leading_minors", counted)
     return calls
 
 
@@ -218,24 +224,45 @@ class TestBlocked:
         assert blocked_open_short_check(rpfg, rep)
 
     def test_one_pr_test_per_report(self, monkeypatch):
-        # impedance() has asserted PR; the lossless test reuses that
-        import prsyn.analysis as analysis
-        import prsyn.polyrat as polyrat
-        calls = []
-
-        def counted(g, pr=polyrat.is_positive_real):
-            calls.append(g)
-            return pr(g)
-
-        monkeypatch.setattr(polyrat, "is_positive_real", counted)
-        monkeypatch.setattr(analysis, "is_positive_real", counted)
+        # impedance() has asserted PR; the lossless test reuses the verdict
         n = build_named("Fig2b", BiquadParams(1, 1, Q(3, 4), Q(1, 8)))
+        tests = count_pr_tests(monkeypatch)
         rep = blocked_report(n, Q(1))
         assert {"r1", "r2"} <= set().union(*rep.blocked)
-        assert len(calls) == 1
+        assert len(tests) == 1
         with pytest.raises(HypothesesNotMet, match="lossless"):
             blocked_report(parse_netlist("L l1 a b 1\nPORT a b"), Q(1))
-        assert len(calls) == 2
+        assert len(tests) == 2
+
+    def test_one_pr_test_per_report_under_optimize(self):
+        # under -O the assert in impedance() is stripped, and the lossless
+        # test of blocked_report takes the one PR verdict itself
+        code = textwrap.dedent("""
+            import sys
+            from fractions import Fraction
+            import prsyn.polyrat as polyrat
+            from prsyn.analysis import blocked_report
+            from prsyn.polyrat import BiquadParams
+            from prsyn.synth import build_named
+
+            tests = []
+            hurwitz = polyrat.strict_hurwitz
+
+            def counted(p):
+                tests.append(p)
+                return hurwitz(p)
+
+            n = build_named("Fig2b", BiquadParams(1, 1, Fraction(3, 4),
+                                                  Fraction(1, 8)))
+            polyrat.strict_hurwitz = counted
+            blocked_report(n, 1)
+            sys.exit(0 if sys.flags.optimize and len(tests) == 1 else 1)
+            """)
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        proc = subprocess.run([sys.executable, "-O", "-c", code],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
     def test_hypotheses_checked(self, n1):
         with pytest.raises(HypothesesNotMet):
@@ -412,6 +439,19 @@ class TestStateSpace:
 
 
 class TestPBH:
+    def test_no_state(self, monkeypatch):
+        # two resistors in parallel: with no state chi = 1, from the empty
+        # run of leading minors, so both mode polynomials are 1
+        ss = state_space(parse_netlist("R r1 a b 1\nR r2 a b 2\nPORT a b"))
+        assert ss.n == 0
+        assert ss_impedance(ss) == RationalFunction(Polynomial([Q(2, 3)]))
+        eliminations = count_eliminations(monkeypatch)
+        rep = pbh_diagnostics(ss)
+        assert eliminations == ["leading_minors"]
+        assert rep.uncontrollable_poly == rep.unobservable_poly == Polynomial([1])
+        assert rep.uncontrollable_modes == rep.unobservable_modes == ()
+        assert rep.controllable and rep.observable and rep.stabilizable
+
     def test_minimal_parallel_rl(self):
         ss = state_space(parse_netlist("R r1 a b 2\nL l1 a b 3\nPORT a b"))
         rep = pbh_diagnostics(ss)
@@ -451,8 +491,8 @@ class TestPBH:
             (False, False, False)
 
     def test_determinants_on_rpfg_five_states(self, rpfg, monkeypatch):
-        # one pass on the bordered matrix for the impedance; det(sI - A)
-        # once plus one nullspace solve per annihilator for PBH
+        # one pass on the bordered matrix for the impedance; one on sI - A
+        # for chi plus one nullspace solve per annihilator for PBH
         import prsyn.analysis as analysis
         ss = state_space(rpfg)
         assert ss.n == 5
@@ -468,7 +508,7 @@ class TestPBH:
         assert (eliminations, len(solves)) == (["leading_minors"], 0)
         eliminations.clear()
         pbh_diagnostics(ss)
-        assert (eliminations, len(solves)) == (["det_poly"], 2)
+        assert (eliminations, len(solves)) == (["leading_minors"], 2)
 
 
 class TestCounts:
@@ -732,7 +772,8 @@ def _faddeev_ss_impedance(ss):
     """Reference copy of the Faddeev-LeVerrier resolvent that ss_impedance
     replaced: M_0 = I, M_k = A M_(k-1) + c_k I with c_k = -tr(A M_(k-1))/k,
     the coefficients of det(sI - A), and C M_k B those of its numerator.
-    It takes no determinant, so it checks the det_poly route from outside."""
+    It takes no determinant, so it checks the leading-minor route from
+    outside."""
     nn = ss.n
     ms = [[Q(int(i == j)) for j in range(nn)] for i in range(nn)]
     char, num = [Q(1)], []                  # leading coefficient first
@@ -748,10 +789,28 @@ def _faddeev_ss_impedance(ss):
             + RationalFunction(Polynomial([ss.D])))
 
 
+def _expansion_det(rows):
+    """Reference determinant over Q[s] with no elimination: Laplace
+    expansion along each row in turn, each minor on the remaining rows
+    computed once per set of remaining columns."""
+    @functools.lru_cache(maxsize=None)
+    def minor(cols):
+        if not cols:
+            return Polynomial([1])
+        top, total = rows[len(rows) - len(cols)], Polynomial()
+        for k, c in enumerate(cols):
+            term = top[c] * minor(cols[:k] + cols[k + 1:])
+            total = total - term if k % 2 else total + term
+        return total
+
+    return minor(tuple(range(len(rows))))
+
+
 def _minor_gcd_pbh(ss):
     """Reference copy of the PBH route pbh_diagnostics replaced: the monic
     gcd of the maximal minors of [sI - A, B] and of [sI - A; C] (through
-    its transpose), every minor by det_poly, then the same verdicts."""
+    its transpose), every minor by ``_expansion_det``, then the same
+    verdicts."""
     nn = ss.n
     sia = [[Polynomial([-ss.A[i][j], int(i == j)]) for j in range(nn)]
            for i in range(nn)]
@@ -759,7 +818,7 @@ def _minor_gcd_pbh(ss):
     def minor_gcd(rows):
         g = Polynomial()
         for drop in range(nn + 1):
-            d = det_poly([row[:drop] + row[drop + 1:] for row in rows])
+            d = _expansion_det([row[:drop] + row[drop + 1:] for row in rows])
             g = d.monic() if g.is_zero() else g.gcd(d)
         return g
 

@@ -8,6 +8,8 @@ import pytest
 
 from prsyn.cli import main
 
+from conftest import count_pr_tests
+
 
 @pytest.fixture
 def run(capsys):
@@ -46,26 +48,28 @@ class TestVerdicts:
         assert run("check", "s - 1")[0] == 1
 
     def test_check_runs_one_pr_test(self, run, monkeypatch):
-        # lossless, minimum and the frequencies all follow from one PR test
-        import prsyn.cli as cli
-        import prsyn.polyrat as polyrat
-        calls = []
-
-        def counted(g, pr=polyrat.is_positive_real):
-            calls.append(g)
-            return pr(g)
-
-        monkeypatch.setattr(polyrat, "is_positive_real", counted)
-        monkeypatch.setattr(cli, "is_positive_real", counted)
+        # lossless, minimum and the frequencies all reuse the one PR verdict
+        tests = count_pr_tests(monkeypatch)
         assert run("check", WORKED) == (0, "positive_real=true lossless=false "
                                            "minimum_function=true "
                                            "minimum_frequencies=[1]\n", "")
-        assert len(calls) == 1
+        assert len(tests) == 1
         code, out, _ = run("--json", "check", WORKED)
         assert code == 0 and json.loads(out) == {
             "positive_real": True, "lossless": False,
             "minimum_function": True, "minimum_frequencies": ["1"]}
-        assert len(calls) == 2
+        assert len(tests) == 2
+
+    def test_synth_and_classify_pr_tests(self, run, monkeypatch):
+        # synth tests the parsed function once, though theorem2_step and
+        # biquad_params both ask; classify on a five-storage function tests
+        # it and the template it rebuilds from (K, omega0, W, F)
+        tests = count_pr_tests(monkeypatch)
+        assert run("synth", WORKED)[0] == 0
+        assert len(tests) == 1
+        tests.clear()
+        assert run("classify", WORKED)[1] == "min_storage=5 condition=none\n"
+        assert len(tests) == 2
 
     def test_check_irrational_frequency(self, run):
         # omega^2 = sqrt(2): the printed float is 2**0.25 to the last digit

@@ -2,24 +2,26 @@
 environment knobs and no floating-point arithmetic in prsyn.
 
 Every module of ``src/prsyn`` except ``__init__.py`` (whose imports are the
-public API) must use each name it imports, and every module-level function
-and constant must be referenced somewhere in ``src/`` or ``tests/``
-besides its own definition or assignment.  No module reads the
-environment, none calls ``complex``, and
-only the CLI ``check`` formatter calls ``float``, to print a minimum
-frequency whose square is irrational.  The one fraction-free elimination
-loop, ``_eliminate``, is named only by its four entry points in the
-elimination section of ``polyrat``: the determinants over Z (``_det_z``,
-which ``det_bareiss`` runs after clearing row denominators and Sylvester
-determinants run on the rows of primitive parts) and over Z[s]
-(``det_poly``) and the leading minors over Z[s] (``leading_minors``) run
-its forward half, and the solves over Z and Z[j] (``solve``) its back half
+public API) must use each name it imports.  Every module-level function
+must be exported by ``__init__``, referenced elsewhere in ``src/`` or in
+``perfbench/``, or be one of the few oracles that only the tests compare
+the engine with; a function that only the tests call is unused code.  Every
+module-level constant must be referenced somewhere in ``src/`` or
+``tests/`` besides its own assignment.  No module reads the environment,
+none calls ``complex``, and only the CLI ``check`` formatter calls
+``float``, to print a minimum frequency whose square is irrational.  The
+one fraction-free elimination loop, ``_eliminate``, is named only by its
+three entry points in the elimination section of ``polyrat``: the
+determinant over Z (``_det_z``, which Sylvester determinants run on the
+rows of primitive parts) and the leading minors over Z[s]
+(``leading_minors``, whose last one is a determinant over Q[s]) run its
+forward half, and the solves over Z and Z[j] (``solve``) its back half
 too, so no second elimination loop runs beside it.  ``Polynomial`` is the
 one polynomial class of ``polyrat``, and ``_GaussInt`` the one other ring
-with division.  In the
-graph code of ``network`` and ``analysis`` only ``_reach`` and the block
-decomposition ``_edge_biconnected_components`` run a stack loop.  The
-checks read the sources with ``ast``; nothing is imported.
+with division.  In the graph code of ``network`` and ``analysis`` only
+``_reach`` and the block decomposition ``_edge_biconnected_components``
+run a stack loop.  The checks read the sources with ``ast``; nothing is
+imported.
 """
 
 import ast
@@ -29,6 +31,11 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "prsyn"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 SOURCES = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+# what keeps a function alive: the package itself and the benchmark
+CALLERS = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+# functions that only the tests call: independent references the engine's
+# answers are compared with (series-parallel reduction, a JSON round trip)
+ORACLES = {"impedance_series_parallel", "network_to_json", "network_from_json"}
 
 
 def _tree(path):
@@ -67,9 +74,10 @@ def test_no_unused_imports():
 
 def test_every_module_function_is_referenced():
     # (file, enclosing top-level function or None, name): a function that
-    # only calls itself is not referenced
+    # only calls itself is not referenced, and a reference from tests/
+    # alone does not count
     refs = set()
-    for path in SOURCES:
+    for path in CALLERS:
         for top in _tree(path).body:
             owner = getattr(top, "name", None)
             refs |= {(path, owner, name) for name in _used_names(top)}
@@ -78,8 +86,9 @@ def test_every_module_function_is_referenced():
         for fn in _tree(path).body:
             if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
-            if not any(name == fn.name and (where, owner) != (path, fn.name)
-                       for where, owner, name in refs):
+            if fn.name not in ORACLES and not any(
+                    name == fn.name and (where, owner) != (path, fn.name)
+                    for where, owner, name in refs):
                 unreferenced.append(f"{path.name}: {fn.name}")
     assert unreferenced == []
 
@@ -143,11 +152,10 @@ def test_no_float_arithmetic():
     assert found == []
 
 
-# the entry points of the one elimination loop: int and Polynomial rows
-# forward (determinants and leading minors), int or _GaussInt rows forward
-# and back
+# the entry points of the one elimination loop: int rows forward (the
+# determinant), Polynomial rows forward (the leading minors), int or
+# _GaussInt rows forward and back (the solve)
 BAREISS_ENTRY_POINTS = {("src/prsyn/polyrat.py", "_det_z"),
-                        ("src/prsyn/polyrat.py", "det_poly"),
                         ("src/prsyn/polyrat.py", "leading_minors"),
                         ("src/prsyn/polyrat.py", "solve")}
 

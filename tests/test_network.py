@@ -13,12 +13,12 @@ from prsyn.network import (CAPACITOR, DUAL_SHAPE, DUAL_SLOT, INDUCTOR,
                            NetlistSyntaxError, Network, NetworkError,
                            NonpositiveValue, NotBiconnected,
                            NotPlanarDualizable, OnePort, OpenCircuit, Leaf,
-                           Par, Ser, ShortCircuit, _adjacency,
-                           _articulation_points, _reach, assemble_shape, dual,
-                           embeddings, frequency_invert, from_mechanical,
-                           has_C_cutset, has_C_path, has_L_cutset, has_L_path,
-                           incidence_matrix, is_biconnected, network_from_json,
-                           network_to_json, open_oneport, parse_netlist,
+                           Par, Ser, ShortCircuit, _adjacency, _reach,
+                           assemble_shape, dual, embeddings, frequency_invert,
+                           from_mechanical, has_C_cutset, has_C_path,
+                           has_L_cutset, has_L_path, incidence_matrix,
+                           is_biconnected, network_from_json, network_to_json,
+                           open_oneport, parse_netlist,
                            report_grounded_capacitors, serialize_netlist, par,
                            ser, short_oneport, skeleton, sp_tree,
                            to_mechanical, tree_impedance, tree_pair)
@@ -178,43 +178,8 @@ class TestBiconnectivity:
     def test_bridge_is_biconnected(self, n1):
         assert is_biconnected(n1)
 
-    def test_two_loops_joined_at_one_vertex(self):
-        edges = [("a", "b", "e1"), ("b", "m", "e2"), ("m", "a", "e3"),
-                 ("m", "c", "e4"), ("c", "d", "e5"), ("d", "m", "e6")]
-        assert _articulation_points({"a", "b", "c", "d", "m"}, edges) == {"m"}
-
     def test_single_element_across_port(self):
         assert is_biconnected(parse_netlist("R r1 a b 1\nPORT a b"))
-
-    def test_articulation_points_match_brute_force(self):
-        # a cut vertex is one whose removal leaves more components behind
-        def components(verts, edges):
-            adj = {v: set() for v in verts}
-            for u, v, _ in edges:
-                adj[u].add(v)
-                adj[v].add(u)
-            count, seen = 0, set()
-            for v in verts:
-                if v not in seen:
-                    count += 1
-                    seen.add(v)
-                    stack = [v]
-                    while stack:
-                        for y in adj[stack.pop()] - seen:
-                            seen.add(y)
-                            stack.append(y)
-            return count
-
-        rng = random.Random(1968)
-        for _ in range(400):
-            verts = [f"v{i}" for i in range(rng.randint(2, 7))]
-            edges = [(*rng.sample(verts, 2), f"e{k}")
-                     for k in range(rng.randint(0, 10))]
-            base = components(verts, edges)
-            brute = {m for m in verts
-                     if components([v for v in verts if v != m],
-                                   [e for e in edges if m not in e[:2]]) > base}
-            assert _articulation_points(set(verts), edges) == brute
 
 
 # the former recursive series-parallel reducer, kept as a reference: split

@@ -22,7 +22,7 @@ from prsyn.synth import (SEVEN_ELEMENT_VARIANTS, Classification,
                          resultant_fixture_check, theorem2_step,
                          verify_theorem2_identity)
 
-from conftest import sample_region
+from conftest import count_pr_tests, sample_region
 
 
 class TestTheorem2Step:
@@ -345,20 +345,11 @@ class TestMatcher:
             match_minimum_structure(q, 1)
 
     def test_one_pr_test_per_match(self, monkeypatch):
-        # impedance() has asserted PR; the minimum test reuses that
-        import prsyn.analysis as analysis
-        import prsyn.polyrat as polyrat
-        calls = []
-
-        def counted(g, pr=polyrat.is_positive_real):
-            calls.append(g)
-            return pr(g)
-
-        monkeypatch.setattr(polyrat, "is_positive_real", counted)
-        monkeypatch.setattr(analysis, "is_positive_real", counted)
+        # impedance() has asserted PR; the minimum test reuses the verdict
         n = build_named("N1", BiquadParams(1, 1, Q(1, 2), 1))
+        tests = count_pr_tests(monkeypatch)
         assert match_minimum_structure(n, 1).lemma8_condition == 3
-        assert len(calls) == 1
+        assert len(tests) == 1
 
     def test_corners_of_the_matched_embedding(self):
         # with the port reversed only the a<->b, c<->d relabelling gives
