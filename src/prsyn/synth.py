@@ -60,6 +60,10 @@ class SynthesisStep:
 
     For X > 0: mu_or_nu = mu with X = H(mu)/mu.
     For X < 0: mu_or_nu = nu with -w0^2 X = H(nu)*nu.
+
+    ``mirrored()`` is the step of H(w0^2/s), on the other branch; twice it
+    gives the step back.  The X < 0 identity and networks are the X > 0
+    ones of the mirrored step, seen through s -> w0^2/s.
     """
 
     variant: str                    # "X_positive" | "X_negative"
@@ -79,16 +83,14 @@ class SynthesisStep:
             assert self.X < 0 and m > 0 and ab > 0
             assert -w0 * w0 * self.X == self.h * m
 
-    @property
-    def derived(self) -> Dict[str, Fraction]:
-        """For X > 0: chi = w0^2 + 2*alpha*mu, gamma = mu + 2*alpha,
-        phi = chi + mu^2.  For X < 0: eta = w0^2 + 2*beta*nu,
-        zeta = nu + 2*beta, psi = eta + nu^2."""
-        m, ab = self.mu_or_nu, self.alpha_or_beta
-        first = self.omega0 * self.omega0 + 2 * ab * m
-        names = (("chi", "gamma", "phi") if self.variant == "X_positive"
-                 else ("eta", "zeta", "psi"))
-        return dict(zip(names, (first, m + 2 * ab, first + m * m)))
+    def mirrored(self) -> "SynthesisStep":
+        """The step of H(w0^2/s), from this step's data alone: X' = -X,
+        mu_or_nu' = w0^2/mu_or_nu, reduced' = reduced(w0^2/s)."""
+        w2 = self.omega0 * self.omega0
+        variant = "X_negative" if self.variant == "X_positive" else "X_positive"
+        return SynthesisStep(variant, self.omega0, -self.X, w2 / self.mu_or_nu,
+                             self.alpha_or_beta, self.h,
+                             self.reduced.compose_winv(w2))
 
 
 def _smallest_positive_rational_root(p: Polynomial) -> Optional[Fraction]:
@@ -143,10 +145,9 @@ def theorem2_step(h: RationalFunction, omega0=None,
     hval = h(mu)
 
     s_poly = Polynomial([0, 1])
-    if x > 0:
-        y = RationalFunction(mu * hval * q - s_poly * p, mu * p - hval * s_poly * q)
-    else:
-        y = RationalFunction(mu * p - hval * s_poly * q, mu * hval * q - s_poly * p)
+    y = RationalFunction(mu * hval * q - s_poly * p, mu * p - hval * s_poly * q)
+    if x < 0:
+        y = y.reciprocal()
     # residue y.num/y.den' of y at s = j*omega0 (a real rational for a
     # genuine step)
     try:
@@ -170,28 +171,30 @@ def theorem2_step(h: RationalFunction, omega0=None,
     return step
 
 
+def _inverted_params(p: BiquadParams) -> BiquadParams:
+    """The parameters (K W^2, w0, 1/W, -F/W^2) of H(w0^2/s)."""
+    return BiquadParams(p.K * p.W * p.W, p.omega0, 1 / p.W, -p.F / (p.W * p.W))
+
+
 def _theorem2_step_biquad(h: RationalFunction, omega0,
                           variant: Optional[str]) -> SynthesisStep:
-    """Closed forms for biquadratic inputs: mu = W w0/F (nu = -F w0/W),
-    H value KW, residue (F^2+W^2)(1-W) w0/(2 W^2 F) (resp. /(2WF)),
-    constant reduced function W (resp. 1/W)."""
+    """Closed forms for biquadratic inputs with F > 0: mu = W w0/F, H value
+    KW, residue (F^2+W^2)(1-W) w0/(2 W^2 F), constant reduced function W.
+    With F < 0 the step is the mirror of those of H(w0^2/s)."""
     p = biquad_params(h)
     if omega0 is not None and _as_q(omega0) != p.omega0:
         raise NotMinimum(f"omega0={omega0} is not the minimum frequency")
-    K, w0, W, F = p.K, p.omega0, p.W, p.F
-    x = K * F / w0
-    branch = "X_positive" if x > 0 else "X_negative"
+    branch = "X_positive" if p.F > 0 else "X_negative"
     if variant is not None and variant != branch:
         raise WrongBranch(f"requested {variant} but H(j*omega0) gives {branch}")
-    if F > 0:
-        mu = W * w0 / F
-        alpha = (F * F + W * W) * (1 - W) * w0 / (2 * W * W * F)
-        reduced = RationalFunction(Polynomial([W]))
-    else:
-        mu = -F * w0 / W
-        alpha = (F * F + W * W) * (1 - W) * w0 / (2 * W * F)
-        reduced = RationalFunction(Polynomial([1]), Polynomial([W]))
-    step = SynthesisStep(branch, w0, x, mu, alpha, K * W, reduced)
+    if branch == "X_negative":
+        p = _inverted_params(p)
+    K, w0, W, F = p.K, p.omega0, p.W, p.F
+    step = SynthesisStep("X_positive", w0, K * F / w0, W * w0 / F,
+                         (F * F + W * W) * (1 - W) * w0 / (2 * W * W * F),
+                         K * W, RationalFunction(Polynomial([W])))
+    if branch == "X_negative":
+        step = step.mirrored()
     if not verify_theorem2_identity(h, step):
         raise SynthError("cubic composite identity failed")
     return step
@@ -203,14 +206,11 @@ def verify_theorem2_identity(h: RationalFunction, step: SynthesisStep) -> bool:
     w2 = step.omega0 * step.omega0
     m, ab, hr = step.mu_or_nu, step.alpha_or_beta, step.reduced
     s3_s = RationalFunction(Polynomial([0, w2, 0, 1]))      # s^3 + w0^2 s
-    if step.variant == "X_positive":
-        num = s3_s + hr * RationalFunction(Polynomial([m * w2, 0, 2 * ab + m]))
-        den = (hr * RationalFunction(Polynomial([0, 2 * ab * m + w2, 0, 1]))
-               + RationalFunction(Polynomial([m * w2, 0, m])))
-    else:
-        num = (hr * RationalFunction(Polynomial([0, w2 + 2 * ab * m, 0, 1]))
-               + RationalFunction(Polynomial([m * w2, 0, m])))
-        den = s3_s + hr * RationalFunction(Polynomial([m * w2, 0, 2 * ab + m]))
+    num = s3_s + hr * RationalFunction(Polynomial([m * w2, 0, 2 * ab + m]))
+    den = (hr * RationalFunction(Polynomial([0, 2 * ab * m + w2, 0, 1]))
+           + RationalFunction(Polynomial([m * w2, 0, m])))
+    if step.variant == "X_negative":
+        num, den = den, num
     return step.h * num / den == h
 
 
@@ -225,108 +225,85 @@ def _leaf(eid, kind, v):
 
 SEVEN_ELEMENT_VARIANTS = ("rpfg_first", "rpfg_second", "alt_first", "alt_second")
 
+# X < 0 variant: (its X > 0 twin, twin ids not renamed by the new kind alone)
+_X_NEGATIVE_TWINS = {"rpfg_first": ("rpfg_second", {}),
+                     "rpfg_second": ("rpfg_first", {"l2": "c1", "c2": "l1"}),
+                     "alt_first": ("alt_second", {}),
+                     "alt_second": ("alt_first", {})}
+
+
+def _frequency_inverted(n: Network, omega0, ids: Dict[str, str]) -> Network:
+    """``net.frequency_invert`` with each id's leading letter set to the
+    element's new kind, unless ids renames it."""
+    inv = net.frequency_invert(n, omega0)
+    return Network(inv.vertices, [
+        Element(ids.get(e.id, e.kind.lower() + e.id[1:]), e.kind, e.head,
+                e.tail, e.value) for e in inv.elements], inv.port)
+
 
 def build_seven_element(step: SynthesisStep, which: str) -> Network:
     """Materialize one of the four seven-element realizations for a step
     whose reduced function is a positive constant (the two impedance blocks
     then collapse to resistors).  Every output has exactly two resistors
-    and five energy storage elements."""
+    and five energy storage elements.  An X < 0 network is the frequency
+    inversion of the twin X > 0 variant built on ``step.mirrored()``."""
     if which not in SEVEN_ELEMENT_VARIANTS:
         raise ValueError(f"unknown variant {which!r}")
     if not step.reduced.is_constant():
         raise NonConstantReduced(
             "impedance blocks are not resistors; the reduced function has "
             f"McMillan degree {step.reduced.mcmillan_degree}")
+    if step.variant == "X_negative":
+        twin, ids = _X_NEGATIVE_TWINS[which]
+        return _frequency_inverted(build_seven_element(step.mirrored(), twin),
+                                   step.omega0, ids)
     w = step.reduced.constant_value()
     w0 = step.omega0
     w2 = w0 * w0
     h, ab, m = step.h, step.alpha_or_beta, step.mu_or_nu
-    d = step.derived
-
-    if step.variant == "X_positive":
-        chi, gam, phi = d["chi"], d["gamma"], d["phi"]
-        if which == "rpfg_first":
-            return net.assemble_shape(
-                "bridge",
-                N1=ser(_leaf("r1", RESISTOR, h / w),
-                       par(_leaf("l2", INDUCTOR, 2 * ab * h * phi / (w2 * chi)),
-                           _leaf("c2", CAPACITOR, chi / (2 * ab * h * phi)))),
-                N2=_leaf("r2", RESISTOR, h * w),
-                N3=_leaf("l3", INDUCTOR, h * m / chi),
-                N4=_leaf("l4", INDUCTOR, h / m),
-                N5=_leaf("c5", CAPACITOR, chi / (h * m * w2)))
-        if which == "rpfg_second":
-            return net.assemble_shape(
-                "bridge",
-                N1=_leaf("r1", RESISTOR, h / w),
-                N2=par(_leaf("r2", RESISTOR, h * w),
-                       ser(_leaf("l2", INDUCTOR, h * gam * m / (2 * ab * phi)),
-                           _leaf("c2", CAPACITOR, 2 * ab * phi / (h * gam * m * w2)))),
-                N3=_leaf("l3", INDUCTOR, h * gam / w2),
-                N4=_leaf("l4", INDUCTOR, h / m),
-                N5=_leaf("c5", CAPACITOR, 1 / (h * gam)))
-        if which == "alt_first":
-            return net.assemble_shape(
-                "wheel_rim",
-                sa=_leaf("r1", RESISTOR, h * w),
-                sb=_leaf("l1", INDUCTOR, h / m),
-                sp=_leaf("l2", INDUCTOR, 2 * ab * h * m * m / (chi * chi)),
-                sq=_leaf("l3", INDUCTOR, 2 * ab * h / w2),
-                rap=_leaf("c1", CAPACITOR, chi / (h * m * w2)),
-                rbq=_leaf("r2", RESISTOR, h / w),
-                rpq=_leaf("c2", CAPACITOR, chi / (2 * ab * h * phi)))
-        # alt_second
-        return net.assemble_shape(
-            "wheel_spoke",
-            ar1=_leaf("r1", RESISTOR, h * w),
-            ar2=_leaf("c1", CAPACITOR, 2 * ab * phi / (h * gam * m * w2)),
-            ar3=_leaf("c2", CAPACITOR, 1 / (h * gam)),
-            br1=_leaf("l1", INDUCTOR, h / m),
-            br3=_leaf("r2", RESISTOR, h / w),
-            r12=_leaf("l2", INDUCTOR, h / (2 * ab)),
-            r23=_leaf("l3", INDUCTOR, h * gam * gam / (2 * ab * w2)))
-
-    eta, zeta, psi = d["eta"], d["zeta"], d["psi"]
+    chi = w2 + 2 * ab * m
+    gam = m + 2 * ab
+    phi = chi + m * m
     if which == "rpfg_first":
+        return net.assemble_shape(
+            "bridge",
+            N1=ser(_leaf("r1", RESISTOR, h / w),
+                   par(_leaf("l2", INDUCTOR, 2 * ab * h * phi / (w2 * chi)),
+                       _leaf("c2", CAPACITOR, chi / (2 * ab * h * phi)))),
+            N2=_leaf("r2", RESISTOR, h * w),
+            N3=_leaf("l3", INDUCTOR, h * m / chi),
+            N4=_leaf("l4", INDUCTOR, h / m),
+            N5=_leaf("c5", CAPACITOR, chi / (h * m * w2)))
+    if which == "rpfg_second":
         return net.assemble_shape(
             "bridge",
             N1=_leaf("r1", RESISTOR, h / w),
             N2=par(_leaf("r2", RESISTOR, h * w),
-                   ser(_leaf("c2", CAPACITOR, 2 * ab * psi / (eta * h * w2)),
-                       _leaf("l2", INDUCTOR, eta * h / (2 * ab * psi)))),
-            N3=_leaf("c3", CAPACITOR, m / (eta * h)),
-            N4=_leaf("c4", CAPACITOR, 1 / (h * m)),
-            N5=_leaf("l5", INDUCTOR, h * eta / (m * w2)))
-    if which == "rpfg_second":
-        return net.assemble_shape(
-            "bridge",
-            N1=ser(_leaf("r1", RESISTOR, h / w),
-                   par(_leaf("c1", CAPACITOR, m * zeta / (2 * ab * psi * h)),
-                       _leaf("l1", INDUCTOR, 2 * ab * h * psi / (zeta * m * w2)))),
-            N2=_leaf("r2", RESISTOR, h * w),
-            N3=_leaf("c3", CAPACITOR, zeta / (h * w2)),
-            N4=_leaf("c4", CAPACITOR, 1 / (h * m)),
-            N5=_leaf("l5", INDUCTOR, h / zeta))
+                   ser(_leaf("l2", INDUCTOR, h * gam * m / (2 * ab * phi)),
+                       _leaf("c2", CAPACITOR, 2 * ab * phi / (h * gam * m * w2)))),
+            N3=_leaf("l3", INDUCTOR, h * gam / w2),
+            N4=_leaf("l4", INDUCTOR, h / m),
+            N5=_leaf("c5", CAPACITOR, 1 / (h * gam)))
     if which == "alt_first":
         return net.assemble_shape(
-            "wheel_spoke",
-            ar1=_leaf("r1", RESISTOR, h * w),
-            ar2=_leaf("l1", INDUCTOR, eta * h / (2 * ab * psi)),
-            ar3=_leaf("l2", INDUCTOR, h * eta / (m * w2)),
-            br1=_leaf("c1", CAPACITOR, 1 / (h * m)),
-            br3=_leaf("r2", RESISTOR, h / w),
-            r12=_leaf("c2", CAPACITOR, 2 * ab / (h * w2)),
-            r23=_leaf("c3", CAPACITOR, 2 * ab * m * m / (h * eta * eta)))
+            "wheel_rim",
+            sa=_leaf("r1", RESISTOR, h * w),
+            sb=_leaf("l1", INDUCTOR, h / m),
+            sp=_leaf("l2", INDUCTOR, 2 * ab * h * m * m / (chi * chi)),
+            sq=_leaf("l3", INDUCTOR, 2 * ab * h / w2),
+            rap=_leaf("c1", CAPACITOR, chi / (h * m * w2)),
+            rbq=_leaf("r2", RESISTOR, h / w),
+            rpq=_leaf("c2", CAPACITOR, chi / (2 * ab * h * phi)))
     # alt_second
     return net.assemble_shape(
-        "wheel_rim",
-        sa=_leaf("r1", RESISTOR, h * w),
-        sb=_leaf("c1", CAPACITOR, 1 / (h * m)),
-        sp=_leaf("c2", CAPACITOR, zeta * zeta / (2 * ab * h * w2)),
-        sq=_leaf("c3", CAPACITOR, 1 / (2 * ab * h)),
-        rap=_leaf("l1", INDUCTOR, h / zeta),
-        rbq=_leaf("r2", RESISTOR, h / w),
-        rpq=_leaf("l2", INDUCTOR, 2 * ab * h * psi / (zeta * m * w2)))
+        "wheel_spoke",
+        ar1=_leaf("r1", RESISTOR, h * w),
+        ar2=_leaf("c1", CAPACITOR, 2 * ab * phi / (h * gam * m * w2)),
+        ar3=_leaf("c2", CAPACITOR, 1 / (h * gam)),
+        br1=_leaf("l1", INDUCTOR, h / m),
+        br3=_leaf("r2", RESISTOR, h / w),
+        r12=_leaf("l2", INDUCTOR, h / (2 * ab)),
+        r23=_leaf("l3", INDUCTOR, h * gam * gam / (2 * ab * w2)))
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +319,9 @@ class Classification:
 
 # Conditions (a)-(f) and the named bridges that realize them, one row each:
 # (letter, network, storage count, condition on (W, F), arms from (K, w0, W,
-# F)).  The squared comparisons are exact.
+# F)).  The squared comparisons are exact.  Rows (b) and (e) name instead
+# the network whose frequency inversion realizes theirs: (a) resp. (c)
+# holds at the parameters of H(w0^2/s).
 CONDITIONS = (
     ("a", "N1", 3, lambda W, F: W == Q(1, 2) and F > 0,
      lambda K, w0, W, F: dict(
@@ -351,13 +330,7 @@ CONDITIONS = (
          N3=_leaf("c3", CAPACITOR, 1 / (K * F * w0)),
          N4=_leaf("l4", INDUCTOR, K * F / w0),
          N5=_leaf("l5", INDUCTOR, K * F / w0))),
-    ("b", "N2", 3, lambda W, F: W == 2 and F < 0,
-     lambda K, w0, W, F: dict(
-         N1=_leaf("r1", RESISTOR, 2 * K),
-         N2=_leaf("r2", RESISTOR, 2 * K),
-         N3=_leaf("l3", INDUCTOR, -K * F / w0),
-         N4=_leaf("c4", CAPACITOR, -1 / (K * F * w0)),
-         N5=_leaf("c5", CAPACITOR, -1 / (K * F * w0)))),
+    ("b", "N2", 3, lambda W, F: W == 2 and F < 0, "N1"),
     ("c", "N3", 4,
      lambda W, F: (Q(1, 2) < W < 1
                    and F * F * (1 - W) ** 2 == W * W * (2 * W - 1)),
@@ -378,14 +351,7 @@ CONDITIONS = (
                 _leaf("l4", INDUCTOR, K * F * (2 - W) / ((1 - W) * w0))),
          N5=_leaf("c5", CAPACITOR, -1 / (K * F * w0)))),
     ("e", "N5", 4,
-     lambda W, F: 1 < W < 2 and F * F * (1 - W) ** 2 == W ** 3 * (2 - W),
-     lambda K, w0, W, F: dict(
-         N1=_leaf("r1", RESISTOR, -K * W * W / ((1 - W) * (1 + W))),
-         N2=_leaf("r2", RESISTOR, K * W * W),
-         N3=_leaf("l3", INDUCTOR, -K * F / w0),
-         N4=par(_leaf("c4", CAPACITOR, 1 / (K * F * (1 - W) * w0)),
-                _leaf("l4", INDUCTOR, K * F * (1 - W) / ((2 - W) * w0))),
-         N5=_leaf("c5", CAPACITOR, -1 / (K * F * w0)))),
+     lambda W, F: 1 < W < 2 and F * F * (1 - W) ** 2 == W ** 3 * (2 - W), "N3"),
     ("f", "N6", 4,
      lambda W, F: (Q(1, 2) < W < 1
                    and F * F * (2 * W - 1) == W * W * (1 - W) ** 2),
@@ -425,6 +391,9 @@ def build_named(name: str, p: BiquadParams) -> Network:
             if not holds(p.W, p.F):
                 raise ConditionViolated(
                     f"{name} requires condition ({letter})")
+            if isinstance(arms, str):
+                return _frequency_inverted(
+                    build_named(arms, _inverted_params(p)), p.omega0, {})
             return net.assemble_shape("bridge",
                                       **arms(p.K, p.omega0, p.W, p.F))
     raise ValueError(f"unknown named network {name!r}")

@@ -6,8 +6,9 @@ from fractions import Fraction
 import pytest
 
 from prsyn.analysis import impedance, mcmillan_gap, storage_count
-from prsyn.network import (Network, NonpositiveValue, dual, frequency_invert,
-                           parse_netlist)
+from prsyn.network import (CAPACITOR, INDUCTOR, RESISTOR, Element, Leaf,
+                           Network, NonpositiveValue, assemble_shape, dual,
+                           frequency_invert, par, parse_netlist, ser)
 from prsyn.polyrat import (BiquadParams, NotMinimum, Polynomial, Q,
                            RationalFunction, biquad_params, biquad_template,
                            is_positive_real, parse_ratfunc,
@@ -22,7 +23,7 @@ from prsyn.synth import (SEVEN_ELEMENT_VARIANTS, Classification,
                          resultant_fixture_check, theorem2_step,
                          verify_theorem2_identity)
 
-from conftest import count_pr_tests, sample_region
+from conftest import count_pr_tests, rand_q, sample_region
 
 
 class TestTheorem2Step:
@@ -88,14 +89,15 @@ class TestTheorem2Step:
                             ab, step.h, step.reduced)
         assert not verify_theorem2_identity(h, bad)
 
-    def test_derived_symbols(self):
-        for W, F in ((Q(2, 3), Q(1)), (Q(3, 2), Q(-1))):
-            step = theorem2_step(biquad_template(BiquadParams(1, 2, W, F)))
-            w2, m, ab = step.omega0 ** 2, step.mu_or_nu, step.alpha_or_beta
-            first, second, third = (("chi", "gamma", "phi") if F > 0
-                                    else ("eta", "zeta", "psi"))
-            assert step.derived == {first: w2 + 2 * ab * m, second: m + 2 * ab,
-                                    third: w2 + 2 * ab * m + m * m}
+    def test_mirrored_is_the_step_of_the_inverted_function(self, rng):
+        # both branches: mirrored() is an involution between H and H(w0^2/s)
+        for _ in range(40):
+            p = sample_region(rng.choice(["a", "b", "c", "d", "e", "f",
+                                          "none"]), rng)
+            h, w0 = biquad_template(p), p.omega0
+            step = theorem2_step(h, w0)
+            assert step.mirrored() == theorem2_step(h.compose_winv(w0 * w0), w0)
+            assert step.mirrored().mirrored() == step
 
     def test_missing_resonant_pole_raises(self, monkeypatch):
         # the general path's residue quotient has no value at j*omega0
@@ -611,7 +613,8 @@ class TestGeneralPathAgainstClosedForms:
     """Force the general root/residue machinery (bypassing the biquadratic
     fast path) and require it to reproduce the closed forms exactly."""
 
-    def test_both_branches(self, rng, monkeypatch):
+    @pytest.fixture
+    def synth_mod(self, monkeypatch):
         import prsyn.synth as synth_mod
         from prsyn.polyrat import NotRationalParams
 
@@ -619,6 +622,9 @@ class TestGeneralPathAgainstClosedForms:
             raise NotRationalParams("forced general path")
 
         monkeypatch.setattr(synth_mod, "_theorem2_step_biquad", _refuse)
+        return synth_mod
+
+    def test_both_branches(self, rng, synth_mod):
         for region in ("a", "c", "none", "b", "d"):
             p = sample_region(region, rng)
             h = biquad_template(p)
@@ -636,6 +642,15 @@ class TestGeneralPathAgainstClosedForms:
                 assert step.reduced.constant_value() == 1 / W
             for which in SEVEN_ELEMENT_VARIANTS:
                 assert impedance(build_seven_element(step, which)) == h
+
+    def test_mirrored_is_the_step_of_the_inverted_function(self, rng,
+                                                           synth_mod):
+        for region in ("b", "d", "e", "none", "a", "c", "f"):
+            p = sample_region(region, rng)
+            h, w0 = biquad_template(p), p.omega0
+            step = synth_mod.theorem2_step(h, w0)
+            assert step.mirrored() == \
+                synth_mod.theorem2_step(h.compose_winv(w0 * w0), w0)
 
 
 class TestSpecGapInvariants:
@@ -689,3 +704,106 @@ class TestSevenElementTransformAlgebra:
                     build_seven_element(step_i, f"{fam}_first"), w0)
                 assert impedance(via) == h
                 assert self._multiset(via) == self._multiset(second)
+
+
+def _ref_leaf(eid, kind, v):
+    return Leaf(Element(eid, kind, "_", "__", v))
+
+
+def _x_negative_reference(step, which):
+    """The X < 0 seven-element networks written out element by element,
+    with eta = w0^2 + 2 beta nu, zeta = nu + 2 beta and psi = eta + nu^2."""
+    L, C, R = INDUCTOR, CAPACITOR, RESISTOR
+    w, w2 = step.reduced.constant_value(), step.omega0 ** 2
+    h, ab, m = step.h, step.alpha_or_beta, step.mu_or_nu
+    eta, zeta = w2 + 2 * ab * m, m + 2 * ab
+    psi = eta + m * m
+    if which == "rpfg_first":
+        return assemble_shape(
+            "bridge",
+            N1=_ref_leaf("r1", R, h / w),
+            N2=par(_ref_leaf("r2", R, h * w),
+                   ser(_ref_leaf("c2", C, 2 * ab * psi / (eta * h * w2)),
+                       _ref_leaf("l2", L, eta * h / (2 * ab * psi)))),
+            N3=_ref_leaf("c3", C, m / (eta * h)),
+            N4=_ref_leaf("c4", C, 1 / (h * m)),
+            N5=_ref_leaf("l5", L, h * eta / (m * w2)))
+    if which == "rpfg_second":
+        return assemble_shape(
+            "bridge",
+            N1=ser(_ref_leaf("r1", R, h / w),
+                   par(_ref_leaf("c1", C, m * zeta / (2 * ab * psi * h)),
+                       _ref_leaf("l1", L, 2 * ab * h * psi / (zeta * m * w2)))),
+            N2=_ref_leaf("r2", R, h * w),
+            N3=_ref_leaf("c3", C, zeta / (h * w2)),
+            N4=_ref_leaf("c4", C, 1 / (h * m)),
+            N5=_ref_leaf("l5", L, h / zeta))
+    if which == "alt_first":
+        return assemble_shape(
+            "wheel_spoke",
+            ar1=_ref_leaf("r1", R, h * w),
+            ar2=_ref_leaf("l1", L, eta * h / (2 * ab * psi)),
+            ar3=_ref_leaf("l2", L, h * eta / (m * w2)),
+            br1=_ref_leaf("c1", C, 1 / (h * m)),
+            br3=_ref_leaf("r2", R, h / w),
+            r12=_ref_leaf("c2", C, 2 * ab / (h * w2)),
+            r23=_ref_leaf("c3", C, 2 * ab * m * m / (h * eta * eta)))
+    return assemble_shape(
+        "wheel_rim",
+        sa=_ref_leaf("r1", R, h * w),
+        sb=_ref_leaf("c1", C, 1 / (h * m)),
+        sp=_ref_leaf("c2", C, zeta * zeta / (2 * ab * h * w2)),
+        sq=_ref_leaf("c3", C, 1 / (2 * ab * h)),
+        rap=_ref_leaf("l1", L, h / zeta),
+        rbq=_ref_leaf("r2", R, h / w),
+        rpq=_ref_leaf("l2", L, 2 * ab * h * psi / (zeta * m * w2)))
+
+
+def _n2_n5_reference(name, p):
+    """The N2 and N5 bridges written out arm by arm."""
+    K, w0, W, F = p.K, p.omega0, p.W, p.F
+    if name == "N2":
+        return assemble_shape(
+            "bridge",
+            N1=_ref_leaf("r1", RESISTOR, 2 * K),
+            N2=_ref_leaf("r2", RESISTOR, 2 * K),
+            N3=_ref_leaf("l3", INDUCTOR, -K * F / w0),
+            N4=_ref_leaf("c4", CAPACITOR, -1 / (K * F * w0)),
+            N5=_ref_leaf("c5", CAPACITOR, -1 / (K * F * w0)))
+    return assemble_shape(
+        "bridge",
+        N1=_ref_leaf("r1", RESISTOR, -K * W * W / ((1 - W) * (1 + W))),
+        N2=_ref_leaf("r2", RESISTOR, K * W * W),
+        N3=_ref_leaf("l3", INDUCTOR, -K * F / w0),
+        N4=par(_ref_leaf("c4", CAPACITOR, 1 / (K * F * (1 - W) * w0)),
+               _ref_leaf("l4", INDUCTOR, K * F * (1 - W) / ((2 - W) * w0))),
+        N5=_ref_leaf("c5", CAPACITOR, -1 / (K * F * w0)))
+
+
+class TestInvertedBuildsMatchTheWrittenOutNetworks:
+    """The X < 0 seven-element networks and N2/N5 are built as frequency
+    inversions of X > 0 ones; they must equal the networks written out
+    directly: the same ids, kinds, vertices, values and element order, and
+    the same port, so netlist text does not change."""
+
+    @staticmethod
+    def _netlist(n):
+        return ([(e.id, e.kind, e.head, e.tail, e.value) for e in n.elements],
+                n.port)
+
+    def test_seven_element_x_negative(self, rng):
+        for _ in range(200):
+            W = 1 + Fraction(rng.randint(1, 300), 100)
+            p = BiquadParams(rand_q(rng), rand_q(rng), W, -rand_q(rng))
+            step = theorem2_step(biquad_template(p), p.omega0)
+            assert step.variant == "X_negative"
+            for which in SEVEN_ELEMENT_VARIANTS:
+                assert (self._netlist(build_seven_element(step, which))
+                        == self._netlist(_x_negative_reference(step, which)))
+
+    def test_n2_and_n5(self, rng):
+        for _ in range(200):
+            for region, name in (("b", "N2"), ("e", "N5")):
+                p = sample_region(region, rng)
+                assert (self._netlist(build_named(name, p))
+                        == self._netlist(_n2_n5_reference(name, p)))
