@@ -234,11 +234,12 @@ _X_NEGATIVE_TWINS = {"rpfg_first": ("rpfg_second", {}),
 
 def _frequency_inverted(n: Network, omega0, ids: Dict[str, str]) -> Network:
     """``net.frequency_invert`` with each id's leading letter set to the
-    element's new kind, unless ids renames it."""
-    inv = net.frequency_invert(n, omega0)
-    return Network(inv.vertices, [
+    element's new kind, unless ids renames it, as one ``Network``."""
+    w2 = omega0 * omega0
+    inv = [net._invert_element(e, w2) for e in n.elements]
+    return Network(n.vertices, [
         Element(ids.get(e.id, e.kind.lower() + e.id[1:]), e.kind, e.head,
-                e.tail, e.value) for e in inv.elements], inv.port)
+                e.tail, e.value) for e in inv], n.port)
 
 
 def build_seven_element(step: SynthesisStep, which: str) -> Network:
@@ -501,33 +502,22 @@ class QuartetParams:
         return self.E
 
 
-def _quartet_base(fam: str, qp: QuartetParams, w0: Fraction) -> Network:
-    A, B, C, D = qp.A, qp.B, qp.C, qp.D
-    if fam == "N7":
-        if not (A > 0 and B > 0 and C > 0):
-            raise ConstraintViolated("N7 requires A, B, C > 0")
-    elif fam in ("N8", "N9"):
-        if not (A > 0 and B > 0 and C > 0 and D > 0):
-            raise ConstraintViolated(f"{fam} requires A, B, C, D > 0")
-    elif fam == "N10":
-        if not (A > 0 and B > 0 and C > 0 and (B - D) * (C - D) > 0 and B != C):
-            raise ConstraintViolated(
-                "N10 requires A, B, C, (B-D)(C-D) > 0 and B != C")
-    elif fam in ("N11", "N11a", "N11b", "N12", "N12a", "N12b"):
-        degen = fam[3:]
-        E = qp.derived_E()
-        if degen == "a":
-            if not (A == 0 and B > 0 and C > 0 and D > 0 and E > 0):
-                raise ConstraintViolated(f"{fam} requires A = 0, B, C, D, E > 0")
-        elif degen == "b":
-            if not (C == 0 and A > 0 and B > 0 and D > 0 and E > 0):
-                raise ConstraintViolated(f"{fam} requires C = 0, A, B, D, E > 0")
-        else:
-            if not (A > 0 and B > 0 and C > 0 and D > 0 and E > 0):
-                raise ConstraintViolated(f"{fam} requires A, B, C, D, E > 0")
-    else:
-        raise ValueError(f"unknown quartet family {fam!r}")
-    return net.assemble_shape("bridge", **_quartet_arms(fam, qp, w0))
+# Each family's requirements, by name (a degenerate N11/N12 member, suffix
+# a resp. b, has A resp. C = 0): the parameters that are 0, those that are
+# > 0, and a further condition with its text, or None.  E is read (so
+# checked) only in N11/N12, where it is a free parameter.
+_QUARTET_REQUIREMENTS = {
+    "N7": ("", "ABC", None),
+    "N8": ("", "ABCD", None),
+    "N9": ("", "ABCD", None),
+    "N10": ("", "ABC", ("(B-D)(C-D) > 0 and B != C",
+                        lambda qp: (qp.B - qp.D) * (qp.C - qp.D) > 0
+                        and qp.B != qp.C)),
+    "N11": ("", "ABCDE", None), "N11a": ("A", "BCDE", None),
+    "N11b": ("C", "ABDE", None),
+    "N12": ("", "ABCDE", None), "N12a": ("A", "BCDE", None),
+    "N12b": ("C", "ABDE", None),
+}
 
 
 def _quartet_arms(fam: str, qp: QuartetParams, w0: Fraction) -> Dict[str, object]:
@@ -577,27 +567,30 @@ def _n1112_arm(fam: str, A: Fraction, C: Fraction, D: Fraction, w0: Fraction):
 def build_quartet(qp: QuartetParams, omega0) -> Network:
     """Build a member of the quartet families.
 
-    Family names: base N7/N8/N9/N10/N11/N12 (plus N11a/N11b/N12a/N12b
-    degenerate members), with optional suffixes 'i' (frequency inversion),
-    'd' (dual) and 'di' (both), e.g. "N8di"."""
+    Family names: a row of ``_QUARTET_REQUIREMENTS`` (N7/N8/N9/N10/N11/N12
+    and the degenerate N11a/N11b/N12a/N12b), with optional suffixes 'i'
+    (frequency inversion), 'd' (dual) and 'di' (both), e.g. "N8di".  The
+    row's requirements are checked exactly (ConstraintViolated)."""
     w0 = _as_q(omega0)
-    fam = qp.family
-    suffix = ""
-    for cand in ("di", "d", "i"):
-        if fam.endswith(cand) and fam[: -len(cand)] in (
-                "N7", "N8", "N9", "N10", "N11", "N11a", "N11b",
-                "N12", "N12a", "N12b"):
-            suffix = cand
-            fam = fam[: -len(cand)]
-            break
-    base = _quartet_base(fam, qp, w0)
-    if suffix == "":
-        return base
-    if suffix == "i":
-        return net.frequency_invert(base, w0)
-    if suffix == "d":
-        return net.dual(base)
-    return net.frequency_invert(net.dual(base), w0)
+    fam = qp.family.rstrip("di")
+    suffix = qp.family[len(fam):]
+    if fam not in _QUARTET_REQUIREMENTS or suffix not in ("", "i", "d", "di"):
+        raise ValueError(f"unknown quartet family {qp.family!r}")
+    zero, positive, further = _QUARTET_REQUIREMENTS[fam]
+    value = {x: getattr(qp, x) for x in "ABCD"}
+    if "E" in positive:
+        value["E"] = qp.derived_E()
+    if not (all(value[x] == 0 for x in zero)
+            and all(value[x] > 0 for x in positive)
+            and (further is None or further[1](qp))):
+        needs = [f"{x} = 0" for x in zero] + [", ".join(positive) + " > 0"]
+        if further:
+            needs.append(further[0])
+        raise ConstraintViolated(f"{fam} requires {', '.join(needs)}")
+    n = net.assemble_shape("bridge", **_quartet_arms(fam, qp, w0))
+    if "d" in suffix:
+        n = net.dual(n)
+    return net.frequency_invert(n, w0) if "i" in suffix else n
 
 
 # ---------------------------------------------------------------------------
@@ -833,6 +826,14 @@ def _sylvester_nominal(p: Polynomial, q: Polynomial, m: int, n: int) -> Fraction
     return _sylvester_det(p, q, m, n, 0)
 
 
+def _require_physical(point: Dict[str, Fraction], may_vanish=()) -> None:
+    """NonpositiveValue unless every value of point is positive, or 0 where
+    its name is in may_vanish."""
+    for name, v in point.items():
+        if v < 0 or (v == 0 and name not in may_vanish):
+            raise net.NonpositiveValue(f"{name} = {v} is not a physical value")
+
+
 def resultant_fixture_check(family: str, subs: Dict[str, Fraction]) -> bool:
     """Verify the closed-form Sylvester factorizations used in the
     biquadratic classification proofs, at an exact rational substitution
@@ -840,23 +841,29 @@ def resultant_fixture_check(family: str, subs: Dict[str, Fraction]) -> bool:
 
     family "Q7": subs g1, g2, F, omega0; checks the degree-3 structural
     resultant factorization directly.
-    family "Q8": subs g1, g2, c2, omega0; reconstructs the elimination
-    polynomials f1(F), f2(F) from the structural resultants and checks
-    both printed factorizations and their resultant identity.
+    family "Q8": subs g1, g2, c2, omega0; f1(F)^2 and f2(F) are
+    reconstructed from the structural resultants, and f1 is the square root
+    of the first.
     family "N11"/"N12": subs r1, g2, g3, F, omega0; f1 has a known closed
-    form, f2 is reconstructed, and both the R0/R1 factorizations and the
-    final resultant identity are checked.
+    form, whose square the reconstruction must give, and f2 is
+    reconstructed.
+    For Q8, N11 and N12 ``_factorization_check`` then checks both printed
+    factorizations and the final resultant identity of f1 and f2.
 
-    The families are quartet families under a change of parameters and
-    are built from their arms, so the point must be physical: every
-    parameter positive, except r1 and g2, which may be 0 (a shorted
-    series or an open parallel resistor).  A negative one raises
-    NonpositiveValue."""
+    The families are the quartet families N7, N8, N11 and N12 under a
+    change of parameters, built from their arms, and ``_scaled`` checks and
+    normalises each structural pair.  So the point must be physical: every
+    parameter given positive, except r1 and g2 of N11/N12, which may be 0
+    (a shorted series or an open parallel resistor).  Any other point
+    raises NonpositiveValue before an arm is built; omega0 defaults to 1."""
     subs = {k: _as_q(v) for k, v in subs.items()}
     w0 = subs.get("omega0", Q(1))
+    _require_physical(dict(subs, omega0=w0),
+                      ("r1", "g2") if family in ("N11", "N12") else ())
     if family == "Q7":
         g1, g2, F = subs["g1"], subs["g2"], subs["F"]
-        p, q = _q7_struct(g1, g2, F, w0)
+        p, q = _scaled("Q7", _quartet_polys("N7", w0, A=1 / g1, B=1 / g2, C=F),
+                       3, w0 ** 3, F)
         r0 = sylvester_determinant(p, q, 0)
         return r0 == F * F * w0 ** 9 * (g1 - g2) ** 2 * (1 + F * F * g1 * g2) ** 4
     if family == "Q8":
@@ -866,61 +873,72 @@ def resultant_fixture_check(family: str, subs: Dict[str, Fraction]) -> bool:
     raise ValueError(f"unknown fixture family {family!r}")
 
 
-def _q7_struct(g1, g2, F, w0):
-    num, den = _quartet_polys("N7", w0, A=1 / g1, B=1 / g2, C=F)
-    if num.degree != 3 or den.degree != 3 or num(Q(0)) == 0:
-        raise ConstraintViolated("Q7 structural polynomials are degenerate")
-    c = w0 ** 3 / num(Q(0))
+def _scaled(family, pair, degree, target0, F):
+    """A fixture's structural (num, den) pair scaled so that num(0) is the
+    family's closed form target0 and den carries one more factor F, after
+    checking that both are of the nominal degree with num(0) != 0
+    (ConstraintViolated otherwise)."""
+    num, den = pair
+    if num.degree != degree or den.degree != degree or num.coeff(0) == 0:
+        raise ConstraintViolated(
+            f"{family} structural polynomials are degenerate")
+    c = target0 / num.coeff(0)
     return num * c, den * (c * F)
 
 
-def _q8_struct(g1, g2, c2, F, w0):
-    num, den = _quartet_polys("N8", w0, A=1 / g1, B=1 / g2, C=F / c2, D=F)
-    if num.degree != 4 or den.degree != 4 or num(Q(0)) == 0:
-        raise ConstraintViolated("Q8 structural polynomials are degenerate")
-    c = (1 + c2) * w0 ** 4 / num(Q(0))
-    return num * c, den * (c * F)
+def _factorization_check(samples, pairs, cof0, cof1, f1_of, degrees,
+                         rhs) -> bool:
+    """The check of Q8, N11 and N12, whose scaled structural pair (p, q)
+    varies with one variable x: pairs yields it at each x of samples,
+    lazily.  At all samples but the last, R0/cof0(x) and R1/cof1(x) (the
+    0th and 1st subresultants of p and q over their printed cofactors, which
+    are nonzero at a physical point) are interpolated to f1^2 and f2, each
+    the unique polynomial of degree below the sample count; f1_of(f1^2)
+    gives f1, or None to fail.  The last sample spot-checks both
+    interpolants, and the resultant of f1 and f2 at the nominal degrees
+    must be rhs."""
+    xs = samples[:-1]
+    vals0, vals1 = [], []
+    for x, (p, q) in zip(xs, pairs):
+        vals0.append(sylvester_determinant(p, q, 0) / cof0(x))
+        vals1.append(sylvester_determinant(p, q, 1) / cof1(x))
+    f1sq, f2 = _interpolate(xs, vals0), _interpolate(xs, vals1)
+    f1 = f1_of(f1sq)
+    if f1 is None:
+        return False
+    spot = samples[-1]
+    p, q = next(pairs)
+    return (sylvester_determinant(p, q, 0) == cof0(spot) * f1sq(spot)
+            and sylvester_determinant(p, q, 1) == cof1(spot) * f2(spot)
+            and _sylvester_nominal(f1, f2, *degrees) == rhs)
 
 
 def _check_q8(subs, w0) -> bool:
     g1, g2, c2 = subs["g1"], subs["g2"], subs["c2"]
-    xs = _fixture_samples()
-    r0_vals, r1_vals = [], []
-    for F in xs:
-        p, q = _q8_struct(g1, g2, c2, F, w0)
-        cof0 = c2 * w0 ** 16 * (1 + c2) * (1 + F * F * g1 * g2) ** 4
-        cof1 = -c2 * w0 ** 9 * (1 + F * F * g1 * g2) ** 2
-        if cof0 == 0 or cof1 == 0:
-            return False
-        r0_vals.append(sylvester_determinant(p, q, 0) / cof0)
-        r1_vals.append(sylvester_determinant(p, q, 1) / cof1)
-    f1sq = _interpolate(xs, r0_vals)
-    f2 = _interpolate(xs, r1_vals)
-    f1 = _poly_sqrt(f1sq)
-    if f1 is None:
-        return False
-    # spot-check the interpolations on a fresh sample
-    Fx = Q(31, 5)
-    p, q = _q8_struct(g1, g2, c2, Fx, w0)
-    if (sylvester_determinant(p, q, 0)
-            != c2 * w0 ** 16 * (1 + c2) * (1 + Fx * Fx * g1 * g2) ** 4 * f1sq(Fx)):
-        return False
-    if (sylvester_determinant(p, q, 1)
-            != -c2 * w0 ** 9 * (1 + Fx * Fx * g1 * g2) ** 2 * f2(Fx)):
-        return False
+    samples = _fixture_samples() + [Q(31, 5)]
+    pairs = (_scaled("Q8", _quartet_polys("N8", w0, A=1 / g1, B=1 / g2,
+                                          C=F / c2, D=F),
+                     4, (1 + c2) * w0 ** 4, F) for F in samples)
+
+    def cof0(F):
+        return c2 * w0 ** 16 * (1 + c2) * (1 + F * F * g1 * g2) ** 4
+
+    def cof1(F):
+        return -c2 * w0 ** 9 * (1 + F * F * g1 * g2) ** 2
+
     # the elimination identity at the generic degrees (2, 6); even nominal
     # degree of f2 makes the result invariant under the sign of f1
-    res = _sylvester_nominal(f1, f2, 2, 6)
     rhs = (c2 ** 6 * g2 ** 10 * (1 + c2) ** 2
            * (c2 * c2 * g1 + 2 * c2 * (g1 - g2) + g1 - 3 * g2) ** 2)
-    return res == rhs
+    return _factorization_check(samples, pairs, cof0, cof1, _poly_sqrt,
+                                (2, 6), rhs)
 
 
-def _n1112_structs(family, r1, g2, g3, F, samples, w0, strict=True):
-    """The structural pair of ``_n1112_struct`` at each var in samples,
-    lazily and in order.  Only arm N1 holds var, so the N1 cofactors of
-    arms N2..N5 are built once and each sample contracts them with N1's
-    pair."""
+def _n1112_structs(family, r1, g2, g3, F, samples, w0):
+    """The unreduced structural (num, den) pair of an N11/N12 point at each
+    var in samples, lazily and in order.  Only arm N1 holds var, so the N1
+    cofactors of arms N2..N5 are built once and each sample contracts them
+    with N1's pair."""
     # var is c1 (N11) or x1 (N12); r1 = 0 shorts the series resistor and
     # g2 = 0 opens the parallel one
     arms = _quartet_arms(family, QuartetParams(
@@ -929,28 +947,7 @@ def _n1112_structs(family, r1, g2, g3, F, samples, w0, strict=True):
                                       for slot in ("N2", "N3", "N4", "N5")})
     for var in samples:
         n1 = _n1112_arm(family, r1, g2, F / var, w0)
-        num, den = _contract(net.tree_pair(n1), cofactors)
-        if not strict:
-            yield num, den
-            continue
-        if num.degree != 4 or den.degree != 4 or num.coeff(0) == 0:
-            raise ConstraintViolated(
-                f"{family} structural polynomials are degenerate")
-        if family == "N11":
-            target0 = F * (1 + r1 * g2) * w0 ** 4
-        else:
-            target0 = r1 * var * w0 ** 4
-        c = target0 / num.coeff(0)
-        yield num * c, den * (c * F)
-
-
-def _n1112_struct(family, r1, g2, g3, F, var, w0, strict=True):
-    """The N11/N12 structural (num, den) pair at one var: the bridge's
-    unreduced pair; with strict, scaled so that num(0) is the family's
-    closed form and den carries one more factor F, after checking both are
-    of degree 4 with num(0) != 0 (ConstraintViolated otherwise).  One
-    sample costs one N1-cofactor build and one contraction."""
-    return next(_n1112_structs(family, r1, g2, g3, F, [var], w0, strict))
+        yield _contract(net.tree_pair(n1), cofactors)
 
 
 def _check_n11_n12(family, subs, w0) -> bool:
@@ -972,6 +969,9 @@ def _check_n11_n12(family, subs, w0) -> bool:
 
         def cof1(v):
             return -F * F * v * w0 ** 9
+
+        def target0(v):
+            return F * (1 + r1 * g2) * w0 ** 4
     else:
         f1_printed = Polynomial([g3 - g2 * one_m, g3 * one_m])
         rhs_final = (-F * F * g3 ** 5
@@ -988,35 +988,28 @@ def _check_n11_n12(family, subs, w0) -> bool:
         def cof1(v):
             return F ** 6 * w0 ** 9
 
+        def target0(v):
+            return r1 * v * w0 ** 4
+
+    samples = _fixture_samples() + [Q(29, 4)]
+    pairs = (_scaled(family, pair, 4, target0(v), F) for v, pair in zip(
+        samples, _n1112_structs(family, r1, g2, g3, F, samples, w0)))
     # f1_printed^2 has degree <= 2 < 24 and the interpolant is unique, so
-    # comparing every sample with it is comparing the interpolant with it
-    xs = _fixture_samples()
-    vx = Q(29, 4)                       # the spot check after interpolation
-    structs = _n1112_structs(family, r1, g2, g3, F, xs + [vx], w0)
-    vals0, vals1 = [], []
-    for v, (p, q) in zip(xs, structs):
-        c0, c1 = cof0(v), cof1(v)
-        if c0 == 0 or c1 == 0:
-            return False
-        vals0.append(sylvester_determinant(p, q, 0) / c0)
-        vals1.append(sylvester_determinant(p, q, 1) / c1)
-    if any(y != f1_printed(v) ** 2 for v, y in zip(xs, vals0)):
-        return False
-    f2 = _interpolate(xs, vals1)
-    p, q = next(structs)
-    if sylvester_determinant(p, q, 0) != cof0(vx) * f1_printed(vx) ** 2:
-        return False
-    if sylvester_determinant(p, q, 1) != cof1(vx) * f2(vx):
-        return False
-    # elimination identity at the generic degrees (1, 5)
-    return _sylvester_nominal(f1_printed, f2, 1, 5) == rhs_final
+    # comparing the interpolant with it is comparing every sample with it;
+    # the elimination identity is at the generic degrees (1, 5)
+    return _factorization_check(
+        samples, pairs, cof0, cof1,
+        lambda f1sq: f1_printed if f1sq == f1_printed ** 2 else None, (1, 5),
+        rhs_final)
 
 
 def n12_has_no_feasible_solution(r1, g2, g3, F) -> bool:
     """For feasible parameters (r1, g2 >= 0 and g3, F > 0), no x1 > 0 makes
     the structural polynomial pair drop to McMillan degree two; i.e. the
-    family has no biquadratic members."""
+    family has no biquadratic members.  Any other point raises
+    NonpositiveValue."""
     r1, g2, g3, F = map(_as_q, (r1, g2, g3, F))
+    _require_physical(dict(r1=r1, g2=g2, g3=g3, F=F), ("r1", "g2"))
     if r1 == 0:
         # the structural numerator then vanishes at s = 0: the impedance has
         # a zero there and cannot be a minimum function at all
@@ -1029,15 +1022,16 @@ def n12_has_no_feasible_solution(r1, g2, g3, F) -> bool:
         x1 = -b / a
         if x1 <= 0:
             return True
-        p, q = _n1112_struct("N12", r1, g2, g3, F, x1, w0=Q(1))
+        p, q = _scaled("N12", next(_n1112_structs("N12", r1, g2, g3, F, [x1],
+                                                  Q(1))), 4, r1 * x1, F)
         return sylvester_determinant(p, q, 1) != 0
     if g2 != 0 and a == 0:
         return b != 0          # b = g3 > 0, so always true here
-    # boundary g2 = 0 (open parallel resistor): interpolate R0, R1 in x1 and
-    # look for a common positive root directly
+    # boundary g2 = 0 (open parallel resistor): interpolate R0, R1 of the
+    # unscaled pairs in x1 and look for a common positive root directly
     xs = _fixture_samples(16)
     vals0, vals1 = [], []
-    for p, q in _n1112_structs("N12", r1, g2, g3, F, xs, Q(1), strict=False):
+    for p, q in _n1112_structs("N12", r1, g2, g3, F, xs, Q(1)):
         vals0.append(sylvester_determinant(p, q, 0))
         vals1.append(sylvester_determinant(p, q, 1))
     rho0 = _interpolate(xs, vals0)

@@ -20,8 +20,9 @@ too, so no second elimination loop runs beside it.  ``Polynomial`` is the
 one polynomial class of ``polyrat``, and ``_GaussInt`` the one other ring
 with division.  In the graph code of ``network`` and ``analysis`` only
 ``_reach`` and the block decomposition ``_edge_biconnected_components``
-run a stack loop.  The checks read the sources with ``ast``; nothing is
-imported.
+run a stack loop.  No function takes a ``True``/``False`` default: a
+boolean mode switch is a second function hidden in the first.  The
+checks read the sources with ``ast``; nothing is imported.
 """
 
 import ast
@@ -212,3 +213,18 @@ def test_one_graph_walk():
                         and c.func.attr == "pop" for c in ast.walk(loop)):
                     found.add((name, getattr(top, "name", None)))
     assert found <= GRAPH_WALKS
+
+
+def test_no_boolean_default_parameters():
+    # a True/False default is a mode switch inside one function; a second
+    # behaviour gets its own function or caller instead
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for fn in ast.walk(_tree(path)):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef,
+                               ast.Lambda)):
+                found += [f"{path.name}:{fn.lineno}"
+                          for d in fn.args.defaults + fn.args.kw_defaults
+                          if isinstance(d, ast.Constant)
+                          and isinstance(d.value, bool)]
+    assert found == []

@@ -372,19 +372,32 @@ class TestMatcher:
                 parse_netlist("R r1 a m 1\nL l1 m b 1\nPORT a b"), 1)
 
 
+def _q7_pair(g1, g2, F, w0):
+    """The scaled Q7 structural pair that the Q7 fixture reads."""
+    from prsyn.synth import _quartet_polys, _scaled
+    return _scaled("Q7", _quartet_polys("N7", w0, A=1 / g1, B=1 / g2, C=F),
+                   3, w0 ** 3, F)
+
+
+def _q8_pair(g1, g2, c2, F, w0):
+    """The scaled Q8 structural pair that the Q8 fixture reads at F."""
+    from prsyn.synth import _quartet_polys, _scaled
+    return _scaled("Q8", _quartet_polys("N8", w0, A=1 / g1, B=1 / g2,
+                                        C=F / c2, D=F),
+                   4, (1 + c2) * w0 ** 4, F)
+
+
 class TestResultantFixtures:
     def test_q7_printed_value(self):
         assert resultant_fixture_check(
             "Q7", {"g1": 1, "g2": 2, "F": 1, "omega0": 1})
-        from prsyn.synth import _q7_struct
-        p, q = _q7_struct(Q(1), Q(2), Q(1), Q(1))
+        p, q = _q7_pair(Q(1), Q(2), Q(1), Q(1))
         assert sylvester_determinant(p, q, 0) == 81
 
     def test_q7_equal_conductances_vanish(self):
         assert resultant_fixture_check(
             "Q7", {"g1": 2, "g2": 2, "F": Q(1, 3), "omega0": 2})
-        from prsyn.synth import _q7_struct
-        p, q = _q7_struct(Q(2), Q(2), Q(1, 3), Q(2))
+        p, q = _q7_pair(Q(2), Q(2), Q(1, 3), Q(2))
         assert sylvester_determinant(p, q, 0) == 0
 
     def test_q8_family(self):
@@ -392,11 +405,10 @@ class TestResultantFixtures:
             "Q8", {"g1": Q(3, 2), "g2": Q(2, 3), "c2": Q(5, 4), "omega0": 1})
 
     def test_q8_solution_point_degree_drop(self):
-        from prsyn.synth import _q8_struct
         W, F = Q(5, 8), Q(5, 6)
         g1 = (1 - W * W) / (W * W)
         c2 = (2 * W - 1) / (1 - W)
-        p, q = _q8_struct(g1, Q(1), c2, F, Q(1))
+        p, q = _q8_pair(g1, Q(1), c2, F, Q(1))
         assert sylvester_determinant(p, q, 0) == 0
         assert sylvester_determinant(p, q, 1) == 0
 
@@ -415,6 +427,40 @@ class TestResultantFixtures:
         # is a nonpositive element value
         with pytest.raises(NonpositiveValue):
             resultant_fixture_check("Q7", {"g1": -1, "g2": 2, "F": 1})
+        # two negative values whose element values are positive products
+        with pytest.raises(NonpositiveValue):
+            resultant_fixture_check(
+                "Q7", {"g1": 1, "g2": 2, "F": -1, "omega0": -1})
+
+    def test_zero_parameters_are_not_physical(self):
+        # a zero that the arms invert is rejected up front; only r1 and g2
+        # of N11/N12 may be 0 (a shorted series or an open parallel
+        # resistor), which stays a verdict or a degenerate N12 pair
+        n1112 = {"r1": Q(1, 3), "g2": Q(2, 5), "g3": Q(7, 4), "F": Q(1, 2)}
+        points = {"Q7": {"g1": Q(1), "g2": Q(2), "F": Q(1)},
+                  "Q8": {"g1": Q(3, 2), "g2": Q(2, 3), "c2": Q(5, 4)},
+                  "N11": n1112, "N12": n1112}
+        for fam, point in points.items():
+            for name in list(point) + ["omega0"]:
+                subs = dict(point, **{name: Q(0)})
+                if fam == "N11" and name in ("r1", "g2"):
+                    assert resultant_fixture_check(fam, subs)
+                elif fam == "N12" and name in ("r1", "g2"):
+                    with pytest.raises(ConstraintViolated,
+                                       match="degenerate"):
+                        resultant_fixture_check(fam, subs)
+                else:
+                    with pytest.raises(NonpositiveValue):
+                        resultant_fixture_check(fam, subs)
+
+    def test_n12_feasibility_rejects_points_off_its_domain(self):
+        # the domain is r1, g2 >= 0 and g3, F > 0
+        for point in [(1, 1, 0, 1), (1, 1, 1, 0), (1, -1, 1, 1),
+                      (-1, 1, 1, 1), (1, 1, -2, 1), (1, 1, 1, -2)]:
+            with pytest.raises(NonpositiveValue):
+                n12_has_no_feasible_solution(*point)
+        assert n12_has_no_feasible_solution(0, 1, 1, 1)
+        assert n12_has_no_feasible_solution(Q(1, 2), 0, 3, 2)
 
     def test_n12_infeasibility(self, rng):
         for _ in range(30):
@@ -527,8 +573,8 @@ class TestFixtureArms:
 
     def test_arms_match_the_pair_algebra(self):
         from prsyn.network import tree_pair
-        from prsyn.synth import (QuartetParams, _n1112_struct, _q7_struct,
-                                 _q8_struct, _quartet_arms,
+        from prsyn.synth import (QuartetParams, _n1112_structs, _quartet_arms,
+                                 _quartet_polys, _scaled,
                                  bridge_structural_polys)
         rng = random.Random(1961)
 
@@ -544,19 +590,19 @@ class TestFixtureArms:
                      "g3": q(), "var": q()}
             seen_zero |= {k for k in ("r1", "g2") if n1112[k] == 0}
             r1, g2z, g3, var = (n1112[k] for k in ("r1", "g2", "g3", "var"))
+            # (fixture, quartet, point, quartet parameters, nominal degree,
+            # closed-form num(0) or None for the unscaled N11/N12 pair)
             points = [
                 ("Q7", "N7", {"F": F, "g1": g1, "g2": g2},
-                 dict(A=1 / g1, B=1 / g2, C=F),
-                 _q7_struct(g1, g2, F, w0), w0 ** 3),
+                 dict(A=1 / g1, B=1 / g2, C=F), 3, w0 ** 3),
                 ("Q8", "N8", {"F": F, "g1": g1, "g2": g2, "c2": c2},
-                 dict(A=1 / g1, B=1 / g2, C=F / c2, D=F),
-                 _q8_struct(g1, g2, c2, F, w0), (1 + c2) * w0 ** 4),
+                 dict(A=1 / g1, B=1 / g2, C=F / c2, D=F), 4,
+                 (1 + c2) * w0 ** 4),
             ] + [
                 (fam, fam, n1112, dict(A=r1, B=1 / g3, C=g2z, D=F / var, E=F),
-                 _n1112_struct(fam, r1, g2z, g3, F, var, w0, strict=False),
-                 None)
+                 4, None)
                 for fam in ("N11", "N12")]
-            for family, fam, v, params, struct, target0 in points:
+            for family, fam, v, params, degree, target0 in points:
                 arms = _quartet_arms(fam, QuartetParams(fam, **params), w0)
                 want = _reference_arms(family, v, w0)
                 got = {slot: tree_pair(t) for slot, t in arms.items()}
@@ -564,10 +610,13 @@ class TestFixtureArms:
                 num, den = bridge_reference(want)
                 assert bridge_structural_polys(got) == (num, den)
                 if target0 is None:
-                    assert struct == (num, den)
+                    assert next(_n1112_structs(fam, r1, g2z, g3, F, [var],
+                                               w0)) == (num, den)
                 else:
                     c = target0 / num(Q(0))
-                    assert struct == (num * c, den * (c * F))
+                    assert (_scaled(family, _quartet_polys(fam, w0, **params),
+                                    degree, target0, F)
+                            == (num * c, den * (c * F)))
         assert seen_zero == {"r1", "g2"}
 
     def test_per_check_cofactors_match_the_direct_bridge(self):
@@ -584,8 +633,7 @@ class TestFixtureArms:
         for fam in ("N11", "N12"):
             for r1, g2, g3, F, w0 in points:
                 for xs in (_fixture_samples(), _fixture_samples(16)):
-                    got = list(_n1112_structs(fam, r1, g2, g3, F, xs, w0,
-                                              strict=False))
+                    got = list(_n1112_structs(fam, r1, g2, g3, F, xs, w0))
                     assert len(got) == len(xs)
                     for v, pair in zip(xs, got):
                         qp = QuartetParams(fam, A=r1, B=1 / g3, C=g2,
@@ -806,4 +854,35 @@ class TestInvertedBuildsMatchTheWrittenOutNetworks:
             for region, name in (("b", "N2"), ("e", "N5")):
                 p = sample_region(region, rng)
                 assert (self._netlist(build_named(name, p))
+                        == self._netlist(_n2_n5_reference(name, p)))
+
+    def test_one_network_per_inversion(self, rng, monkeypatch):
+        # the inverted, renamed network is built and checked once: an X < 0
+        # build and N2/N5 construct the X > 0 network and its inversion
+        import prsyn.network as network_mod
+        calls = []
+        check_graph = network_mod._check_graph
+
+        def counting(*args):
+            calls.append(args)
+            return check_graph(*args)
+
+        def built(build, *args):
+            calls.clear()
+            n = build(*args)
+            assert len(calls) == 2
+            return self._netlist(n)
+
+        monkeypatch.setattr(network_mod, "_check_graph", counting)
+
+        for _ in range(20):
+            W = 1 + Fraction(rng.randint(1, 300), 100)
+            p = BiquadParams(rand_q(rng), rand_q(rng), W, -rand_q(rng))
+            step = theorem2_step(biquad_template(p), p.omega0)
+            for which in SEVEN_ELEMENT_VARIANTS:
+                assert (built(build_seven_element, step, which)
+                        == self._netlist(_x_negative_reference(step, which)))
+            for region, name in (("b", "N2"), ("e", "N5")):
+                p = sample_region(region, rng)
+                assert (built(build_named, name, p)
                         == self._netlist(_n2_n5_reference(name, p)))
