@@ -13,8 +13,13 @@ exact: frequencies are rationals (a float is a TypeError) and phasors are
 with nullspaces, both one fraction-free loop over Z[s], Z or Z[j]; this
 module only sets up the systems.  Each impedance is the quotient of the
 last two leading minors of one matrix, its vertices in minimum-degree
-order with the port vertex last.  The PBH polynomials come from det(sI -
-A), the last leading minor of sI - A, and Krylov annihilators.  Whether a
+order with the port vertex last.  The state space is read over Z: one
+sequence of int Krylov columns (dA)^j (e b) per (A, b), d and e the lcms of
+the denominators, gives the annihilator of b through one ``solve`` and the
+Markov parameters C A^j b, so ``ss_impedance`` is D + N / m with no
+determinant (Kailath 1980, *Linear Systems*, ch. 2 and sec. 6.2).  The PBH
+polynomials divide det(sI - A), the last leading minor of sI - A, by the
+annihilators of (A, B) and (A^T, C).  Whether a
 function is PR, lossless or minimum is asked of ``polyrat`` alone, whose
 ``is_positive_real`` keeps its verdict, so the report after an impedance
 does not test it again.
@@ -22,9 +27,11 @@ does not test it again.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 
 from .polyrat import (ONE, Polynomial, Q, QComplex, RationalFunction, _as_q,
@@ -598,30 +605,65 @@ def state_space(n: Network) -> StateSpace:
                       tuple(vout[:nstate]), vout[nstate], tuple(states))
 
 
-def _si_minus_a(ss: StateSpace) -> List[List[Polynomial]]:
-    nn = ss.n
-    return [[Polynomial([-ss.A[i][j], 1]) if i == j else Polynomial([-ss.A[i][j]])
-             for j in range(nn)] for i in range(nn)]
+def _krylov(a, b) -> Tuple[int, int, List[List[int]]]:
+    """The Krylov columns of (A, b) over Z, A given by its rows a.
+
+    With d the lcm of A's denominators and e that of b's, the columns are
+    (dA)^j (e b) = d^j e A^j b for j = 0..n, built by int dot products.
+    Returns (d, e, columns)."""
+    d = math.lcm(*(x.denominator for row in a for x in row))
+    e = math.lcm(*(x.denominator for x in b))
+    da = [[x.numerator * (d // x.denominator) for x in row] for row in a]
+    col = [x.numerator * (e // x.denominator) for x in b]
+    cols = [col]
+    for _ in b:
+        col = [sum(map(mul, row, col)) for row in da]
+        cols.append(col)
+    return d, e, cols
+
+
+def _annihilator(d: int, cols: List[List[int]]) -> Polynomial:
+    """The monic m of least degree with m(A) b = 0, from the int Krylov
+    columns (dA)^j (e b) of ``_krylov``, d the lcm of A's denominators.
+
+    ``solve`` finds the nullspace of the columns, with no right-hand
+    column.  Once a column depends on those before it, so does every later
+    one, so the free columns are k..n, k the first dependent one.  The
+    first basis vector c belongs to it: c_k = 1, c_j = 0 for j > k, and
+    sum_j c_j d^j A^j b = 0.  So m(s) = sum_j c_j d^(j-k) s^j, which is
+    m_A(s) = d^(-k) m_dA(d s) (Kailath 1980, *Linear Systems*, sec. 6.2).
+    With no state, or b = 0, m = 1."""
+    _, basis = solve(list(zip(*cols)), [[]] * (len(cols) - 1))
+    if not basis:
+        return ONE
+    k = len(cols) - len(basis)
+    return Polynomial([x / d ** (k - j)
+                       for j, x in enumerate(basis[0][:k + 1])])
 
 
 def ss_impedance(ss: StateSpace) -> RationalFunction:
-    """D + C (sI - A)^{-1} B as an exact rational function.
+    """D + C (sI - A)^{-1} B as an exact rational function, with no
+    determinant.
 
-    By the Schur complement, det([[sI - A, B], [-C, D]]) = chi (D +
-    C (sI - A)^{-1} B) with chi = det(sI - A), so the impedance is the
-    quotient of the last two leading minors of that bordered matrix, read
-    from one ``leading_minors`` pass: the k-th leading minor of sI - A is
-    monic of degree k, never zero, so chi is the n-th, and the bordered
-    determinant the (n+1)-th, or zero where the minors stop.  Both are
-    divisible by the uncontrollable and the unobservable polynomials of
-    ``pbh_diagnostics``, which ``RationalFunction`` cancels; with the
-    single input column of a one-port these are chi / m(A, B) and chi /
-    m(A^T, C), m the Krylov annihilator (``_annihilator``)."""
-    sia = _si_minus_a(ss)
-    big = [row + [Polynomial([b])] for row, b in zip(sia, ss.B)]
-    big.append([Polynomial([-c]) for c in ss.C] + [Polynomial([ss.D])])
-    minors = [ONE] + leading_minors(big) + [Polynomial()]
-    return RationalFunction(minors[ss.n + 1], minors[ss.n])
+    Let m be the annihilator of B (``_annihilator``), monic of degree k
+    with m(A) B = 0.  Since s^j I - A^j = (sI - A) sum_(i<j) s^i
+    A^(j-1-i), the resolvent written through m is
+    C (sI - A)^{-1} B m(s) = sum_(i<k) s^i sum_(j>i) m_j C A^(j-1-i) B,
+    so H = D + N / m from the k Markov parameters C A^j B (Kailath 1980,
+    *Linear Systems*, ch. 2 and sec. 6.2).  Each is read off the int
+    Krylov columns of ``_krylov`` as (C . column_j) / (d^j e).
+    ``RationalFunction`` cancels the unobservable factors of m, those
+    of ``pbh_diagnostics``."""
+    d, e, cols = _krylov(ss.A, ss.B)
+    m = _annihilator(d, cols).coeffs
+    f = math.lcm(*(x.denominator for x in ss.C))
+    fc = [x.numerator * (f // x.denominator) for x in ss.C]
+    k = len(m) - 1
+    markov = [Fraction(sum(map(mul, fc, col)), f * e * d ** j)
+              for j, col in enumerate(cols[:k])]
+    num = [sum(m[j] * markov[j - 1 - i] for j in range(i + 1, k + 1))
+           + ss.D * m[i] for i in range(k)]
+    return RationalFunction(Polynomial(num + [ss.D]), Polynomial(m))
 
 
 # ---------------------------------------------------------------------------
@@ -642,39 +684,31 @@ class PBHReport:
     stabilizable: bool
 
 
-def _annihilator(a, b) -> Polynomial:
-    """The monic m of least degree with m(A) b = 0, A given by its rows a.
-
-    The Krylov matrix [b, Ab, ..., A^n b] is rational, so ``solve`` runs
-    the fraction-free loop on its cleared int rows, with no right-hand
-    column.  In the nullspace it returns, the first basis vector belongs to
-    the first column A^k b that depends on the ones before it; its entries
-    are the coefficients of m, with 1 at s^k.  With no state, m = 1."""
-    cols = [list(b)]
-    for _ in b:
-        cols.append([sum(x * y for x, y in zip(row, cols[-1])) for row in a])
-    _, basis = solve(list(zip(*cols)), [[]] * len(b))
-    return Polynomial(basis[0]) if basis else ONE
-
-
 def pbh_diagnostics(ss: StateSpace) -> PBHReport:
     """Exact PBH analysis from det(sI - A) and two Krylov annihilators.
 
     The uncontrollable (resp. unobservable) modes are the roots of the
     monic gcd of the maximal minors of [sI - A, B] (resp. [sI - A; C]).
     B is a single column, so the controllable subspace is cyclic (Kalman
-    1963; Kailath 1980, sec. 6.2) and that gcd is chi / m(A, B), where
-    chi = det(sI - A) and m(A, B) is the annihilator of B
-    (``_annihilator``); dually, with the single row C, it is chi /
-    m(A^T, C).  chi is the last leading minor of sI - A: the k-th is monic
-    of degree k, so the ``leading_minors`` pass never stops early, and
-    with no state chi = 1.  The modes are the rational roots that
+    1963; Kailath 1980, *Linear Systems*, sec. 6.2) and that gcd is
+    chi / m(A, B), where chi = det(sI - A) and m(A, B) is the annihilator
+    of B; dually, with the single row C, it is chi / m(A^T, C).  Both
+    annihilators come from int Krylov columns (``_krylov``, one ``solve``
+    each in ``_annihilator``), the same columns whose Markov parameters
+    give ``ss_impedance``.  chi is the last leading minor of sI - A: the
+    k-th is monic of degree k, so the ``leading_minors`` pass never stops
+    early, and with no state chi = 1.  The modes are the rational roots that
     ``real_roots`` finds, ascending; irrational and complex roots remain
     inside the returned polynomials.  Stabilizability is decided exactly
     with a Hurwitz test on the whole uncontrollable polynomial."""
-    chi = ([ONE] + leading_minors(_si_minus_a(ss)))[-1]
-    u = chi // _annihilator(ss.A, ss.B)
-    o = chi // _annihilator(list(zip(*ss.A)), ss.C)
+    nn = ss.n
+    sia = [[Polynomial([-ss.A[i][j], int(i == j)]) for j in range(nn)]
+           for i in range(nn)]
+    chi = ([ONE] + leading_minors(sia))[-1]
+    d, _, cols = _krylov(ss.A, ss.B)
+    u = chi // _annihilator(d, cols)
+    d, _, cols = _krylov(list(zip(*ss.A)), ss.C)
+    o = chi // _annihilator(d, cols)
 
     u_modes = tuple(r for r in real_roots(u) if isinstance(r, Fraction))
     o_modes = tuple(r for r in real_roots(o) if isinstance(r, Fraction))

@@ -1005,8 +1005,9 @@ def _eliminate(m, width, back):
 
 
 def _int_rows(rows: Sequence[Sequence[Fraction]]):
-    """Each row times the lcm of its denominators, as int rows."""
-    rows = [[_as_q(x) for x in row] for row in rows]
+    """Each row times the lcm of its denominators, as int rows.  An int
+    entry is read as it is, with denominator 1."""
+    rows = [[x if type(x) is int else _as_q(x) for x in row] for row in rows]
     mults = [math.lcm(*(x.denominator for x in row)) for row in rows]
     return [[x.numerator * (k // x.denominator) for x in row]
             for row, k in zip(rows, mults)]

@@ -505,7 +505,8 @@ class QuartetParams:
 # Each family's requirements, by name (a degenerate N11/N12 member, suffix
 # a resp. b, has A resp. C = 0): the parameters that are 0, those that are
 # > 0, and a further condition with its text, or None.  E is read (so
-# checked) only in N11/N12, where it is a free parameter.
+# checked) only in N11/N12, where it is a free parameter.  A row reads the
+# parameters it names, in any of the three, so each of those must be given.
 _QUARTET_REQUIREMENTS = {
     "N7": ("", "ABC", None),
     "N8": ("", "ABCD", None),
@@ -577,6 +578,12 @@ def build_quartet(qp: QuartetParams, omega0) -> Network:
     if fam not in _QUARTET_REQUIREMENTS or suffix not in ("", "i", "d", "di"):
         raise ValueError(f"unknown quartet family {qp.family!r}")
     zero, positive, further = _QUARTET_REQUIREMENTS[fam]
+    named = zero + positive + (further[0] if further else "")
+    missing = [x for x in "ABCDE" if x in named and getattr(qp, x) is None]
+    if missing:
+        raise ConstraintViolated(
+            f"{fam} needs the {', '.join(missing)} parameter"
+            + ("s" if len(missing) > 1 else ""))
     value = {x: getattr(qp, x) for x in "ABCD"}
     if "E" in positive:
         value["E"] = qp.derived_E()

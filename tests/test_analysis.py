@@ -14,7 +14,7 @@ from prsyn.analysis import (AnalysisError, CapacitorLoop, ExtractionFailure,
                             HypothesesNotMet,
                             InconsistentDrive, InductorCutset,
                             NoImpedance, PBHReport, StateSpace,
-                            _min_degree_order,
+                            _annihilator, _krylov, _min_degree_order,
                             blocked_open_short_check,
                             blocked_report, energy_balance, impedance,
                             impedance_series_parallel, mcmillan_gap,
@@ -491,8 +491,9 @@ class TestPBH:
             (False, False, False)
 
     def test_determinants_on_rpfg_five_states(self, rpfg, monkeypatch):
-        # one pass on the bordered matrix for the impedance; one on sI - A
-        # for chi plus one nullspace solve per annihilator for PBH
+        # no determinant for the impedance, only the nullspace solve of the
+        # annihilator of B; one pass on sI - A for chi plus one nullspace
+        # solve per annihilator for PBH
         import prsyn.analysis as analysis
         ss = state_space(rpfg)
         assert ss.n == 5
@@ -505,8 +506,8 @@ class TestPBH:
 
         monkeypatch.setattr(analysis, "solve", counted_solve)
         ss_impedance(ss)
-        assert (eliminations, len(solves)) == (["leading_minors"], 0)
-        eliminations.clear()
+        assert (eliminations, len(solves)) == ([], 1)
+        solves.clear()
         pbh_diagnostics(ss)
         assert (eliminations, len(solves)) == (["leading_minors"], 2)
 
@@ -831,37 +832,77 @@ def _minor_gcd_pbh(ss):
                      u.degree < 1 or strict_hurwitz(u))
 
 
-SS_SHAPES = ("dense", "scalar", "block", "b_zero", "c_zero")
+def _bordered_ss_impedance(ss):
+    """Reference copy of the bordered-determinant quotient that
+    ss_impedance replaced: det([[sI - A, B], [-C, D]]) = chi (D +
+    C (sI - A)^{-1} B) by the Schur complement, so the impedance is the
+    quotient of the last two leading minors of the bordered matrix."""
+    nn = ss.n
+    big = [[Polynomial([-ss.A[i][j], int(i == j)]) for j in range(nn)]
+           + [Polynomial([ss.B[i]])] for i in range(nn)]
+    big.append([Polynomial([-c]) for c in ss.C] + [Polynomial([ss.D])])
+    minors = [Polynomial([1])] + leading_minors(big) + [Polynomial()]
+    return RationalFunction(minors[nn + 1], minors[nn])
+
+
+def _fraction_krylov_annihilator(a, b):
+    """Reference copy of the annihilator route that the int Krylov columns
+    replaced: the columns b, Ab, ..., A^n b by Fraction dot products, then
+    the first nullspace vector of ``solve``, whose entries are the
+    coefficients of m with 1 at s^k."""
+    cols = [list(b)]
+    for _ in b:
+        cols.append([sum(x * y for x, y in zip(row, cols[-1])) for row in a])
+    _, basis = solve(list(zip(*cols)), [[]] * len(b))
+    return Polynomial(basis[0]) if basis else Polynomial([1])
+
+
+SS_SHAPES = ("dense", "scalar", "block", "b_zero", "c_zero", "wide")
+
+# the 65 primes between 999,000 and 10**6: the denominators of the "wide"
+# shape, so that the lcm d of A's denominators, and the int Krylov columns,
+# grow
+WIDE_PRIMES = [p for p in range(999_001, 1_000_000, 2)
+               if all(p % f for f in range(3, 1001, 2))]
 
 
 def _random_state_space(rng, nn, shape):
     """Random (A, B, C, D) over Q with nn states.  "scalar" is A = lambda I,
     so every annihilator has degree at most 1; "block" is A = [[A11, A12],
     [0, A22]] with B = [B1; 0], so the A22 states are uncontrollable;
-    "b_zero" and "c_zero" zero one port vector."""
+    "b_zero" and "c_zero" zero one port vector; "wide" is a block form
+    whose A22 may be empty, with A and B over distinct primes near 10**6."""
     def q():
         return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
 
-    k = rng.randint(1, nn - 1) if shape == "block" else nn
+    def wide():
+        return Fraction(rng.randint(-10**6, 10**6), rng.choice(WIDE_PRIMES))
+
+    k = (rng.randint(1, nn - 1) if shape == "block"
+         else rng.randint(1, nn) if shape == "wide" and nn else nn)
+    entry = wide if shape == "wide" else q
     lam = q()
     a = [[lam * (i == j) if shape == "scalar"
-          else Q(0) if i >= k > j or rng.random() < 0.3 else q()
+          else Q(0) if i >= k > j or rng.random() < 0.3 else entry()
           for j in range(nn)] for i in range(nn)]
-    b = [q() if i < k and shape != "b_zero" else Q(0) for i in range(nn)]
+    b = [entry() if i < k and shape != "b_zero" else Q(0) for i in range(nn)]
     c = [Q(0) if shape == "c_zero" else q() for _ in range(nn)]
     return StateSpace(tuple(map(tuple, a)), tuple(b), tuple(c), q(),
                       tuple(f"x{i}" for i in range(nn)))
 
 
 class TestStateSpaceAgainstReferences:
-    """ss_impedance and pbh_diagnostics agree with the Faddeev resolvent and
-    the minor-gcd PBH route they replaced, on random (A, B, C, D) over Q."""
+    """ss_impedance, pbh_diagnostics and both annihilators agree with the
+    routes they replaced (the bordered-determinant quotient, the Fraction
+    Krylov annihilator, the minor-gcd PBH route) and with the Faddeev
+    resolvent, on random (A, B, C, D) over Q."""
 
     def test_random_systems(self):
         rng = random.Random(1963)
         seen = dict.fromkeys(("n0", "scalar", "block_uncontrollable",
-                              "b_zero", "c_zero", "controllable",
-                              "observable", "neither"), 0)
+                              "b_zero", "c_zero", "wide", "wide_d_over_10**12",
+                              "controllable", "observable", "uncontrollable",
+                              "unobservable", "neither"), 0)
         for i in range(300):
             nn = i % 7
             shape = SS_SHAPES[(i // 7) % len(SS_SHAPES)]
@@ -870,15 +911,27 @@ class TestStateSpaceAgainstReferences:
             ss = _random_state_space(rng, nn, shape)
             ref = _minor_gcd_pbh(ss)
             assert pbh_diagnostics(ss) == ref
-            assert ss_impedance(ss) == _faddeev_ss_impedance(ss)
+            h = ss_impedance(ss)
+            assert h == _bordered_ss_impedance(ss)
+            assert h == _faddeev_ss_impedance(ss)
+            at = list(zip(*ss.A))
+            for a, b in ((ss.A, ss.B), (at, ss.C)):
+                d, _, cols = _krylov(a, b)
+                assert _annihilator(d, cols) \
+                    == _fraction_krylov_annihilator(a, b)
             seen["n0"] += nn == 0
             seen["scalar"] += shape == "scalar" and nn >= 2
             seen["block_uncontrollable"] += (shape == "block"
                                              and not ref.controllable)
             seen["b_zero"] += shape == "b_zero" and nn > 0
             seen["c_zero"] += shape == "c_zero" and nn > 0
+            seen["wide"] += shape == "wide" and nn > 0
+            seen["wide_d_over_10**12"] += (
+                shape == "wide" and _krylov(ss.A, ss.B)[0] > 10**12)
             seen["controllable"] += nn > 0 and ref.controllable
             seen["observable"] += nn > 0 and ref.observable
+            seen["uncontrollable"] += not ref.controllable
+            seen["unobservable"] += not ref.observable
             seen["neither"] += not (ref.controllable or ref.observable)
         assert min(seen.values()) >= 10, seen
 

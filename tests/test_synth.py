@@ -21,7 +21,7 @@ from prsyn.synth import (SEVEN_ELEMENT_VARIANTS, Classification,
                          build_seven_element, classify_biquad,
                          match_minimum_structure, n12_has_no_feasible_solution,
                          resultant_fixture_check, theorem2_step,
-                         verify_theorem2_identity)
+                         verify_theorem2_identity, _QUARTET_REQUIREMENTS)
 
 from conftest import count_pr_tests, rand_q, sample_region
 
@@ -297,6 +297,35 @@ class TestQuartets:
             build_quartet(QuartetParams("N10", A=1, B=2, C=2, D=1), 1)
         with pytest.raises(ConstraintViolated):
             build_quartet(QuartetParams("N8", A=1, B=2, C=-1, D=1), 1)
+
+    def test_missing_parameter_is_named(self):
+        # a member of every family and degenerate member, with each
+        # parameter the family reads; leaving any one out must raise
+        # ConstraintViolated naming it, not a TypeError from None
+        members = {
+            "N7": dict(A=Q(1, 3), B=Q(7, 2), C=Q(2)),
+            "N8": dict(A=Q(3, 2), B=Q(2), C=Q(5, 4), D=Q(5, 6)),
+            "N9": dict(A=Q(1, 2), B=Q(3), C=Q(5, 4), D=Q(2, 3)),
+            "N10": dict(A=Q(2), B=Q(3), C=Q(5), D=Q(1)),
+            "N11": dict(A=Q(1, 2), B=Q(2), C=Q(3), D=Q(1, 3), E=Q(4, 5)),
+            "N11a": dict(A=0, B=1, C=2, D=3, E=1),
+            "N11b": dict(A=1, B=1, C=0, D=3, E=1),
+            "N12": dict(A=Q(1, 2), B=Q(2), C=Q(3), D=Q(1, 3), E=Q(4, 5)),
+            "N12a": dict(A=0, B=1, C=2, D=3, E=1),
+            "N12b": dict(A=1, B=1, C=0, D=3, E=1),
+        }
+        assert set(members) == set(_QUARTET_REQUIREMENTS)
+        for fam, params in members.items():
+            build_quartet(QuartetParams(fam, **params), 1)
+            for x in params:
+                rest = {k: v for k, v in params.items() if k != x}
+                for name in (fam, fam + "di"):
+                    with pytest.raises(ConstraintViolated,
+                                       match=f"^{fam} needs the {x} parameter$"):
+                        build_quartet(QuartetParams(name, **rest), 1)
+        with pytest.raises(ConstraintViolated,
+                           match="^N8 needs the C, D parameters$"):
+            build_quartet(QuartetParams("N8", A=1, B=1), 1)
 
 
 def _abcd(qp):
