@@ -8,22 +8,23 @@ and ``coeffs`` builds the ``fractions.Fraction`` coefficients on demand.
 Equality is true equality.  The positive-real / minimum-function
 predicates are decided with Routh's test and Sturm chains, run as
 primitive remainder sequences on the integer parts, rather than numerical
-root finding.  Only ``is_positive_real`` runs the PR test, and it keeps
-its verdict on the ``RationalFunction``, so every other predicate asks it
-and a function is tested at most once.  Values at s = j*w are
-``QComplex`` numbers with rational parts.  Determinants and linear solves
-run one fraction-free elimination loop, ``_eliminate``, with three entry
-points: ``_det_z`` over Z, ``leading_minors`` over Z[s] on Polynomial
-entries (a determinant over Q[s] is the last of a full run) and ``solve``
-over Z or the Gaussian integers Z[j], after clearing row denominators,
-which adds the back half.  A row with a zero in the pivot column skips
-that step and catches up when it is next read, so sparse rows cost
-little.  A Sylvester determinant runs on the integer rows of the
-primitive parts, and Sturm signs and interpolation stay in Z as well.
-Real roots come from one exact isolator, ``real_roots``: a rational root is
-a Fraction and an irrational one an open interval with rational ends, so a
-minimum frequency whose square is irrational is kept as such a bracket.
-No computation here uses floating point.
+root finding.  A polynomial gets one Sturm chain: its last member is
+gcd(p, p') up to a constant, and divided by it the chain is one of the
+square-free part.  Only ``is_positive_real`` runs the PR test and keeps
+its verdict on the ``RationalFunction``, so a function is tested at most
+once.  Values at s = j*w are ``QComplex`` numbers with rational parts.
+Determinants and linear solves run one fraction-free elimination loop,
+``_eliminate``, with three entry points: ``_det_z`` over Z,
+``leading_minors`` over Z[s] on Polynomial entries (a determinant over
+Q[s] is the last of a full run) and ``solve`` over Z or Z[j] (Gaussian
+integers) on cleared rows, which adds the back half.  A row with a zero
+in the pivot column skips that step and catches up when it is next read,
+so sparse rows cost little.  A Sylvester determinant runs on the integer
+rows of the primitive parts, and Sturm signs and interpolation stay in Z
+as well.  Real roots come from one exact isolator, ``real_roots``: a
+rational root is a Fraction and an irrational one an open interval with
+rational ends, so a minimum frequency whose square is irrational is kept
+as such a bracket.  No computation here uses floating point.
 """
 
 from __future__ import annotations
@@ -314,11 +315,6 @@ class Polynomial:
             a, b = b, a.prem(b)
         return a.monic()
 
-    def square_free_part(self) -> "Polynomial":
-        if self.degree < 1:
-            return self.monic()
-        return (self // self.gcd(self.derivative())).monic()
-
     def __call__(self, x):
         """Horner evaluation; works for Fraction and QComplex."""
         acc = x * 0  # typed zero so constants adopt the argument's type
@@ -582,6 +578,15 @@ def sturm_chain(p: Polynomial) -> List[Polynomial]:
     return chain
 
 
+def _square_free_chain(p: Polynomial) -> List[Polynomial]:
+    """A Sturm chain of p / gcd(p, p'): p's chain divided by its last member,
+    gcd(p, p') up to a constant (Basu, Pollack & Roy 2006, ch. 2).  Unlike
+    the undivided chain, it also counts right at a multiple root of p."""
+    chain = sturm_chain(p)
+    g = chain[-1]
+    return chain if g.is_constant() else [q // g for q in chain]
+
+
 def _sign_at(p: Polynomial, x) -> int:
     """The sign of p at x, "+inf" or "-inf" included.  At x = a/b (b > 0)
     it is the sign of the integer sum prim_i a^i b^(n-i), n = deg p, by
@@ -608,13 +613,10 @@ def _variations(chain: Sequence[Polynomial], x) -> int:
 
 
 def count_real_roots(p: Polynomial, a="-inf", b="+inf") -> int:
-    """Distinct real roots of p in the half-open interval (a, b]."""
+    """Distinct real roots of p in (a, b], from its square-free chain."""
     if p.is_zero():
         raise ValueError("zero polynomial")
-    p = p.square_free_part()
-    if p.degree < 1:
-        return 0
-    chain = sturm_chain(p)
+    chain = _square_free_chain(p)
     return _variations(chain, a) - _variations(chain, b)
 
 
@@ -624,8 +626,9 @@ def real_roots(p: Polynomial, lo=None,
     ascending: a Fraction for a rational root, an open interval (a, b) with
     rational ends for an irrational one, narrower than width when given.
 
-    Degrees one and two with rational roots take closed forms.  Otherwise
-    Sturm bisection isolates each root of the square-free part in an
+    Above degree two p gives way to its square-free part, the head of its
+    square-free chain.  Degrees one and two with rational roots take closed
+    forms.  Otherwise Sturm bisection on that chain isolates each root in an
     interval (a, b] and refines it below min(width, 1/L^2), L the leading
     coefficient with denominators cleared: the content's numerator times
     the primitive part's leading coefficient.  A rational root's denominator
@@ -634,8 +637,10 @@ def real_roots(p: Polynomial, lo=None,
     midpoint with denominator <= L, and it is tested exactly."""
     if p.is_zero():
         raise ValueError("zero polynomial")
+    chain = None
     if p.degree > 2:
-        p = p.square_free_part()
+        chain = _square_free_chain(p)
+        p = chain[0].monic()
     cs = p.coeffs
     roots = None
     if len(cs) <= 2:
@@ -650,7 +655,7 @@ def real_roots(p: Polynomial, lo=None,
             roots = []
     if roots is not None:
         return [r for r in roots if lo is None or r > lo]
-    chain = sturm_chain(p)
+    chain = chain or sturm_chain(p)
     lead = p.content.numerator * abs(p.prim[-1])
     fine = Fraction(1, lead * lead)
     if width is not None:
@@ -718,27 +723,22 @@ def _nonnegative_on_nonneg_axis(e: Polynomial) -> bool:
         return True
     if e(Q(0)) < 0 or e.leading() < 0:
         return False
-    # no sign change on (0, oo): odd-multiplicity roots must be absent
-    # there; the odd part is square-free, so its Sturm chain counts them
-    chain = sturm_chain(_odd_multiplicity_part(e))
+    # no sign change on (0, oo): no root of odd multiplicity there
+    chain = _odd_part_chain(e)
     return _variations(chain, Q(0)) == _variations(chain, "+inf")
 
 
-def _odd_multiplicity_part(p: Polynomial) -> Polynomial:
-    """Product of the irreducible factors of p of odd multiplicity.
-
-    With g = gcd(p, p') and s = p/g: a factor has odd multiplicity in p
-    exactly when it divides s but has even multiplicity in g (possibly 0).
-    """
-    p = p.monic()
-    if p.degree < 1:
-        return ONE
-    g = p.gcd(p.derivative())
-    if g.degree < 1:
-        return p
-    s = (p // g).monic()
-    odd_g = _odd_multiplicity_part(g)
-    return (s // s.gcd(odd_g)).monic()
+def _odd_part_chain(p: Polynomial) -> List[Polynomial]:
+    """A Sturm chain of the odd part of p, the product of its irreducible
+    factors of odd multiplicity.  With g = gcd(p, p'), the last member of
+    p's chain, and s = p/g, a factor is odd in p exactly when it divides s
+    but has even multiplicity in g (possibly 0)."""
+    chain = sturm_chain(p)
+    g = chain[-1]
+    if g.is_constant():
+        return chain
+    s = p // g
+    return sturm_chain(s // s.gcd(_odd_part_chain(g)[0]))
 
 
 def is_positive_real(g: RationalFunction) -> bool:

@@ -16,7 +16,10 @@ determinant over Z (``_det_z``, which Sylvester determinants run on the
 rows of primitive parts) and the leading minors over Z[s]
 (``leading_minors``, whose last one is a determinant over Q[s]) run its
 forward half, and the solves over Z and Z[j] (``solve``) its back half
-too, so no second elimination loop runs beside it.  ``Polynomial`` is the
+too, so no second elimination loop runs beside it.  Likewise only three
+remainder loops call ``prem``: ``Polynomial.gcd``, ``sturm_chain`` and the
+Routh rows of ``strict_hurwitz``; the real-root code reads gcd(p, p') off
+the Sturm chain rather than running a fourth.  ``Polynomial`` is the
 one polynomial class of ``polyrat``, and ``_GaussInt`` the one other ring
 with division.  In the graph code of ``network`` and ``analysis`` only
 ``_reach`` and the block decomposition ``_edge_biconnected_components``
@@ -170,6 +173,29 @@ def test_bareiss_named_only_by_its_entry_points():
                 found.add((path.relative_to(ROOT).as_posix(),
                            getattr(top, "name", None)))
     assert found == BAREISS_ENTRY_POINTS
+
+
+# the three remainder loops: the gcd, the Sturm chain (whose last member is
+# gcd(p, p') for the root code) and the Routh rows
+PREM_LOOPS = {("polyrat.py", "Polynomial.gcd"), ("polyrat.py", "sturm_chain"),
+              ("polyrat.py", "strict_hurwitz")}
+
+
+def test_prem_called_only_by_the_remainder_loops():
+    # a call of .prem( anywhere else in src/ is a fourth remainder sequence
+    found = set()
+    for path in MODULES:
+        for top in _tree(path).body:
+            owners = ([(f"{top.name}.{getattr(fn, 'name', None)}", fn)
+                       for fn in top.body]
+                      if isinstance(top, ast.ClassDef)
+                      else [(getattr(top, "name", None), top)])
+            for owner, node in owners:
+                if any(isinstance(c, ast.Call)
+                       and isinstance(c.func, ast.Attribute)
+                       and c.func.attr == "prem" for c in ast.walk(node)):
+                    found.add((path.name, owner))
+    assert found == PREM_LOOPS
 
 
 # the classes of polyrat with arithmetic, one per number type: QComplex for

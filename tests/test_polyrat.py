@@ -1187,6 +1187,184 @@ class TestIntegerPRS:
         assert inside == [] and outside
 
 
+def square_free_route(p):
+    """The route the square-free chain replaced: the square-free part as
+    (p // gcd(p, p')).monic(), then a fresh Sturm chain of it."""
+    if p.degree >= 1:
+        p = p // p.gcd(p.derivative())
+    return sturm_chain(p.monic())
+
+
+def odd_part_reference(p):
+    """The odd-multiplicity part the odd-part chain replaced, monic: with
+    g = gcd(p, p') and s = p/g, s without the factors odd in g."""
+    p = p.monic()
+    if p.degree < 1:
+        return Polynomial([1])
+    g = p.gcd(p.derivative())
+    if g.degree < 1:
+        return p
+    s = (p // g).monic()
+    return (s // s.gcd(odd_part_reference(g))).monic()
+
+
+def wide_random_poly(rng, degree):
+    """Exactly the given degree, from linear to cubic factors, half of them
+    squared or cubed within the room left; a third of the coefficients
+    have denominators up to 10**9."""
+    def q(nonzero=False):
+        num = rng.randint(-12, 12) or (1 if nonzero else 0)
+        return Fraction(num, rng.choice([1, rng.randint(1, 12),
+                                         rng.randint(1, 10 ** 9)]))
+
+    p = Polynomial([q(nonzero=True)])
+    while p.degree < degree:
+        room = degree - int(p.degree)
+        k = rng.randint(1, min(3, room))
+        factor = Polynomial([q() for _ in range(k)] + [q(nonzero=True)])
+        power = rng.choice([1, 1, 2, 3])
+        while k * power > room:
+            power -= 1
+        p = p * factor ** power
+    return p
+
+
+def scaled_check_profiles():
+    """The even-part profiles behind the three scaled functions of the CLI
+    check test: s -> s * scale in a function with omega^2 = sqrt(2)."""
+    from prsyn.polyrat import even_part_profile
+    num = [2, Fraction(117, 32), Fraction(21, 8), Fraction(45, 32),
+           Fraction(1, 2)]
+    den = [1, 4, 6, 4, 1]
+    out = []
+    for scale in (Fraction(1, 10 ** 200), 10 ** 200, 10 ** 158):
+        h = RationalFunction(
+            *(Polynomial([c * Fraction(scale) ** k for k, c in enumerate(cs)])
+              for cs in (num, den)))
+        out.append(even_part_profile(h))
+    return out
+
+
+class TestSquareFreeChain:
+    """One Sturm chain per polynomial: divided by its last member, gcd(p, p')
+    up to a constant, it is a chain of the square-free part."""
+
+    @staticmethod
+    def lo_width(rng):
+        lo = (Q(0) if rng.random() < 0.5
+              else Fraction(rng.randint(-30, 30), rng.randint(1, 7)))
+        return lo, Fraction(1, 2 ** rng.randint(0, 80))
+
+    def test_same_roots_and_counts_as_the_gcd_route(self, monkeypatch):
+        from prsyn import polyrat
+        # (p, lo, width): the whole line, then the roots above lo; the wide
+        # polynomials above lo only, and the scaled profiles as the CLI
+        # check reads them
+        rng = random.Random(2006)
+        cases = []
+        for p in (random_rational_poly(rng) for _ in range(100)):
+            if p:
+                cases += [(p, None, None), (p, *self.lo_width(rng))]
+        cases += [(wide_random_poly(rng, d), *self.lo_width(rng))
+                  for d in range(3, 17)]
+        cases += [(e, Q(0), Fraction(1, 2 ** 60))
+                  for e in scaled_check_profiles()]
+
+        def answers():
+            out = []
+            for p, lo, width in cases:
+                a = "-inf" if lo is None else lo
+                out.append((real_roots(p, lo, width), count_real_roots(p),
+                            count_real_roots(p, a, "+inf"),
+                            count_real_roots(p, "-inf", a)))
+            return out
+
+        chained = answers()
+        monkeypatch.setattr(polyrat, "_square_free_chain", square_free_route)
+        assert chained == answers()
+        assert any(not isinstance(r, Fraction) for rs, *_ in chained
+                   for r in rs)
+
+    def test_odd_part_chain_matches_the_gcd_route(self):
+        from prsyn.polyrat import _odd_part_chain
+        rng = random.Random(1971)
+        polys = [p for p in (random_rational_poly(rng) for _ in range(150))
+                 if p]
+        polys += [wide_random_poly(rng, d) for d in range(3, 17)]
+        for p in polys:
+            chain = _odd_part_chain(p)
+            odd = odd_part_reference(p)
+            assert chain[0].monic() == odd, p
+            for a, b in [("-inf", "+inf"), (Q(0), "+inf"), ("-inf", Q(0))]:
+                assert (_variations(chain, a) - _variations(chain, b)
+                        == count_real_roots(odd, a, b))
+
+    def test_multiple_roots_at_evaluation_points(self):
+        # the undivided chain reads V = 0 at a multiple root and miscounts
+        # (0, 2 and 3 here); in the isolator, 0 is a double root and the
+        # first bisection midpoint
+        p = (S - 1) ** 3 * (S - 2) ** 2 * (S + 5)
+        assert [count_real_roots(p, 1, 2), count_real_roots(p, 0, 1),
+                count_real_roots(p, "-inf", 1)] == [1, 1, 2]
+        p = S ** 2 * (S ** 2 - 2) * (S - 3)
+        (a, b), zero, (c, d), three = real_roots(p)
+        assert a * a > 2 > b * b and b < 0 and (zero, three) == (0, 3)
+        assert 0 < c and c * c < 2 < d * d
+
+    def test_one_remainder_sequence_per_polynomial(self, monkeypatch):
+        # a PR check chains each polynomial once: one chain on a square-free
+        # E, and no polynomial twice for the double root of a minimum
+        # function's E; no PR check of a verify-corpus item runs gcd(p, p')
+        from conftest import ladder_network, sample_region
+        from prsyn import analysis, polyrat, synth
+        from prsyn.polyrat import even_part_profile
+        rng = random.Random(24)
+        ladders = []
+        while len(ladders) < 4:
+            h = analysis.impedance(ladder_network(rng.choice([8, 12, 16]), rng))
+            e = even_part_profile(h)
+            if e.gcd(e.derivative()).degree < 1:
+                ladders.append((RationalFunction(h.num, h.den), e))
+        networks = []
+        for region in "abcdef":
+            p = sample_region(region, rng)
+            networks.append((synth.classify_biquad(p).witness_network,
+                             p.omega0))
+        p = BiquadParams(Q(3, 2), Q(2), Q(1, 3), Q(5, 4))
+        step = synth.theorem2_step(biquad_template(p), p.omega0)
+        networks += [(synth.build_seven_element(step, which), p.omega0)
+                     for which in synth.SEVEN_ELEMENT_VARIANTS]
+        chains, gcds = [], []
+        sturm, gcd = polyrat.sturm_chain, Polynomial.gcd
+
+        def counted_chain(p):
+            chains.append(p)
+            return sturm(p)
+
+        def counted_gcd(self, other):
+            gcds.append((self, other))
+            return gcd(self, other)
+
+        monkeypatch.setattr(polyrat, "sturm_chain", counted_chain)
+        monkeypatch.setattr(Polynomial, "gcd", counted_gcd)
+        for h, e in ladders:
+            chains.clear()
+            gcds.clear()
+            assert is_positive_real(h)
+            assert chains == [e] and gcds == []
+        gcds.clear()
+        for n, omega0 in networks:
+            h = analysis.impedance(n)
+            analysis.blocked_open_short_check(
+                n, analysis.blocked_report(n, omega0))
+            fresh = RationalFunction(h.num, h.den)
+            chains.clear()
+            assert is_positive_real(fresh)
+            assert chains[0] == even_part_profile(h)
+            assert len(set(chains)) == len(chains) > 1
+        assert gcds and not any(b == a.derivative() for a, b in gcds if a)
+
+
 class FractionPolynomial:
     """Reference: Polynomial as it was before it stored content times a
     primitive integer part, a tuple of Fraction coefficients, ascending,
