@@ -385,14 +385,11 @@ def blocked_report(n: Network, omega0, seed: int = 0) -> BlockReport:
 def _element_components(n: Network, ids: Set[str]) -> List[Set[str]]:
     """Connected components (by shared vertices) of an element subset."""
     edges = [(e.head, e.tail, e.id) for e in n.elements if e.id in ids]
-    adj = net._adjacency(edges)
-    comps, done = [], set()
-    for (head, _, _) in edges:
-        if head not in done:
-            verts = net._reach(adj, head)
-            done |= verts
-            comps.append({eid for (u, _, eid) in edges if u in verts})
-    return sorted(comps, key=sorted)
+    component, _ = net._search(n.vertices, edges)
+    comps: Dict[int, Set[str]] = {}
+    for (head, _, eid) in edges:
+        comps.setdefault(component[head], set()).add(eid)
+    return sorted(comps.values(), key=sorted)
 
 
 def _assert_blocked_laws(n: Network, report: BlockReport, sol: PhasorSolution):
@@ -505,35 +502,27 @@ class StateSpace:
 
 
 def _find_capacitor_loop(n: Network) -> Optional[List[str]]:
-    """Capacitors on an all-capacitor circuit, or None: the capacitors in
-    a block (biconnected component) of two or more edges of the capacitor
-    subgraph, since an edge lies on a circuit exactly when its block holds
-    another edge.  The dual of ``_find_inductor_cut``."""
-    edges = [(e.head, e.tail, e.id) for e in n.elements if e.kind == CAPACITOR]
-    verts = {v for (u, w, _) in edges for v in (u, w)}
-    loop = [eid for block in net._edge_biconnected_components(verts, edges)
-            if len(block) > 1 for eid in block]
+    """Capacitors on an all-capacitor circuit, or None, read off one search
+    of the capacitor subgraph: a capacitor lies on such a circuit exactly
+    when its block (biconnected component) holds another edge.  The dual
+    of ``_find_inductor_cut``: capacitors become inductors and circuits
+    become cut-sets."""
+    _, blocks = net._search(n.vertices, [(e.head, e.tail, e.id) for e in n.elements
+                                         if e.kind == CAPACITOR])
+    loop = [eid for block in blocks if len(block) > 1 for eid in block]
     return sorted(loop) or None
 
 
 def _find_inductor_cut(n: Network) -> Optional[List[str]]:
-    """Inductors forming an all-inductor cut (with or without the source).
-
-    n has an element, so its elements connect every vertex (the network
-    is biconnected with the source) and a cut is never empty."""
-    edges = [(e.head, e.tail, e.id) for e in n.elements if e.kind != INDUCTOR]
-    adj = net._adjacency(edges)
-    comp: Dict[str, int] = {}
-    cid = 0
-    for v in n.vertices:
-        if v not in comp:
-            comp.update(dict.fromkeys(net._reach(adj, v), cid))
-            cid += 1
-    if cid == 1:
-        return None
+    """Inductors on an all-inductor cut-set (with or without the source),
+    or None, read off one search of the subgraph without inductors: an
+    inductor lies on such a cut-set exactly when its ends lie in different
+    components of that subgraph.  The dual of ``_find_capacitor_loop``."""
+    component, _ = net._search(n.vertices, [(e.head, e.tail, e.id)
+                                            for e in n.elements if e.kind != INDUCTOR])
     cut = [e.id for e in n.elements
-           if e.kind == INDUCTOR and comp[e.head] != comp[e.tail]]
-    return sorted(cut)
+           if e.kind == INDUCTOR and component[e.head] != component[e.tail]]
+    return sorted(cut) or None
 
 
 def state_space(n: Network) -> StateSpace:

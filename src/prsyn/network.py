@@ -14,6 +14,10 @@ The graph including a virtual source edge across the port must be
 connected and biconnected; elements outside the source's biconnected
 component are rejected at construction and silently pruned by the
 open/short reductions (where the pruning is part of the operation).
+Every graph question -- connectivity, biconnectivity, a driving-point
+path or cut-set, a one-port's connectedness -- and those of ``analysis``
+and ``synth`` read one depth-first search, ``_search``, which numbers the
+connected components and lists the blocks (biconnected components).
 """
 
 from __future__ import annotations
@@ -140,16 +144,21 @@ def _check_graph(vertices, elements, port):
         for v in (e.head, e.tail):
             if v not in vset:
                 raise NetworkError(f"element {e.id}: unknown vertex {v!r}")
-    # connectivity and biconnectivity of the graph *including* the source edge
+    # connectivity and biconnectivity of the graph *including* the source
+    # edge: every element in the source's block, every vertex in its
+    # component (once the first holds, a vertex outside it touches no element)
     edges = [(e.head, e.tail, e.id) for e in elements] + [(port[0], port[1], "__source__")]
-    comp = _edge_biconnected_components(vset, edges)
-    source_comp = next(c for c in comp if "__source__" in c)
-    outside = [eid for c in comp if c is not source_comp for eid in c]
-    if outside or not _connected(vset, edges):
-        bad = sorted(x for x in outside if x != "__source__")
+    component, blocks = _search(vset, edges)
+    outside = sorted(eid for block in blocks if "__source__" not in block
+                     for eid in block)
+    if outside:
         raise NotBiconnected(
-            f"element(s) {', '.join(bad) or '<none>'} are not in "
+            f"element(s) {', '.join(outside)} are not in "
             "the source's biconnected component")
+    loose = sorted(v for v in vset if component[v] != component[port[0]])
+    if loose:
+        raise NotBiconnected(
+            f"vertex(es) {', '.join(loose)} are touched by no element")
 
 
 class Network:
@@ -218,7 +227,8 @@ class OnePort:
             raise NetworkError("one-port must contain at least one element")
         elems = [self.parent.element(eid) for eid in self.element_ids]
         verts = {v for e in elems for v in (e.head, e.tail)}
-        if not _connected(verts, [(e.head, e.tail, e.id) for e in elems]):
+        component, _ = _search(verts, [(e.head, e.tail, e.id) for e in elems])
+        if set(component.values()) != {0}:
             raise NetworkError("one-port subgraph must be connected")
         boundary = one_port_boundary(self.parent, self.element_ids)
         if boundary != set(self.terminals):
@@ -247,55 +257,30 @@ def one_port_boundary(n: Network, element_ids: Iterable[str]) -> Set[str]:
 
 
 # ---------------------------------------------------------------------------
-# basic graph algorithms (multigraph aware)
+# the graph search (multigraph aware)
 # ---------------------------------------------------------------------------
 
-def _adjacency(edges) -> Dict[str, List[Tuple[str, str]]]:
-    adj: Dict[str, List[Tuple[str, str]]] = {}
-    for (u, v, eid) in edges:
-        adj.setdefault(u, []).append((v, eid))
-        adj.setdefault(v, []).append((u, eid))
-    return adj
-
-
-def _reach(adj, start: str) -> Set[str]:
-    """Vertices reachable from start in an adjacency map of _adjacency."""
-    seen = {start}
-    stack = [start]
-    while stack:
-        for (y, _) in adj.get(stack.pop(), ()):
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return seen
-
-
-def _reachable(edges, a, b) -> bool:
-    return b in _reach(_adjacency(edges), a)
-
-
-def _connected(vertices, edges) -> bool:
-    vertices = set(vertices)
-    if not vertices:
-        return True
-    return _reach(_adjacency(edges), next(iter(vertices))) >= vertices
-
-
-def _edge_biconnected_components(vertices, edges) -> List[Set[str]]:
-    """Biconnected components as sets of edge ids (multigraph, iterative)."""
+def _search(vertices, edges) -> Tuple[Dict[str, int], List[Set[str]]]:
+    """One iterative depth-first search of the multigraph on vertices with
+    edges (u, v, id) (Tarjan 1972).  Returns (component, blocks): component
+    numbers each vertex's connected component, one number per search root
+    counted from 0, and blocks are the biconnected components as sets of
+    edge ids; every edge lies in exactly one block."""
     adj: Dict[str, List[Tuple[str, int]]] = {v: [] for v in vertices}
     for idx, (u, v, eid) in enumerate(edges):
         adj[u].append((v, idx))
         adj[v].append((u, idx))
+    component: Dict[str, int] = {}
     visited: Dict[str, int] = {}
     low: Dict[str, int] = {}
-    comps: List[Set[str]] = []
+    blocks: List[Set[str]] = []
     stack_edges: List[int] = []
-    counter = 0
+    roots = counter = 0
     for root in vertices:
         if root in visited:
             continue
         dfs = [(root, None, iter(adj[root]))]
+        component[root] = roots
         visited[root] = low[root] = counter
         counter += 1
         while dfs:
@@ -306,6 +291,7 @@ def _edge_biconnected_components(vertices, edges) -> List[Set[str]]:
                     continue
                 if y not in visited:
                     stack_edges.append(idx)
+                    component[y] = roots
                     visited[y] = low[y] = counter
                     counter += 1
                     dfs.append((y, idx, iter(adj[y])))
@@ -321,15 +307,15 @@ def _edge_biconnected_components(vertices, edges) -> List[Set[str]]:
                 px = dfs[-1][0]
                 low[px] = min(low[px], low[x])
                 if low[x] >= visited[px]:
-                    comp = set()
-                    while stack_edges:
+                    block = set()
+                    while True:
                         idx = stack_edges.pop()
-                        comp.add(edges[idx][2])
+                        block.add(edges[idx][2])
                         if idx == in_edge:
                             break
-                    if comp:
-                        comps.append(comp)
-    return comps
+                    blocks.append(block)
+        roots += 1
+    return component, blocks
 
 
 def cut_vertices(n: Network) -> Set[str]:
@@ -472,19 +458,19 @@ class ShortCircuit:
 ReducedNetwork = Union[Network, OpenCircuit, ShortCircuit]
 
 
-def _prune_to_source(vertices, elements, port) -> ReducedNetwork:
+def _prune_to_source(elements, port) -> ReducedNetwork:
     """Drop self-loops and anything outside the source edge's biconnected
-    component; classify degenerate outcomes."""
+    component; classify degenerate outcomes.  When no element path joins
+    the port terminals, the source edge is a block by itself and nothing
+    is kept: an open circuit."""
     if port[0] == port[1]:
         return ShortCircuit()
     elements = [e for e in elements if e.head != e.tail]
     edges = [(e.head, e.tail, e.id) for e in elements]
-    if not _reachable(edges, port[0], port[1]):
-        return OpenCircuit()
     edges.append((port[0], port[1], "__source__"))
     vset = {v for e in elements for v in (e.head, e.tail)} | set(port)
-    comps = _edge_biconnected_components(vset, edges)
-    keep = next(c for c in comps if "__source__" in c)
+    _, blocks = _search(vset, edges)
+    keep = next(b for b in blocks if "__source__" in b)
     kept = [e for e in elements if e.id in keep]
     if not kept:
         return OpenCircuit()
@@ -495,7 +481,7 @@ def _prune_to_source(vertices, elements, port) -> ReducedNetwork:
 def open_oneport(n: Network, p: OnePort) -> ReducedNetwork:
     """Remove the one-port's elements, then prune to the source component."""
     kept = [e for e in n.elements if e.id not in p.element_ids]
-    return _prune_to_source(n.vertices, kept, n.port)
+    return _prune_to_source(kept, n.port)
 
 
 def short_oneport(n: Network, p: OnePort) -> ReducedNetwork:
@@ -508,9 +494,7 @@ def short_oneport(n: Network, p: OnePort) -> ReducedNetwork:
 
     kept = [Element(e.id, e.kind, ren(e.head), ren(e.tail), e.value)
             for e in n.elements if ren(e.head) != ren(e.tail)]
-    port = (ren(n.port[0]), ren(n.port[1]))
-    verts = {v for e in kept for v in (e.head, e.tail)} | set(port)
-    return _prune_to_source(verts, kept, port)
+    return _prune_to_source(kept, (ren(n.port[0]), ren(n.port[1])))
 
 
 # ---------------------------------------------------------------------------
@@ -522,36 +506,32 @@ def _require_domain(n: Network, domain: str) -> None:
         raise NetworkError(f"{domain} network expected, got {n.domain} kinds")
 
 
-def _dp_cutset(n: Network, kind: str) -> bool:
+def _dp_path(n: Network, kinds: Set[str]) -> bool:
+    """Whether the elements of the given kinds alone join the terminals."""
     _require_domain(n, ELECTRICAL)
-    edges = [(e.head, e.tail, e.id) for e in n.elements if e.kind != kind]
-    return not _reachable(edges, n.port[0], n.port[1])
-
-
-def _dp_path(n: Network, kind: str) -> bool:
-    _require_domain(n, ELECTRICAL)
-    edges = [(e.head, e.tail, e.id) for e in n.elements if e.kind == kind]
-    return _reachable(edges, n.port[0], n.port[1])
+    component, _ = _search(n.vertices, [(e.head, e.tail, e.id)
+                                        for e in n.elements if e.kind in kinds])
+    return component[n.port[0]] == component[n.port[1]]
 
 
 def has_C_cutset(n: Network) -> bool:
     """Removal of all capacitors disconnects the terminals (pole at s=0)."""
-    return _dp_cutset(n, CAPACITOR)
+    return not _dp_path(n, {RESISTOR, INDUCTOR})
 
 
 def has_L_cutset(n: Network) -> bool:
     """Removal of all inductors disconnects the terminals (pole at s=inf)."""
-    return _dp_cutset(n, INDUCTOR)
+    return not _dp_path(n, {RESISTOR, CAPACITOR})
 
 
 def has_C_path(n: Network) -> bool:
     """All-capacitor path between the terminals (zero at s=inf)."""
-    return _dp_path(n, CAPACITOR)
+    return _dp_path(n, {CAPACITOR})
 
 
 def has_L_path(n: Network) -> bool:
     """All-inductor path between the terminals (zero at s=0)."""
-    return _dp_path(n, INDUCTOR)
+    return _dp_path(n, {INDUCTOR})
 
 
 # ---------------------------------------------------------------------------

@@ -730,10 +730,10 @@ def _bridge_complements(merge_port: bool) -> List[FrozenSet[str]]:
     arms = [(at(u), at(v), slot) for (slot, u, v) in net.SHAPES["bridge"]]
     verts = {x for (u, v, _) in arms for x in (u, v)}
     slots = frozenset(slot for (_, _, slot) in arms)
-    # len(verts) - 1 arms that reach every vertex form a spanning tree
+    # len(verts) - 1 arms that connect every vertex form a spanning tree
     return [slots - {slot for (_, _, slot) in tree}
             for tree in combinations(arms, len(verts) - 1)
-            if net._reach(net._adjacency(tree), "a") == verts]
+            if set(net._search(verts, tree)[0].values()) == {0}]
 
 
 _TREE_OFF = _bridge_complements(False)

@@ -13,7 +13,7 @@ from prsyn.network import (CAPACITOR, DUAL_SHAPE, DUAL_SLOT, INDUCTOR,
                            NetlistSyntaxError, Network, NetworkError,
                            NonpositiveValue, NotBiconnected,
                            NotPlanarDualizable, OnePort, OpenCircuit, Leaf,
-                           Par, Ser, ShortCircuit, _adjacency, _reach,
+                           Par, Ser, ShortCircuit,
                            assemble_shape, dual, embeddings, frequency_invert,
                            from_mechanical, has_C_cutset, has_C_path,
                            has_L_cutset, has_L_path, incidence_matrix,
@@ -54,6 +54,17 @@ class TestParse:
     def test_dangling_element_diagnostic_names_it(self):
         with pytest.raises(NotBiconnected, match="r2"):
             parse_netlist("R r1 a b 5\nR r2 b c 1\nPORT a b")
+
+    def test_vertex_touched_by_no_element_is_named(self):
+        r1 = Element("r1", RESISTOR, "a", "b", 1)
+        message = r"^vertex\(es\) z are touched by no element$"
+        with pytest.raises(NotBiconnected, match=message):
+            Network(["a", "b", "z"], [r1], ("a", "b"))
+        text = network_to_json(Network(["a", "b"], [r1], ("a", "b")))
+        data = json.loads(text)
+        data["vertices"].append("z")
+        with pytest.raises(NotBiconnected, match=message):
+            network_from_json(json.dumps(data))
 
     def test_fixture_roundtrip(self, n1):
         normalized = serialize_netlist(n1)
@@ -217,9 +228,17 @@ def _reference_parallel_groups(elements, a, b):
 
 
 def _reference_reach(elements, a, skip):
-    edges = [(e.head, e.tail, e.id) for e in elements
-             if skip not in (e.head, e.tail)]
-    return _reach(_adjacency(edges), a)
+    # vertices joined to a by elements that avoid the vertex skip
+    seen, stack = {a}, [a]
+    while stack:
+        x = stack.pop()
+        for e in elements:
+            if skip not in (e.head, e.tail) and x in (e.head, e.tail):
+                y = e.tail if x == e.head else e.head
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+    return seen
 
 
 def _reference_sp_tree(elements, a, b):
@@ -362,10 +381,33 @@ class TestOpenShort:
         assert repr(OpenCircuit()) == "OpenCircuit()"
         assert len({OpenCircuit(), OpenCircuit()}) == 1
 
+    def test_open_leaves_a_dangling_element(self):
+        # opening r1 leaves r2 hanging from the port's minus terminal: no
+        # element path joins the terminals, and r2 is pruned with the rest
+        n = parse_netlist("R r1 a m 1\nR r2 m b 1\nPORT a b")
+        p = OnePort(n, frozenset({"r1"}), ("a", "m"))
+        assert open_oneport(n, p) == OpenCircuit()
+
     def test_short_across_port(self):
         n = parse_netlist("R r1 a b 1\nR r2 a b 2\nPORT a b")
         p = OnePort(n, frozenset({"r1"}), ("a", "b"))
         assert short_oneport(n, p) == ShortCircuit()
+
+
+class TestOnePortRejections:
+    def test_empty_element_set(self, n1):
+        with pytest.raises(NetworkError, match="at least one element"):
+            OnePort(n1, frozenset(), ("a", "b"))
+
+    def test_disconnected_element_set(self, n1):
+        # l4 (a-c) and l5 (d-b) share no vertex
+        with pytest.raises(NetworkError, match="must be connected"):
+            OnePort(n1, frozenset({"l4", "l5"}), ("a", "b"))
+
+    def test_terminals_differ_from_boundary(self, n1):
+        # r1's boundary is {a, d}
+        with pytest.raises(NetworkError, match="does not match terminals"):
+            OnePort(n1, frozenset({"r1"}), ("a", "b"))
 
 
 class TestCutsetsAndPaths:
