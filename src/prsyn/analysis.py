@@ -3,13 +3,22 @@
 Symbolic impedance, phasor (sinusoidal trajectory) solving, blocked-
 subnetwork detection at a minimum frequency, and state-space extraction
 with controllability/observability diagnostics.  Impedance, phasors and
-state space share one modified nodal formulation, ``_nodal_matrix``:
-admittance stamps with the port minus terminal grounded, plus a current
-unknown only for an element whose admittance does not exist (an inductor
-at omega = 0, a capacitor holding its state voltage).  Everything is
-exact: frequencies are rationals (a float is a TypeError) and phasors are
-``QComplex`` values.  The elimination lives in the elimination section of
-``polyrat``: ``leading_minors`` over Q[s] and ``solve`` over Q or Q(j),
+state space share one integer stamp, ``_stamp``: the modified nodal
+matrix with the port minus terminal grounded, scaled by s and by one
+common denominator L, so that each entry is an int triple (c0, c1, c2)
+meaning c0 + c1 s + c2 s^2.  The impedance builds each Q[s] entry once
+from its triple.  A phasor system evaluates the triples at s = j*omega
+into Gaussian-integer rows, Z[j], plus a current unknown only for an
+element whose admittance does not exist there (an inductor at
+omega = 0); the state space takes the resistors' c1 and a current unknown
+for each capacitor, which holds its state voltage.  Everything is exact:
+frequencies are rationals (a float is a TypeError) and phasors are
+``QComplex`` values read off one solve over Z[j].  The blocked test is
+exact too: an element is blocked when its voltage vanishes on the
+particular solution and on every nullspace basis vector at omega0, and
+the open/short check reads each reduced network's H(j*omega0) off one
+such solve.  The elimination lives in the elimination section of
+``polyrat``: ``leading_minors`` over Q[s] and ``solve`` over Q or Z[j],
 with nullspaces, both one fraction-free loop over Z[s], Z or Z[j]; this
 module only sets up the systems.  Each impedance is the quotient of the
 last two leading minors of one matrix, its vertices in minimum-degree
@@ -34,12 +43,13 @@ from fractions import Fraction
 from operator import mul
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 
-from .polyrat import (ONE, Polynomial, Q, QComplex, RationalFunction, _as_q,
-                      is_lossless, is_positive_real, leading_minors, qcomplex,
-                      real_roots, solve, strict_hurwitz)
+from .polyrat import (ONE, Polynomial, Q, QComplex, RationalFunction,
+                      _GaussInt, _as_q, _poly, is_lossless, is_positive_real,
+                      leading_minors, qcomplex, real_roots, solve,
+                      strict_hurwitz)
 from . import network as net
-from .network import (CAPACITOR, INDUCTOR, RESISTOR, Element, Network,
-                      OnePort, OpenCircuit, ShortCircuit, one_port_boundary)
+from .network import (CAPACITOR, INDUCTOR, RESISTOR, Network, OnePort,
+                      OpenCircuit, ShortCircuit, one_port_boundary)
 
 
 class AnalysisError(Exception):
@@ -76,44 +86,58 @@ class NoImpedance:
 
 
 # ---------------------------------------------------------------------------
-# exact impedance by nodal analysis
+# the one integer stamp, and exact impedance by nodal analysis
 # ---------------------------------------------------------------------------
 
-def _scaled_admittance(e: Element) -> Polynomial:
-    """s * y_e as a polynomial: R -> s/R, L -> 1/L, C -> C s^2."""
-    side, p = e.electrical().law
-    if side == "Y":
-        return Polynomial([0] * (p + 1) + [e.value])
-    return Polynomial([0] * (1 - p) + [1 / e.value])
+def _stamp(n: Network):
+    """The one integer stamp of n: its modified nodal matrix (Ho, Ruehli &
+    Brennan 1975) with the port minus terminal grounded, scaled by s.
 
-
-def _nodal_matrix(n: Network, admittance, zero):
-    """Modified nodal matrix of n (Ho, Ruehli & Brennan 1975) with the port
-    minus terminal grounded, and the index of every other vertex.
-
-    admittance holds, for each element of n in order, the admittance to
-    stamp, or None for an element without one: its current is then an
-    unknown after the potentials (in element order) that leaves the head
-    in KCL, and its row reads v_head - v_tail."""
+    Each element's scaled admittance s*y is v*s^k with k in {0, 1, 2}:
+    R -> s/R, L -> 1/L, C -> C s^2.  With L the lcm of the denominators of
+    the v, the entries of L*s*Y are int triples (c0, c1, c2), each meaning
+    c0 + c1 s + c2 s^2.  Returns (L, laws, triples, idx): laws holds the
+    (k, v) of each element in order, idx the index of every vertex but the
+    grounded one."""
     ground = n.port[1]
     idx = {v: i for i, v in enumerate(v for v in n.vertices if v != ground)}
-    ys = list(admittance)
-    size = len(idx) + sum(y is None for y in ys)
-    mat = [[zero] * size for _ in range(size)]
-    col = len(idx)
-    for e, y in zip(n.elements, ys):
-        ends = [(idx[v], sgn) for v, sgn in ((e.head, 1), (e.tail, -1))
-                if v != ground]
-        if y is None:
-            for i, sgn in ends:
-                mat[i][col] = mat[i][col] + sgn
-                mat[col][i] = mat[col][i] + sgn
-            col += 1
-            continue
+    laws = []
+    for e in n.elements:
+        side, p = e.electrical().law
+        laws.append((p + 1, e.value) if side == "Y" else (1 - p, 1 / e.value))
+    scale = math.lcm(*(v.denominator for _, v in laws))
+    mat = [[[0, 0, 0] for _ in idx] for _ in idx]
+    for e, (k, v) in zip(n.elements, laws):
+        w = v.numerator * (scale // v.denominator)
+        ends = [(idx[x], sgn) for x, sgn in ((e.head, 1), (e.tail, -1))
+                if x != ground]
         for i, si in ends:
             for j, sj in ends:
-                mat[i][j] = mat[i][j] + y if si == sj else mat[i][j] - y
-    return mat, idx
+                mat[i][j][k] += w if si == sj else -w
+    return scale, laws, mat, idx
+
+
+def _dc_rows(n: Network, stamp, k: int) -> List[List[int]]:
+    """The c1 of every triple of the stamp, L times the conductance matrix
+    of the resistors alone, with a current unknown for every element whose
+    k is k, after the potentials in element order.  Such a current leaves
+    the head, its KCL coefficients are +-L, and its own row reads
+    v_head - v_tail.  The elements of the third k are left out: their
+    admittance is zero (a capacitor at omega = 0), or their currents are
+    known sources on the right-hand side (the inductors' state currents)."""
+    scale, laws, mat, idx = stamp
+    ground = n.port[1]
+    branch = [e for e, (ke, _) in zip(n.elements, laws) if ke == k]
+    width = len(idx) + len(branch)
+    rows = [[t[1] for t in row] + [0] * len(branch) for row in mat]
+    for col, e in enumerate(branch, len(idx)):
+        row = [0] * width
+        for v, sgn in ((e.head, 1), (e.tail, -1)):
+            if v != ground:
+                rows[idx[v]][col] = sgn * scale
+                row[idx[v]] = sgn
+        rows.append(row)
+    return rows
 
 
 def _min_degree_order(n: Network, idx: Dict[str, int]) -> List[int]:
@@ -141,20 +165,21 @@ def _min_degree_order(n: Network, idx: Dict[str, int]) -> List[int]:
 def impedance(n: Network) -> Union[RationalFunction, NoImpedance]:
     """Exact driving-point impedance, asserted positive-real.
 
-    Nodal analysis over Q[s] with all admittances scaled by s; H = s *
-    cofactor / determinant.  In ``_min_degree_order``, which keeps fill-in
-    low and puts the port vertex last, the cofactor and the determinant
-    are the last two leading minors, read from one ``leading_minors`` pass
-    (Bareiss over Q[s]).  At s = 1 the scaled entries 1/R, 1/L and C are
-    positive and the elements connect every vertex, so the matrix is
-    positive definite there and, in any symmetric order, no leading minor
-    vanishes, unless a vertex has no path to ground and the determinant is
-    identically zero: a bare port."""
-    mat, idx = _nodal_matrix(n, map(_scaled_admittance, n.elements),
-                             Polynomial())
+    Nodal analysis over Q[s] on the s-scaled matrix of ``_stamp``, each
+    entry built once from its triple; H = s * cofactor / determinant.  In
+    ``_min_degree_order``, which keeps fill-in low and puts the port vertex
+    last, the cofactor and the determinant are the last two leading
+    minors, read from one ``leading_minors`` pass (Bareiss over Q[s]).  At
+    s = 1 the scaled entries 1/R, 1/L and C are positive and the elements
+    connect every vertex, so the matrix is positive definite there and, in
+    any symmetric order, no leading minor vanishes, unless a vertex has no
+    path to ground and the determinant is identically zero: a bare port."""
+    scale, _, mat, idx = _stamp(n)
     order = _min_degree_order(n, idx)
-    minors = [ONE] + leading_minors([[mat[r][c] for c in order]
-                                     for r in order])
+    zero = Polynomial()
+    minors = [ONE] + leading_minors([[_poly(list(mat[r][c]), 1, scale)
+                                      if any(mat[r][c]) else zero
+                                      for c in order] for r in order])
     if len(minors) <= len(mat):
         return NoImpedance()
     h = RationalFunction(minors[-2] * Polynomial([0, 1]), minors[-1])
@@ -197,52 +222,64 @@ class PhasorSolution:
     free_modes: int = 0                    # dimension of the solution space
 
 
-def _element_y_at(e: Element, omega: Fraction) -> Optional[QComplex]:
-    """Admittance value at s = j*omega, or None where the impedance is zero
-    there (an inductor at omega = 0)."""
-    side, p = e.electrical().law
-    mag = e.value * omega ** p
-    x = QComplex(0, mag) if p else QComplex(mag, 0)
-    if side == "Y":
-        return x
-    return None if mag == 0 else 1 / x
+def _potential(vec, idx: Dict[str, int], v: str) -> QComplex:
+    """The potential of vertex v in a vector of ``_phasor_space``."""
+    return vec[idx[v]] if v in idx else QComplex(0, 0)
 
 
 def _phasor_space(n: Network, omega: Fraction, drive: Tuple[str, QComplex]):
-    """Solve the modified nodal system at s = j*omega, the port minus
-    terminal grounded.  Its unknowns are the other potentials, one current
-    per element whose impedance is zero there and the source current.
-    Returns (particular solution, nullspace basis, element admittances,
-    vertex index) or raises InconsistentDrive."""
-    zero = QComplex(0, 0)
-    ys = [_element_y_at(e, omega) for e in n.elements]
-    mat, idx = _nodal_matrix(n, ys, zero)
-    # the source current, injected at the plus terminal, then the drive
-    rows = [r + [zero] for r in mat]
-    rows[idx[n.port[0]]][-1] = zero - 1
+    """Solve the modified nodal system at s = j*omega over Z[j], the port
+    minus terminal grounded.  Its unknowns are the other potentials, one
+    current per element whose impedance is zero there and the source
+    current.  The rows come from ``_stamp``: for omega = a/b != 0 each KCL
+    row is scaled by j*omega*b^2*L, so an entry is (c0 b^2 - c2 a^2) +
+    j c1 a b and the source current's coefficient is -j a b L.  At omega = 0
+    the KCL rows are Y(0)*L and an element with c0 != 0, an inductor, has a
+    current unknown (``_dc_rows``).  Returns (particular solution, nullspace
+    basis, element laws, vertex index) or raises InconsistentDrive."""
+    stamp = _stamp(n)
+    scale, laws, mat, idx = stamp
+    zero = _GaussInt(0, 0)
+    a, b = omega.numerator, omega.denominator
+    if a:
+        a2, ab, b2 = a * a, a * b, b * b
+        rows = [[_GaussInt(c0 * b2 - c2 * a2, c1 * ab) if c0 or c1 or c2
+                 else zero for c0, c1, c2 in row] + [zero] for row in mat]
+        source = _GaussInt(0, -ab * scale)
+    else:
+        rows = [[_GaussInt(x, 0) if x else zero for x in row] + [zero]
+                for row in _dc_rows(n, stamp, 0)]
+        source = _GaussInt(-scale, 0)
+    # the source current, injected at the plus terminal, then the drive row
+    # cleared of the phasor's denominators
+    rows[idx[n.port[0]]][-1] = source
     row = [zero] * len(rows[0])
     mode, value = drive
+    m = math.lcm(value.re.denominator, value.im.denominator)
     if mode == "current":
-        row[-1] = zero + 1
+        row[-1] = _GaussInt(m, 0)
     elif mode == "voltage":
-        row[idx[n.port[0]]] = zero + 1
+        row[idx[n.port[0]]] = _GaussInt(m, 0)
     else:
         raise ValueError(f"unknown drive mode {mode!r}")
+    rhs = [[zero]] * len(rows) + [[_GaussInt(int(value.re * m),
+                                             int(value.im * m))]]
     rows.append(row)
-    rhs = [[zero]] * len(mat) + [[value]]
 
     solved = solve(rows, rhs)
     if solved is None:
         raise InconsistentDrive(
             f"no sinusoidal trajectory with drive {mode}={value} at omega={omega}")
     particular, basis = solved
-    return [x for (x,) in particular], basis, ys, idx
+    return [x for (x,) in particular], basis, laws, idx
 
 
 def _phasor_draw(n: Network, omega: Fraction, space, seed) -> PhasorSolution:
     """One trajectory from a _phasor_space result: the particular solution
-    plus a pseudo-random combination (from seed) of the free modes."""
-    vec, basis, ys, idx = space
+    plus a pseudo-random combination (from seed) of the free modes.  An
+    element's current is y*v, its admittance y = v_e (j*omega)^(k-1) read
+    off its law (k, v_e), or its own unknown where y does not exist."""
+    vec, basis, laws, idx = space
     if basis:
         rng = random.Random(seed if seed is not None else 0)
         for b in basis:
@@ -250,17 +287,20 @@ def _phasor_draw(n: Network, omega: Fraction, space, seed) -> PhasorSolution:
                          Fraction(rng.randint(1, 991), 53))
             vec = [x + c * y for x, y in zip(vec, b)]
 
-    def pot(v):
-        return vec[idx[v]] if v in idx else QComplex(0, 0)
-
     currents = {}
     voltages = {}
     extra = iter(range(len(idx), len(vec) - 1))   # zero-impedance currents
-    for e, y in zip(n.elements, ys):
-        v = voltages[e.id] = pot(e.head) - pot(e.tail)
-        currents[e.id] = vec[next(extra)] if y is None else y * v
-    return PhasorSolution(omega, vec[-1], pot(n.port[0]), currents, voltages,
-                          len(basis))
+    for e, (k, v) in zip(n.elements, laws):
+        volt = voltages[e.id] = (_potential(vec, idx, e.head)
+                                 - _potential(vec, idx, e.tail))
+        if k == 0 and not omega:
+            currents[e.id] = vec[next(extra)]
+        else:
+            y = (QComplex(v, 0) if k == 1 else QComplex(0, v * omega)
+                 if k == 2 else QComplex(0, -v / omega))
+            currents[e.id] = y * volt
+    return PhasorSolution(omega, vec[-1], _potential(vec, idx, n.port[0]),
+                          currents, voltages, len(basis))
 
 
 def phasor_solve(n: Network, omega, drive: Optional[Tuple[str, object]] = None,
@@ -278,9 +318,9 @@ def phasor_solve(n: Network, omega, drive: Optional[Tuple[str, object]] = None,
     voltage, with zero current.  When internal resonant modes make the
     trajectory non-unique, a deterministic pseudo-random combination of
     the free modes (from ``seed``) is added so the returned trajectory is
-    generic.  ``_phasor_space`` solves the one nodal system and
-    ``_phasor_draw`` adds the combination; ``blocked_report`` solves once
-    for its draws.  A network with no element raises AnalysisError.
+    generic.  ``_phasor_space`` solves the one nodal system over Z[j] and
+    ``_phasor_draw`` adds the combination.  A network with no element
+    raises AnalysisError.
     """
     omega = _as_q(omega)
     if not n.elements:
@@ -323,13 +363,7 @@ class BlockReport:
     blocked: Tuple[FrozenSet[str], ...]
     unblocked: FrozenSet[str]
     blocked_oneport_flags: Tuple[bool, ...]
-    draws_disagree: bool
     value: Tuple[Fraction, Fraction]       # H(j*omega0) as eval_jomega_pair
-
-
-# phasor draws per blocked report: an element is blocked when it carries no
-# current and no voltage in every draw
-BLOCKED_DRAWS = 3
 
 
 def blocked_report(n: Network, omega0, seed: int = 0) -> BlockReport:
@@ -337,9 +371,15 @@ def blocked_report(n: Network, omega0, seed: int = 0) -> BlockReport:
 
     Requires (checked): omega0 > 0, the impedance is not lossless, has no
     pole at j*omega0, and H(j*omega0) is purely imaginary and nonzero.
-    Asserts the structural laws a minimum-frequency trajectory must satisfy;
-    with at most four storage elements additionally asserts the counting
-    laws."""
+    The trajectories driven by unit current at omega0 are the particular
+    solution of one ``_phasor_space`` solve plus the span of its nullspace
+    basis, and a voltage vanishes on a generic one exactly when it vanishes
+    on the particular solution and on every basis vector.  At omega0 > 0
+    every admittance is nonzero, so an element is blocked, with no current
+    and no voltage, exactly then; no trajectory is drawn and ``seed`` has
+    no effect.  Asserts the structural laws a minimum-frequency trajectory
+    must satisfy; with at most four storage elements additionally asserts
+    the counting laws."""
     omega0 = _as_q(omega0)
     if omega0 <= 0:
         raise HypothesesNotMet("omega0 must be positive")
@@ -355,18 +395,11 @@ def blocked_report(n: Network, omega0, seed: int = 0) -> BlockReport:
     if re != 0 or im == 0:
         raise HypothesesNotMet("H(j*omega0) must be nonzero purely imaginary")
 
-    zero_sets = []
-    sols = []
     # no pole at j*omega0 (checked above): phasor_solve's default drive
-    space = _phasor_space(n, omega0, ("current", QComplex(1, 0)))
-    for t in range(BLOCKED_DRAWS):
-        sol = _phasor_draw(n, omega0, space, seed * 1000003 + t)
-        sols.append(sol)
-        zero_sets.append({e.id for e in n.elements
-                          if sol.element_currents[e.id].is_zero()
-                          and sol.element_voltages[e.id].is_zero()})
-    blocked_ids = set.intersection(*zero_sets)
-    disagree = any(zs != blocked_ids for zs in zero_sets)
+    vec, basis, _, idx = _phasor_space(n, omega0, ("current", QComplex(1, 0)))
+    blocked_ids = {e.id for e in n.elements if all(
+        _potential(x, idx, e.head) == _potential(x, idx, e.tail)
+        for x in [vec] + basis)}
 
     comps = _element_components(n, blocked_ids)
     unblocked = frozenset(e.id for e in n.elements) - blocked_ids
@@ -376,9 +409,8 @@ def blocked_report(n: Network, omega0, seed: int = 0) -> BlockReport:
         flags.append(len(boundary) == 2)
 
     report = BlockReport(omega0, tuple(frozenset(c) for c in comps),
-                         frozenset(unblocked), tuple(flags), disagree,
-                         (re, im))
-    _assert_blocked_laws(n, report, sols[0])
+                         frozenset(unblocked), tuple(flags), (re, im))
+    _assert_blocked_laws(n, report, vec[-1], _potential(vec, idx, n.port[0]))
     return report
 
 
@@ -392,10 +424,11 @@ def _element_components(n: Network, ids: Set[str]) -> List[Set[str]]:
     return sorted(comps.values(), key=sorted)
 
 
-def _assert_blocked_laws(n: Network, report: BlockReport, sol: PhasorSolution):
+def _assert_blocked_laws(n: Network, report: BlockReport, current: QComplex,
+                         voltage: QComplex):
     # 1. the driving-point trajectory is nonzero in both coordinates
-    assert not sol.source_current.is_zero(), "driving current vanished"
-    assert not sol.source_voltage.is_zero(), "driving voltage vanished"
+    assert not current.is_zero(), "driving current vanished"
+    assert not voltage.is_zero(), "driving voltage vanished"
     # 2. every resistor is blocked
     blocked_all = set().union(*report.blocked) if report.blocked else set()
     for e in n.elements:
@@ -435,28 +468,33 @@ def _assert_blocked_laws(n: Network, report: BlockReport, sol: PhasorSolution):
         assert all(report.blocked_oneport_flags), "blocked subnetworks must be one-ports"
 
 
+def _reduced_value(reduced,
+                   omega0: Fraction) -> Optional[Tuple[Fraction, Fraction]]:
+    """H(j*omega0) of a reduced network as the pair (a, b) of
+    ``eval_jomega_pair``, meaning a + j*b*omega0, or None where it has no
+    value (an open circuit, or a pole at j*omega0).  It is the port
+    potential of the unit-current ``_phasor_space`` solve, whose drive is
+    inconsistent exactly at such a pole."""
+    if isinstance(reduced, OpenCircuit):
+        return None
+    if isinstance(reduced, ShortCircuit):
+        return (Q(0), Q(0))
+    try:
+        vec, _, _, idx = _phasor_space(reduced, omega0,
+                                       ("current", QComplex(1, 0)))
+    except InconsistentDrive:
+        return None
+    v = vec[idx[reduced.port[0]]]
+    return (v.re, v.im / omega0)
+
+
 def blocked_open_short_check(n: Network, report: BlockReport) -> bool:
     """Check that opening or shorting each maximal-blocked one-port
     preserves the impedance value at j*omega0 (sequentially for the second
     one when it remains a one-port).  The report must come from
-    blocked_report on this same network: its value is the target, so only
-    the reduced networks' impedances are computed."""
-    w2 = report.omega0 * report.omega0
-    target = report.value
-
-    def value_at(reduced) -> Optional[Tuple[Fraction, Fraction]]:
-        if isinstance(reduced, OpenCircuit):
-            return None
-        if isinstance(reduced, ShortCircuit):
-            return (Q(0), Q(0))
-        hr = impedance(reduced)
-        if isinstance(hr, NoImpedance):
-            return None
-        try:
-            return hr.eval_jomega_pair(w2)
-        except ZeroDivisionError:
-            return None
-
+    blocked_report on this same network: its value is the target, and each
+    reduced network's value comes from one Z[j] solve
+    (``_reduced_value``), with no impedance over Q[s]."""
     current = n
     for comp, flag in zip(report.blocked, report.blocked_oneport_flags):
         if not flag:
@@ -471,7 +509,7 @@ def blocked_open_short_check(n: Network, report: BlockReport) -> bool:
         succeeded = None
         for op in (net.open_oneport, net.short_oneport):
             reduced = op(current, port_obj)
-            if value_at(reduced) == target:
+            if _reduced_value(reduced, report.omega0) == report.value:
                 succeeded = reduced
                 break
         if succeeded is None:
@@ -534,7 +572,8 @@ def state_space(n: Network) -> StateSpace:
     inductors contain a cut-set (their currents are then constrained)."""
     if not n.elements:
         raise AnalysisError("no element joins the port terminals")
-    laws = [e.electrical().law for e in n.elements]
+    stamp = _stamp(n)
+    scale, laws, _, nidx = stamp
     loop = _find_capacitor_loop(n)
     if loop is not None:
         raise CapacitorLoop(loop, f"capacitor loop: {', '.join(loop)}")
@@ -542,28 +581,28 @@ def state_space(n: Network) -> StateSpace:
     if cut is not None:
         raise InductorCutset(cut, f"inductor cut-set: {', '.join(cut)}")
 
-    # value * s is the impedance of an inductor, the admittance of a capacitor
-    inductors = [e for e, law in zip(n.elements, laws) if law == ("Z", 1)]
-    capacitors = [e for e, law in zip(n.elements, laws) if law == ("Y", 1)]
+    # value * s is the impedance of an inductor (k = 0), the admittance of a
+    # capacitor (k = 2)
+    inductors = [e for e, (k, _) in zip(n.elements, laws) if k == 0]
+    capacitors = [e for e, (k, _) in zip(n.elements, laws) if k == 2]
     states = [e.id for e in inductors] + [e.id for e in capacitors]
     nstate = len(states)
     ncols = nstate + 1                     # coefficients over (x..., i)
 
     # a resistor is a conductance; an inductor is a source of its state
     # current (admittance zero); a capacitor is a source of its state
-    # voltage, so its current is an unknown after the potentials
+    # voltage, so its current is an unknown after the potentials.  The KCL
+    # rows of the stamp are scaled by L, and so is their right-hand side
     ground = n.port[1]
-    ys = [None if law == ("Y", 1) else Q(0) if law == ("Z", 1) else 1 / e.value
-          for e, law in zip(n.elements, laws)]
-    mat, nidx = _nodal_matrix(n, ys, Q(0))
+    mat = _dc_rows(n, stamp, 2)
     nnode = len(nidx)
-    rhs = [[Q(0)] * ncols for _ in mat]
+    rhs = [[0] * ncols for _ in mat]
     state_col = {eid: i for i, eid in enumerate(states)}
     for e in inductors:                    # the state current leaves the head
         for (v, sgn) in ((e.head, 1), (e.tail, -1)):
             if v != ground:
-                rhs[nidx[v]][state_col[e.id]] -= sgn
-    rhs[nidx[n.port[0]]][nstate] += 1      # the input current i
+                rhs[nidx[v]][state_col[e.id]] -= sgn * scale
+    rhs[nidx[n.port[0]]][nstate] += scale  # the input current i
     for j, e in enumerate(capacitors):     # e_head - e_tail = v_C
         rhs[nnode + j][state_col[e.id]] += 1
 

@@ -16,15 +16,16 @@ once.  Values at s = j*w are ``QComplex`` numbers with rational parts.
 Determinants and linear solves run one fraction-free elimination loop,
 ``_eliminate``, with three entry points: ``_det_z`` over Z,
 ``leading_minors`` over Z[s] on Polynomial entries (a determinant over
-Q[s] is the last of a full run) and ``solve`` over Z or Z[j] (Gaussian
-integers) on cleared rows, which adds the back half.  A row with a zero
-in the pivot column skips that step and catches up when it is next read,
-so sparse rows cost little.  A Sylvester determinant runs on the integer
-rows of the primitive parts, and Sturm signs and interpolation stay in Z
-as well.  Real roots come from one exact isolator, ``real_roots``: a
-rational root is a Fraction and an irrational one an open interval with
-rational ends, so a minimum frequency whose square is irrational is kept
-as such a bracket.  No computation here uses floating point.
+Q[s] is the last of a full run) and ``solve``, which adds the back half,
+over Z on cleared rows or over Z[j] (Gaussian integers) on the phasor rows
+it is given.  A row with a zero in the pivot column skips that step and
+catches up when it is next read, so sparse rows cost little.  A Sylvester
+determinant runs on the integer rows of the primitive parts, and Sturm
+signs and interpolation stay in Z as well.  Real roots come from one exact
+isolator, ``real_roots``: a rational root is a Fraction and an irrational
+one an open interval with rational ends, so a minimum frequency whose
+square is irrational is kept as such a bracket.  No computation here uses
+floating point.
 """
 
 from __future__ import annotations
@@ -891,8 +892,8 @@ def biquad_params(h: RationalFunction) -> BiquadParams:
 # ---------------------------------------------------------------------------
 
 class _GaussInt:
-    """A Gaussian integer re + im*j with int parts: the ring Z[j] that
-    ``solve`` clears a QComplex system into, with only the operations that
+    """A Gaussian integer re + im*j with int parts: the ring Z[j] of the
+    phasor systems that ``solve`` takes, with only the operations that
     ``_eliminate`` uses."""
 
     __slots__ = ("re", "im")
@@ -1041,39 +1042,37 @@ def leading_minors(matrix: Sequence[Sequence[Polynomial]]) -> List[Polynomial]:
 
 
 def solve(rows, rhs):
-    """Solve rows * X = rhs exactly: over Q(j) when an entry is a QComplex,
-    over Q otherwise.
+    """Solve rows * X = rhs exactly: over Q(j) when the entries are
+    ``_GaussInt``, over Q when they are int or Fraction.
 
     rows is m x n and rhs is m x k (k right-hand columns).  Returns
     (X, basis): X is the n x k solution with every free unknown zero and
     basis spans the nullspace of rows, one vector per free column in column
-    order; or None when the system is inconsistent.  Each row of
-    [rows | rhs] is cleared of denominators into Z, or Z[j], and
+    order; or None when the system is inconsistent.  Rows over Z[j] are
+    taken as they are; each row over Q is cleared of denominators into Z.
     ``_eliminate`` runs with its back half, so every answer is one entry
-    over the last pivot d: a Fraction, or a QComplex."""
+    over the last pivot d: a QComplex, or a Fraction."""
     ncols = len(rows[0]) if rows else 0
     aug = [list(a) + list(b) for a, b in zip(rows, rhs)]
-    if any(isinstance(x, QComplex) for row in aug for x in row):
-        zero, one = QComplex(0, 0), QComplex(1, 0)
-        parts = _int_rows([[y for x in map(qcomplex, row)
-                            for y in (x.re, x.im)] for row in aug])
-        aug = [[_GaussInt(*p) for p in zip(row[::2], row[1::2])]
-               for row in parts]
-
-        def over(x):
-            norm = d.re * d.re + d.im * d.im
-            return QComplex(Fraction(x.re * d.re + x.im * d.im, norm),
-                            Fraction(x.im * d.re - x.re * d.im, norm))
-    else:
-        zero, one = Fraction(0), Fraction(1)
+    gauss = bool(aug and aug[0]) and isinstance(aug[0][0], _GaussInt)
+    if not gauss:
         aug = _int_rows(aug)
-
-        def over(x):
-            return Fraction(x, d)
     pivots, _ = _eliminate(aug, ncols, True)
     if any(x for row in aug[len(pivots):] for x in row[ncols:]):
         return None
     d = aug[len(pivots) - 1][pivots[-1]] if pivots else None
+    if gauss:
+        zero, one = QComplex(0, 0), QComplex(1, 0)
+        norm = d.re * d.re + d.im * d.im if pivots else None
+
+        def over(x):
+            return QComplex(Fraction(x.re * d.re + x.im * d.im, norm),
+                            Fraction(x.im * d.re - x.re * d.im, norm))
+    else:
+        zero, one = Fraction(0), Fraction(1)
+
+        def over(x):
+            return Fraction(x, d)
     solution = [[zero] * len(rhs[0]) for _ in range(ncols)]
     for i, c in enumerate(pivots):
         solution[c] = [over(x) for x in aug[i][ncols:]]

@@ -21,15 +21,18 @@ from prsyn.analysis import (AnalysisError, CapacitorLoop, ExtractionFailure,
                             pbh_diagnostics, phasor_solve, ss_impedance,
                             state_space, storage_count)
 from prsyn.network import (Element, Network, NotPlanarDualizable, OnePort,
-                           dual, parse_netlist)
+                           OpenCircuit, ShortCircuit, dual, one_port_boundary,
+                           open_oneport, parse_netlist, short_oneport)
 from prsyn.polyrat import (BiquadParams, Polynomial, Q, QComplex,
                            RationalFunction, biquad_template,
                            eval_ratfunc, is_positive_real, leading_minors,
                            parse_ratfunc, real_roots, solve, strict_hurwitz)
-from prsyn.synth import build_named, build_seven_element, theorem2_step
+from prsyn.synth import (SEVEN_ELEMENT_VARIANTS, build_named,
+                         build_seven_element, classify_biquad, theorem2_step)
 
 from conftest import (count_pr_tests, dense_gauss_jordan, ladder_network,
-                      random_biconnected_network, random_sp_network)
+                      rand_q, random_biconnected_network, random_sp_network,
+                      sample_region)
 
 N1_TEXT = """
 L l4 a c 1
@@ -38,6 +41,14 @@ C c3 c d 1
 R r2 c b 1/2
 L l5 d b 1
 PORT a b
+"""
+
+
+# N1 with a branch of two tanks resonant at omega = 1 across the port
+N1_FREE_MODES_TEXT = N1_TEXT + """L la a m 1
+C ca a m 1
+L lb m b 1
+C cb m b 1
 """
 
 
@@ -274,33 +285,44 @@ class TestBlocked:
     @pytest.mark.parametrize("name", ["n1", "rpfg"])
     def test_impedance_computed_once(self, name, request, monkeypatch):
         # blocked_report computes H once and keeps H(j*omega0) in the
-        # report; the open/short check then needs only the reduced networks
+        # report; the open/short check reads the reduced networks' values
+        # off Z[j] solves, so it computes and evaluates no impedance
         import prsyn.analysis as analysis
         n = request.getfixturevalue(name)
         calls = []
+        evaluated = []
+        pair = RationalFunction.eval_jomega_pair
 
         def counted(net):
             calls.append(net)
             return impedance(net)
 
+        def counted_pair(h, omega2):
+            evaluated.append(h)
+            return pair(h, omega2)
+
         monkeypatch.setattr(analysis, "impedance", counted)
+        monkeypatch.setattr(RationalFunction, "eval_jomega_pair", counted_pair)
         rep = blocked_report(n, Q(1))
         assert len(calls) == 1 and calls[0] is n
         calls.clear()
+        evaluated.clear()
         assert blocked_open_short_check(n, rep)
-        assert calls and all(net is not n for net in calls)
+        assert calls == [] and evaluated == []
         assert rep.value == impedance(n).eval_jomega_pair(Q(1))
 
     @pytest.mark.parametrize("name", ["n1", "rpfg", "n1_free_modes"])
     def test_one_tableau_solve_per_report(self, name, request, monkeypatch):
-        # blocked_report solves the nodal phasor system once and draws its
-        # three trajectories from that solution, with phasor_solve's seeds;
-        # n1_free_modes adds a branch of two tanks resonant at omega0 = 1
-        # across the port, so its node m gives one free mode
+        # blocked_report solves the nodal phasor system once and reads the
+        # blocked set exactly off its particular solution and nullspace
+        # basis, so the seed changes nothing; the set is the one a generic
+        # trajectory shows, the elements with no current and no voltage in
+        # three phasor_solve draws.  n1_free_modes adds a branch of two
+        # tanks resonant at omega0 = 1 across the port, so its node m gives
+        # one free mode
         import prsyn.analysis as analysis
         if name == "n1_free_modes":
-            n = parse_netlist(N1_TEXT + "L la a m 1\nC ca a m 1\n"
-                              "L lb m b 1\nC cb m b 1\n")
+            n = parse_netlist(N1_FREE_MODES_TEXT)
         else:
             n = request.getfixturevalue(name)
         solves = []
@@ -310,22 +332,43 @@ class TestBlocked:
             return solve(*args)
 
         monkeypatch.setattr(analysis, "solve", counted)
+        reports = []
         for seed in (0, 5):
             solves.clear()
-            rep = blocked_report(n, Q(1), seed=seed)
+            reports.append(blocked_report(n, Q(1), seed=seed))
             assert len(solves) == 1
-            sols = [phasor_solve(n, Q(1), ("current", 1),
-                                 seed=seed * 1000003 + t) for t in range(3)]
-            assert sols[0].free_modes == (1 if name == "n1_free_modes" else 0)
-            zero_sets = [{eid for eid, i in sol.element_currents.items()
-                          if i.is_zero() and sol.element_voltages[eid].is_zero()}
-                         for sol in sols]
-            blocked_ids = set.intersection(*zero_sets)
-            assert set().union(*rep.blocked) == blocked_ids
-            assert rep.unblocked == {e.id for e in n.elements} - blocked_ids
-            assert rep.draws_disagree == any(zs != blocked_ids
-                                             for zs in zero_sets)
-            assert blocked_open_short_check(n, rep)
+        rep = reports[0]
+        assert reports[1] == rep
+        sols = [phasor_solve(n, Q(1), ("current", 1), seed=t) for t in range(3)]
+        assert sols[0].free_modes == (1 if name == "n1_free_modes" else 0)
+        zero_sets = [{eid for eid, i in sol.element_currents.items()
+                      if i.is_zero() and sol.element_voltages[eid].is_zero()}
+                     for sol in sols]
+        blocked_ids = set.intersection(*zero_sets)
+        assert set().union(*rep.blocked) == blocked_ids
+        assert rep.unblocked == {e.id for e in n.elements} - blocked_ids
+        assert blocked_open_short_check(n, rep)
+
+    def test_zero_on_the_particular_solution_only_is_unblocked(self):
+        # the particular solution of n1_free_modes puts its free node m at
+        # the port minus potential, so lb and cb have no voltage on it, but
+        # the free mode moves m: a generic trajectory does not block them
+        import prsyn.analysis as analysis
+        n = parse_netlist(N1_FREE_MODES_TEXT)
+        vec, basis, _, idx = analysis._phasor_space(
+            n, Q(1), ("current", QComplex(1, 0)))
+        assert len(basis) == 1
+
+        def voltage(x, e):
+            return (analysis._potential(x, idx, e.head)
+                    - analysis._potential(x, idx, e.tail))
+
+        zero_on_p = {e.id for e in n.elements if voltage(vec, e).is_zero()
+                     and not voltage(basis[0], e).is_zero()}
+        assert zero_on_p == {"lb", "cb"}
+        rep = blocked_report(n, Q(1))
+        assert sorted(sorted(c) for c in rep.blocked) == [["r1"], ["r2"]]
+        assert {"la", "ca", "lb", "cb"} <= rep.unblocked
 
     @pytest.mark.parametrize("omega0", [Q(-1), Q(0), -1.0])
     def test_nonpositive_omega0_rejected(self, n1, omega0):
@@ -768,6 +811,80 @@ class TestNodalAgainstTableau:
                 assert sol == phasor_solve(n, omega, (mode, one), seed=7)
         assert min(seen.values()) >= 5, seen
 
+
+def _reduced_corpus(rng):
+    """(network, frequencies, one-ports) to open and short.  The networks
+    are biquad witnesses of every region and seven-element realizations at
+    their own omega0, and n1_free_modes, TANKS_TEXT (a pole at s = j once
+    r1 is opened) and random tank networks at omega0 = 1, each also at
+    omega0 = 8/5.  The one-ports are every single element and, where the
+    network's report exists, its blocked subnetworks."""
+    nets = []
+    for region in ("a", "b", "c", "d", "e", "f", "none"):
+        p = sample_region(region, rng)
+        nets.append((classify_biquad(p).witness_network, p.omega0))
+    for k in range(4):
+        w0 = Q(8, 5) if k < 2 else rand_q(rng)
+        W = Q(rng.randint(1, 199), 200)
+        p = BiquadParams(rand_q(rng), w0, W + Q(1, 400) * (W == Q(1, 2)),
+                         rand_q(rng))
+        step = theorem2_step(biquad_template(p), p.omega0)
+        nets += [(build_seven_element(step, which), p.omega0)
+                 for which in SEVEN_ELEMENT_VARIANTS[k % 2::2]]
+    nets += [(parse_netlist(text), Q(1))
+             for text in (N1_FREE_MODES_TEXT, TANKS_TEXT)]
+    nets += [(_tank_network(rng), Q(1)) for _ in range(16)]
+    for n, w0 in nets:
+        ports = [{e.id} for e in n.elements]
+        try:
+            ports += [set(c) for c in blocked_report(n, w0).blocked]
+        except HypothesesNotMet:
+            pass
+        yield n, sorted({w0, Q(8, 5)}), ports
+
+
+class TestReducedValues:
+    """The open/short check reads H_r(j*omega0) off a unit-current Z[j]
+    solve of each reduced network.  It must equal eval_jomega_pair of the
+    reduced network's Q[s] impedance, the pair (a, b) meaning
+    a + j*b*omega0, and give no value exactly where that raises: a pole at
+    j*omega0.  Frequencies with denominator 5 catch a pair that forgets to
+    divide the imaginary part by omega0."""
+
+    def test_against_the_q_s_impedance(self, rng):
+        import prsyn.analysis as analysis
+        seen = {"pole": 0, "value": 0, "off_unit": 0, "open": 0, "short": 0}
+        for n, omegas, ports in _reduced_corpus(rng):
+            for comp in ports:
+                boundary = one_port_boundary(n, comp)
+                if len(boundary) != 2:
+                    continue
+                port = OnePort(n, frozenset(comp), tuple(sorted(boundary)))
+                for op in (open_oneport, short_oneport):
+                    reduced = op(n, port)
+                    for w0 in omegas:
+                        got = analysis._reduced_value(reduced, w0)
+                        if isinstance(reduced, OpenCircuit):
+                            assert got is None
+                            seen["open"] += 1
+                            continue
+                        if isinstance(reduced, ShortCircuit):
+                            assert got == (0, 0)
+                            seen["short"] += 1
+                            continue
+                        h = impedance(reduced)
+                        try:
+                            expect = h.eval_jomega_pair(w0 * w0)
+                        except ZeroDivisionError:
+                            expect = None
+                        assert got == expect
+                        if expect is None:
+                            seen["pole"] += 1
+                        else:
+                            seen["value"] += 1
+                            seen["off_unit"] += (w0.denominator != 1
+                                                 and expect[1] != 0)
+        assert min(seen.values()) >= 5, seen
 
 def _faddeev_ss_impedance(ss):
     """Reference copy of the Faddeev-LeVerrier resolvent that ss_impedance

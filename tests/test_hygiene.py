@@ -15,8 +15,9 @@ three entry points in the elimination section of ``polyrat``: the
 determinant over Z (``_det_z``, which Sylvester determinants run on the
 rows of primitive parts) and the leading minors over Z[s]
 (``leading_minors``, whose last one is a determinant over Q[s]) run its
-forward half, and the solves over Z and Z[j] (``solve``) its back half
-too, so no second elimination loop runs beside it.  Likewise only three
+forward half, and the solves (``solve``) its back half too, over Z on
+cleared rows and over Z[j] on the phasor rows that ``analysis`` stamps
+there, so no second elimination loop runs beside it.  Likewise only three
 remainder loops call ``prem``: ``Polynomial.gcd``, ``sturm_chain`` and the
 Routh rows of ``strict_hurwitz``; the real-root code reads gcd(p, p') off
 the Sturm chain rather than running a fourth.  ``Polynomial`` is the
@@ -200,7 +201,7 @@ def test_prem_called_only_by_the_remainder_loops():
 
 # the classes of polyrat with arithmetic, one per number type: QComplex for
 # Q(j), Polynomial for Q[s] and RationalFunction for Q(s); and _GaussInt,
-# the Z[j] that the elimination loop runs on for a QComplex solve
+# the Z[j] of the phasor rows, which the elimination loop takes as they are
 ARITHMETIC_CLASSES = {"QComplex", "Polynomial", "RationalFunction",
                       "_GaussInt"}
 EUCLIDEAN_CLASSES = {"Polynomial", "_GaussInt"}

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from prsyn.polyrat import (BiquadParams, DegreeTooSmall, NotBiquadratic,
                            NotMinimum, Polynomial, Q, QComplex,
                            RationalFunction, ZeroDenominator,
-                           _det_z, _interpolate,
+                           _det_z, _GaussInt, _interpolate,
                            biquad_params, biquad_template, count_real_roots,
                            eval_ratfunc, format_poly, format_ratfunc,
                            is_lossless, is_minimum_function, is_positive_real,
@@ -611,12 +611,33 @@ def _wide(entry):
                                              rng.randint(1, 10**9))
 
 
+def _gauss_rows(rows, rhs):
+    """The Q(j) system rows * X = rhs over Z[j], as the phasor systems
+    reach ``solve``: each row of [rows | rhs] times the lcm of its
+    denominators, as _GaussInt entries.  The solutions are the same."""
+    out_rows, out_rhs = [], []
+    for row, b in zip(rows, rhs):
+        m = math.lcm(*(q.denominator for x in row + b for q in (x.re, x.im)))
+        g = [_GaussInt(int(x.re * m), int(x.im * m)) for x in row + b]
+        out_rows.append(g[:len(row)])
+        out_rhs.append(g[len(row):])
+    return out_rows, out_rhs
+
+
+def _solve_cleared(field, rows, rhs):
+    """solve on copies of the rows, Q(j) systems cleared into Z[j]."""
+    if field == "qcomplex":
+        return solve(*_gauss_rows(rows, rhs))
+    return solve([r[:] for r in rows], [r[:] for r in rhs])
+
+
 class TestGaussJordan:
     @pytest.mark.parametrize("field", ["fraction", "qcomplex"])
     def test_sparse_update_matches_dense_reference(self, field):
         # solve against the dense field reference: random sparse systems,
         # also with 10**9 denominators and with no right-hand column (as
-        # _annihilator passes), no rows, 1 x 1 systems and a zero matrix
+        # _annihilator passes), no rows, 1 x 1 systems and a zero matrix;
+        # a Q(j) system goes in over Z[j] and comes out over Q(j)
         if field == "fraction":
             entry, zero, is_zero = _nonzero_fraction, Q(0), (lambda x: x == 0)
         else:
@@ -639,7 +660,7 @@ class TestGaussJordan:
                    [[zero] * 2 for _ in range(3)])]
         for kind, rows, rhs in cases:
             expect = dense_gauss_jordan(rows, rhs, zero, is_zero)
-            got = solve([r[:] for r in rows], [r[:] for r in rhs])
+            got = _solve_cleared(field, rows, rhs)
             assert got == expect
             if kind == "inconsistent":
                 assert got is None
@@ -716,7 +737,8 @@ class TestSparseElimination:
     @pytest.mark.parametrize("field", ["fraction", "qcomplex"])
     def test_sparse_solves_match_dense_reference(self, field):
         # wide systems with empty columns (skipped, no pivot) and more
-        # unknowns than rows (free columns), consistent or not
+        # unknowns than rows (free columns), consistent or not; a Q(j)
+        # system goes in over Z[j]
         if field == "fraction":
             entry, zero, is_zero = _nonzero_fraction, Q(0), (lambda x: x == 0)
         else:
@@ -738,7 +760,7 @@ class TestSparseElimination:
                 rhs = [[entry(rng) if rng.random() < 0.3 else zero
                         for _ in range(k)] for _ in range(n)]
             expect = dense_gauss_jordan(rows, rhs, zero, is_zero)
-            assert solve([r[:] for r in rows], [r[:] for r in rhs]) == expect
+            assert _solve_cleared(field, rows, rhs) == expect
             free += expect is not None and bool(expect[1])
         assert free > 20
 
