@@ -4,11 +4,16 @@ One-step synthesis (the classical seven-element networks and the newer
 wheel-shaped alternatives), the minimal-storage classifier for biquadratic
 minimum functions with witness constructors, the quartet family
 constructors, the bridge structural matcher, and the Sylvester-resultant
-fixture checks used to certify the classifier's boundary algebra.
+fixture checks used to certify the classifier's boundary algebra.  A
+fixture's structural pair, times a power of its sample variable, is a
+polynomial in that variable, so each check builds the bridge at a few
+integer nodes only, interpolates, and evaluates every sample over Z
+(``_sampled_pairs``).
 """
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -17,7 +22,7 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .polyrat import (BiquadParams, NotMinimum, NotRationalParams, Polynomial,
                       Q, QComplex, RationalFunction, _as_q, _interpolate,
-                      _jomega_quotient, _sylvester_det, biquad_params,
+                      _jomega_quotient, _poly, _sylvester_det, biquad_params,
                       biquad_template, count_real_roots, is_minimum_function,
                       is_positive_real, minimum_frequencies, real_roots,
                       sqrt_fraction, sylvester_determinant)
@@ -521,6 +526,19 @@ _QUARTET_REQUIREMENTS = {
 }
 
 
+def _check_names(family: str, missing, unknown=()) -> None:
+    """ConstraintViolated naming each missing and each unknown parameter of
+    family, if there is any."""
+    def listed(names):
+        return (", ".join(names) + " parameter"
+                + ("s" if len(names) > 1 else ""))
+
+    faults = ([f"needs the {listed(missing)}"] if missing else []) + (
+        [f"has no {listed(unknown)}"] if unknown else [])
+    if faults:
+        raise ConstraintViolated(f"{family} {' and '.join(faults)}")
+
+
 def _quartet_arms(fam: str, qp: QuartetParams, w0: Fraction) -> Dict[str, object]:
     """The bridge arms {slot: tree} of a quartet family member, unvalidated.
     In N11/N12 the N1 arm is series(R_A, parallel(storage, R_{1/C})):
@@ -579,11 +597,8 @@ def build_quartet(qp: QuartetParams, omega0) -> Network:
         raise ValueError(f"unknown quartet family {qp.family!r}")
     zero, positive, further = _QUARTET_REQUIREMENTS[fam]
     named = zero + positive + (further[0] if further else "")
-    missing = [x for x in "ABCDE" if x in named and getattr(qp, x) is None]
-    if missing:
-        raise ConstraintViolated(
-            f"{fam} needs the {', '.join(missing)} parameter"
-            + ("s" if len(missing) > 1 else ""))
+    _check_names(fam, [x for x in "ABCDE"
+                       if x in named and getattr(qp, x) is None])
     value = {x: getattr(qp, x) for x in "ABCD"}
     if "E" in positive:
         value["E"] = qp.derived_E()
@@ -841,6 +856,12 @@ def _require_physical(point: Dict[str, Fraction], may_vanish=()) -> None:
             raise net.NonpositiveValue(f"{name} = {v} is not a physical value")
 
 
+# Each fixture family's parameters; omega0 is optional in every family.
+_FIXTURE_PARAMETERS = {"Q7": ("g1", "g2", "F"), "Q8": ("g1", "g2", "c2"),
+                       "N11": ("r1", "g2", "g3", "F"),
+                       "N12": ("r1", "g2", "g3", "F")}
+
+
 def resultant_fixture_check(family: str, subs: Dict[str, Fraction]) -> bool:
     """Verify the closed-form Sylvester factorizations used in the
     biquadratic classification proofs, at an exact rational substitution
@@ -862,7 +883,14 @@ def resultant_fixture_check(family: str, subs: Dict[str, Fraction]) -> bool:
     normalises each structural pair.  So the point must be physical: every
     parameter given positive, except r1 and g2 of N11/N12, which may be 0
     (a shorted series or an open parallel resistor).  Any other point
-    raises NonpositiveValue before an arm is built; omega0 defaults to 1."""
+    raises NonpositiveValue before an arm is built; omega0 defaults to 1.
+    Before any of that, an unknown family raises ValueError, and a missing
+    or unknown parameter ConstraintViolated naming it."""
+    if family not in _FIXTURE_PARAMETERS:
+        raise ValueError(f"unknown fixture family {family!r}")
+    names = _FIXTURE_PARAMETERS[family]
+    _check_names(family, [x for x in names if x not in subs],
+                 sorted(set(subs) - set(names) - {"omega0"}))
     subs = {k: _as_q(v) for k, v in subs.items()}
     w0 = subs.get("omega0", Q(1))
     _require_physical(dict(subs, omega0=w0),
@@ -875,9 +903,7 @@ def resultant_fixture_check(family: str, subs: Dict[str, Fraction]) -> bool:
         return r0 == F * F * w0 ** 9 * (g1 - g2) ** 2 * (1 + F * F * g1 * g2) ** 4
     if family == "Q8":
         return _check_q8(subs, w0)
-    if family in ("N11", "N12"):
-        return _check_n11_n12(family, subs, w0)
-    raise ValueError(f"unknown fixture family {family!r}")
+    return _check_n11_n12(family, subs, w0)
 
 
 def _scaled(family, pair, degree, target0, F):
@@ -897,13 +923,14 @@ def _factorization_check(samples, pairs, cof0, cof1, f1_of, degrees,
                          rhs) -> bool:
     """The check of Q8, N11 and N12, whose scaled structural pair (p, q)
     varies with one variable x: pairs yields it at each x of samples,
-    lazily.  At all samples but the last, R0/cof0(x) and R1/cof1(x) (the
-    0th and 1st subresultants of p and q over their printed cofactors, which
-    are nonzero at a physical point) are interpolated to f1^2 and f2, each
-    the unique polynomial of degree below the sample count; f1_of(f1^2)
-    gives f1, or None to fail.  The last sample spot-checks both
-    interpolants, and the resultant of f1 and f2 at the nominal degrees
-    must be rhs."""
+    lazily, each pair read off the point's integer tables by
+    ``_sampled_pairs`` and checked by ``_scaled``.  At all samples but the
+    last, R0/cof0(x) and R1/cof1(x) (the 0th and 1st subresultants of p
+    and q over their printed cofactors, which are nonzero at a physical
+    point) are interpolated to f1^2 and f2, each the unique polynomial of
+    degree below the sample count; f1_of(f1^2) gives f1, or None to fail.
+    The last sample spot-checks both interpolants, and the resultant of f1
+    and f2 at the nominal degrees must be rhs."""
     xs = samples[:-1]
     vals0, vals1 = [], []
     for x, (p, q) in zip(xs, pairs):
@@ -920,18 +947,71 @@ def _factorization_check(samples, pairs, cof0, cof1, f1_of, degrees,
             and _sylvester_nominal(f1, f2, *degrees) == rhs)
 
 
+def _sampled_pairs(pair_at, degree, e, samples):
+    """pair_at(x), the structural (num, den) pair at x, at each x > 0 of
+    samples, lazily and in order, for a pair whose x^e multiple is a pair
+    of polynomials in s with coefficients of degree <= degree in x.
+
+    pair_at runs at the nodes x = 1..degree+1 only, and interpolation
+    through them gives the x^e multiple's coefficients in x (evaluation and
+    interpolation over Z; von zur Gathen & Gerhard, Modern Computer
+    Algebra, ch. 5): one integer table rows[i][j] per side, L times the
+    coefficient of x^i s^j in that side's x^e multiple.  A sample x = a/b
+    reads each side off its table by homogeneous Horner, as
+    ``polyrat._sign_at`` does: sum_i rows[i] a^i b^(degree-i) is b^degree
+    L x^e times the side, so dividing that out in ``_poly`` gives exactly
+    the pair that pair_at(x) gives.  With no more samples than nodes,
+    pair_at runs at each sample instead."""
+    if len(samples) <= degree + 1:
+        yield from map(pair_at, samples)
+        return
+    nodes = range(1, degree + 2)
+    values = [pair_at(Q(k)) for k in nodes]
+    tables = []
+    for side in (0, 1):
+        polys = [v[side] * k ** e for k, v in zip(nodes, values)]
+        # the coefficient of s^j, as a polynomial in x
+        cols = [_interpolate(nodes, [p.coeff(j) for p in polys])
+                for j in range(max(len(p.prim) for p in polys))]
+        den = math.lcm(*(c.content.denominator for c in cols))
+        tables.append(([[int(c.coeff(i) * den) for c in cols]
+                        for i in range(degree + 1)], den))
+    for x in samples:
+        a, b = x.numerator, x.denominator
+        pair = []
+        for rows, den in tables:
+            acc, bpow = [0] * len(rows[0]), 1
+            for row in reversed(rows):
+                acc = [u * a + t * bpow for u, t in zip(acc, row)]
+                bpow *= b
+            pair.append(_poly(acc, b ** e, den * b ** degree * a ** e))
+        yield tuple(pair)
+
+
 def _check_q8(subs, w0) -> bool:
+    """The Q8 check on N8's structural pair, a function of F.  In N8, C =
+    F/c2 and D = F make E = F/(1 + c2), so each storage arm's impedance is
+    F times an F-free one: as unreduced pairs, N3 is (F, s/w0) / F and N4,
+    N5 are (F n_k, d_k).  Each Kirchhoff term takes the num or the den of
+    every arm, so F times the bridge pair is a cubic in F, and
+    ``_sampled_pairs`` builds the bridge at F = 1..4 only.  Every sample
+    is checked as before."""
     g1, g2, c2 = subs["g1"], subs["g2"], subs["c2"]
     samples = _fixture_samples() + [Q(31, 5)]
-    pairs = (_scaled("Q8", _quartet_polys("N8", w0, A=1 / g1, B=1 / g2,
-                                          C=F / c2, D=F),
-                     4, (1 + c2) * w0 ** 4, F) for F in samples)
+
+    def pair_at(F):
+        return _quartet_polys("N8", w0, A=1 / g1, B=1 / g2, C=F / c2, D=F)
+
+    pairs = (_scaled("Q8", pair, 4, (1 + c2) * w0 ** 4, F)
+             for F, pair in zip(samples, _sampled_pairs(pair_at, 3, 1,
+                                                        samples)))
+    g12, k0, k1 = g1 * g2, c2 * w0 ** 16 * (1 + c2), -c2 * w0 ** 9
 
     def cof0(F):
-        return c2 * w0 ** 16 * (1 + c2) * (1 + F * F * g1 * g2) ** 4
+        return k0 * (1 + F * F * g12) ** 4
 
     def cof1(F):
-        return -c2 * w0 ** 9 * (1 + F * F * g1 * g2) ** 2
+        return k1 * (1 + F * F * g12) ** 2
 
     # the elimination identity at the generic degrees (2, 6); even nominal
     # degree of f2 makes the result invariant under the sign of f1
@@ -944,22 +1024,31 @@ def _check_q8(subs, w0) -> bool:
 def _n1112_structs(family, r1, g2, g3, F, samples, w0):
     """The unreduced structural (num, den) pair of an N11/N12 point at each
     var in samples, lazily and in order.  Only arm N1 holds var, so the N1
-    cofactors of arms N2..N5 are built once and each sample contracts them
-    with N1's pair."""
+    cofactors of arms N2..N5 are built once, and a pair is N1's pair
+    contracted with them.  var^e times N1's pair, and so var^e times the
+    bridge pair, is linear in var (e = 0 for N11's capacitor, 1 for N12's
+    inductor, r1 = 0 and g2 = 0 included), so ``_sampled_pairs`` contracts
+    at var = 1 and 2 only; a single sample is contracted directly."""
     # var is c1 (N11) or x1 (N12); r1 = 0 shorts the series resistor and
     # g2 = 0 opens the parallel one
     arms = _quartet_arms(family, QuartetParams(
         family, A=r1, B=1 / g3, C=g2, D=F / samples[0], E=F), w0)
     cofactors = _bridge_n1_cofactors({slot: net.tree_pair(arms[slot])
                                       for slot in ("N2", "N3", "N4", "N5")})
-    for var in samples:
+
+    def pair_at(var):
         n1 = _n1112_arm(family, r1, g2, F / var, w0)
-        yield _contract(net.tree_pair(n1), cofactors)
+        return _contract(net.tree_pair(n1), cofactors)
+
+    return _sampled_pairs(pair_at, 1, 0 if family == "N11" else 1, samples)
 
 
 def _check_n11_n12(family, subs, w0) -> bool:
     r1, g2, g3, F = subs["r1"], subs["g2"], subs["g3"], subs["F"]
     one_m = 1 - r1 * g3
+    # the var-free factors of cof0 = k0 v (v^2 a2 + b2)^2
+    a2 = (r1 + F * F * g3) ** 2
+    b2 = F * F * (1 + r1 * g2 + F * F * g2 * g3) ** 2
     if family == "N11":
         f1_printed = Polynomial([F * F * g3 * (g3 - g2 * one_m), one_m])
         # positive-definite middle factor, so the vanishing locus is carried
@@ -968,17 +1057,14 @@ def _check_n11_n12(family, subs, w0) -> bool:
                      * ((g2 * one_m * (r1 + F * F * g3) + 1 - g3 * r1
                          - F * F * g3 * g3) ** 2 + g3 * g3 * F * F) ** 2
                      * (g3 * (3 - r1 * g3 + r1 * g2 * (2 - r1 * g3)) - g2))
-
-        def cof0(v):
-            return (F ** 4 * w0 ** 16 * v
-                    * (v * v * (r1 + F * F * g3) ** 2
-                       + F * F * (1 + r1 * g2 + F * F * g2 * g3) ** 2) ** 2)
+        k0, k1 = F ** 4 * w0 ** 16, -F * F * w0 ** 9
+        t0 = F * (1 + r1 * g2) * w0 ** 4
 
         def cof1(v):
-            return -F * F * v * w0 ** 9
+            return k1 * v
 
         def target0(v):
-            return F * (1 + r1 * g2) * w0 ** 4
+            return t0
     else:
         f1_printed = Polynomial([g3 - g2 * one_m, g3 * one_m])
         rhs_final = (-F * F * g3 ** 5
@@ -986,17 +1072,16 @@ def _check_n11_n12(family, subs, w0) -> bool:
                         + g3 * g3 * F * F) ** 2
                      * (g3 - g2 * one_m)
                      * (g2 * one_m * one_m + g3 * (1 + r1 * g3)))
-
-        def cof0(v):
-            return (-F ** 6 * w0 ** 16 * v
-                    * ((F * F * g3 + r1) ** 2 * v * v
-                       + F * F * (1 + r1 * g2 + F * F * g2 * g3) ** 2) ** 2)
+        k0, k1, t0 = -F ** 6 * w0 ** 16, F ** 6 * w0 ** 9, r1 * w0 ** 4
 
         def cof1(v):
-            return F ** 6 * w0 ** 9
+            return k1
 
         def target0(v):
-            return r1 * v * w0 ** 4
+            return t0 * v
+
+    def cof0(v):
+        return k0 * v * (v * v * a2 + b2) ** 2
 
     samples = _fixture_samples() + [Q(29, 4)]
     pairs = (_scaled(family, pair, 4, target0(v), F) for v, pair in zip(

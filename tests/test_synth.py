@@ -461,6 +461,41 @@ class TestResultantFixtures:
             resultant_fixture_check(
                 "Q7", {"g1": 1, "g2": 2, "F": -1, "omega0": -1})
 
+    def test_family_and_parameter_names_are_checked_first(self):
+        # the family, then every name, before any value is read: a missing
+        # parameter is named, not a KeyError, and an unknown one is named,
+        # not ignored
+        points = {"Q7": {"g1": Q(1), "g2": Q(2), "F": Q(1)},
+                  "Q8": {"g1": Q(3, 2), "g2": Q(2, 3), "c2": Q(5, 4)},
+                  "N11": {"r1": Q(1, 3), "g2": Q(2, 5), "g3": Q(7, 4),
+                          "F": Q(1, 2)}}
+        points["N12"] = points["N11"]
+        for fam, point in points.items():
+            assert resultant_fixture_check(fam, dict(point, omega0=Q(2)))
+            for x in point:
+                rest = {k: v for k, v in point.items() if k != x}
+                with pytest.raises(ConstraintViolated,
+                                   match=f"^{fam} needs the {x} parameter$"):
+                    resultant_fixture_check(fam, rest)
+            with pytest.raises(ConstraintViolated,
+                               match=f"^{fam} has no omega parameter$"):
+                resultant_fixture_check(fam, dict(point, omega=Q(3)))
+            # names are checked before values: a negative value does not
+            # hide an unknown name
+            with pytest.raises(ConstraintViolated,
+                               match=f"^{fam} has no c, d parameters$"):
+                resultant_fixture_check(fam, dict(point, d=-1, c=1))
+        with pytest.raises(ConstraintViolated,
+                           match="^Q8 needs the c2 parameter$"):
+            resultant_fixture_check("Q8", {"g1": 1, "g2": 2})
+        with pytest.raises(ConstraintViolated,
+                           match="^Q7 needs the g2, F parameters and has no "
+                                 "omega parameter$"):
+            resultant_fixture_check("Q7", {"g1": 1, "omega": 3})
+        for fam in ("Q9", "N8", "q7"):
+            with pytest.raises(ValueError, match="unknown fixture family"):
+                resultant_fixture_check(fam, {"g1": -1, "g2": 2, "F": 1})
+
     def test_zero_parameters_are_not_physical(self):
         # a zero that the arms invert is rejected up front; only r1 and g2
         # of N11/N12 may be 0 (a shorted series or an open parallel
@@ -659,9 +694,19 @@ class TestFixtureArms:
                   (Q(0), Q(2, 5), Q(7, 4), Q(3, 2), Q(4, 3)),      # r1 = 0
                   (Q(5, 2), Q(0), Q(3), Q(4, 3), Q(2)),            # g2 = 0
                   (Q(0), Q(0), Q(1, 6), Q(5), Q(1, 3))]            # both
+        # random points, r1 = 0 and g2 = 0 each in half of them; the
+        # samples of a check (the spot sample 29/4 included), of the g2 = 0
+        # feasibility path, and a single sample (the x1 > 0 path)
+        rng = random.Random(4242)
+        points += [(Q(0) if k % 2 else rand_q(rng, 1, 9),
+                    Q(0) if k % 4 >= 2 else rand_q(rng, 1, 9),
+                    rand_q(rng, 1, 9), rand_q(rng, 1, 9), rand_q(rng, 1, 4))
+                   for k in range(8)]
         for fam in ("N11", "N12"):
             for r1, g2, g3, F, w0 in points:
-                for xs in (_fixture_samples(), _fixture_samples(16)):
+                for xs in (_fixture_samples(), _fixture_samples(16),
+                           _fixture_samples() + [Q(29, 4)],
+                           [rand_q(rng, 1, 9)]):
                     got = list(_n1112_structs(fam, r1, g2, g3, F, xs, w0))
                     assert len(got) == len(xs)
                     for v, pair in zip(xs, got):
@@ -671,6 +716,96 @@ class TestFixtureArms:
                                 in _quartet_arms(fam, qp, w0).items()}
                         assert pair == bridge_structural_polys(arms) \
                             == bridge_reference(arms)
+
+    def test_q8_pairs_match_the_direct_bridge(self, monkeypatch):
+        # the cubic-in-F route gives the pair of the direct bridge build at
+        # every sample of the Q8 check, the spot sample 31/5 included:
+        # unscaled from _sampled_pairs, and scaled as the check reads them
+        import prsyn.synth as synth
+        seen = []
+
+        def capture(samples, pairs, *rest):
+            seen.append((samples, list(pairs)))
+            return True
+
+        monkeypatch.setattr(synth, "_factorization_check", capture)
+        rng = random.Random(2718)
+        samples = synth._fixture_samples() + [Q(31, 5)]
+        for _ in range(30):
+            g1, g2, c2 = (rand_q(rng, 1, 9) for _ in range(3))
+            w0 = rand_q(rng, 1, 3)
+
+            def pair_at(F):
+                return synth._quartet_polys("N8", w0, A=1 / g1, B=1 / g2,
+                                            C=F / c2, D=F)
+
+            assert (list(synth._sampled_pairs(pair_at, 3, 1, samples))
+                    == [pair_at(F) for F in samples])
+            assert resultant_fixture_check(
+                "Q8", dict(g1=g1, g2=g2, c2=c2, omega0=w0))
+            got_samples, got = seen.pop()
+            assert got_samples == samples
+            assert got == [_q8_pair(g1, g2, c2, F, w0) for F in samples]
+
+
+def _counting(monkeypatch, module, name):
+    """Replace module.name by a wrapper that counts its calls; the list
+    holds the count."""
+    count, inner = [0], getattr(module, name)
+
+    def counted(*args, **kwargs):
+        count[0] += 1
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return count
+
+
+class TestOnceAPoint:
+    """A fixture check builds its structural pairs once per point, whatever
+    its sample count: the bridge at F = 1..4 for Q8, and one N1-cofactor
+    build and two contractions for N11/N12.  A single sample, the
+    n12_has_no_feasible_solution x1 > 0 path, is one direct contraction."""
+
+    @pytest.fixture(params=[0, 6], ids=["24_samples", "30_samples"])
+    def extra(self, request, monkeypatch):
+        import prsyn.synth as synth
+        inner = synth._fixture_samples
+        monkeypatch.setattr(synth, "_fixture_samples",
+                            lambda var_count=24: inner(var_count
+                                                       + request.param))
+        return request.param
+
+    def test_q8_builds_the_bridge_at_most_four_times(self, monkeypatch,
+                                                     extra):
+        import prsyn.synth as synth
+        bridges = _counting(monkeypatch, synth, "bridge_structural_polys")
+        assert resultant_fixture_check(
+            "Q8", {"g1": Q(3, 2), "g2": Q(2, 3), "c2": Q(5, 4),
+                   "omega0": Q(4, 3)})
+        assert 0 < bridges[0] <= 4
+
+    def test_n11_n12_contract_twice(self, monkeypatch, extra):
+        import prsyn.synth as synth
+        cofactors = _counting(monkeypatch, synth, "_bridge_n1_cofactors")
+        contractions = _counting(monkeypatch, synth, "_contract")
+        # N12 is degenerate at r1 = 0 or g2 = 0
+        for fam, r1, g2 in (("N11", Q(1, 3), Q(2, 5)), ("N11", Q(0), Q(2, 5)),
+                            ("N11", Q(1, 3), Q(0)), ("N11", Q(0), Q(0)),
+                            ("N12", Q(1, 3), Q(2, 5))):
+            cofactors[0] = contractions[0] = 0
+            assert resultant_fixture_check(
+                fam, {"r1": r1, "g2": g2, "g3": Q(7, 4), "F": Q(1, 2),
+                      "omega0": Q(3, 2)})
+            assert (cofactors[0], contractions[0]) == (1, 2)
+
+    def test_n12_feasibility_contracts_once_at_a_positive_root(
+            self, monkeypatch):
+        import prsyn.synth as synth
+        contractions = _counting(monkeypatch, synth, "_contract")
+        # r1 = 1, g2 = 3, g3 = 1/2: f1 = x1/4 - 1 vanishes at x1 = 4
+        assert n12_has_no_feasible_solution(1, 3, Q(1, 2), 1)
+        assert contractions[0] == 1
 
 
 class TestFig2Params:
