@@ -253,7 +253,14 @@ class Polynomial:
         return _as_poly(other) - self
 
     def __mul__(self, other):
-        other = _as_poly(other)
+        if type(other) is not Polynomial:
+            if isinstance(other, (int, Fraction)):
+                # a scalar scales the content, and its sign the primitive
+                if not other or not self.prim:
+                    return ZERO
+                return _new(self.content * abs(other), self.prim if other > 0
+                            else tuple(-x for x in self.prim))
+            other = _as_poly(other)
         a, b = self.prim, other.prim
         if not a or not b:
             return ZERO
@@ -725,21 +732,26 @@ def _nonnegative_on_nonneg_axis(e: Polynomial) -> bool:
     if e(Q(0)) < 0 or e.leading() < 0:
         return False
     # no sign change on (0, oo): no root of odd multiplicity there
-    chain = _odd_part_chain(e)
-    return _variations(chain, Q(0)) == _variations(chain, "+inf")
+    return _odd_multiplicity_roots(e) == 0
 
 
-def _odd_part_chain(p: Polynomial) -> List[Polynomial]:
-    """A Sturm chain of the odd part of p, the product of its irreducible
-    factors of odd multiplicity.  With g = gcd(p, p'), the last member of
-    p's chain, and s = p/g, a factor is odd in p exactly when it divides s
-    but has even multiplicity in g (possibly 0)."""
-    chain = sturm_chain(p)
-    g = chain[-1]
-    if g.is_constant():
-        return chain
-    s = p // g
-    return sturm_chain(s // s.gcd(_odd_part_chain(g)[0]))
+def _odd_multiplicity_roots(p: Polynomial) -> int:
+    """The distinct roots of p on (0, oo) of odd multiplicity, p nonzero.
+    With g_0 = p and g_(k+1) the last member of g_k's Sturm chain, gcd(g_k,
+    g_k') up to a constant, that chain divided by g_(k+1) counts the roots
+    of g_k, those of p of multiplicity > k; a root of multiplicity m is
+    counted by g_0..g_(m-1), so the alternating sum counts it once if m is
+    odd and not at all if m is even."""
+    count, sign = 0, 1
+    while True:
+        chain = sturm_chain(p)
+        g = chain[-1]
+        if not g.is_constant():
+            chain = [q // g for q in chain]
+        count += sign * (_variations(chain, Q(0)) - _variations(chain, "+inf"))
+        if g.is_constant():
+            return count
+        p, sign = g, -sign
 
 
 def is_positive_real(g: RationalFunction) -> bool:

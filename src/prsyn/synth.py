@@ -4,11 +4,11 @@ One-step synthesis (the classical seven-element networks and the newer
 wheel-shaped alternatives), the minimal-storage classifier for biquadratic
 minimum functions with witness constructors, the quartet family
 constructors, the bridge structural matcher, and the Sylvester-resultant
-fixture checks used to certify the classifier's boundary algebra.  A
-fixture's structural pair, times a power of its sample variable, is a
-polynomial in that variable, so each check builds the bridge at a few
-integer nodes only, interpolates, and evaluates every sample over Z
-(``_sampled_pairs``).
+fixture checks used to certify the classifier's boundary algebra.  Every
+fixture pair is a quartet member's bridge pair (``_quartet_polys``); times
+a power of its sample variable it is a polynomial in that variable, so a
+check builds the bridge at a few integer nodes only, interpolates, and
+evaluates every sample over Z (``_sampled_pairs``).
 """
 
 from __future__ import annotations
@@ -568,19 +568,14 @@ def _quartet_arms(fam: str, qp: QuartetParams, w0: Fraction) -> Dict[str, object
                     N3=_leaf("r3", RESISTOR, A),
                     N4=_leaf("l4", INDUCTOR, B / w0),
                     N5=_leaf("l5", INDUCTOR, C / w0))
-    return dict(N1=_n1112_arm(fam, A, C, D, w0),
+    storage = (_leaf("c1", CAPACITOR, 1 / (D * w0)) if fam.startswith("N11")
+               else _leaf("l1", INDUCTOR, D / w0))
+    inner = storage if C == 0 else par(storage, _leaf("r3", RESISTOR, 1 / C))
+    return dict(N1=inner if A == 0 else ser(_leaf("r1", RESISTOR, A), inner),
                 N2=_leaf("r2", RESISTOR, B),
                 N3=_leaf("c3", CAPACITOR, 1 / (E * w0)),
                 N4=_leaf("l4", INDUCTOR, E / w0),
                 N5=_leaf("l5", INDUCTOR, E / w0))
-
-
-def _n1112_arm(fam: str, A: Fraction, C: Fraction, D: Fraction, w0: Fraction):
-    """The N1 arm of an N11/N12 member, the one arm that D enters."""
-    storage = (_leaf("c1", CAPACITOR, 1 / (D * w0)) if fam.startswith("N11")
-               else _leaf("l1", INDUCTOR, D / w0))
-    inner = storage if C == 0 else par(storage, _leaf("r3", RESISTOR, 1 / C))
-    return inner if A == 0 else ser(_leaf("r1", RESISTOR, A), inner)
 
 
 def build_quartet(qp: QuartetParams, omega0) -> Network:
@@ -755,50 +750,38 @@ _TREE_OFF = _bridge_complements(False)
 _TWOTREE_OFF = _bridge_complements(True)
 
 
-def _bridge_n1_cofactors(arms: Dict[str, Tuple[Polynomial, Polynomial]]):
-    """The N1 cofactors of the five-arm bridge: ((num0, num1), (den0, den1))
-    with num = n1 * num0 + d1 * num1 and den = n1 * den0 + d1 * den1 for
-    any (n1, d1) at slot N1, read from the unreduced (num, den) pairs of
-    the arms at N2..N5 alone (an N1 entry of arms is not read).
+def bridge_structural_polys(arms: Dict[str, Tuple[Polynomial, Polynomial]]):
+    """Unreduced numerator/denominator polynomials of the five-arm bridge
+    impedance, with the arm at each slot N1..N5 given as an unreduced
+    (num, den) pair.  Clearing all arm denominators keeps the natural
+    polynomial degrees (equal to the number of storage elements for
+    single-storage arms).
 
     The terms are the spanning-tree sums of the four-vertex bridge graph
     (Kirchhoff): a term takes the den of each arm on the tree and the num
     of each arm off it, the 2-trees that separate the port giving the
-    numerator and the trees the denominator; each sum is linear in N1's
-    pair.  The terms are grouped by the num/den choice for N1, N2 and N5:
-    each group sums its N3 x N4 products, then multiplies once by its
-    N2 x N5 product.  All these products serve num and den."""
+    numerator and the trees the denominator.  The terms are grouped by the
+    num/den choice for N1, N2 and N5: each group sums its N3 x N4 products
+    and multiplies once by its N2 x N5 product, and N1's num and den each
+    multiply the sum of their groups once.  All these products serve num
+    and den."""
     sides = (0, 1)
     p34 = {(c3, c4): arms["N3"][c3] * arms["N4"][c4] for c3 in sides for c4 in sides}
     p25 = {(c2, c5): arms["N2"][c2] * arms["N5"][c5] for c2 in sides for c5 in sides}
 
-    def cofactors(offs):
+    def kirchhoff(offs):
         groups = defaultdict(Polynomial)
         for off in offs:
             # the arm at a slot off the tree gives its num (0), else its den
             c = {slot: 0 if slot in off else 1
                  for slot in ("N1", "N2", "N3", "N4", "N5")}
             groups[c["N1"], c["N2"], c["N5"]] += p34[c["N3"], c["N4"]]
-        return tuple(sum((p25[c2, c5] * total for (c1, c2, c5), total
-                          in groups.items() if c1 == side), Polynomial())
-                     for side in sides)
+        cofactor = [Polynomial(), Polynomial()]
+        for (c1, c2, c5), total in groups.items():
+            cofactor[c1] += p25[c2, c5] * total
+        return arms["N1"][0] * cofactor[0] + arms["N1"][1] * cofactor[1]
 
-    return cofactors(_TWOTREE_OFF), cofactors(_TREE_OFF)
-
-
-def _contract(n1: Tuple[Polynomial, Polynomial], cofactors):
-    """The bridge's (num, den) from N1's pair and its N1 cofactors."""
-    return tuple(n1[0] * c0 + n1[1] * c1 for c0, c1 in cofactors)
-
-
-def bridge_structural_polys(arms: Dict[str, Tuple[Polynomial, Polynomial]]):
-    """Unreduced numerator/denominator polynomials of the five-arm bridge
-    impedance, with the arm at each slot N1..N5 given as an unreduced
-    (num, den) pair: N1's pair contracted with its two N1 cofactors
-    (``_bridge_n1_cofactors``).  Clearing all arm denominators keeps the
-    natural polynomial degrees (equal to the number of storage elements for
-    single-storage arms)."""
-    return _contract(arms["N1"], _bridge_n1_cofactors(arms))
+    return kirchhoff(_TWOTREE_OFF), kirchhoff(_TREE_OFF)
 
 
 def _quartet_polys(fam: str, w0: Fraction, **params):
@@ -950,7 +933,8 @@ def _factorization_check(samples, pairs, cof0, cof1, f1_of, degrees,
 def _sampled_pairs(pair_at, degree, e, samples):
     """pair_at(x), the structural (num, den) pair at x, at each x > 0 of
     samples, lazily and in order, for a pair whose x^e multiple is a pair
-    of polynomials in s with coefficients of degree <= degree in x.
+    of polynomials in s with coefficients of degree <= degree in x; in
+    every check pair_at is a ``_quartet_polys`` build.
 
     pair_at runs at the nodes x = 1..degree+1 only, and interpolation
     through them gives the x^e multiple's coefficients in x (evaluation and
@@ -1023,24 +1007,17 @@ def _check_q8(subs, w0) -> bool:
 
 def _n1112_structs(family, r1, g2, g3, F, samples, w0):
     """The unreduced structural (num, den) pair of an N11/N12 point at each
-    var in samples, lazily and in order.  Only arm N1 holds var, so the N1
-    cofactors of arms N2..N5 are built once, and a pair is N1's pair
-    contracted with them.  var^e times N1's pair, and so var^e times the
-    bridge pair, is linear in var (e = 0 for N11's capacitor, 1 for N12's
-    inductor, r1 = 0 and g2 = 0 included), so ``_sampled_pairs`` contracts
-    at var = 1 and 2 only; a single sample is contracted directly."""
+    var in samples, lazily and in order: the quartet's bridge pair at D =
+    F/var.  Only arm N1 holds var, and var^e times its pair, so var^e times
+    the bridge pair, is linear in var (e = 0 for N11's capacitor, 1 for
+    N12's inductor, r1 = 0 and g2 = 0 included): ``_sampled_pairs`` builds
+    the bridge at var = 1 and 2 only, or at a single sample directly."""
     # var is c1 (N11) or x1 (N12); r1 = 0 shorts the series resistor and
     # g2 = 0 opens the parallel one
-    arms = _quartet_arms(family, QuartetParams(
-        family, A=r1, B=1 / g3, C=g2, D=F / samples[0], E=F), w0)
-    cofactors = _bridge_n1_cofactors({slot: net.tree_pair(arms[slot])
-                                      for slot in ("N2", "N3", "N4", "N5")})
-
-    def pair_at(var):
-        n1 = _n1112_arm(family, r1, g2, F / var, w0)
-        return _contract(net.tree_pair(n1), cofactors)
-
-    return _sampled_pairs(pair_at, 1, 0 if family == "N11" else 1, samples)
+    return _sampled_pairs(
+        lambda var: _quartet_polys(family, w0, A=r1, B=1 / g3, C=g2,
+                                   D=F / var, E=F),
+        1, 0 if family == "N11" else 1, samples)
 
 
 def _check_n11_n12(family, subs, w0) -> bool:
@@ -1059,12 +1036,6 @@ def _check_n11_n12(family, subs, w0) -> bool:
                      * (g3 * (3 - r1 * g3 + r1 * g2 * (2 - r1 * g3)) - g2))
         k0, k1 = F ** 4 * w0 ** 16, -F * F * w0 ** 9
         t0 = F * (1 + r1 * g2) * w0 ** 4
-
-        def cof1(v):
-            return k1 * v
-
-        def target0(v):
-            return t0
     else:
         f1_printed = Polynomial([g3 - g2 * one_m, g3 * one_m])
         rhs_final = (-F * F * g3 ** 5
@@ -1073,18 +1044,17 @@ def _check_n11_n12(family, subs, w0) -> bool:
                      * (g3 - g2 * one_m)
                      * (g2 * one_m * one_m + g3 * (1 + r1 * g3)))
         k0, k1, t0 = -F ** 6 * w0 ** 16, F ** 6 * w0 ** 9, r1 * w0 ** 4
-
-        def cof1(v):
-            return k1
-
-        def target0(v):
-            return t0 * v
+    # num(0) is t0 v^e, R1's cofactor k1 v^(1 - e), e as in _n1112_structs
+    e = 0 if family == "N11" else 1
 
     def cof0(v):
         return k0 * v * (v * v * a2 + b2) ** 2
 
+    def cof1(v):
+        return k1 * v ** (1 - e)
+
     samples = _fixture_samples() + [Q(29, 4)]
-    pairs = (_scaled(family, pair, 4, target0(v), F) for v, pair in zip(
+    pairs = (_scaled(family, pair, 4, t0 * v ** e, F) for v, pair in zip(
         samples, _n1112_structs(family, r1, g2, g3, F, samples, w0)))
     # f1_printed^2 has degree <= 2 < 24 and the interpolant is unique, so
     # comparing the interpolant with it is comparing every sample with it;

@@ -24,7 +24,10 @@ the Sturm chain rather than running a fourth.  ``Polynomial`` is the
 one polynomial class of ``polyrat``, and ``_GaussInt`` the one other ring
 with division.  In the graph code of ``network`` and ``analysis`` exactly
 one function runs a stack loop: the depth-first search ``_search``, which
-gives both the connected components and the blocks.  No function takes a ``True``/``False`` default: a
+gives both the connected components and the blocks.  In ``synth`` only
+``bridge_structural_polys``, the one bridge evaluator, reads the bridge's
+spanning-tree tables ``_TREE_OFF`` and ``_TWOTREE_OFF``.  No function
+takes a ``True``/``False`` default: a
 boolean mode switch is a second function hidden in the first.  The
 checks read the sources with ``ast``; nothing is imported.
 """
@@ -174,6 +177,27 @@ def test_bareiss_named_only_by_its_entry_points():
                 found.add((path.relative_to(ROOT).as_posix(),
                            getattr(top, "name", None)))
     assert found == BAREISS_ENTRY_POINTS
+
+
+def test_spanning_tree_tables_read_only_by_the_bridge_evaluator():
+    # no second Kirchhoff route over the bridge: outside their own
+    # assignments, the tree and 2-tree complement tables are read in src/
+    # only by bridge_structural_polys
+    tables = {"_TREE_OFF", "_TWOTREE_OFF"}
+    found = set()
+    for path in MODULES:
+        for top in _tree(path).body:
+            reads = set()
+            for node in ast.walk(top):
+                if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(
+                        node.ctx, ast.Load):
+                    reads.add(node.id if isinstance(node, ast.Name)
+                              else node.attr)
+                elif isinstance(node, ast.ImportFrom):
+                    reads.update(alias.name for alias in node.names)
+            if reads & tables:
+                found.add((path.name, getattr(top, "name", None)))
+    assert found == {("synth.py", "bridge_structural_polys")}
 
 
 # the three remainder loops: the gcd, the Sturm chain (whose last member is

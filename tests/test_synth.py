@@ -683,9 +683,10 @@ class TestFixtureArms:
                             == (num * c, den * (c * F)))
         assert seen_zero == {"r1", "g2"}
 
-    def test_per_check_cofactors_match_the_direct_bridge(self):
-        # one N1-cofactor build per check, contracted with N1's pair at
-        # each sample, gives the bridge's own pair at every fixture sample
+    def test_n1112_pairs_match_the_direct_bridge(self):
+        # the bridge built at var = 1 and 2 and read off at each sample, or
+        # built at a single sample directly, gives the bridge's own pair at
+        # every fixture sample
         from prsyn.network import tree_pair
         from prsyn.synth import (QuartetParams, _fixture_samples,
                                  _n1112_structs, _quartet_arms,
@@ -763,9 +764,9 @@ def _counting(monkeypatch, module, name):
 
 class TestOnceAPoint:
     """A fixture check builds its structural pairs once per point, whatever
-    its sample count: the bridge at F = 1..4 for Q8, and one N1-cofactor
-    build and two contractions for N11/N12.  A single sample, the
-    n12_has_no_feasible_solution x1 > 0 path, is one direct contraction."""
+    its sample count: the bridge at F = 1..4 for Q8, and at var = 1 and 2
+    for N11/N12.  A single sample, the n12_has_no_feasible_solution x1 > 0
+    path, is one direct build."""
 
     @pytest.fixture(params=[0, 6], ids=["24_samples", "30_samples"])
     def extra(self, request, monkeypatch):
@@ -785,27 +786,26 @@ class TestOnceAPoint:
                    "omega0": Q(4, 3)})
         assert 0 < bridges[0] <= 4
 
-    def test_n11_n12_contract_twice(self, monkeypatch, extra):
+    def test_n11_n12_build_the_bridge_at_most_twice(self, monkeypatch, extra):
         import prsyn.synth as synth
-        cofactors = _counting(monkeypatch, synth, "_bridge_n1_cofactors")
-        contractions = _counting(monkeypatch, synth, "_contract")
+        bridges = _counting(monkeypatch, synth, "bridge_structural_polys")
         # N12 is degenerate at r1 = 0 or g2 = 0
         for fam, r1, g2 in (("N11", Q(1, 3), Q(2, 5)), ("N11", Q(0), Q(2, 5)),
                             ("N11", Q(1, 3), Q(0)), ("N11", Q(0), Q(0)),
                             ("N12", Q(1, 3), Q(2, 5))):
-            cofactors[0] = contractions[0] = 0
+            bridges[0] = 0
             assert resultant_fixture_check(
                 fam, {"r1": r1, "g2": g2, "g3": Q(7, 4), "F": Q(1, 2),
                       "omega0": Q(3, 2)})
-            assert (cofactors[0], contractions[0]) == (1, 2)
+            assert 0 < bridges[0] <= 2
 
-    def test_n12_feasibility_contracts_once_at_a_positive_root(
+    def test_n12_feasibility_builds_the_bridge_once_at_a_positive_root(
             self, monkeypatch):
         import prsyn.synth as synth
-        contractions = _counting(monkeypatch, synth, "_contract")
+        bridges = _counting(monkeypatch, synth, "bridge_structural_polys")
         # r1 = 1, g2 = 3, g3 = 1/2: f1 = x1/4 - 1 vanishes at x1 = 4
         assert n12_has_no_feasible_solution(1, 3, Q(1, 2), 1)
-        assert contractions[0] == 1
+        assert bridges[0] == 1
 
 
 class TestFig2Params:
