@@ -586,13 +586,15 @@ def sturm_chain(p: Polynomial) -> List[Polynomial]:
     return chain
 
 
-def _square_free_chain(p: Polynomial) -> List[Polynomial]:
-    """A Sturm chain of p / gcd(p, p'): p's chain divided by its last member,
-    gcd(p, p') up to a constant (Basu, Pollack & Roy 2006, ch. 2).  Unlike
-    the undivided chain, it also counts right at a multiple root of p."""
+def _square_free_chain(
+        p: Polynomial) -> Tuple[List[Polynomial], Polynomial]:
+    """A Sturm chain of p / gcd(p, p'): p's chain divided by its last member
+    g, gcd(p, p') up to a constant (Basu, Pollack & Roy 2006, ch. 2), and g.
+    Unlike the undivided chain, it also counts right at a multiple root of
+    p."""
     chain = sturm_chain(p)
     g = chain[-1]
-    return chain if g.is_constant() else [q // g for q in chain]
+    return (chain if g.is_constant() else [q // g for q in chain]), g
 
 
 def _sign_at(p: Polynomial, x) -> int:
@@ -624,7 +626,7 @@ def count_real_roots(p: Polynomial, a="-inf", b="+inf") -> int:
     """Distinct real roots of p in (a, b], from its square-free chain."""
     if p.is_zero():
         raise ValueError("zero polynomial")
-    chain = _square_free_chain(p)
+    chain, _ = _square_free_chain(p)
     return _variations(chain, a) - _variations(chain, b)
 
 
@@ -647,7 +649,7 @@ def real_roots(p: Polynomial, lo=None,
         raise ValueError("zero polynomial")
     chain = None
     if p.degree > 2:
-        chain = _square_free_chain(p)
+        chain, _ = _square_free_chain(p)
         p = chain[0].monic()
     cs = p.coeffs
     roots = None
@@ -738,20 +740,17 @@ def _nonnegative_on_nonneg_axis(e: Polynomial) -> bool:
 def _odd_multiplicity_roots(p: Polynomial) -> int:
     """The distinct roots of p on (0, oo) of odd multiplicity, p nonzero.
     With g_0 = p and g_(k+1) the last member of g_k's Sturm chain, gcd(g_k,
-    g_k') up to a constant, that chain divided by g_(k+1) counts the roots
-    of g_k, those of p of multiplicity > k; a root of multiplicity m is
-    counted by g_0..g_(m-1), so the alternating sum counts it once if m is
-    odd and not at all if m is even."""
+    g_k') up to a constant, that chain divided by g_(k+1) (both from
+    ``_square_free_chain``) counts the roots of g_k, those of p of
+    multiplicity > k; a root of multiplicity m is counted by g_0..g_(m-1),
+    so the alternating sum counts it once if m is odd and not at all if m
+    is even."""
     count, sign = 0, 1
-    while True:
-        chain = sturm_chain(p)
-        g = chain[-1]
-        if not g.is_constant():
-            chain = [q // g for q in chain]
+    while not p.is_constant():
+        chain, p = _square_free_chain(p)
         count += sign * (_variations(chain, Q(0)) - _variations(chain, "+inf"))
-        if g.is_constant():
-            return count
-        p, sign = g, -sign
+        sign = -sign
+    return count
 
 
 def is_positive_real(g: RationalFunction) -> bool:

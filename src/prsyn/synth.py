@@ -1005,6 +1005,10 @@ def _check_q8(subs, w0) -> bool:
                                 (2, 6), rhs)
 
 
+# the power of the sample variable that makes an N11/N12 pair linear in it
+_N1112_E = {"N11": 0, "N12": 1}
+
+
 def _n1112_structs(family, r1, g2, g3, F, samples, w0):
     """The unreduced structural (num, den) pair of an N11/N12 point at each
     var in samples, lazily and in order: the quartet's bridge pair at D =
@@ -1017,7 +1021,7 @@ def _n1112_structs(family, r1, g2, g3, F, samples, w0):
     return _sampled_pairs(
         lambda var: _quartet_polys(family, w0, A=r1, B=1 / g3, C=g2,
                                    D=F / var, E=F),
-        1, 0 if family == "N11" else 1, samples)
+        1, _N1112_E[family], samples)
 
 
 def _check_n11_n12(family, subs, w0) -> bool:
@@ -1044,8 +1048,8 @@ def _check_n11_n12(family, subs, w0) -> bool:
                      * (g3 - g2 * one_m)
                      * (g2 * one_m * one_m + g3 * (1 + r1 * g3)))
         k0, k1, t0 = -F ** 6 * w0 ** 16, F ** 6 * w0 ** 9, r1 * w0 ** 4
-    # num(0) is t0 v^e, R1's cofactor k1 v^(1 - e), e as in _n1112_structs
-    e = 0 if family == "N11" else 1
+    # num(0) is t0 v^e, R1's cofactor k1 v^(1 - e)
+    e = _N1112_E[family]
 
     def cof0(v):
         return k0 * v * (v * v * a2 + b2) ** 2

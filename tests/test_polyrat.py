@@ -1211,10 +1211,13 @@ class TestIntegerPRS:
 
 def square_free_route(p):
     """The route the square-free chain replaced: the square-free part as
-    (p // gcd(p, p')).monic(), then a fresh Sturm chain of it."""
+    (p // gcd(p, p')).monic(), then a fresh Sturm chain of it; with that
+    gcd, as the square-free chain gives its divisor too."""
+    g = Polynomial([1])
     if p.degree >= 1:
-        p = p // p.gcd(p.derivative())
-    return sturm_chain(p.monic())
+        g = p.gcd(p.derivative())
+        p = p // g
+    return sturm_chain(p.monic()), g
 
 
 def odd_part_reference(p):
@@ -1342,7 +1345,8 @@ class TestSquareFreeChain:
     def test_one_remainder_sequence_per_polynomial(self, monkeypatch):
         # a PR check chains each polynomial once: one chain on a square-free
         # E, and two for the double root of a minimum function's E (E, then
-        # the last member of its chain); no PR check runs a gcd
+        # the last member of its chain); no PR check runs a gcd, and the
+        # impedance, blocked report and open/short check run no gcd(p, p')
         from conftest import ladder_network, sample_region
         from prsyn import analysis, polyrat, synth
         from prsyn.polyrat import even_part_profile
@@ -1380,16 +1384,21 @@ class TestSquareFreeChain:
             gcds.clear()
             assert is_positive_real(h)
             assert chains == [e] and gcds == []
+        analysis_gcds = []
         for n, omega0 in networks:
+            gcds.clear()
             h = analysis.impedance(n)
             analysis.blocked_open_short_check(
                 n, analysis.blocked_report(n, omega0))
             fresh = RationalFunction(h.num, h.den)
+            analysis_gcds += gcds
             chains.clear()
             gcds.clear()
             assert is_positive_real(fresh)
             e = even_part_profile(h)
             assert chains == [e, sturm(e)[-1]] and gcds == []
+        assert analysis_gcds and not any(b == a.derivative()
+                                         for a, b in analysis_gcds if a)
 
 
 class FractionPolynomial:

@@ -786,7 +786,7 @@ class TestOnceAPoint:
                    "omega0": Q(4, 3)})
         assert 0 < bridges[0] <= 4
 
-    def test_n11_n12_build_the_bridge_at_most_twice(self, monkeypatch, extra):
+    def test_n11_n12_build_the_bridge_twice(self, monkeypatch, extra):
         import prsyn.synth as synth
         bridges = _counting(monkeypatch, synth, "bridge_structural_polys")
         # N12 is degenerate at r1 = 0 or g2 = 0
@@ -797,7 +797,8 @@ class TestOnceAPoint:
             assert resultant_fixture_check(
                 fam, {"r1": r1, "g2": g2, "g3": Q(7, 4), "F": Q(1, 2),
                       "omega0": Q(3, 2)})
-            assert 0 < bridges[0] <= 2
+            # at the two interpolation nodes var = 1, 2
+            assert bridges[0] == 2
 
     def test_n12_feasibility_builds_the_bridge_once_at_a_positive_root(
             self, monkeypatch):
