@@ -16,20 +16,22 @@ frequencies are rationals (a float is a TypeError) and phasors are
 ``QComplex`` values read off one solve over Z[j].  The blocked test is
 exact too: an element is blocked when its voltage vanishes on the
 particular solution and on every nullspace basis vector at omega0, and
-the open/short check reads each reduced network's H(j*omega0) off one
+both the blocked report and the open/short check read H(j*omega0) off one
 such solve.  The elimination lives in the elimination section of
-``polyrat``: ``leading_minors`` over Q[s] and ``solve`` over Q or Z[j],
-with nullspaces, both one fraction-free loop over Z[s], Z or Z[j]; this
-module only sets up the systems.  Each impedance is the quotient of the
-last two leading minors of one matrix, its vertices in minimum-degree
-order with the port vertex last.  The state space is read over Z: one
-sequence of int Krylov columns (dA)^j (e b) per (A, b), d and e the lcms of
-the denominators, gives the annihilator of b through one ``solve`` and the
-Markov parameters C A^j b, so ``ss_impedance`` is D + N / m with no
-determinant (Kailath 1980, *Linear Systems*, ch. 2 and sec. 6.2).  The PBH
-polynomials divide det(sI - A), the last leading minor of sI - A, by the
-annihilators of (A, B) and (A^T, C).  Whether a
-function is PR, lossless or minimum is asked of ``polyrat`` alone, whose
+``polyrat``: ``leading_minors`` over Q[s], ``_det_z`` over Z and
+``solve`` over Q or Z[j], with nullspaces, all one fraction-free loop over
+Z[s], Z or Z[j]; this module only sets up the systems.  Each impedance is
+the quotient of the last two leading minors of one matrix, its vertices
+in minimum-degree order with the port vertex last.  The state space is
+read over Z: one sequence of int Krylov columns (dA)^j (e b) per (A, b),
+d and e the lcms of the denominators, gives the annihilator of b through
+one ``solve`` and the Markov parameters C A^j b, so ``ss_impedance`` is
+D + N / m with no determinant (Kailath 1980, *Linear Systems*, ch. 2 and
+sec. 6.2).  The PBH polynomials divide det(sI - A) by the annihilators of
+(A, B) and (A^T, C); det(sI - A) is read over Z too, interpolated from
+n + 1 int determinants of tI - dA (``_char_poly``), so ``impedance`` is
+the one caller of ``leading_minors``.  Whether a function is PR,
+lossless or minimum is asked of ``polyrat`` alone, whose
 ``is_positive_real`` keeps its verdict, so the report after an impedance
 does not test it again.
 """
@@ -44,9 +46,9 @@ from operator import mul
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 
 from .polyrat import (ONE, Polynomial, Q, QComplex, RationalFunction,
-                      _GaussInt, _as_q, _poly, is_lossless, is_positive_real,
-                      leading_minors, qcomplex, real_roots, solve,
-                      strict_hurwitz)
+                      _GaussInt, _as_q, _det_z, _interpolate, _poly,
+                      is_lossless, is_positive_real, leading_minors, qcomplex,
+                      real_roots, solve, strict_hurwitz)
 from . import network as net
 from .network import (CAPACITOR, INDUCTOR, RESISTOR, Network, OnePort,
                       OpenCircuit, ShortCircuit, one_port_boundary)
@@ -373,13 +375,14 @@ def blocked_report(n: Network, omega0, seed: int = 0) -> BlockReport:
     pole at j*omega0, and H(j*omega0) is purely imaginary and nonzero.
     The trajectories driven by unit current at omega0 are the particular
     solution of one ``_phasor_space`` solve plus the span of its nullspace
-    basis, and a voltage vanishes on a generic one exactly when it vanishes
-    on the particular solution and on every basis vector.  At omega0 > 0
-    every admittance is nonzero, so an element is blocked, with no current
-    and no voltage, exactly then; no trajectory is drawn and ``seed`` has
-    no effect.  Asserts the structural laws a minimum-frequency trajectory
-    must satisfy; with at most four storage elements additionally asserts
-    the counting laws."""
+    basis; that solve also gives H(j*omega0) and the pole test
+    (``_unit_current``).  A voltage vanishes on a generic one exactly when
+    it vanishes on the particular solution and on every basis vector.  At
+    omega0 > 0 every admittance is nonzero, so an element is blocked, with
+    no current and no voltage, exactly then; no trajectory is drawn and
+    ``seed`` has no effect.  Asserts the structural laws a minimum-frequency
+    trajectory must satisfy; with at most four storage elements
+    additionally asserts the counting laws."""
     omega0 = _as_q(omega0)
     if omega0 <= 0:
         raise HypothesesNotMet("omega0 must be positive")
@@ -389,14 +392,12 @@ def blocked_report(n: Network, omega0, seed: int = 0) -> BlockReport:
     if is_lossless(h):
         raise HypothesesNotMet("impedance is lossless")
     try:
-        re, im = h.eval_jomega_pair(omega0 * omega0)
-    except ZeroDivisionError:
+        (vec, basis, _, idx), (re, im) = _unit_current(n, omega0)
+    except InconsistentDrive:
         raise HypothesesNotMet("impedance has a pole at j*omega0")
     if re != 0 or im == 0:
         raise HypothesesNotMet("H(j*omega0) must be nonzero purely imaginary")
 
-    # no pole at j*omega0 (checked above): phasor_solve's default drive
-    vec, basis, _, idx = _phasor_space(n, omega0, ("current", QComplex(1, 0)))
     blocked_ids = {e.id for e in n.elements if all(
         _potential(x, idx, e.head) == _potential(x, idx, e.tail)
         for x in [vec] + basis)}
@@ -468,24 +469,30 @@ def _assert_blocked_laws(n: Network, report: BlockReport, current: QComplex,
         assert all(report.blocked_oneport_flags), "blocked subnetworks must be one-ports"
 
 
+def _unit_current(n: Network, omega0: Fraction):
+    """The unit-current ``_phasor_space`` solve of n at omega0 > 0 and
+    H(j*omega0), its port potential, as the pair (a, b) of
+    ``eval_jomega_pair``, meaning a + j*b*omega0.  The drive is
+    inconsistent, InconsistentDrive, exactly at a pole at j*omega0 (see
+    ``phasor_solve``)."""
+    space = _phasor_space(n, omega0, ("current", QComplex(1, 0)))
+    vec, _, _, idx = space
+    v = vec[idx[n.port[0]]]
+    return space, (v.re, v.im / omega0)
+
+
 def _reduced_value(reduced,
                    omega0: Fraction) -> Optional[Tuple[Fraction, Fraction]]:
-    """H(j*omega0) of a reduced network as the pair (a, b) of
-    ``eval_jomega_pair``, meaning a + j*b*omega0, or None where it has no
-    value (an open circuit, or a pole at j*omega0).  It is the port
-    potential of the unit-current ``_phasor_space`` solve, whose drive is
-    inconsistent exactly at such a pole."""
+    """H(j*omega0) of a reduced network as ``_unit_current`` reads it, or
+    None where it has no value (an open circuit, or a pole at j*omega0)."""
     if isinstance(reduced, OpenCircuit):
         return None
     if isinstance(reduced, ShortCircuit):
         return (Q(0), Q(0))
     try:
-        vec, _, _, idx = _phasor_space(reduced, omega0,
-                                       ("current", QComplex(1, 0)))
+        return _unit_current(reduced, omega0)[1]
     except InconsistentDrive:
         return None
-    v = vec[idx[reduced.port[0]]]
-    return (v.re, v.im / omega0)
 
 
 def blocked_open_short_check(n: Network, report: BlockReport) -> bool:
@@ -712,6 +719,24 @@ class PBHReport:
     stabilizable: bool
 
 
+def _char_poly(a) -> Polynomial:
+    """chi = det(sI - A) for A given by its rows a, by evaluation and
+    interpolation over Z (von zur Gathen & Gerhard, *Modern Computer
+    Algebra*, ch. 5).  With d the lcm of A's denominators, P(t) =
+    det(tI - dA) is monic of degree n over Z, so the n + 1 int determinants
+    P(0), ..., P(n) (``_det_z``) fix it (``_interpolate``), and chi(s) =
+    P(d s) / d^n.  With no state, d = 1, P(0) = det() = 1 and chi = 1."""
+    nn = len(a)
+    d = math.lcm(*(x.denominator for row in a for x in row))
+    da = [[x.numerator * (d // x.denominator) for x in row] for row in a]
+    p = _interpolate(range(nn + 1), [
+        _det_z([[t * (i == j) - x for j, x in enumerate(row)]
+                for i, row in enumerate(da)]) for t in range(nn + 1)])
+    c = p.content
+    return _poly([x * d ** k for k, x in enumerate(p.prim)], c.numerator,
+                 c.denominator * d ** nn)
+
+
 def pbh_diagnostics(ss: StateSpace) -> PBHReport:
     """Exact PBH analysis from det(sI - A) and two Krylov annihilators.
 
@@ -723,16 +748,13 @@ def pbh_diagnostics(ss: StateSpace) -> PBHReport:
     of B; dually, with the single row C, it is chi / m(A^T, C).  Both
     annihilators come from int Krylov columns (``_krylov``, one ``solve``
     each in ``_annihilator``), the same columns whose Markov parameters
-    give ``ss_impedance``.  chi is the last leading minor of sI - A: the
-    k-th is monic of degree k, so the ``leading_minors`` pass never stops
-    early, and with no state chi = 1.  The modes are the rational roots that
-    ``real_roots`` finds, ascending; irrational and complex roots remain
-    inside the returned polynomials.  Stabilizability is decided exactly
-    with a Hurwitz test on the whole uncontrollable polynomial."""
-    nn = ss.n
-    sia = [[Polynomial([-ss.A[i][j], int(i == j)]) for j in range(nn)]
-           for i in range(nn)]
-    chi = ([ONE] + leading_minors(sia))[-1]
+    give ``ss_impedance``, and chi from n + 1 int determinants
+    (``_char_poly``): no polynomial matrix is built.  The modes are the
+    rational roots that ``real_roots`` finds, ascending; irrational and
+    complex roots remain inside the returned polynomials.  Stabilizability
+    is decided exactly with a Hurwitz test on the whole uncontrollable
+    polynomial."""
+    chi = _char_poly(ss.A)
     d, _, cols = _krylov(ss.A, ss.B)
     u = chi // _annihilator(d, cols)
     d, _, cols = _krylov(list(zip(*ss.A)), ss.C)

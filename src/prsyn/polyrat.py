@@ -15,8 +15,8 @@ its verdict on the ``RationalFunction``, so a function is tested at most
 once.  Values at s = j*w are ``QComplex`` numbers with rational parts.
 Determinants and linear solves run one fraction-free elimination loop,
 ``_eliminate``, with three entry points: ``_det_z`` over Z,
-``leading_minors`` over Z[s] on Polynomial entries (a determinant over
-Q[s] is the last of a full run) and ``solve``, which adds the back half,
+``leading_minors`` over Z[s] on Polynomial entries, for the nodal
+impedance alone, and ``solve``, which adds the back half,
 over Z on cleared rows or over Z[j] (Gaussian integers) on the phasor rows
 it is given.  A row with a zero in the pivot column skips that step and
 catches up when it is next read, so sparse rows cost little.  A Sylvester
@@ -875,6 +875,12 @@ def biquad_params(h: RationalFunction) -> BiquadParams:
     """
     if not is_minimum_function(h):
         raise NotMinimum("not a minimum function")
+    return _biquad_params(h)
+
+
+def _biquad_params(h: RationalFunction) -> BiquadParams:
+    """``biquad_params`` of an h already known to be a minimum function,
+    for a caller that has tested it: the same errors but for the test."""
     if h.mcmillan_degree != 2:
         raise NotBiquadratic("McMillan degree is not two")
     freqs = minimum_frequencies(h)
@@ -898,8 +904,10 @@ def biquad_params(h: RationalFunction) -> BiquadParams:
 # ---------------------------------------------------------------------------
 # Exact elimination: the one home of determinants, solves and Sylvester rows.
 # One fraction-free loop runs over Z, Z[j] and Z[s]: its forward half gives
-# the determinants over Z and the leading minors over Z[s], and a solve adds
-# the back half.
+# the determinants over Z (the Sylvester determinants, and the state space's
+# det(sI - A) at integer points) and the leading minors over Z[s] (the nodal
+# impedance's, the one elimination over Q[s]), and a solve adds the back
+# half.
 # ---------------------------------------------------------------------------
 
 class _GaussInt:
@@ -1040,7 +1048,10 @@ def leading_minors(matrix: Sequence[Sequence[Polynomial]]) -> List[Polynomial]:
     pass of ``_eliminate``: before any row swap, the k-th pivot of the
     Bareiss loop is M_k (Bareiss 1968, by Sylvester's identity).  The loop
     swaps rows only at a zero pivot, the first zero leading minor, so the
-    minors stop at the first row that is no longer the matrix's own."""
+    minors stop at the first row that is no longer the matrix's own.  Its
+    one caller is ``analysis.impedance``: a matrix with constant entries
+    off a polynomial diagonal, such as sI - A, is cheaper as integer
+    determinants at points, interpolated (``_interpolate``)."""
     m = [list(row) for row in matrix]
     own = list(m)
     pivots, _ = _eliminate(m, len(m), False)

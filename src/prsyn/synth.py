@@ -21,8 +21,8 @@ from itertools import combinations
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .polyrat import (BiquadParams, NotMinimum, NotRationalParams, Polynomial,
-                      Q, QComplex, RationalFunction, _as_q, _interpolate,
-                      _jomega_quotient, _poly, _sylvester_det, biquad_params,
+                      Q, QComplex, RationalFunction, _as_q, _biquad_params,
+                      _interpolate, _jomega_quotient, _poly, _sylvester_det,
                       biquad_template, count_real_roots, is_minimum_function,
                       is_positive_real, minimum_frequencies, real_roots,
                       sqrt_fraction, sylvester_determinant)
@@ -185,8 +185,10 @@ def _theorem2_step_biquad(h: RationalFunction, omega0,
                           variant: Optional[str]) -> SynthesisStep:
     """Closed forms for biquadratic inputs with F > 0: mu = W w0/F, H value
     KW, residue (F^2+W^2)(1-W) w0/(2 W^2 F), constant reduced function W.
-    With F < 0 the step is the mirror of those of H(w0^2/s)."""
-    p = biquad_params(h)
+    With F < 0 the step is the mirror of those of H(w0^2/s).  h is a
+    minimum function (``theorem2_step`` has tested it), so its parameters
+    are read with no second test."""
+    p = _biquad_params(h)
     if omega0 is not None and _as_q(omega0) != p.omega0:
         raise NotMinimum(f"omega0={omega0} is not the minimum frequency")
     branch = "X_positive" if p.F > 0 else "X_negative"

@@ -14,7 +14,8 @@ from prsyn.analysis import (AnalysisError, CapacitorLoop, ExtractionFailure,
                             HypothesesNotMet,
                             InconsistentDrive, InductorCutset,
                             NoImpedance, PBHReport, StateSpace,
-                            _annihilator, _krylov, _min_degree_order,
+                            _annihilator, _char_poly, _krylov,
+                            _min_degree_order,
                             blocked_open_short_check,
                             blocked_report, energy_balance, impedance,
                             impedance_series_parallel, mcmillan_gap,
@@ -25,8 +26,9 @@ from prsyn.network import (Element, Network, NotPlanarDualizable, OnePort,
                            open_oneport, parse_netlist, short_oneport)
 from prsyn.polyrat import (BiquadParams, Polynomial, Q, QComplex,
                            RationalFunction, biquad_template,
-                           eval_ratfunc, is_positive_real, leading_minors,
-                           parse_ratfunc, real_roots, solve, strict_hurwitz)
+                           eval_ratfunc, is_lossless, is_positive_real,
+                           leading_minors, parse_ratfunc, real_roots, solve,
+                           strict_hurwitz)
 from prsyn.synth import (SEVEN_ELEMENT_VARIANTS, build_named,
                          build_seven_element, classify_biquad, theorem2_step)
 
@@ -86,6 +88,21 @@ def count_eliminations(monkeypatch):
 
     monkeypatch.setattr(analysis, "leading_minors", counted)
     return calls
+
+
+def count_int_determinants(monkeypatch):
+    """Record the size of each int matrix whose determinant analysis takes
+    through ``_det_z``."""
+    import prsyn.analysis as analysis
+    sizes = []
+    det_z = analysis._det_z
+
+    def counted(m):
+        sizes.append(len(m))
+        return det_z(m)
+
+    monkeypatch.setattr(analysis, "_det_z", counted)
+    return sizes
 
 
 class TestImpedance:
@@ -284,9 +301,10 @@ class TestBlocked:
 
     @pytest.mark.parametrize("name", ["n1", "rpfg"])
     def test_impedance_computed_once(self, name, request, monkeypatch):
-        # blocked_report computes H once and keeps H(j*omega0) in the
-        # report; the open/short check reads the reduced networks' values
-        # off Z[j] solves, so it computes and evaluates no impedance
+        # blocked_report computes H once, for its hypotheses, and reads
+        # H(j*omega0) off its Z[j] solve into the report; the open/short
+        # check reads the reduced networks' values off Z[j] solves too, so
+        # neither evaluates an impedance
         import prsyn.analysis as analysis
         n = request.getfixturevalue(name)
         calls = []
@@ -304,9 +322,8 @@ class TestBlocked:
         monkeypatch.setattr(analysis, "impedance", counted)
         monkeypatch.setattr(RationalFunction, "eval_jomega_pair", counted_pair)
         rep = blocked_report(n, Q(1))
-        assert len(calls) == 1 and calls[0] is n
+        assert len(calls) == 1 and calls[0] is n and evaluated == []
         calls.clear()
-        evaluated.clear()
         assert blocked_open_short_check(n, rep)
         assert calls == [] and evaluated == []
         assert rep.value == impedance(n).eval_jomega_pair(Q(1))
@@ -369,6 +386,43 @@ class TestBlocked:
         rep = blocked_report(n, Q(1))
         assert sorted(sorted(c) for c in rep.blocked) == [["r1"], ["r2"]]
         assert {"la", "ca", "lb", "cb"} <= rep.unblocked
+
+    def test_value_and_pole_read_off_the_solve(self, rng):
+        # blocked_report reads H(j*omega0) and the pole test off its one
+        # unit-current solve: the value equals eval_jomega_pair of the Q[s]
+        # impedance, a pole at j*omega0 still gives the pole message, and
+        # the hypotheses keep their order.  A resistor in series with a
+        # tank resonant at omega0 = 1 and at 8/5 has such a pole
+        seen = dict.fromkeys(("value", "off_unit", "pole", "not_minimum"), 0)
+        tanks = [(parse_netlist(f"R r1 a m 1\nL l1 m b {ind}\nC c1 m b 1\n"
+                                "PORT a b"), [w0])
+                 for ind, w0 in (("1", Q(1)), ("25/64", Q(8, 5)))]
+        corpus = [(n, omegas) for n, omegas, _ in _reduced_corpus(rng)]
+        for n, omegas in corpus + tanks:
+            h = impedance(n)
+            if is_lossless(h):
+                continue
+            for w0 in omegas:
+                try:
+                    expect = h.eval_jomega_pair(w0 * w0)
+                except ZeroDivisionError:
+                    with pytest.raises(HypothesesNotMet,
+                                       match=r"^impedance has a pole at "
+                                             r"j\*omega0$"):
+                        blocked_report(n, w0)
+                    seen["pole"] += 1
+                    continue
+                if expect[0] != 0 or expect[1] == 0:
+                    with pytest.raises(HypothesesNotMet,
+                                       match="must be nonzero purely "
+                                             "imaginary"):
+                        blocked_report(n, w0)
+                    seen["not_minimum"] += 1
+                    continue
+                assert blocked_report(n, w0).value == expect
+                seen["value"] += 1
+                seen["off_unit"] += w0.denominator != 1
+        assert min(seen.values()) >= 2, seen
 
     @pytest.mark.parametrize("omega0", [Q(-1), Q(0), -1.0])
     def test_nonpositive_omega0_rejected(self, n1, omega0):
@@ -483,14 +537,15 @@ class TestStateSpace:
 
 class TestPBH:
     def test_no_state(self, monkeypatch):
-        # two resistors in parallel: with no state chi = 1, from the empty
-        # run of leading minors, so both mode polynomials are 1
+        # two resistors in parallel: with no state chi = 1, from the one int
+        # determinant of the empty matrix, so both mode polynomials are 1
         ss = state_space(parse_netlist("R r1 a b 1\nR r2 a b 2\nPORT a b"))
         assert ss.n == 0
         assert ss_impedance(ss) == RationalFunction(Polynomial([Q(2, 3)]))
         eliminations = count_eliminations(monkeypatch)
+        determinants = count_int_determinants(monkeypatch)
         rep = pbh_diagnostics(ss)
-        assert eliminations == ["leading_minors"]
+        assert (eliminations, determinants) == ([], [0])
         assert rep.uncontrollable_poly == rep.unobservable_poly == Polynomial([1])
         assert rep.uncontrollable_modes == rep.unobservable_modes == ()
         assert rep.controllable and rep.observable and rep.stabilizable
@@ -535,12 +590,14 @@ class TestPBH:
 
     def test_determinants_on_rpfg_five_states(self, rpfg, monkeypatch):
         # no determinant for the impedance, only the nullspace solve of the
-        # annihilator of B; one pass on sI - A for chi plus one nullspace
-        # solve per annihilator for PBH
+        # annihilator of B; for PBH, n + 1 int determinants of tI - dA for
+        # chi, no elimination over Q[s], and one nullspace solve per
+        # annihilator
         import prsyn.analysis as analysis
         ss = state_space(rpfg)
         assert ss.n == 5
         eliminations = count_eliminations(monkeypatch)
+        determinants = count_int_determinants(monkeypatch)
         solves = []
 
         def counted_solve(*args):
@@ -549,10 +606,10 @@ class TestPBH:
 
         monkeypatch.setattr(analysis, "solve", counted_solve)
         ss_impedance(ss)
-        assert (eliminations, len(solves)) == ([], 1)
+        assert (eliminations, determinants, len(solves)) == ([], [], 1)
         solves.clear()
         pbh_diagnostics(ss)
-        assert (eliminations, len(solves)) == (["leading_minors"], 2)
+        assert (eliminations, determinants, len(solves)) == ([], [5] * 6, 2)
 
 
 class TestCounts:
@@ -949,6 +1006,16 @@ def _minor_gcd_pbh(ss):
                      u.degree < 1 or strict_hurwitz(u))
 
 
+def _leading_minor_char_poly(ss):
+    """Reference copy of the chi route that _char_poly replaced: the last
+    leading minor of sI - A over Q[s], from one ``leading_minors`` pass
+    (1 with no state)."""
+    nn = ss.n
+    sia = [[Polynomial([-ss.A[i][j], int(i == j)]) for j in range(nn)]
+           for i in range(nn)]
+    return ([Polynomial([1])] + leading_minors(sia))[-1]
+
+
 def _bordered_ss_impedance(ss):
     """Reference copy of the bordered-determinant quotient that
     ss_impedance replaced: det([[sI - A, B], [-C, D]]) = chi (D +
@@ -1009,10 +1076,11 @@ def _random_state_space(rng, nn, shape):
 
 
 class TestStateSpaceAgainstReferences:
-    """ss_impedance, pbh_diagnostics and both annihilators agree with the
-    routes they replaced (the bordered-determinant quotient, the Fraction
-    Krylov annihilator, the minor-gcd PBH route) and with the Faddeev
-    resolvent, on random (A, B, C, D) over Q."""
+    """ss_impedance, pbh_diagnostics, chi and both annihilators agree with
+    the routes they replaced (the bordered-determinant quotient, the
+    Fraction Krylov annihilator, the minor-gcd PBH route, the last leading
+    minor of sI - A) and with the Faddeev resolvent, on random (A, B, C, D)
+    over Q."""
 
     def test_random_systems(self):
         rng = random.Random(1963)
@@ -1028,6 +1096,7 @@ class TestStateSpaceAgainstReferences:
             ss = _random_state_space(rng, nn, shape)
             ref = _minor_gcd_pbh(ss)
             assert pbh_diagnostics(ss) == ref
+            assert _char_poly(ss.A) == _leading_minor_char_poly(ss)
             h = ss_impedance(ss)
             assert h == _bordered_ss_impedance(ss)
             assert h == _faddeev_ss_impedance(ss)

@@ -17,7 +17,9 @@ rows of primitive parts) and the leading minors over Z[s]
 (``leading_minors``, whose last one is a determinant over Q[s]) run its
 forward half, and the solves (``solve``) its back half too, over Z on
 cleared rows and over Z[j] on the phasor rows that ``analysis`` stamps
-there, so no second elimination loop runs beside it.  Likewise only three
+there, so no second elimination loop runs beside it.  Only
+``analysis.impedance`` calls ``leading_minors``: every other determinant,
+the state space's det(sI - A) included, is taken over Z.  Likewise only three
 remainder loops call ``prem``: ``Polynomial.gcd``, ``sturm_chain`` and the
 Routh rows of ``strict_hurwitz``; the real-root code reads gcd(p, p') off
 the Sturm chain rather than running a fourth.  ``Polynomial`` is the
@@ -177,6 +179,26 @@ def test_bareiss_named_only_by_its_entry_points():
                 found.add((path.relative_to(ROOT).as_posix(),
                            getattr(top, "name", None)))
     assert found == BAREISS_ENTRY_POINTS
+
+
+# the one elimination over Q[s]: the impedance's leading minors.  Every other
+# determinant is over Z (the characteristic polynomial of the state space is
+# interpolated from int determinants)
+LEADING_MINOR_CALLERS = {("analysis.py", "impedance")}
+
+
+def test_leading_minors_called_only_by_the_impedance():
+    # a call of leading_minors anywhere else in src/ is a second Q[s]
+    # elimination route
+    found = set()
+    for path in MODULES:
+        for top in _tree(path).body:
+            if any(isinstance(c, ast.Call) and "leading_minors"
+                   in (getattr(c.func, "id", None),
+                       getattr(c.func, "attr", None))
+                   for c in ast.walk(top)):
+                found.add((path.name, getattr(top, "name", None)))
+    assert found == LEADING_MINOR_CALLERS
 
 
 def test_spanning_tree_tables_read_only_by_the_bridge_evaluator():

@@ -76,6 +76,40 @@ class TestTheorem2Step:
         with pytest.raises(NotMinimum):
             theorem2_step(parse_ratfunc("(s^2+1)/(s)"))
 
+    def test_one_minimum_function_test_per_biquad_step(self, rng,
+                                                         monkeypatch):
+        # theorem2_step tests h once and the closed forms read its
+        # parameters with no second test: one is_minimum_function and one
+        # imaginary-axis root test each of num and den, on both branches
+        import prsyn.polyrat as polyrat
+        import prsyn.synth as synth
+        tests, axis = [], []
+        minimum = polyrat.is_minimum_function
+        on_axis = polyrat._has_imaginary_axis_root
+
+        def counted(h):
+            tests.append(h)
+            return minimum(h)
+
+        def counted_axis(p):
+            axis.append(p)
+            return on_axis(p)
+
+        for module in (polyrat, synth):
+            monkeypatch.setattr(module, "is_minimum_function", counted)
+        monkeypatch.setattr(polyrat, "_has_imaginary_axis_root", counted_axis)
+        branches = set()
+        for region in ("a", "b", "c", "d", "e", "f", "none"):
+            p = sample_region(region, rng)
+            tests.clear()
+            axis.clear()
+            step = theorem2_step(biquad_template(p), p.omega0)
+            branches.add(step.variant)
+            assert (len(tests), len(axis)) == (1, 2)
+        assert branches == {"X_positive", "X_negative"}
+        with pytest.raises(NotMinimum, match="not a minimum function"):
+            biquad_params(parse_ratfunc("(s^2+1)/(s)"))
+
     def test_wrong_branch(self):
         h = biquad_template(BiquadParams(1, 1, Q(2, 3), 1))
         with pytest.raises(WrongBranch):
