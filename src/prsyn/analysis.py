@@ -29,11 +29,11 @@ one ``solve`` and the Markov parameters C A^j b, so ``ss_impedance`` is
 D + N / m with no determinant (Kailath 1980, *Linear Systems*, ch. 2 and
 sec. 6.2).  The PBH polynomials divide det(sI - A) by the annihilators of
 (A, B) and (A^T, C); det(sI - A) is read over Z too, interpolated from
-n + 1 int determinants of tI - dA (``_char_poly``), so ``impedance`` is
-the one caller of ``leading_minors``.  Whether a function is PR,
-lossless or minimum is asked of ``polyrat`` alone, whose
-``is_positive_real`` keeps its verdict, so the report after an impedance
-does not test it again.
+n + 1 int determinants of tI - dA (``_char_poly``), and the three read
+one clearing (d, dA) of A, so ``impedance`` is this module's one caller
+of ``leading_minors``.  Whether a function is PR, lossless or minimum is
+asked of ``polyrat`` alone, whose ``is_positive_real`` keeps its verdict,
+so the report after an impedance does not test it again.
 """
 
 from __future__ import annotations
@@ -640,21 +640,27 @@ def state_space(n: Network) -> StateSpace:
                       tuple(vout[:nstate]), vout[nstate], tuple(states))
 
 
-def _krylov(a, b) -> Tuple[int, int, List[List[int]]]:
-    """The Krylov columns of (A, b) over Z, A given by its rows a.
-
-    With d the lcm of A's denominators and e that of b's, the columns are
-    (dA)^j (e b) = d^j e A^j b for j = 0..n, built by int dot products.
-    Returns (d, e, columns)."""
+def _cleared(a) -> Tuple[int, List[List[int]]]:
+    """(d, dA) for A given by its rows a: d the lcm of A's denominators
+    and dA the int rows d times a's."""
     d = math.lcm(*(x.denominator for row in a for x in row))
+    return d, [[x.numerator * (d // x.denominator) for x in row] for row in a]
+
+
+def _krylov(da: List[List[int]], b) -> Tuple[int, List[List[int]]]:
+    """The Krylov columns of (A, b) over Z, A given by the int rows dA of
+    ``_cleared``.
+
+    With e the lcm of b's denominators, the columns are (dA)^j (e b) =
+    d^j e A^j b for j = 0..n, built by int dot products.  Returns (e,
+    columns)."""
     e = math.lcm(*(x.denominator for x in b))
-    da = [[x.numerator * (d // x.denominator) for x in row] for row in a]
     col = [x.numerator * (e // x.denominator) for x in b]
     cols = [col]
     for _ in b:
         col = [sum(map(mul, row, col)) for row in da]
         cols.append(col)
-    return d, e, cols
+    return e, cols
 
 
 def _annihilator(d: int, cols: List[List[int]]) -> Polynomial:
@@ -689,7 +695,8 @@ def ss_impedance(ss: StateSpace) -> RationalFunction:
     Krylov columns of ``_krylov`` as (C . column_j) / (d^j e).
     ``RationalFunction`` cancels the unobservable factors of m, those
     of ``pbh_diagnostics``."""
-    d, e, cols = _krylov(ss.A, ss.B)
+    d, da = _cleared(ss.A)
+    e, cols = _krylov(da, ss.B)
     m = _annihilator(d, cols).coeffs
     f = math.lcm(*(x.denominator for x in ss.C))
     fc = [x.numerator * (f // x.denominator) for x in ss.C]
@@ -719,16 +726,14 @@ class PBHReport:
     stabilizable: bool
 
 
-def _char_poly(a) -> Polynomial:
-    """chi = det(sI - A) for A given by its rows a, by evaluation and
-    interpolation over Z (von zur Gathen & Gerhard, *Modern Computer
-    Algebra*, ch. 5).  With d the lcm of A's denominators, P(t) =
-    det(tI - dA) is monic of degree n over Z, so the n + 1 int determinants
-    P(0), ..., P(n) (``_det_z``) fix it (``_interpolate``), and chi(s) =
-    P(d s) / d^n.  With no state, d = 1, P(0) = det() = 1 and chi = 1."""
-    nn = len(a)
-    d = math.lcm(*(x.denominator for row in a for x in row))
-    da = [[x.numerator * (d // x.denominator) for x in row] for row in a]
+def _char_poly(d: int, da: List[List[int]]) -> Polynomial:
+    """chi = det(sI - A) for A given cleared as (d, dA) (``_cleared``), by
+    evaluation and interpolation over Z (von zur Gathen & Gerhard, *Modern
+    Computer Algebra*, ch. 5).  P(t) = det(tI - dA) is monic of degree n
+    over Z, so the n + 1 int determinants P(0), ..., P(n) (``_det_z``) fix
+    it (``_interpolate``), and chi(s) = P(d s) / d^n.  With no state, d =
+    1, P(0) = det() = 1 and chi = 1."""
+    nn = len(da)
     p = _interpolate(range(nn + 1), [
         _det_z([[t * (i == j) - x for j, x in enumerate(row)]
                 for i, row in enumerate(da)]) for t in range(nn + 1)])
@@ -749,15 +754,17 @@ def pbh_diagnostics(ss: StateSpace) -> PBHReport:
     annihilators come from int Krylov columns (``_krylov``, one ``solve``
     each in ``_annihilator``), the same columns whose Markov parameters
     give ``ss_impedance``, and chi from n + 1 int determinants
-    (``_char_poly``): no polynomial matrix is built.  The modes are the
-    rational roots that ``real_roots`` finds, ascending; irrational and
-    complex roots remain inside the returned polynomials.  Stabilizability
-    is decided exactly with a Hurwitz test on the whole uncontrollable
-    polynomial."""
-    chi = _char_poly(ss.A)
-    d, _, cols = _krylov(ss.A, ss.B)
+    (``_char_poly``): no polynomial matrix is built.  A is cleared once,
+    to (d, dA), for chi and both sequences; (A^T, C) reads the transpose
+    of dA, whose d is A's.  The modes are the rational roots that
+    ``real_roots`` finds, ascending; irrational and complex roots remain
+    inside the returned polynomials.  Stabilizability is decided exactly
+    with a Hurwitz test on the whole uncontrollable polynomial."""
+    d, da = _cleared(ss.A)
+    chi = _char_poly(d, da)
+    _, cols = _krylov(da, ss.B)
     u = chi // _annihilator(d, cols)
-    d, _, cols = _krylov(list(zip(*ss.A)), ss.C)
+    _, cols = _krylov(list(zip(*da)), ss.C)
     o = chi // _annihilator(d, cols)
 
     u_modes = tuple(r for r in real_roots(u) if isinstance(r, Fraction))

@@ -15,17 +15,18 @@ its verdict on the ``RationalFunction``, so a function is tested at most
 once.  Values at s = j*w are ``QComplex`` numbers with rational parts.
 Determinants and linear solves run one fraction-free elimination loop,
 ``_eliminate``, with three entry points: ``_det_z`` over Z,
-``leading_minors`` over Z[s] on Polynomial entries, for the nodal
-impedance alone, and ``solve``, which adds the back half,
+``leading_minors`` over Z[s] on the nodal impedance's Polynomial entries
+and over Z on Sylvester rows, and ``solve``, which adds the back half,
 over Z on cleared rows or over Z[j] (Gaussian integers) on the phasor rows
 it is given.  A row with a zero in the pivot column skips that step and
 catches up when it is next read, so sparse rows cost little.  A Sylvester
-determinant runs on the integer rows of the primitive parts, and Sturm
-signs and interpolation stay in Z as well.  Real roots come from one exact
-isolator, ``real_roots``: a rational root is a Fraction and an irrational
-one an open interval with rational ends, so a minimum frequency whose
-square is irrational is kept as such a bracket.  No computation here uses
-floating point.
+determinant runs on the integer rows of the primitive parts, interleaved
+by shift, so one pass of leading minors gives both R_0 and R_1 of a pair;
+Sturm signs and interpolation stay in Z as well.  Real
+roots come from one exact isolator, ``real_roots``: a rational root is a
+Fraction and an irrational one an open interval with rational ends, so a
+minimum frequency whose square is irrational is kept as such a bracket.
+No computation here uses floating point.
 """
 
 from __future__ import annotations
@@ -904,10 +905,11 @@ def _biquad_params(h: RationalFunction) -> BiquadParams:
 # ---------------------------------------------------------------------------
 # Exact elimination: the one home of determinants, solves and Sylvester rows.
 # One fraction-free loop runs over Z, Z[j] and Z[s]: its forward half gives
-# the determinants over Z (the Sylvester determinants, and the state space's
-# det(sI - A) at integer points) and the leading minors over Z[s] (the nodal
-# impedance's, the one elimination over Q[s]), and a solve adds the back
-# half.
+# the determinants over Z (a Sylvester determinant, on rows interleaved by
+# shift, and the state space's det(sI - A) at integer points) and the
+# leading minors over Z (R_0 and R_1 of a pair, from one pass over the
+# interleaved S_0 rows) and over Z[s] (the nodal impedance's, the one
+# elimination over Q[s]), and a solve adds the back half.
 # ---------------------------------------------------------------------------
 
 class _GaussInt:
@@ -1025,12 +1027,9 @@ def _eliminate(m, width, back):
 
 
 def _int_rows(rows: Sequence[Sequence[Fraction]]):
-    """Each row times the lcm of its denominators, as int rows.  An int
-    entry is read as it is, with denominator 1."""
-    rows = [[x if type(x) is int else _as_q(x) for x in row] for row in rows]
-    mults = [math.lcm(*(x.denominator for x in row)) for row in rows]
-    return [[x.numerator * (k // x.denominator) for x in row]
-            for row, k in zip(rows, mults)]
+    """Each row times the lcm of its denominators, as int rows.  An all-int
+    row is read as it is (``_over_lcd``)."""
+    return [_over_lcd(row)[0] for row in rows]
 
 
 def _det_z(m: List[List[int]]) -> int:
@@ -1042,16 +1041,18 @@ def _det_z(m: List[List[int]]) -> int:
     return m[-1][-1] * sign if m else 1
 
 
-def leading_minors(matrix: Sequence[Sequence[Polynomial]]) -> List[Polynomial]:
-    """The leading principal minors M_1, M_2, ... of a square matrix over
-    Q[s], up to but not including the first that is zero, from one forward
-    pass of ``_eliminate``: before any row swap, the k-th pivot of the
-    Bareiss loop is M_k (Bareiss 1968, by Sylvester's identity).  The loop
-    swaps rows only at a zero pivot, the first zero leading minor, so the
-    minors stop at the first row that is no longer the matrix's own.  Its
-    one caller is ``analysis.impedance``: a matrix with constant entries
-    off a polynomial diagonal, such as sI - A, is cheaper as integer
-    determinants at points, interpolated (``_interpolate``)."""
+def leading_minors(matrix: Sequence[Sequence]) -> list:
+    """The leading principal minors M_1, M_2, ... of a square matrix over Z
+    or Z[s] (int or Polynomial entries), up to but not including the first
+    that is zero, from one forward pass of ``_eliminate``: before any row
+    swap, the k-th pivot of the Bareiss loop is M_k (Bareiss 1968, by
+    Sylvester's identity).  The loop swaps rows only at a zero pivot, the
+    first zero leading minor, so the minors stop at the first row that is
+    no longer the matrix's own.  Its two callers are ``analysis.impedance``
+    over Z[s] and ``_sylvester_r0_r1`` over Z, which reads two
+    subresultants off one pass.  A matrix with constant entries off a
+    polynomial diagonal, such as sI - A, is cheaper as integer determinants
+    at points, interpolated (``_interpolate``)."""
     m = [list(row) for row in matrix]
     own = list(m)
     pivots, _ = _eliminate(m, len(m), False)
@@ -1112,28 +1113,56 @@ def _sylvester_rows(p: Polynomial, q: Polynomial, m: int, n: int,
                     k: int) -> List[List[int]]:
     """Rows of the k-th truncated Sylvester matrix of the primitive parts of
     p and q, read at the degrees m >= deg p and n >= deg q (leading
-    coefficients may vanish): n - k rows of p's, then m - k rows of q's."""
+    coefficients may vanish): n - k rows of p's and m - k rows of q's,
+    interleaved by shift.  The first |m - n| rows of the longer block lead,
+    and the rest follow in pairs (p's, q's).  Then the leading m + n - 2k
+    rows of S_0, cut to as many columns, are the rows of S_k in this
+    order, so one pass of leading minors reads every R_k
+    (``_sylvester_r0_r1``)."""
     size = m + n - 2 * k
     pdesc = [0] * (m + 1 - len(p.prim)) + list(reversed(p.prim))
     qdesc = [0] * (n + 1 - len(q.prim)) + list(reversed(q.prim))
-    return ([([0] * i + pdesc + [0] * size)[:size] for i in range(n - k)]
-            + [([0] * i + qdesc + [0] * size)[:size] for i in range(m - k)])
+    prows = [([0] * i + pdesc + [0] * size)[:size] for i in range(n - k)]
+    qrows = [([0] * i + qdesc + [0] * size)[:size] for i in range(m - k)]
+    d = len(prows) - len(qrows)
+    lead, prows, qrows = ((prows[:d], prows[d:], qrows) if d > 0
+                          else (qrows[:-d], prows, qrows[-d:]))
+    return lead + [row for pair in zip(prows, qrows) for row in pair]
+
+
+def _sylvester_value(det: int, p: Polynomial, q: Polynomial, m: int, n: int,
+                     k: int) -> Fraction:
+    """R_k from det, the int determinant of ``_sylvester_rows(p, q, m, n,
+    k)``: times the sign of that order against the block order (n - k = a
+    rows of p's, then m - k = b of q's), and each content to the number of
+    its rows (the determinant is linear in each row).  With j = min(a, b),
+    each pair's q row passes the later pairs' p rows, j (j - 1) / 2
+    inversions, and when q's block is the longer its b - j leading rows
+    pass all j p rows."""
+    a, b = n - k, m - k
+    j = min(a, b)
+    if (j * (j - 1) // 2 + (b - j) * j) % 2:
+        det = -det
+    c, e = p.content, q.content
+    return Fraction(det * c.numerator ** a * e.numerator ** b,
+                    c.denominator ** a * e.denominator ** b)
 
 
 def _sylvester_det(p: Polynomial, q: Polynomial, m: int, n: int,
                    k: int) -> Fraction:
-    """R_k of p and q read at the degrees m >= deg p and n >= deg q: the
-    integer determinant of the rows of the primitive parts, times each
-    content to the number of its rows (the determinant is linear in each
-    row).  A zero p or q has content 0, and no rows when its exponent is 0."""
-    det = _det_z(_sylvester_rows(p, q, m, n, k))
-    return det * p.content ** (n - k) * q.content ** (m - k)
+    """R_k of p and q read at the degrees m >= deg p and n >= deg q, from
+    the integer determinant of the interleaved rows of the primitive parts
+    (``_sylvester_value``).  A zero p or q has content 0, and no rows when
+    its exponent is 0."""
+    return _sylvester_value(_det_z(_sylvester_rows(p, q, m, n, k)),
+                            p, q, m, n, k)
 
 
 def sylvester_determinant(p: Polynomial, q: Polynomial, k: int) -> Fraction:
     """Determinant R_k of the truncated Sylvester matrix of p and q, over Z:
-    Bareiss on the rows of the primitive parts, then the contents, p's to
-    the power n - k and q's to m - k (m = deg p, n = deg q).
+    Bareiss on the rows of the primitive parts, interleaved by shift, then
+    the sign of the interleaving and the contents, p's to the power n - k
+    and q's to m - k (m = deg p, n = deg q).
 
     R_0 = ... = R_{r-1} = 0 exactly when p and q share at least r roots
     (counted with multiplicity)."""
@@ -1145,6 +1174,42 @@ def sylvester_determinant(p: Polynomial, q: Polynomial, k: int) -> Fraction:
     return _sylvester_det(p, q, m, n, k)
 
 
+def _sylvester_r0_r1(p: Polynomial,
+                     q: Polynomial) -> Tuple[Fraction, Fraction]:
+    """(R_0, R_1) of p and q, equal to ``sylvester_determinant(p, q, 0)``
+    and ``(p, q, 1)``, from one ``leading_minors`` pass over the
+    interleaved S_0 rows (``_sylvester_rows``).  With m = deg p and n =
+    deg q, its leading (m + n - 2k)-block is S_k in the interleaved order,
+    and the Bareiss pivots are the leading minors, so minors m + n - 2 and
+    m + n are R_1 and R_0 over Z (``_sylvester_value``): every principal
+    subresultant coefficient from one pass (Collins 1967; Brown & Traub
+    1971).  A run of minors that stops short stops at a zero one; a value
+    past that is taken by ``_sylvester_det``.  With min(m, n) < 2 there
+    is no R_1, and the two ``sylvester_determinant`` calls raise."""
+    if min(p.degree, q.degree) < 2:
+        return sylvester_determinant(p, q, 0), sylvester_determinant(p, q, 1)
+    m, n = int(p.degree), int(q.degree)
+    minors = leading_minors(_sylvester_rows(p, q, m, n, 0))
+    minors.append(0)            # the first zero minor, if the run stops
+    out = []
+    for k in (0, 1):
+        size = m + n - 2 * k
+        out.append(_sylvester_det(p, q, m, n, k) if size > len(minors)
+                   else _sylvester_value(minors[size - 1], p, q, m, n, k))
+    return out[0], out[1]
+
+
+def _over_lcd(xs) -> Tuple[List[int], int]:
+    """(numerators, lcd) of xs over their common denominator: all-int xs as
+    they are, over 1."""
+    xs = list(xs)
+    if all(type(x) is int for x in xs):
+        return xs, 1
+    xs = [_as_q(x) for x in xs]
+    lcd = math.lcm(*(x.denominator for x in xs))
+    return [x.numerator * (lcd // x.denominator) for x in xs], lcd
+
+
 def _interpolate(xs: Sequence[Fraction], ys: Sequence[Fraction]) -> Polynomial:
     """The unique polynomial of degree < len(xs) through the points (x, y).
 
@@ -1154,13 +1219,11 @@ def _interpolate(xs: Sequence[Fraction], ys: Sequence[Fraction]) -> Polynomial:
     master polynomial M = prod (t - a_i) and D_i = prod_{k != i} (a_i - a_k).
     With W the lcm of the D_i, one synthetic division of M by t - a_i per
     point, weighted by Y_i W / D_i, sums the integer numerator; then t = b x
-    and one division by L W.  O(n^2) int operations.  A repeated x makes a
-    D_i zero and raises ZeroDivisionError."""
-    xs, ys = [_as_q(x) for x in xs], [_as_q(y) for y in ys]
-    b = math.lcm(*(x.denominator for x in xs))
-    lcd = math.lcm(*(y.denominator for y in ys))
-    a = [x.numerator * (b // x.denominator) for x in xs]
-    big_y = [y.numerator * (lcd // y.denominator) for y in ys]
+    and one division by L W.  O(n^2) int operations.  All-int nodes or
+    values are read as they are, with b or L = 1 (``_over_lcd``).  A
+    repeated x makes a D_i zero and raises ZeroDivisionError."""
+    a, b = _over_lcd(xs)
+    big_y, lcd = _over_lcd(ys)
     n = len(a)
     master = [1]                        # ascending; times (t - ai) each step
     for ai in a:

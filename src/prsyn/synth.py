@@ -23,9 +23,10 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 from .polyrat import (BiquadParams, NotMinimum, NotRationalParams, Polynomial,
                       Q, QComplex, RationalFunction, _as_q, _biquad_params,
                       _interpolate, _jomega_quotient, _poly, _sylvester_det,
-                      biquad_template, count_real_roots, is_minimum_function,
-                      is_positive_real, minimum_frequencies, real_roots,
-                      sqrt_fraction, sylvester_determinant)
+                      _sylvester_r0_r1, biquad_template, count_real_roots,
+                      is_minimum_function, is_positive_real,
+                      minimum_frequencies, real_roots, sqrt_fraction,
+                      sylvester_determinant)
 from . import network as net
 from .network import (CAPACITOR, INDUCTOR, RESISTOR, Element, Leaf, Network,
                       par, ser)
@@ -912,23 +913,24 @@ def _factorization_check(samples, pairs, cof0, cof1, f1_of, degrees,
     ``_sampled_pairs`` and checked by ``_scaled``.  At all samples but the
     last, R0/cof0(x) and R1/cof1(x) (the 0th and 1st subresultants of p
     and q over their printed cofactors, which are nonzero at a physical
-    point) are interpolated to f1^2 and f2, each the unique polynomial of
-    degree below the sample count; f1_of(f1^2) gives f1, or None to fail.
+    point; both from one ``_sylvester_r0_r1`` pass per sample) are
+    interpolated to f1^2 and f2, each the unique polynomial of degree
+    below the sample count; f1_of(f1^2) gives f1, or None to fail.
     The last sample spot-checks both interpolants, and the resultant of f1
     and f2 at the nominal degrees must be rhs."""
     xs = samples[:-1]
     vals0, vals1 = [], []
     for x, (p, q) in zip(xs, pairs):
-        vals0.append(sylvester_determinant(p, q, 0) / cof0(x))
-        vals1.append(sylvester_determinant(p, q, 1) / cof1(x))
+        r0, r1 = _sylvester_r0_r1(p, q)
+        vals0.append(r0 / cof0(x))
+        vals1.append(r1 / cof1(x))
     f1sq, f2 = _interpolate(xs, vals0), _interpolate(xs, vals1)
     f1 = f1_of(f1sq)
     if f1 is None:
         return False
     spot = samples[-1]
-    p, q = next(pairs)
-    return (sylvester_determinant(p, q, 0) == cof0(spot) * f1sq(spot)
-            and sylvester_determinant(p, q, 1) == cof1(spot) * f2(spot)
+    r0, r1 = _sylvester_r0_r1(*next(pairs))
+    return (r0 == cof0(spot) * f1sq(spot) and r1 == cof1(spot) * f2(spot)
             and _sylvester_nominal(f1, f2, *degrees) == rhs)
 
 
@@ -1098,10 +1100,8 @@ def n12_has_no_feasible_solution(r1, g2, g3, F) -> bool:
     # boundary g2 = 0 (open parallel resistor): interpolate R0, R1 of the
     # unscaled pairs in x1 and look for a common positive root directly
     xs = _fixture_samples(16)
-    vals0, vals1 = [], []
-    for p, q in _n1112_structs("N12", r1, g2, g3, F, xs, Q(1)):
-        vals0.append(sylvester_determinant(p, q, 0))
-        vals1.append(sylvester_determinant(p, q, 1))
+    vals0, vals1 = zip(*(_sylvester_r0_r1(p, q) for p, q in _n1112_structs(
+        "N12", r1, g2, g3, F, xs, Q(1))))
     rho0 = _interpolate(xs, vals0)
     rho1 = _interpolate(xs, vals1)
     if rho0.is_zero() and rho1.is_zero():

@@ -14,7 +14,7 @@ from prsyn.analysis import (AnalysisError, CapacitorLoop, ExtractionFailure,
                             HypothesesNotMet,
                             InconsistentDrive, InductorCutset,
                             NoImpedance, PBHReport, StateSpace,
-                            _annihilator, _char_poly, _krylov,
+                            _annihilator, _char_poly, _cleared, _krylov,
                             _min_degree_order,
                             blocked_open_short_check,
                             blocked_report, energy_balance, impedance,
@@ -611,6 +611,25 @@ class TestPBH:
         pbh_diagnostics(ss)
         assert (eliminations, determinants, len(solves)) == ([], [5] * 6, 2)
 
+    def test_a_cleared_once_per_call(self, rpfg, monkeypatch):
+        # chi and both Krylov sequences read one clearing (d, dA) of A, the
+        # (A^T, C) sequence its transpose; ss_impedance clears A itself
+        import prsyn.analysis as analysis
+        ss = state_space(rpfg)
+        cleared = []
+
+        def counted(a):
+            cleared.append(a)
+            return _cleared(a)
+
+        monkeypatch.setattr(analysis, "_cleared", counted)
+        rep = pbh_diagnostics(ss)
+        assert cleared == [ss.A]
+        assert rep == _minor_gcd_pbh(ss)
+        cleared.clear()
+        ss_impedance(ss)
+        assert cleared == [ss.A]
+
 
 class TestCounts:
     def test_n1(self, n1):
@@ -1096,13 +1115,15 @@ class TestStateSpaceAgainstReferences:
             ss = _random_state_space(rng, nn, shape)
             ref = _minor_gcd_pbh(ss)
             assert pbh_diagnostics(ss) == ref
-            assert _char_poly(ss.A) == _leading_minor_char_poly(ss)
+            d, da = _cleared(ss.A)
+            assert _char_poly(d, da) == _leading_minor_char_poly(ss)
             h = ss_impedance(ss)
             assert h == _bordered_ss_impedance(ss)
             assert h == _faddeev_ss_impedance(ss)
             at = list(zip(*ss.A))
             for a, b in ((ss.A, ss.B), (at, ss.C)):
-                d, _, cols = _krylov(a, b)
+                d, da = _cleared(a)
+                _, cols = _krylov(da, b)
                 assert _annihilator(d, cols) \
                     == _fraction_krylov_annihilator(a, b)
             seen["n0"] += nn == 0
@@ -1113,7 +1134,7 @@ class TestStateSpaceAgainstReferences:
             seen["c_zero"] += shape == "c_zero" and nn > 0
             seen["wide"] += shape == "wide" and nn > 0
             seen["wide_d_over_10**12"] += (
-                shape == "wide" and _krylov(ss.A, ss.B)[0] > 10**12)
+                shape == "wide" and _cleared(ss.A)[0] > 10**12)
             seen["controllable"] += nn > 0 and ref.controllable
             seen["observable"] += nn > 0 and ref.observable
             seen["uncontrollable"] += not ref.controllable

@@ -13,13 +13,16 @@ none calls ``complex``, and only the CLI ``check`` formatter calls
 one fraction-free elimination loop, ``_eliminate``, is named only by its
 three entry points in the elimination section of ``polyrat``: the
 determinant over Z (``_det_z``, which Sylvester determinants run on the
-rows of primitive parts) and the leading minors over Z[s]
-(``leading_minors``, whose last one is a determinant over Q[s]) run its
-forward half, and the solves (``solve``) its back half too, over Z on
-cleared rows and over Z[j] on the phasor rows that ``analysis`` stamps
-there, so no second elimination loop runs beside it.  Only
-``analysis.impedance`` calls ``leading_minors``: every other determinant,
-the state space's det(sI - A) included, is taken over Z.  Likewise only three
+interleaved rows of primitive parts) and the leading minors over Z or Z[s]
+(``leading_minors``, whose last one is a determinant) run its forward
+half, and the solves (``solve``) its back half too, over Z on cleared rows
+and over Z[j] on the phasor rows that ``analysis`` stamps there, so no
+second elimination loop runs beside it.  Two readers call
+``leading_minors``: ``analysis.impedance`` over Z[s], the one elimination
+over Q[s], and ``polyrat._sylvester_r0_r1`` over Z, which reads R_0 and
+R_1 of a fixture pair off one pass over the interleaved Sylvester rows.
+Every other determinant, the state space's det(sI - A) included, is a
+``_det_z`` over Z.  Likewise only three
 remainder loops call ``prem``: ``Polynomial.gcd``, ``sturm_chain`` and the
 Routh rows of ``strict_hurwitz``; the real-root code reads gcd(p, p') off
 the Sturm chain rather than running a fourth.  ``Polynomial`` is the
@@ -181,15 +184,17 @@ def test_bareiss_named_only_by_its_entry_points():
     assert found == BAREISS_ENTRY_POINTS
 
 
-# the one elimination over Q[s]: the impedance's leading minors.  Every other
-# determinant is over Z (the characteristic polynomial of the state space is
-# interpolated from int determinants)
-LEADING_MINOR_CALLERS = {("analysis.py", "impedance")}
+# the readers of leading minors: the impedance's, the one elimination over
+# Q[s], and R_0 and R_1 of a Sylvester pair over Z.  Every other
+# determinant is a _det_z over Z (the characteristic polynomial of the state
+# space is interpolated from int determinants)
+LEADING_MINOR_CALLERS = {("analysis.py", "impedance"),
+                         ("polyrat.py", "_sylvester_r0_r1")}
 
 
-def test_leading_minors_called_only_by_the_impedance():
+def test_leading_minors_called_only_by_its_two_readers():
     # a call of leading_minors anywhere else in src/ is a second Q[s]
-    # elimination route
+    # elimination route, or a second subresultant reader
     found = set()
     for path in MODULES:
         for top in _tree(path).body:

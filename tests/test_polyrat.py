@@ -18,6 +18,7 @@ from prsyn.polyrat import (BiquadParams, DegreeTooSmall, NotBiquadratic,
                            NotMinimum, Polynomial, Q, QComplex,
                            RationalFunction, ZeroDenominator,
                            _det_z, _GaussInt, _interpolate,
+                           _sylvester_r0_r1,
                            biquad_params, biquad_template, count_real_roots,
                            eval_ratfunc, format_poly, format_ratfunc,
                            is_lossless, is_minimum_function, is_positive_real,
@@ -521,6 +522,107 @@ class TestSylvester:
         f2 = _wide_poly(rng, 5, negative=True)
         assert _sylvester_nominal(Polynomial(), f2, 2, 6) == 0
 
+    def test_r0_r1_pass_matches_fraction_references(self, monkeypatch):
+        # R_0 and R_1 of a (m, n) pair from one leading_minors pass over the
+        # interleaved S_0 rows, against the Fraction Sylvester matrices:
+        # random pairs, pairs with one shared root (R_0 = 0) and with two
+        # (R_0 = R_1 = 0), and (n, n) pairs whose leading 2 x 2 blocks are
+        # equal up to a factor, so M_2 = 0 and a value past the run of
+        # minors comes from the pivoting route
+        fallbacks = count_det_z(monkeypatch)
+        rng = random.Random(1967)
+
+        def root():
+            return Polynomial([Fraction(rng.randint(-10**6, 10**6),
+                                        rng.randint(1, 10**9)), -1])
+
+        kinds = ("random", "one_root", "two_roots", "early_zero")
+        for trial in range(80):
+            n, kind = 2 + trial % 5, kinds[trial // 5 % 4]
+            m = n if kind == "early_zero" else max(2, n + trial // 20 - 1)
+            neg = trial % 2 == 0, trial % 3 == 0
+            if kind == "random":
+                p, q = (_wide_poly(rng, d, negative=x)
+                        for d, x in zip((m, n), neg))
+            elif kind == "one_root":
+                r = root()
+                p, q = (_wide_poly(rng, d - 1, negative=x) * r
+                        for d, x in zip((m, n), neg))
+            elif kind == "two_roots":
+                r = root() * root()
+                p, q = (_wide_poly(rng, d - 2, negative=x) * r
+                        for d, x in zip((m, n), neg))
+            else:
+                p = _wide_poly(rng, n, negative=neg[0])
+                c = Fraction(rng.randint(1, 10**6), rng.randint(1, 10**9))
+                q = p * (-c if neg[1] else c) + _wide_poly(rng, n - 2, False)
+            assert (p.degree, q.degree) == (m, n)
+            want = tuple(fraction_determinant(sylvester_reference(p, q, m, n, k))
+                         for k in (0, 1))
+            assert want == (sylvester_determinant(p, q, 0),
+                            sylvester_determinant(p, q, 1))
+            fallbacks.clear()
+            assert _sylvester_r0_r1(p, q) == want
+            if kind in ("random", "one_root"):
+                # one shared root: M_(m+n-1) != 0 and M_(m+n) = R_0 = 0
+                # ends the run, so R_0 is read as its zero minor
+                assert fallbacks == []
+                assert (want[0] == 0) == (kind == "one_root") and want[1]
+            elif kind == "two_roots":
+                # M_(m+n-2) = R_1 = 0 ends the run: R_0 by the pivoting
+                # route
+                assert want == (0, 0) and fallbacks == [m + n]
+            else:
+                # R_0 by the pivoting route, and R_1 too once its 2n - 2
+                # rows reach past the zero M_2; R_1 = M_2 = 0 for n = 2
+                assert fallbacks == ([4] if n == 2 else [2 * n, 2 * n - 2])
+                assert (want[1] == 0) == (n == 2)
+
+    def test_r0_r1_pass_on_small_pairs(self, monkeypatch):
+        # small integer pairs, many of them degenerate, so that the run of
+        # leading minors stops anywhere: at the last one (R_0 = 0 read as
+        # the zero minor), one before it (R_0 by the pivoting route) or
+        # earlier (both by it), at equal and unequal degrees
+        fallbacks = count_det_z(monkeypatch)
+        rng = random.Random(1971)
+        shapes = ((2, 2), (3, 3), (3, 2), (2, 3), (4, 3))
+        seen = set()
+        for trial in range(600):
+            m, n = shapes[trial % len(shapes)]
+            p, q = (Polynomial([rng.randint(-2, 2) for _ in range(d)]
+                               + [rng.choice((-2, -1, 1, 2))])
+                    for d in (m, n))
+            want = tuple(fraction_determinant(sylvester_reference(p, q, m, n, k))
+                         for k in (0, 1))
+            fallbacks.clear()
+            assert _sylvester_r0_r1(p, q) == want
+            seen.add((m, n, len(fallbacks), want[0] == 0))
+        for m, n in shapes:
+            # a full run, R_0 = 0 read off the run, R_0 by the pivoting route
+            assert {(m, n, 0, False), (m, n, 0, True), (m, n, 1, False)} \
+                <= seen, (m, n)
+        # both by it: R_1 reaches past a zero minor
+        assert {(3, 3, 2, False), (4, 3, 2, False)} <= seen
+        for p, q in ((parse_poly("s + 1"), parse_poly("s^2 + 2")),
+                     (Polynomial(), parse_poly("s^2 + 1"))):
+            with pytest.raises(DegreeTooSmall):
+                _sylvester_r0_r1(p, q)
+
+
+def count_det_z(monkeypatch):
+    """Record the size of each int determinant polyrat takes through
+    ``_det_z``: in ``_sylvester_r0_r1``, the pivoting route."""
+    import prsyn.polyrat as polyrat
+    sizes = []
+    det_z = polyrat._det_z
+
+    def counted(m):
+        sizes.append(len(m))
+        return det_z(m)
+
+    monkeypatch.setattr(polyrat, "_det_z", counted)
+    return sizes
+
 
 def _wide_poly(rng, deg, negative):
     """A polynomial of degree deg with 10^9 denominators, its leading
@@ -838,6 +940,26 @@ class TestInterpolate:
             got = _interpolate(xs, ys)
             assert got == lagrange_reference(list(zip(xs, ys)))
             assert all(got(x) == y for x, y in zip(xs, ys))
+
+    def test_int_points_read_as_they_are(self):
+        # int nodes and int values, as the state space's characteristic
+        # polynomial passes them, give the Polynomial that the equal
+        # Fractions give; a range of nodes included, and either side int
+        rng = random.Random(6007)
+        for n in range(1, 16):
+            xs = rng.sample(range(-50, 51), n)
+            ys = [rng.choice((-1, 1)) * rng.getrandbits(rng.randint(1, 120))
+                  for _ in xs]
+            want = _interpolate([Fraction(x) for x in xs],
+                                [Fraction(y) for y in ys])
+            assert want == lagrange_reference(
+                [(Fraction(x), Fraction(y)) for x, y in zip(xs, ys)])
+            assert _interpolate(xs, ys) == want
+            assert _interpolate(xs, [Fraction(y) for y in ys]) == want
+            assert _interpolate([Fraction(x) for x in xs], ys) == want
+            nodes = range(n)
+            assert _interpolate(nodes, ys) == _interpolate(
+                [Fraction(x) for x in nodes], [Fraction(y) for y in ys])
 
     def test_repeated_abscissa_raises(self):
         points = [(Q(1), Q(2)), (Q(3), Q(1)), (Q(1), Q(5))]

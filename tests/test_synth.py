@@ -800,7 +800,8 @@ class TestOnceAPoint:
     """A fixture check builds its structural pairs once per point, whatever
     its sample count: the bridge at F = 1..4 for Q8, and at var = 1 and 2
     for N11/N12.  A single sample, the n12_has_no_feasible_solution x1 > 0
-    path, is one direct build."""
+    path, is one direct build.  Each sample's R0 and R1 come from one pass
+    of leading minors."""
 
     @pytest.fixture(params=[0, 6], ids=["24_samples", "30_samples"])
     def extra(self, request, monkeypatch):
@@ -833,6 +834,34 @@ class TestOnceAPoint:
                       "omega0": Q(3, 2)})
             # at the two interpolation nodes var = 1, 2
             assert bridges[0] == 2
+
+    def test_one_leading_minor_pass_per_sample(self, monkeypatch, extra):
+        # R0 and R1 of every sample, the spot sample included, come from
+        # one leading_minors pass over the interleaved S_0 rows; the one
+        # int determinant left is the nominal resultant of f1 and f2
+        import prsyn.polyrat as polyrat
+        import prsyn.synth as synth
+        passes = _counting(monkeypatch, polyrat, "leading_minors")
+        dets = _counting(monkeypatch, polyrat, "_det_z")
+        n1112 = {"g3": Q(7, 4), "F": Q(1, 2), "omega0": Q(3, 2)}
+        points = [("Q8", {"g1": Q(3, 2), "g2": Q(2, 3), "c2": Q(5, 4),
+                          "omega0": Q(4, 3)})] + [
+            (fam, dict(n1112, r1=r1, g2=g2))
+            for fam, r1, g2 in (("N11", Q(1, 3), Q(2, 5)),
+                                ("N11", Q(0), Q(2, 5)),
+                                ("N11", Q(1, 3), Q(0)), ("N11", Q(0), Q(0)),
+                                ("N12", Q(1, 3), Q(2, 5)))]
+        for fam, point in points:
+            passes[0] = dets[0] = 0
+            assert resultant_fixture_check(fam, point)
+            assert passes[0] == len(synth._fixture_samples()) + 1 == 25 + extra
+            assert dets[0] == 1
+        # the g2 = 0 feasibility path: one pass for each of its 16 (4, 3)
+        # pairs and no other determinant
+        passes[0] = dets[0] = 0
+        assert n12_has_no_feasible_solution(Q(1, 2), 0, 3, 2)
+        assert passes[0] == len(synth._fixture_samples(16)) == 16 + extra
+        assert dets[0] == 0
 
     def test_n12_feasibility_builds_the_bridge_once_at_a_positive_root(
             self, monkeypatch):
