@@ -14,15 +14,18 @@ square-free part.  Only ``is_positive_real`` runs the PR test and keeps
 its verdict on the ``RationalFunction``, so a function is tested at most
 once.  Values at s = j*w are ``QComplex`` numbers with rational parts.
 Determinants and linear solves run one fraction-free elimination loop,
-``_eliminate``, with three entry points: ``_det_z`` over Z,
-``leading_minors`` over Z[s] on the nodal impedance's Polynomial entries
-and over Z on Sylvester rows, and ``solve``, which adds the back half,
-over Z on cleared rows or over Z[j] (Gaussian integers) on the phasor rows
-it is given.  A row with a zero in the pivot column skips that step and
-catches up when it is next read, so sparse rows cost little.  A Sylvester
-determinant runs on the integer rows of the primitive parts, interleaved
-by shift, so one pass of leading minors gives both R_0 and R_1 of a pair;
-Sturm signs and interpolation stay in Z as well.  Real
+``_eliminate``, with three entry points: ``_det_z`` over Z (or over Z[x]
+where a Sylvester pass stops short), ``leading_minors`` over Z[s] on the
+nodal impedance's Polynomial entries and over Z[x] on a fixture's
+Sylvester rows, and ``solve``, which adds the back half, over Z on cleared
+rows or over Z[j] (Gaussian integers) on the phasor rows it is given.  A
+row with a zero in the pivot column skips that step and catches up when it
+is next read, so sparse rows cost little.  Sylvester rows are built from
+coefficient sequences, interleaved by shift, with one sign rule: the
+integer primitive parts for a determinant over Z, or polynomials in a
+parameter x, so that one pass of leading minors gives both R_0(x) and
+R_1(x) of a pair as identities in x.  Sturm signs and interpolation stay
+in Z as well.  Real
 roots come from one exact isolator, ``real_roots``: a rational root is a
 Fraction and an irrational one an open interval with rational ends, so a
 minimum frequency whose square is irrational is kept as such a bracket.
@@ -904,12 +907,13 @@ def _biquad_params(h: RationalFunction) -> BiquadParams:
 
 # ---------------------------------------------------------------------------
 # Exact elimination: the one home of determinants, solves and Sylvester rows.
-# One fraction-free loop runs over Z, Z[j] and Z[s]: its forward half gives
-# the determinants over Z (a Sylvester determinant, on rows interleaved by
-# shift, and the state space's det(sI - A) at integer points) and the
-# leading minors over Z (R_0 and R_1 of a pair, from one pass over the
-# interleaved S_0 rows) and over Z[s] (the nodal impedance's, the one
-# elimination over Q[s]), and a solve adds the back half.
+# One fraction-free loop runs over Z, Z[j], Z[s] and Z[x]: its forward half
+# gives the determinants over Z (a Sylvester determinant, on rows
+# interleaved by shift, and the state space's det(sI - A) at integer
+# points) and the leading minors over Z[x] (R_0(x) and R_1(x) of a fixture
+# pair, from one pass over the interleaved S_0 rows) and over Z[s] (the
+# nodal impedance's, the one elimination over Q[s]), and a solve adds the
+# back half.
 # ---------------------------------------------------------------------------
 
 class _GaussInt:
@@ -1032,9 +1036,11 @@ def _int_rows(rows: Sequence[Sequence[Fraction]]):
     return [_over_lcd(row)[0] for row in rows]
 
 
-def _det_z(m: List[List[int]]) -> int:
-    """Determinant of a square int matrix, by the forward half of
-    ``_eliminate`` on the rows m in place."""
+def _det_z(m: list):
+    """Determinant of a square matrix over Z, or over Z[x] (Polynomial
+    entries, in ``_sylvester_r0_r1``), by the forward half of
+    ``_eliminate`` on the rows m in place, with row swaps; a singular one
+    gives the int 0."""
     pivots, sign = _eliminate(m, len(m), False)
     if len(pivots) < len(m):
         return 0
@@ -1049,8 +1055,9 @@ def leading_minors(matrix: Sequence[Sequence]) -> list:
     Sylvester's identity).  The loop swaps rows only at a zero pivot, the
     first zero leading minor, so the minors stop at the first row that is
     no longer the matrix's own.  Its two callers are ``analysis.impedance``
-    over Z[s] and ``_sylvester_r0_r1`` over Z, which reads two
-    subresultants off one pass.  A matrix with constant entries off a
+    over Z[s] and ``_sylvester_r0_r1``, which reads two subresultants off
+    one pass, over Z[x] for a fixture pair whose coefficients are
+    polynomials in a parameter x.  A matrix with constant entries off a
     polynomial diagonal, such as sI - A, is cheaper as integer determinants
     at points, interpolated (``_interpolate``)."""
     m = [list(row) for row in matrix]
@@ -1109,10 +1116,11 @@ def solve(rows, rhs):
     return solution, basis
 
 
-def _sylvester_rows(p: Polynomial, q: Polynomial, m: int, n: int,
-                    k: int) -> List[List[int]]:
-    """Rows of the k-th truncated Sylvester matrix of the primitive parts of
-    p and q, read at the degrees m >= deg p and n >= deg q (leading
+def _sylvester_rows(p: Sequence, q: Sequence, m: int, n: int,
+                    k: int) -> list:
+    """Rows of the k-th truncated Sylvester matrix of the coefficient
+    sequences p and q (ascending; ints, or Polynomials in a parameter x),
+    read at the degrees m >= len(p) - 1 and n >= len(q) - 1 (leading
     coefficients may vanish): n - k rows of p's and m - k rows of q's,
     interleaved by shift.  The first |m - n| rows of the longer block lead,
     and the rest follow in pairs (p's, q's).  Then the leading m + n - 2k
@@ -1120,8 +1128,8 @@ def _sylvester_rows(p: Polynomial, q: Polynomial, m: int, n: int,
     order, so one pass of leading minors reads every R_k
     (``_sylvester_r0_r1``)."""
     size = m + n - 2 * k
-    pdesc = [0] * (m + 1 - len(p.prim)) + list(reversed(p.prim))
-    qdesc = [0] * (n + 1 - len(q.prim)) + list(reversed(q.prim))
+    pdesc = [0] * (m + 1 - len(p)) + list(reversed(p))
+    qdesc = [0] * (n + 1 - len(q)) + list(reversed(q))
     prows = [([0] * i + pdesc + [0] * size)[:size] for i in range(n - k)]
     qrows = [([0] * i + qdesc + [0] * size)[:size] for i in range(m - k)]
     d = len(prows) - len(qrows)
@@ -1130,32 +1138,30 @@ def _sylvester_rows(p: Polynomial, q: Polynomial, m: int, n: int,
     return lead + [row for pair in zip(prows, qrows) for row in pair]
 
 
-def _sylvester_value(det: int, p: Polynomial, q: Polynomial, m: int, n: int,
-                     k: int) -> Fraction:
-    """R_k from det, the int determinant of ``_sylvester_rows(p, q, m, n,
-    k)``: times the sign of that order against the block order (n - k = a
-    rows of p's, then m - k = b of q's), and each content to the number of
-    its rows (the determinant is linear in each row).  With j = min(a, b),
-    each pair's q row passes the later pairs' p rows, j (j - 1) / 2
-    inversions, and when q's block is the longer its b - j leading rows
-    pass all j p rows."""
+def _interleaving_sign(m: int, n: int, k: int) -> int:
+    """The sign of the row order of ``_sylvester_rows(p, q, m, n, k)``
+    against the block order (n - k = a rows of p's, then m - k = b of
+    q's).  With j = min(a, b), each pair's q row passes the later pairs' p
+    rows, j (j - 1) / 2 inversions, and when q's block is the longer its
+    b - j leading rows pass all j p rows."""
     a, b = n - k, m - k
     j = min(a, b)
-    if (j * (j - 1) // 2 + (b - j) * j) % 2:
-        det = -det
-    c, e = p.content, q.content
-    return Fraction(det * c.numerator ** a * e.numerator ** b,
-                    c.denominator ** a * e.denominator ** b)
+    return -1 if (j * (j - 1) // 2 + (b - j) * j) % 2 else 1
 
 
 def _sylvester_det(p: Polynomial, q: Polynomial, m: int, n: int,
                    k: int) -> Fraction:
-    """R_k of p and q read at the degrees m >= deg p and n >= deg q, from
-    the integer determinant of the interleaved rows of the primitive parts
-    (``_sylvester_value``).  A zero p or q has content 0, and no rows when
-    its exponent is 0."""
-    return _sylvester_value(_det_z(_sylvester_rows(p, q, m, n, k)),
-                            p, q, m, n, k)
+    """R_k of p and q read at the degrees m >= deg p and n >= deg q: the
+    int determinant of the interleaved rows of the primitive parts, times
+    ``_interleaving_sign`` and each content to the number of its rows (the
+    determinant is linear in each row).  A zero p or q has content 0, and
+    no rows when its exponent is 0."""
+    det = (_det_z(_sylvester_rows(p.prim, q.prim, m, n, k))
+           * _interleaving_sign(m, n, k))
+    a, b = n - k, m - k
+    c, e = p.content, q.content
+    return Fraction(det * c.numerator ** a * e.numerator ** b,
+                    c.denominator ** a * e.denominator ** b)
 
 
 def sylvester_determinant(p: Polynomial, q: Polynomial, k: int) -> Fraction:
@@ -1174,28 +1180,30 @@ def sylvester_determinant(p: Polynomial, q: Polynomial, k: int) -> Fraction:
     return _sylvester_det(p, q, m, n, k)
 
 
-def _sylvester_r0_r1(p: Polynomial,
-                     q: Polynomial) -> Tuple[Fraction, Fraction]:
-    """(R_0, R_1) of p and q, equal to ``sylvester_determinant(p, q, 0)``
-    and ``(p, q, 1)``, from one ``leading_minors`` pass over the
-    interleaved S_0 rows (``_sylvester_rows``).  With m = deg p and n =
-    deg q, its leading (m + n - 2k)-block is S_k in the interleaved order,
-    and the Bareiss pivots are the leading minors, so minors m + n - 2 and
-    m + n are R_1 and R_0 over Z (``_sylvester_value``): every principal
-    subresultant coefficient from one pass (Collins 1967; Brown & Traub
-    1971).  A run of minors that stops short stops at a zero one; a value
-    past that is taken by ``_sylvester_det``.  With min(m, n) < 2 there
-    is no R_1, and the two ``sylvester_determinant`` calls raise."""
-    if min(p.degree, q.degree) < 2:
-        return sylvester_determinant(p, q, 0), sylvester_determinant(p, q, 1)
-    m, n = int(p.degree), int(q.degree)
+def _sylvester_r0_r1(p: Sequence, q: Sequence) -> tuple:
+    """(R_0, R_1) of the coefficient sequences p and q (ascending; ints, or
+    Polynomials in a parameter x), read at the degrees m = len(p) - 1 and
+    n = len(q) - 1, from one ``leading_minors`` pass over the interleaved
+    S_0 rows (``_sylvester_rows``).  Its leading (m + n - 2k)-block is S_k
+    in the interleaved order, and the Bareiss pivots are the leading
+    minors, so minors m + n - 2 and m + n, times ``_interleaving_sign``,
+    are R_1 and R_0: every principal subresultant coefficient from one
+    pass (Collins 1967; Brown & Traub 1971).  Over Z[x] they are R_0(x)
+    and R_1(x) as polynomials, identities in x.  A run of minors that
+    stops short stops at a zero one; a value past that is the determinant
+    of the pivoting route, ``_det_z`` over the same ring.  A zero value is
+    the int 0.  With min(m, n) < 2 there is no R_1 (DegreeTooSmall)."""
+    m, n = len(p) - 1, len(q) - 1
+    if min(m, n) < 2:
+        raise DegreeTooSmall(f"require min(deg p, deg q) >= 2, got {m}, {n}")
     minors = leading_minors(_sylvester_rows(p, q, m, n, 0))
     minors.append(0)            # the first zero minor, if the run stops
     out = []
     for k in (0, 1):
         size = m + n - 2 * k
-        out.append(_sylvester_det(p, q, m, n, k) if size > len(minors)
-                   else _sylvester_value(minors[size - 1], p, q, m, n, k))
+        det = (_det_z(_sylvester_rows(p, q, m, n, k)) if size > len(minors)
+               else minors[size - 1])
+        out.append(det * _interleaving_sign(m, n, k))
     return out[0], out[1]
 
 

@@ -6,14 +6,15 @@ minimum functions with witness constructors, the quartet family
 constructors, the bridge structural matcher, and the Sylvester-resultant
 fixture checks used to certify the classifier's boundary algebra.  Every
 fixture pair is a quartet member's bridge pair (``_quartet_polys``); times
-a power of its sample variable it is a polynomial in that variable, so a
-check builds the bridge at a few integer nodes only, interpolates, and
-evaluates every sample over Z (``_sampled_pairs``).
+a power of its free variable x it has coefficients that are polynomials
+in x, so a check builds the bridge at a few integer nodes only and
+interpolates each coefficient (``_coefficients_in_x``).  One Bareiss pass
+over Z[x] then gives the subresultants R_0(x) and R_1(x), and the printed
+factorizations are checked as identities in x, by exact division.
 """
 
 from __future__ import annotations
 
-import math
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,10 +22,10 @@ from itertools import combinations
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .polyrat import (BiquadParams, NotMinimum, NotRationalParams, Polynomial,
-                      Q, QComplex, RationalFunction, _as_q, _biquad_params,
-                      _interpolate, _jomega_quotient, _poly, _sylvester_det,
-                      _sylvester_r0_r1, biquad_template, count_real_roots,
-                      is_minimum_function, is_positive_real,
+                      Q, QComplex, RationalFunction, _as_poly, _as_q,
+                      _biquad_params, _interpolate, _jomega_quotient,
+                      _sylvester_det, _sylvester_r0_r1, biquad_template,
+                      count_real_roots, is_minimum_function, is_positive_real,
                       minimum_frequencies, real_roots, sqrt_fraction,
                       sylvester_determinant)
 from . import network as net
@@ -819,10 +820,6 @@ def _poly_sqrt(p: Polynomial) -> Optional[Polynomial]:
     return f if f * f == p else None
 
 
-def _fixture_samples(var_count: int = 24) -> List[Fraction]:
-    return [Q(k, 7) for k in range(1, var_count + 1)]
-
-
 def _sylvester_nominal(p: Polynomial, q: Polynomial, m: int, n: int) -> Fraction:
     """Resultant-style determinant at the nominal degrees (m, n) of the
     generic family, so that specialization (vanishing leading coefficients)
@@ -856,20 +853,22 @@ def resultant_fixture_check(family: str, subs: Dict[str, Fraction]) -> bool:
     family "Q7": subs g1, g2, F, omega0; checks the degree-3 structural
     resultant factorization directly.
     family "Q8": subs g1, g2, c2, omega0; f1(F)^2 and f2(F) are
-    reconstructed from the structural resultants, and f1 is the square root
-    of the first.
+    reconstructed from the structural resultants as polynomials in F, and
+    f1 is the square root of the first.
     family "N11"/"N12": subs r1, g2, g3, F, omega0; f1 has a known closed
     form, whose square the reconstruction must give, and f2 is
-    reconstructed.
-    For Q8, N11 and N12 ``_factorization_check`` then checks both printed
-    factorizations and the final resultant identity of f1 and f2.
+    reconstructed, as polynomials in c1 resp. x1.
+    For Q8, N11 and N12 ``_factorization_check`` checks both printed
+    factorizations as identities in that variable, and the final resultant
+    identity of f1 and f2.
 
     The families are the quartet families N7, N8, N11 and N12 under a
-    change of parameters, built from their arms, and ``_scaled`` checks and
-    normalises each structural pair.  So the point must be physical: every
-    parameter given positive, except r1 and g2 of N11/N12, which may be 0
-    (a shorted series or an open parallel resistor).  Any other point
-    raises NonpositiveValue before an arm is built; omega0 defaults to 1.
+    change of parameters, built from their arms, and each structural pair
+    is checked for degeneracy and normalised (``_scaled``).  So the point
+    must be physical: every parameter given positive, except r1 and g2 of
+    N11/N12, which may be 0 (a shorted series or an open parallel
+    resistor).  Any other point raises NonpositiveValue before an arm is
+    built; omega0 defaults to 1.
     Before any of that, an unknown family raises ValueError, and a missing
     or unknown parameter ConstraintViolated naming it."""
     if family not in _FIXTURE_PARAMETERS:
@@ -892,88 +891,76 @@ def resultant_fixture_check(family: str, subs: Dict[str, Fraction]) -> bool:
     return _check_n11_n12(family, subs, w0)
 
 
+def _require_nominal(family, num_len, den_len, num0, degree) -> None:
+    """ConstraintViolated unless a structural pair, num with num_len
+    coefficients in s and den with den_len, is of the nominal degree with
+    a nonzero num(0)."""
+    if num_len != degree + 1 or den_len != degree + 1 or not num0:
+        raise ConstraintViolated(
+            f"{family} structural polynomials are degenerate")
+
+
 def _scaled(family, pair, degree, target0, F):
     """A fixture's structural (num, den) pair scaled so that num(0) is the
     family's closed form target0 and den carries one more factor F, after
     checking that both are of the nominal degree with num(0) != 0
-    (ConstraintViolated otherwise)."""
+    (``_require_nominal``)."""
     num, den = pair
-    if num.degree != degree or den.degree != degree or num.coeff(0) == 0:
-        raise ConstraintViolated(
-            f"{family} structural polynomials are degenerate")
+    _require_nominal(family, len(num.prim), len(den.prim), num.coeff(0),
+                     degree)
     c = target0 / num.coeff(0)
     return num * c, den * (c * F)
 
 
-def _factorization_check(samples, pairs, cof0, cof1, f1_of, degrees,
-                         rhs) -> bool:
-    """The check of Q8, N11 and N12, whose scaled structural pair (p, q)
-    varies with one variable x: pairs yields it at each x of samples,
-    lazily, each pair read off the point's integer tables by
-    ``_sampled_pairs`` and checked by ``_scaled``.  At all samples but the
-    last, R0/cof0(x) and R1/cof1(x) (the 0th and 1st subresultants of p
-    and q over their printed cofactors, which are nonzero at a physical
-    point; both from one ``_sylvester_r0_r1`` pass per sample) are
-    interpolated to f1^2 and f2, each the unique polynomial of degree
-    below the sample count; f1_of(f1^2) gives f1, or None to fail.
-    The last sample spot-checks both interpolants, and the resultant of f1
-    and f2 at the nominal degrees must be rhs."""
-    xs = samples[:-1]
-    vals0, vals1 = [], []
-    for x, (p, q) in zip(xs, pairs):
-        r0, r1 = _sylvester_r0_r1(p, q)
-        vals0.append(r0 / cof0(x))
-        vals1.append(r1 / cof1(x))
-    f1sq, f2 = _interpolate(xs, vals0), _interpolate(xs, vals1)
-    f1 = f1_of(f1sq)
-    if f1 is None:
-        return False
-    spot = samples[-1]
-    r0, r1 = _sylvester_r0_r1(*next(pairs))
-    return (r0 == cof0(spot) * f1sq(spot) and r1 == cof1(spot) * f2(spot)
-            and _sylvester_nominal(f1, f2, *degrees) == rhs)
-
-
-def _sampled_pairs(pair_at, degree, e, samples):
-    """pair_at(x), the structural (num, den) pair at x, at each x > 0 of
-    samples, lazily and in order, for a pair whose x^e multiple is a pair
-    of polynomials in s with coefficients of degree <= degree in x; in
-    every check pair_at is a ``_quartet_polys`` build.
-
-    pair_at runs at the nodes x = 1..degree+1 only, and interpolation
-    through them gives the x^e multiple's coefficients in x (evaluation and
-    interpolation over Z; von zur Gathen & Gerhard, Modern Computer
-    Algebra, ch. 5): one integer table rows[i][j] per side, L times the
-    coefficient of x^i s^j in that side's x^e multiple.  A sample x = a/b
-    reads each side off its table by homogeneous Horner, as
-    ``polyrat._sign_at`` does: sum_i rows[i] a^i b^(degree-i) is b^degree
-    L x^e times the side, so dividing that out in ``_poly`` gives exactly
-    the pair that pair_at(x) gives.  With no more samples than nodes,
-    pair_at runs at each sample instead."""
-    if len(samples) <= degree + 1:
-        yield from map(pair_at, samples)
-        return
+def _coefficients_in_x(pair_at, degree, e):
+    """The x^e multiple of pair_at(x), the structural (num, den) pair at x,
+    as two lists of polynomials in x, the coefficient of s^j at index j,
+    for a pair whose x^e multiple has coefficients of degree <= degree in
+    x; in every check pair_at is a ``_quartet_polys`` build.  pair_at runs
+    at the nodes x = 1..degree+1 only, and interpolation through them gives
+    each coefficient (von zur Gathen & Gerhard, Modern Computer Algebra,
+    ch. 5).  Each coefficient is a sum of products of positive element
+    values, so it vanishes at an x > 0 only when it is zero in x."""
     nodes = range(1, degree + 2)
     values = [pair_at(Q(k)) for k in nodes]
-    tables = []
+    sides = []
     for side in (0, 1):
         polys = [v[side] * k ** e for k, v in zip(nodes, values)]
-        # the coefficient of s^j, as a polynomial in x
-        cols = [_interpolate(nodes, [p.coeff(j) for p in polys])
-                for j in range(max(len(p.prim) for p in polys))]
-        den = math.lcm(*(c.content.denominator for c in cols))
-        tables.append(([[int(c.coeff(i) * den) for c in cols]
-                        for i in range(degree + 1)], den))
-    for x in samples:
-        a, b = x.numerator, x.denominator
-        pair = []
-        for rows, den in tables:
-            acc, bpow = [0] * len(rows[0]), 1
-            for row in reversed(rows):
-                acc = [u * a + t * bpow for u, t in zip(acc, row)]
-                bpow *= b
-            pair.append(_poly(acc, b ** e, den * b ** degree * a ** e))
-        yield tuple(pair)
+        sides.append([_interpolate(nodes, [p.coeff(j) for p in polys])
+                      for j in range(max(len(p.prim) for p in polys))])
+    return sides[0], sides[1]
+
+
+def _factorization_check(family, pair, scale, cof0, cof1, f1_printed,
+                         degrees, rhs) -> bool:
+    """The check of Q8, N11 and N12 as an identity in the one variable x
+    that their scaled structural pair (p, q) varies with.  pair is (P, Q),
+    the x^e multiple of the unscaled pair in coefficients in x
+    (``_coefficients_in_x``), of degree 4 in s with P_0 != 0
+    (``_require_nominal``).  ``_scaled`` takes p = target0 P / P_0 and q =
+    target0 F Q / P_0, and R_k is homogeneous of degree 4 - k in each
+    polynomial's coefficients, so R_k(p, q) = scale^(4-k) R_k(P, Q) /
+    P_0^(2 (4-k)) with scale = target0^2 F, a polynomial in x.  R_0(P, Q)
+    and R_1(P, Q) come from one ``_sylvester_r0_r1`` pass over Z[x].
+    R_0(p, q) / cof0 and R_1(p, q) / cof1, over the printed cofactors
+    (polynomials in x, nonzero at a physical point), are f1^2 and f2 by
+    exact division, and a remainder fails the check.  f1 is f1_printed if
+    its square is f1^2, or, with no printed f1 (Q8), the square root of
+    f1^2, which must exist; the resultant of f1 and f2 at the nominal
+    degrees must be rhs."""
+    num, den = pair
+    _require_nominal(family, len(num), len(den), num[0], 4)
+    r0, r1 = map(_as_poly, _sylvester_r0_r1(num, den))
+    p0sq = num[0] * num[0]
+    f1sq, rem0 = divmod(r0 * scale ** 4, cof0 * p0sq ** 4)
+    f2, rem1 = divmod(r1 * scale ** 3, cof1 * p0sq ** 3)
+    if rem0 or rem1:
+        return False
+    if f1_printed is None:
+        f1 = _poly_sqrt(f1sq)
+    else:
+        f1 = f1_printed if f1sq == f1_printed ** 2 else None
+    return f1 is not None and _sylvester_nominal(f1, f2, *degrees) == rhs
 
 
 def _check_q8(subs, w0) -> bool:
@@ -982,50 +969,38 @@ def _check_q8(subs, w0) -> bool:
     F times an F-free one: as unreduced pairs, N3 is (F, s/w0) / F and N4,
     N5 are (F n_k, d_k).  Each Kirchhoff term takes the num or the den of
     every arm, so F times the bridge pair is a cubic in F, and
-    ``_sampled_pairs`` builds the bridge at F = 1..4 only.  Every sample
-    is checked as before."""
+    ``_coefficients_in_x`` builds the bridge at F = 1..4 only.  F is the
+    factor that ``_scaled`` puts on den, so scale = target0^2 F."""
     g1, g2, c2 = subs["g1"], subs["g2"], subs["c2"]
-    samples = _fixture_samples() + [Q(31, 5)]
-
-    def pair_at(F):
-        return _quartet_polys("N8", w0, A=1 / g1, B=1 / g2, C=F / c2, D=F)
-
-    pairs = (_scaled("Q8", pair, 4, (1 + c2) * w0 ** 4, F)
-             for F, pair in zip(samples, _sampled_pairs(pair_at, 3, 1,
-                                                        samples)))
+    pair = _coefficients_in_x(
+        lambda F: _quartet_polys("N8", w0, A=1 / g1, B=1 / g2, C=F / c2, D=F),
+        3, 1)
+    target0 = (1 + c2) * w0 ** 4
     g12, k0, k1 = g1 * g2, c2 * w0 ** 16 * (1 + c2), -c2 * w0 ** 9
-
-    def cof0(F):
-        return k0 * (1 + F * F * g12) ** 4
-
-    def cof1(F):
-        return k1 * (1 + F * F * g12) ** 2
-
+    unit = Polynomial([1, 0, g12])                  # 1 + F^2 g1 g2
     # the elimination identity at the generic degrees (2, 6); even nominal
     # degree of f2 makes the result invariant under the sign of f1
     rhs = (c2 ** 6 * g2 ** 10 * (1 + c2) ** 2
            * (c2 * c2 * g1 + 2 * c2 * (g1 - g2) + g1 - 3 * g2) ** 2)
-    return _factorization_check(samples, pairs, cof0, cof1, _poly_sqrt,
-                                (2, 6), rhs)
+    return _factorization_check(
+        "Q8", pair, Polynomial([0, target0 * target0]), unit ** 4 * k0,
+        unit ** 2 * k1, None, (2, 6), rhs)
 
 
-# the power of the sample variable that makes an N11/N12 pair linear in it
+# the power of the variable that makes an N11/N12 pair linear in it
 _N1112_E = {"N11": 0, "N12": 1}
 
 
-def _n1112_structs(family, r1, g2, g3, F, samples, w0):
-    """The unreduced structural (num, den) pair of an N11/N12 point at each
-    var in samples, lazily and in order: the quartet's bridge pair at D =
-    F/var.  Only arm N1 holds var, and var^e times its pair, so var^e times
-    the bridge pair, is linear in var (e = 0 for N11's capacitor, 1 for
-    N12's inductor, r1 = 0 and g2 = 0 included): ``_sampled_pairs`` builds
-    the bridge at var = 1 and 2 only, or at a single sample directly."""
+def _n1112_pair_at(family, r1, g2, g3, F, w0):
+    """The unreduced structural (num, den) pair of an N11/N12 point as a
+    function of var: the quartet's bridge pair at D = F/var.  Only arm N1
+    holds var, and var^e times its pair, so var^e times the bridge pair, is
+    linear in var (e = 0 for N11's capacitor, 1 for N12's inductor, r1 = 0
+    and g2 = 0 included)."""
     # var is c1 (N11) or x1 (N12); r1 = 0 shorts the series resistor and
     # g2 = 0 opens the parallel one
-    return _sampled_pairs(
-        lambda var: _quartet_polys(family, w0, A=r1, B=1 / g3, C=g2,
-                                   D=F / var, E=F),
-        1, _N1112_E[family], samples)
+    return lambda var: _quartet_polys(family, w0, A=r1, B=1 / g3, C=g2,
+                                      D=F / var, E=F)
 
 
 def _check_n11_n12(family, subs, w0) -> bool:
@@ -1052,25 +1027,16 @@ def _check_n11_n12(family, subs, w0) -> bool:
                      * (g3 - g2 * one_m)
                      * (g2 * one_m * one_m + g3 * (1 + r1 * g3)))
         k0, k1, t0 = -F ** 6 * w0 ** 16, F ** 6 * w0 ** 9, r1 * w0 ** 4
-    # num(0) is t0 v^e, R1's cofactor k1 v^(1 - e)
+    # num(0) is target0 = t0 v^e, so scale = t0^2 F v^(2e); R1's cofactor
+    # is k1 v^(1 - e)
     e = _N1112_E[family]
-
-    def cof0(v):
-        return k0 * v * (v * v * a2 + b2) ** 2
-
-    def cof1(v):
-        return k1 * v ** (1 - e)
-
-    samples = _fixture_samples() + [Q(29, 4)]
-    pairs = (_scaled(family, pair, 4, t0 * v ** e, F) for v, pair in zip(
-        samples, _n1112_structs(family, r1, g2, g3, F, samples, w0)))
-    # f1_printed^2 has degree <= 2 < 24 and the interpolant is unique, so
-    # comparing the interpolant with it is comparing every sample with it;
+    pair = _coefficients_in_x(_n1112_pair_at(family, r1, g2, g3, F, w0), 1,
+                              e)
     # the elimination identity is at the generic degrees (1, 5)
     return _factorization_check(
-        samples, pairs, cof0, cof1,
-        lambda f1sq: f1_printed if f1sq == f1_printed ** 2 else None, (1, 5),
-        rhs_final)
+        family, pair, Polynomial([0] * (2 * e) + [t0 * t0 * F]),
+        Polynomial([b2, 0, a2]) ** 2 * Polynomial([0, k0]),
+        Polynomial([0] * (1 - e) + [k1]), f1_printed, (1, 5), rhs_final)
 
 
 def n12_has_no_feasible_solution(r1, g2, g3, F) -> bool:
@@ -1092,18 +1058,16 @@ def n12_has_no_feasible_solution(r1, g2, g3, F) -> bool:
         x1 = -b / a
         if x1 <= 0:
             return True
-        p, q = _scaled("N12", next(_n1112_structs("N12", r1, g2, g3, F, [x1],
-                                                  Q(1))), 4, r1 * x1, F)
+        p, q = _scaled("N12", _n1112_pair_at("N12", r1, g2, g3, F, Q(1))(x1),
+                       4, r1 * x1, F)
         return sylvester_determinant(p, q, 1) != 0
     if g2 != 0 and a == 0:
         return b != 0          # b = g3 > 0, so always true here
-    # boundary g2 = 0 (open parallel resistor): interpolate R0, R1 of the
-    # unscaled pairs in x1 and look for a common positive root directly
-    xs = _fixture_samples(16)
-    vals0, vals1 = zip(*(_sylvester_r0_r1(p, q) for p, q in _n1112_structs(
-        "N12", r1, g2, g3, F, xs, Q(1))))
-    rho0 = _interpolate(xs, vals0)
-    rho1 = _interpolate(xs, vals1)
+    # boundary g2 = 0 (open parallel resistor): R0 and R1 of x1 times the
+    # unscaled pair, as polynomials in x1, and a common positive root of
+    # theirs directly (x1 > 0, so the factor x1 moves no root)
+    rho0, rho1 = map(_as_poly, _sylvester_r0_r1(*_coefficients_in_x(
+        _n1112_pair_at("N12", r1, g2, g3, F, Q(1)), 1, 1)))
     if rho0.is_zero() and rho1.is_zero():
         return False
     g = rho0.gcd(rho1)

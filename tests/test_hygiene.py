@@ -19,10 +19,13 @@ half, and the solves (``solve``) its back half too, over Z on cleared rows
 and over Z[j] on the phasor rows that ``analysis`` stamps there, so no
 second elimination loop runs beside it.  Two readers call
 ``leading_minors``: ``analysis.impedance`` over Z[s], the one elimination
-over Q[s], and ``polyrat._sylvester_r0_r1`` over Z, which reads R_0 and
-R_1 of a fixture pair off one pass over the interleaved Sylvester rows.
-Every other determinant, the state space's det(sI - A) included, is a
-``_det_z`` over Z.  Likewise only three
+over Q[s], and ``polyrat._sylvester_r0_r1`` over Z[x], which reads R_0(x)
+and R_1(x) of a fixture pair off one pass over the interleaved Sylvester
+rows.  Every other determinant, the state space's det(sI - A) included, is
+a ``_det_z``.  Only two functions interpolate: ``synth._coefficients_in_x``,
+which reads a fixture pair's coefficients in x off a few bridge builds,
+and ``analysis._char_poly``; no check interpolates sampled values of its
+answer.  Likewise only three
 remainder loops call ``prem``: ``Polynomial.gcd``, ``sturm_chain`` and the
 Routh rows of ``strict_hurwitz``; the real-root code reads gcd(p, p') off
 the Sturm chain rather than running a fourth.  ``Polynomial`` is the
@@ -185,25 +188,45 @@ def test_bareiss_named_only_by_its_entry_points():
 
 
 # the readers of leading minors: the impedance's, the one elimination over
-# Q[s], and R_0 and R_1 of a Sylvester pair over Z.  Every other
-# determinant is a _det_z over Z (the characteristic polynomial of the state
-# space is interpolated from int determinants)
+# Q[s], and R_0(x) and R_1(x) of a fixture's Sylvester pair over Z[x].
+# Every other determinant is a _det_z (the characteristic polynomial of the
+# state space is interpolated from int determinants)
 LEADING_MINOR_CALLERS = {("analysis.py", "impedance"),
                          ("polyrat.py", "_sylvester_r0_r1")}
+
+
+def _callers(name):
+    """(module, top-level name) of every top-level statement in src/ that
+    calls name, by a plain or an attribute call."""
+    found = set()
+    for path in MODULES:
+        for top in _tree(path).body:
+            if any(isinstance(c, ast.Call) and name
+                   in (getattr(c.func, "id", None),
+                       getattr(c.func, "attr", None))
+                   for c in ast.walk(top)):
+                found.add((path.name, getattr(top, "name", None)))
+    return found
 
 
 def test_leading_minors_called_only_by_its_two_readers():
     # a call of leading_minors anywhere else in src/ is a second Q[s]
     # elimination route, or a second subresultant reader
-    found = set()
-    for path in MODULES:
-        for top in _tree(path).body:
-            if any(isinstance(c, ast.Call) and "leading_minors"
-                   in (getattr(c.func, "id", None),
-                       getattr(c.func, "attr", None))
-                   for c in ast.walk(top)):
-                found.add((path.name, getattr(top, "name", None)))
-    assert found == LEADING_MINOR_CALLERS
+    assert _callers("leading_minors") == LEADING_MINOR_CALLERS
+
+
+# the callers of _interpolate: a fixture pair's coefficients in x, from the
+# bridge at a few integer nodes, and the state space's characteristic
+# polynomial, from int determinants at integer points
+INTERPOLATE_CALLERS = {("synth.py", "_coefficients_in_x"),
+                       ("analysis.py", "_char_poly")}
+
+
+def test_interpolate_called_only_by_its_two_readers():
+    # a call of _interpolate anywhere else in src/ is a check read off
+    # sampled values of its answer, where one exact pass can give the
+    # identity itself
+    assert _callers("_interpolate") == INTERPOLATE_CALLERS
 
 
 def test_spanning_tree_tables_read_only_by_the_bridge_evaluator():

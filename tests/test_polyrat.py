@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from prsyn.polyrat import (BiquadParams, DegreeTooSmall, NotBiquadratic,
                            NotMinimum, Polynomial, Q, QComplex,
                            RationalFunction, ZeroDenominator,
-                           _det_z, _GaussInt, _interpolate,
+                           _as_poly, _det_z, _GaussInt, _interpolate,
                            _sylvester_r0_r1,
                            biquad_params, biquad_template, count_real_roots,
                            eval_ratfunc, format_poly, format_ratfunc,
@@ -562,7 +562,7 @@ class TestSylvester:
             assert want == (sylvester_determinant(p, q, 0),
                             sylvester_determinant(p, q, 1))
             fallbacks.clear()
-            assert _sylvester_r0_r1(p, q) == want
+            assert _r0_r1_of(p, q) == want
             if kind in ("random", "one_root"):
                 # one shared root: M_(m+n-1) != 0 and M_(m+n) = R_0 = 0
                 # ends the run, so R_0 is read as its zero minor
@@ -595,7 +595,7 @@ class TestSylvester:
             want = tuple(fraction_determinant(sylvester_reference(p, q, m, n, k))
                          for k in (0, 1))
             fallbacks.clear()
-            assert _sylvester_r0_r1(p, q) == want
+            assert _r0_r1_of(p, q) == want
             seen.add((m, n, len(fallbacks), want[0] == 0))
         for m, n in shapes:
             # a full run, R_0 = 0 read off the run, R_0 by the pivoting route
@@ -606,11 +606,62 @@ class TestSylvester:
         for p, q in ((parse_poly("s + 1"), parse_poly("s^2 + 2")),
                      (Polynomial(), parse_poly("s^2 + 1"))):
             with pytest.raises(DegreeTooSmall):
-                _sylvester_r0_r1(p, q)
+                _r0_r1_of(p, q)
+
+    def test_r0_r1_pass_over_zx_takes_the_pivoting_route(self, monkeypatch):
+        # the Z[x] analogue of the early_zero pairs: (n, n) pairs of
+        # coefficient lists in x whose leading 2 x 2 blocks are equal up to
+        # a factor c(x), so M_2 is zero in x.  R_0(x) and R_1(x) come from
+        # the pivoting route over Z[x], equal the Q[x] Bareiss reference on
+        # the block-ordered Sylvester matrix, and at integer and rational x
+        # equal the integer route on the pair read off at x
+        fallbacks = count_det_z(monkeypatch)
+        rng = random.Random(1968)
+
+        def poly_in_x(deg):
+            return Polynomial([Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                               for _ in range(deg)] + [rng.randint(1, 9)])
+
+        for trial in range(12):
+            n = 2 + trial % 3
+            p = [poly_in_x(rng.randint(0, 2)) for _ in range(n + 1)]
+            c = poly_in_x(trial % 2)
+            tail = [poly_in_x(rng.randint(0, 2)) for _ in range(n - 1)]
+            q = [c * x + (tail[j] if j < n - 1 else 0)
+                 for j, x in enumerate(p)]
+            fallbacks.clear()
+            got = tuple(map(_as_poly, _sylvester_r0_r1(p, q)))
+            # R_0 by the pivoting route, and R_1 too once its 2n - 2 rows
+            # reach past the zero M_2; R_1 = M_2 = 0 for n = 2
+            assert fallbacks == ([4] if n == 2 else [2 * n, 2 * n - 2])
+            zero = Polynomial()
+            for k, r in enumerate(got):
+                size = 2 * n - 2 * k
+                block = [[side[n - j + i] if 0 <= n - j + i <= n else zero
+                          for j in range(size)]
+                         for side in (p, q) for i in range(n - k)]
+                assert r == Polynomial(q_bareiss_reference(block))
+            assert got[1].is_zero() == (n == 2)
+            for x in (Q(0), Q(3), Q(-2), Q(5, 7)):
+                px, qx = (Polynomial([a(x) for a in side]) for side in (p, q))
+                if px.degree < n or qx.degree < n:
+                    continue
+                assert got[0](x) == sylvester_determinant(px, qx, 0)
+                assert got[1](x) == sylvester_determinant(px, qx, 1)
+
+
+def _r0_r1_of(p, q):
+    """``_sylvester_r0_r1`` on the primitive parts of p and q, times each
+    content to the number of its rows, as ``sylvester_determinant`` reads
+    them: (R_0, R_1) of p and q at their degrees."""
+    r0, r1 = _sylvester_r0_r1(p.prim, q.prim)
+    m, n = len(p.prim) - 1, len(q.prim) - 1
+    c, e = p.content, q.content
+    return r0 * c ** n * e ** m, r1 * c ** (n - 1) * e ** (m - 1)
 
 
 def count_det_z(monkeypatch):
-    """Record the size of each int determinant polyrat takes through
+    """Record the size of each determinant polyrat takes through
     ``_det_z``: in ``_sylvester_r0_r1``, the pivoting route."""
     import prsyn.polyrat as polyrat
     sizes = []
@@ -908,9 +959,9 @@ def lagrange_reference(points):
 
 class TestInterpolate:
     def test_matches_lagrange_reference(self):
-        from prsyn.synth import _fixture_samples
         rng = random.Random(4099)
-        abscissae = [_fixture_samples(24), _fixture_samples(16)]
+        abscissae = [[Fraction(k, 7) for k in range(1, 25)],
+                     [Fraction(k, 7) for k in range(1, 17)]]
         for n in range(1, 25):
             d = rng.randint(1, 6)
             abscissae.append([Fraction(x, d)

@@ -1,6 +1,10 @@
 """Synthesis procedures, classifier, quartets, matcher, fixtures."""
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
@@ -671,7 +675,7 @@ class TestFixtureArms:
 
     def test_arms_match_the_pair_algebra(self):
         from prsyn.network import tree_pair
-        from prsyn.synth import (QuartetParams, _n1112_structs, _quartet_arms,
+        from prsyn.synth import (QuartetParams, _n1112_pair_at, _quartet_arms,
                                  _quartet_polys, _scaled,
                                  bridge_structural_polys)
         rng = random.Random(1961)
@@ -708,8 +712,8 @@ class TestFixtureArms:
                 num, den = bridge_reference(want)
                 assert bridge_structural_polys(got) == (num, den)
                 if target0 is None:
-                    assert next(_n1112_structs(fam, r1, g2z, g3, F, [var],
-                                               w0)) == (num, den)
+                    assert _n1112_pair_at(fam, r1, g2z, g3, F,
+                                          w0)(var) == (num, den)
                 else:
                     c = target0 / num(Q(0))
                     assert (_scaled(family, _quartet_polys(fam, w0, **params),
@@ -718,69 +722,267 @@ class TestFixtureArms:
         assert seen_zero == {"r1", "g2"}
 
     def test_n1112_pairs_match_the_direct_bridge(self):
-        # the bridge built at var = 1 and 2 and read off at each sample, or
-        # built at a single sample directly, gives the bridge's own pair at
-        # every fixture sample
+        # the coefficients in var, from the bridge built at var = 1 and 2,
+        # read off at every former sample give var^e times the bridge's own
+        # pair there
         from prsyn.network import tree_pair
-        from prsyn.synth import (QuartetParams, _fixture_samples,
-                                 _n1112_structs, _quartet_arms,
+        from prsyn.synth import (_N1112_E, QuartetParams, _coefficients_in_x,
+                                 _n1112_pair_at, _quartet_arms,
                                  bridge_structural_polys)
         points = [(Q(1, 3), Q(2, 5), Q(7, 4), Q(1, 2), Q(1)),
                   (Q(0), Q(2, 5), Q(7, 4), Q(3, 2), Q(4, 3)),      # r1 = 0
                   (Q(5, 2), Q(0), Q(3), Q(4, 3), Q(2)),            # g2 = 0
                   (Q(0), Q(0), Q(1, 6), Q(5), Q(1, 3))]            # both
-        # random points, r1 = 0 and g2 = 0 each in half of them; the
+        # random points, r1 = 0 and g2 = 0 each in half of them; the former
         # samples of a check (the spot sample 29/4 included), of the g2 = 0
-        # feasibility path, and a single sample (the x1 > 0 path)
+        # feasibility path, and a single random one
         rng = random.Random(4242)
         points += [(Q(0) if k % 2 else rand_q(rng, 1, 9),
                     Q(0) if k % 4 >= 2 else rand_q(rng, 1, 9),
                     rand_q(rng, 1, 9), rand_q(rng, 1, 9), rand_q(rng, 1, 4))
                    for k in range(8)]
         for fam in ("N11", "N12"):
+            e = _N1112_E[fam]
             for r1, g2, g3, F, w0 in points:
-                for xs in (_fixture_samples(), _fixture_samples(16),
-                           _fixture_samples() + [Q(29, 4)],
-                           [rand_q(rng, 1, 9)]):
-                    got = list(_n1112_structs(fam, r1, g2, g3, F, xs, w0))
-                    assert len(got) == len(xs)
-                    for v, pair in zip(xs, got):
-                        qp = QuartetParams(fam, A=r1, B=1 / g3, C=g2,
-                                           D=F / v, E=F)
-                        arms = {slot: tree_pair(t) for slot, t
-                                in _quartet_arms(fam, qp, w0).items()}
-                        assert pair == bridge_structural_polys(arms) \
-                            == bridge_reference(arms)
+                cols = _coefficients_in_x(
+                    _n1112_pair_at(fam, r1, g2, g3, F, w0), 1, e)
+                assert all(c.degree <= 1 for side in cols for c in side)
+                for v in FORMER_SAMPLES + [Q(29, 4), rand_q(rng, 1, 9)]:
+                    qp = QuartetParams(fam, A=r1, B=1 / g3, C=g2, D=F / v,
+                                       E=F)
+                    arms = {slot: tree_pair(t) for slot, t
+                            in _quartet_arms(fam, qp, w0).items()}
+                    want = bridge_structural_polys(arms)
+                    assert want == bridge_reference(arms)
+                    assert _read_off(cols, v) == (want[0] * v ** e,
+                                                  want[1] * v ** e)
 
     def test_q8_pairs_match_the_direct_bridge(self, monkeypatch):
-        # the cubic-in-F route gives the pair of the direct bridge build at
-        # every sample of the Q8 check, the spot sample 31/5 included:
-        # unscaled from _sampled_pairs, and scaled as the check reads them
+        # the cubic-in-F coefficients that the Q8 check reads, at every
+        # former sample of the check (the spot sample 31/5 included), give
+        # F times the direct bridge build there; scaled by target0 / P_0
+        # (the check's scale is target0^2 F) they are the scaled pair
         import prsyn.synth as synth
-        seen = []
-
-        def capture(samples, pairs, *rest):
-            seen.append((samples, list(pairs)))
-            return True
-
-        monkeypatch.setattr(synth, "_factorization_check", capture)
+        seen = _capturing(monkeypatch)
         rng = random.Random(2718)
-        samples = synth._fixture_samples() + [Q(31, 5)]
         for _ in range(30):
             g1, g2, c2 = (rand_q(rng, 1, 9) for _ in range(3))
             w0 = rand_q(rng, 1, 3)
-
-            def pair_at(F):
-                return synth._quartet_polys("N8", w0, A=1 / g1, B=1 / g2,
-                                            C=F / c2, D=F)
-
-            assert (list(synth._sampled_pairs(pair_at, 3, 1, samples))
-                    == [pair_at(F) for F in samples])
             assert resultant_fixture_check(
                 "Q8", dict(g1=g1, g2=g2, c2=c2, omega0=w0))
-            got_samples, got = seen.pop()
-            assert got_samples == samples
-            assert got == [_q8_pair(g1, g2, c2, F, w0) for F in samples]
+            family, cols, scale = seen.pop()[:3]
+            target0 = (1 + c2) * w0 ** 4
+            assert family == "Q8"
+            assert scale == Polynomial([0, target0 * target0])
+            for F in FORMER_SAMPLES + [Q(31, 5)]:
+                num, den = synth._quartet_polys("N8", w0, A=1 / g1, B=1 / g2,
+                                                C=F / c2, D=F)
+                got = _read_off(cols, F)
+                assert got == (num * F, den * F)
+                c = target0 / got[0].coeff(0)
+                assert (got[0] * c, got[1] * (c * F)) \
+                    == _q8_pair(g1, g2, c2, F, w0)
+
+
+# the 24 samples x = k/7 at which the fixture checks were once evaluated
+FORMER_SAMPLES = [Q(k, 7) for k in range(1, 25)]
+
+
+def _read_off(cols, x):
+    """The pair in s whose s^j coefficients are cols[side][j] at x."""
+    return tuple(Polynomial([c(x) for c in side]) for side in cols)
+
+
+def _capturing(monkeypatch):
+    """Record the arguments of every ``_factorization_check`` call, which
+    still runs; the list holds them."""
+    import prsyn.synth as synth
+    seen, inner = [], synth._factorization_check
+
+    def capture(*args):
+        seen.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(synth, "_factorization_check", capture)
+    return seen
+
+
+class TestZxAgainstTheDirectPairs:
+    """R0(x) and R1(x), read off one pass over Z[x], equal the integer
+    route on the direct ``_quartet_polys`` pair at every former sample:
+    the 24 samples and the spot sample of each check, and the 16 samples
+    of the g2 = 0 feasibility path."""
+
+    @staticmethod
+    def _compare(cols, e, xs, direct, scaled=None):
+        # cols is (P, Q), e the power of x that makes it polynomial; with
+        # scaled = (scale, pair_at), the scaled pair's R_k at x is
+        # scale^(4-k) R_k(P, Q) / P_0^(2 (4-k)) too
+        from prsyn.polyrat import _as_poly, _sylvester_r0_r1
+        r = [_as_poly(v) for v in _sylvester_r0_r1(*cols)]
+        for x in xs:
+            num, den = direct(x)
+            for k in (0, 1):
+                assert r[k](x) == sylvester_determinant(num * x ** e,
+                                                        den * x ** e, k)
+                if scaled is not None:
+                    scale, pair_at = scaled
+                    p, q = pair_at(x)
+                    assert (scale(x) ** (4 - k) * r[k](x)
+                            / cols[0][0](x) ** (2 * (4 - k))
+                            == sylvester_determinant(p, q, k))
+
+    def test_q8_points(self, monkeypatch):
+        import prsyn.synth as synth
+        seen = _capturing(monkeypatch)
+        rng = random.Random(1967)
+        for _ in range(8):
+            g1, g2, c2 = (rand_q(rng, 1, 9) for _ in range(3))
+            w0 = rand_q(rng, 1, 3)
+            assert resultant_fixture_check(
+                "Q8", dict(g1=g1, g2=g2, c2=c2, omega0=w0))
+            _, cols, scale = seen.pop()[:3]
+            self._compare(
+                cols, 1, FORMER_SAMPLES + [Q(31, 5)],
+                lambda F: synth._quartet_polys("N8", w0, A=1 / g1, B=1 / g2,
+                                               C=F / c2, D=F),
+                (scale, lambda F: _q8_pair(g1, g2, c2, F, w0)))
+
+    def test_n11_n12_points(self, monkeypatch):
+        # random points with r1 = 0, g2 = 0, both and neither; N12 is
+        # degenerate at r1 = 0 or g2 = 0, so its check stops before the
+        # pass there and only the unscaled pair is compared
+        from prsyn.synth import (_N1112_E, _coefficients_in_x,
+                                 _n1112_pair_at, _scaled)
+        seen = _capturing(monkeypatch)
+        rng = random.Random(1971)
+        for k in range(16):
+            r1 = Q(0) if k % 2 else rand_q(rng, 1, 9)
+            g2 = Q(0) if k % 4 >= 2 else rand_q(rng, 1, 9)
+            g3, F, w0 = rand_q(rng, 1, 9), rand_q(rng, 1, 9), rand_q(rng, 1, 3)
+            for fam in ("N11", "N12"):
+                e = _N1112_E[fam]
+                pair_at = _n1112_pair_at(fam, r1, g2, g3, F, w0)
+                xs = FORMER_SAMPLES + [Q(29, 4)]
+                subs = dict(r1=r1, g2=g2, g3=g3, F=F, omega0=w0)
+                if fam == "N12" and (r1 == 0 or g2 == 0):
+                    with pytest.raises(ConstraintViolated, match="degenerate"):
+                        resultant_fixture_check(fam, subs)
+                    self._compare(_coefficients_in_x(pair_at, 1, e), e, xs,
+                                  pair_at)
+                    continue
+                assert resultant_fixture_check(fam, subs)
+                _, cols, scale = seen.pop()[:3]
+                t0 = (F * (1 + r1 * g2) if fam == "N11" else r1) * w0 ** 4
+                self._compare(cols, e, xs, pair_at, (scale, lambda v: _scaled(
+                    fam, pair_at(v), 4, t0 * v ** e, F)))
+
+    def test_g2_zero_feasibility(self):
+        # x1 times the unscaled g2 = 0 pair, of degrees (4, 3) in s
+        from prsyn.synth import _coefficients_in_x, _n1112_pair_at
+        rng = random.Random(1840)
+        for _ in range(12):
+            r1, g3, F = (rand_q(rng, 1, 9) for _ in range(3))
+            pair_at = _n1112_pair_at("N12", r1, Q(0), g3, F, Q(1))
+            cols = _coefficients_in_x(pair_at, 1, 1)
+            assert (len(cols[0]), len(cols[1])) == (5, 4)
+            self._compare(cols, 1, FORMER_SAMPLES[:16], pair_at)
+
+
+class TestFalseVerdicts:
+    """The fixture checks reach False: each check's own arguments to
+    ``_factorization_check``, with a printed factor perturbed or a cofactor
+    given an extra factor 1 + x, so that the division leaves a remainder.
+    Where it can, a perturbed call also gets the rhs that its own f1 and
+    f2 satisfy, so that only the step under test can fail it."""
+
+    POINTS = [("Q8", {"g1": Q(3, 2), "g2": Q(2, 3), "c2": Q(5, 4),
+                      "omega0": Q(4, 3)}),
+              ("N11", {"r1": Q(1, 3), "g2": Q(2, 5), "g3": Q(7, 4),
+                       "F": Q(1, 2), "omega0": Q(3, 2)}),
+              ("N11", {"r1": Q(0), "g2": Q(0), "g3": Q(7, 4), "F": Q(1, 2),
+                       "omega0": Q(3, 2)}),
+              ("N12", {"r1": Q(1, 3), "g2": Q(2, 5), "g3": Q(7, 4),
+                       "F": Q(1, 2), "omega0": Q(3, 2)})]
+
+    def _calls(self, monkeypatch):
+        """(arguments, f1, f2) of each point's check, which is True."""
+        import prsyn.synth as synth
+        seen, factors = _capturing(monkeypatch), []
+        inner = synth._sylvester_nominal
+
+        def nominal(f1, f2, *degrees):
+            factors.append((f1, f2))
+            return inner(f1, f2, *degrees)
+
+        monkeypatch.setattr(synth, "_sylvester_nominal", nominal)
+        for fam, point in self.POINTS:
+            assert resultant_fixture_check(fam, point)
+        monkeypatch.undo()
+        assert len(seen) == len(factors) == len(self.POINTS)
+        return [(args, *f) for args, f in zip(seen, factors)]
+
+    def test_perturbed_printed_factor(self, monkeypatch):
+        from prsyn.synth import _factorization_check, _sylvester_nominal
+        for args, f1, f2 in self._calls(monkeypatch):
+            degrees, rhs = args[6], args[7]
+            assert _factorization_check(*args)
+            if args[0] == "Q8":
+                # the rhs of the final elimination identity
+                assert not _factorization_check(*args[:7], rhs + 1)
+                continue
+            assert args[5] == f1
+            # the printed f1, in either coefficient, with the rhs it gives
+            for bump in (Polynomial([1]), Polynomial([0, Q(1, 3)])):
+                g1 = f1 + bump
+                assert not _factorization_check(
+                    *args[:5], g1, degrees, _sylvester_nominal(g1, f2,
+                                                               *degrees))
+            # -f1 squares to f1^2, but flips the sign of the resultant at
+            # the odd nominal degree 5
+            assert rhs and not _factorization_check(*args[:5], -f1,
+                                                    *args[6:])
+
+    def test_cofactor_with_an_extra_factor(self, monkeypatch):
+        from prsyn.synth import _factorization_check, _sylvester_nominal
+        extra = Polynomial([1, 1])
+        for args, f1, f2 in self._calls(monkeypatch):
+            cof0, cof1, degrees = args[3], args[4], args[6]
+            # cof1 (1 + x) leaves the quotient f2 // (1 + x) and the
+            # remainder cof1 P_0^6 (f2 mod (1 + x)); with the rhs of that
+            # quotient only the remainder fails the check
+            assert f2 % extra
+            assert not _factorization_check(
+                *args[:4], cof1 * extra, args[5], degrees,
+                _sylvester_nominal(f1, f2 // extra, *degrees))
+            assert not _factorization_check(*args[:3], cof0 * extra,
+                                            *args[4:])
+            if args[0] == "Q8":
+                # f1^2 over 2: exact, but with no square root
+                assert not _factorization_check(*args[:3], cof0 * 2,
+                                                *args[4:])
+
+    def test_false_under_optimize(self):
+        # the verdict needs no assert: under -O a perturbed rhs still
+        # fails the Q8 check
+        code = textwrap.dedent("""
+            import sys
+            import prsyn.synth as synth
+            from fractions import Fraction as Q
+            seen, inner = [], synth._factorization_check
+            synth._factorization_check = lambda *a: seen.append(a) or inner(*a)
+            verdict = synth.resultant_fixture_check(
+                "Q8", {"g1": Q(3, 2), "g2": Q(2, 3), "c2": Q(5, 4)})
+            args = seen.pop()
+            if not verdict or inner(*args[:7], args[7] + 1):
+                sys.exit(1)
+            sys.exit(0 if sys.flags.optimize else 2)
+            """)
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        proc = subprocess.run([sys.executable, "-O", "-c", code],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
 
 
 def _counting(monkeypatch, module, name):
@@ -797,23 +999,13 @@ def _counting(monkeypatch, module, name):
 
 
 class TestOnceAPoint:
-    """A fixture check builds its structural pairs once per point, whatever
-    its sample count: the bridge at F = 1..4 for Q8, and at var = 1 and 2
-    for N11/N12.  A single sample, the n12_has_no_feasible_solution x1 > 0
-    path, is one direct build.  Each sample's R0 and R1 come from one pass
-    of leading minors."""
+    """A fixture check builds its structural pairs once per point: the
+    bridge at F = 1..4 for Q8, and at var = 1 and 2 for N11/N12.  A single
+    point, the n12_has_no_feasible_solution x1 > 0 path, is one direct
+    build.  R0(x) and R1(x) of a check come from one pass of leading
+    minors over Z[x]."""
 
-    @pytest.fixture(params=[0, 6], ids=["24_samples", "30_samples"])
-    def extra(self, request, monkeypatch):
-        import prsyn.synth as synth
-        inner = synth._fixture_samples
-        monkeypatch.setattr(synth, "_fixture_samples",
-                            lambda var_count=24: inner(var_count
-                                                       + request.param))
-        return request.param
-
-    def test_q8_builds_the_bridge_at_most_four_times(self, monkeypatch,
-                                                     extra):
+    def test_q8_builds_the_bridge_at_most_four_times(self, monkeypatch):
         import prsyn.synth as synth
         bridges = _counting(monkeypatch, synth, "bridge_structural_polys")
         assert resultant_fixture_check(
@@ -821,7 +1013,7 @@ class TestOnceAPoint:
                    "omega0": Q(4, 3)})
         assert 0 < bridges[0] <= 4
 
-    def test_n11_n12_build_the_bridge_twice(self, monkeypatch, extra):
+    def test_n11_n12_build_the_bridge_twice(self, monkeypatch):
         import prsyn.synth as synth
         bridges = _counting(monkeypatch, synth, "bridge_structural_polys")
         # N12 is degenerate at r1 = 0 or g2 = 0
@@ -835,12 +1027,11 @@ class TestOnceAPoint:
             # at the two interpolation nodes var = 1, 2
             assert bridges[0] == 2
 
-    def test_one_leading_minor_pass_per_sample(self, monkeypatch, extra):
-        # R0 and R1 of every sample, the spot sample included, come from
-        # one leading_minors pass over the interleaved S_0 rows; the one
-        # int determinant left is the nominal resultant of f1 and f2
+    def test_one_leading_minor_pass_per_check(self, monkeypatch):
+        # R0(x) and R1(x) of a check come from one leading_minors pass over
+        # the interleaved S_0 rows over Z[x]; the one determinant left is
+        # the nominal resultant of f1 and f2, over Z
         import prsyn.polyrat as polyrat
-        import prsyn.synth as synth
         passes = _counting(monkeypatch, polyrat, "leading_minors")
         dets = _counting(monkeypatch, polyrat, "_det_z")
         n1112 = {"g3": Q(7, 4), "F": Q(1, 2), "omega0": Q(3, 2)}
@@ -854,13 +1045,13 @@ class TestOnceAPoint:
         for fam, point in points:
             passes[0] = dets[0] = 0
             assert resultant_fixture_check(fam, point)
-            assert passes[0] == len(synth._fixture_samples()) + 1 == 25 + extra
+            assert passes[0] == 1
             assert dets[0] == 1
-        # the g2 = 0 feasibility path: one pass for each of its 16 (4, 3)
-        # pairs and no other determinant
+        # the g2 = 0 feasibility path: one pass over its (4, 3) pair in x1
+        # and no other determinant
         passes[0] = dets[0] = 0
         assert n12_has_no_feasible_solution(Q(1, 2), 0, 3, 2)
-        assert passes[0] == len(synth._fixture_samples(16)) == 16 + extra
+        assert passes[0] == 1
         assert dets[0] == 0
 
     def test_n12_feasibility_builds_the_bridge_once_at_a_positive_root(
