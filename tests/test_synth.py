@@ -1003,56 +1003,71 @@ class TestOnceAPoint:
     bridge at F = 1..4 for Q8, and at var = 1 and 2 for N11/N12.  A single
     point, the n12_has_no_feasible_solution x1 > 0 path, is one direct
     build.  R0(x) and R1(x) of a check come from one pass of leading
-    minors over Z[x]."""
+    minors over Z[x].  The counts are per check: they hold, check by
+    check, over a run of points."""
 
-    def test_q8_builds_the_bridge_at_most_four_times(self, monkeypatch):
+    @pytest.fixture(params=[24, 30], ids=["24_samples", "30_samples"])
+    def samples(self, request):
+        # the former sample grid x = k/7 of a check, and that grid with six
+        # samples more, now taken as the points of a run: values of omega0,
+        # or of F on the g2 = 0 feasibility path
+        return [Q(k, 7) for k in range(1, request.param + 1)]
+
+    def test_q8_builds_the_bridge_at_most_four_times(self, monkeypatch,
+                                                     samples):
         import prsyn.synth as synth
         bridges = _counting(monkeypatch, synth, "bridge_structural_polys")
-        assert resultant_fixture_check(
-            "Q8", {"g1": Q(3, 2), "g2": Q(2, 3), "c2": Q(5, 4),
-                   "omega0": Q(4, 3)})
-        assert 0 < bridges[0] <= 4
+        for omega0 in samples:
+            bridges[0] = 0
+            assert resultant_fixture_check(
+                "Q8", {"g1": Q(3, 2), "g2": Q(2, 3), "c2": Q(5, 4),
+                       "omega0": omega0})
+            assert 0 < bridges[0] <= 4
 
-    def test_n11_n12_build_the_bridge_twice(self, monkeypatch):
+    def test_n11_n12_build_the_bridge_twice(self, monkeypatch, samples):
         import prsyn.synth as synth
         bridges = _counting(monkeypatch, synth, "bridge_structural_polys")
         # N12 is degenerate at r1 = 0 or g2 = 0
-        for fam, r1, g2 in (("N11", Q(1, 3), Q(2, 5)), ("N11", Q(0), Q(2, 5)),
-                            ("N11", Q(1, 3), Q(0)), ("N11", Q(0), Q(0)),
-                            ("N12", Q(1, 3), Q(2, 5))):
-            bridges[0] = 0
-            assert resultant_fixture_check(
-                fam, {"r1": r1, "g2": g2, "g3": Q(7, 4), "F": Q(1, 2),
-                      "omega0": Q(3, 2)})
-            # at the two interpolation nodes var = 1, 2
-            assert bridges[0] == 2
+        for omega0 in samples:
+            for fam, r1, g2 in (("N11", Q(1, 3), Q(2, 5)),
+                                ("N11", Q(0), Q(2, 5)),
+                                ("N11", Q(1, 3), Q(0)), ("N11", Q(0), Q(0)),
+                                ("N12", Q(1, 3), Q(2, 5))):
+                bridges[0] = 0
+                assert resultant_fixture_check(
+                    fam, {"r1": r1, "g2": g2, "g3": Q(7, 4), "F": Q(1, 2),
+                          "omega0": omega0})
+                # at the two interpolation nodes var = 1, 2
+                assert bridges[0] == 2
 
-    def test_one_leading_minor_pass_per_check(self, monkeypatch):
+    def test_one_leading_minor_pass_per_sample(self, monkeypatch, samples):
         # R0(x) and R1(x) of a check come from one leading_minors pass over
         # the interleaved S_0 rows over Z[x]; the one determinant left is
         # the nominal resultant of f1 and f2, over Z
         import prsyn.polyrat as polyrat
         passes = _counting(monkeypatch, polyrat, "leading_minors")
         dets = _counting(monkeypatch, polyrat, "_det_z")
-        n1112 = {"g3": Q(7, 4), "F": Q(1, 2), "omega0": Q(3, 2)}
-        points = [("Q8", {"g1": Q(3, 2), "g2": Q(2, 3), "c2": Q(5, 4),
-                          "omega0": Q(4, 3)})] + [
-            (fam, dict(n1112, r1=r1, g2=g2))
-            for fam, r1, g2 in (("N11", Q(1, 3), Q(2, 5)),
-                                ("N11", Q(0), Q(2, 5)),
-                                ("N11", Q(1, 3), Q(0)), ("N11", Q(0), Q(0)),
-                                ("N12", Q(1, 3), Q(2, 5)))]
-        for fam, point in points:
+        for x in samples:
+            n1112 = {"g3": Q(7, 4), "F": Q(1, 2), "omega0": x}
+            points = [("Q8", {"g1": Q(3, 2), "g2": Q(2, 3), "c2": Q(5, 4),
+                              "omega0": x})] + [
+                (fam, dict(n1112, r1=r1, g2=g2))
+                for fam, r1, g2 in (("N11", Q(1, 3), Q(2, 5)),
+                                    ("N11", Q(0), Q(2, 5)),
+                                    ("N11", Q(1, 3), Q(0)),
+                                    ("N11", Q(0), Q(0)),
+                                    ("N12", Q(1, 3), Q(2, 5)))]
+            for fam, point in points:
+                passes[0] = dets[0] = 0
+                assert resultant_fixture_check(fam, point)
+                assert passes[0] == 1
+                assert dets[0] == 1
+            # the g2 = 0 feasibility path: one pass over its (4, 3) pair in
+            # x1 and no other determinant
             passes[0] = dets[0] = 0
-            assert resultant_fixture_check(fam, point)
+            assert n12_has_no_feasible_solution(x, 0, 3, 2)
             assert passes[0] == 1
-            assert dets[0] == 1
-        # the g2 = 0 feasibility path: one pass over its (4, 3) pair in x1
-        # and no other determinant
-        passes[0] = dets[0] = 0
-        assert n12_has_no_feasible_solution(Q(1, 2), 0, 3, 2)
-        assert passes[0] == 1
-        assert dets[0] == 0
+            assert dets[0] == 0
 
     def test_n12_feasibility_builds_the_bridge_once_at_a_positive_root(
             self, monkeypatch):
