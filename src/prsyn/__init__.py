@@ -14,8 +14,8 @@ from .network import (Element, Network, OnePort, OpenCircuit, ShortCircuit,
                       parse_netlist, report_grounded_capacitors,
                       serialize_netlist, short_oneport, to_mechanical)
 from .analysis import (BlockReport, CapacitorLoop, InductorCutset,
-                       NoImpedance, PhasorSolution, StateSpace,
-                       blocked_open_short_check, blocked_report,
+                       InvariantViolation, NoImpedance, PhasorSolution,
+                       StateSpace, blocked_open_short_check, blocked_report,
                        energy_balance, impedance, mcmillan_gap,
                        pbh_diagnostics, phasor_solve, ss_impedance,
                        state_space, storage_count)

@@ -11,21 +11,28 @@ from its triple.  A phasor system evaluates the triples at s = j*omega
 into Gaussian-integer rows, Z[j], plus a current unknown only for an
 element whose admittance does not exist there (an inductor at
 omega = 0); the state space takes the resistors' c1 and a current unknown
-for each capacitor, which holds its state voltage.  Everything is exact:
-frequencies are rationals (a float is a TypeError) and phasors are
-``QComplex`` values read off one solve over Z[j].  The blocked test is
-exact too: an element is blocked when its voltage vanishes on the
-particular solution and on every nullspace basis vector at omega0, and
-both the blocked report and the open/short check read H(j*omega0) off one
-such solve.  The elimination lives in the elimination section of
-``polyrat``: ``leading_minors`` over Q[s], ``_det_z`` over Z and
-``solve`` over Q or Z[j], with nullspaces, all one fraction-free loop over
-Z[s], Z or Z[j]; this module only sets up the systems.  Each impedance is
-the quotient of the last two leading minors of one matrix, its vertices
-in minimum-degree order with the port vertex last.  The state space is
-read over Z: one sequence of int Krylov columns (dA)^j (e b) per (A, b),
-d and e the lcms of the denominators, gives the annihilator of b through
-one ``solve`` and the Markov parameters C A^j b, so ``ss_impedance`` is
+for each capacitor, which holds its state voltage.  One call stamps its
+network once.  Everything is exact: frequencies are rationals (a float is
+a TypeError), and a phasor stays a Z[j] numerator over the last pivot d
+of its solve until a public type is filled: ``_phasor_draw`` builds one
+``QComplex`` per field of ``PhasorSolution``, and ``energy_balance`` reads
+those fields as ints over one common denominator.  The blocked test is
+exact too: an element is blocked when its potential numerators agree at
+its ends on the particular solution and on every nullspace basis vector
+at omega0, and both the blocked report and the open/short check read
+H(j*omega0) off one such solve, the port value alone.  The laws a
+computed answer must obey (the impedance is PR, the blocked laws) raise
+``InvariantViolation``, also under ``python -O``.  The elimination lives
+in the elimination section of ``polyrat``: ``leading_minors`` over Q[s],
+``_det_z`` over Z and ``solve`` over Q or Z[j], with nullspaces, all one
+fraction-free loop over Z[s], Z or Z[j]; this module only sets up the
+systems, and divides by a solve's d where it fills its own types.  Each
+impedance is the quotient of the last two leading minors of one matrix,
+its vertices in minimum-degree order with the port vertex last.  The
+state space is read over Z: one sequence of int Krylov columns
+(dA)^j (e b) per (A, b), d and e the lcms of the denominators, gives the
+annihilator of b through one ``solve`` and the Markov parameters
+C A^j b, so ``ss_impedance`` is
 D + N / m with no determinant (Kailath 1980, *Linear Systems*, ch. 2 and
 sec. 6.2).  The PBH polynomials divide det(sI - A) by the annihilators of
 (A, B) and (A^T, C); det(sI - A) is read over Z too, interpolated from
@@ -46,7 +53,7 @@ from operator import mul
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 
 from .polyrat import (ONE, Polynomial, Q, QComplex, RationalFunction,
-                      _GaussInt, _as_q, _det_z, _interpolate, _poly,
+                      _GaussInt, _as_q, _det_z, _interpolate, _over_lcd, _poly,
                       is_lossless, is_positive_real, leading_minors, qcomplex,
                       real_roots, solve, strict_hurwitz)
 from . import network as net
@@ -64,6 +71,20 @@ class InconsistentDrive(AnalysisError):
 
 class HypothesesNotMet(AnalysisError):
     pass
+
+
+class InvariantViolation(Exception):
+    """A law that every computed answer obeys failed: a fault of the
+    program, not of its input (CLI exit code 4).  ``law`` names the law and
+    ``context`` holds what it failed on.  The check is a plain ``if``, so
+    it also runs under ``python -O``."""
+
+    def __init__(self, law: str, **context):
+        detail = ", ".join(f"{k}={v}" for k, v in context.items())
+        super().__init__(f"invariant {law} violated"
+                         + (f": {detail}" if detail else ""))
+        self.law = law
+        self.context = context
 
 
 class ExtractionFailure(AnalysisError):
@@ -164,8 +185,10 @@ def _min_degree_order(n: Network, idx: Dict[str, int]) -> List[int]:
     return order + [port]
 
 
-def impedance(n: Network) -> Union[RationalFunction, NoImpedance]:
-    """Exact driving-point impedance, asserted positive-real.
+def impedance(n: Network, *,
+              _stamped=None) -> Union[RationalFunction, NoImpedance]:
+    """Exact driving-point impedance, checked positive-real: a failed check
+    raises InvariantViolation("positive-real").
 
     Nodal analysis over Q[s] on the s-scaled matrix of ``_stamp``, each
     entry built once from its triple; H = s * cofactor / determinant.  In
@@ -175,8 +198,10 @@ def impedance(n: Network) -> Union[RationalFunction, NoImpedance]:
     s = 1 the scaled entries 1/R, 1/L and C are positive and the elements
     connect every vertex, so the matrix is positive definite there and, in
     any symmetric order, no leading minor vanishes, unless a vertex has no
-    path to ground and the determinant is identically zero: a bare port."""
-    scale, _, mat, idx = _stamp(n)
+    path to ground and the determinant is identically zero: a bare port.
+    ``blocked_report`` passes the stamp it has taken of n as ``_stamped``,
+    so one call stamps n once."""
+    scale, _, mat, idx = _stamped or _stamp(n)
     order = _min_degree_order(n, idx)
     zero = Polynomial()
     minors = [ONE] + leading_minors([[_poly(list(mat[r][c]), 1, scale)
@@ -185,7 +210,8 @@ def impedance(n: Network) -> Union[RationalFunction, NoImpedance]:
     if len(minors) <= len(mat):
         return NoImpedance()
     h = RationalFunction(minors[-2] * Polynomial([0, 1]), minors[-1])
-    assert is_positive_real(h), "network impedance must be positive-real"
+    if not is_positive_real(h):
+        raise InvariantViolation("positive-real", impedance=h)
     return h
 
 
@@ -224,23 +250,25 @@ class PhasorSolution:
     free_modes: int = 0                    # dimension of the solution space
 
 
-def _potential(vec, idx: Dict[str, int], v: str) -> QComplex:
-    """The potential of vertex v in a vector of ``_phasor_space``."""
-    return vec[idx[v]] if v in idx else QComplex(0, 0)
+def _potential(vec, idx: Dict[str, int], v: str) -> _GaussInt:
+    """The numerator of vertex v's potential in a vector of
+    ``_phasor_space``."""
+    return vec[idx[v]] if v in idx else _GaussInt(0, 0)
 
 
-def _phasor_space(n: Network, omega: Fraction, drive: Tuple[str, QComplex]):
+def _phasor_space(n: Network, omega: Fraction, drive: Tuple[str, QComplex],
+                  stamp):
     """Solve the modified nodal system at s = j*omega over Z[j], the port
     minus terminal grounded.  Its unknowns are the other potentials, one
     current per element whose impedance is zero there and the source
-    current.  The rows come from ``_stamp``: for omega = a/b != 0 each KCL
-    row is scaled by j*omega*b^2*L, so an entry is (c0 b^2 - c2 a^2) +
-    j c1 a b and the source current's coefficient is -j a b L.  At omega = 0
-    the KCL rows are Y(0)*L and an element with c0 != 0, an inductor, has a
-    current unknown (``_dc_rows``).  Returns (particular solution, nullspace
-    basis, element laws, vertex index) or raises InconsistentDrive."""
-    stamp = _stamp(n)
-    scale, laws, mat, idx = stamp
+    current.  The rows come from stamp, n's ``_stamp``: for omega = a/b != 0
+    each KCL row is scaled by j*omega*b^2*L, so an entry is (c0 b^2 - c2 a^2)
+    + j c1 a b and the source current's coefficient is -j a b L.  At
+    omega = 0 the KCL rows are Y(0)*L and an element with c0 != 0, an
+    inductor, has a current unknown (``_dc_rows``).  Returns (d, particular
+    solution, nullspace basis, stamp), the vectors Z[j] numerators over d
+    (``solve``), or raises InconsistentDrive."""
+    scale, _, mat, idx = stamp
     zero = _GaussInt(0, 0)
     a, b = omega.numerator, omega.denominator
     if a:
@@ -272,37 +300,68 @@ def _phasor_space(n: Network, omega: Fraction, drive: Tuple[str, QComplex]):
     if solved is None:
         raise InconsistentDrive(
             f"no sinusoidal trajectory with drive {mode}={value} at omega={omega}")
-    particular, basis = solved
-    return [x for (x,) in particular], basis, laws, idx
+    d, particular, basis = solved
+    return d, [x for (x,) in particular], basis, stamp
 
 
 def _phasor_draw(n: Network, omega: Fraction, space, seed) -> PhasorSolution:
     """One trajectory from a _phasor_space result: the particular solution
-    plus a pseudo-random combination (from seed) of the free modes.  An
-    element's current is y*v, its admittance y = v_e (j*omega)^(k-1) read
-    off its law (k, v_e), or its own unknown where y does not exist."""
-    vec, basis, laws, idx = space
+    plus a pseudo-random combination (from seed) of the free modes, each
+    coefficient r/61 + j*i/53 = (53 r + 61 i j) / 3233.
+
+    The trajectory stays over Z[j] until the public fields are filled: its
+    unknowns are numerators x over one D (d, or 3233 d with free modes),
+    and x * conj(D) over the int |D|^2 gives each value.  An element's
+    voltage is the difference of its ends' numerators; its current is
+    y*v, with y = v_e (j*omega)^(k-1) from its law (k, v_e): for
+    v_e = p/q and omega = a/b, y is p/q, j p a/(q b) or -j p b/(q a) for
+    k = 1, 2 or 0.  An element with no admittance, an inductor at
+    omega = 0, has its own unknown.  Each field is one QComplex."""
+    d, vec, basis, (_, laws, _, idx) = space
+    dre, dim = d.re, d.im
+    re = [x.re for x in vec]
+    im = [x.im for x in vec]
     if basis:
         rng = random.Random(seed if seed is not None else 0)
+        re = [3233 * x for x in re]
+        im = [3233 * x for x in im]
+        dre, dim = 3233 * dre, 3233 * dim
         for b in basis:
-            c = QComplex(Fraction(rng.randint(1, 997), 61),
-                         Fraction(rng.randint(1, 991), 53))
-            vec = [x + c * y for x, y in zip(vec, b)]
+            gr, gi = 53 * rng.randint(1, 997), 61 * rng.randint(1, 991)
+            for t, y in enumerate(b):
+                if y:
+                    re[t] += gr * y.re - gi * y.im
+                    im[t] += gr * y.im + gi * y.re
+    norm = dre * dre + dim * dim
+    re, im = ([x * dre + y * dim for x, y in zip(re, im)],
+              [y * dre - x * dim for x, y in zip(re, im)])
 
+    def value(xr, xi, den=norm):
+        return QComplex(Fraction(xr, den), Fraction(xi, den))
+
+    pot = {v: (re[i], im[i]) for v, i in idx.items()}
+    pot[n.port[1]] = (0, 0)
+    a, b = omega.numerator, omega.denominator
     currents = {}
     voltages = {}
     extra = iter(range(len(idx), len(vec) - 1))   # zero-impedance currents
     for e, (k, v) in zip(n.elements, laws):
-        volt = voltages[e.id] = (_potential(vec, idx, e.head)
-                                 - _potential(vec, idx, e.tail))
-        if k == 0 and not omega:
-            currents[e.id] = vec[next(extra)]
+        (hr, hi), (tr, ti) = pot[e.head], pot[e.tail]
+        vr, vi = hr - tr, hi - ti
+        voltages[e.id] = value(vr, vi)
+        p, q = v.numerator, v.denominator * norm
+        if k == 1:                          # v_e
+            currents[e.id] = value(p * vr, p * vi, q)
+        elif k == 2:                        # j v_e a / b
+            currents[e.id] = value(-a * p * vi, a * p * vr, b * q)
+        elif a:                             # -j v_e b / a
+            currents[e.id] = value(b * p * vi, -b * p * vr, a * q)
         else:
-            y = (QComplex(v, 0) if k == 1 else QComplex(0, v * omega)
-                 if k == 2 else QComplex(0, -v / omega))
-            currents[e.id] = y * volt
-    return PhasorSolution(omega, vec[-1], _potential(vec, idx, n.port[0]),
-                          currents, voltages, len(basis))
+            i = next(extra)
+            currents[e.id] = value(re[i], im[i])
+    return PhasorSolution(omega, value(re[-1], im[-1]),
+                          value(*pot[n.port[0]]), currents, voltages,
+                          len(basis))
 
 
 def phasor_solve(n: Network, omega, drive: Optional[Tuple[str, object]] = None,
@@ -320,20 +379,21 @@ def phasor_solve(n: Network, omega, drive: Optional[Tuple[str, object]] = None,
     voltage, with zero current.  When internal resonant modes make the
     trajectory non-unique, a deterministic pseudo-random combination of
     the free modes (from ``seed``) is added so the returned trajectory is
-    generic.  ``_phasor_space`` solves the one nodal system over Z[j] and
-    ``_phasor_draw`` adds the combination.  A network with no element
-    raises AnalysisError.
+    generic.  ``_phasor_space`` solves the one nodal system over Z[j], on
+    one stamp of n for both drives, and ``_phasor_draw`` adds the
+    combination.  A network with no element raises AnalysisError.
     """
     omega = _as_q(omega)
     if not n.elements:
         raise AnalysisError("no element joins the port terminals")
+    stamp = _stamp(n)
     if drive is not None:
-        space = _phasor_space(n, omega, (drive[0], qcomplex(drive[1])))
+        space = _phasor_space(n, omega, (drive[0], qcomplex(drive[1])), stamp)
     else:
         try:
-            space = _phasor_space(n, omega, ("current", QComplex(1, 0)))
+            space = _phasor_space(n, omega, ("current", QComplex(1, 0)), stamp)
         except InconsistentDrive:
-            space = _phasor_space(n, omega, ("voltage", QComplex(1, 0)))
+            space = _phasor_space(n, omega, ("voltage", QComplex(1, 0)), stamp)
     return _phasor_draw(n, omega, space, seed)
 
 
@@ -341,15 +401,18 @@ def energy_balance(sol: PhasorSolution) -> Fraction:
     """|LHS - RHS| of the phasor power identity
     v*conj(i) + conj(v)*i = sum_k v_k*conj(i_k) + conj(v_k)*i_k.
 
-    Each term x*conj(y) + conj(x)*y is the real number 2 Re(conj(x)*y), so
-    the difference is an exact Fraction, zero when the identity holds."""
-    def power(v: QComplex, i: QComplex) -> Fraction:
-        return 2 * (v.conjugate() * i).re
-
-    diff = power(sol.source_voltage, sol.source_current) - sum(
-        power(sol.element_voltages[eid], ik)
-        for eid, ik in sol.element_currents.items())
-    return abs(diff)
+    Each term x*conj(y) + conj(x)*y is the real number
+    2 (x.re y.re + x.im y.im).  The voltages' parts are read as ints over
+    their lcd, the currents' over theirs, so the difference is one int over
+    the product of the two: an exact Fraction, zero when the identity
+    holds."""
+    volts = [sol.source_voltage] + [sol.element_voltages[eid]
+                                    for eid in sol.element_currents]
+    amps = [sol.source_current] + list(sol.element_currents.values())
+    v, dv = _over_lcd([x for z in volts for x in (z.re, z.im)])
+    i, di = _over_lcd([x for z in amps for x in (z.re, z.im)])
+    terms = list(map(mul, v, i))
+    return Fraction(2 * abs(terms[0] + terms[1] - sum(terms[2:])), dv * di)
 
 
 # ---------------------------------------------------------------------------
@@ -380,26 +443,30 @@ def blocked_report(n: Network, omega0, seed: int = 0) -> BlockReport:
     it vanishes on the particular solution and on every basis vector.  At
     omega0 > 0 every admittance is nonzero, so an element is blocked, with
     no current and no voltage, exactly then; no trajectory is drawn and
-    ``seed`` has no effect.  Asserts the structural laws a minimum-frequency
-    trajectory must satisfy; with at most four storage elements
-    additionally asserts the counting laws."""
+    ``seed`` has no effect.  The impedance and the solve read one stamp of
+    n, and the test compares potential numerators over the solve's d.
+    Checks the structural laws a minimum-frequency trajectory must satisfy
+    and, with at most four storage elements, the counting laws
+    (``_assert_blocked_laws``)."""
     omega0 = _as_q(omega0)
     if omega0 <= 0:
         raise HypothesesNotMet("omega0 must be positive")
-    h = impedance(n)
+    stamp = _stamp(n)
+    h = impedance(n, _stamped=stamp)
     if isinstance(h, NoImpedance):
         raise HypothesesNotMet("network has no impedance")
     if is_lossless(h):
         raise HypothesesNotMet("impedance is lossless")
     try:
-        (vec, basis, _, idx), (re, im) = _unit_current(n, omega0)
+        (_, vec, basis, _), (re, im) = _unit_current(n, omega0, stamp)
     except InconsistentDrive:
         raise HypothesesNotMet("impedance has a pole at j*omega0")
     if re != 0 or im == 0:
         raise HypothesesNotMet("H(j*omega0) must be nonzero purely imaginary")
 
-    blocked_ids = {e.id for e in n.elements if all(
-        _potential(x, idx, e.head) == _potential(x, idx, e.tail)
+    idx = stamp[3]
+    blocked_ids = {e.id for e in n.elements if not any(
+        _potential(x, idx, e.head) - _potential(x, idx, e.tail)
         for x in [vec] + basis)}
 
     comps = _element_components(n, blocked_ids)
@@ -425,16 +492,21 @@ def _element_components(n: Network, ids: Set[str]) -> List[Set[str]]:
     return sorted(comps.values(), key=sorted)
 
 
-def _assert_blocked_laws(n: Network, report: BlockReport, current: QComplex,
-                         voltage: QComplex):
+def _assert_blocked_laws(n: Network, report: BlockReport, current: _GaussInt,
+                         voltage: _GaussInt):
+    """Raise InvariantViolation("blocked.k") where law k of a
+    minimum-frequency trajectory fails on report; current and voltage are
+    the driving-point numerators of its solve."""
     # 1. the driving-point trajectory is nonzero in both coordinates
-    assert not current.is_zero(), "driving current vanished"
-    assert not voltage.is_zero(), "driving voltage vanished"
+    if not current:
+        raise InvariantViolation("blocked.1", vanished="driving current")
+    if not voltage:
+        raise InvariantViolation("blocked.1", vanished="driving voltage")
     # 2. every resistor is blocked
     blocked_all = set().union(*report.blocked) if report.blocked else set()
     for e in n.elements:
-        if e.kind == RESISTOR:
-            assert e.id in blocked_all, f"resistor {e.id} is not blocked"
+        if e.kind == RESISTOR and e.id not in blocked_all:
+            raise InvariantViolation("blocked.2", unblocked_resistor=e.id)
     elems = {e.id: e for e in n.elements}
     unblocked_at: Dict[str, List[str]] = {}
     for eid in report.unblocked:
@@ -444,41 +516,55 @@ def _assert_blocked_laws(n: Network, report: BlockReport, current: QComplex,
     src_at = set(n.port)
     for comp in report.blocked:
         verts = {v for eid in comp for v in (elems[eid].head, elems[eid].tail)}
-        # 3./4. incidence rules at blocked-subnetwork vertices
+        # 3./4. incidence rules at blocked-subnetwork vertices: the source
+        # meets one only beside an unblocked element, and an unblocked
+        # element meets one only beside the source or another
         for v in verts:
             here = unblocked_at.get(v, [])
-            if v in src_at:
-                assert here, f"source joins blocked subnetwork at {v} alone"
-            if here:
-                assert v in src_at or len(here) >= 2, (
-                    f"lone unblocked element at blocked vertex {v}")
+            if v in src_at and not here:
+                raise InvariantViolation("blocked.3", source_alone_at=v)
+            if here and v not in src_at and len(here) < 2:
+                raise InvariantViolation("blocked.4", lone_unblocked_at=v)
         # 5. no two-vertex contact by the source or a single unblocked element
-        assert not (n.port[0] in verts and n.port[1] in verts), \
-            "source spans a blocked subnetwork"
+        if n.port[0] in verts and n.port[1] in verts:
+            raise InvariantViolation("blocked.5", spanned_by="source")
         for eid in report.unblocked:
             e = elems[eid]
-            assert not (e.head in verts and e.tail in verts), (
-                f"unblocked element {eid} spans a blocked subnetwork")
+            if e.head in verts and e.tail in verts:
+                raise InvariantViolation("blocked.5", spanned_by=eid)
     if storage_count(n) <= 4:
         # 6. three or four unblocked elements, all storage
-        assert len(report.unblocked) in (3, 4), "unblocked count must be 3 or 4"
+        if len(report.unblocked) not in (3, 4):
+            raise InvariantViolation("blocked.6",
+                                     unblocked_count=len(report.unblocked))
         for eid in report.unblocked:
-            assert elems[eid].is_storage(), f"unblocked {eid} is not storage"
+            if not elems[eid].is_storage():
+                raise InvariantViolation("blocked.6", unblocked_nonstorage=eid)
         # 7. one or two maximal-blocked subnetworks, each a one-port
-        assert len(report.blocked) in (1, 2), "expected 1 or 2 blocked subnetworks"
-        assert all(report.blocked_oneport_flags), "blocked subnetworks must be one-ports"
+        if len(report.blocked) not in (1, 2):
+            raise InvariantViolation("blocked.7",
+                                     blocked_count=len(report.blocked))
+        if not all(report.blocked_oneport_flags):
+            raise InvariantViolation("blocked.7", not_oneport=[
+                sorted(c) for c, flag in zip(report.blocked,
+                                             report.blocked_oneport_flags)
+                if not flag])
 
 
-def _unit_current(n: Network, omega0: Fraction):
-    """The unit-current ``_phasor_space`` solve of n at omega0 > 0 and
-    H(j*omega0), its port potential, as the pair (a, b) of
-    ``eval_jomega_pair``, meaning a + j*b*omega0.  The drive is
-    inconsistent, InconsistentDrive, exactly at a pole at j*omega0 (see
+def _unit_current(n: Network, omega0: Fraction, stamp):
+    """The unit-current ``_phasor_space`` solve of n at omega0 > 0 on its
+    stamp and H(j*omega0), its port potential x / d, as the pair (a, b) of
+    ``eval_jomega_pair``, meaning a + j*b*omega0: x * conj(d) / |d|^2,
+    its imaginary part divided by omega0.  The drive is inconsistent,
+    InconsistentDrive, exactly at a pole at j*omega0 (see
     ``phasor_solve``)."""
-    space = _phasor_space(n, omega0, ("current", QComplex(1, 0)))
-    vec, _, _, idx = space
-    v = vec[idx[n.port[0]]]
-    return space, (v.re, v.im / omega0)
+    space = _phasor_space(n, omega0, ("current", QComplex(1, 0)), stamp)
+    d, vec, _, _ = space
+    x = vec[stamp[3][n.port[0]]]
+    norm = d.re * d.re + d.im * d.im
+    return space, (Fraction(x.re * d.re + x.im * d.im, norm),
+                   Fraction((x.im * d.re - x.re * d.im) * omega0.denominator,
+                            norm * omega0.numerator))
 
 
 def _reduced_value(reduced,
@@ -490,7 +576,7 @@ def _reduced_value(reduced,
     if isinstance(reduced, ShortCircuit):
         return (Q(0), Q(0))
     try:
-        return _unit_current(reduced, omega0)[1]
+        return _unit_current(reduced, omega0, _stamp(reduced))[1]
     except InconsistentDrive:
         return None
 
@@ -613,29 +699,31 @@ def state_space(n: Network) -> StateSpace:
     for j, e in enumerate(capacitors):     # e_head - e_tail = v_C
         rhs[nnode + j][state_col[e.id]] += 1
 
+    # the solution rows are int numerators over den, divided once per entry
     solved = solve(mat, rhs)
-    if solved is None or solved[1]:
+    if solved is None or solved[2]:
         raise AnalysisError("singular algebraic system in state extraction")
-    sol = solved[0]
+    den, sol, _ = solved
 
-    def potential_row(v: str) -> List[Fraction]:
+    def potential_row(v: str) -> List[int]:
         if v == ground:
-            return [Q(0)] * ncols
+            return [0] * ncols
         return sol[nidx[v]]
 
     a_rows: List[List[Fraction]] = []
     b_col: List[Fraction] = []
     for e in inductors:
         vrow = [h - t for h, t in zip(potential_row(e.head), potential_row(e.tail))]
-        row = [x / e.value for x in vrow]
+        per = den * e.value
+        row = [x / per for x in vrow]
         a_rows.append(row[:nstate])
         b_col.append(row[nstate])
     for j, e in enumerate(capacitors):
-        irow = sol[nnode + j]
-        row = [x / e.value for x in irow]
+        per = den * e.value
+        row = [x / per for x in sol[nnode + j]]
         a_rows.append(row[:nstate])
         b_col.append(row[nstate])
-    vout = potential_row(n.port[0])
+    vout = [Fraction(x, den) for x in potential_row(n.port[0])]
     return StateSpace(tuple(tuple(r) for r in a_rows), tuple(b_col),
                       tuple(vout[:nstate]), vout[nstate], tuple(states))
 
@@ -668,17 +756,18 @@ def _annihilator(d: int, cols: List[List[int]]) -> Polynomial:
     columns (dA)^j (e b) of ``_krylov``, d the lcm of A's denominators.
 
     ``solve`` finds the nullspace of the columns, with no right-hand
-    column.  Once a column depends on those before it, so does every later
-    one, so the free columns are k..n, k the first dependent one.  The
-    first basis vector c belongs to it: c_k = 1, c_j = 0 for j > k, and
-    sum_j c_j d^j A^j b = 0.  So m(s) = sum_j c_j d^(j-k) s^j, which is
-    m_A(s) = d^(-k) m_dA(d s) (Kailath 1980, *Linear Systems*, sec. 6.2).
-    With no state, or b = 0, m = 1."""
-    _, basis = solve(list(zip(*cols)), [[]] * (len(cols) - 1))
+    column, as int numerators over its last pivot p.  Once a column
+    depends on those before it, so does every later one, so the free
+    columns are k..n, k the first dependent one.  The first basis vector c
+    belongs to it: c_k = p, c_j = 0 for j > k, and sum_j c_j d^j A^j b = 0.
+    So m(s) = sum_j (c_j / p) d^(j-k) s^j, which is m_A(s) = d^(-k)
+    m_dA(d s) (Kailath 1980, *Linear Systems*, sec. 6.2).  With no state,
+    or b = 0, m = 1."""
+    p, _, basis = solve(list(zip(*cols)), [[]] * (len(cols) - 1))
     if not basis:
         return ONE
     k = len(cols) - len(basis)
-    return Polynomial([x / d ** (k - j)
+    return Polynomial([Fraction(x, p * d ** (k - j))
                        for j, x in enumerate(basis[0][:k + 1])])
 
 

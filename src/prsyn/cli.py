@@ -1,12 +1,13 @@
 """Command-line front end.
 
 Exit codes: 0 success (or true verdict), 1 false verdict (check/verify),
-2 usage errors, 3 domain errors.  --json emits machine-readable reports in
-which every exact number is a fraction string and every phasor the text
-``re+imj``.  Every numeric flag, frequencies included, is an exact rational
-literal such as ``3/2``; nothing is computed in floating point except the
-approximate value printed for a minimum frequency whose square is
-irrational.
+2 usage errors, 3 domain errors, 4 a violated invariant (a computed answer
+broke a law it must obey: a fault of prsyn, not of the input).  --json
+emits machine-readable reports in which every exact number is a fraction
+string and every phasor the text ``re+imj``.  Every numeric flag,
+frequencies included, is an exact rational literal such as ``3/2``;
+nothing is computed in floating point except the approximate value
+printed for a minimum frequency whose square is irrational.
 """
 
 from __future__ import annotations
@@ -361,6 +362,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             synth.SynthError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except analysis.InvariantViolation as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -18,7 +18,8 @@ Determinants and linear solves run one fraction-free elimination loop,
 where a Sylvester pass stops short), ``leading_minors`` over Z[s] on the
 nodal impedance's Polynomial entries and over Z[x] on a fixture's
 Sylvester rows, and ``solve``, which adds the back half, over Z on cleared
-rows or over Z[j] (Gaussian integers) on the phasor rows it is given.  A
+rows or over Z[j] (Gaussian integers) on the phasor rows it is given,
+and answers in the ring of its rows: numerators over its last pivot.  A
 row with a zero in the pivot column skips that step and catches up when it
 is next read, so sparse rows cost little.  Sylvester rows are built from
 coefficient sequences, interleaved by shift, with one sign rule: the
@@ -1076,44 +1077,36 @@ def solve(rows, rhs):
     ``_GaussInt``, over Q when they are int or Fraction.
 
     rows is m x n and rhs is m x k (k right-hand columns).  Returns
-    (X, basis): X is the n x k solution with every free unknown zero and
-    basis spans the nullspace of rows, one vector per free column in column
-    order; or None when the system is inconsistent.  Rows over Z[j] are
-    taken as they are; each row over Q is cleared of denominators into Z.
-    ``_eliminate`` runs with its back half, so every answer is one entry
-    over the last pivot d: a QComplex, or a Fraction."""
+    (d, X, basis), or None when the system is inconsistent.  Every answer
+    is a numerator over d, the last pivot of the elimination (1 with no
+    pivot), in the ring of the rows: a ``_GaussInt`` over Z[j], an int
+    over Z.  X is the n x k solution with every free unknown zero, and
+    basis spans the nullspace of rows, one vector per free column in
+    column order, d at its free column.  Rows over Z[j] are taken as they
+    are; each row over Q is cleared of denominators into Z.  A caller
+    divides by d where it fills its own type."""
     ncols = len(rows[0]) if rows else 0
     aug = [list(a) + list(b) for a, b in zip(rows, rhs)]
-    gauss = bool(aug and aug[0]) and isinstance(aug[0][0], _GaussInt)
-    if not gauss:
+    if bool(aug and aug[0]) and isinstance(aug[0][0], _GaussInt):
+        zero, one = _GaussInt(0, 0), _GaussInt(1, 0)
+    else:
+        zero, one = 0, 1
         aug = _int_rows(aug)
     pivots, _ = _eliminate(aug, ncols, True)
     if any(x for row in aug[len(pivots):] for x in row[ncols:]):
         return None
-    d = aug[len(pivots) - 1][pivots[-1]] if pivots else None
-    if gauss:
-        zero, one = QComplex(0, 0), QComplex(1, 0)
-        norm = d.re * d.re + d.im * d.im if pivots else None
-
-        def over(x):
-            return QComplex(Fraction(x.re * d.re + x.im * d.im, norm),
-                            Fraction(x.im * d.re - x.re * d.im, norm))
-    else:
-        zero, one = Fraction(0), Fraction(1)
-
-        def over(x):
-            return Fraction(x, d)
+    d = aug[len(pivots) - 1][pivots[-1]] if pivots else one
     solution = [[zero] * len(rhs[0]) for _ in range(ncols)]
     for i, c in enumerate(pivots):
-        solution[c] = [over(x) for x in aug[i][ncols:]]
+        solution[c] = aug[i][ncols:]
     basis = []
     for fc in sorted(set(range(ncols)) - set(pivots)):
         vec = [zero] * ncols
-        vec[fc] = one
+        vec[fc] = d
         for i, c in enumerate(pivots):
-            vec[c] = -over(aug[i][fc])
+            vec[c] = zero - aug[i][fc]
         basis.append(vec)
-    return solution, basis
+    return d, solution, basis
 
 
 def _sylvester_rows(p: Sequence, q: Sequence, m: int, n: int,

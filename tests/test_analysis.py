@@ -1,5 +1,6 @@
 """Verification engine: impedance, phasors, blocking, state space, PBH."""
 
+import dataclasses
 import functools
 import os
 import random
@@ -27,8 +28,8 @@ from prsyn.network import (Element, Network, NotPlanarDualizable, OnePort,
 from prsyn.polyrat import (BiquadParams, Polynomial, Q, QComplex,
                            RationalFunction, biquad_template,
                            eval_ratfunc, is_lossless, is_positive_real,
-                           leading_minors, parse_ratfunc, real_roots, solve,
-                           strict_hurwitz)
+                           leading_minors, parse_ratfunc, qcomplex,
+                           real_roots, solve, strict_hurwitz)
 from prsyn.synth import (SEVEN_ELEMENT_VARIANTS, build_named,
                          build_seven_element, classify_biquad, theorem2_step)
 
@@ -311,9 +312,9 @@ class TestBlocked:
         evaluated = []
         pair = RationalFunction.eval_jomega_pair
 
-        def counted(net):
+        def counted(net, **shared):
             calls.append(net)
-            return impedance(net)
+            return impedance(net, **shared)
 
         def counted_pair(h, omega2):
             evaluated.append(h)
@@ -372,16 +373,17 @@ class TestBlocked:
         # the free mode moves m: a generic trajectory does not block them
         import prsyn.analysis as analysis
         n = parse_netlist(N1_FREE_MODES_TEXT)
-        vec, basis, _, idx = analysis._phasor_space(
-            n, Q(1), ("current", QComplex(1, 0)))
+        _, vec, basis, stamp = analysis._phasor_space(
+            n, Q(1), ("current", QComplex(1, 0)), analysis._stamp(n))
         assert len(basis) == 1
+        idx = stamp[3]
 
-        def voltage(x, e):
+        def voltage(x, e):      # a Z[j] numerator, zero exactly when falsy
             return (analysis._potential(x, idx, e.head)
                     - analysis._potential(x, idx, e.tail))
 
-        zero_on_p = {e.id for e in n.elements if voltage(vec, e).is_zero()
-                     and not voltage(basis[0], e).is_zero()}
+        zero_on_p = {e.id for e in n.elements if not voltage(vec, e)
+                     and voltage(basis[0], e)}
         assert zero_on_p == {"lb", "cb"}
         rep = blocked_report(n, Q(1))
         assert sorted(sorted(c) for c in rep.blocked) == [["r1"], ["r2"]]
@@ -838,8 +840,8 @@ class TestNodalAgainstTableau:
         solved_space = analysis._phasor_space
         drives_used = []
 
-        def recorded(n, omega, drive):
-            space = solved_space(n, omega, drive)
+        def recorded(n, omega, drive, stamp):
+            space = solved_space(n, omega, drive, stamp)
             drives_used.append(drive[0])
             return space
 
@@ -886,6 +888,334 @@ class TestNodalAgainstTableau:
                     seen["zero_default"] += 1
                 assert sol == phasor_solve(n, omega, (mode, one), seed=7)
         assert min(seen.values()) >= 5, seen
+
+
+def _reference_draw(n, omega, space, seed):
+    """Reference copy of the QComplex arithmetic that ``_phasor_draw``
+    replaced, on a ``_phasor_space`` result read over Q(j): the free-mode
+    combination r/61 + j*i/53 as QComplex products, each voltage a
+    QComplex difference and each current the QComplex product y * v."""
+    import prsyn.analysis as analysis
+    d, nums, basis_nums, (_, laws, _, idx) = space
+
+    def over(x):
+        return QComplex(x.re, x.im) / QComplex(d.re, d.im)
+
+    vec = [over(x) for x in nums]
+    basis = [[over(x) for x in b] for b in basis_nums]
+    if basis:
+        rng = random.Random(seed if seed is not None else 0)
+        for b in basis:
+            c = QComplex(Fraction(rng.randint(1, 997), 61),
+                         Fraction(rng.randint(1, 991), 53))
+            vec = [x + c * y for x, y in zip(vec, b)]
+
+    def potential(v):
+        return vec[idx[v]] if v in idx else QComplex(0, 0)
+
+    currents = {}
+    voltages = {}
+    extra = iter(range(len(idx), len(vec) - 1))
+    for e, (k, v) in zip(n.elements, laws):
+        volt = voltages[e.id] = potential(e.head) - potential(e.tail)
+        if k == 0 and not omega:
+            currents[e.id] = vec[next(extra)]
+        else:
+            y = (QComplex(v, 0) if k == 1 else QComplex(0, v * omega)
+                 if k == 2 else QComplex(0, -v / omega))
+            currents[e.id] = y * volt
+    return analysis.PhasorSolution(omega, vec[-1], potential(n.port[0]),
+                                   currents, voltages, len(basis))
+
+
+def _reference_solve(n, omega, drive, seed):
+    """(trajectory, drive mode) through ``_reference_draw``, with the
+    drives of ``phasor_solve``: the given one, or unit current and, where
+    that is inconsistent, unit voltage."""
+    import prsyn.analysis as analysis
+    one = QComplex(1, 0)
+    stamp = analysis._stamp(n)
+    if drive is not None:
+        drive = (drive[0], qcomplex(drive[1]))
+        space = analysis._phasor_space(n, omega, drive, stamp)
+    else:
+        try:
+            drive = ("current", one)
+            space = analysis._phasor_space(n, omega, drive, stamp)
+        except InconsistentDrive:
+            drive = ("voltage", one)
+            space = analysis._phasor_space(n, omega, drive, stamp)
+    return _reference_draw(n, omega, space, seed), drive[0]
+
+
+def _reference_energy_balance(sol):
+    """Reference copy of the QComplex energy balance: |sum of the source
+    term 2 Re(conj(v) i) minus the elements' terms|."""
+    def power(v, i):
+        return 2 * (v.conjugate() * i).re
+
+    return abs(power(sol.source_voltage, sol.source_current) - sum(
+        power(sol.element_voltages[eid], ik)
+        for eid, ik in sol.element_currents.items()))
+
+
+def _draw_corpus():
+    """(network, omega, drive, seed) over one fixed seed: n1_free_modes
+    with seeds 0-2 at its resonance and elsewhere, TANKS_TEXT and a series
+    capacitor at omega = 0 (a pole at s = 0), tanks at their poles, the
+    verify mix (biquad witnesses and seven-element realizations) at their
+    omega0, and random tank networks at omega in {0, 1, 1/2, -1, 8/5},
+    each with the default drive, unit voltage and a complex current."""
+    rng = random.Random(3233)
+    free = parse_netlist(N1_FREE_MODES_TEXT)
+    cases = [(free, Q(1), None, seed) for seed in (0, 1, 2)]
+    cases += [(free, Q(1), ("voltage", QComplex(Q(1, 3), 2)), seed)
+              for seed in (0, 1, 2)]
+    cases += [(free, w, None, 0) for w in (Q(0), Q(8, 5))]
+    cases += [(parse_netlist(TANKS_TEXT), w, None, 1)
+              for w in (Q(0), Q(1), Q(2))]
+    cases.append((parse_netlist("R r1 a m 1\nC c1 m b 2\nPORT a b"), Q(0),
+                  None, 0))
+    cases += [(parse_netlist(text + "PORT a b"), w, None, 0)
+              for text, w in (("L l1 a b 1\nC c1 a b 1\n", Q(1)),
+                              ("L l1 a b 4\nC c1 a b 1/4\n", Q(1)),
+                              ("R r1 a m 1\nL l1 m b 25/64\nC c1 m b 1\n",
+                               Q(8, 5)))]
+    for region in ("a", "c", "e", "none"):
+        p = sample_region(region, rng)
+        cases.append((classify_biquad(p).witness_network, p.omega0, None,
+                      rng.randrange(3)))
+    step = theorem2_step(biquad_template(BiquadParams(1, Q(8, 5), Q(2, 3), 1)))
+    cases += [(build_seven_element(step, which), Q(8, 5), None, 0)
+              for which in SEVEN_ELEMENT_VARIANTS]
+    drives = (None, ("voltage", 1), ("current", QComplex(2, -1)))
+    for _ in range(10):
+        n = _tank_network(rng)
+        cases += [(n, w, drive, rng.randrange(3))
+                  for w in (Q(0), Q(1), Q(1, 2), Q(-1), Q(8, 5))
+                  for drive in drives]
+    return cases
+
+
+class TestPhasorDraw:
+    """``_phasor_draw`` keeps the trajectory over Z[j] and builds one
+    QComplex per field; it must give the PhasorSolution, and
+    ``energy_balance`` the residual, that the QComplex route gave."""
+
+    def test_matches_the_qcomplex_route(self):
+        seen = dict.fromkeys(("zero", "voltage", "free", "pole",
+                              "inconsistent"), 0)
+        for n, omega, drive, seed in _draw_corpus():
+            try:
+                sol = phasor_solve(n, omega, drive, seed=seed)
+            except InconsistentDrive:
+                with pytest.raises(InconsistentDrive):
+                    _reference_solve(n, omega, drive, seed)
+                seen["inconsistent"] += 1
+                continue
+            ref, mode = _reference_solve(n, omega, drive, seed)
+            assert sol == ref
+            assert all(type(x) is QComplex for x in (
+                sol.source_current, sol.source_voltage,
+                *sol.element_currents.values(),
+                *sol.element_voltages.values()))
+            assert energy_balance(sol) == _reference_energy_balance(ref) == 0
+            seen["zero"] += omega == 0
+            seen["voltage"] += mode == "voltage"
+            seen["free"] += sol.free_modes > 0
+            seen["pole"] += drive is None and mode == "voltage" and omega != 0
+        assert min(seen.values()) >= 3, seen
+
+    def test_perturbed_currents_match_the_qcomplex_balance(self):
+        # one current off by a random phasor: the integer balance equals
+        # the QComplex one, and is nonzero wherever that element carries a
+        # voltage with a nonzero real product
+        rng = random.Random(61)
+        nonzero = 0
+        for n, omega, drive, seed in _draw_corpus()[:40]:
+            try:
+                sol = phasor_solve(n, omega, drive, seed=seed)
+            except InconsistentDrive:
+                continue
+            eid = rng.choice(sorted(sol.element_currents))
+            delta = QComplex(Q(rng.randint(-9, 9), rng.randint(1, 7)),
+                             Q(rng.randint(-9, 9), rng.randint(1, 7)))
+            off = dataclasses.replace(sol, element_currents={
+                **sol.element_currents,
+                eid: sol.element_currents[eid] + delta})
+            got = energy_balance(off)
+            assert got == _reference_energy_balance(off)
+            assert got == abs(2 * (sol.element_voltages[eid].conjugate()
+                                   * delta).re)
+            nonzero += got != 0
+        assert nonzero >= 20
+
+    def test_hand_built_residual(self):
+        # source 2 V driving 1 A; the element reads 2 + j/7 V and
+        # 4/3 + j/5 A: 2 (2*1) - 2 (2*4/3 + 1/7*1/5) = -146/105
+        import prsyn.analysis as analysis
+        sol = analysis.PhasorSolution(
+            Q(1), QComplex(1, 0), QComplex(2, 0),
+            {"r1": QComplex(Q(4, 3), Q(1, 5))},
+            {"r1": QComplex(2, Q(1, 7))})
+        assert energy_balance(sol) == Fraction(146, 105)
+        assert energy_balance(dataclasses.replace(
+            sol, element_currents={"r1": QComplex(1, 0)},
+            element_voltages={"r1": QComplex(2, 0)})) == 0
+
+
+class TestOneStamp:
+    """Each analysis call stamps its network once, and shares the stamp
+    within the call: no cache outlives it."""
+
+    def test_six_stamps_per_verify_item(self, monkeypatch):
+        # the calls of one verify item, criterion 5 plus the state space:
+        # impedance, phasor_solve, blocked_report (its hypothesis
+        # impedance and its solve read one stamp) and state_space stamp n
+        # once each, and the open/short check stamps two reduced networks
+        import prsyn.analysis as analysis
+        stamp = analysis._stamp
+        stamped = []
+
+        def counted(n):
+            stamped.append(n)
+            return stamp(n)
+
+        monkeypatch.setattr(analysis, "_stamp", counted)
+        rng = random.Random(6)
+        items = [(classify_biquad(p).witness_network, p.omega0)
+                 for p in (sample_region(r, rng) for r in "abcdef")]
+        for sign in (1, -1):
+            p = BiquadParams(rand_q(rng), rand_q(rng),
+                             Q(3, 4) if sign > 0 else Q(5, 4),
+                             sign * rand_q(rng))
+            step = theorem2_step(biquad_template(p), p.omega0)
+            items += [(build_seven_element(step, which), p.omega0)
+                      for which in SEVEN_ELEMENT_VARIANTS]
+        for n, w0 in items:
+            stamped.clear()
+            impedance(n)
+            phasor_solve(n, w0, seed=1)
+            assert stamped == [n, n]
+            rep = blocked_report(n, w0)
+            assert stamped == [n, n, n]
+            assert blocked_open_short_check(n, rep)
+            try:
+                state_space(n)
+            except ExtractionFailure:
+                pass
+            assert len(stamped) == 6 and stamped[-1] is n
+
+    def test_fallback_drive_reads_the_same_stamp(self, monkeypatch):
+        # unit current is inconsistent at the tank's pole: the unit-voltage
+        # solve that follows reuses the stamp
+        import prsyn.analysis as analysis
+        stamp = analysis._stamp
+        stamped = []
+
+        def counted(n):
+            stamped.append(n)
+            return stamp(n)
+
+        monkeypatch.setattr(analysis, "_stamp", counted)
+        tank = parse_netlist("L l1 a b 1\nC c1 a b 1\nPORT a b")
+        assert phasor_solve(tank, Q(1)).source_voltage == QComplex(1, 0)
+        assert stamped == [tank]
+
+
+def _law_net(text):
+    return parse_netlist(text + "PORT a b\n")
+
+
+# each law of _assert_blocked_laws broken once, on a crafted report whose
+# earlier laws hold: (law, network text, blocked, unblocked, one-port flags,
+# driving current, driving voltage)
+_N1 = N1_TEXT.replace("PORT a b\n", "")
+_BRIDGE = "L l1 a m 1\nC c1 m b 1\nL l2 a n 1\nC c2 n b 1\nR r1 m n 1\n"
+_G1 = (1, 0)
+BROKEN_LAWS = [
+    ("blocked.1", _N1, [{"r1"}, {"r2"}], {"c3", "l4", "l5"}, None,
+     (0, 0), _G1),
+    ("blocked.1", _N1, [{"r1"}, {"r2"}], {"c3", "l4", "l5"}, None,
+     _G1, (0, 0)),
+    ("blocked.2", _N1, [{"r1"}], {"c3", "l4", "l5", "r2"}, None, _G1, _G1),
+    ("blocked.3", _N1, [{"r1"}, {"r2"}], {"c3", "l5"}, None, _G1, _G1),
+    ("blocked.4", _N1, [{"r1"}, {"r2"}], {"l4", "l5"}, None, _G1, _G1),
+    ("blocked.5", "R r1 a b 1\nL l1 a b 1\nC c1 a b 1\n", [{"r1"}],
+     {"l1", "c1"}, None, _G1, _G1),
+    ("blocked.5", "L l1 a m 1\nR r1 m b 1\nC c1 m b 1\nL l2 m b 1\n",
+     [{"r1"}], {"l1", "c1", "l2"}, None, _G1, _G1),
+    ("blocked.6", "L l1 a b 1\n", [], set(), None, _G1, _G1),
+    # a damper is no resistor (law 2) and stores no energy (law 6)
+    ("blocked.6", "SPRING k1 a m 1\nINERTER b1 m b 1\nSPRING k2 a n 1\n"
+     "DAMPER d2 n b 1\nDAMPER d1 m n 1\n", [{"d1"}],
+     {"k1", "b1", "k2", "d2"}, None, _G1, _G1),
+    ("blocked.7", "L l1 a m 1\nC c1 m b 1\nL l2 a b 1\n", [],
+     {"l1", "c1", "l2"}, None, _G1, _G1),
+    ("blocked.7", _BRIDGE, [{"r1"}], {"l1", "c1", "l2", "c2"}, (False,),
+     _G1, _G1),
+]
+
+
+class TestBlockedLaws:
+    """``_assert_blocked_laws`` raises InvariantViolation, also under
+    ``python -O``, naming the law a report breaks."""
+
+    def test_real_reports_pass(self, n1, rpfg):
+        import prsyn.analysis as analysis
+        for n in (n1, rpfg):
+            rep = blocked_report(n, Q(1))
+            analysis._assert_blocked_laws(n, rep, analysis._GaussInt(1, 0),
+                                          analysis._GaussInt(0, 1))
+
+    @pytest.mark.parametrize("case", range(len(BROKEN_LAWS)))
+    def test_each_law_is_raised(self, case):
+        import prsyn.analysis as analysis
+        law, text, blocked, unblocked, flags, current, voltage = \
+            BROKEN_LAWS[case]
+        n = _law_net(text)
+        rep = analysis.BlockReport(
+            Q(1), tuple(frozenset(c) for c in blocked), frozenset(unblocked),
+            flags or (True,) * len(blocked), (Q(0), Q(1)))
+        with pytest.raises(analysis.InvariantViolation) as exc:
+            analysis._assert_blocked_laws(n, rep,
+                                          analysis._GaussInt(*current),
+                                          analysis._GaussInt(*voltage))
+        assert exc.value.law == law
+        assert str(exc.value).startswith(f"invariant {law} violated: ")
+
+    def test_the_laws_are_numbered_one_to_seven(self):
+        assert ({law for law, *_ in BROKEN_LAWS}
+                == {f"blocked.{k}" for k in range(1, 8)})
+
+    def test_pr_law_raised_under_optimize(self, tmp_path):
+        # with the PR verdict forced false, impedance raises the
+        # positive-real law under -O, and the CLI exits 4 with one line
+        net = tmp_path / "r.net"
+        net.write_text("R r1 a b 1\nPORT a b\n")
+        code = textwrap.dedent(f"""
+            import sys
+            import prsyn.analysis as analysis
+            from prsyn import cli
+            from prsyn.network import parse_netlist
+            analysis.is_positive_real = lambda h: False
+            try:
+                analysis.impedance(parse_netlist(open({str(net)!r}).read()))
+            except analysis.InvariantViolation as exc:
+                law = exc.law
+            else:
+                law = None
+            exit_code = cli.main(["impedance", {str(net)!r}])
+            sys.exit(0 if sys.flags.optimize and law == "positive-real"
+                     and exit_code == 4 else 1)
+            """)
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        proc = subprocess.run([sys.executable, "-O", "-c", code],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ("error: invariant positive-real violated: "
+                               "impedance=1\n")
 
 
 def _reduced_corpus(rng):
@@ -1051,13 +1381,14 @@ def _bordered_ss_impedance(ss):
 def _fraction_krylov_annihilator(a, b):
     """Reference copy of the annihilator route that the int Krylov columns
     replaced: the columns b, Ab, ..., A^n b by Fraction dot products, then
-    the first nullspace vector of ``solve``, whose entries are the
-    coefficients of m with 1 at s^k."""
+    the first nullspace vector of ``solve``, whose entries over its d are
+    the coefficients of m with 1 at s^k."""
     cols = [list(b)]
     for _ in b:
         cols.append([sum(x * y for x, y in zip(row, cols[-1])) for row in a])
-    _, basis = solve(list(zip(*cols)), [[]] * len(b))
-    return Polynomial(basis[0]) if basis else Polynomial([1])
+    d, _, basis = solve(list(zip(*cols)), [[]] * len(b))
+    return (Polynomial([Fraction(x, d) for x in basis[0]]) if basis
+            else Polynomial([1]))
 
 
 SS_SHAPES = ("dense", "scalar", "block", "b_zero", "c_zero", "wide")

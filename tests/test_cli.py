@@ -110,6 +110,21 @@ class TestVerdicts:
         assert run("nonsense")[0] == 2
         assert run()[0] == 2
 
+    def test_invariant_violation_exit(self, run, tmp_path, monkeypatch):
+        # a computed impedance that fails its PR check is a fault of prsyn:
+        # exit 4, one line, and the worst code of a batch
+        import io
+        import sys
+        import prsyn.analysis as analysis
+        net = tmp_path / "r.net"
+        net.write_text("R r1 a b 1\nPORT a b\n")
+        monkeypatch.setattr(analysis, "is_positive_real", lambda h: False)
+        assert run("impedance", str(net)) == (
+            4, "", "error: invariant positive-real violated: impedance=1\n")
+        monkeypatch.setattr(sys, "stdin", io.StringIO(
+            f'check "s - 1"\nimpedance {net}\nnonsense\n'))
+        assert run("batch")[0] == 4
+
 
 class TestPipelines:
     def test_synth_then_verify(self, run, tmp_path):

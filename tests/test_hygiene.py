@@ -36,8 +36,12 @@ gives both the connected components and the blocks.  In ``synth`` only
 ``bridge_structural_polys``, the one bridge evaluator, reads the bridge's
 spanning-tree tables ``_TREE_OFF`` and ``_TWOTREE_OFF``.  No function
 takes a ``True``/``False`` default: a
-boolean mode switch is a second function hidden in the first.  The
-checks read the sources with ``ast``; nothing is imported.
+boolean mode switch is a second function hidden in the first.
+``analysis`` holds no ``assert``: its invariant checks raise
+``InvariantViolation``, which ``python -O`` does not strip.  ``solve``
+answers in the ring of its rows and ``energy_balance`` sums ints, so
+neither builds a ``QComplex``.  The checks read the sources with ``ast``;
+nothing is imported.
 """
 
 import ast
@@ -220,6 +224,25 @@ def test_leading_minors_called_only_by_its_two_readers():
 # polynomial, from int determinants at integer points
 INTERPOLATE_CALLERS = {("synth.py", "_coefficients_in_x"),
                        ("analysis.py", "_char_poly")}
+
+
+def test_no_qcomplex_in_the_solve_or_the_energy_balance():
+    # the solve returns numerators over its last pivot and the energy
+    # balance reads the public fields as ints: a QComplex built in either
+    # is the per-entry Fraction work that the Z[j] route removed
+    built = _callers("QComplex")
+    assert ("polyrat.py", "solve") not in built
+    assert ("analysis.py", "energy_balance") not in built
+    # the pin still sees the one place that fills PhasorSolution
+    assert ("analysis.py", "_phasor_draw") in built
+
+
+def test_no_assert_in_analysis():
+    # an assert vanishes under python -O; the invariants of analysis raise
+    # InvariantViolation instead
+    found = [node.lineno for node in ast.walk(_tree(PACKAGE / "analysis.py"))
+             if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def test_interpolate_called_only_by_its_two_readers():

@@ -778,10 +778,35 @@ def _gauss_rows(rows, rhs):
 
 
 def _solve_cleared(field, rows, rhs):
-    """solve on copies of the rows, Q(j) systems cleared into Z[j]."""
+    """solve on copies of the rows, Q(j) systems cleared into Z[j]: None,
+    or (d, X, basis) with every numerator, and d != 0, in the ring of the
+    rows, int over Z and _GaussInt over Z[j] (no row, no ring: d = 1)."""
     if field == "qcomplex":
-        return solve(*_gauss_rows(rows, rhs))
-    return solve([r[:] for r in rows], [r[:] for r in rhs])
+        solved = solve(*_gauss_rows(rows, rhs))
+    else:
+        solved = solve([r[:] for r in rows], [r[:] for r in rhs])
+    if solved is not None:
+        d, X, basis = solved
+        ring = _GaussInt if field == "qcomplex" else int
+        entries = [x for vec in X + basis for x in vec] + [d] * bool(rows)
+        assert d and all(type(x) is ring for x in entries)
+    return solved
+
+
+def _over_d(field, solved):
+    """(X, basis) of a ``solve`` result in the field: each numerator over
+    d, as the dense reference gives them; None stays None."""
+    if solved is None:
+        return None
+    d, X, basis = solved
+    if field == "qcomplex":
+        def over(x):
+            return QComplex(x.re, x.im) / QComplex(d.re, d.im)
+    else:
+        def over(x):
+            return Fraction(x, d)
+    return ([[over(x) for x in row] for row in X],
+            [[over(x) for x in vec] for vec in basis])
 
 
 class TestGaussJordan:
@@ -790,7 +815,8 @@ class TestGaussJordan:
         # solve against the dense field reference: random sparse systems,
         # also with 10**9 denominators and with no right-hand column (as
         # _annihilator passes), no rows, 1 x 1 systems and a zero matrix;
-        # a Q(j) system goes in over Z[j] and comes out over Q(j)
+        # a Q(j) system goes in over Z[j] and comes out as Z[j] numerators
+        # over d, compared over Q(j)
         if field == "fraction":
             entry, zero, is_zero = _nonzero_fraction, Q(0), (lambda x: x == 0)
         else:
@@ -813,7 +839,7 @@ class TestGaussJordan:
                    [[zero] * 2 for _ in range(3)])]
         for kind, rows, rhs in cases:
             expect = dense_gauss_jordan(rows, rhs, zero, is_zero)
-            got = _solve_cleared(field, rows, rhs)
+            got = _over_d(field, _solve_cleared(field, rows, rhs))
             assert got == expect
             if kind == "inconsistent":
                 assert got is None
@@ -913,7 +939,7 @@ class TestSparseElimination:
                 rhs = [[entry(rng) if rng.random() < 0.3 else zero
                         for _ in range(k)] for _ in range(n)]
             expect = dense_gauss_jordan(rows, rhs, zero, is_zero)
-            assert _solve_cleared(field, rows, rhs) == expect
+            assert _over_d(field, _solve_cleared(field, rows, rhs)) == expect
             free += expect is not None and bool(expect[1])
         assert free > 20
 
