@@ -6,41 +6,44 @@ with controllability/observability diagnostics.  Impedance, phasors and
 state space share one integer stamp, ``_stamp``: the modified nodal
 matrix with the port minus terminal grounded, scaled by s and by one
 common denominator L, so that each entry is an int triple (c0, c1, c2)
-meaning c0 + c1 s + c2 s^2.  The impedance builds each Q[s] entry once
-from its triple.  A phasor system evaluates the triples at s = j*omega
-into Gaussian-integer rows, Z[j], plus a current unknown only for an
-element whose admittance does not exist there (an inductor at
-omega = 0); the state space takes the resistors' c1 and a current unknown
-for each capacitor, which holds its state voltage.  One call stamps its
-network once.  Everything is exact: frequencies are rationals (a float is
-a TypeError), and a phasor stays a Z[j] numerator over the last pivot d
-of its solve until a public type is filled: ``_phasor_draw`` builds one
-``QComplex`` per field of ``PhasorSolution``, and ``energy_balance`` reads
-those fields as ints over one common denominator.  The blocked test is
-exact too: an element is blocked when its potential numerators agree at
-its ends on the particular solution and on every nullspace basis vector
-at omega0, and both the blocked report and the open/short check read
-H(j*omega0) off one such solve, the port value alone.  The laws a
-computed answer must obey (the impedance is PR, the blocked laws) raise
-``InvariantViolation``, also under ``python -O``.  The elimination lives
-in the elimination section of ``polyrat``: ``leading_minors`` over Q[s],
-``_det_z`` over Z and ``solve`` over Q or Z[j], with nullspaces, all one
-fraction-free loop over Z[s], Z or Z[j]; this module only sets up the
-systems, and divides by a solve's d where it fills its own types.  Each
-impedance is the quotient of the last two leading minors of one matrix,
-its vertices in minimum-degree order with the port vertex last.  The
-state space is read over Z: one sequence of int Krylov columns
-(dA)^j (e b) per (A, b), d and e the lcms of the denominators, gives the
-annihilator of b through one ``solve`` and the Markov parameters
-C A^j b, so ``ss_impedance`` is
+meaning c0 + c1 s + c2 s^2.  The impedance eliminates over Z[s] on the
+triples as they are and builds its two Polynomials at the end.  A phasor
+system evaluates the triples at s = j*omega into Gaussian-integer rows,
+Z[j], each element an int list [re, im], [re] or [] (zero), the
+convention of ``polyrat``'s elimination, plus a current unknown only for
+an element whose admittance does not exist there (an inductor at
+omega = 0); the state space takes the resistors' c1 and a current
+unknown for each capacitor, which holds its state voltage.  One call
+stamps its network once.  Everything is exact: frequencies are rationals
+(a float is a TypeError), and a phasor stays a Z[j] numerator over the
+last pivot d of its solve until a public type is filled:
+``_phasor_draw`` builds one ``QComplex`` per field of
+``PhasorSolution``, and ``energy_balance`` reads those fields as ints
+over one common denominator.  The blocked test is exact too: an element
+is blocked when its potential numerators are equal lists at its ends on
+the particular solution and on every nullspace basis vector at omega0,
+and both the blocked report and the open/short check read H(j*omega0)
+off one such solve, the port value alone.  The laws a computed answer
+must obey (the impedance is PR, the blocked laws) raise
+``InvariantViolation`` (defined in ``polyrat``, re-exported here), also
+under ``python -O``.  The elimination lives in the elimination section of
+``polyrat``: ``leading_minors`` over Z[s], ``_det_z`` over Z and
+``solve`` over Q or Z[j], with nullspaces, all one fraction-free loop on
+bare ints; this module only sets up the systems, and divides by a
+solve's d where it fills its own types.  Each impedance is the quotient
+of the last two leading minors of one matrix, its vertices in
+minimum-degree order with the port vertex last.  The state space is read
+over Z: one sequence of int Krylov columns (dA)^j (e b) per (A, b), d
+and e the lcms of the denominators, gives the annihilator of b through
+one ``solve`` and the Markov parameters C A^j b, so ``ss_impedance`` is
 D + N / m with no determinant (Kailath 1980, *Linear Systems*, ch. 2 and
 sec. 6.2).  The PBH polynomials divide det(sI - A) by the annihilators of
 (A, B) and (A^T, C); det(sI - A) is read over Z too, interpolated from
 n + 1 int determinants of tI - dA (``_char_poly``), and the three read
 one clearing (d, dA) of A, so ``impedance`` is this module's one caller
 of ``leading_minors``.  Whether a function is PR, lossless or minimum is
-asked of ``polyrat`` alone, whose ``is_positive_real`` keeps its verdict,
-so the report after an impedance does not test it again.
+asked of ``polyrat`` alone, whose ``is_positive_real`` keeps its
+verdict, so the report after an impedance does not test it again.
 """
 
 from __future__ import annotations
@@ -52,10 +55,11 @@ from fractions import Fraction
 from operator import mul
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 
-from .polyrat import (ONE, Polynomial, Q, QComplex, RationalFunction,
-                      _GaussInt, _as_q, _det_z, _interpolate, _over_lcd, _poly,
-                      is_lossless, is_positive_real, leading_minors, qcomplex,
-                      real_roots, solve, strict_hurwitz)
+from .polyrat import (ONE, InvariantViolation, Polynomial, Q, QComplex,
+                      RationalFunction, _as_q, _det_z, _gauss, _interpolate,
+                      _over_lcd, _parts, _poly, is_lossless, is_positive_real,
+                      leading_minors, qcomplex, real_roots, solve,
+                      strict_hurwitz)
 from . import network as net
 from .network import (CAPACITOR, INDUCTOR, RESISTOR, Network, OnePort,
                       OpenCircuit, ShortCircuit, one_port_boundary)
@@ -71,20 +75,6 @@ class InconsistentDrive(AnalysisError):
 
 class HypothesesNotMet(AnalysisError):
     pass
-
-
-class InvariantViolation(Exception):
-    """A law that every computed answer obeys failed: a fault of the
-    program, not of its input (CLI exit code 4).  ``law`` names the law and
-    ``context`` holds what it failed on.  The check is a plain ``if``, so
-    it also runs under ``python -O``."""
-
-    def __init__(self, law: str, **context):
-        detail = ", ".join(f"{k}={v}" for k, v in context.items())
-        super().__init__(f"invariant {law} violated"
-                         + (f": {detail}" if detail else ""))
-        self.law = law
-        self.context = context
 
 
 class ExtractionFailure(AnalysisError):
@@ -190,11 +180,13 @@ def impedance(n: Network, *,
     """Exact driving-point impedance, checked positive-real: a failed check
     raises InvariantViolation("positive-real").
 
-    Nodal analysis over Q[s] on the s-scaled matrix of ``_stamp``, each
-    entry built once from its triple; H = s * cofactor / determinant.  In
-    ``_min_degree_order``, which keeps fill-in low and puts the port vertex
-    last, the cofactor and the determinant are the last two leading
-    minors, read from one ``leading_minors`` pass (Bareiss over Q[s]).  At
+    Nodal analysis over Z[s] on the matrix L*s*Y of ``_stamp``, whose int
+    triples are the entries as they are; H = s * cofactor / determinant.
+    In ``_min_degree_order``, which keeps fill-in low and puts the port
+    vertex last, the cofactor and the determinant are the last two leading
+    minors M_(n-1) and M_n, read from one ``leading_minors`` pass (Bareiss
+    over Z[s]).  Those of L*s*Y are L^(n-1) and L^n times those of s*Y, so
+    H = s * L * M_(n-1) / M_n: the two Polynomials are built at the end.  At
     s = 1 the scaled entries 1/R, 1/L and C are positive and the elements
     connect every vertex, so the matrix is positive definite there and, in
     any symmetric order, no leading minor vanishes, unless a vertex has no
@@ -203,13 +195,11 @@ def impedance(n: Network, *,
     so one call stamps n once."""
     scale, _, mat, idx = _stamped or _stamp(n)
     order = _min_degree_order(n, idx)
-    zero = Polynomial()
-    minors = [ONE] + leading_minors([[_poly(list(mat[r][c]), 1, scale)
-                                      if any(mat[r][c]) else zero
-                                      for c in order] for r in order])
+    minors = [[1]] + leading_minors([[mat[r][c] for c in order]
+                                     for r in order])
     if len(minors) <= len(mat):
         return NoImpedance()
-    h = RationalFunction(minors[-2] * Polynomial([0, 1]), minors[-1])
+    h = RationalFunction(_poly([0] + minors[-2], scale), _poly(minors[-1]))
     if not is_positive_real(h):
         raise InvariantViolation("positive-real", impedance=h)
     return h
@@ -250,10 +240,10 @@ class PhasorSolution:
     free_modes: int = 0                    # dimension of the solution space
 
 
-def _potential(vec, idx: Dict[str, int], v: str) -> _GaussInt:
-    """The numerator of vertex v's potential in a vector of
+def _potential(vec, idx: Dict[str, int], v: str) -> List[int]:
+    """The Z[j] numerator of vertex v's potential in a vector of
     ``_phasor_space``."""
-    return vec[idx[v]] if v in idx else _GaussInt(0, 0)
+    return vec[idx[v]] if v in idx else []
 
 
 def _phasor_space(n: Network, omega: Fraction, drive: Tuple[str, QComplex],
@@ -269,31 +259,30 @@ def _phasor_space(n: Network, omega: Fraction, drive: Tuple[str, QComplex],
     solution, nullspace basis, stamp), the vectors Z[j] numerators over d
     (``solve``), or raises InconsistentDrive."""
     scale, _, mat, idx = stamp
-    zero = _GaussInt(0, 0)
     a, b = omega.numerator, omega.denominator
     if a:
         a2, ab, b2 = a * a, a * b, b * b
-        rows = [[_GaussInt(c0 * b2 - c2 * a2, c1 * ab) if c0 or c1 or c2
-                 else zero for c0, c1, c2 in row] + [zero] for row in mat]
-        source = _GaussInt(0, -ab * scale)
+        rows = [[_gauss(c0 * b2 - c2 * a2, c1 * ab) if c0 or c1 or c2
+                 else [] for c0, c1, c2 in row] + [[]] for row in mat]
+        source = [0, -ab * scale]
     else:
-        rows = [[_GaussInt(x, 0) if x else zero for x in row] + [zero]
+        rows = [[[x] if x else [] for x in row] + [[]]
                 for row in _dc_rows(n, stamp, 0)]
-        source = _GaussInt(-scale, 0)
+        source = [-scale]
     # the source current, injected at the plus terminal, then the drive row
     # cleared of the phasor's denominators
     rows[idx[n.port[0]]][-1] = source
-    row = [zero] * len(rows[0])
+    row = [[]] * len(rows[0])
     mode, value = drive
     m = math.lcm(value.re.denominator, value.im.denominator)
     if mode == "current":
-        row[-1] = _GaussInt(m, 0)
+        row[-1] = [m]
     elif mode == "voltage":
-        row[idx[n.port[0]]] = _GaussInt(m, 0)
+        row[idx[n.port[0]]] = [m]
     else:
         raise ValueError(f"unknown drive mode {mode!r}")
-    rhs = [[zero]] * len(rows) + [[_GaussInt(int(value.re * m),
-                                             int(value.im * m))]]
+    rhs = [[[]]] * len(rows) + [[_gauss(int(value.re * m),
+                                        int(value.im * m))]]
     rows.append(row)
 
     solved = solve(rows, rhs)
@@ -318,9 +307,8 @@ def _phasor_draw(n: Network, omega: Fraction, space, seed) -> PhasorSolution:
     k = 1, 2 or 0.  An element with no admittance, an inductor at
     omega = 0, has its own unknown.  Each field is one QComplex."""
     d, vec, basis, (_, laws, _, idx) = space
-    dre, dim = d.re, d.im
-    re = [x.re for x in vec]
-    im = [x.im for x in vec]
+    dre, dim = _parts(d)
+    re, im = map(list, zip(*map(_parts, vec)))
     if basis:
         rng = random.Random(seed if seed is not None else 0)
         re = [3233 * x for x in re]
@@ -330,8 +318,9 @@ def _phasor_draw(n: Network, omega: Fraction, space, seed) -> PhasorSolution:
             gr, gi = 53 * rng.randint(1, 997), 61 * rng.randint(1, 991)
             for t, y in enumerate(b):
                 if y:
-                    re[t] += gr * y.re - gi * y.im
-                    im[t] += gr * y.im + gi * y.re
+                    yr, yi = _parts(y)
+                    re[t] += gr * yr - gi * yi
+                    im[t] += gr * yi + gi * yr
     norm = dre * dre + dim * dim
     re, im = ([x * dre + y * dim for x, y in zip(re, im)],
               [y * dre - x * dim for x, y in zip(re, im)])
@@ -465,8 +454,8 @@ def blocked_report(n: Network, omega0, seed: int = 0) -> BlockReport:
         raise HypothesesNotMet("H(j*omega0) must be nonzero purely imaginary")
 
     idx = stamp[3]
-    blocked_ids = {e.id for e in n.elements if not any(
-        _potential(x, idx, e.head) - _potential(x, idx, e.tail)
+    blocked_ids = {e.id for e in n.elements if all(
+        _potential(x, idx, e.head) == _potential(x, idx, e.tail)
         for x in [vec] + basis)}
 
     comps = _element_components(n, blocked_ids)
@@ -492,11 +481,11 @@ def _element_components(n: Network, ids: Set[str]) -> List[Set[str]]:
     return sorted(comps.values(), key=sorted)
 
 
-def _assert_blocked_laws(n: Network, report: BlockReport, current: _GaussInt,
-                         voltage: _GaussInt):
+def _assert_blocked_laws(n: Network, report: BlockReport,
+                         current: List[int], voltage: List[int]):
     """Raise InvariantViolation("blocked.k") where law k of a
     minimum-frequency trajectory fails on report; current and voltage are
-    the driving-point numerators of its solve."""
+    the driving-point Z[j] numerators of its solve, [] when zero."""
     # 1. the driving-point trajectory is nonzero in both coordinates
     if not current:
         raise InvariantViolation("blocked.1", vanished="driving current")
@@ -560,10 +549,11 @@ def _unit_current(n: Network, omega0: Fraction, stamp):
     ``phasor_solve``)."""
     space = _phasor_space(n, omega0, ("current", QComplex(1, 0)), stamp)
     d, vec, _, _ = space
-    x = vec[stamp[3][n.port[0]]]
-    norm = d.re * d.re + d.im * d.im
-    return space, (Fraction(x.re * d.re + x.im * d.im, norm),
-                   Fraction((x.im * d.re - x.re * d.im) * omega0.denominator,
+    xr, xi = _parts(vec[stamp[3][n.port[0]]])
+    dr, di = _parts(d)
+    norm = dr * dr + di * di
+    return space, (Fraction(xr * dr + xi * di, norm),
+                   Fraction((xi * dr - xr * di) * omega0.denominator,
                             norm * omega0.numerator))
 
 

@@ -14,19 +14,22 @@ square-free part.  Only ``is_positive_real`` runs the PR test and keeps
 its verdict on the ``RationalFunction``, so a function is tested at most
 once.  Values at s = j*w are ``QComplex`` numbers with rational parts.
 Determinants and linear solves run one fraction-free elimination loop,
-``_eliminate``, with three entry points: ``_det_z`` over Z (or over Z[x]
+``_eliminate``, on bare ints: an element of Z[s], Z[x] or Z[j] is one
+trimmed ascending int list ([re, im] in j), [] as zero, and each ring has
+one fused row step with its exact-division check.  Its three entry points
+answer in the ring of their entries: ``_det_z`` over Z (or over Z[x]
 where a Sylvester pass stops short), ``leading_minors`` over Z[s] on the
-nodal impedance's Polynomial entries and over Z[x] on a fixture's
-Sylvester rows, and ``solve``, which adds the back half, over Z on cleared
-rows or over Z[j] (Gaussian integers) on the phasor rows it is given,
-and answers in the ring of its rows: numerators over its last pivot.  A
-row with a zero in the pivot column skips that step and catches up when it
-is next read, so sparse rows cost little.  Sylvester rows are built from
-coefficient sequences, interleaved by shift, with one sign rule: the
-integer primitive parts for a determinant over Z, or polynomials in a
-parameter x, so that one pass of leading minors gives both R_0(x) and
-R_1(x) of a pair as identities in x.  Sturm signs and interpolation stay
-in Z as well.  Real
+nodal impedance's stamp triples and over Z[x] on a fixture's Sylvester
+rows, and ``solve``, which adds the back half, over Z on cleared rows or
+over Z[j] (Gaussian integers) on the phasor rows it is given: numerators
+over its last pivot.  A row with a zero in the pivot column skips that
+step and catches up when it is next read, so sparse rows cost little.
+Sylvester rows are built from coefficient sequences, interleaved by
+shift, with one sign rule: the integer primitive parts for a determinant
+over Z, or polynomials in a parameter x cleared into Z[x], so that one
+pass of leading minors gives both R_0(x) and R_1(x) of a pair as
+identities in x.  Sturm signs and interpolation stay in Z as well.  A law
+that a computed answer obeys raises ``InvariantViolation``.  Real
 roots come from one exact isolator, ``real_roots``: a rational root is a
 Fraction and an irrational one an open interval with rational ends, so a
 minimum frequency whose square is irrational is kept as such a bracket.
@@ -78,6 +81,21 @@ class NotRationalParams(PolyratError):
 
 class DegreeTooSmall(PolyratError):
     pass
+
+
+class InvariantViolation(Exception):
+    """A law that every computed answer obeys failed: a fault of the
+    program, not of its input (CLI exit code 4).  ``law`` names the law and
+    ``context`` holds what it failed on.  The check is a plain ``if``, so
+    it also runs under ``python -O``.  Defined here, below every other
+    module, so that each of them can raise it."""
+
+    def __init__(self, law: str, **context):
+        detail = ", ".join(f"{k}={v}" for k, v in context.items())
+        super().__init__(f"invariant {law} violated"
+                         + (f": {detail}" if detail else ""))
+        self.law = law
+        self.context = context
 
 
 def _as_q(x) -> Fraction:
@@ -266,16 +284,11 @@ class Polynomial:
                 return _new(self.content * abs(other), self.prim if other > 0
                             else tuple(-x for x in self.prim))
             other = _as_poly(other)
-        a, b = self.prim, other.prim
-        if not a or not b:
+        if not self.prim or not other.prim:
             return ZERO
         # the product of primitives is primitive (Gauss's lemma): no gcd
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b, i):
-                    out[j] += x * y
-        return _new(self.content * other.content, tuple(out))
+        return _new(self.content * other.content,
+                    tuple(_mul(self.prim, other.prim)))
 
     __rmul__ = __mul__
 
@@ -382,6 +395,19 @@ def _poly(ints: List[int], num: int = 1, den: int = 1) -> Polynomial:
     if g != 1:
         ints = [x // g for x in ints]
     return _new(Fraction(num * g, den), tuple(ints))
+
+
+def _mul(a: Sequence[int], b: Sequence[int]) -> List[int]:
+    """The product of the ascending int lists a and b, [] when either is
+    empty (zero); trimmed factors give a trimmed product."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return out
 
 
 def _divide(a: Sequence[int], b: Sequence[int]):
@@ -728,7 +754,7 @@ def even_part_profile(g: RationalFunction) -> Polynomial:
     """E(v) with E(w**2) = r(jw), the even-part numerator on the j-axis."""
     r = even_part_numerator(g)
     if any(r.prim[1::2]):
-        raise AssertionError("even-part numerator must be even")
+        raise InvariantViolation("even-part", numerator=r)
     return _new(r.content, tuple(-x if m % 2 else x
                                  for m, x in enumerate(r.prim[0::2])))
 
@@ -907,60 +933,110 @@ def _biquad_params(h: RationalFunction) -> BiquadParams:
 
 
 # ---------------------------------------------------------------------------
-# Exact elimination: the one home of determinants, solves and Sylvester rows.
-# One fraction-free loop runs over Z, Z[j], Z[s] and Z[x]: its forward half
-# gives the determinants over Z (a Sylvester determinant, on rows
-# interleaved by shift, and the state space's det(sI - A) at integer
-# points) and the leading minors over Z[x] (R_0(x) and R_1(x) of a fixture
-# pair, from one pass over the interleaved S_0 rows) and over Z[s] (the
-# nodal impedance's, the one elimination over Q[s]), and a solve adds the
-# back half.
+# Exact elimination: the one home of determinants and solves.  One
+# fraction-free loop, ``_eliminate``, runs over four rings, all on bare
+# ints: Z (int entries), Z[s] and Z[x] (one trimmed ascending int list per
+# element, [] as zero) and Z[j] (the Gaussian integer re + im j as
+# [re, im], [re] or [], the same convention in j).  Each ring has one fused
+# row step, (a p - lead b) / d with its exact-division check.  The forward
+# half gives the determinants over Z and Z[x] (``_det_z``) and the leading
+# minors over Z[s] and Z[x] (``leading_minors``: the nodal impedance's, and
+# R_0(x) and R_1(x) of a fixture pair), and a solve adds the back half,
+# over Z or Z[j] (``solve``).  Every answer is in the ring of the entries;
+# no function here builds a Polynomial, Fraction or QComplex.
 # ---------------------------------------------------------------------------
 
-class _GaussInt:
-    """A Gaussian integer re + im*j with int parts: the ring Z[j] of the
-    phasor systems that ``solve`` takes, with only the operations that
-    ``_eliminate`` uses."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re: int, im: int):
-        self.re = re
-        self.im = im
-
-    def __mul__(self, other):
-        return _GaussInt(self.re * other.re - self.im * other.im,
-                         self.re * other.im + self.im * other.re)
-
-    def __sub__(self, other):
-        return _GaussInt(self.re - other.re, self.im - other.im)
-
-    def __bool__(self):
-        return bool(self.re or self.im)
-
-    def __divmod__(self, other):
-        norm = other.re * other.re + other.im * other.im
-        qr, rr = divmod(self.re * other.re + self.im * other.im, norm)
-        qi, ri = divmod(self.im * other.re - self.re * other.im, norm)
-        q = _GaussInt(qr, qi)
-        return q, (self - q * other if rr or ri else _GaussInt(0, 0))
+_INEXACT = "fraction-free elimination left a remainder"
 
 
-def _exact(x, d):
-    """x / d for d dividing x; a remainder raises, also under ``-O``."""
-    q, rem = divmod(x, d)
-    if rem:
-        raise ArithmeticError("fraction-free elimination left a remainder")
-    return q
+def _step_int(row, top, cols, p, lead, d):
+    """The row step of ``_eliminate`` over Z, in place on the columns cols
+    of row: each entry a becomes (a p - lead b) / d, b the entry of the
+    pivot row top in its column, or a p / d with lead None (a catch-up);
+    d None stands for 1.  A remainder raises ArithmeticError, also under
+    ``-O``.  It uses operators only, so any integral domain whose zero is
+    falsy and whose divmod is division with remainder runs through it."""
+    for j in cols:
+        x = row[j] * p if lead is None else row[j] * p - lead * top[j]
+        if d is not None:
+            x, rem = divmod(x, d)
+            if rem:
+                raise ArithmeticError(_INEXACT)
+        row[j] = x
 
 
-def _eliminate(m, width, back):
+def _step_poly(row, top, cols, p, lead, d):
+    """``_step_int`` over Z[s] or Z[x], on trimmed ascending int lists:
+    products by ``_mul``, and the division by ``_divide``, which scales up
+    only where d does not divide."""
+    for j in cols:
+        x = _mul(row[j], p)
+        if lead is not None and top[j]:
+            y = _mul(lead, top[j])
+            if len(x) < len(y):
+                x += [0] * (len(y) - len(x))
+            for k, v in enumerate(y):
+                x[k] -= v
+            while x and not x[-1]:
+                x.pop()
+        if d is not None and x:
+            x, rem, scale = _divide(x, d)
+            if scale != 1 or any(rem):
+                raise ArithmeticError(_INEXACT)
+        row[j] = x
+
+
+def _parts(z) -> Tuple[int, int]:
+    """(re, im) of the Z[j] element z: [re, im], [re] or []."""
+    return (z[0], z[1]) if len(z) == 2 else (z[0], 0) if z else (0, 0)
+
+
+def _gauss(re: int, im: int) -> List[int]:
+    """The Z[j] element re + im j: [re, im], [re] or []."""
+    return [re, im] if im else [re] if re else []
+
+
+def _step_gauss(row, top, cols, p, lead, d):
+    """``_step_int`` over Z[j]: x / d is x conj(d) / |d|^2, and both parts
+    must divide."""
+    pr, pi = _parts(p)
+    if lead is not None:
+        lr, li = _parts(lead)
+    if d is not None:
+        dr, di = _parts(d)
+        norm = dr * dr + di * di
+    for j in cols:
+        a, b = row[j], top[j] if lead is not None else []
+        if not (a or b):
+            continue
+        ar, ai = _parts(a)
+        xr, xi = ar * pr - ai * pi, ar * pi + ai * pr
+        if b:
+            br, bi = _parts(b)
+            xr, xi = xr - lr * br + li * bi, xi - lr * bi - li * br
+        if d is not None:
+            (xr, rr), (xi, ri) = (divmod(xr * dr + xi * di, norm),
+                                  divmod(xi * dr - xr * di, norm))
+            if rr or ri:
+                raise ArithmeticError(_INEXACT)
+        row[j] = _gauss(xr, xi)
+
+
+def _signed(x, sign: int):
+    """x times sign = +-1 in x's ring: an int list entry by entry, any
+    other entry by its own product."""
+    if type(x) is list:
+        return x if sign > 0 else [-c for c in x]
+    return x * sign
+
+
+def _eliminate(m, width, back, step):
     """Fraction-free elimination of the rows m in place (Bareiss 1968); with
     back, one-step fraction-free Gauss-Jordan (Nakos, Turner & Williams
     1997, "Fraction-free algorithms for linear and polynomial equations").
 
-    The entries lie in an integral domain whose zero is falsy and whose
-    divmod is division with remainder: int, _GaussInt or Polynomial.  The
+    The entries lie in one ring of this section, zero falsy, and step is
+    its row step (``_step_int``, ``_step_poly`` or ``_step_gauss``).  The
     pivot p_k of each of the first width columns is its first nonzero entry
     at or below the current row.  A column with none ends a forward run,
     whose determinant is then zero, and is skipped with back.  Step k sets
@@ -986,11 +1062,9 @@ def _eliminate(m, width, back):
     sign = 1
 
     def catch_up(i, cols):
-        t, row = at[i], m[i]
+        t = at[i]
         if t < len(ps):
-            for j in cols:
-                x = row[j] * ps[-1]
-                row[j] = _exact(x, ps[t - 1]) if t else x
+            step(m[i], None, cols, ps[-1], None, ps[t - 1] if t else None)
             at[i] = len(ps)
 
     for c in range(width):
@@ -1017,9 +1091,7 @@ def _eliminate(m, width, back):
             lead = row[c]
             if i == r or not lead:
                 continue
-            for j in cols:
-                x = row[j] * p - lead * top[j]
-                row[j] = _exact(x, ps[t - 1]) if t else x
+            step(row, top, cols, p, lead, ps[t - 1] if t else None)
             at[i] = r + 1
         at[r] = r + 1
         pivots.append(c)
@@ -1031,39 +1103,71 @@ def _eliminate(m, width, back):
     return pivots, sign
 
 
+def _over_lcd(xs) -> Tuple[List[int], int]:
+    """(numerators, lcd) of xs over their common denominator: all-int xs as
+    they are, over 1."""
+    xs = list(xs)
+    if all(type(x) is int for x in xs):
+        return xs, 1
+    xs = [_as_q(x) for x in xs]
+    lcd = math.lcm(*(x.denominator for x in xs))
+    return [x.numerator * (lcd // x.denominator) for x in xs], lcd
+
+
 def _int_rows(rows: Sequence[Sequence[Fraction]]):
     """Each row times the lcm of its denominators, as int rows.  An all-int
     row is read as it is (``_over_lcd``)."""
     return [_over_lcd(row)[0] for row in rows]
 
 
+def _list_entries(m) -> bool:
+    """Whether the rows m hold int lists (Z[s], Z[x] or Z[j]), not ints."""
+    return bool(m and m[0]) and type(m[0][0]) is list
+
+
+def _trimmed(x: Sequence[int]) -> List[int]:
+    """The ascending int list x without its trailing zeros."""
+    n = len(x)
+    while n and not x[n - 1]:
+        n -= 1
+    return list(x[:n])
+
+
 def _det_z(m: list):
-    """Determinant of a square matrix over Z, or over Z[x] (Polynomial
-    entries, in ``_sylvester_r0_r1``), by the forward half of
+    """Determinant of a square matrix over Z (int entries) or over Z[x]
+    (int lists, in ``_sylvester_r0_r1``), by the forward half of
     ``_eliminate`` on the rows m in place, with row swaps; a singular one
-    gives the int 0."""
-    pivots, sign = _eliminate(m, len(m), False)
+    gives the ring's zero, 0 or []."""
+    poly = _list_entries(m)
+    pivots, sign = _eliminate(m, len(m), False,
+                              _step_poly if poly else _step_int)
     if len(pivots) < len(m):
-        return 0
-    return m[-1][-1] * sign if m else 1
+        return [] if poly else 0
+    return _signed(m[-1][-1], sign) if m else 1
 
 
 def leading_minors(matrix: Sequence[Sequence]) -> list:
     """The leading principal minors M_1, M_2, ... of a square matrix over Z
-    or Z[s] (int or Polynomial entries), up to but not including the first
-    that is zero, from one forward pass of ``_eliminate``: before any row
-    swap, the k-th pivot of the Bareiss loop is M_k (Bareiss 1968, by
-    Sylvester's identity).  The loop swaps rows only at a zero pivot, the
-    first zero leading minor, so the minors stop at the first row that is
-    no longer the matrix's own.  Its two callers are ``analysis.impedance``
-    over Z[s] and ``_sylvester_r0_r1``, which reads two subresultants off
-    one pass, over Z[x] for a fixture pair whose coefficients are
-    polynomials in a parameter x.  A matrix with constant entries off a
-    polynomial diagonal, such as sI - A, is cheaper as integer determinants
-    at points, interpolated (``_interpolate``)."""
-    m = [list(row) for row in matrix]
+    (int entries) or over Z[s] or Z[x] (ascending int lists; trailing zeros,
+    as in the stamp's triples, are trimmed on the copy), in the ring of the
+    entries, up to but not including the first that is zero, from one
+    forward pass of ``_eliminate``: before any row swap, the k-th pivot of
+    the Bareiss loop is M_k (Bareiss 1968, by Sylvester's identity).  The
+    loop swaps rows only at a zero pivot, the first zero leading minor, so
+    the minors stop at the first row that is no longer the matrix's own.
+    Its two callers are ``analysis.impedance`` over Z[s] and
+    ``_sylvester_r0_r1``, which reads two subresultants off one pass, over
+    Z[x] for a fixture pair whose coefficients are polynomials in a
+    parameter x.  A matrix with constant entries off a polynomial
+    diagonal, such as sI - A, is cheaper as integer determinants at
+    points, interpolated (``_interpolate``)."""
+    poly = _list_entries(matrix)
+    if poly:
+        m = [[_trimmed(x) if any(x) else [] for x in row] for row in matrix]
+    else:
+        m = [list(row) for row in matrix]
     own = list(m)
-    pivots, _ = _eliminate(m, len(m), False)
+    pivots, _ = _eliminate(m, len(m), False, _step_poly if poly else _step_int)
     minors = []
     for k in range(len(pivots)):
         if m[k] is not own[k]:
@@ -1073,26 +1177,26 @@ def leading_minors(matrix: Sequence[Sequence]) -> list:
 
 
 def solve(rows, rhs):
-    """Solve rows * X = rhs exactly: over Q(j) when the entries are
-    ``_GaussInt``, over Q when they are int or Fraction.
+    """Solve rows * X = rhs exactly: over Q(j) when the entries are Z[j]
+    int lists, over Q when they are int or Fraction.
 
     rows is m x n and rhs is m x k (k right-hand columns).  Returns
     (d, X, basis), or None when the system is inconsistent.  Every answer
     is a numerator over d, the last pivot of the elimination (1 with no
-    pivot), in the ring of the rows: a ``_GaussInt`` over Z[j], an int
-    over Z.  X is the n x k solution with every free unknown zero, and
-    basis spans the nullspace of rows, one vector per free column in
-    column order, d at its free column.  Rows over Z[j] are taken as they
-    are; each row over Q is cleared of denominators into Z.  A caller
-    divides by d where it fills its own type."""
+    pivot), in the ring of the rows: a Z[j] list ([re, im], [re] or [])
+    over Z[j], an int over Z.  X is the n x k solution with every free
+    unknown zero, and basis spans the nullspace of rows, one vector per
+    free column in column order, d at its free column.  Rows over Z[j] are
+    taken as they are; each row over Q is cleared of denominators into Z.
+    A caller divides by d where it fills its own type."""
     ncols = len(rows[0]) if rows else 0
     aug = [list(a) + list(b) for a, b in zip(rows, rhs)]
-    if bool(aug and aug[0]) and isinstance(aug[0][0], _GaussInt):
-        zero, one = _GaussInt(0, 0), _GaussInt(1, 0)
+    if _list_entries(aug):
+        step, zero, one = _step_gauss, [], [1]
     else:
-        zero, one = 0, 1
+        step, zero, one = _step_int, 0, 1
         aug = _int_rows(aug)
-    pivots, _ = _eliminate(aug, ncols, True)
+    pivots, _ = _eliminate(aug, ncols, True, step)
     if any(x for row in aug[len(pivots):] for x in row[ncols:]):
         return None
     d = aug[len(pivots) - 1][pivots[-1]] if pivots else one
@@ -1104,27 +1208,36 @@ def solve(rows, rhs):
         vec = [zero] * ncols
         vec[fc] = d
         for i, c in enumerate(pivots):
-            vec[c] = zero - aug[i][fc]
+            vec[c] = _signed(aug[i][fc], -1)
         basis.append(vec)
     return d, solution, basis
 
 
-def _sylvester_rows(p: Sequence, q: Sequence, m: int, n: int,
-                    k: int) -> list:
+# ---------------------------------------------------------------------------
+# Sylvester determinants and interpolation.  Sylvester rows are built from
+# coefficient sequences, interleaved by shift, with one sign rule: the
+# integer primitive parts for a determinant over Z, or polynomials in a
+# parameter x cleared into Z[x], so that one pass of leading minors gives
+# both R_0(x) and R_1(x) of a pair as identities in x.  Interpolation runs
+# over Z as well.
+# ---------------------------------------------------------------------------
+
+def _sylvester_rows(p: Sequence, q: Sequence, m: int, n: int, k: int,
+                    zero) -> list:
     """Rows of the k-th truncated Sylvester matrix of the coefficient
-    sequences p and q (ascending; ints, or Polynomials in a parameter x),
-    read at the degrees m >= len(p) - 1 and n >= len(q) - 1 (leading
-    coefficients may vanish): n - k rows of p's and m - k rows of q's,
-    interleaved by shift.  The first |m - n| rows of the longer block lead,
-    and the rest follow in pairs (p's, q's).  Then the leading m + n - 2k
-    rows of S_0, cut to as many columns, are the rows of S_k in this
-    order, so one pass of leading minors reads every R_k
-    (``_sylvester_r0_r1``)."""
+    sequences p and q (ascending, in one ring of the elimination section:
+    ints, or Z[x] int lists), padded with that ring's zero, read at the
+    degrees m >= len(p) - 1 and n >= len(q) - 1 (leading coefficients may
+    vanish): n - k rows of p's and m - k rows of q's, interleaved by shift.
+    The first |m - n| rows of the longer block lead, and the rest follow in
+    pairs (p's, q's).  Then the leading m + n - 2k rows of S_0, cut to as
+    many columns, are the rows of S_k in this order, so one pass of leading
+    minors reads every R_k (``_sylvester_r0_r1``)."""
     size = m + n - 2 * k
-    pdesc = [0] * (m + 1 - len(p)) + list(reversed(p))
-    qdesc = [0] * (n + 1 - len(q)) + list(reversed(q))
-    prows = [([0] * i + pdesc + [0] * size)[:size] for i in range(n - k)]
-    qrows = [([0] * i + qdesc + [0] * size)[:size] for i in range(m - k)]
+    pdesc = [zero] * (m + 1 - len(p)) + list(reversed(p))
+    qdesc = [zero] * (n + 1 - len(q)) + list(reversed(q))
+    prows = [([zero] * i + pdesc + [zero] * size)[:size] for i in range(n - k)]
+    qrows = [([zero] * i + qdesc + [zero] * size)[:size] for i in range(m - k)]
     d = len(prows) - len(qrows)
     lead, prows, qrows = ((prows[:d], prows[d:], qrows) if d > 0
                           else (qrows[:-d], prows, qrows[-d:]))
@@ -1149,7 +1262,7 @@ def _sylvester_det(p: Polynomial, q: Polynomial, m: int, n: int,
     ``_interleaving_sign`` and each content to the number of its rows (the
     determinant is linear in each row).  A zero p or q has content 0, and
     no rows when its exponent is 0."""
-    det = (_det_z(_sylvester_rows(p.prim, q.prim, m, n, k))
+    det = (_det_z(_sylvester_rows(p.prim, q.prim, m, n, k, 0))
            * _interleaving_sign(m, n, k))
     a, b = n - k, m - k
     c, e = p.content, q.content
@@ -1173,6 +1286,14 @@ def sylvester_determinant(p: Polynomial, q: Polynomial, k: int) -> Fraction:
     return _sylvester_det(p, q, m, n, k)
 
 
+def _cleared_in_x(cs: Sequence[Polynomial]) -> Tuple[list, int]:
+    """(c cs as Z[x] int lists, c) for the polynomials cs in x, c the lcm
+    of their denominators."""
+    c = math.lcm(*(x.content.denominator for x in cs))
+    return [[y * (x.content.numerator * (c // x.content.denominator))
+             for y in x.prim] for x in cs], c
+
+
 def _sylvester_r0_r1(p: Sequence, q: Sequence) -> tuple:
     """(R_0, R_1) of the coefficient sequences p and q (ascending; ints, or
     Polynomials in a parameter x), read at the degrees m = len(p) - 1 and
@@ -1181,34 +1302,33 @@ def _sylvester_r0_r1(p: Sequence, q: Sequence) -> tuple:
     in the interleaved order, and the Bareiss pivots are the leading
     minors, so minors m + n - 2 and m + n, times ``_interleaving_sign``,
     are R_1 and R_0: every principal subresultant coefficient from one
-    pass (Collins 1967; Brown & Traub 1971).  Over Z[x] they are R_0(x)
-    and R_1(x) as polynomials, identities in x.  A run of minors that
-    stops short stops at a zero one; a value past that is the determinant
-    of the pivoting route, ``_det_z`` over the same ring.  A zero value is
-    the int 0.  With min(m, n) < 2 there is no R_1 (DegreeTooSmall)."""
+    pass (Collins 1967; Brown & Traub 1971).  Polynomials in x are cleared
+    into Z[x] first, to c_p p and c_q q (``_cleared_in_x``), and the pass
+    runs over Z[x]; R_k is homogeneous of degree n - k in p and m - k in q,
+    as ``_sylvester_det`` reads contents, so R_k(p, q) is
+    R_k(c_p p, c_q q) / (c_p^(n-k) c_q^(m-k)), a Polynomial in x: R_0(x)
+    and R_1(x), identities in x.  A run of minors that stops short stops
+    at a zero one; a value past that is the determinant of the pivoting
+    route, ``_det_z`` over the same ring.  A zero value over Z is the int
+    0.  With min(m, n) < 2 there is no R_1 (DegreeTooSmall)."""
     m, n = len(p) - 1, len(q) - 1
     if min(m, n) < 2:
         raise DegreeTooSmall(f"require min(deg p, deg q) >= 2, got {m}, {n}")
-    minors = leading_minors(_sylvester_rows(p, q, m, n, 0))
-    minors.append(0)            # the first zero minor, if the run stops
+    over_x = isinstance(p[0], Polynomial)
+    zero, cp, cq = 0, 1, 1
+    if over_x:
+        (p, cp), (q, cq), zero = _cleared_in_x(p), _cleared_in_x(q), []
+    minors = leading_minors(_sylvester_rows(p, q, m, n, 0, zero))
+    minors.append(zero)         # the first zero minor, if the run stops
     out = []
     for k in (0, 1):
         size = m + n - 2 * k
-        det = (_det_z(_sylvester_rows(p, q, m, n, k)) if size > len(minors)
-               else minors[size - 1])
-        out.append(det * _interleaving_sign(m, n, k))
+        det = _signed(_det_z(_sylvester_rows(p, q, m, n, k, zero))
+                      if size > len(minors) else minors[size - 1],
+                      _interleaving_sign(m, n, k))
+        out.append(_poly(det, 1, cp ** (n - k) * cq ** (m - k)) if over_x
+                   else det)
     return out[0], out[1]
-
-
-def _over_lcd(xs) -> Tuple[List[int], int]:
-    """(numerators, lcd) of xs over their common denominator: all-int xs as
-    they are, over 1."""
-    xs = list(xs)
-    if all(type(x) is int for x in xs):
-        return xs, 1
-    xs = [_as_q(x) for x in xs]
-    lcd = math.lcm(*(x.denominator for x in xs))
-    return [x.numerator * (lcd // x.denominator) for x in xs], lcd
 
 
 def _interpolate(xs: Sequence[Fraction], ys: Sequence[Fraction]) -> Polynomial:

@@ -21,13 +21,13 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from .polyrat import (BiquadParams, NotMinimum, NotRationalParams, Polynomial,
-                      Q, QComplex, RationalFunction, _as_poly, _as_q,
-                      _biquad_params, _interpolate, _jomega_quotient,
-                      _sylvester_det, _sylvester_r0_r1, biquad_template,
-                      count_real_roots, is_minimum_function, is_positive_real,
-                      minimum_frequencies, real_roots, sqrt_fraction,
-                      sylvester_determinant)
+from .polyrat import (BiquadParams, InvariantViolation, NotMinimum,
+                      NotRationalParams, Polynomial, Q, QComplex,
+                      RationalFunction, _as_q, _biquad_params, _interpolate,
+                      _jomega_quotient, _sylvester_det, _sylvester_r0_r1,
+                      biquad_template, count_real_roots, is_minimum_function,
+                      is_positive_real, minimum_frequencies, real_roots,
+                      sqrt_fraction, sylvester_determinant)
 from . import network as net
 from .network import (CAPACITOR, INDUCTOR, RESISTOR, Element, Leaf, Network,
                       par, ser)
@@ -82,13 +82,17 @@ class SynthesisStep:
     reduced: RationalFunction       # H_r (or H~_r)
 
     def __post_init__(self):
+        # the signs of Theorem 2's branch, then its defining identity
         w0, m, ab = self.omega0, self.mu_or_nu, self.alpha_or_beta
-        if self.variant == "X_positive":
-            assert self.X > 0 and m > 0 and ab > 0
-            assert self.X == self.h / m
-        else:
-            assert self.X < 0 and m > 0 and ab > 0
-            assert -w0 * w0 * self.X == self.h * m
+        positive = self.variant == "X_positive"
+        if not ((self.X > 0 if positive else self.X < 0) and m > 0 and ab > 0):
+            raise InvariantViolation("theorem2.sign", variant=self.variant,
+                                     X=self.X, mu_or_nu=m, alpha_or_beta=ab)
+        if (self.X != self.h / m if positive
+                else -w0 * w0 * self.X != self.h * m):
+            raise InvariantViolation("theorem2.identity",
+                                     variant=self.variant, X=self.X,
+                                     mu_or_nu=m, h=self.h)
 
     def mirrored(self) -> "SynthesisStep":
         """The step of H(w0^2/s), from this step's data alone: X' = -X,
@@ -950,7 +954,7 @@ def _factorization_check(family, pair, scale, cof0, cof1, f1_printed,
     degrees must be rhs."""
     num, den = pair
     _require_nominal(family, len(num), len(den), num[0], 4)
-    r0, r1 = map(_as_poly, _sylvester_r0_r1(num, den))
+    r0, r1 = _sylvester_r0_r1(num, den)
     p0sq = num[0] * num[0]
     f1sq, rem0 = divmod(r0 * scale ** 4, cof0 * p0sq ** 4)
     f2, rem1 = divmod(r1 * scale ** 3, cof1 * p0sq ** 3)
@@ -1066,8 +1070,8 @@ def n12_has_no_feasible_solution(r1, g2, g3, F) -> bool:
     # boundary g2 = 0 (open parallel resistor): R0 and R1 of x1 times the
     # unscaled pair, as polynomials in x1, and a common positive root of
     # theirs directly (x1 > 0, so the factor x1 moves no root)
-    rho0, rho1 = map(_as_poly, _sylvester_r0_r1(*_coefficients_in_x(
-        _n1112_pair_at("N12", r1, g2, g3, F, Q(1)), 1, 1)))
+    rho0, rho1 = _sylvester_r0_r1(*_coefficients_in_x(
+        _n1112_pair_at("N12", r1, g2, g3, F, Q(1)), 1, 1))
     if rho0.is_zero() and rho1.is_zero():
         return False
     g = rho0.gcd(rho1)

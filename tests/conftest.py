@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import sys
@@ -7,7 +8,8 @@ import pytest
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from prsyn.polyrat import BiquadParams, Q  # noqa: E402
+from prsyn.polyrat import (BiquadParams, Polynomial, Q,  # noqa: E402
+                           leading_minors)
 from prsyn.network import (CAPACITOR, INDUCTOR, RESISTOR, Element,  # noqa: E402
                            Network)
 
@@ -178,6 +180,21 @@ def dense_gauss_jordan(rows, rhs, zero, is_zero):
             vec[c] = -aug[i][fc]
         basis.append(vec)
     return solution, basis
+
+
+def leading_minors_over_q(m):
+    """``leading_minors`` of a matrix of Polynomials, as Polynomials: each
+    row cleared into Z[s] int lists by the lcm L_i of its denominators, and
+    each minor M_k of the cleared matrix read back over Q as
+    M_k / (L_1 ... L_k)."""
+    scales = [math.lcm(*(x.content.denominator for x in row)) for row in m]
+    ints = [[[c * (x.content.numerator * (scale // x.content.denominator))
+              for c in x.prim] for x in row] for row, scale in zip(m, scales)]
+    out, den = [], 1
+    for minor, scale in zip(leading_minors(ints), scales):
+        den *= scale
+        out.append(Polynomial([Fraction(c, den) for c in minor]))
+    return out
 
 
 def count_pr_tests(monkeypatch):

@@ -26,7 +26,7 @@ from prsyn.network import (Element, Network, NotPlanarDualizable, OnePort,
                            OpenCircuit, ShortCircuit, dual, one_port_boundary,
                            open_oneport, parse_netlist, short_oneport)
 from prsyn.polyrat import (BiquadParams, Polynomial, Q, QComplex,
-                           RationalFunction, biquad_template,
+                           RationalFunction, _gauss, biquad_template,
                            eval_ratfunc, is_lossless, is_positive_real,
                            leading_minors, parse_ratfunc, qcomplex,
                            real_roots, solve, strict_hurwitz)
@@ -34,7 +34,8 @@ from prsyn.synth import (SEVEN_ELEMENT_VARIANTS, build_named,
                          build_seven_element, classify_biquad, theorem2_step)
 
 from conftest import (count_pr_tests, dense_gauss_jordan, ladder_network,
-                      rand_q, random_biconnected_network, random_sp_network,
+                      leading_minors_over_q, rand_q,
+                      random_biconnected_network, random_sp_network,
                       sample_region)
 
 N1_TEXT = """
@@ -77,7 +78,7 @@ def rpfg():
 
 
 def count_eliminations(monkeypatch):
-    """Record each call of ``leading_minors``, the one Q[s] elimination
+    """Record each call of ``leading_minors``, the one Z[s] elimination
     entry point, from analysis: one name per forward pass of the Bareiss
     loop."""
     import prsyn.analysis as analysis
@@ -378,9 +379,10 @@ class TestBlocked:
         assert len(basis) == 1
         idx = stamp[3]
 
-        def voltage(x, e):      # a Z[j] numerator, zero exactly when falsy
-            return (analysis._potential(x, idx, e.head)
-                    - analysis._potential(x, idx, e.tail))
+        def voltage(x, e):      # nonzero exactly when truthy
+            return not (_qcomplex_of(analysis._potential(x, idx, e.head))
+                        - _qcomplex_of(analysis._potential(x, idx, e.tail))
+                        ).is_zero()
 
         zero_on_p = {e.id for e in n.elements if not voltage(vec, e)
                      and voltage(basis[0], e)}
@@ -890,6 +892,11 @@ class TestNodalAgainstTableau:
         assert min(seen.values()) >= 5, seen
 
 
+def _qcomplex_of(z):
+    """The QComplex of a Z[j] list [re, im], [re] or []."""
+    return QComplex(*(list(z) + [0, 0])[:2])
+
+
 def _reference_draw(n, omega, space, seed):
     """Reference copy of the QComplex arithmetic that ``_phasor_draw``
     replaced, on a ``_phasor_space`` result read over Q(j): the free-mode
@@ -899,7 +906,7 @@ def _reference_draw(n, omega, space, seed):
     d, nums, basis_nums, (_, laws, _, idx) = space
 
     def over(x):
-        return QComplex(x.re, x.im) / QComplex(d.re, d.im)
+        return _qcomplex_of(x) / _qcomplex_of(d)
 
     vec = [over(x) for x in nums]
     basis = [[over(x) for x in b] for b in basis_nums]
@@ -1167,9 +1174,8 @@ class TestBlockedLaws:
             Q(1), tuple(frozenset(c) for c in blocked), frozenset(unblocked),
             flags or (True,) * len(blocked), (Q(0), Q(1)))
         with pytest.raises(analysis.InvariantViolation) as exc:
-            analysis._assert_blocked_laws(n, rep,
-                                          analysis._GaussInt(*current),
-                                          analysis._GaussInt(*voltage))
+            analysis._assert_blocked_laws(n, rep, _gauss(*current),
+                                          _gauss(*voltage))
         assert exc.value.law == law
         assert str(exc.value).startswith(f"invariant {law} violated: ")
 
@@ -1347,7 +1353,7 @@ def _leading_minor_char_poly(ss):
     nn = ss.n
     sia = [[Polynomial([-ss.A[i][j], int(i == j)]) for j in range(nn)]
            for i in range(nn)]
-    return ([Polynomial([1])] + leading_minors(sia))[-1]
+    return ([Polynomial([1])] + leading_minors_over_q(sia))[-1]
 
 
 def _bordered_ss_impedance(ss):
@@ -1359,7 +1365,7 @@ def _bordered_ss_impedance(ss):
     big = [[Polynomial([-ss.A[i][j], int(i == j)]) for j in range(nn)]
            + [Polynomial([ss.B[i]])] for i in range(nn)]
     big.append([Polynomial([-c]) for c in ss.C] + [Polynomial([ss.D])])
-    minors = [Polynomial([1])] + leading_minors(big) + [Polynomial()]
+    minors = [Polynomial([1])] + leading_minors_over_q(big) + [Polynomial()]
     return RationalFunction(minors[nn + 1], minors[nn])
 
 

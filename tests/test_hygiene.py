@@ -12,32 +12,34 @@ none calls ``complex``, and only the CLI ``check`` formatter calls
 ``float``, to print a minimum frequency whose square is irrational.  The
 one fraction-free elimination loop, ``_eliminate``, is named only by its
 three entry points in the elimination section of ``polyrat``: the
-determinant over Z (``_det_z``, which Sylvester determinants run on the
-interleaved rows of primitive parts) and the leading minors over Z or Z[s]
-(``leading_minors``, whose last one is a determinant) run its forward
-half, and the solves (``solve``) its back half too, over Z on cleared rows
-and over Z[j] on the phasor rows that ``analysis`` stamps there, so no
-second elimination loop runs beside it.  Two readers call
+determinant over Z or Z[x] (``_det_z``, which Sylvester determinants run
+on the interleaved rows of primitive parts) and the leading minors over
+Z, Z[s] or Z[x] (``leading_minors``, whose last one is a determinant) run
+its forward half, and the solves (``solve``) its back half too, over Z on
+cleared rows and over Z[j] on the phasor rows that ``analysis`` stamps
+there, so no second elimination loop runs beside it.  Every ring of that
+section runs on bare ints: an element of Z[s], Z[x] or Z[j] is one
+trimmed int list, so no function of the section calls ``Polynomial``,
+``Fraction``, ``QComplex``, ``_poly`` or ``_new``.  Two readers call
 ``leading_minors``: ``analysis.impedance`` over Z[s], the one elimination
-over Q[s], and ``polyrat._sylvester_r0_r1`` over Z[x], which reads R_0(x)
-and R_1(x) of a fixture pair off one pass over the interleaved Sylvester
-rows.  Every other determinant, the state space's det(sI - A) included, is
-a ``_det_z``.  Only two functions interpolate: ``synth._coefficients_in_x``,
+of the nodal matrix, and ``polyrat._sylvester_r0_r1`` over Z[x], which
+reads R_0(x) and R_1(x) of a fixture pair off one pass over the
+interleaved Sylvester rows.  Every other determinant, the state space's
+det(sI - A) included, is a ``_det_z``.  Only two functions interpolate: ``synth._coefficients_in_x``,
 which reads a fixture pair's coefficients in x off a few bridge builds,
 and ``analysis._char_poly``; no check interpolates sampled values of its
 answer.  Likewise only three
 remainder loops call ``prem``: ``Polynomial.gcd``, ``sturm_chain`` and the
 Routh rows of ``strict_hurwitz``; the real-root code reads gcd(p, p') off
 the Sturm chain rather than running a fourth.  ``Polynomial`` is the
-one polynomial class of ``polyrat``, and ``_GaussInt`` the one other ring
-with division.  In the graph code of ``network`` and ``analysis`` exactly
+one polynomial class of ``polyrat``, and the one class with division.  In the graph code of ``network`` and ``analysis`` exactly
 one function runs a stack loop: the depth-first search ``_search``, which
 gives both the connected components and the blocks.  In ``synth`` only
 ``bridge_structural_polys``, the one bridge evaluator, reads the bridge's
 spanning-tree tables ``_TREE_OFF`` and ``_TWOTREE_OFF``.  No function
 takes a ``True``/``False`` default: a
-boolean mode switch is a second function hidden in the first.
-``analysis`` holds no ``assert``: its invariant checks raise
+boolean mode switch is a second function hidden in the first.  No
+module holds an ``assert``: the invariant checks raise
 ``InvariantViolation``, which ``python -O`` does not strip.  ``solve``
 answers in the ring of its rows and ``energy_balance`` sums ints, so
 neither builds a ``QComplex``.  The checks read the sources with ``ast``;
@@ -172,9 +174,9 @@ def test_no_float_arithmetic():
     assert found == []
 
 
-# the entry points of the one elimination loop: int rows forward (the
-# determinant), Polynomial rows forward (the leading minors), int or
-# _GaussInt rows forward and back (the solve)
+# the entry points of the one elimination loop: int or Z[x] rows forward
+# (the determinant), int, Z[s] or Z[x] rows forward (the leading minors),
+# int or Z[j] rows forward and back (the solve)
 BAREISS_ENTRY_POINTS = {("src/prsyn/polyrat.py", "_det_z"),
                         ("src/prsyn/polyrat.py", "leading_minors"),
                         ("src/prsyn/polyrat.py", "solve")}
@@ -191,8 +193,8 @@ def test_bareiss_named_only_by_its_entry_points():
     assert found == BAREISS_ENTRY_POINTS
 
 
-# the readers of leading minors: the impedance's, the one elimination over
-# Q[s], and R_0(x) and R_1(x) of a fixture's Sylvester pair over Z[x].
+# the readers of leading minors: the impedance's, the one elimination of
+# the nodal matrix over Z[s], and R_0(x) and R_1(x) of a fixture's Sylvester pair over Z[x].
 # Every other determinant is a _det_z (the characteristic polynomial of the
 # state space is interpolated from int determinants)
 LEADING_MINOR_CALLERS = {("analysis.py", "impedance"),
@@ -214,7 +216,7 @@ def _callers(name):
 
 
 def test_leading_minors_called_only_by_its_two_readers():
-    # a call of leading_minors anywhere else in src/ is a second Q[s]
+    # a call of leading_minors anywhere else in src/ is a second Z[s]
     # elimination route, or a second subresultant reader
     assert _callers("leading_minors") == LEADING_MINOR_CALLERS
 
@@ -237,11 +239,42 @@ def test_no_qcomplex_in_the_solve_or_the_energy_balance():
     assert ("analysis.py", "_phasor_draw") in built
 
 
-def test_no_assert_in_analysis():
-    # an assert vanishes under python -O; the invariants of analysis raise
-    # InvariantViolation instead
-    found = [node.lineno for node in ast.walk(_tree(PACKAGE / "analysis.py"))
-             if isinstance(node, ast.Assert)]
+def test_no_assert_in_prsyn():
+    # an assert vanishes under python -O; the invariants raise
+    # InvariantViolation instead, in every module
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(_tree(path)) if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+# what the elimination section of polyrat may not build: its rings run on
+# bare ints, so a call of these is an object back inside the kernel
+KERNEL_OBJECTS = {"Polynomial", "Fraction", "QComplex", "_poly", "_new"}
+
+
+def _section_functions(path, title):
+    """The top-level functions of the section of path whose header comment
+    starts with title, up to the next section's header."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    start = next(i for i, line in enumerate(lines)
+                 if line.startswith(f"# {title}"))
+    rules = [i for i, line in enumerate(lines[start:], start)
+             if line.startswith("# ---")]
+    end = rules[1] if len(rules) > 1 else len(lines)
+    return [top for top in _tree(path).body
+            if isinstance(top, ast.FunctionDef) and start < top.lineno <= end]
+
+
+def test_no_objects_in_the_elimination_kernel():
+    fns = _section_functions(PACKAGE / "polyrat.py", "Exact elimination")
+    # the pin still sees the loop, its three ring steps and entry points
+    assert {"_eliminate", "_step_int", "_step_poly", "_step_gauss", "_det_z",
+            "leading_minors", "solve"} <= {fn.name for fn in fns}
+    found = [f"{fn.name}:{c.lineno}" for fn in fns for c in ast.walk(fn)
+             if isinstance(c, ast.Call) and (getattr(c.func, "id", None)
+                                             or getattr(c.func, "attr", None))
+             in KERNEL_OBJECTS]
     assert found == []
 
 
@@ -297,17 +330,15 @@ def test_prem_called_only_by_the_remainder_loops():
 
 
 # the classes of polyrat with arithmetic, one per number type: QComplex for
-# Q(j), Polynomial for Q[s] and RationalFunction for Q(s); and _GaussInt,
-# the Z[j] of the phasor rows, which the elimination loop takes as they are
-ARITHMETIC_CLASSES = {"QComplex", "Polynomial", "RationalFunction",
-                      "_GaussInt"}
-EUCLIDEAN_CLASSES = {"Polynomial", "_GaussInt"}
+# Q(j), Polynomial for Q[s] and RationalFunction for Q(s).  The rings of
+# the elimination loop, Z[s], Z[x] and Z[j], are int lists, not classes
+ARITHMETIC_CLASSES = {"QComplex", "Polynomial", "RationalFunction"}
+EUCLIDEAN_CLASSES = {"Polynomial"}
 
 
 def test_one_polynomial_type():
     # a second polynomial class, such as an integer kernel beside
-    # Polynomial, fails: only Polynomial and _GaussInt have division with
-    # remainder
+    # Polynomial, fails: only Polynomial has division with remainder
     arithmetic, euclidean = set(), set()
     for top in _tree(PACKAGE / "polyrat.py").body:
         if isinstance(top, ast.ClassDef):

@@ -14,10 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prsyn.polyrat import (BiquadParams, DegreeTooSmall, NotBiquadratic,
-                           NotMinimum, Polynomial, Q, QComplex,
+from prsyn.polyrat import (BiquadParams, DegreeTooSmall, InvariantViolation,
+                           NotBiquadratic, NotMinimum, Polynomial, Q, QComplex,
                            RationalFunction, ZeroDenominator,
-                           _as_poly, _det_z, _GaussInt, _interpolate,
+                           _as_poly, _det_z, _gauss, _interpolate,
                            _sylvester_r0_r1,
                            biquad_params, biquad_template, count_real_roots,
                            eval_ratfunc, format_poly, format_ratfunc,
@@ -28,7 +28,7 @@ from prsyn.polyrat import (BiquadParams, DegreeTooSmall, NotBiquadratic,
                            sylvester_determinant,
                            PoleAtPoint, _variations)
 
-from conftest import dense_gauss_jordan
+from conftest import dense_gauss_jordan, leading_minors_over_q
 
 S = Polynomial([0, 1])
 
@@ -196,6 +196,17 @@ class TestPositiveReal:
     def test_negative_residue_rejected(self):
         assert not is_positive_real(parse_ratfunc("(s^2+2)/(s^3+s)"))
 
+    def test_odd_even_part_raises_the_even_part_law(self, monkeypatch):
+        # p(s) q(-s) + p(-s) q(s) is even; were it not, the profile in w^2
+        # would be wrong, so the PR test raises instead of answering
+        import prsyn.polyrat as polyrat
+        monkeypatch.setattr(polyrat, "even_part_numerator",
+                            lambda g: parse_poly("s^3 + 1"))
+        with pytest.raises(InvariantViolation) as exc:
+            is_positive_real(parse_ratfunc("1/(s+1)"))
+        assert exc.value.law == "even-part"
+        assert exc.value.context["numerator"] == parse_poly("s^3 + 1")
+
     def test_hurwitz_infrastructure(self):
         assert strict_hurwitz(parse_poly("s^2 + s + 1"))
         assert not strict_hurwitz(parse_poly("s^3 + s^2 + s + 1"))
@@ -349,7 +360,8 @@ class TestSylvester:
                   for _ in range(n)] for _ in range(n)]
             blocks = [permutation_determinant([row[:k] for row in m[:k]])
                       for k in range(1, n + 1)]
-            assert leading_minors(m) == list(itertools.takewhile(bool, blocks))
+            assert leading_minors_over_q(m) == list(
+                itertools.takewhile(bool, blocks))
 
     def test_last_leading_minor_matches_q_bareiss_reference(self):
         rng = random.Random(1968)
@@ -385,7 +397,7 @@ class TestSylvester:
             # a full run of leading minors ends at the determinant; a zero
             # one, and a singular matrix, cut the run short
             expected = q_bareiss_reference(m)
-            minors = [x.coeffs for x in leading_minors(m)]
+            minors = [x.coeffs for x in leading_minors_over_q(m)]
             assert minors == leading_minors_reference(m)
             if len(minors) == n:
                 full += 1
@@ -417,7 +429,7 @@ class TestSylvester:
                 # columns, so M_{k+1} = 0 and the run stops before it
                 k, x = rng.randrange(1, n - 1), entry() or Polynomial([2])
                 m[k][:k + 1] = [x * y for y in m[0][:k + 1]]
-            assert [x.coeffs for x in leading_minors(m)] \
+            assert [x.coeffs for x in leading_minors_over_q(m)] \
                 == leading_minors_reference(m)
 
         # M_2 = 0 but det != 0: the loop swaps rows at step 2, and every
@@ -428,7 +440,7 @@ class TestSylvester:
              [x * a, x * b, Polynomial([0, 1])],
              [Polynomial([1]), Polynomial([4]), Polynomial([6, 1])]]
         assert permutation_determinant(m)
-        assert [p.coeffs for p in leading_minors(m)] \
+        assert [p.coeffs for p in leading_minors_over_q(m)] \
             == leading_minors_reference(m) == [a.coeffs]
         assert leading_minors([]) == []
 
@@ -444,11 +456,14 @@ class TestSylvester:
         assert Counted.divmods == 0
 
     def test_inexact_division_raises_under_optimize(self):
-        # the exact-division check of the elimination loop is no assert:
-        # under -O a ring whose divisions leave a remainder still raises
+        # the exact-division check of each ring step is no assert: under -O
+        # a Z ring whose divisions leave a remainder still raises through
+        # the elimination loop, and so do a Z[s] step by 2 on 1 + s and a
+        # Z[j] step by 1 + j on 1
         code = textwrap.dedent("""
             import sys
-            from prsyn.polyrat import _eliminate
+            from prsyn.polyrat import (_eliminate, _step_gauss, _step_int,
+                                       _step_poly)
 
             class Lossy:
                 def __init__(self, v):
@@ -467,11 +482,15 @@ class TestSylvester:
                     return Lossy(self.v // other.v), Lossy(1)
 
             m = [[Lossy(v) for v in row] for row in ((2, 1, 1), (1, 3, 1), (1, 1, 4))]
-            try:
-                _eliminate(m, 3, False)
-            except ArithmeticError:
-                sys.exit(0 if sys.flags.optimize else 2)
-            sys.exit(1)
+            raised = 0
+            for run in (lambda: _eliminate(m, 3, False, _step_int),
+                        lambda: _step_poly([[1, 1]], None, [0], [1], None, [2]),
+                        lambda: _step_gauss([[1]], None, [0], [1], None, [1, 1])):
+                try:
+                    run()
+                except ArithmeticError:
+                    raised += 1
+            sys.exit(0 if sys.flags.optimize and raised == 3 else 1)
             """)
         src = os.path.join(os.path.dirname(__file__), "..", "src")
         proc = subprocess.run([sys.executable, "-O", "-c", code],
@@ -767,11 +786,11 @@ def _wide(entry):
 def _gauss_rows(rows, rhs):
     """The Q(j) system rows * X = rhs over Z[j], as the phasor systems
     reach ``solve``: each row of [rows | rhs] times the lcm of its
-    denominators, as _GaussInt entries.  The solutions are the same."""
+    denominators, as Z[j] lists.  The solutions are the same."""
     out_rows, out_rhs = [], []
     for row, b in zip(rows, rhs):
         m = math.lcm(*(q.denominator for x in row + b for q in (x.re, x.im)))
-        g = [_GaussInt(int(x.re * m), int(x.im * m)) for x in row + b]
+        g = [_gauss(int(x.re * m), int(x.im * m)) for x in row + b]
         out_rows.append(g[:len(row)])
         out_rhs.append(g[len(row):])
     return out_rows, out_rhs
@@ -780,17 +799,27 @@ def _gauss_rows(rows, rhs):
 def _solve_cleared(field, rows, rhs):
     """solve on copies of the rows, Q(j) systems cleared into Z[j]: None,
     or (d, X, basis) with every numerator, and d != 0, in the ring of the
-    rows, int over Z and _GaussInt over Z[j] (no row, no ring: d = 1)."""
+    rows, int over Z and a trimmed list [re, im], [re] or [] over Z[j] (no
+    row, no ring: d = 1)."""
     if field == "qcomplex":
         solved = solve(*_gauss_rows(rows, rhs))
     else:
         solved = solve([r[:] for r in rows], [r[:] for r in rhs])
     if solved is not None:
         d, X, basis = solved
-        ring = _GaussInt if field == "qcomplex" else int
         entries = [x for vec in X + basis for x in vec] + [d] * bool(rows)
-        assert d and all(type(x) is ring for x in entries)
+        assert d
+        if field == "qcomplex":
+            assert all(type(x) is list and len(x) <= 2 and x[-1:] != [0]
+                       for x in entries)
+        else:
+            assert all(type(x) is int for x in entries)
     return solved
+
+
+def _qcomplex_of(z):
+    """The QComplex of a Z[j] list [re, im], [re] or []."""
+    return QComplex(*(list(z) + [0, 0])[:2])
 
 
 def _over_d(field, solved):
@@ -801,7 +830,7 @@ def _over_d(field, solved):
     d, X, basis = solved
     if field == "qcomplex":
         def over(x):
-            return QComplex(x.re, x.im) / QComplex(d.re, d.im)
+            return _qcomplex_of(x) / _qcomplex_of(d)
     else:
         def over(x):
             return Fraction(x, d)
@@ -893,7 +922,7 @@ class TestSparseElimination:
                 # columns, so M_2 = 0 and the run swaps rows 1 and 2
                 x = _q_entry(rng)
                 m[1][:2] = [x * y for y in m[0][:2]]
-            minors = [x.coeffs for x in leading_minors(m)]
+            minors = [x.coeffs for x in leading_minors_over_q(m)]
             assert minors == leading_minors_reference(m)
             if len(minors) == n:
                 full += 1
@@ -965,6 +994,92 @@ class TestSparseElimination:
         Counted.divmods = 0
         assert _det_z(counted(dense)).v == permutation_determinant(dense)
         assert Counted.divmods == 5
+
+
+def _random_int_poly(rng, negative_lead=False):
+    """A trimmed ascending int list of degree up to 3, [] now and then, its
+    leading coefficient negative when asked."""
+    if rng.random() < 0.15:
+        return []
+    out = [rng.randint(-9, 9) for _ in range(rng.randint(0, 3))]
+    return out + [-rng.randint(1, 9) if negative_lead else rng.randint(1, 9)]
+
+
+def _random_gauss(rng, negative_lead=False):
+    """A trimmed Z[j] list, [] now and then, with a negative part when
+    asked."""
+    if rng.random() < 0.15:
+        return []
+    re, im = rng.randint(-9, 9), rng.choice((0, rng.randint(-9, 9)))
+    if negative_lead:
+        re, im = -abs(re) - 1, -abs(im)
+    return _gauss(re, im)
+
+
+def _ring_step_cases(rng, entry, times):
+    """Random inputs of one ring step, as ``_eliminate`` passes them: a row
+    and a pivot row of width w, the columns cols (some skipped), a pivot p,
+    a lead (None for a catch-up, zero, or with a negative or a positive
+    leading part) and d (None for 1).  p and the lead are multiples of d,
+    so d divides every new entry, as in the elimination."""
+    for trial in range(300):
+        w = rng.randint(1, 6)
+        row = [entry(rng) for _ in range(w)]
+        top = [entry(rng) for _ in range(w)]
+        cols = sorted(rng.sample(range(w), rng.randint(0, w)))
+        d = None if trial % 3 == 0 else (entry(rng, trial % 2 == 0) or [2])
+        unit = d or [1]
+        p = times(unit, entry(rng) or [1])
+        lead = (None if trial % 4 == 0 else [] if trial % 4 == 2
+                else times(unit, entry(rng, trial % 4 == 1) or [-1]))
+        yield row, top, cols, p, lead, d
+
+
+class TestRingSteps:
+    """The Z[s] and Z[j] row steps of ``_eliminate`` against Polynomial and
+    QComplex references, on random trimmed inputs with zero entries,
+    negative leads, catch-ups and skipped columns."""
+
+    def test_poly_step_matches_polynomial_reference(self):
+        from prsyn.polyrat import _mul, _step_poly
+        rng = random.Random(1968)
+        for row, top, cols, p, lead, d in _ring_step_cases(
+                rng, _random_int_poly, _mul):
+            want = list(row)
+            for j in cols:
+                x = Polynomial(row[j]) * Polynomial(p)
+                if lead is not None:
+                    x = x - Polynomial(lead) * Polynomial(top[j])
+                if d is not None:
+                    x, rem = divmod(x, Polynomial(d))
+                    assert rem.is_zero()
+                want[j] = [int(c) for c in x.coeffs]
+            got = list(row)
+            _step_poly(got, top, cols, p, lead, d)
+            assert got == want
+
+    def test_gauss_step_matches_qcomplex_reference(self):
+        from prsyn.polyrat import _step_gauss
+
+        def times(a, b):
+            z = _qcomplex_of(a) * _qcomplex_of(b)
+            return _gauss(int(z.re), int(z.im))
+
+        rng = random.Random(1853)
+        for row, top, cols, p, lead, d in _ring_step_cases(
+                rng, _random_gauss, times):
+            want = list(row)
+            for j in cols:
+                x = _qcomplex_of(row[j]) * _qcomplex_of(p)
+                if lead is not None:
+                    x = x - _qcomplex_of(lead) * _qcomplex_of(top[j])
+                if d is not None:
+                    x = x / _qcomplex_of(d)
+                assert x.re.denominator == x.im.denominator == 1
+                want[j] = _gauss(int(x.re), int(x.im))
+            got = list(row)
+            _step_gauss(got, top, cols, p, lead, d)
+            assert got == want
 
 
 def lagrange_reference(points):

@@ -13,8 +13,8 @@ from prsyn.analysis import impedance, mcmillan_gap, storage_count
 from prsyn.network import (CAPACITOR, INDUCTOR, RESISTOR, Element, Leaf,
                            Network, NonpositiveValue, assemble_shape, dual,
                            frequency_invert, par, parse_netlist, ser)
-from prsyn.polyrat import (BiquadParams, NotMinimum, Polynomial, Q,
-                           RationalFunction, biquad_params, biquad_template,
+from prsyn.polyrat import (BiquadParams, InvariantViolation, NotMinimum,
+                           Polynomial, Q, RationalFunction, biquad_params, biquad_template,
                            is_positive_real, parse_ratfunc,
                            sylvester_determinant)
 from prsyn.synth import (SEVEN_ELEMENT_VARIANTS, Classification,
@@ -126,6 +126,64 @@ class TestTheorem2Step:
         bad = SynthesisStep(step.variant, step.omega0, step.X, step.mu_or_nu,
                             ab, step.h, step.reduced)
         assert not verify_theorem2_identity(h, bad)
+
+    def test_theorem2_laws_are_raised(self):
+        # on both branches a step with a flipped sign of X, mu_or_nu or
+        # alpha_or_beta breaks theorem2.sign, and one whose h is off breaks
+        # theorem2.identity, naming the law and its data
+        branches = set()
+        for params in (BiquadParams(1, 1, Q(2, 3), 1),
+                       BiquadParams(1, 1, Q(3, 2), -1)):
+            step = theorem2_step(biquad_template(params))
+            branches.add(step.variant)
+            fields = (step.variant, step.omega0, step.X, step.mu_or_nu,
+                      step.alpha_or_beta, step.h, step.reduced)
+            for k in (2, 3, 4):
+                bad = list(fields)
+                bad[k] = -bad[k]
+                with pytest.raises(InvariantViolation) as exc:
+                    SynthesisStep(*bad)
+                assert exc.value.law == "theorem2.sign"
+                assert str(exc.value).startswith(
+                    "invariant theorem2.sign violated: variant=")
+            with pytest.raises(InvariantViolation) as exc:
+                SynthesisStep(*fields[:5], step.h + Q(1, 1000), step.reduced)
+            assert exc.value.law == "theorem2.identity"
+            assert exc.value.context["h"] == step.h + Q(1, 1000)
+        assert branches == {"X_positive", "X_negative"}
+
+    def test_laws_raised_under_optimize(self):
+        # under -O the Theorem-2 laws still raise, and so does the even-part
+        # law of polyrat, with a forced odd even-part numerator: the CLI
+        # check of a PR function then exits 4 with one line
+        code = textwrap.dedent("""
+            import sys
+            import prsyn.polyrat as polyrat
+            from prsyn import cli
+            from prsyn.polyrat import (BiquadParams, InvariantViolation,
+                                       biquad_template)
+            from prsyn.synth import SynthesisStep, theorem2_step
+            laws = []
+            step = theorem2_step(biquad_template(
+                BiquadParams(1, 1, polyrat.Q(1, 2), 1)))
+            for x, h in ((-step.X, step.h), (step.X, 2 * step.h)):
+                try:
+                    SynthesisStep(step.variant, step.omega0, x, step.mu_or_nu,
+                                  step.alpha_or_beta, h, step.reduced)
+                except InvariantViolation as exc:
+                    laws.append(exc.law)
+            polyrat.even_part_numerator = lambda g: polyrat.Polynomial([0, 1])
+            code = cli.main(["check", "1/(s+1)"])
+            sys.exit(0 if sys.flags.optimize and code == 4 and laws
+                     == ["theorem2.sign", "theorem2.identity"] else 1)
+            """)
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        proc = subprocess.run([sys.executable, "-O", "-c", code],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines() == [
+            "error: invariant even-part violated: numerator=s"]
 
     def test_mirrored_is_the_step_of_the_inverted_function(self, rng):
         # both branches: mirrored() is an involution between H and H(w0^2/s)
