@@ -28,7 +28,7 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
-from .polyrat import ONE, Polynomial, RationalFunction, _as_q
+from .polyrat import Polynomial, RationalFunction, _add, _as_q, _mul, _poly
 
 RESISTOR, INDUCTOR, CAPACITOR = "R", "L", "C"
 DAMPER, SPRING, INERTER = "DAMPER", "SPRING", "INERTER"
@@ -589,21 +589,33 @@ def par(*parts):
     return Par(tuple(flat))
 
 
-def tree_pair(tree) -> Tuple[Polynomial, Polynomial]:
-    """Unreduced (num, den) of a two-terminal tree's impedance, no gcd
-    taken: a leaf's law is its row of ``KINDS``, series parts add and
-    parallel parts add as admittances."""
+def _tree_ints(tree) -> Tuple[List[int], List[int], int]:
+    """(num, den, scale): scale times the unreduced (num, den) of a
+    two-terminal tree's impedance, as ascending int lists.  A leaf of value
+    a/b gives ([0]*p + [a], [b]) on the Z side of its law (the swap on the
+    Y side), b times its pair; series parts add, parallel parts add as
+    admittances, and the scales multiply, since the pair is linear in each
+    leaf's."""
     if isinstance(tree, Leaf):
         side, p = tree.element.electrical().law
-        w = Polynomial([0] * p + [tree.element.value])
-        return (w, ONE) if side == "Z" else (ONE, w)
-    pairs = [tree_pair(p) for p in tree.parts]
+        v = tree.element.value
+        w, b = [0] * p + [v.numerator], [v.denominator]
+        return (w, b, v.denominator) if side == "Z" else (b, w, v.denominator)
+    parts = [_tree_ints(p) for p in tree.parts]
     if isinstance(tree, Par):
-        pairs = [(d, n) for (n, d) in pairs]
-    num, den = pairs[0]
-    for (n, d) in pairs[1:]:
-        num, den = num * d + n * den, den * d
-    return (num, den) if isinstance(tree, Ser) else (den, num)
+        parts = [(d, n, s) for (n, d, s) in parts]
+    num, den, scale = parts[0]
+    for (n, d, s) in parts[1:]:
+        num, den = _add(_mul(num, d), _mul(n, den)), _mul(den, d)
+        scale *= s
+    return (num, den, scale) if isinstance(tree, Ser) else (den, num, scale)
+
+
+def tree_pair(tree) -> Tuple[Polynomial, Polynomial]:
+    """Unreduced (num, den) of a two-terminal tree's impedance, no gcd
+    taken: ``_tree_ints`` over its scale."""
+    num, den, scale = _tree_ints(tree)
+    return _poly(num, 1, scale), _poly(den, 1, scale)
 
 
 def tree_impedance(tree) -> RationalFunction:

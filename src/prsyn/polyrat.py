@@ -410,6 +410,18 @@ def _mul(a: Sequence[int], b: Sequence[int]) -> List[int]:
     return out
 
 
+def _add(a: Sequence[int], b: Sequence[int]) -> List[int]:
+    """The sum of the ascending int lists a and b, trimmed."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for j, y in enumerate(b):
+        out[j] += y
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
 def _divide(a: Sequence[int], b: Sequence[int]):
     """(quot, rem, scale) with scale * a = quot * b + rem over Z[s], deg rem
     < deg b and scale > 0, for ascending ints a and b (b nonzero).  Long
@@ -762,7 +774,8 @@ def even_part_profile(g: RationalFunction) -> Polynomial:
 def _nonnegative_on_nonneg_axis(e: Polynomial) -> bool:
     if e.is_zero():
         return True
-    if e(Q(0)) < 0 or e.leading() < 0:
+    # the content is positive, so the signs are those of the primitive part
+    if e.prim[0] < 0 or e.prim[-1] < 0:
         return False
     # no sign change on (0, oo): no root of odd multiplicity there
     return _odd_multiplicity_roots(e) == 0
@@ -855,7 +868,7 @@ def is_minimum_function(g: RationalFunction) -> bool:
 
 
 def _has_imaginary_axis_root(p: Polynomial) -> bool:
-    if p.is_zero() or p(Q(0)) == 0:
+    if p.is_zero() or p.prim[0] == 0:
         return True
     even = _poly(list(p.prim[0::2]))
     odd = _poly(list(p.prim[1::2]))

@@ -5,10 +5,11 @@ wheel-shaped alternatives), the minimal-storage classifier for biquadratic
 minimum functions with witness constructors, the quartet family
 constructors, the bridge structural matcher, and the Sylvester-resultant
 fixture checks used to certify the classifier's boundary algebra.  Every
-fixture pair is a quartet member's bridge pair (``_quartet_polys``); times
-a power of its free variable x it has coefficients that are polynomials
-in x, so a check builds the bridge at a few integer nodes only and
-interpolates each coefficient (``_coefficients_in_x``).  One Bareiss pass
+fixture pair is a quartet member's bridge pair (``_quartet_polys``), a
+Kirchhoff sum over int lists; times a power of its free variable x it has
+coefficients that are polynomials in x, so a check builds the bridge at a
+few integer nodes only and interpolates each coefficient
+(``_coefficients_in_x``).  One Bareiss pass
 over Z[x] then gives the subresultants R_0(x) and R_1(x), and the printed
 factorizations are checked as identities in x, by exact division.
 """
@@ -23,8 +24,9 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .polyrat import (BiquadParams, InvariantViolation, NotMinimum,
                       NotRationalParams, Polynomial, Q, QComplex,
-                      RationalFunction, _as_q, _biquad_params, _interpolate,
-                      _jomega_quotient, _sylvester_det, _sylvester_r0_r1,
+                      RationalFunction, _add, _as_q, _biquad_params,
+                      _interpolate, _jomega_quotient, _mul, _poly,
+                      _sylvester_det, _sylvester_r0_r1,
                       biquad_template, count_real_roots, is_minimum_function,
                       is_positive_real, minimum_frequencies, real_roots,
                       sqrt_fraction, sylvester_determinant)
@@ -758,10 +760,12 @@ _TREE_OFF = _bridge_complements(False)
 _TWOTREE_OFF = _bridge_complements(True)
 
 
-def bridge_structural_polys(arms: Dict[str, Tuple[Polynomial, Polynomial]]):
-    """Unreduced numerator/denominator polynomials of the five-arm bridge
-    impedance, with the arm at each slot N1..N5 given as an unreduced
-    (num, den) pair.  Clearing all arm denominators keeps the natural
+def bridge_structural_polys(arms: Dict[str, Tuple[List[int], List[int]]]):
+    """Unreduced numerator/denominator of the five-arm bridge impedance,
+    with the arm at each slot N1..N5 given as an unreduced (num, den) pair;
+    every polynomial is an ascending int list ([] as zero), so a pair
+    cleared of its denominators gives the bridge pair times the product of
+    the clearing factors.  Clearing all arm denominators keeps the natural
     polynomial degrees (equal to the number of storage elements for
     single-storage arms).
 
@@ -774,29 +778,38 @@ def bridge_structural_polys(arms: Dict[str, Tuple[Polynomial, Polynomial]]):
     multiply the sum of their groups once.  All these products serve num
     and den."""
     sides = (0, 1)
-    p34 = {(c3, c4): arms["N3"][c3] * arms["N4"][c4] for c3 in sides for c4 in sides}
-    p25 = {(c2, c5): arms["N2"][c2] * arms["N5"][c5] for c2 in sides for c5 in sides}
+    p34 = {(c3, c4): _mul(arms["N3"][c3], arms["N4"][c4])
+           for c3 in sides for c4 in sides}
+    p25 = {(c2, c5): _mul(arms["N2"][c2], arms["N5"][c5])
+           for c2 in sides for c5 in sides}
 
     def kirchhoff(offs):
-        groups = defaultdict(Polynomial)
+        groups = defaultdict(list)
         for off in offs:
             # the arm at a slot off the tree gives its num (0), else its den
             c = {slot: 0 if slot in off else 1
                  for slot in ("N1", "N2", "N3", "N4", "N5")}
-            groups[c["N1"], c["N2"], c["N5"]] += p34[c["N3"], c["N4"]]
-        cofactor = [Polynomial(), Polynomial()]
+            key = c["N1"], c["N2"], c["N5"]
+            groups[key] = _add(groups[key], p34[c["N3"], c["N4"]])
+        cofactor = [[], []]
         for (c1, c2, c5), total in groups.items():
-            cofactor[c1] += p25[c2, c5] * total
-        return arms["N1"][0] * cofactor[0] + arms["N1"][1] * cofactor[1]
+            cofactor[c1] = _add(cofactor[c1], _mul(p25[c2, c5], total))
+        return _add(_mul(arms["N1"][0], cofactor[0]),
+                    _mul(arms["N1"][1], cofactor[1]))
 
     return kirchhoff(_TWOTREE_OFF), kirchhoff(_TREE_OFF)
 
 
 def _quartet_polys(fam: str, w0: Fraction, **params):
-    """bridge_structural_polys of a quartet family member's arms."""
-    arms = _quartet_arms(fam, QuartetParams(fam, **params), w0)
-    return bridge_structural_polys({slot: net.tree_pair(t)
-                                    for slot, t in arms.items()})
+    """The bridge pair of a quartet family member's arms, as Polynomials:
+    ``bridge_structural_polys`` of each arm's ``_tree_ints``, over the
+    product of the arm scales."""
+    arms, scale = {}, 1
+    for slot, t in _quartet_arms(fam, QuartetParams(fam, **params), w0).items():
+        num, den, s = net._tree_ints(t)
+        arms[slot], scale = (num, den), scale * s
+    num, den = bridge_structural_polys(arms)
+    return _poly(num, 1, scale), _poly(den, 1, scale)
 
 
 def _poly_sqrt(p: Polynomial) -> Optional[Polynomial]:

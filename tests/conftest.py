@@ -11,7 +11,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from prsyn.polyrat import (BiquadParams, Polynomial, Q,  # noqa: E402
                            leading_minors)
 from prsyn.network import (CAPACITOR, INDUCTOR, RESISTOR, Element,  # noqa: E402
-                           Network)
+                           Leaf, Network, Par, Ser)
+from prsyn.synth import bridge_structural_polys  # noqa: E402
 
 
 def rand_q(rng, lo=1, hi=12) -> Fraction:
@@ -195,6 +196,41 @@ def leading_minors_over_q(m):
         den *= scale
         out.append(Polynomial([Fraction(c, den) for c in minor]))
     return out
+
+
+def bridge_over_q(arms):
+    """``bridge_structural_polys`` of Polynomial arm pairs, as Polynomials:
+    each arm's pair cleared into int lists by the lcm L of its two
+    members' denominators, and the bridge pair of the cleared arms read
+    back over Q divided by the product of the L's (each Kirchhoff term
+    takes one member of every arm, so the pair is linear in each arm's)."""
+    ints, scale = {}, 1
+    for slot, pair in arms.items():
+        lcd = math.lcm(*(x.content.denominator for x in pair))
+        ints[slot] = tuple(
+            [c * (x.content.numerator * (lcd // x.content.denominator))
+             for c in x.prim] for x in pair)
+        scale *= lcd
+    return tuple(Polynomial([Fraction(c, scale) for c in side])
+                 for side in bridge_structural_polys(ints))
+
+
+def tree_pair_reference(tree):
+    """The former Polynomial ``tree_pair``, kept as a reference: a leaf's
+    law is its row of ``KINDS``, and series and parallel parts combine as
+    Polynomial products and sums, one part at a time."""
+    one = Polynomial([1])
+    if isinstance(tree, Leaf):
+        side, p = tree.element.electrical().law
+        w = Polynomial([0] * p + [tree.element.value])
+        return (w, one) if side == "Z" else (one, w)
+    pairs = [tree_pair_reference(p) for p in tree.parts]
+    if isinstance(tree, Par):
+        pairs = [(d, n) for (n, d) in pairs]
+    num, den = pairs[0]
+    for (n, d) in pairs[1:]:
+        num, den = num * d + n * den, den * d
+    return (num, den) if isinstance(tree, Ser) else (den, num)
 
 
 def count_pr_tests(monkeypatch):

@@ -33,8 +33,8 @@ from prsyn.polyrat import (BiquadParams, Polynomial, Q, QComplex,
 from prsyn.synth import (SEVEN_ELEMENT_VARIANTS, build_named,
                          build_seven_element, classify_biquad, theorem2_step)
 
-from conftest import (count_pr_tests, dense_gauss_jordan, ladder_network,
-                      leading_minors_over_q, rand_q,
+from conftest import (bridge_over_q, count_pr_tests, dense_gauss_jordan,
+                      ladder_network, leading_minors_over_q, rand_q,
                       random_biconnected_network, random_sp_network,
                       sample_region)
 
@@ -122,10 +122,9 @@ class TestImpedance:
 
     def test_n1_fixture(self, n1):
         # independent oracle: spanning-tree bridge formula
-        from prsyn.synth import bridge_structural_polys
         # unreduced (num, den) arms: R = 1/2, C = 1 and L = 1
         half, s, one = Polynomial([Q(1, 2)]), Polynomial([0, 1]), Polynomial([1])
-        num, den = bridge_structural_polys({
+        num, den = bridge_over_q({
             "N1": (half, one), "N2": (half, one), "N3": (one, s),
             "N4": (s, one), "N5": (s, one)})
         assert RationalFunction(num, den) == impedance(n1)

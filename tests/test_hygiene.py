@@ -20,7 +20,10 @@ cleared rows and over Z[j] on the phasor rows that ``analysis`` stamps
 there, so no second elimination loop runs beside it.  Every ring of that
 section runs on bare ints: an element of Z[s], Z[x] or Z[j] is one
 trimmed int list, so no function of the section calls ``Polynomial``,
-``Fraction``, ``QComplex``, ``_poly`` or ``_new``.  Two readers call
+``Fraction``, ``QComplex``, ``_poly`` or ``_new``; nor do the bridge
+builds, ``network._tree_ints`` (an arm's pair) and
+``synth.bridge_structural_polys`` (their Kirchhoff sum), which run on the
+same int lists.  Two readers call
 ``leading_minors``: ``analysis.impedance`` over Z[s], the one elimination
 of the nodal matrix, and ``polyrat._sylvester_r0_r1`` over Z[x], which
 reads R_0(x) and R_1(x) of a fixture pair off one pass over the
@@ -266,16 +269,37 @@ def _section_functions(path, title):
             if isinstance(top, ast.FunctionDef) and start < top.lineno <= end]
 
 
+def _object_calls(fns):
+    """Each call of a name in KERNEL_OBJECTS in the functions fns, as
+    name:line."""
+    return [f"{fn.name}:{c.lineno}" for fn in fns for c in ast.walk(fn)
+            if isinstance(c, ast.Call) and (getattr(c.func, "id", None)
+                                            or getattr(c.func, "attr", None))
+            in KERNEL_OBJECTS]
+
+
 def test_no_objects_in_the_elimination_kernel():
     fns = _section_functions(PACKAGE / "polyrat.py", "Exact elimination")
     # the pin still sees the loop, its three ring steps and entry points
     assert {"_eliminate", "_step_int", "_step_poly", "_step_gauss", "_det_z",
             "leading_minors", "solve"} <= {fn.name for fn in fns}
-    found = [f"{fn.name}:{c.lineno}" for fn in fns for c in ast.walk(fn)
-             if isinstance(c, ast.Call) and (getattr(c.func, "id", None)
-                                             or getattr(c.func, "attr", None))
-             in KERNEL_OBJECTS]
-    assert found == []
+    assert _object_calls(fns) == []
+
+
+# the bridge builds on int lists: each arm's pair and the Kirchhoff sum
+BRIDGE_BUILDS = {"network.py": "_tree_ints",
+                 "synth.py": "bridge_structural_polys"}
+
+
+def test_no_objects_in_the_bridge_builds():
+    # a Polynomial or Fraction built per arm or per Kirchhoff term is the
+    # per-coefficient work the int lists removed; the Polynomials of a
+    # bridge pair are built once, by its callers
+    fns = [top for module, name in BRIDGE_BUILDS.items()
+           for top in _tree(PACKAGE / module).body
+           if isinstance(top, ast.FunctionDef) and top.name == name]
+    assert len(fns) == len(BRIDGE_BUILDS)
+    assert _object_calls(fns) == []
 
 
 def test_interpolate_called_only_by_its_two_readers():

@@ -27,7 +27,7 @@ from prsyn.polyrat import (BiquadParams, Polynomial, Q, RationalFunction,
 from prsyn.synth import build_named
 
 from conftest import (ladder_network, random_biconnected_network,
-                      random_sp_network)
+                      random_sp_network, tree_pair_reference)
 
 N1_TEXT = """
 # three-storage witness wired as the four-vertex bridge
@@ -324,6 +324,32 @@ def _stepwise_tree_impedance(tree):
     for x in parts[1:]:
         inv = inv + x.reciprocal()
     return inv.reciprocal()
+
+
+def _random_tree(rng, depth):
+    """A random nested Ser/Par tree of R, L and C leaves, values with
+    numerators and denominators up to 10, 10^3 or 10^9."""
+    if depth == 0 or rng.random() < 0.3:
+        big = 10 ** rng.choice((1, 3, 9))
+        return Leaf(Element("e", rng.choice([RESISTOR, INDUCTOR, CAPACITOR]),
+                            "a", "b", Fraction(rng.randint(1, big),
+                                               rng.randint(1, big))))
+    parts = tuple(_random_tree(rng, depth - 1)
+                  for _ in range(rng.randint(2, 4)))
+    return (Ser if rng.random() < 0.5 else Par)(parts)
+
+
+class TestTreePair:
+    def test_matches_polynomial_reference(self):
+        # the int-list pair over its scale against the former Polynomial
+        # build: equal pairs, not only equal ratios
+        rng = random.Random(3301)
+        trees = [_random_tree(rng, 4) for _ in range(300)] + [
+            _random_tree(rng, 0) for _ in range(60)]
+        for cls in (Leaf, Ser, Par):
+            assert any(isinstance(t, cls) for t in trees)
+        for tree in trees:
+            assert tree_pair(tree) == tree_pair_reference(tree)
 
 
 class TestTreeImpedance:

@@ -20,7 +20,8 @@ from prsyn.polyrat import (BiquadParams, DegreeTooSmall, InvariantViolation,
                            _as_poly, _det_z, _gauss, _interpolate,
                            _sylvester_r0_r1,
                            biquad_params, biquad_template, count_real_roots,
-                           eval_ratfunc, format_poly, format_ratfunc,
+                           even_part_profile, eval_ratfunc, format_poly,
+                           format_ratfunc,
                            is_lossless, is_minimum_function, is_positive_real,
                            leading_minors, minimum_frequencies, parse_poly, parse_ratfunc,
                            real_roots, reduce, solve, strict_hurwitz,
@@ -263,6 +264,18 @@ class TestMinimumFunction:
 
     def test_pole_at_infinity_rejected(self):
         assert not is_minimum_function(parse_ratfunc("(s^2+s+1)/(s+1)"))
+
+    def test_zero_or_pole_at_origin_rejected(self):
+        # 1/(1/(2s) + Y) with Y a minimum function: PR, of equal degrees,
+        # no other root on the imaginary axis, and its real part still
+        # vanishes at omega0 = 1, but it has a zero at s = 0, and its
+        # reciprocal a pole there
+        y = biquad_template(BiquadParams(1, 1, Q(1, 2), 1))
+        z = (RationalFunction(Polynomial([1]), 2 * S) + y).reciprocal()
+        for h in (z, z.reciprocal()):
+            assert is_positive_real(h) and h.num.degree == h.den.degree
+            assert count_real_roots(even_part_profile(h), Q(0), "+inf") > 0
+            assert not is_minimum_function(h)
 
 
 class TestBiquadParams:
@@ -1080,6 +1093,20 @@ class TestRingSteps:
             got = list(row)
             _step_gauss(got, top, cols, p, lead, d)
             assert got == want
+
+    def test_add_matches_polynomial_reference(self):
+        # the int-list sum of the bridge builds: trimmed where the top
+        # terms cancel, and its inputs left as they were
+        from prsyn.polyrat import _add
+        rng = random.Random(1977)
+        for trial in range(300):
+            a = _random_int_poly(rng)
+            b = ([rng.randint(-9, 9) for _ in a[:-2]] + [-x for x in a[-2:]]
+                 if trial % 3 == 0 else _random_int_poly(rng))
+            want = [int(c) for c in (Polynomial(a) + Polynomial(b)).coeffs]
+            inputs = (list(a), list(b))
+            assert _add(a, b) == want
+            assert (a, b) == inputs
 
 
 def lagrange_reference(points):

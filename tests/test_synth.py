@@ -27,7 +27,8 @@ from prsyn.synth import (SEVEN_ELEMENT_VARIANTS, Classification,
                          resultant_fixture_check, theorem2_step,
                          verify_theorem2_identity, _QUARTET_REQUIREMENTS)
 
-from conftest import count_pr_tests, rand_q, sample_region
+from conftest import (bridge_over_q, count_pr_tests, rand_q, sample_region,
+                      tree_pair_reference)
 
 
 class TestTheorem2Step:
@@ -655,7 +656,6 @@ def bridge_reference(arms):
 
 class TestBridgeStructuralPolys:
     def test_matches_term_by_term_reference(self):
-        from prsyn.synth import bridge_structural_polys
         rng = random.Random(6151)
 
         def poly():
@@ -670,7 +670,7 @@ class TestBridgeStructuralPolys:
 
         for _ in range(300):
             arms = {f"N{k}": (poly(), poly()) for k in range(1, 6)}
-            assert bridge_structural_polys(arms) == bridge_reference(arms)
+            assert bridge_over_q(arms) == bridge_reference(arms)
 
     def test_complements_match_the_literal_tables(self):
         from prsyn.synth import _TREE_OFF, _TWOTREE_OFF
@@ -734,8 +734,7 @@ class TestFixtureArms:
     def test_arms_match_the_pair_algebra(self):
         from prsyn.network import tree_pair
         from prsyn.synth import (QuartetParams, _n1112_pair_at, _quartet_arms,
-                                 _quartet_polys, _scaled,
-                                 bridge_structural_polys)
+                                 _quartet_polys, _scaled)
         rng = random.Random(1961)
 
         def q(zero=False):
@@ -768,7 +767,7 @@ class TestFixtureArms:
                 got = {slot: tree_pair(t) for slot, t in arms.items()}
                 assert got == want
                 num, den = bridge_reference(want)
-                assert bridge_structural_polys(got) == (num, den)
+                assert bridge_over_q(got) == (num, den)
                 if target0 is None:
                     assert _n1112_pair_at(fam, r1, g2z, g3, F,
                                           w0)(var) == (num, den)
@@ -779,14 +778,43 @@ class TestFixtureArms:
                             == (num * c, den * (c * F)))
         assert seen_zero == {"r1", "g2"}
 
+    def test_quartet_polys_match_the_polynomial_reference(self):
+        # the int-list build against the former Polynomial one (the
+        # reference tree_pair of every arm, term-by-term bridge): equal
+        # pairs at Q7, Q8, N11 and N12 points with denominators up to 10^9,
+        # r1 = 0 and g2 = 0 included
+        from prsyn.synth import QuartetParams, _quartet_arms, _quartet_polys
+        rng = random.Random(5077)
+
+        def q(zero=False):
+            if zero and rng.random() < 0.25:
+                return Q(0)
+            big = 10 ** rng.choice((1, 3, 9))
+            return Fraction(rng.randint(1, big), rng.randint(1, big))
+
+        seen_zero = set()
+        for _ in range(100):
+            w0, F, g1, g2, c2, g3, var = (q() for _ in range(7))
+            r1, g2z = q(zero=True), q(zero=True)
+            seen_zero |= {k for k, v in (("r1", r1), ("g2", g2z)) if v == 0}
+            points = [("N7", dict(A=1 / g1, B=1 / g2, C=F)),          # Q7
+                      ("N8", dict(A=1 / g1, B=1 / g2, C=F / c2, D=F))  # Q8
+                      ] + [(fam, dict(A=r1, B=1 / g3, C=g2z, D=F / var, E=F))
+                           for fam in ("N11", "N12")]
+            for fam, params in points:
+                arms = _quartet_arms(fam, QuartetParams(fam, **params), w0)
+                want = bridge_reference({slot: tree_pair_reference(t)
+                                         for slot, t in arms.items()})
+                assert _quartet_polys(fam, w0, **params) == want
+        assert seen_zero == {"r1", "g2"}
+
     def test_n1112_pairs_match_the_direct_bridge(self):
         # the coefficients in var, from the bridge built at var = 1 and 2,
         # read off at every former sample give var^e times the bridge's own
         # pair there
         from prsyn.network import tree_pair
         from prsyn.synth import (_N1112_E, QuartetParams, _coefficients_in_x,
-                                 _n1112_pair_at, _quartet_arms,
-                                 bridge_structural_polys)
+                                 _n1112_pair_at, _quartet_arms)
         points = [(Q(1, 3), Q(2, 5), Q(7, 4), Q(1, 2), Q(1)),
                   (Q(0), Q(2, 5), Q(7, 4), Q(3, 2), Q(4, 3)),      # r1 = 0
                   (Q(5, 2), Q(0), Q(3), Q(4, 3), Q(2)),            # g2 = 0
@@ -810,7 +838,7 @@ class TestFixtureArms:
                                        E=F)
                     arms = {slot: tree_pair(t) for slot, t
                             in _quartet_arms(fam, qp, w0).items()}
-                    want = bridge_structural_polys(arms)
+                    want = bridge_over_q(arms)
                     assert want == bridge_reference(arms)
                     assert _read_off(cols, v) == (want[0] * v ** e,
                                                   want[1] * v ** e)
