@@ -732,8 +732,7 @@ def _krylov(da: List[List[int]], b) -> Tuple[int, List[List[int]]]:
     With e the lcm of b's denominators, the columns are (dA)^j (e b) =
     d^j e A^j b for j = 0..n, built by int dot products.  Returns (e,
     columns)."""
-    e = math.lcm(*(x.denominator for x in b))
-    col = [x.numerator * (e // x.denominator) for x in b]
+    col, e = _over_lcd(b)
     cols = [col]
     for _ in b:
         col = [sum(map(mul, row, col)) for row in da]
@@ -777,8 +776,7 @@ def ss_impedance(ss: StateSpace) -> RationalFunction:
     d, da = _cleared(ss.A)
     e, cols = _krylov(da, ss.B)
     m = _annihilator(d, cols).coeffs
-    f = math.lcm(*(x.denominator for x in ss.C))
-    fc = [x.numerator * (f // x.denominator) for x in ss.C]
+    fc, f = _over_lcd(ss.C)
     k = len(m) - 1
     markov = [Fraction(sum(map(mul, fc, col)), f * e * d ** j)
               for j, col in enumerate(cols[:k])]
@@ -810,15 +808,13 @@ def _char_poly(d: int, da: List[List[int]]) -> Polynomial:
     evaluation and interpolation over Z (von zur Gathen & Gerhard, *Modern
     Computer Algebra*, ch. 5).  P(t) = det(tI - dA) is monic of degree n
     over Z, so the n + 1 int determinants P(0), ..., P(n) (``_det_z``) fix
-    it (``_interpolate``), and chi(s) = P(d s) / d^n.  With no state, d =
-    1, P(0) = det() = 1 and chi = 1."""
+    it (``_interpolate``, an int numerator over w), and chi(s) = P(d s) /
+    d^n.  With no state, d = 1, P(0) = det() = 1 and chi = 1."""
     nn = len(da)
-    p = _interpolate(range(nn + 1), [
+    p, w = _interpolate(range(nn + 1), [
         _det_z([[t * (i == j) - x for j, x in enumerate(row)]
                 for i, row in enumerate(da)]) for t in range(nn + 1)])
-    c = p.content
-    return _poly([x * d ** k for k, x in enumerate(p.prim)], c.numerator,
-                 c.denominator * d ** nn)
+    return _poly([x * d ** k for k, x in enumerate(p)], 1, w * d ** nn)
 
 
 def pbh_diagnostics(ss: StateSpace) -> PBHReport:

@@ -26,14 +26,16 @@ over its last pivot.  A row with a zero in the pivot column skips that
 step and catches up when it is next read, so sparse rows cost little.
 Sylvester rows are built from coefficient sequences, interleaved by
 shift, with one sign rule: the integer primitive parts for a determinant
-over Z, or polynomials in a parameter x cleared into Z[x], so that one
-pass of leading minors gives both R_0(x) and R_1(x) of a pair as
-identities in x.  Sturm signs and interpolation stay in Z as well.  A law
-that a computed answer obeys raises ``InvariantViolation``.  Real
-roots come from one exact isolator, ``real_roots``: a rational root is a
-Fraction and an irrational one an open interval with rational ends, so a
-minimum frequency whose square is irrational is kept as such a bracket.
-No computation here uses floating point.
+over Z, or a fixture pair's coefficients in a parameter x as Z[x] int
+lists, so that one pass of leading minors gives both R_0(x) and R_1(x) of
+a pair as identities in x, in Z[x] too.  Interpolation reads integer
+points and gives an int numerator over one int, and Sturm signs stay in Z
+as well.  A law that a computed answer obeys raises
+``InvariantViolation``.  Real roots come from one exact isolator,
+``real_roots``: a rational root is a Fraction and an irrational one an
+open interval with rational ends, so a minimum frequency whose square is
+irrational is kept as such a bracket.  No computation here uses floating
+point.
 """
 
 from __future__ import annotations
@@ -1229,10 +1231,10 @@ def solve(rows, rhs):
 # ---------------------------------------------------------------------------
 # Sylvester determinants and interpolation.  Sylvester rows are built from
 # coefficient sequences, interleaved by shift, with one sign rule: the
-# integer primitive parts for a determinant over Z, or polynomials in a
-# parameter x cleared into Z[x], so that one pass of leading minors gives
-# both R_0(x) and R_1(x) of a pair as identities in x.  Interpolation runs
-# over Z as well.
+# integer primitive parts for a determinant over Z, or Z[x] int lists, so
+# that one pass of leading minors gives both R_0(x) and R_1(x) of a pair
+# as identities in x.  A pass answers in the ring of its sequences, and
+# interpolation reads integer points and answers over Z as well.
 # ---------------------------------------------------------------------------
 
 def _sylvester_rows(p: Sequence, q: Sequence, m: int, n: int, k: int,
@@ -1299,84 +1301,62 @@ def sylvester_determinant(p: Polynomial, q: Polynomial, k: int) -> Fraction:
     return _sylvester_det(p, q, m, n, k)
 
 
-def _cleared_in_x(cs: Sequence[Polynomial]) -> Tuple[list, int]:
-    """(c cs as Z[x] int lists, c) for the polynomials cs in x, c the lcm
-    of their denominators."""
-    c = math.lcm(*(x.content.denominator for x in cs))
-    return [[y * (x.content.numerator * (c // x.content.denominator))
-             for y in x.prim] for x in cs], c
-
-
 def _sylvester_r0_r1(p: Sequence, q: Sequence) -> tuple:
-    """(R_0, R_1) of the coefficient sequences p and q (ascending; ints, or
-    Polynomials in a parameter x), read at the degrees m = len(p) - 1 and
-    n = len(q) - 1, from one ``leading_minors`` pass over the interleaved
-    S_0 rows (``_sylvester_rows``).  Its leading (m + n - 2k)-block is S_k
-    in the interleaved order, and the Bareiss pivots are the leading
-    minors, so minors m + n - 2 and m + n, times ``_interleaving_sign``,
-    are R_1 and R_0: every principal subresultant coefficient from one
-    pass (Collins 1967; Brown & Traub 1971).  Polynomials in x are cleared
-    into Z[x] first, to c_p p and c_q q (``_cleared_in_x``), and the pass
-    runs over Z[x]; R_k is homogeneous of degree n - k in p and m - k in q,
-    as ``_sylvester_det`` reads contents, so R_k(p, q) is
-    R_k(c_p p, c_q q) / (c_p^(n-k) c_q^(m-k)), a Polynomial in x: R_0(x)
-    and R_1(x), identities in x.  A run of minors that stops short stops
-    at a zero one; a value past that is the determinant of the pivoting
-    route, ``_det_z`` over the same ring.  A zero value over Z is the int
-    0.  With min(m, n) < 2 there is no R_1 (DegreeTooSmall)."""
+    """(R_0, R_1) of the coefficient sequences p and q (ascending, over Z
+    or Z[x]: ints, or trimmed int lists in a parameter x), in that ring,
+    read at the degrees m = len(p) - 1 and n = len(q) - 1, from one
+    ``leading_minors`` pass over the interleaved S_0 rows
+    (``_sylvester_rows``).  Its leading (m + n - 2k)-block is S_k in the
+    interleaved order, and the Bareiss pivots are the leading minors, so
+    minors m + n - 2 and m + n, times ``_interleaving_sign``, are R_1 and
+    R_0: every principal subresultant coefficient from one pass (Collins
+    1967; Brown & Traub 1971).  Over Z[x] they are R_0(x) and R_1(x),
+    identities in x.  A run of minors that stops short stops at a zero
+    one; a value past that is the determinant of the pivoting route,
+    ``_det_z`` over the same ring.  A zero value is the ring's zero, 0 or
+    [].  With min(m, n) < 2 there is no R_1 (DegreeTooSmall)."""
     m, n = len(p) - 1, len(q) - 1
     if min(m, n) < 2:
         raise DegreeTooSmall(f"require min(deg p, deg q) >= 2, got {m}, {n}")
-    over_x = isinstance(p[0], Polynomial)
-    zero, cp, cq = 0, 1, 1
-    if over_x:
-        (p, cp), (q, cq), zero = _cleared_in_x(p), _cleared_in_x(q), []
+    zero = [] if type(p[0]) is list else 0
     minors = leading_minors(_sylvester_rows(p, q, m, n, 0, zero))
     minors.append(zero)         # the first zero minor, if the run stops
     out = []
     for k in (0, 1):
         size = m + n - 2 * k
-        det = _signed(_det_z(_sylvester_rows(p, q, m, n, k, zero))
-                      if size > len(minors) else minors[size - 1],
-                      _interleaving_sign(m, n, k))
-        out.append(_poly(det, 1, cp ** (n - k) * cq ** (m - k)) if over_x
-                   else det)
+        out.append(_signed(_det_z(_sylvester_rows(p, q, m, n, k, zero))
+                           if size > len(minors) else minors[size - 1],
+                           _interleaving_sign(m, n, k)))
     return out[0], out[1]
 
 
-def _interpolate(xs: Sequence[Fraction], ys: Sequence[Fraction]) -> Polynomial:
-    """The unique polynomial of degree < len(xs) through the points (x, y).
+def _interpolate(xs: Sequence[int], ys: Sequence[int]) -> Tuple[List[int], int]:
+    """(numerator, w) of the unique polynomial of degree < len(xs) through
+    the integer points (x, y): a trimmed ascending int list over the
+    positive int w.
 
     Lagrange form over Z (von zur Gathen & Gerhard, Modern Computer
-    Algebra, ch. 5): with x_i = a_i/b and y_i = Y_i/L over common
-    denominators, it is P(t/b) = sum_i Y_i M(t)/((t - a_i) D_i) / L, for the
-    master polynomial M = prod (t - a_i) and D_i = prod_{k != i} (a_i - a_k).
-    With W the lcm of the D_i, one synthetic division of M by t - a_i per
-    point, weighted by Y_i W / D_i, sums the integer numerator; then t = b x
-    and one division by L W.  O(n^2) int operations.  All-int nodes or
-    values are read as they are, with b or L = 1 (``_over_lcd``).  A
-    repeated x makes a D_i zero and raises ZeroDivisionError."""
-    a, b = _over_lcd(xs)
-    big_y, lcd = _over_lcd(ys)
-    n = len(a)
-    master = [1]                        # ascending; times (t - ai) each step
-    for ai in a:
-        master = [lo - ai * hi for lo, hi in zip([0] + master, master + [0])]
-    dens = [math.prod(ai - ak for k, ak in enumerate(a) if k != i)
-            for i, ai in enumerate(a)]
+    Algebra, ch. 5): the polynomial is sum_i y_i M(t)/((t - x_i) D_i), for
+    the master polynomial M = prod (t - x_i) and D_i = prod_{k != i}
+    (x_i - x_k).  With w the lcm of the D_i, one synthetic division of M by
+    t - x_i per point, weighted by y_i w / D_i, sums the numerator.
+    O(n^2) int operations.  A repeated x makes a D_i zero and raises
+    ZeroDivisionError."""
+    n = len(xs)
+    master = [1]                        # ascending; times (t - xi) each step
+    for xi in xs:
+        master = [lo - xi * hi for lo, hi in zip([0] + master, master + [0])]
+    dens = [math.prod(xi - xk for k, xk in enumerate(xs) if k != i)
+            for i, xi in enumerate(xs)]
     w = math.lcm(*dens)
     acc = [0] * n
-    for ai, yi, di in zip(a, big_y, dens):
+    for xi, yi, di in zip(xs, ys, dens):
         c = yi * (w // di)
-        quot = 0                        # M / (t - ai), top coefficient first
+        quot = 0                        # M / (t - xi), top coefficient first
         for j in range(n, 0, -1):
-            quot = master[j] + ai * quot
+            quot = master[j] + xi * quot
             acc[j - 1] += c * quot
-    scale = 1
-    for j in range(n):                  # t = b x
-        acc[j] *= scale
-        scale *= b
-    return _poly(acc, 1, lcd * w)
+    return _trimmed(acc), w
 
 
 # ---------------------------------------------------------------------------

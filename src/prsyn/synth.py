@@ -6,16 +6,19 @@ minimum functions with witness constructors, the quartet family
 constructors, the bridge structural matcher, and the Sylvester-resultant
 fixture checks used to certify the classifier's boundary algebra.  Every
 fixture pair is a quartet member's bridge pair (``_quartet_polys``), a
-Kirchhoff sum over int lists; times a power of its free variable x it has
-coefficients that are polynomials in x, so a check builds the bridge at a
-few integer nodes only and interpolates each coefficient
-(``_coefficients_in_x``).  One Bareiss pass
-over Z[x] then gives the subresultants R_0(x) and R_1(x), and the printed
-factorizations are checked as identities in x, by exact division.
+Kirchhoff sum over int lists times a scale; times a power of its free
+variable x it has coefficients that are polynomials in x, so a check
+builds the bridge at a few integer nodes only, puts the builds over one
+scale and interpolates each coefficient over Z (``_coefficients_in_x``).
+One Bareiss pass over Z[x] then gives the subresultants R_0(x) and R_1(x),
+up to one positive constant that every reader cancels, and only then are
+Polynomials built: the printed factorizations are checked as identities
+in x, by exact division.
 """
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -801,15 +804,14 @@ def bridge_structural_polys(arms: Dict[str, Tuple[List[int], List[int]]]):
 
 
 def _quartet_polys(fam: str, w0: Fraction, **params):
-    """The bridge pair of a quartet family member's arms, as Polynomials:
-    ``bridge_structural_polys`` of each arm's ``_tree_ints``, over the
-    product of the arm scales."""
+    """(num, den, scale): scale times the bridge pair of a quartet family
+    member's arms, as ascending int lists, ``bridge_structural_polys`` of
+    each arm's ``_tree_ints``, and scale the product of the arm scales."""
     arms, scale = {}, 1
     for slot, t in _quartet_arms(fam, QuartetParams(fam, **params), w0).items():
         num, den, s = net._tree_ints(t)
         arms[slot], scale = (num, den), scale * s
-    num, den = bridge_structural_polys(arms)
-    return _poly(num, 1, scale), _poly(den, 1, scale)
+    return (*bridge_structural_polys(arms), scale)
 
 
 def _poly_sqrt(p: Polynomial) -> Optional[Polynomial]:
@@ -908,43 +910,52 @@ def resultant_fixture_check(family: str, subs: Dict[str, Fraction]) -> bool:
     return _check_n11_n12(family, subs, w0)
 
 
-def _require_nominal(family, num_len, den_len, num0, degree) -> None:
-    """ConstraintViolated unless a structural pair, num with num_len
-    coefficients in s and den with den_len, is of the nominal degree with
-    a nonzero num(0)."""
-    if num_len != degree + 1 or den_len != degree + 1 or not num0:
+def _require_nominal(family, num, den, degree) -> None:
+    """ConstraintViolated unless a structural pair, num and den given by
+    their trimmed coefficient lists in s (ints, or Z[x] int lists), is of
+    the nominal degree with a nonzero num(0)."""
+    if len(num) != degree + 1 or len(den) != degree + 1 or not num[0]:
         raise ConstraintViolated(
             f"{family} structural polynomials are degenerate")
 
 
 def _scaled(family, pair, degree, target0, F):
-    """A fixture's structural (num, den) pair scaled so that num(0) is the
+    """A fixture's structural pair, (num, den, scale) from
+    ``_quartet_polys``, as two Polynomials scaled so that num(0) is the
     family's closed form target0 and den carries one more factor F, after
     checking that both are of the nominal degree with num(0) != 0
-    (``_require_nominal``)."""
-    num, den = pair
-    _require_nominal(family, len(num.prim), len(den.prim), num.coeff(0),
-                     degree)
-    c = target0 / num.coeff(0)
-    return num * c, den * (c * F)
+    (``_require_nominal``).  The scale cancels in c = target0 / num(0), so
+    the int lists are read as they are: c = target0 / num[0]."""
+    num, den, _ = pair
+    _require_nominal(family, num, den, degree)
+    c = target0 / num[0]
+    return (_poly(num, *c.as_integer_ratio()),
+            _poly(den, *(c * F).as_integer_ratio()))
 
 
 def _coefficients_in_x(pair_at, degree, e):
-    """The x^e multiple of pair_at(x), the structural (num, den) pair at x,
-    as two lists of polynomials in x, the coefficient of s^j at index j,
-    for a pair whose x^e multiple has coefficients of degree <= degree in
-    x; in every check pair_at is a ``_quartet_polys`` build.  pair_at runs
-    at the nodes x = 1..degree+1 only, and interpolation through them gives
-    each coefficient (von zur Gathen & Gerhard, Modern Computer Algebra,
-    ch. 5).  Each coefficient is a sum of products of positive element
-    values, so it vanishes at an x > 0 only when it is zero in x."""
+    """c times the x^e multiple of the structural (num, den) pair at x, as
+    two lists of Z[x] int lists, the coefficient of s^j at index j, for a
+    pair whose x^e multiple has coefficients of degree <= degree in x.
+    pair_at(k) is a ``_quartet_polys`` build (num, den, scale), run at the
+    int nodes k = 1..degree+1 only.  The builds are put over the lcm L of
+    their scales, and interpolation through the int values gives every
+    coefficient as a numerator over one w (von zur Gathen & Gerhard,
+    Modern Computer Algebra, ch. 5), so c = L w > 0, shared by both sides.
+    Each coefficient is a sum of products of positive element values, so
+    it vanishes at an x > 0 only when it is zero in x."""
     nodes = range(1, degree + 2)
-    values = [pair_at(Q(k)) for k in nodes]
+    builds = [pair_at(k) for k in nodes]
+    lcd = math.lcm(*(scale for _, _, scale in builds))
+    factors = [k ** e * (lcd // scale)
+               for k, (_, _, scale) in zip(nodes, builds)]
     sides = []
     for side in (0, 1):
-        polys = [v[side] * k ** e for k, v in zip(nodes, values)]
-        sides.append([_interpolate(nodes, [p.coeff(j) for p in polys])
-                      for j in range(max(len(p.prim) for p in polys))])
+        width = max(len(b[side]) for b in builds)
+        values = [[f * c for c in b[side]] + [0] * (width - len(b[side]))
+                  for f, b in zip(factors, builds)]
+        sides.append([_interpolate(nodes, column)[0]
+                      for column in zip(*values)])
     return sides[0], sides[1]
 
 
@@ -952,13 +963,16 @@ def _factorization_check(family, pair, scale, cof0, cof1, f1_printed,
                          degrees, rhs) -> bool:
     """The check of Q8, N11 and N12 as an identity in the one variable x
     that their scaled structural pair (p, q) varies with.  pair is (P, Q),
-    the x^e multiple of the unscaled pair in coefficients in x
-    (``_coefficients_in_x``), of degree 4 in s with P_0 != 0
-    (``_require_nominal``).  ``_scaled`` takes p = target0 P / P_0 and q =
-    target0 F Q / P_0, and R_k is homogeneous of degree 4 - k in each
-    polynomial's coefficients, so R_k(p, q) = scale^(4-k) R_k(P, Q) /
-    P_0^(2 (4-k)) with scale = target0^2 F, a polynomial in x.  R_0(P, Q)
-    and R_1(P, Q) come from one ``_sylvester_r0_r1`` pass over Z[x].
+    the x^e multiple of the unscaled pair in coefficients in x, times one
+    positive constant c (``_coefficients_in_x``: Z[x] int lists), of
+    degree 4 in s with P_0 != 0 (``_require_nominal``).  ``_scaled`` takes
+    p = target0 P / P_0 and q = target0 F Q / P_0, and R_k is homogeneous
+    of degree 4 - k in each polynomial's coefficients, so R_k(p, q) =
+    scale^(4-k) R_k(P, Q) / P_0^(2 (4-k)) with scale = target0^2 F, a
+    polynomial in x; c cancels there, since R_k(cP, cQ) = c^(2 (4-k))
+    R_k(P, Q) and (c P_0)^(2 (4-k)) carries the same power.  R_0 and R_1
+    come from one ``_sylvester_r0_r1`` pass over Z[x], and they and P_0
+    become Polynomials here, once.
     R_0(p, q) / cof0 and R_1(p, q) / cof1, over the printed cofactors
     (polynomials in x, nonzero at a physical point), are f1^2 and f2 by
     exact division, and a remainder fails the check.  f1 is f1_printed if
@@ -966,9 +980,9 @@ def _factorization_check(family, pair, scale, cof0, cof1, f1_printed,
     f1^2, which must exist; the resultant of f1 and f2 at the nominal
     degrees must be rhs."""
     num, den = pair
-    _require_nominal(family, len(num), len(den), num[0], 4)
-    r0, r1 = _sylvester_r0_r1(num, den)
-    p0sq = num[0] * num[0]
+    _require_nominal(family, num, den, 4)
+    r0, r1 = map(_poly, _sylvester_r0_r1(num, den))
+    p0sq = _poly(num[0]) ** 2
     f1sq, rem0 = divmod(r0 * scale ** 4, cof0 * p0sq ** 4)
     f2, rem1 = divmod(r1 * scale ** 3, cof1 * p0sq ** 3)
     if rem0 or rem1:
@@ -1081,10 +1095,11 @@ def n12_has_no_feasible_solution(r1, g2, g3, F) -> bool:
     if g2 != 0 and a == 0:
         return b != 0          # b = g3 > 0, so always true here
     # boundary g2 = 0 (open parallel resistor): R0 and R1 of x1 times the
-    # unscaled pair, as polynomials in x1, and a common positive root of
-    # theirs directly (x1 > 0, so the factor x1 moves no root)
-    rho0, rho1 = _sylvester_r0_r1(*_coefficients_in_x(
-        _n1112_pair_at("N12", r1, g2, g3, F, Q(1)), 1, 1))
+    # unscaled pair, as polynomials in x1 up to a positive constant, and a
+    # common positive root of theirs directly (x1 > 0, so the factor x1
+    # moves no root)
+    rho0, rho1 = map(_poly, _sylvester_r0_r1(*_coefficients_in_x(
+        _n1112_pair_at("N12", r1, g2, g3, F, Q(1)), 1, 1)))
     if rho0.is_zero() and rho1.is_zero():
         return False
     g = rho0.gcd(rho1)

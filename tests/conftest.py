@@ -215,6 +215,39 @@ def bridge_over_q(arms):
                  for side in bridge_structural_polys(ints))
 
 
+def pair_over_q(build):
+    """A bridge build (num, den, scale) of ``_quartet_polys``, as the
+    Polynomial pair it stands for: both int lists over the scale."""
+    num, den, scale = build
+    return tuple(Polynomial([Fraction(c, scale) for c in side])
+                 for side in (num, den))
+
+
+def coefficients_in_x_reference(pair_at, degree, e):
+    """The former Q[x] ``_coefficients_in_x``, kept as a reference: the x^e
+    multiple of the structural pair at x, as two lists of Polynomials in
+    x, the coefficient of s^j at index j.  Each build at x = 1..degree+1 is
+    read as Polynomials, times k^e, and each coefficient is interpolated
+    over Q through its Fraction values, in the Lagrange basis."""
+    nodes = [Q(k) for k in range(1, degree + 2)]
+    polys = [[side * k ** e for side in pair_over_q(pair_at(k))]
+             for k in nodes]
+
+    def lagrange(ys):
+        total = Polynomial()
+        for i, (xi, yi) in enumerate(zip(nodes, ys)):
+            basis = Polynomial([yi])
+            for j, xj in enumerate(nodes):
+                if j != i:
+                    basis = basis * Polynomial([-xj, 1]) * (1 / (xi - xj))
+            total = total + basis
+        return total
+
+    return tuple([lagrange([p[side].coeff(j) for p in polys])
+                  for j in range(max(len(p[side].prim) for p in polys))]
+                 for side in (0, 1))
+
+
 def tree_pair_reference(tree):
     """The former Polynomial ``tree_pair``, kept as a reference: a leaf's
     law is its row of ``KINDS``, and series and parallel parts combine as

@@ -20,10 +20,15 @@ cleared rows and over Z[j] on the phasor rows that ``analysis`` stamps
 there, so no second elimination loop runs beside it.  Every ring of that
 section runs on bare ints: an element of Z[s], Z[x] or Z[j] is one
 trimmed int list, so no function of the section calls ``Polynomial``,
-``Fraction``, ``QComplex``, ``_poly`` or ``_new``; nor do the bridge
-builds, ``network._tree_ints`` (an arm's pair) and
-``synth.bridge_structural_polys`` (their Kirchhoff sum), which run on the
-same int lists.  Two readers call
+``Fraction`` (or its alias ``Q``), ``QComplex``, ``_poly`` or ``_new``;
+nor does the fixture route, which runs on the same int lists from the
+bridge builds to R_0 and R_1: ``network._tree_ints`` (an arm's pair),
+``synth.bridge_structural_polys`` (their Kirchhoff sum),
+``synth._quartet_polys`` (a member's pair over its scale),
+``synth._coefficients_in_x`` (the pair's coefficients in x, from builds
+at integer nodes), ``polyrat._interpolate`` (integer points, an int
+numerator over one int) and ``polyrat._sylvester_r0_r1`` (answers in the
+ring of its sequences, Z or Z[x]).  Two readers call
 ``leading_minors``: ``analysis.impedance`` over Z[s], the one elimination
 of the nodal matrix, and ``polyrat._sylvester_r0_r1`` over Z[x], which
 reads R_0(x) and R_1(x) of a fixture pair off one pass over the
@@ -253,7 +258,8 @@ def test_no_assert_in_prsyn():
 
 # what the elimination section of polyrat may not build: its rings run on
 # bare ints, so a call of these is an object back inside the kernel
-KERNEL_OBJECTS = {"Polynomial", "Fraction", "QComplex", "_poly", "_new"}
+# (Q is polyrat's alias of Fraction)
+KERNEL_OBJECTS = {"Polynomial", "Fraction", "Q", "QComplex", "_poly", "_new"}
 
 
 def _section_functions(path, title):
@@ -286,16 +292,23 @@ def test_no_objects_in_the_elimination_kernel():
     assert _object_calls(fns) == []
 
 
-# the bridge builds on int lists: each arm's pair and the Kirchhoff sum
-BRIDGE_BUILDS = {"network.py": "_tree_ints",
-                 "synth.py": "bridge_structural_polys"}
+# the fixture route on int lists, from the bridge builds to R_0 and R_1:
+# each arm's pair, the Kirchhoff sum, a quartet member's pair over its
+# scale, the coefficients in x, their interpolation and the Z[x] pass
+BRIDGE_BUILDS = {("network.py", "_tree_ints"),
+                 ("synth.py", "bridge_structural_polys"),
+                 ("synth.py", "_quartet_polys"),
+                 ("synth.py", "_coefficients_in_x"),
+                 ("polyrat.py", "_interpolate"),
+                 ("polyrat.py", "_sylvester_r0_r1")}
 
 
 def test_no_objects_in_the_bridge_builds():
-    # a Polynomial or Fraction built per arm or per Kirchhoff term is the
-    # per-coefficient work the int lists removed; the Polynomials of a
-    # bridge pair are built once, by its callers
-    fns = [top for module, name in BRIDGE_BUILDS.items()
+    # a Polynomial or Fraction built per arm, per Kirchhoff term or per
+    # coefficient is the round trip through Q[x] that the int lists
+    # removed; a fixture pair's Polynomials are built once, after the Z[x]
+    # pass (or by _scaled, at a single point)
+    fns = [top for module, name in BRIDGE_BUILDS
            for top in _tree(PACKAGE / module).body
            if isinstance(top, ast.FunctionDef) and top.name == name]
     assert len(fns) == len(BRIDGE_BUILDS)

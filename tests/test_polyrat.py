@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from prsyn.polyrat import (BiquadParams, DegreeTooSmall, InvariantViolation,
                            NotBiquadratic, NotMinimum, Polynomial, Q, QComplex,
                            RationalFunction, ZeroDenominator,
-                           _as_poly, _det_z, _gauss, _interpolate,
+                           _det_z, _gauss, _interpolate,
                            _sylvester_r0_r1,
                            biquad_params, biquad_template, count_real_roots,
                            even_part_profile, eval_ratfunc, format_poly,
@@ -643,10 +643,12 @@ class TestSylvester:
     def test_r0_r1_pass_over_zx_takes_the_pivoting_route(self, monkeypatch):
         # the Z[x] analogue of the early_zero pairs: (n, n) pairs of
         # coefficient lists in x whose leading 2 x 2 blocks are equal up to
-        # a factor c(x), so M_2 is zero in x.  R_0(x) and R_1(x) come from
-        # the pivoting route over Z[x], equal the Q[x] Bareiss reference on
-        # the block-ordered Sylvester matrix, and at integer and rational x
-        # equal the integer route on the pair read off at x
+        # a factor c(x), so M_2 is zero in x.  Cleared into Z[x] int lists
+        # by one lcm L of both pairs' denominators, R_0(x) and R_1(x) come
+        # from the pivoting route over Z[x], equal L^(2n - 2k) times the
+        # Q[x] Bareiss reference on the block-ordered Sylvester matrix, and
+        # at integer and rational x equal the integer route on the pair
+        # read off at x
         fallbacks = count_det_z(monkeypatch)
         rng = random.Random(1968)
 
@@ -661,8 +663,13 @@ class TestSylvester:
             tail = [poly_in_x(rng.randint(0, 2)) for _ in range(n - 1)]
             q = [c * x + (tail[j] if j < n - 1 else 0)
                  for j, x in enumerate(p)]
+            lcd = math.lcm(*(x.content.denominator for x in p + q))
+            cleared = ([[c * (x.content * lcd).numerator for c in x.prim]
+                        for x in side] for side in (p, q))
             fallbacks.clear()
-            got = tuple(map(_as_poly, _sylvester_r0_r1(p, q)))
+            got = tuple(Polynomial([Fraction(c, lcd ** (2 * n - 2 * k))
+                                    for c in r]) for k, r in
+                        enumerate(_sylvester_r0_r1(*cleared)))
             # R_0 by the pivoting route, and R_1 too once its 2n - 2 rows
             # reach past the zero M_2; R_1 = M_2 = 0 for n = 2
             assert fallbacks == ([4] if n == 2 else [2 * n, 2 * n - 2])
@@ -1125,63 +1132,60 @@ def lagrange_reference(points):
     return total
 
 
+def _interpolated(xs, ys):
+    """``_interpolate`` of the int points, as the Polynomial it stands for:
+    its trimmed numerator over its positive w."""
+    num, w = _interpolate(xs, ys)
+    assert w > 0 and (not num or num[-1])
+    return Polynomial([Fraction(c, w) for c in num])
+
+
 class TestInterpolate:
     def test_matches_lagrange_reference(self):
         rng = random.Random(4099)
-        abscissae = [[Fraction(k, 7) for k in range(1, 25)],
-                     [Fraction(k, 7) for k in range(1, 17)]]
+        abscissae = [list(range(1, 25)), list(range(1, 17))]
         for n in range(1, 25):
-            d = rng.randint(1, 6)
-            abscissae.append([Fraction(x, d)
-                              for x in rng.sample(range(-40, 41), n)])
+            abscissae.append(rng.sample(range(-40, 41), n))
         for i, xs in enumerate(abscissae):
             zeros = (0.0, 0.4, 1.0)[i % 3]     # share of zero ordinates
-            ys = [Q(0) if rng.random() < zeros
-                  else Fraction(rng.randint(-99, 99), rng.randint(1, 9))
+            ys = [0 if rng.random() < zeros else rng.randint(-99, 99)
                   for _ in xs]
-            got = _interpolate(xs, ys)
+            got = _interpolated(xs, ys)
             assert got == lagrange_reference(list(zip(xs, ys)))
             assert got.degree < len(xs)
             assert all(got(x) == y for x, y in zip(xs, ys))
 
     def test_wide_ordinates_and_negative_nodes(self):
-        # 200-bit ordinates over 200-bit denominators, at nodes of either
-        # sign with unlike denominators, in no order
+        # 200-bit ordinates, at nodes of either sign, in no order
         rng = random.Random(5303)
         for n in range(1, 21):
             xs = set()
             while len(xs) < n:
-                xs.add(Fraction(rng.randint(-10**4, 10**4), rng.randint(1, 60)))
+                xs.add(rng.randint(-10**4, 10**4))
             xs = sorted(xs)
             rng.shuffle(xs)
-            ys = [Fraction(rng.choice((-1, 1)) * rng.getrandbits(200),
-                           rng.getrandbits(200) | 1) for _ in xs]
-            got = _interpolate(xs, ys)
+            ys = [rng.choice((-1, 1)) * rng.getrandbits(200) for _ in xs]
+            got = _interpolated(xs, ys)
             assert got == lagrange_reference(list(zip(xs, ys)))
             assert all(got(x) == y for x, y in zip(xs, ys))
 
     def test_int_points_read_as_they_are(self):
         # int nodes and int values, as the state space's characteristic
-        # polynomial passes them, give the Polynomial that the equal
-        # Fractions give; a range of nodes included, and either side int
+        # polynomial and the fixture coefficients pass them, a range of
+        # nodes included
         rng = random.Random(6007)
         for n in range(1, 16):
             xs = rng.sample(range(-50, 51), n)
             ys = [rng.choice((-1, 1)) * rng.getrandbits(rng.randint(1, 120))
                   for _ in xs]
-            want = _interpolate([Fraction(x) for x in xs],
-                                [Fraction(y) for y in ys])
-            assert want == lagrange_reference(
+            assert _interpolated(xs, ys) == lagrange_reference(
                 [(Fraction(x), Fraction(y)) for x, y in zip(xs, ys)])
-            assert _interpolate(xs, ys) == want
-            assert _interpolate(xs, [Fraction(y) for y in ys]) == want
-            assert _interpolate([Fraction(x) for x in xs], ys) == want
             nodes = range(n)
-            assert _interpolate(nodes, ys) == _interpolate(
-                [Fraction(x) for x in nodes], [Fraction(y) for y in ys])
+            assert _interpolated(nodes, ys) == lagrange_reference(
+                [(Fraction(x), Fraction(y)) for x, y in zip(nodes, ys)])
 
     def test_repeated_abscissa_raises(self):
-        points = [(Q(1), Q(2)), (Q(3), Q(1)), (Q(1), Q(5))]
+        points = [(1, 2), (3, 1), (1, 5)]
         for interp in (lambda: _interpolate(*zip(*points)),
                        lambda: lagrange_reference(points)):
             with pytest.raises(ZeroDivisionError):

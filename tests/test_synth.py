@@ -27,7 +27,8 @@ from prsyn.synth import (SEVEN_ELEMENT_VARIANTS, Classification,
                          resultant_fixture_check, theorem2_step,
                          verify_theorem2_identity, _QUARTET_REQUIREMENTS)
 
-from conftest import (bridge_over_q, count_pr_tests, rand_q, sample_region,
+from conftest import (bridge_over_q, coefficients_in_x_reference,
+                      count_pr_tests, pair_over_q, rand_q, sample_region,
                       tree_pair_reference)
 
 
@@ -769,8 +770,8 @@ class TestFixtureArms:
                 num, den = bridge_reference(want)
                 assert bridge_over_q(got) == (num, den)
                 if target0 is None:
-                    assert _n1112_pair_at(fam, r1, g2z, g3, F,
-                                          w0)(var) == (num, den)
+                    assert pair_over_q(_n1112_pair_at(fam, r1, g2z, g3, F,
+                                                      w0)(var)) == (num, den)
                 else:
                     c = target0 / num(Q(0))
                     assert (_scaled(family, _quartet_polys(fam, w0, **params),
@@ -805,7 +806,39 @@ class TestFixtureArms:
                 arms = _quartet_arms(fam, QuartetParams(fam, **params), w0)
                 want = bridge_reference({slot: tree_pair_reference(t)
                                          for slot, t in arms.items()})
-                assert _quartet_polys(fam, w0, **params) == want
+                assert pair_over_q(_quartet_polys(fam, w0, **params)) == want
+        assert seen_zero == {"r1", "g2"}
+
+    def test_coefficients_in_x_match_the_q_reference(self):
+        # the Z[x] sides against the former Q[x] route (conftest), equal up
+        # to one positive constant shared by num and den, at Q8, N11 and
+        # N12 points with denominators up to 10^9, r1 = 0 and g2 = 0
+        # included (the g2 = 0 feasibility path reads N12 at g2 = 0)
+        from prsyn.synth import (_N1112_E, _coefficients_in_x,
+                                 _n1112_pair_at, _quartet_polys)
+        rng = random.Random(3571)
+
+        def q(zero=False):
+            if zero and rng.random() < 0.25:
+                return Q(0)
+            big = 10 ** rng.choice((1, 3, 9))
+            return Fraction(rng.randint(1, big), rng.randint(1, big))
+
+        seen_zero = set()
+        for _ in range(100):
+            w0, F, g1, g2, c2, g3 = (q() for _ in range(6))
+            r1, g2z = q(zero=True), q(zero=True)
+            seen_zero |= {k for k, v in (("r1", r1), ("g2", g2z)) if v == 0}
+            checks = [(lambda x: _quartet_polys("N8", w0, A=1 / g1, B=1 / g2,
+                                                C=x / c2, D=x), 3, 1)] + [
+                (_n1112_pair_at(fam, r1, g2z, g3, F, w0), 1, _N1112_E[fam])
+                for fam in ("N11", "N12")]
+            for pair_at, degree, e in checks:
+                got = _coefficients_in_x(pair_at, degree, e)
+                want = coefficients_in_x_reference(pair_at, degree, e)
+                assert list(map(len, got)) == list(map(len, want))
+                _one_constant([Polynomial(c) for side in got for c in side],
+                              [c for side in want for c in side])
         assert seen_zero == {"r1", "g2"}
 
     def test_n1112_pairs_match_the_direct_bridge(self):
@@ -832,7 +865,8 @@ class TestFixtureArms:
             for r1, g2, g3, F, w0 in points:
                 cols = _coefficients_in_x(
                     _n1112_pair_at(fam, r1, g2, g3, F, w0), 1, e)
-                assert all(c.degree <= 1 for side in cols for c in side)
+                assert all(len(c) <= 2 for side in cols for c in side)
+                got, direct = [], []
                 for v in FORMER_SAMPLES + [Q(29, 4), rand_q(rng, 1, 9)]:
                     qp = QuartetParams(fam, A=r1, B=1 / g3, C=g2, D=F / v,
                                        E=F)
@@ -840,8 +874,9 @@ class TestFixtureArms:
                             in _quartet_arms(fam, qp, w0).items()}
                     want = bridge_over_q(arms)
                     assert want == bridge_reference(arms)
-                    assert _read_off(cols, v) == (want[0] * v ** e,
-                                                  want[1] * v ** e)
+                    got += _read_off(cols, v)
+                    direct += (want[0] * v ** e, want[1] * v ** e)
+                _one_constant(got, direct)
 
     def test_q8_pairs_match_the_direct_bridge(self, monkeypatch):
         # the cubic-in-F coefficients that the Q8 check reads, at every
@@ -860,14 +895,17 @@ class TestFixtureArms:
             target0 = (1 + c2) * w0 ** 4
             assert family == "Q8"
             assert scale == Polynomial([0, target0 * target0])
+            got, direct = [], []
             for F in FORMER_SAMPLES + [Q(31, 5)]:
-                num, den = synth._quartet_polys("N8", w0, A=1 / g1, B=1 / g2,
-                                                C=F / c2, D=F)
-                got = _read_off(cols, F)
-                assert got == (num * F, den * F)
-                c = target0 / got[0].coeff(0)
-                assert (got[0] * c, got[1] * (c * F)) \
+                num, den = pair_over_q(synth._quartet_polys(
+                    "N8", w0, A=1 / g1, B=1 / g2, C=F / c2, D=F))
+                pair = _read_off(cols, F)
+                got += pair
+                direct += (num * F, den * F)
+                c = target0 / pair[0].coeff(0)
+                assert (pair[0] * c, pair[1] * (c * F)) \
                     == _q8_pair(g1, g2, c2, F, w0)
+            _one_constant(got, direct)
 
 
 # the 24 samples x = k/7 at which the fixture checks were once evaluated
@@ -875,8 +913,19 @@ FORMER_SAMPLES = [Q(k, 7) for k in range(1, 25)]
 
 
 def _read_off(cols, x):
-    """The pair in s whose s^j coefficients are cols[side][j] at x."""
-    return tuple(Polynomial([c(x) for c in side]) for side in cols)
+    """The pair in s whose s^j coefficients are the Z[x] int lists
+    cols[side][j] at x."""
+    return tuple(Polynomial([Polynomial(c)(x) for c in side])
+                 for side in cols)
+
+
+def _one_constant(got, want):
+    """The one c > 0 with got == c want, Polynomial by Polynomial, for the
+    sequences got and want: a Z[x] pair against the pair it stands for."""
+    c = next(g.leading() / w.leading() for g, w in zip(got, want) if w)
+    assert c > 0
+    assert list(got) == [w * c for w in want]
+    return c
 
 
 def _capturing(monkeypatch):
@@ -895,27 +944,33 @@ def _capturing(monkeypatch):
 
 class TestZxAgainstTheDirectPairs:
     """R0(x) and R1(x), read off one pass over Z[x], equal the integer
-    route on the direct ``_quartet_polys`` pair at every former sample:
-    the 24 samples and the spot sample of each check, and the 16 samples
-    of the g2 = 0 feasibility path."""
+    route on the direct ``_quartet_polys`` pair at every former sample, up
+    to the power of the one positive constant c that the Z[x] pair
+    carries: the 24 samples and the spot sample of each check, and the 16
+    samples of the g2 = 0 feasibility path."""
 
     @staticmethod
     def _compare(cols, e, xs, direct, scaled=None):
-        # cols is (P, Q), e the power of x that makes it polynomial; with
-        # scaled = (scale, pair_at), the scaled pair's R_k at x is
-        # scale^(4-k) R_k(P, Q) / P_0^(2 (4-k)) too
-        from prsyn.polyrat import _as_poly, _sylvester_r0_r1
-        r = [_as_poly(v) for v in _sylvester_r0_r1(*cols)]
-        for x in xs:
-            num, den = direct(x)
+        # cols is c (P, Q), e the power of x that makes it polynomial, so
+        # R_k of cols is c^(m+n-2k) R_k(P, Q); with scaled = (scale,
+        # pair_at), the scaled pair's R_k at x is scale^(4-k) R_k(cP, cQ) /
+        # (c P_0)^(2 (4-k)) too
+        from prsyn.polyrat import _sylvester_r0_r1
+        r = [Polynomial(v) for v in _sylvester_r0_r1(*cols)]
+        pairs = [pair_over_q(direct(x)) for x in xs]
+        c = _one_constant(
+            [p for x in xs for p in _read_off(cols, x)],
+            [side * x ** e for x, pair in zip(xs, pairs) for side in pair])
+        m, n = len(cols[0]) - 1, len(cols[1]) - 1
+        for x, (num, den) in zip(xs, pairs):
             for k in (0, 1):
-                assert r[k](x) == sylvester_determinant(num * x ** e,
-                                                        den * x ** e, k)
+                assert r[k](x) == c ** (m + n - 2 * k) * sylvester_determinant(
+                    num * x ** e, den * x ** e, k)
                 if scaled is not None:
                     scale, pair_at = scaled
                     p, q = pair_at(x)
                     assert (scale(x) ** (4 - k) * r[k](x)
-                            / cols[0][0](x) ** (2 * (4 - k))
+                            / Polynomial(cols[0][0])(x) ** (2 * (4 - k))
                             == sylvester_determinant(p, q, k))
 
     def test_q8_points(self, monkeypatch):
