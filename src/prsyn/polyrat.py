@@ -6,13 +6,14 @@ coefficients (Gauss's lemma).  A product multiplies contents and integer
 parts with no gcd, a sum takes one common denominator and one integer gcd,
 and ``coeffs`` builds the ``fractions.Fraction`` coefficients on demand.
 Equality is true equality.  The positive-real / minimum-function
-predicates are decided with Routh's test and Sturm chains, run as
-primitive remainder sequences on the integer parts, rather than numerical
-root finding.  A polynomial gets one Sturm chain: its last member is
-gcd(p, p') up to a constant, and divided by it the chain is one of the
-square-free part.  Only ``is_positive_real`` runs the PR test and keeps
-its verdict on the ``RationalFunction``, so a function is tested at most
-once.  Values at s = j*w are ``QComplex`` numbers with rational parts.
+predicates are decided with Routh's test and Sturm chains, not numerical
+root finding: gcds, Sturm chains and Routh rows read one primitive
+remainder sequence, ``_remainders``, on the integer parts as int lists.  A
+polynomial gets one Sturm chain: its last member is gcd(p, p') up to a
+constant, and divided by it the chain is one of the square-free part.  Only
+``is_positive_real`` runs the PR test and keeps its verdict on the
+``RationalFunction``, so a function is tested at most once.  Values at
+s = j*w are ``QComplex`` numbers with rational parts.
 Determinants and linear solves run one fraction-free elimination loop,
 ``_eliminate``, on bare ints: an element of Z[s], Z[x] or Z[j] is one
 trimmed ascending int list ([re, im] in j), [] as zero, and each ring has
@@ -30,12 +31,11 @@ over Z, or a fixture pair's coefficients in a parameter x as Z[x] int
 lists, so that one pass of leading minors gives both R_0(x) and R_1(x) of
 a pair as identities in x, in Z[x] too.  Interpolation reads integer
 points and gives an int numerator over one int, and Sturm signs stay in Z
-as well.  A law that a computed answer obeys raises
-``InvariantViolation``.  Real roots come from one exact isolator,
-``real_roots``: a rational root is a Fraction and an irrational one an
-open interval with rational ends, so a minimum frequency whose square is
-irrational is kept as such a bracket.  No computation here uses floating
-point.
+as well.  A law that a computed answer obeys raises ``InvariantViolation``.
+Real roots come from one exact isolator, ``real_roots``: a rational root
+is a Fraction and an irrational one an open interval with rational ends,
+so a minimum frequency whose square is irrational is kept as such a
+bracket.  No computation here uses floating point.
 """
 
 from __future__ import annotations
@@ -330,18 +330,12 @@ class Polynomial:
         return _poly([k * x for k, x in enumerate(self.prim)][1:],
                      c.numerator, c.denominator)
 
-    def prem(self, other: "Polynomial") -> "Polynomial":
-        """The primitive part of self mod other, a positive multiple of
-        that remainder, divided out over Z[s] on the integer parts."""
-        return _poly(_divide(self.prim, other.prim)[1])
-
     def gcd(self, other: "Polynomial") -> "Polynomial":
-        """The monic gcd (zero for two zeros) by the primitive remainder
-        sequence over Z[s] (Collins 1967; Knuth, TAOCP vol. 2, 4.6.1)."""
-        a, b = self, _as_poly(other)
-        while b:
-            a, b = b, a.prem(b)
-        return a.monic()
+        """The monic gcd (zero for two zeros): the last member of the
+        primitive remainder sequence of the integer parts over Z[s]
+        (``_remainders``; Collins 1967; Knuth, TAOCP vol. 2, 4.6.1)."""
+        *_, g = _remainders(self.prim, _as_poly(other).prim, 1)
+        return _poly(list(g)).monic()
 
     def __call__(self, x):
         """Horner evaluation; works for Fraction and QComplex."""
@@ -617,52 +611,62 @@ def eval_ratfunc(f: RationalFunction, z) -> QComplex:
 
 
 # ---------------------------------------------------------------------------
-# Sturm chains and root machinery
+# Roots on trimmed int lists, as in the kernel: no helper builds a Polynomial
 # ---------------------------------------------------------------------------
 
-def sturm_chain(p: Polynomial) -> List[Polynomial]:
-    """Sturm chain of p as a primitive PRS over Z[s] (Brown & Traub 1971):
-    each member a positive multiple of the chain p, p', -rem(p, p'), ...,
-    so with the same signs."""
-    chain = [p, p.derivative()]
-    while chain[-1]:
-        chain.append(-chain[-2].prem(chain[-1]))
-    chain.pop()
-    return chain
+def _remainders(a: Sequence[int], b: Sequence[int], sign: int):
+    """The primitive remainder sequence a, b, r_2, ... of the trimmed int
+    lists a and b up to its last nonzero member, r_(k+1) sign times the
+    primitive part of r_(k-1) mod r_k (Collins 1967; Brown & Traub 1971):
+    with sign 1 its last member is gcd(a, b) up to a constant, with sign -1
+    it is a Sturm chain when b = a'.  A generator: Routh's test stops early."""
+    yield a
+    while b:
+        yield b
+        r = _trimmed(_divide(a, b)[1])
+        if r:
+            g = sign * math.gcd(*r)
+            if g != 1:
+                r = [x // g for x in r]
+        a, b = b, r
 
 
-def _square_free_chain(
-        p: Polynomial) -> Tuple[List[Polynomial], Polynomial]:
+def sturm_chain(p: Sequence[int]) -> List[Sequence[int]]:
+    """Sturm chain of the int list p: p, the primitive part of p', then
+    ``_remainders`` with sign -1, each member a positive multiple of the
+    chain p, p', -rem(p, p'), ..., so with the same signs."""
+    d = [k * x for k, x in enumerate(p)][1:]
+    g = math.gcd(*d)
+    return list(_remainders(p, [x // g for x in d] if g > 1 else d, -1))
+
+
+def _square_free_chain(p: Sequence[int]) -> Tuple[list, Sequence[int]]:
     """A Sturm chain of p / gcd(p, p'): p's chain divided by its last member
     g, gcd(p, p') up to a constant (Basu, Pollack & Roy 2006, ch. 2), and g.
     Unlike the undivided chain, it also counts right at a multiple root of
-    p."""
+    p.  g is primitive, so the division is exact over Z[s]."""
     chain = sturm_chain(p)
     g = chain[-1]
-    return (chain if g.is_constant() else [q // g for q in chain]), g
+    return (chain if len(g) <= 1 else [_divide(q, g)[0] for q in chain]), g
 
 
-def _sign_at(p: Polynomial, x) -> int:
-    """The sign of p at x, "+inf" or "-inf" included.  At x = a/b (b > 0)
-    it is the sign of the integer sum prim_i a^i b^(n-i), n = deg p, by
-    homogeneous Horner: that is p(x) b^n / content, and content > 0."""
-    if x == "+inf":
-        return 0 if p.is_zero() else (1 if p.prim[-1] > 0 else -1)
-    if x == "-inf":
-        if p.is_zero():
-            return 0
-        s = 1 if p.prim[-1] > 0 else -1
-        return s if len(p.prim) % 2 else -s
+def _sign_at(p: Sequence[int], x) -> int:
+    """The sign of the int list p at x, "+inf" or "-inf" included.  At x =
+    a/b (b > 0) it is the sign of the integer sum p_i a^i b^(n-i), n = deg
+    p, by homogeneous Horner: that is p(x) b^n."""
+    if type(x) is str and x in ("+inf", "-inf"):
+        s = 0 if not p else 1 if p[-1] > 0 else -1
+        return s if x == "+inf" or len(p) % 2 else -s
     x = _as_q(x)
     a, b = x.numerator, x.denominator
     acc, bpow = 0, 1
-    for c in reversed(p.prim):
+    for c in reversed(p):
         acc = acc * a + c * bpow
         bpow *= b
     return (acc > 0) - (acc < 0)
 
 
-def _variations(chain: Sequence[Polynomial], x) -> int:
+def _variations(chain: Sequence[Sequence[int]], x) -> int:
     signs = [s for s in (_sign_at(p, x) for p in chain) if s != 0]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
@@ -671,7 +675,7 @@ def count_real_roots(p: Polynomial, a="-inf", b="+inf") -> int:
     """Distinct real roots of p in (a, b], from its square-free chain."""
     if p.is_zero():
         raise ValueError("zero polynomial")
-    chain, _ = _square_free_chain(p)
+    chain, _ = _square_free_chain(p.prim)
     return _variations(chain, a) - _variations(chain, b)
 
 
@@ -681,27 +685,27 @@ def real_roots(p: Polynomial, lo=None,
     ascending: a Fraction for a rational root, an open interval (a, b) with
     rational ends for an irrational one, narrower than width when given.
 
-    Above degree two p gives way to its square-free part, the head of its
-    square-free chain.  Degrees one and two with rational roots take closed
-    forms.  Otherwise Sturm bisection on that chain isolates each root in an
-    interval (a, b] and refines it below min(width, 1/L^2), L the leading
-    coefficient with denominators cleared: the content's numerator times
-    the primitive part's leading coefficient.  A rational root's denominator
-    divides L and two distinct fractions with denominators <= L lie at
-    least 1/L^2 apart, so the only candidate is the fraction nearest the
-    midpoint with denominator <= L, and it is tested exactly."""
+    Above degree two p gives way to its primitive square-free part, the
+    head of its square-free chain.  Degrees one and two with rational roots
+    take closed forms.  Otherwise Sturm bisection on that chain isolates
+    each root in an interval (a, b] and refines it below min(width, 1/L^2),
+    L the leading coefficient with denominators cleared: the content's
+    numerator (1 for the square-free part) times the primitive part's
+    leading coefficient.  A rational root's denominator divides L and two
+    distinct fractions with denominators <= L lie at least 1/L^2 apart, so
+    the only candidate is the fraction nearest the midpoint with
+    denominator <= L, and it is tested exactly."""
     if p.is_zero():
         raise ValueError("zero polynomial")
-    chain = None
-    if p.degree > 2:
-        chain, _ = _square_free_chain(p)
-        p = chain[0].monic()
-    cs = p.coeffs
+    c, num, chain = p.prim, p.content.numerator, None
+    if len(c) > 3:
+        chain, _ = _square_free_chain(c)
+        c, num = chain[0], 1
     roots = None
-    if len(cs) <= 2:
-        roots = [-cs[0] / cs[1]] if len(cs) == 2 else []
-    elif len(cs) == 3:
-        c0, c1, c2 = cs
+    if len(c) <= 2:
+        roots = [Fraction(-c[0], c[1])] if len(c) == 2 else []
+    elif len(c) == 3:
+        c0, c1, c2 = c
         disc = c1 * c1 - 4 * c2 * c0
         root = sqrt_fraction(disc)
         if root is not None:
@@ -710,12 +714,12 @@ def real_roots(p: Polynomial, lo=None,
             roots = []
     if roots is not None:
         return [r for r in roots if lo is None or r > lo]
-    chain = chain or sturm_chain(p)
-    lead = p.content.numerator * abs(p.prim[-1])
+    chain = chain or sturm_chain(c)
+    lead = num * abs(c[-1])
     fine = Fraction(1, lead * lead)
     if width is not None:
         fine = min(fine, _as_q(width))
-    bound = 1 + Fraction(max(map(abs, p.prim)), abs(p.prim[-1]))
+    bound = 1 + Fraction(max(map(abs, c)), abs(c[-1]))
     a = -bound if lo is None else _as_q(lo)
     if a >= bound:
         return []
@@ -732,30 +736,28 @@ def real_roots(p: Polynomial, lo=None,
             if va > vm:
                 todo.append((a, va, m, vm))
         elif va - vb == 1:
-            c = ((a + b) / 2).limit_denominator(lead)
-            out.append(c if a < c <= b and p(c) == 0 else (a, b))
+            r = ((a + b) / 2).limit_denominator(lead)
+            out.append(r if a < r <= b and _sign_at(c, r) == 0 else (a, b))
     return out
 
 
 def strict_hurwitz(p: Polynomial) -> bool:
     """True iff all roots of p lie in the open left half-plane.
 
-    Routh's test: with lc p > 0, the rows of the Routh array are the
-    remainders of Euclid on f, the terms of p of the parity of its degree,
-    and g, the others; p is strict Hurwitz iff they drop one degree at a
-    time, all with positive leading coefficients.  The primitive PRS over
-    Z[s] gives positive multiples of the rows."""
+    Routh's test: the rows of the Routh array are the remainders of Euclid
+    on f, the terms of p of the parity of its degree, and g, the others; p
+    is strict Hurwitz iff they drop one degree at a time down to a
+    constant, all with leading coefficients of the sign of lc p.
+    ``_remainders`` with sign 1 gives positive multiples of the rows."""
     if p.is_zero():
         return False
-    c = p.prim if p.prim[-1] > 0 else (-p).prim
-    n = len(c) - 1
-    f, g = (_poly([x if k % 2 == r else 0 for k, x in enumerate(c)])
+    c, n = p.prim, len(p.prim) - 1
+    f, g = ([x if k % 2 == r else 0 for k, x in enumerate(c)]
             for r in (n % 2, 1 - n % 2))
-    while len(f.prim) > 1:
-        if len(g.prim) != len(f.prim) - 1 or g.prim[-1] <= 0:
+    for k, row in enumerate(_remainders(f, _trimmed(g), 1)):
+        if len(row) != n + 1 - k or (row[-1] > 0) != (c[-1] > 0):
             return False
-        f, g = g, f.prem(g)
-    return True
+    return len(row) == 1
 
 
 def even_part_numerator(g: RationalFunction) -> Polynomial:
@@ -785,16 +787,16 @@ def _nonnegative_on_nonneg_axis(e: Polynomial) -> bool:
 
 def _odd_multiplicity_roots(p: Polynomial) -> int:
     """The distinct roots of p on (0, oo) of odd multiplicity, p nonzero.
-    With g_0 = p and g_(k+1) the last member of g_k's Sturm chain, gcd(g_k,
-    g_k') up to a constant, that chain divided by g_(k+1) (both from
-    ``_square_free_chain``) counts the roots of g_k, those of p of
-    multiplicity > k; a root of multiplicity m is counted by g_0..g_(m-1),
-    so the alternating sum counts it once if m is odd and not at all if m
-    is even."""
-    count, sign = 0, 1
-    while not p.is_constant():
-        chain, p = _square_free_chain(p)
-        count += sign * (_variations(chain, Q(0)) - _variations(chain, "+inf"))
+    With g_0 = p's primitive part and g_(k+1) the last member of g_k's Sturm
+    chain, gcd(g_k, g_k') up to a constant, that chain divided by g_(k+1)
+    (both from ``_square_free_chain``) counts the roots of g_k, those of p
+    of multiplicity > k; a root of multiplicity m is counted by
+    g_0..g_(m-1), so the alternating sum counts it once if m is odd and not
+    at all if m is even."""
+    count, sign, g = 0, 1, p.prim
+    while len(g) > 1:
+        chain, g = _square_free_chain(g)
+        count += sign * (_variations(chain, 0) - _variations(chain, "+inf"))
         sign = -sign
     return count
 
@@ -870,15 +872,14 @@ def is_minimum_function(g: RationalFunction) -> bool:
 
 
 def _has_imaginary_axis_root(p: Polynomial) -> bool:
-    if p.is_zero() or p.prim[0] == 0:
+    c = p.prim
+    if not c or c[0] == 0:
         return True
-    even = _poly(list(p.prim[0::2]))
-    odd = _poly(list(p.prim[1::2]))
-    g = even.gcd(odd)
-    if g.degree < 1:
-        return False
-    # p(jw) = even(-w^2) + jw*odd(-w^2); common root u = -w^2 < 0 needed
-    return count_real_roots(g, "-inf", Q(0)) > 0
+    # p(jw) = even(-w^2) + jw*odd(-w^2); common root u = -w^2 < 0 needed,
+    # and u = 0 is none, as even(0) = p(0) != 0
+    *_, g = _remainders(_trimmed(c[0::2]), _trimmed(c[1::2]), 1)
+    chain = _square_free_chain(g)[0] if len(g) > 1 else []
+    return _variations(chain, "-inf") > _variations(chain, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -1089,9 +1089,10 @@ def n12_has_no_feasible_solution(r1, g2, g3, F) -> bool:
         x1 = -b / a
         if x1 <= 0:
             return True
-        p, q = _scaled("N12", _n1112_pair_at("N12", r1, g2, g3, F, Q(1))(x1),
-                       4, r1 * x1, F)
-        return sylvester_determinant(p, q, 1) != 0
+        # R_1 is homogeneous in each side: scaling one keeps it zero or not
+        num, den, _ = _n1112_pair_at("N12", r1, g2, g3, F, Q(1))(x1)
+        _require_nominal("N12", num, den, 4)
+        return _sylvester_r0_r1(num, den)[1] != 0
     if g2 != 0 and a == 0:
         return b != 0          # b = g3 > 0, so always true here
     # boundary g2 = 0 (open parallel resistor): R0 and R1 of x1 times the
@@ -1103,6 +1104,4 @@ def n12_has_no_feasible_solution(r1, g2, g3, F) -> bool:
     if rho0.is_zero() and rho1.is_zero():
         return False
     g = rho0.gcd(rho1)
-    if g.degree < 1:
-        return True
-    return count_real_roots(g, Q(0), "+inf") == 0
+    return g.degree < 1 or count_real_roots(g, Q(0), "+inf") == 0

@@ -9,7 +9,7 @@ import pytest
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from prsyn.polyrat import (BiquadParams, Polynomial, Q,  # noqa: E402
-                           leading_minors)
+                           leading_minors, sqrt_fraction)
 from prsyn.network import (CAPACITOR, INDUCTOR, RESISTOR, Element,  # noqa: E402
                            Leaf, Network, Par, Ser)
 from prsyn.synth import bridge_structural_polys  # noqa: E402
@@ -264,6 +264,117 @@ def tree_pair_reference(tree):
     for (n, d) in pairs[1:]:
         num, den = num * d + n * den, den * d
     return (num, den) if isinstance(tree, Ser) else (den, num)
+
+
+def sturm_chain_reference(p):
+    """The former Polynomial ``sturm_chain``, kept as a reference: p, p',
+    then each next member the negated primitive part of the remainder of
+    the two before it, all as Polynomials."""
+    chain = [p, p.derivative()]
+    while chain[-1]:
+        chain.append(-Polynomial((chain[-2] % chain[-1]).prim))
+    chain.pop()
+    return chain
+
+
+def square_free_chain_reference(p):
+    """The former Polynomial ``_square_free_chain``: p's chain divided by its
+    last member g, and g."""
+    chain = sturm_chain_reference(p)
+    g = chain[-1]
+    return (chain if g.is_constant() else [q // g for q in chain]), g
+
+
+def variations_reference(chain, x):
+    """The former ``_variations`` of a chain of Polynomials at x, "+inf" or
+    "-inf" included: the sign of p at a/b (b > 0) is that of the integer
+    sum prim_i a^i b^(n-i), as the content is positive."""
+    infinite = isinstance(x, str) and x in ("+inf", "-inf")
+    num, den = (1, 0) if infinite else Fraction(x).as_integer_ratio()
+
+    def sign(p):
+        if not p:
+            return 0
+        if infinite:
+            s = 1 if p.prim[-1] > 0 else -1
+            return s if x == "+inf" or len(p.prim) % 2 else -s
+        acc, bpow = 0, 1
+        for c in reversed(p.prim):
+            acc = acc * num + c * bpow
+            bpow *= den
+        return (acc > 0) - (acc < 0)
+
+    signs = [s for s in map(sign, chain) if s]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def count_real_roots_reference(p, a, b):
+    """The former ``count_real_roots``: roots in (a, b] from the square-free
+    chain."""
+    chain, _ = square_free_chain_reference(p)
+    return variations_reference(chain, a) - variations_reference(chain, b)
+
+
+def odd_multiplicity_reference(p):
+    """The former ``_odd_multiplicity_roots``: the alternating sum of the
+    roots on (0, oo) over the tower of square-free chains."""
+    count, sign = 0, 1
+    while not p.is_constant():
+        chain, p = square_free_chain_reference(p)
+        count += sign * (variations_reference(chain, Q(0))
+                         - variations_reference(chain, "+inf"))
+        sign = -sign
+    return count
+
+
+def real_roots_reference(p, lo=None, width=None):
+    """The former Polynomial ``real_roots``: the square-free part made monic
+    above degree two, closed forms in degrees one and two, else Sturm
+    bisection down to min(width, 1/L^2), L the content's numerator times
+    the primitive part's leading coefficient."""
+    chain = None
+    if p.degree > 2:
+        chain, _ = square_free_chain_reference(p)
+        p = chain[0].monic()
+    cs = p.coeffs
+    roots = None
+    if len(cs) <= 2:
+        roots = [-cs[0] / cs[1]] if len(cs) == 2 else []
+    elif len(cs) == 3:
+        c0, c1, c2 = cs
+        disc = c1 * c1 - 4 * c2 * c0
+        root = sqrt_fraction(disc)
+        if root is not None:
+            roots = sorted({(-c1 + root) / (2 * c2), (-c1 - root) / (2 * c2)})
+        elif disc < 0:
+            roots = []
+    if roots is not None:
+        return [r for r in roots if lo is None or r > lo]
+    chain = chain or sturm_chain_reference(p)
+    lead = p.content.numerator * abs(p.prim[-1])
+    fine = Fraction(1, lead * lead)
+    if width is not None:
+        fine = min(fine, Fraction(width))
+    bound = 1 + Fraction(max(map(abs, p.prim)), abs(p.prim[-1]))
+    a = -bound if lo is None else Fraction(lo)
+    if a >= bound:
+        return []
+    todo = [(a, variations_reference(chain, a), bound,
+             variations_reference(chain, bound))]
+    out = []
+    while todo:
+        a, va, b, vb = todo.pop()
+        if va - vb > 1 or va - vb == 1 and b - a >= fine:
+            m = (a + b) / 2
+            vm = variations_reference(chain, m)
+            if vm > vb:
+                todo.append((m, vm, b, vb))
+            if va > vm:
+                todo.append((a, va, m, vm))
+        elif va - vb == 1:
+            c = ((a + b) / 2).limit_denominator(lead)
+            out.append(c if a < c <= b and p(c) == 0 else (a, b))
+    return out
 
 
 def count_pr_tests(monkeypatch):

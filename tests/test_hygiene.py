@@ -36,10 +36,15 @@ interleaved Sylvester rows.  Every other determinant, the state space's
 det(sI - A) included, is a ``_det_z``.  Only two functions interpolate: ``synth._coefficients_in_x``,
 which reads a fixture pair's coefficients in x off a few bridge builds,
 and ``analysis._char_poly``; no check interpolates sampled values of its
-answer.  Likewise only three
-remainder loops call ``prem``: ``Polynomial.gcd``, ``sturm_chain`` and the
-Routh rows of ``strict_hurwitz``; the real-root code reads gcd(p, p') off
-the Sturm chain rather than running a fourth.  ``Polynomial`` is the
+answer.  Likewise one ``while`` loop divides:
+``_remainders``, the primitive remainder sequence on int lists that
+``Polynomial.gcd``, ``sturm_chain`` and the Routh rows of
+``strict_hurwitz`` read; the real-root code reads gcd(p, p') off the Sturm
+chain rather than running a second.  The root section runs on the same
+int lists, so its helpers (``_remainders``, ``sturm_chain``,
+``_square_free_chain``, ``_sign_at``, ``_variations``,
+``_odd_multiplicity_roots``, ``_has_imaginary_axis_root`` and
+``strict_hurwitz``) build no ``Polynomial``.  ``Polynomial`` is the
 one polynomial class of ``polyrat``, and the one class with division.  In the graph code of ``network`` and ``analysis`` exactly
 one function runs a stack loop: the depth-first search ``_search``, which
 gives both the connected components and the blocks.  In ``synth`` only
@@ -343,14 +348,23 @@ def test_spanning_tree_tables_read_only_by_the_bridge_evaluator():
     assert found == {("synth.py", "bridge_structural_polys")}
 
 
-# the three remainder loops: the gcd, the Sturm chain (whose last member is
-# gcd(p, p') for the root code) and the Routh rows
-PREM_LOOPS = {("polyrat.py", "Polynomial.gcd"), ("polyrat.py", "sturm_chain"),
-              ("polyrat.py", "strict_hurwitz")}
+# the one remainder loop, which the gcd, the Sturm chain (whose last member
+# is gcd(p, p') for the root code) and the Routh rows read
+PREM_LOOPS = {("polyrat.py", "_remainders")}
 
 
-def test_prem_called_only_by_the_remainder_loops():
-    # a call of .prem( anywhere else in src/ is a fourth remainder sequence
+def _divides(node) -> bool:
+    """Whether node calls _divide, divmod or a prem, or applies % or //."""
+    return (isinstance(node, ast.Call) and (getattr(node.func, "id", None)
+                                            or getattr(node.func, "attr", None))
+            in ("_divide", "divmod", "prem")
+            or isinstance(node, (ast.BinOp, ast.AugAssign))
+            and isinstance(node.op, (ast.Mod, ast.FloorDiv)))
+
+
+def test_one_remainder_loop():
+    # a `while` loop that divides, anywhere else in src/, is a second
+    # remainder sequence
     found = set()
     for path in MODULES:
         for top in _tree(path).body:
@@ -359,11 +373,27 @@ def test_prem_called_only_by_the_remainder_loops():
                       if isinstance(top, ast.ClassDef)
                       else [(getattr(top, "name", None), top)])
             for owner, node in owners:
-                if any(isinstance(c, ast.Call)
-                       and isinstance(c.func, ast.Attribute)
-                       and c.func.attr == "prem" for c in ast.walk(node)):
+                if any(isinstance(loop, ast.While)
+                       and any(map(_divides, ast.walk(loop)))
+                       for loop in ast.walk(node)):
                     found.add((path.name, owner))
     assert found == PREM_LOOPS
+
+
+# the root section on int lists: the remainder loop and what reads it
+ROOT_HELPERS = {"_remainders", "sturm_chain", "_square_free_chain",
+                "_sign_at", "_variations", "_odd_multiplicity_roots",
+                "_has_imaginary_axis_root", "strict_hurwitz"}
+
+
+def test_no_objects_in_the_root_helpers():
+    # a Polynomial (or Fraction) built per chain member, per remainder or
+    # per sign is the object route that the int lists removed; the public
+    # functions read .prim once, at entry
+    fns = [top for top in _tree(PACKAGE / "polyrat.py").body
+           if isinstance(top, ast.FunctionDef) and top.name in ROOT_HELPERS]
+    assert len(fns) == len(ROOT_HELPERS)
+    assert _object_calls(fns) == []
 
 
 # the classes of polyrat with arithmetic, one per number type: QComplex for

@@ -27,9 +27,11 @@ from prsyn.polyrat import (BiquadParams, DegreeTooSmall, InvariantViolation,
                            real_roots, reduce, solve, strict_hurwitz,
                            sturm_chain,
                            sylvester_determinant,
-                           PoleAtPoint, _variations)
+                           PoleAtPoint, _poly)
 
-from conftest import dense_gauss_jordan, leading_minors_over_q
+from conftest import (count_real_roots_reference, dense_gauss_jordan,
+                      leading_minors_over_q, odd_multiplicity_reference,
+                      real_roots_reference, variations_reference)
 
 S = Polynomial([0, 1])
 
@@ -277,6 +279,20 @@ class TestMinimumFunction:
             assert count_real_roots(even_part_profile(h), Q(0), "+inf") > 0
             assert not is_minimum_function(h)
 
+
+    def test_zero_or_pole_on_the_imaginary_axis_rejected(self):
+        # Y + 2s/(s^2 + 4) with Y a minimum function: PR, of equal degrees,
+        # and its real part still vanishes at omega0 = 1, but it has a pole
+        # at s = 2j, and its reciprocal a zero there; a gcd of the even and
+        # odd parts with a root u = -w^2 < 0 finds them.  (s^2 + 1)/(s^2 +
+        # s + 1) has a zero at s = j and an odd part of zero
+        y = biquad_template(BiquadParams(1, 1, Q(1, 2), 1))
+        z = y + RationalFunction(2 * S, Polynomial([4, 0, 1]))
+        w = parse_ratfunc("(s^2+1)/(s^2+s+1)")
+        for h in (z, z.reciprocal(), w, w.reciprocal()):
+            assert is_positive_real(h) and h.num.degree == h.den.degree
+            assert count_real_roots(even_part_profile(h), Q(0), "+inf") > 0
+            assert not is_minimum_function(h)
 
 class TestBiquadParams:
     def test_worked_example(self):
@@ -1378,7 +1394,7 @@ def q_count_reference(p, a, b):
     """count_real_roots through the two references."""
     p = (p // q_gcd_reference(p, p.derivative())).monic()
     chain = q_sturm_reference(p)
-    return _variations(chain, a) - _variations(chain, b)
+    return variations_reference(chain, a) - variations_reference(chain, b)
 
 
 def routh_reference(p):
@@ -1469,9 +1485,11 @@ class TestIntegerPRS:
             for a, b in [("-inf", "+inf"), (lo, "+inf"), ("-inf", lo),
                          (Q(0), "+inf")]:
                 assert count_real_roots(p, a, b) == q_count_reference(p, a, b)
-            # each member a positive rational multiple of the reference one
-            for new, ref in itertools.zip_longest(sturm_chain(p),
+            # each member, an int list, a positive rational multiple of the
+            # reference one
+            for new, ref in itertools.zip_longest(sturm_chain(p.prim),
                                                   q_sturm_reference(p)):
+                new = _poly(list(new))
                 ratio = new.leading() / ref.leading()
                 assert ratio > 0 and new == ref * ratio
             if p.degree < 1:
@@ -1503,11 +1521,11 @@ class TestIntegerPRS:
                       Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**9)),
                       Fraction(rng.randint(-40, 40), rng.randint(1, 7))]
             for x in points:
-                assert _sign_at(p, x) == sign(p(Fraction(x))), (p, x)
+                assert _sign_at(p.prim, x) == sign(p(Fraction(x))), (p, x)
             lead = sign(p.leading()) if p else 0
-            assert _sign_at(p, "+inf") == lead
-            assert _sign_at(p, "-inf") == (lead * (-1) ** int(p.degree)
-                                           if p else 0)
+            assert _sign_at(p.prim, "+inf") == lead
+            assert _sign_at(p.prim, "-inf") == (lead * (-1) ** int(p.degree)
+                                                if p else 0)
 
     def test_routh_matches_rational_array(self):
         # products of s + a and s^2 + b s + c: strict Hurwitz exactly when
@@ -1532,12 +1550,13 @@ class TestIntegerPRS:
         assert 50 < sum(verdicts) < len(verdicts) - 50
 
     def test_no_rational_euclid_in_the_pr_check(self, monkeypatch):
-        # Q[s] division from inside gcd or sturm_chain means a Fraction
-        # Euclid loop is back; exact divisions elsewhere (p // g) may stay
+        # Q[s] division from inside the one remainder sequence means a
+        # Fraction Euclid loop is back; exact divisions elsewhere (p // g)
+        # may stay
         from conftest import ladder_network
         from prsyn import polyrat
         from prsyn.analysis import impedance
-        loops = {Polynomial.gcd.__code__, polyrat.sturm_chain.__code__}
+        loops = {polyrat._remainders.__code__}
         inside, outside = [], []
         divmod_ = Polynomial.__divmod__
 
@@ -1554,15 +1573,16 @@ class TestIntegerPRS:
         assert inside == [] and outside
 
 
-def square_free_route(p):
-    """The route the square-free chain replaced: the square-free part as
-    (p // gcd(p, p')).monic(), then a fresh Sturm chain of it; with that
-    gcd, as the square-free chain gives its divisor too."""
-    g = Polynomial([1])
+def square_free_route(ints):
+    """The route the square-free chain replaced, on the int list ints: the
+    square-free part as (p // gcd(p, p')).monic(), then a fresh Sturm chain
+    of its int list; with that gcd as an int list, as the square-free chain
+    gives its divisor too."""
+    p, g = _poly(list(ints)), Polynomial([1])
     if p.degree >= 1:
         g = p.gcd(p.derivative())
         p = p // g
-    return sturm_chain(p.monic()), g
+    return sturm_chain(p.monic().prim), g.prim
 
 
 def odd_part_reference(p):
@@ -1728,7 +1748,7 @@ class TestSquareFreeChain:
             chains.clear()
             gcds.clear()
             assert is_positive_real(h)
-            assert chains == [e] and gcds == []
+            assert chains == [e.prim] and gcds == []
         analysis_gcds = []
         for n, omega0 in networks:
             gcds.clear()
@@ -1741,9 +1761,57 @@ class TestSquareFreeChain:
             gcds.clear()
             assert is_positive_real(fresh)
             e = even_part_profile(h)
-            assert chains == [e, sturm(e)[-1]] and gcds == []
+            assert chains == [e.prim, sturm(e.prim)[-1]] and gcds == []
         assert analysis_gcds and not any(b == a.derivative()
                                          for a, b in analysis_gcds if a)
+
+
+class TestRootSectionAgainstReference:
+    """The root section on int lists against the Polynomial code it replaced
+    (the reference copies in conftest): equal roots with their brackets,
+    counts, odd-multiplicity counts, Routh verdicts and gcds."""
+
+    def test_same_answers_as_the_polynomial_route(self):
+        from conftest import ladder_network
+        from prsyn.analysis import impedance
+        from prsyn.polyrat import _odd_multiplicity_roots
+        rng = random.Random(1)
+        polys = [random_rational_poly(rng) for _ in range(150)]
+        polys += [wide_random_poly(rng, d) for d in range(3, 17)]
+        # the whole line and a random (lo, width); the even-part profiles
+        # are read as minimum_frequencies reads them
+        cases = [(p, [(), TestSquareFreeChain.lo_width(rng)]) for p in polys]
+        profiles = scaled_check_profiles()
+        # ladders of the bench's sizes, from one Random(1) stream: their
+        # even-part profiles, and num + den for the Routh test
+        stream, hurwitz = random.Random(1), []
+        for size in (6, 8, 10, 12, 14, 16, 18, 20, 24, 28, 32):
+            h = impedance(ladder_network(size, stream))
+            profiles.append(even_part_profile(h))
+            hurwitz.append((h.num + h.den, []))
+        cases += [(e, [(Q(0), Fraction(1, 2 ** 60))]) for e in profiles]
+        brackets, verdicts = 0, []
+        for p, queries in cases + hurwitz:
+            q, common = random_rational_poly(rng), random_rational_poly(rng)
+            for a, b in [(p, q), (p, p.derivative()),
+                         (p * common, q * common)]:
+                assert a.gcd(b) == q_gcd_reference(a, b), (a, b)
+            verdicts.append(strict_hurwitz(p))
+            assert verdicts[-1] == routh_reference(p), p
+            if p.is_zero():
+                continue
+            for args in queries:
+                roots = real_roots(p, *args)
+                assert roots == real_roots_reference(p, *args), (p, args)
+                brackets += sum(not isinstance(r, Fraction) for r in roots)
+            lo = Fraction(rng.randint(-30, 30), rng.randint(1, 7))
+            for a, b in [("-inf", "+inf"), (lo, "+inf"), ("-inf", lo),
+                         (Q(0), "+inf")]:
+                assert (count_real_roots(p, a, b)
+                        == count_real_roots_reference(p, a, b)), (p, a, b)
+            assert (_odd_multiplicity_roots(p)
+                    == odd_multiplicity_reference(p)), p
+        assert brackets and 20 < sum(verdicts) < len(verdicts) - 20
 
 
 class FractionPolynomial:
