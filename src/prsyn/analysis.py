@@ -27,23 +27,22 @@ off one such solve, the port value alone.  The laws a computed answer
 must obey (the impedance is PR, the blocked laws) raise
 ``InvariantViolation`` (defined in ``polyrat``, re-exported here), also
 under ``python -O``.  The elimination lives in the elimination section of
-``polyrat``: ``leading_minors`` over Z[s], ``_det_z`` over Z and
-``solve`` over Q or Z[j], with nullspaces, all one fraction-free loop on
-bare ints; this module only sets up the systems, and divides by a
-solve's d where it fills its own types.  Each impedance is the quotient
-of the last two leading minors of one matrix, its vertices in
-minimum-degree order with the port vertex last.  The state space is read
-over Z: one sequence of int Krylov columns (dA)^j (e b) per (A, b), d
-and e the lcms of the denominators, gives the annihilator of b through
-one ``solve`` and the Markov parameters C A^j b, so ``ss_impedance`` is
-D + N / m with no determinant (Kailath 1980, *Linear Systems*, ch. 2 and
-sec. 6.2).  The PBH polynomials divide det(sI - A) by the annihilators of
-(A, B) and (A^T, C); det(sI - A) is read over Z too, interpolated from
-n + 1 int determinants of tI - dA (``_char_poly``), and the three read
-one clearing (d, dA) of A, so ``impedance`` is this module's one caller
-of ``leading_minors``.  Whether a function is PR, lossless or minimum is
-asked of ``polyrat`` alone, whose ``is_positive_real`` keeps its
-verdict, so the report after an impedance does not test it again.
+``polyrat``: ``leading_minors`` over Z[s] and ``solve`` over Q or Z[j],
+with nullspaces, one fraction-free loop on bare ints; this module only
+sets up the systems, and divides by a solve's d where it fills its own
+types.  Each impedance is the quotient of the last two leading minors of
+one matrix, its vertices in minimum-degree order with the port vertex
+last.  The state space is read over Z: one sequence of int Krylov
+columns (dA)^j (e b) per (A, b), d and e the lcms of the denominators,
+gives the annihilator of b through one ``solve`` and the Markov
+parameters C A^j b, so ``ss_impedance`` is D + N / m with no determinant
+(Kailath 1980, *Linear Systems*, ch. 2 and sec. 6.2).  The PBH
+polynomials divide det(sI - A) by the annihilators of (A, B) and
+(A^T, C); det(sI - A) is the det of one ``leading_minors`` pass over
+Z[s] on d s I - dA (``_char_poly``), and the three read one clearing
+(d, dA) of A.  Whether a function is PR, lossless or minimum is asked of
+``polyrat`` alone, whose ``is_positive_real`` keeps its verdict, so the
+report after an impedance does not test it again.
 """
 
 from __future__ import annotations
@@ -56,10 +55,9 @@ from operator import mul
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 
 from .polyrat import (ONE, InvariantViolation, Polynomial, Q, QComplex,
-                      RationalFunction, _as_q, _det_z, _gauss, _interpolate,
-                      _over_lcd, _parts, _poly, is_lossless, is_positive_real,
-                      leading_minors, qcomplex, real_roots, solve,
-                      strict_hurwitz)
+                      RationalFunction, _as_q, _gauss, _over_lcd, _parts,
+                      _poly, is_lossless, is_positive_real, leading_minors,
+                      qcomplex, real_roots, solve, strict_hurwitz)
 from . import network as net
 from .network import (CAPACITOR, INDUCTOR, RESISTOR, Network, OnePort,
                       OpenCircuit, ShortCircuit, one_port_boundary)
@@ -196,7 +194,7 @@ def impedance(n: Network, *,
     scale, _, mat, idx = _stamped or _stamp(n)
     order = _min_degree_order(n, idx)
     minors = [[1]] + leading_minors([[mat[r][c] for c in order]
-                                     for r in order])
+                                     for r in order])[0]
     if len(minors) <= len(mat):
         return NoImpedance()
     h = RationalFunction(_poly([0] + minors[-2], scale), _poly(minors[-1]))
@@ -804,17 +802,16 @@ class PBHReport:
 
 
 def _char_poly(d: int, da: List[List[int]]) -> Polynomial:
-    """chi = det(sI - A) for A given cleared as (d, dA) (``_cleared``), by
-    evaluation and interpolation over Z (von zur Gathen & Gerhard, *Modern
-    Computer Algebra*, ch. 5).  P(t) = det(tI - dA) is monic of degree n
-    over Z, so the n + 1 int determinants P(0), ..., P(n) (``_det_z``) fix
-    it (``_interpolate``, an int numerator over w), and chi(s) = P(d s) /
-    d^n.  With no state, d = 1, P(0) = det() = 1 and chi = 1."""
-    nn = len(da)
-    p, w = _interpolate(range(nn + 1), [
-        _det_z([[t * (i == j) - x for j, x in enumerate(row)]
-                for i, row in enumerate(da)]) for t in range(nn + 1)])
-    return _poly([x * d ** k for k, x in enumerate(p)], 1, w * d ** nn)
+    """chi = det(sI - A) for A given cleared as (d, dA) (``_cleared``): the
+    det of one ``leading_minors`` pass over Z[s] on the rows of d s I - dA,
+    diagonal entries [-x, d] and the others [-x], is d^n chi.  With no
+    state chi = 1."""
+    if not da:
+        return ONE
+    det = leading_minors([[[-x, d] if i == j else [-x]
+                           for j, x in enumerate(row)]
+                          for i, row in enumerate(da)])[1]
+    return _poly(det, 1, d ** len(da))
 
 
 def pbh_diagnostics(ss: StateSpace) -> PBHReport:
@@ -828,13 +825,13 @@ def pbh_diagnostics(ss: StateSpace) -> PBHReport:
     of B; dually, with the single row C, it is chi / m(A^T, C).  Both
     annihilators come from int Krylov columns (``_krylov``, one ``solve``
     each in ``_annihilator``), the same columns whose Markov parameters
-    give ``ss_impedance``, and chi from n + 1 int determinants
-    (``_char_poly``): no polynomial matrix is built.  A is cleared once,
-    to (d, dA), for chi and both sequences; (A^T, C) reads the transpose
-    of dA, whose d is A's.  The modes are the rational roots that
-    ``real_roots`` finds, ascending; irrational and complex roots remain
-    inside the returned polynomials.  Stabilizability is decided exactly
-    with a Hurwitz test on the whole uncontrollable polynomial."""
+    give ``ss_impedance``, and chi from one Z[s] pass over d s I - dA
+    (``_char_poly``).  A is cleared once, to (d, dA), for chi and both
+    sequences; (A^T, C) reads the transpose of dA, whose d is A's.  The
+    modes are the rational roots that ``real_roots`` finds, ascending;
+    irrational and complex roots remain inside the returned polynomials.
+    Stabilizability is decided exactly with a Hurwitz test on the whole
+    uncontrollable polynomial."""
     d, da = _cleared(ss.A)
     chi = _char_poly(d, da)
     _, cols = _krylov(da, ss.B)

@@ -17,13 +17,13 @@ s = j*w are ``QComplex`` numbers with rational parts.
 Determinants and linear solves run one fraction-free elimination loop,
 ``_eliminate``, on bare ints: an element of Z[s], Z[x] or Z[j] is one
 trimmed ascending int list ([re, im] in j), [] as zero, and each ring has
-one fused row step with its exact-division check.  Its three entry points
-answer in the ring of their entries: ``_det_z`` over Z (or over Z[x]
-where a Sylvester pass stops short), ``leading_minors`` over Z[s] on the
-nodal impedance's stamp triples and over Z[x] on a fixture's Sylvester
-rows, and ``solve``, which adds the back half, over Z on cleared rows or
-over Z[j] (Gaussian integers) on the phasor rows it is given: numerators
-over its last pivot.  A row with a zero in the pivot column skips that
+one fused row step with its exact-division check.  Its two entry points
+answer in the ring of their entries: ``leading_minors``, the forward
+half, gives the leading minors and the determinant of one pass, over Z
+on Sylvester rows, over Z[s] on the nodal impedance's stamp triples and
+on sI - A, and over Z[x] on a fixture's Sylvester rows; ``solve`` adds
+the back half, over Z on cleared rows or over Z[j] (Gaussian integers)
+on the phasor rows it is given: numerators over its last pivot.  A row with a zero in the pivot column skips that
 step and catches up when it is next read, so sparse rows cost little.
 Sylvester rows are built from coefficient sequences, interleaved by
 shift, with one sign rule: the integer primitive parts for a determinant
@@ -955,11 +955,11 @@ def _biquad_params(h: RationalFunction) -> BiquadParams:
 # element, [] as zero) and Z[j] (the Gaussian integer re + im j as
 # [re, im], [re] or [], the same convention in j).  Each ring has one fused
 # row step, (a p - lead b) / d with its exact-division check.  The forward
-# half gives the determinants over Z and Z[x] (``_det_z``) and the leading
-# minors over Z[s] and Z[x] (``leading_minors``: the nodal impedance's, and
-# R_0(x) and R_1(x) of a fixture pair), and a solve adds the back half,
-# over Z or Z[j] (``solve``).  Every answer is in the ring of the entries;
-# no function here builds a Polynomial, Fraction or QComplex.
+# half gives the leading minors and the determinant of one pass over Z,
+# Z[s] or Z[x] (``leading_minors``: the nodal impedance's minors, the
+# characteristic polynomial, the subresultants of a Sylvester pair), and
+# a solve adds the back half, over Z or Z[j] (``solve``).  Every answer is in the ring of
+# the entries; no function here builds a Polynomial, Fraction or QComplex.
 # ---------------------------------------------------------------------------
 
 _INEXACT = "fraction-free elimination left a remainder"
@@ -1149,47 +1149,32 @@ def _trimmed(x: Sequence[int]) -> List[int]:
     return list(x[:n])
 
 
-def _det_z(m: list):
-    """Determinant of a square matrix over Z (int entries) or over Z[x]
-    (int lists, in ``_sylvester_r0_r1``), by the forward half of
-    ``_eliminate`` on the rows m in place, with row swaps; a singular one
-    gives the ring's zero, 0 or []."""
-    poly = _list_entries(m)
-    pivots, sign = _eliminate(m, len(m), False,
-                              _step_poly if poly else _step_int)
-    if len(pivots) < len(m):
-        return [] if poly else 0
-    return _signed(m[-1][-1], sign) if m else 1
-
-
-def leading_minors(matrix: Sequence[Sequence]) -> list:
-    """The leading principal minors M_1, M_2, ... of a square matrix over Z
-    (int entries) or over Z[s] or Z[x] (ascending int lists; trailing zeros,
-    as in the stamp's triples, are trimmed on the copy), in the ring of the
-    entries, up to but not including the first that is zero, from one
-    forward pass of ``_eliminate``: before any row swap, the k-th pivot of
-    the Bareiss loop is M_k (Bareiss 1968, by Sylvester's identity).  The
-    loop swaps rows only at a zero pivot, the first zero leading minor, so
-    the minors stop at the first row that is no longer the matrix's own.
-    Its two callers are ``analysis.impedance`` over Z[s] and
-    ``_sylvester_r0_r1``, which reads two subresultants off one pass, over
-    Z[x] for a fixture pair whose coefficients are polynomials in a
-    parameter x.  A matrix with constant entries off a polynomial
-    diagonal, such as sI - A, is cheaper as integer determinants at
-    points, interpolated (``_interpolate``)."""
+def leading_minors(matrix: Sequence[Sequence]) -> tuple:
+    """(minors, det) of a square matrix over Z (int entries) or over Z[s]
+    or Z[x] (ascending int lists; trailing zeros, as in the stamp's
+    triples, are trimmed on the copy), in the ring of the entries, from one
+    forward pass of ``_eliminate``.  minors are the leading principal
+    minors M_1, M_2, ... up to but not including the first that is zero:
+    before any row swap, the k-th Bareiss pivot is M_k (Bareiss 1968, by
+    Sylvester's identity), and the loop swaps rows only at a zero pivot.
+    det is the determinant, row swaps kept: the last pivot times the swap
+    sign, the ring's zero (0 or []) when singular, and 1 for no rows."""
     poly = _list_entries(matrix)
     if poly:
         m = [[_trimmed(x) if any(x) else [] for x in row] for row in matrix]
     else:
         m = [list(row) for row in matrix]
     own = list(m)
-    pivots, _ = _eliminate(m, len(m), False, _step_poly if poly else _step_int)
+    pivots, sign = _eliminate(m, len(m), False,
+                              _step_poly if poly else _step_int)
     minors = []
     for k in range(len(pivots)):
         if m[k] is not own[k]:
             break
         minors.append(m[k][k])
-    return minors
+    if len(pivots) < len(m):
+        return minors, [] if poly else 0
+    return minors, _signed(m[-1][-1], sign) if m else 1
 
 
 def solve(rows, rhs):
@@ -1271,15 +1256,22 @@ def _interleaving_sign(m: int, n: int, k: int) -> int:
     return -1 if (j * (j - 1) // 2 + (b - j) * j) % 2 else 1
 
 
+def _subresultant(p: Sequence, q: Sequence, m: int, n: int, k: int, zero):
+    """R_k of the coefficient sequences p and q (ascending, ints or Z[x]
+    int lists, zero that ring's zero) read at the degrees m and n: the det
+    of one ``leading_minors`` pass over the rows of ``_sylvester_rows``,
+    times ``_interleaving_sign``."""
+    det = leading_minors(_sylvester_rows(p, q, m, n, k, zero))[1]
+    return _signed(det, _interleaving_sign(m, n, k))
+
+
 def _sylvester_det(p: Polynomial, q: Polynomial, m: int, n: int,
                    k: int) -> Fraction:
     """R_k of p and q read at the degrees m >= deg p and n >= deg q: the
-    int determinant of the interleaved rows of the primitive parts, times
-    ``_interleaving_sign`` and each content to the number of its rows (the
-    determinant is linear in each row).  A zero p or q has content 0, and
-    no rows when its exponent is 0."""
-    det = (_det_z(_sylvester_rows(p.prim, q.prim, m, n, k, 0))
-           * _interleaving_sign(m, n, k))
+    ``_subresultant`` of the primitive parts over Z, times each content to
+    the number of its rows (the determinant is linear in each row).  A
+    zero p or q has content 0, and no rows when its exponent is 0."""
+    det = _subresultant(p.prim, q.prim, m, n, k, 0)
     a, b = n - k, m - k
     c, e = p.content, q.content
     return Fraction(det * c.numerator ** a * e.numerator ** b,
@@ -1307,28 +1299,23 @@ def _sylvester_r0_r1(p: Sequence, q: Sequence) -> tuple:
     or Z[x]: ints, or trimmed int lists in a parameter x), in that ring,
     read at the degrees m = len(p) - 1 and n = len(q) - 1, from one
     ``leading_minors`` pass over the interleaved S_0 rows
-    (``_sylvester_rows``).  Its leading (m + n - 2k)-block is S_k in the
-    interleaved order, and the Bareiss pivots are the leading minors, so
-    minors m + n - 2 and m + n, times ``_interleaving_sign``, are R_1 and
-    R_0: every principal subresultant coefficient from one pass (Collins
-    1967; Brown & Traub 1971).  Over Z[x] they are R_0(x) and R_1(x),
-    identities in x.  A run of minors that stops short stops at a zero
-    one; a value past that is the determinant of the pivoting route,
-    ``_det_z`` over the same ring.  A zero value is the ring's zero, 0 or
-    [].  With min(m, n) < 2 there is no R_1 (DegreeTooSmall)."""
+    (``_sylvester_rows``): R_0 is its det and R_1 its minor m + n - 2, each
+    times ``_interleaving_sign``, since the leading (m + n - 2)-block of S_0
+    is S_1 in the interleaved order (Collins 1967; Brown & Traub 1971).
+    Over Z[x] they are R_0(x) and R_1(x), identities in x.  A run of minors
+    stops short at a zero one; an R_1 past that is the ``_subresultant``
+    of the S_1 rows.  A zero value is the ring's zero, 0 or [].  With
+    min(m, n) < 2 there is no R_1 (DegreeTooSmall)."""
     m, n = len(p) - 1, len(q) - 1
     if min(m, n) < 2:
         raise DegreeTooSmall(f"require min(deg p, deg q) >= 2, got {m}, {n}")
     zero = [] if type(p[0]) is list else 0
-    minors = leading_minors(_sylvester_rows(p, q, m, n, 0, zero))
+    minors, r0 = leading_minors(_sylvester_rows(p, q, m, n, 0, zero))
     minors.append(zero)         # the first zero minor, if the run stops
-    out = []
-    for k in (0, 1):
-        size = m + n - 2 * k
-        out.append(_signed(_det_z(_sylvester_rows(p, q, m, n, k, zero))
-                           if size > len(minors) else minors[size - 1],
-                           _interleaving_sign(m, n, k)))
-    return out[0], out[1]
+    size = m + n - 2
+    r1 = (_subresultant(p, q, m, n, 1, zero) if size > len(minors)
+          else _signed(minors[size - 1], _interleaving_sign(m, n, 1)))
+    return _signed(r0, _interleaving_sign(m, n, 0)), r1
 
 
 def _interpolate(xs: Sequence[int], ys: Sequence[int]) -> Tuple[List[int], int]:

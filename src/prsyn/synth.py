@@ -29,7 +29,7 @@ from .polyrat import (BiquadParams, InvariantViolation, NotMinimum,
                       NotRationalParams, Polynomial, Q, QComplex,
                       RationalFunction, _add, _as_q, _biquad_params,
                       _interpolate, _jomega_quotient, _mul, _poly,
-                      _sylvester_det, _sylvester_r0_r1,
+                      _subresultant, _sylvester_det, _sylvester_r0_r1,
                       biquad_template, count_real_roots, is_minimum_function,
                       is_positive_real, minimum_frequencies, real_roots,
                       sqrt_fraction, sylvester_determinant)
@@ -1089,10 +1089,11 @@ def n12_has_no_feasible_solution(r1, g2, g3, F) -> bool:
         x1 = -b / a
         if x1 <= 0:
             return True
-        # R_1 is homogeneous in each side: scaling one keeps it zero or not
+        # R_1 is homogeneous in each side: scaling one keeps it zero or not;
+        # one pass over the 6 x 6 S_1 rows reads it
         num, den, _ = _n1112_pair_at("N12", r1, g2, g3, F, Q(1))(x1)
         _require_nominal("N12", num, den, 4)
-        return _sylvester_r0_r1(num, den)[1] != 0
+        return _subresultant(num, den, 4, 4, 1, 0) != 0
     if g2 != 0 and a == 0:
         return b != 0          # b = g3 > 0, so always true here
     # boundary g2 = 0 (open parallel resistor): R0 and R1 of x1 times the

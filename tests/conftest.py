@@ -192,7 +192,7 @@ def leading_minors_over_q(m):
     ints = [[[c * (x.content.numerator * (scale // x.content.denominator))
               for c in x.prim] for x in row] for row, scale in zip(m, scales)]
     out, den = [], 1
-    for minor, scale in zip(leading_minors(ints), scales):
+    for minor, scale in zip(leading_minors(ints)[0], scales):
         den *= scale
         out.append(Polynomial([Fraction(c, den) for c in minor]))
     return out

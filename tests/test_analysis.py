@@ -78,9 +78,9 @@ def rpfg():
 
 
 def count_eliminations(monkeypatch):
-    """Record each call of ``leading_minors``, the one Z[s] elimination
+    """Record each call of ``leading_minors``, the one forward elimination
     entry point, from analysis: one name per forward pass of the Bareiss
-    loop."""
+    loop (the impedance's, or chi's over Z[s])."""
     import prsyn.analysis as analysis
     calls = []
 
@@ -90,21 +90,6 @@ def count_eliminations(monkeypatch):
 
     monkeypatch.setattr(analysis, "leading_minors", counted)
     return calls
-
-
-def count_int_determinants(monkeypatch):
-    """Record the size of each int matrix whose determinant analysis takes
-    through ``_det_z``."""
-    import prsyn.analysis as analysis
-    sizes = []
-    det_z = analysis._det_z
-
-    def counted(m):
-        sizes.append(len(m))
-        return det_z(m)
-
-    monkeypatch.setattr(analysis, "_det_z", counted)
-    return sizes
 
 
 class TestImpedance:
@@ -540,15 +525,14 @@ class TestStateSpace:
 
 class TestPBH:
     def test_no_state(self, monkeypatch):
-        # two resistors in parallel: with no state chi = 1, from the one int
-        # determinant of the empty matrix, so both mode polynomials are 1
+        # two resistors in parallel: with no state chi = 1 with no pass, so
+        # both mode polynomials are 1
         ss = state_space(parse_netlist("R r1 a b 1\nR r2 a b 2\nPORT a b"))
         assert ss.n == 0
         assert ss_impedance(ss) == RationalFunction(Polynomial([Q(2, 3)]))
         eliminations = count_eliminations(monkeypatch)
-        determinants = count_int_determinants(monkeypatch)
         rep = pbh_diagnostics(ss)
-        assert (eliminations, determinants) == ([], [0])
+        assert eliminations == []
         assert rep.uncontrollable_poly == rep.unobservable_poly == Polynomial([1])
         assert rep.uncontrollable_modes == rep.unobservable_modes == ()
         assert rep.controllable and rep.observable and rep.stabilizable
@@ -593,14 +577,12 @@ class TestPBH:
 
     def test_determinants_on_rpfg_five_states(self, rpfg, monkeypatch):
         # no determinant for the impedance, only the nullspace solve of the
-        # annihilator of B; for PBH, n + 1 int determinants of tI - dA for
-        # chi, no elimination over Q[s], and one nullspace solve per
-        # annihilator
+        # annihilator of B; for PBH, one leading_minors pass over Z[s] on
+        # d s I - dA for chi, and one nullspace solve per annihilator
         import prsyn.analysis as analysis
         ss = state_space(rpfg)
         assert ss.n == 5
         eliminations = count_eliminations(monkeypatch)
-        determinants = count_int_determinants(monkeypatch)
         solves = []
 
         def counted_solve(*args):
@@ -609,10 +591,10 @@ class TestPBH:
 
         monkeypatch.setattr(analysis, "solve", counted_solve)
         ss_impedance(ss)
-        assert (eliminations, determinants, len(solves)) == ([], [], 1)
+        assert (eliminations, len(solves)) == ([], 1)
         solves.clear()
         pbh_diagnostics(ss)
-        assert (eliminations, determinants, len(solves)) == ([], [5] * 6, 2)
+        assert (eliminations, len(solves)) == (["leading_minors"], 2)
 
     def test_a_cleared_once_per_call(self, rpfg, monkeypatch):
         # chi and both Krylov sequences read one clearing (d, dA) of A, the
@@ -1346,9 +1328,9 @@ def _minor_gcd_pbh(ss):
 
 
 def _leading_minor_char_poly(ss):
-    """Reference copy of the chi route that _char_poly replaced: the last
-    leading minor of sI - A over Q[s], from one ``leading_minors`` pass
-    (1 with no state)."""
+    """Reference chi: the last leading minor of sI - A over Q[s], each row
+    cleared by its own lcm (``leading_minors_over_q``), where _char_poly
+    reads the det of one pass over d s I - dA (1 with no state)."""
     nn = ss.n
     sia = [[Polynomial([-ss.A[i][j], int(i == j)]) for j in range(nn)]
            for i in range(nn)]

@@ -11,35 +11,34 @@ module-level constant must be referenced somewhere in ``src/`` or
 none calls ``complex``, and only the CLI ``check`` formatter calls
 ``float``, to print a minimum frequency whose square is irrational.  The
 one fraction-free elimination loop, ``_eliminate``, is named only by its
-three entry points in the elimination section of ``polyrat``: the
-determinant over Z or Z[x] (``_det_z``, which Sylvester determinants run
-on the interleaved rows of primitive parts) and the leading minors over
-Z, Z[s] or Z[x] (``leading_minors``, whose last one is a determinant) run
-its forward half, and the solves (``solve``) its back half too, over Z on
-cleared rows and over Z[j] on the phasor rows that ``analysis`` stamps
-there, so no second elimination loop runs beside it.  Every ring of that
-section runs on bare ints: an element of Z[s], Z[x] or Z[j] is one
-trimmed int list, so no function of the section calls ``Polynomial``,
-``Fraction`` (or its alias ``Q``), ``QComplex``, ``_poly`` or ``_new``;
-nor does the fixture route, which runs on the same int lists from the
+two entry points in the elimination section of ``polyrat``: the leading
+minors and the determinant of one pass over Z, Z[s] or Z[x]
+(``leading_minors``) run its forward half, and the solves (``solve``) its
+back half too, over Z on cleared rows and over Z[j] on the phasor rows
+that ``analysis`` stamps there, so no second elimination loop runs beside
+it.  Every ring of that section runs on bare ints: an element of Z[s],
+Z[x] or Z[j] is one trimmed int list, so no function of the section
+calls ``Polynomial``, ``Fraction`` (or its alias ``Q``), ``QComplex``,
+``_poly`` or ``_new``; nor does the fixture route, which runs on the same int lists from the
 bridge builds to R_0 and R_1: ``network._tree_ints`` (an arm's pair),
 ``synth.bridge_structural_polys`` (their Kirchhoff sum),
 ``synth._quartet_polys`` (a member's pair over its scale),
 ``synth._coefficients_in_x`` (the pair's coefficients in x, from builds
 at integer nodes), ``polyrat._interpolate`` (integer points, an int
-numerator over one int) and ``polyrat._sylvester_r0_r1`` (answers in the
-ring of its sequences, Z or Z[x]).  Two readers call
-``leading_minors``: ``analysis.impedance`` over Z[s], the one elimination
-of the nodal matrix, and ``polyrat._sylvester_r0_r1`` over Z[x], which
-reads R_0(x) and R_1(x) of a fixture pair off one pass over the
-interleaved Sylvester rows.  Every other determinant, the state space's
-det(sI - A) included, is a ``_det_z``.  Only two functions interpolate: ``synth._coefficients_in_x``,
-which reads a fixture pair's coefficients in x off a few bridge builds,
-and ``analysis._char_poly``; no check interpolates sampled values of its
-answer.  Likewise one ``while`` loop divides:
-``_remainders``, the primitive remainder sequence on int lists that
-``Polynomial.gcd``, ``sturm_chain`` and the Routh rows of
-``strict_hurwitz`` read; the real-root code reads gcd(p, p') off the Sturm
+numerator over one int), ``polyrat._sylvester_r0_r1`` and
+``polyrat._subresultant`` (answers in the ring of their sequences, Z or
+Z[x]).  Four readers call ``leading_minors``: ``analysis.impedance`` over
+Z[s], the one elimination of the nodal matrix; ``analysis._char_poly``,
+det(sI - A) as the det of one pass over Z[s]; ``polyrat._sylvester_r0_r1``,
+which reads R_0 and R_1 of a pair, R_0(x) and R_1(x) of a fixture pair
+over Z[x], off one pass over the interleaved Sylvester rows; and
+``polyrat._subresultant``, one R_k as the det of one pass, which every
+other Sylvester determinant is.  Only ``synth._coefficients_in_x``
+interpolates, reading a fixture pair's coefficients in x off a few bridge
+builds; no check interpolates sampled values of its answer.  Likewise
+one ``while`` loop divides: ``_remainders``, the primitive remainder
+sequence on int lists that ``Polynomial.gcd``, ``sturm_chain`` and the
+Routh rows of ``strict_hurwitz`` read; the real-root code reads gcd(p, p') off the Sturm
 chain rather than running a second.  The root section runs on the same
 int lists, so its helpers (``_remainders``, ``sturm_chain``,
 ``_square_free_chain``, ``_sign_at``, ``_variations``,
@@ -187,11 +186,10 @@ def test_no_float_arithmetic():
     assert found == []
 
 
-# the entry points of the one elimination loop: int or Z[x] rows forward
-# (the determinant), int, Z[s] or Z[x] rows forward (the leading minors),
-# int or Z[j] rows forward and back (the solve)
-BAREISS_ENTRY_POINTS = {("src/prsyn/polyrat.py", "_det_z"),
-                        ("src/prsyn/polyrat.py", "leading_minors"),
+# the entry points of the one elimination loop: int, Z[s] or Z[x] rows
+# forward (the leading minors and the determinant), int or Z[j] rows
+# forward and back (the solve)
+BAREISS_ENTRY_POINTS = {("src/prsyn/polyrat.py", "leading_minors"),
                         ("src/prsyn/polyrat.py", "solve")}
 
 
@@ -206,12 +204,15 @@ def test_bareiss_named_only_by_its_entry_points():
     assert found == BAREISS_ENTRY_POINTS
 
 
-# the readers of leading minors: the impedance's, the one elimination of
-# the nodal matrix over Z[s], and R_0(x) and R_1(x) of a fixture's Sylvester pair over Z[x].
-# Every other determinant is a _det_z (the characteristic polynomial of the
-# state space is interpolated from int determinants)
+# the readers of one forward pass: the impedance's leading minors, the one
+# elimination of the nodal matrix over Z[s]; the characteristic polynomial
+# of the state space, the det of one pass over Z[s]; R_0 and R_1 of a
+# Sylvester pair, over Z or Z[x]; and one R_k, the det of a pass over its
+# S_k rows, which every other Sylvester determinant is
 LEADING_MINOR_CALLERS = {("analysis.py", "impedance"),
-                         ("polyrat.py", "_sylvester_r0_r1")}
+                         ("analysis.py", "_char_poly"),
+                         ("polyrat.py", "_sylvester_r0_r1"),
+                         ("polyrat.py", "_subresultant")}
 
 
 def _callers(name):
@@ -228,17 +229,15 @@ def _callers(name):
     return found
 
 
-def test_leading_minors_called_only_by_its_two_readers():
-    # a call of leading_minors anywhere else in src/ is a second Z[s]
-    # elimination route, or a second subresultant reader
+def test_leading_minors_called_only_by_its_readers():
+    # a call of leading_minors anywhere else in src/ is a second
+    # determinant route, or a second subresultant reader
     assert _callers("leading_minors") == LEADING_MINOR_CALLERS
 
 
-# the callers of _interpolate: a fixture pair's coefficients in x, from the
-# bridge at a few integer nodes, and the state space's characteristic
-# polynomial, from int determinants at integer points
-INTERPOLATE_CALLERS = {("synth.py", "_coefficients_in_x"),
-                       ("analysis.py", "_char_poly")}
+# the one caller of _interpolate: a fixture pair's coefficients in x, from
+# the bridge at a few integer nodes
+INTERPOLATE_CALLERS = {("synth.py", "_coefficients_in_x")}
 
 
 def test_no_qcomplex_in_the_solve_or_the_energy_balance():
@@ -292,20 +291,21 @@ def _object_calls(fns):
 def test_no_objects_in_the_elimination_kernel():
     fns = _section_functions(PACKAGE / "polyrat.py", "Exact elimination")
     # the pin still sees the loop, its three ring steps and entry points
-    assert {"_eliminate", "_step_int", "_step_poly", "_step_gauss", "_det_z",
+    assert {"_eliminate", "_step_int", "_step_poly", "_step_gauss",
             "leading_minors", "solve"} <= {fn.name for fn in fns}
     assert _object_calls(fns) == []
 
 
 # the fixture route on int lists, from the bridge builds to R_0 and R_1:
 # each arm's pair, the Kirchhoff sum, a quartet member's pair over its
-# scale, the coefficients in x, their interpolation and the Z[x] pass
+# scale, the coefficients in x, their interpolation and the Z[x] passes
 BRIDGE_BUILDS = {("network.py", "_tree_ints"),
                  ("synth.py", "bridge_structural_polys"),
                  ("synth.py", "_quartet_polys"),
                  ("synth.py", "_coefficients_in_x"),
                  ("polyrat.py", "_interpolate"),
-                 ("polyrat.py", "_sylvester_r0_r1")}
+                 ("polyrat.py", "_sylvester_r0_r1"),
+                 ("polyrat.py", "_subresultant")}
 
 
 def test_no_objects_in_the_bridge_builds():
@@ -320,7 +320,7 @@ def test_no_objects_in_the_bridge_builds():
     assert _object_calls(fns) == []
 
 
-def test_interpolate_called_only_by_its_two_readers():
+def test_interpolate_called_only_by_the_coefficients_in_x():
     # a call of _interpolate anywhere else in src/ is a check read off
     # sampled values of its answer, where one exact pass can give the
     # identity itself

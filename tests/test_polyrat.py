@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from prsyn.polyrat import (BiquadParams, DegreeTooSmall, InvariantViolation,
                            NotBiquadratic, NotMinimum, Polynomial, Q, QComplex,
                            RationalFunction, ZeroDenominator,
-                           _det_z, _gauss, _interpolate,
+                           _gauss, _interpolate,
                            _sylvester_r0_r1,
                            biquad_params, biquad_template, count_real_roots,
                            even_part_profile, eval_ratfunc, format_poly,
@@ -378,8 +378,8 @@ class TestSylvester:
         for _ in range(25):
             n = rng.randint(1, 5)
             m = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
-            assert _det_z([row[:] for row in m]) == permutation_determinant(m)
-        assert _det_z([]) == 1
+            assert leading_minors(m)[1] == permutation_determinant(m)
+        assert leading_minors([]) == ([], 1)
         # the same elimination loop on the Polynomial entries of
         # leading_minors, with zero entries ending the run of minors
         for _ in range(25):
@@ -471,17 +471,34 @@ class TestSylvester:
         assert permutation_determinant(m)
         assert [p.coeffs for p in leading_minors_over_q(m)] \
             == leading_minors_reference(m) == [a.coeffs]
-        assert leading_minors([]) == []
+        assert leading_minors([]) == ([], 1)
+
+    def test_det_of_a_run_that_stops_at_a_zero_minor(self):
+        # nonsingular with M_2 = 0, over Z and over Z[x]: the run of minors
+        # stops at M_2, and the det of the same pass, row swaps kept, is
+        # the permutation oracle's
+        ints = [[1, 2, 3], [2, 4, 1], [0, 5, 7]]
+        assert permutation_determinant(ints) == 25
+        assert leading_minors(ints) == ([1], 25)
+        a, b = [1, 1], [2, 0, 1]            # 1 + x and 2 + x^2
+        rows = [[a, b, [3]], [[0, 1, 1], [0, 2, 0, 1], [0, 1]],
+                [[1], [4], [6, 1]]]         # row 1 starts x times row 0
+        minors, det = leading_minors(rows)
+        assert minors == [a]
+        oracle = permutation_determinant(
+            [[Polynomial(x) for x in row] for row in rows])
+        assert oracle and Polynomial(det) == oracle
 
     def test_forward_run_stops_at_a_column_without_pivot(self):
         # the determinant of a matrix whose first column is zero is known
         # there: no step of the elimination runs, so nothing is divided
         rows = ((2, 1, 1, 0), (1, 3, 1, 2), (1, 1, 4, 1), (0, 2, 1, 5))
-        assert _det_z(counted(rows)).v == permutation_determinant(rows)
+        assert (leading_minors(counted(rows))[1].v
+                == permutation_determinant(rows))
         assert Counted.divmods > 0
         Counted.divmods = 0
         zero_first = [(0,) + row[1:] for row in rows]
-        assert _det_z(counted(zero_first)) == 0
+        assert leading_minors(counted(zero_first)) == ([], 0)
         assert Counted.divmods == 0
 
     def test_inexact_division_raises_under_optimize(self):
@@ -575,9 +592,9 @@ class TestSylvester:
         # interleaved S_0 rows, against the Fraction Sylvester matrices:
         # random pairs, pairs with one shared root (R_0 = 0) and with two
         # (R_0 = R_1 = 0), and (n, n) pairs whose leading 2 x 2 blocks are
-        # equal up to a factor, so M_2 = 0 and a value past the run of
-        # minors comes from the pivoting route
-        fallbacks = count_det_z(monkeypatch)
+        # equal up to a factor, so M_2 = 0: R_0 is the det of the pass, row
+        # swaps kept, and an R_1 past the run of minors takes a second pass
+        passes = count_passes(monkeypatch)
         rng = random.Random(1967)
 
         def root():
@@ -609,29 +626,33 @@ class TestSylvester:
                          for k in (0, 1))
             assert want == (sylvester_determinant(p, q, 0),
                             sylvester_determinant(p, q, 1))
-            fallbacks.clear()
+            passes.clear()
             assert _r0_r1_of(p, q) == want
             if kind in ("random", "one_root"):
                 # one shared root: M_(m+n-1) != 0 and M_(m+n) = R_0 = 0
-                # ends the run, so R_0 is read as its zero minor
-                assert fallbacks == []
-                assert (want[0] == 0) == (kind == "one_root") and want[1]
+                # ends the run; the one pass gives both
+                one_root = kind == "one_root"
+                assert passes == [(m + n, m + n - one_root)]
+                assert (want[0] == 0) == one_root and want[1]
             elif kind == "two_roots":
-                # M_(m+n-2) = R_1 = 0 ends the run: R_0 by the pivoting
-                # route
-                assert want == (0, 0) and fallbacks == [m + n]
+                # M_(m+n-2) = R_1 = 0 ends the run: R_0 is the det of the
+                # same pass
+                assert want == (0, 0) and passes == [(m + n, m + n - 3)]
             else:
-                # R_0 by the pivoting route, and R_1 too once its 2n - 2
-                # rows reach past the zero M_2; R_1 = M_2 = 0 for n = 2
-                assert fallbacks == ([4] if n == 2 else [2 * n, 2 * n - 2])
+                # R_0 is the det of the pass, and R_1 takes a pass over the
+                # S_1 rows once they reach past the zero M_2; R_1 = M_2 = 0
+                # for n = 2
+                assert passes == ([(4, 1)] if n == 2
+                                  else [(2 * n, 1), (2 * n - 2, 1)])
                 assert (want[1] == 0) == (n == 2)
 
     def test_r0_r1_pass_on_small_pairs(self, monkeypatch):
         # small integer pairs, many of them degenerate, so that the run of
-        # leading minors stops anywhere: at the last one (R_0 = 0 read as
-        # the zero minor), one before it (R_0 by the pivoting route) or
-        # earlier (both by it), at equal and unequal degrees
-        fallbacks = count_det_z(monkeypatch)
+        # leading minors stops anywhere: at the last one (R_0 = 0, the
+        # zero minor), before it (R_0 the det of the pass, row swaps kept)
+        # or before M_(m+n-2) too (R_1 by a second pass), at equal and
+        # unequal degrees
+        passes = count_passes(monkeypatch)
         rng = random.Random(1971)
         shapes = ((2, 2), (3, 3), (3, 2), (2, 3), (4, 3))
         seen = set()
@@ -642,15 +663,18 @@ class TestSylvester:
                     for d in (m, n))
             want = tuple(fraction_determinant(sylvester_reference(p, q, m, n, k))
                          for k in (0, 1))
-            fallbacks.clear()
+            passes.clear()
             assert _r0_r1_of(p, q) == want
-            seen.add((m, n, len(fallbacks), want[0] == 0))
+            # how far the S_0 run stops short of M_(m+n): 0, 1, or more
+            short = min(m + n - passes[0][1], 2)
+            seen.add((m, n, len(passes), short, want[0] == 0))
         for m, n in shapes:
-            # a full run, R_0 = 0 read off the run, R_0 by the pivoting route
-            assert {(m, n, 0, False), (m, n, 0, True), (m, n, 1, False)} \
-                <= seen, (m, n)
-        # both by it: R_1 reaches past a zero minor
-        assert {(3, 3, 2, False), (4, 3, 2, False)} <= seen
+            # a full run, R_0 = 0 read off the run, R_0 the det of a pass
+            # that swapped rows
+            assert {(m, n, 1, 0, False), (m, n, 1, 1, True),
+                    (m, n, 1, 2, False)} <= seen, (m, n)
+        # R_1 by a second pass: it reaches past a zero minor
+        assert {(3, 3, 2, 2, False), (4, 3, 2, 2, False)} <= seen
         for p, q in ((parse_poly("s + 1"), parse_poly("s^2 + 2")),
                      (Polynomial(), parse_poly("s^2 + 1"))):
             with pytest.raises(DegreeTooSmall):
@@ -661,11 +685,11 @@ class TestSylvester:
         # coefficient lists in x whose leading 2 x 2 blocks are equal up to
         # a factor c(x), so M_2 is zero in x.  Cleared into Z[x] int lists
         # by one lcm L of both pairs' denominators, R_0(x) and R_1(x) come
-        # from the pivoting route over Z[x], equal L^(2n - 2k) times the
+        # from passes that swap rows over Z[x], equal L^(2n - 2k) times the
         # Q[x] Bareiss reference on the block-ordered Sylvester matrix, and
         # at integer and rational x equal the integer route on the pair
         # read off at x
-        fallbacks = count_det_z(monkeypatch)
+        passes = count_passes(monkeypatch)
         rng = random.Random(1968)
 
         def poly_in_x(deg):
@@ -682,13 +706,14 @@ class TestSylvester:
             lcd = math.lcm(*(x.content.denominator for x in p + q))
             cleared = ([[c * (x.content * lcd).numerator for c in x.prim]
                         for x in side] for side in (p, q))
-            fallbacks.clear()
+            passes.clear()
             got = tuple(Polynomial([Fraction(c, lcd ** (2 * n - 2 * k))
                                     for c in r]) for k, r in
                         enumerate(_sylvester_r0_r1(*cleared)))
-            # R_0 by the pivoting route, and R_1 too once its 2n - 2 rows
-            # reach past the zero M_2; R_1 = M_2 = 0 for n = 2
-            assert fallbacks == ([4] if n == 2 else [2 * n, 2 * n - 2])
+            # R_0 is the det of the pass, and R_1 takes a pass over the S_1
+            # rows once they reach past the zero M_2; R_1 = M_2 = 0 for n = 2
+            assert passes == ([(4, 1)] if n == 2
+                              else [(2 * n, 1), (2 * n - 2, 1)])
             zero = Polynomial()
             for k, r in enumerate(got):
                 size = 2 * n - 2 * k
@@ -715,19 +740,20 @@ def _r0_r1_of(p, q):
     return r0 * c ** n * e ** m, r1 * c ** (n - 1) * e ** (m - 1)
 
 
-def count_det_z(monkeypatch):
-    """Record the size of each determinant polyrat takes through
-    ``_det_z``: in ``_sylvester_r0_r1``, the pivoting route."""
+def count_passes(monkeypatch):
+    """Record each ``leading_minors`` pass polyrat makes, as (size, number
+    of leading minors in its run): in ``_sylvester_r0_r1``, the S_0 pass
+    and any ``_subresultant`` pass over the S_1 rows."""
     import prsyn.polyrat as polyrat
-    sizes = []
-    det_z = polyrat._det_z
+    passes = []
 
     def counted(m):
-        sizes.append(len(m))
-        return det_z(m)
+        minors, det = leading_minors(m)
+        passes.append((len(m), len(minors)))
+        return minors, det
 
-    monkeypatch.setattr(polyrat, "_det_z", counted)
-    return sizes
+    monkeypatch.setattr(polyrat, "leading_minors", counted)
+    return passes
 
 
 def _wide_poly(rng, deg, negative):
@@ -975,7 +1001,7 @@ class TestSparseElimination:
             m = [[rng.randint(-99, 99) if rng.random() < 0.25 else 0
                   for _ in range(n)] for _ in range(n)]
             swaps += not m[0][0] and any(row[0] for row in m)
-            assert _det_z([row[:] for row in m]) == permutation_determinant(m)
+            assert leading_minors(m)[1] == permutation_determinant(m)
         assert swaps > 10
 
     @pytest.mark.parametrize("field", ["fraction", "qcomplex"])
@@ -1022,13 +1048,14 @@ class TestSparseElimination:
         for k in range(1, n):
             f.append(a[k] * f[-1] - b[k - 1] * c[k - 1] * f[-2])
         Counted.divmods = 0
-        assert _det_z(counted(rows)).v == f[-1]
+        assert leading_minors(counted(rows))[1].v == f[-1]
         assert Counted.divmods <= 6 * n
         # dense: from step 1 on every entry right of and below the pivot
         # is divided once, (n - 2)^2 + ... + 1^2 = 5 divisions at n = 4
         dense = ((2, 1, 1, 3), (1, 3, 1, 2), (1, 1, 4, 1), (3, 2, 1, 5))
         Counted.divmods = 0
-        assert _det_z(counted(dense)).v == permutation_determinant(dense)
+        assert (leading_minors(counted(dense))[1].v
+                == permutation_determinant(dense))
         assert Counted.divmods == 5
 
 

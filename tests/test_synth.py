@@ -1143,9 +1143,9 @@ class TestOnceAPoint:
     """A fixture check builds its structural pairs once per point: the
     bridge at F = 1..4 for Q8, and at var = 1 and 2 for N11/N12.  A single
     point, the n12_has_no_feasible_solution x1 > 0 path, is one direct
-    build.  R0(x) and R1(x) of a check come from one pass of leading
-    minors over Z[x].  The counts are per check: they hold, check by
-    check, over a run of points."""
+    build, whose R_1 is one pass over its S_1 rows.  R0(x) and R1(x) of a
+    check come from one pass of leading minors over Z[x].  The counts are
+    per check: they hold, check by check, over a run of points."""
 
     @pytest.fixture(params=[24, 30], ids=["24_samples", "30_samples"])
     def samples(self, request):
@@ -1183,11 +1183,11 @@ class TestOnceAPoint:
 
     def test_one_leading_minor_pass_per_sample(self, monkeypatch, samples):
         # R0(x) and R1(x) of a check come from one leading_minors pass over
-        # the interleaved S_0 rows over Z[x]; the one determinant left is
-        # the nominal resultant of f1 and f2, over Z
+        # the interleaved S_0 rows over Z[x]; the one subresultant left is
+        # the nominal resultant of f1 and f2, over Z, one pass more
         import prsyn.polyrat as polyrat
         passes = _counting(monkeypatch, polyrat, "leading_minors")
-        dets = _counting(monkeypatch, polyrat, "_det_z")
+        dets = _counting(monkeypatch, polyrat, "_subresultant")
         for x in samples:
             n1112 = {"g3": Q(7, 4), "F": Q(1, 2), "omega0": x}
             points = [("Q8", {"g1": Q(3, 2), "g2": Q(2, 3), "c2": Q(5, 4),
@@ -1201,7 +1201,7 @@ class TestOnceAPoint:
             for fam, point in points:
                 passes[0] = dets[0] = 0
                 assert resultant_fixture_check(fam, point)
-                assert passes[0] == 1
+                assert passes[0] == 2
                 assert dets[0] == 1
             # the g2 = 0 feasibility path: one pass over its (4, 3) pair in
             # x1 and no other determinant
@@ -1217,6 +1217,37 @@ class TestOnceAPoint:
         # r1 = 1, g2 = 3, g3 = 1/2: f1 = x1/4 - 1 vanishes at x1 = 4
         assert n12_has_no_feasible_solution(1, 3, Q(1, 2), 1)
         assert bridges[0] == 1
+
+    def test_n12_feasibility_reads_r1_off_one_s1_pass(self, monkeypatch):
+        # at a positive root x1 of f1, R_1 of the point's pair is the det of
+        # one leading_minors pass over the 6 x 6 S_1 rows, equal to the R_1
+        # that the S_0 pass of _sylvester_r0_r1 reads, and nonzero
+        import prsyn.polyrat as polyrat
+        from prsyn.polyrat import _subresultant, _sylvester_r0_r1
+        from prsyn.synth import _n1112_pair_at
+        sizes, inner = [], polyrat.leading_minors
+
+        def counted(m):
+            sizes.append(len(m))
+            return inner(m)
+
+        monkeypatch.setattr(polyrat, "leading_minors", counted)
+        rng = random.Random(1212)
+        seen = 0
+        while seen < 20:
+            r1, g2, g3, F = (Fraction(rng.randint(1, 9), rng.randint(1, 9))
+                             for _ in range(4))
+            one_m = 1 - r1 * g3
+            a, b = g3 * one_m, g3 - g2 * one_m
+            if a == 0 or b / a >= 0:
+                continue
+            sizes.clear()
+            assert n12_has_no_feasible_solution(r1, g2, g3, F)
+            assert sizes == [6]
+            num, den, _ = _n1112_pair_at("N12", r1, g2, g3, F, Q(1))(-b / a)
+            r1_of_s1 = _subresultant(num, den, 4, 4, 1, 0)
+            assert r1_of_s1 == _sylvester_r0_r1(num, den)[1] != 0
+            seen += 1
 
 
 class TestFig2Params:
