@@ -32,17 +32,20 @@ with nullspaces, one fraction-free loop on bare ints; this module only
 sets up the systems, and divides by a solve's d where it fills its own
 types.  Each impedance is the quotient of the last two leading minors of
 one matrix, its vertices in minimum-degree order with the port vertex
-last.  The state space is read over Z: one sequence of int Krylov
-columns (dA)^j (e b) per (A, b), d and e the lcms of the denominators,
-gives the annihilator of b through one ``solve`` and the Markov
-parameters C A^j b, so ``ss_impedance`` is D + N / m with no determinant
-(Kailath 1980, *Linear Systems*, ch. 2 and sec. 6.2).  The PBH
-polynomials divide det(sI - A) by the annihilators of (A, B) and
-(A^T, C); det(sI - A) is the det of one ``leading_minors`` pass over
-Z[s] on d s I - dA (``_char_poly``), and the three read one clearing
-(d, dA) of A.  Whether a function is PR, lossless or minimum is asked of
-``polyrat`` alone, whose ``is_positive_real`` keeps its verdict, so the
-report after an impedance does not test it again.
+last.  The state space is read over Z, with one integer Krylov sequence
+per model, kept on the ``StateSpace`` (``_ab_sequence``): A cleared to
+the int rows dA over d, and the int Krylov columns (dA)^j (e B), d and e
+the lcms of the denominators, give the annihilator ints of B through one
+``solve`` and the Markov parameters C A^j B, summed over Z, so
+``ss_impedance`` is D + N / m with no determinant and no Fraction before
+its two polynomials (Kailath 1980, *Linear Systems*, ch. 2 and sec.
+6.2).  The PBH polynomials divide det(sI - A) by the monic annihilators
+of (A, B), the model's sequence, and (A^T, C), the one sequence PBH
+builds itself; det(sI - A) is the det of one ``leading_minors`` pass
+over Z[s] on d s I - dA (``_char_poly``).  Whether a function is PR,
+lossless or minimum is asked of ``polyrat`` alone, whose
+``is_positive_real`` keeps its verdict, so the report after an impedance
+does not test it again.
 """
 
 from __future__ import annotations
@@ -716,20 +719,10 @@ def state_space(n: Network) -> StateSpace:
                       tuple(vout[:nstate]), vout[nstate], tuple(states))
 
 
-def _cleared(a) -> Tuple[int, List[List[int]]]:
-    """(d, dA) for A given by its rows a: d the lcm of A's denominators
-    and dA the int rows d times a's."""
-    d = math.lcm(*(x.denominator for row in a for x in row))
-    return d, [[x.numerator * (d // x.denominator) for x in row] for row in a]
-
-
 def _krylov(da: List[List[int]], b) -> Tuple[int, List[List[int]]]:
-    """The Krylov columns of (A, b) over Z, A given by the int rows dA of
-    ``_cleared``.
-
-    With e the lcm of b's denominators, the columns are (dA)^j (e b) =
-    d^j e A^j b for j = 0..n, built by int dot products.  Returns (e,
-    columns)."""
+    """(e, columns): the Krylov columns (dA)^j (e b) = d^j e A^j b, j =
+    0..n, of (A, b) over Z by int dot products, A given by its int rows dA
+    over d and e the lcm of b's denominators."""
     col, e = _over_lcd(b)
     cols = [col]
     for _ in b:
@@ -738,49 +731,58 @@ def _krylov(da: List[List[int]], b) -> Tuple[int, List[List[int]]]:
     return e, cols
 
 
-def _annihilator(d: int, cols: List[List[int]]) -> Polynomial:
-    """The monic m of least degree with m(A) b = 0, from the int Krylov
-    columns (dA)^j (e b) of ``_krylov``, d the lcm of A's denominators.
+def _annihilator(cols: List[List[int]]) -> List[int]:
+    """The ints c_0..c_k of the annihilator m(s) = sum_j c_j d^j s^j /
+    (c_k d^k) of b (``_monic``), from its Krylov columns (``_krylov``).
+    Once a column depends on those before it, so does every later one, so
+    the free columns of the nullspace that ``solve`` finds are k..n, and
+    the first basis vector c belongs to column k: c_k is the last pivot,
+    c_j = 0 for j > k, and sum_j c_j d^j A^j b = 0 (Kailath 1980, *Linear
+    Systems*, sec. 6.2).  With no state m = 1."""
+    _, _, basis = solve(list(zip(*cols)), [[]] * (len(cols) - 1))
+    return basis[0][:len(cols) - len(basis) + 1] if basis else [1]
 
-    ``solve`` finds the nullspace of the columns, with no right-hand
-    column, as int numerators over its last pivot p.  Once a column
-    depends on those before it, so does every later one, so the free
-    columns are k..n, k the first dependent one.  The first basis vector c
-    belongs to it: c_k = p, c_j = 0 for j > k, and sum_j c_j d^j A^j b = 0.
-    So m(s) = sum_j (c_j / p) d^(j-k) s^j, which is m_A(s) = d^(-k)
-    m_dA(d s) (Kailath 1980, *Linear Systems*, sec. 6.2).  With no state,
-    or b = 0, m = 1."""
-    p, _, basis = solve(list(zip(*cols)), [[]] * (len(cols) - 1))
-    if not basis:
-        return ONE
-    k = len(cols) - len(basis)
-    return Polynomial([Fraction(x, p * d ** (k - j))
-                       for j, x in enumerate(basis[0][:k + 1])])
+
+def _monic(d: int, c: List[int]) -> Polynomial:
+    """The monic annihilator m of the ints c of ``_annihilator``."""
+    return _poly([x * d ** j for j, x in enumerate(c)]).monic()
+
+
+def _ab_sequence(ss: StateSpace):
+    """(d, dA, e, columns, c): the model's one (A, B) sequence, built once
+    and kept on it as ``RationalFunction`` keeps its PR verdict.  A is
+    cleared row by row (``_over_lcd``) to int rows dA over d, the lcm of
+    its denominators; then the Krylov columns and annihilator ints."""
+    seq = getattr(ss, "_ab", None)
+    if seq is None:
+        rows = [_over_lcd(row) for row in ss.A]
+        d = math.lcm(*(lcd for _, lcd in rows))
+        da = [[x * (d // lcd) for x in row] for row, lcd in rows]
+        e, cols = _krylov(da, ss.B)
+        seq = (d, da, e, cols, _annihilator(cols))
+        object.__setattr__(ss, "_ab", seq)
+    return seq
 
 
 def ss_impedance(ss: StateSpace) -> RationalFunction:
-    """D + C (sI - A)^{-1} B as an exact rational function, with no
-    determinant.
-
-    Let m be the annihilator of B (``_annihilator``), monic of degree k
-    with m(A) B = 0.  Since s^j I - A^j = (sI - A) sum_(i<j) s^i
-    A^(j-1-i), the resolvent written through m is
-    C (sI - A)^{-1} B m(s) = sum_(i<k) s^i sum_(j>i) m_j C A^(j-1-i) B,
-    so H = D + N / m from the k Markov parameters C A^j B (Kailath 1980,
-    *Linear Systems*, ch. 2 and sec. 6.2).  Each is read off the int
-    Krylov columns of ``_krylov`` as (C . column_j) / (d^j e).
-    ``RationalFunction`` cancels the unobservable factors of m, those
-    of ``pbh_diagnostics``."""
-    d, da = _cleared(ss.A)
-    e, cols = _krylov(da, ss.B)
-    m = _annihilator(d, cols).coeffs
+    """D + C (sI - A)^{-1} B as an exact rational function, summed over Z
+    with no determinant.  With m the monic annihilator of B, of degree k,
+    s^j I - A^j = (sI - A) sum_(i<j) s^i A^(j-1-i) gives H = D + N / m,
+    N = sum_(i<k) s^i sum_(j>i) m_j C A^(j-1-i) B (Kailath 1980, *Linear
+    Systems*, ch. 2 and sec. 6.2).  From the model's (A, B) sequence
+    (``_ab_sequence``), m_j = c_j d^j / (c_k d^k) and C A^j B = mu_j /
+    (d^j e f), mu_j = (f C) . column_j over Z; so, with D = Dn / Dd, H is
+    the quotient of the int polynomials with coefficients d^i (Dn e f c_i
+    + Dd d sum_(j>i) c_j mu_(j-1-i)) and d^i Dd e f c_i, each built once.
+    ``RationalFunction`` cancels the unobservable factors of m."""
+    d, _, e, cols, c = _ab_sequence(ss)
     fc, f = _over_lcd(ss.C)
-    k = len(m) - 1
-    markov = [Fraction(sum(map(mul, fc, col)), f * e * d ** j)
-              for j, col in enumerate(cols[:k])]
-    num = [sum(m[j] * markov[j - 1 - i] for j in range(i + 1, k + 1))
-           + ss.D * m[i] for i in range(k)]
-    return RationalFunction(Polynomial(num + [ss.D]), Polynomial(m))
+    dn, dd = ss.D.as_integer_ratio()
+    mu = [sum(map(mul, fc, col)) for col in cols[:len(c) - 1]]
+    num = [d ** i * (dn * e * f * ci + dd * d * sum(map(mul, c[i + 1:], mu)))
+           for i, ci in enumerate(c)]
+    den = [d ** i * dd * e * f * ci for i, ci in enumerate(c)]
+    return RationalFunction(_poly(num), _poly(den))
 
 
 # ---------------------------------------------------------------------------
@@ -802,7 +804,7 @@ class PBHReport:
 
 
 def _char_poly(d: int, da: List[List[int]]) -> Polynomial:
-    """chi = det(sI - A) for A given cleared as (d, dA) (``_cleared``): the
+    """chi = det(sI - A) for A cleared as (d, dA) (``_ab_sequence``): the
     det of one ``leading_minors`` pass over Z[s] on the rows of d s I - dA,
     diagonal entries [-x, d] and the others [-x], is d^n chi.  With no
     state chi = 1."""
@@ -824,20 +826,19 @@ def pbh_diagnostics(ss: StateSpace) -> PBHReport:
     chi / m(A, B), where chi = det(sI - A) and m(A, B) is the annihilator
     of B; dually, with the single row C, it is chi / m(A^T, C).  Both
     annihilators come from int Krylov columns (``_krylov``, one ``solve``
-    each in ``_annihilator``), the same columns whose Markov parameters
-    give ``ss_impedance``, and chi from one Z[s] pass over d s I - dA
-    (``_char_poly``).  A is cleared once, to (d, dA), for chi and both
-    sequences; (A^T, C) reads the transpose of dA, whose d is A's.  The
-    modes are the rational roots that ``real_roots`` finds, ascending;
-    irrational and complex roots remain inside the returned polynomials.
-    Stabilizability is decided exactly with a Hurwitz test on the whole
-    uncontrollable polynomial."""
-    d, da = _cleared(ss.A)
+    each in ``_annihilator``), and chi from one Z[s] pass over d s I - dA
+    (``_char_poly``).  dA and the (A, B) annihilator come from the model's
+    ``_ab_sequence``, shared with ``ss_impedance``; only the (A^T, C)
+    sequence, on the transpose of dA, is built here.  The modes are the
+    rational roots that ``real_roots`` finds, ascending; irrational and
+    complex roots remain inside the returned polynomials.  Stabilizability
+    is decided exactly with a Hurwitz test on the whole uncontrollable
+    polynomial."""
+    d, da, _, _, c = _ab_sequence(ss)
     chi = _char_poly(d, da)
-    _, cols = _krylov(da, ss.B)
-    u = chi // _annihilator(d, cols)
+    u = chi // _monic(d, c)
     _, cols = _krylov(list(zip(*da)), ss.C)
-    o = chi // _annihilator(d, cols)
+    o = chi // _monic(d, _annihilator(cols))
 
     u_modes = tuple(r for r in real_roots(u) if isinstance(r, Fraction))
     o_modes = tuple(r for r in real_roots(o) if isinstance(r, Fraction))

@@ -32,7 +32,7 @@ from .polyrat import (BiquadParams, InvariantViolation, NotMinimum,
                       _subresultant, _sylvester_det, _sylvester_r0_r1,
                       biquad_template, count_real_roots, is_minimum_function,
                       is_positive_real, minimum_frequencies, real_roots,
-                      sqrt_fraction, sylvester_determinant)
+                      sqrt_fraction)
 from . import network as net
 from .network import (CAPACITOR, INDUCTOR, RESISTOR, Element, Leaf, Network,
                       par, ser)
@@ -126,7 +126,8 @@ def theorem2_step(h: RationalFunction, omega0=None,
     two.  Mirror data on the X < 0 branch.  Requires the minimum frequency,
     the root and the residue to be exact rationals (always true for
     biquadratic inputs with rational parameters); raises NotRationalParams
-    otherwise."""
+    otherwise.  A given omega0 that is not positive, or not a minimum
+    frequency, raises NotMinimum."""
     if not is_minimum_function(h):
         raise NotMinimum("theorem2_step requires a minimum function")
     if h.mcmillan_degree == 2:
@@ -141,7 +142,7 @@ def theorem2_step(h: RationalFunction, omega0=None,
     omega0 = _as_q(omega0)
     w2 = omega0 * omega0
     re, im = h.eval_jomega_pair(w2)
-    if re != 0 or im == 0:
+    if omega0 <= 0 or re != 0 or im == 0:
         raise NotMinimum(f"omega0={omega0} is not a minimum frequency")
     x = im
     branch = "X_positive" if x > 0 else "X_negative"
@@ -665,6 +666,9 @@ def match_minimum_structure(n: Network, omega0) -> StructureMatch:
     4. N1,N2 only resistors; N3 a capacitor (resp. inductor); N4 a series
        or parallel LC pair; N5 an inductor (resp. capacitor);
        Z3 = -Z4 = -Z5.
+
+    An omega0 that is not positive, or not a minimum frequency of the
+    impedance, raises NoMatch.
     """
     from . import analysis
 
@@ -676,7 +680,7 @@ def match_minimum_structure(n: Network, omega0) -> StructureMatch:
     if isinstance(h, analysis.NoImpedance) or not is_minimum_function(h):
         raise NoMatch("impedance is not a minimum function")
     re, im = h.eval_jomega_pair(w2)
-    if re != 0 or im == 0:
+    if w0 <= 0 or re != 0 or im == 0:
         raise NoMatch(f"omega0={w0} is not a minimum frequency")
     # the bridge's two-terminal symmetries: identity, c<->d, a<->b, both
     found = list(net.embeddings(net.skeleton(n)[0], n.port, "bridge"))
@@ -883,7 +887,11 @@ def resultant_fixture_check(family: str, subs: Dict[str, Fraction]) -> bool:
 
     The families are the quartet families N7, N8, N11 and N12 under a
     change of parameters, built from their arms, and each structural pair
-    is checked for degeneracy and normalised (``_scaled``).  So the point
+    is checked for degeneracy (``_require_nominal``) and normalised so
+    that num(0) is the family's closed form target0 and den carries one
+    more factor F: p = c num and q = c F den with c = target0 / num(0),
+    applied as powers of c and F on the resultants of the int lists (the
+    pair's scale cancels in c).  So the point
     must be physical: every parameter given positive, except r1 and g2 of
     N11/N12, which may be 0 (a shorted series or an open parallel
     resistor).  Any other point raises NonpositiveValue before an arm is
@@ -901,9 +909,12 @@ def resultant_fixture_check(family: str, subs: Dict[str, Fraction]) -> bool:
                       ("r1", "g2") if family in ("N11", "N12") else ())
     if family == "Q7":
         g1, g2, F = subs["g1"], subs["g2"], subs["F"]
-        p, q = _scaled("Q7", _quartet_polys("N7", w0, A=1 / g1, B=1 / g2, C=F),
-                       3, w0 ** 3, F)
-        r0 = sylvester_determinant(p, q, 0)
+        num, den, _ = _quartet_polys("N7", w0, A=1 / g1, B=1 / g2, C=F)
+        _require_nominal("Q7", num, den, 3)
+        # the scaled pair is c num and c F den, c = w0^3 / num(0), and R_0
+        # is homogeneous of degree 3 in each side's coefficients
+        r0 = (_subresultant(num, den, 3, 3, 0, 0)
+              * (w0 ** 3 / num[0]) ** 6 * F ** 3)
         return r0 == F * F * w0 ** 9 * (g1 - g2) ** 2 * (1 + F * F * g1 * g2) ** 4
     if family == "Q8":
         return _check_q8(subs, w0)
@@ -917,20 +928,6 @@ def _require_nominal(family, num, den, degree) -> None:
     if len(num) != degree + 1 or len(den) != degree + 1 or not num[0]:
         raise ConstraintViolated(
             f"{family} structural polynomials are degenerate")
-
-
-def _scaled(family, pair, degree, target0, F):
-    """A fixture's structural pair, (num, den, scale) from
-    ``_quartet_polys``, as two Polynomials scaled so that num(0) is the
-    family's closed form target0 and den carries one more factor F, after
-    checking that both are of the nominal degree with num(0) != 0
-    (``_require_nominal``).  The scale cancels in c = target0 / num(0), so
-    the int lists are read as they are: c = target0 / num[0]."""
-    num, den, _ = pair
-    _require_nominal(family, num, den, degree)
-    c = target0 / num[0]
-    return (_poly(num, *c.as_integer_ratio()),
-            _poly(den, *(c * F).as_integer_ratio()))
 
 
 def _coefficients_in_x(pair_at, degree, e):
@@ -965,9 +962,9 @@ def _factorization_check(family, pair, scale, cof0, cof1, f1_printed,
     that their scaled structural pair (p, q) varies with.  pair is (P, Q),
     the x^e multiple of the unscaled pair in coefficients in x, times one
     positive constant c (``_coefficients_in_x``: Z[x] int lists), of
-    degree 4 in s with P_0 != 0 (``_require_nominal``).  ``_scaled`` takes
-    p = target0 P / P_0 and q = target0 F Q / P_0, and R_k is homogeneous
-    of degree 4 - k in each polynomial's coefficients, so R_k(p, q) =
+    degree 4 in s with P_0 != 0 (``_require_nominal``).  The normalised
+    pair is p = target0 P / P_0 and q = target0 F Q / P_0, and R_k is
+    homogeneous of degree 4 - k in each side's coefficients, so R_k(p, q) =
     scale^(4-k) R_k(P, Q) / P_0^(2 (4-k)) with scale = target0^2 F, a
     polynomial in x; c cancels there, since R_k(cP, cQ) = c^(2 (4-k))
     R_k(P, Q) and (c P_0)^(2 (4-k)) carries the same power.  R_0 and R_1
@@ -1001,7 +998,7 @@ def _check_q8(subs, w0) -> bool:
     N5 are (F n_k, d_k).  Each Kirchhoff term takes the num or the den of
     every arm, so F times the bridge pair is a cubic in F, and
     ``_coefficients_in_x`` builds the bridge at F = 1..4 only.  F is the
-    factor that ``_scaled`` puts on den, so scale = target0^2 F."""
+    factor that the normalisation puts on den, so scale = target0^2 F."""
     g1, g2, c2 = subs["g1"], subs["g2"], subs["c2"]
     pair = _coefficients_in_x(
         lambda F: _quartet_polys("N8", w0, A=1 / g1, B=1 / g2, C=F / c2, D=F),

@@ -15,7 +15,8 @@ from prsyn.analysis import (AnalysisError, CapacitorLoop, ExtractionFailure,
                             HypothesesNotMet,
                             InconsistentDrive, InductorCutset,
                             NoImpedance, PBHReport, StateSpace,
-                            _annihilator, _char_poly, _cleared, _krylov,
+                            _ab_sequence, _annihilator, _char_poly, _krylov,
+                            _monic,
                             _min_degree_order,
                             blocked_open_short_check,
                             blocked_report, energy_balance, impedance,
@@ -578,7 +579,9 @@ class TestPBH:
     def test_determinants_on_rpfg_five_states(self, rpfg, monkeypatch):
         # no determinant for the impedance, only the nullspace solve of the
         # annihilator of B; for PBH, one leading_minors pass over Z[s] on
-        # d s I - dA for chi, and one nullspace solve per annihilator
+        # d s I - dA for chi, and one nullspace solve per annihilator, the
+        # (A, B) one read off the model's sequence once ss_impedance has
+        # built it
         import prsyn.analysis as analysis
         ss = state_space(rpfg)
         assert ss.n == 5
@@ -594,26 +597,72 @@ class TestPBH:
         assert (eliminations, len(solves)) == ([], 1)
         solves.clear()
         pbh_diagnostics(ss)
+        assert (eliminations, len(solves)) == (["leading_minors"], 1)
+        fresh = state_space(rpfg)
+        solves.clear()
+        eliminations.clear()
+        pbh_diagnostics(fresh)
         assert (eliminations, len(solves)) == (["leading_minors"], 2)
 
     def test_a_cleared_once_per_call(self, rpfg, monkeypatch):
         # chi and both Krylov sequences read one clearing (d, dA) of A, the
-        # (A^T, C) sequence its transpose; ss_impedance clears A itself
+        # (A^T, C) sequence its transpose; the clearing is part of the
+        # model's (A, B) sequence, so ss_impedance after pbh_diagnostics
+        # on the same model clears no row of A again
         import prsyn.analysis as analysis
+        from prsyn.polyrat import _over_lcd
         ss = state_space(rpfg)
         cleared = []
 
-        def counted(a):
-            cleared.append(a)
-            return _cleared(a)
+        def counted(xs):
+            cleared.append(xs)
+            return _over_lcd(xs)
 
-        monkeypatch.setattr(analysis, "_cleared", counted)
+        monkeypatch.setattr(analysis, "_over_lcd", counted)
         rep = pbh_diagnostics(ss)
-        assert cleared == [ss.A]
+
+        def a_rows(model):
+            return [x for x in cleared if any(x is row for row in model.A)]
+
+        assert a_rows(ss) == list(ss.A)
         assert rep == _minor_gcd_pbh(ss)
-        cleared.clear()
-        ss_impedance(ss)
-        assert cleared == [ss.A]
+        h = ss_impedance(ss)
+        assert a_rows(ss) == list(ss.A)
+        fresh = state_space(rpfg)
+        assert ss_impedance(fresh) == h
+        assert a_rows(fresh) == list(fresh.A)
+
+    @pytest.mark.parametrize("first", ["ss_impedance", "pbh_diagnostics"])
+    def test_one_ab_sequence_per_model(self, rpfg, monkeypatch, first):
+        # ss_impedance and pbh_diagnostics on one model, in either order,
+        # build the (A, B) Krylov columns and annihilator once: two
+        # _krylov calls and two annihilator solves in all, one pair for
+        # (A, B) and one for pbh_diagnostics' own (A^T, C).  An equal but
+        # distinct model builds its own; nothing is kept by value
+        import prsyn.analysis as analysis
+        calls = []
+
+        def counted(name, fn):
+            def call(*args):
+                calls.append(name)
+                return fn(*args)
+            monkeypatch.setattr(analysis, name, call)
+
+        ss = state_space(rpfg)
+        counted("_krylov", _krylov)
+        counted("solve", solve)
+        pair = [ss_impedance, pbh_diagnostics]
+        if first == "pbh_diagnostics":
+            pair.reverse()
+        answers = [f(ss) for f in pair]
+        assert sorted(calls) == ["_krylov", "_krylov", "solve", "solve"]
+        calls.clear()
+        twin = dataclasses.replace(ss)
+        assert twin == ss and twin is not ss
+        assert [f(twin) for f in pair] == answers
+        assert sorted(calls) == ["_krylov", "_krylov", "solve", "solve"]
+        assert _ab_sequence(twin) == _ab_sequence(ss)
+        assert _ab_sequence(twin) is not _ab_sequence(ss)
 
 
 class TestCounts:
@@ -1418,17 +1467,15 @@ class TestStateSpaceAgainstReferences:
             ss = _random_state_space(rng, nn, shape)
             ref = _minor_gcd_pbh(ss)
             assert pbh_diagnostics(ss) == ref
-            d, da = _cleared(ss.A)
+            d, da, _, _, c = _ab_sequence(ss)
             assert _char_poly(d, da) == _leading_minor_char_poly(ss)
             h = ss_impedance(ss)
             assert h == _bordered_ss_impedance(ss)
             assert h == _faddeev_ss_impedance(ss)
-            at = list(zip(*ss.A))
-            for a, b in ((ss.A, ss.B), (at, ss.C)):
-                d, da = _cleared(a)
-                _, cols = _krylov(da, b)
-                assert _annihilator(d, cols) \
-                    == _fraction_krylov_annihilator(a, b)
+            assert _monic(d, c) == _fraction_krylov_annihilator(ss.A, ss.B)
+            _, cols = _krylov(list(zip(*da)), ss.C)
+            assert _monic(d, _annihilator(cols)) \
+                == _fraction_krylov_annihilator(list(zip(*ss.A)), ss.C)
             seen["n0"] += nn == 0
             seen["scalar"] += shape == "scalar" and nn >= 2
             seen["block_uncontrollable"] += (shape == "block"
@@ -1437,7 +1484,7 @@ class TestStateSpaceAgainstReferences:
             seen["c_zero"] += shape == "c_zero" and nn > 0
             seen["wide"] += shape == "wide" and nn > 0
             seen["wide_d_over_10**12"] += (
-                shape == "wide" and _cleared(ss.A)[0] > 10**12)
+                shape == "wide" and d > 10**12)
             seen["controllable"] += nn > 0 and ref.controllable
             seen["observable"] += nn > 0 and ref.observable
             seen["uncontrollable"] += not ref.controllable

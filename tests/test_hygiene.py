@@ -43,7 +43,12 @@ chain rather than running a second.  The root section runs on the same
 int lists, so its helpers (``_remainders``, ``sturm_chain``,
 ``_square_free_chain``, ``_sign_at``, ``_variations``,
 ``_odd_multiplicity_roots``, ``_has_imaginary_axis_root`` and
-``strict_hurwitz``) build no ``Polynomial``.  ``Polynomial`` is the
+``strict_hurwitz``) build no ``Polynomial``.  The state space is read
+over Z too: one integer Krylov sequence per model, kept on the
+``StateSpace`` (``analysis._ab_sequence``), its columns (``_krylov``) and
+annihilator ints (``_annihilator``), and Markov parameters summed over Z
+in ``ss_impedance``, which builds its two polynomials once, through
+``_poly``; none of them calls ``Fraction``, ``Q`` or ``Polynomial``.  ``Polynomial`` is the
 one polynomial class of ``polyrat``, and the one class with division.  In the graph code of ``network`` and ``analysis`` exactly
 one function runs a stack loop: the depth-first search ``_search``, which
 gives both the connected components and the blocks.  In ``synth`` only
@@ -279,13 +284,12 @@ def _section_functions(path, title):
             if isinstance(top, ast.FunctionDef) and start < top.lineno <= end]
 
 
-def _object_calls(fns):
-    """Each call of a name in KERNEL_OBJECTS in the functions fns, as
-    name:line."""
+def _object_calls(fns, names=KERNEL_OBJECTS):
+    """Each call of a name in names in the functions fns, as name:line."""
     return [f"{fn.name}:{c.lineno}" for fn in fns for c in ast.walk(fn)
             if isinstance(c, ast.Call) and (getattr(c.func, "id", None)
                                             or getattr(c.func, "attr", None))
-            in KERNEL_OBJECTS]
+            in names]
 
 
 def test_no_objects_in_the_elimination_kernel():
@@ -394,6 +398,32 @@ def test_no_objects_in_the_root_helpers():
            if isinstance(top, ast.FunctionDef) and top.name in ROOT_HELPERS]
     assert len(fns) == len(ROOT_HELPERS)
     assert _object_calls(fns) == []
+
+
+# the state-space route on bare ints: the model's one (A, B) sequence, its
+# Krylov columns and annihilator ints, and the impedance summed over Z
+STATE_SPACE_INTS = {"_ab_sequence", "_krylov", "_annihilator",
+                    "ss_impedance"}
+
+
+def test_no_fractions_in_the_state_space_route():
+    # a Fraction built per Markov parameter or per coefficient, or a
+    # Polynomial per annihilator, is the object route that the int Krylov
+    # columns removed; ss_impedance builds its two polynomials with _poly
+    # in its return, once each
+    fns = [top for top in _tree(PACKAGE / "analysis.py").body
+           if isinstance(top, ast.FunctionDef) and top.name in STATE_SPACE_INTS]
+    assert len(fns) == len(STATE_SPACE_INTS)
+    assert _object_calls(fns, {"Polynomial", "Fraction", "Q"}) == []
+    [impedance] = [fn for fn in fns if fn.name == "ss_impedance"]
+    returned = impedance.body[-1]
+    assert isinstance(returned, ast.Return)
+
+    def polys(node):
+        return [c for c in ast.walk(node) if isinstance(c, ast.Call)
+                and getattr(c.func, "id", None) == "_poly"]
+
+    assert len(polys(impedance)) == len(polys(returned)) == 2
 
 
 # the classes of polyrat with arithmetic, one per number type: QComplex for

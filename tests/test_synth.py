@@ -116,6 +116,19 @@ class TestTheorem2Step:
         with pytest.raises(NotMinimum, match="not a minimum function"):
             biquad_params(parse_ratfunc("(s^2+1)/(s)"))
 
+    def test_nonpositive_omega0_rejected(self):
+        # off the biquadratic path a step reads only omega0^2, so -omega0
+        # would pass the minimum-frequency test there; it is refused, as
+        # on the biquadratic path
+        h = parse_ratfunc("(2s^4+18s^3+22s^2+24s+8)/(s^4+2s^3+12s^2+14s+8)")
+        assert theorem2_step(h, 2).omega0 == 2
+        for w0 in (-2, 0, Q(-1, 3)):
+            with pytest.raises(NotMinimum, match="not a minimum frequency"):
+                theorem2_step(h, w0)
+        biquad = biquad_template(BiquadParams(1, 1, Q(2, 3), 1))
+        with pytest.raises(NotMinimum):
+            theorem2_step(biquad, -1)
+
     def test_wrong_branch(self):
         h = biquad_template(BiquadParams(1, 1, Q(2, 3), 1))
         with pytest.raises(WrongBranch):
@@ -493,22 +506,44 @@ class TestMatcher:
         a, _, c, _ = m.corners
         assert {n.element("l5").head, n.element("l5").tail} == {a, c}
 
+    def test_nonpositive_omega0_no_match(self):
+        # the matcher reads omega0^2 for the minimum-frequency test and
+        # omega0 for the arm values; a nonpositive omega0 matches nothing
+        n = classify_biquad(BiquadParams(1, 2, Q(1, 2), Q(3, 2))).witness_network
+        assert match_minimum_structure(n, 2).lemma8_condition == 3
+        for w0 in (-2, 0):
+            with pytest.raises(NoMatch, match="not a minimum frequency"):
+                match_minimum_structure(n, w0)
+
     def test_series_rl_no_match(self):
         with pytest.raises(NoMatch):
             match_minimum_structure(
                 parse_netlist("R r1 a m 1\nL l1 m b 1\nPORT a b"), 1)
 
 
+def _scaled(family, pair, degree, target0, F):
+    """Reference copy of the normalisation the fixtures apply to a
+    structural pair, (num, den, scale) of ``_quartet_polys``: two
+    Polynomials scaled so that num(0) is target0 and den carries one more
+    factor F, after the nominal-degree check.  The scale cancels in
+    target0 / num(0), so the int lists are read as they are."""
+    from prsyn.synth import _require_nominal
+    num, den, _ = pair
+    _require_nominal(family, num, den, degree)
+    c = target0 / num[0]
+    return Polynomial(num) * c, Polynomial(den) * (c * F)
+
+
 def _q7_pair(g1, g2, F, w0):
-    """The scaled Q7 structural pair that the Q7 fixture reads."""
-    from prsyn.synth import _quartet_polys, _scaled
+    """The scaled Q7 structural pair whose R_0 the Q7 fixture reads."""
+    from prsyn.synth import _quartet_polys
     return _scaled("Q7", _quartet_polys("N7", w0, A=1 / g1, B=1 / g2, C=F),
                    3, w0 ** 3, F)
 
 
 def _q8_pair(g1, g2, c2, F, w0):
     """The scaled Q8 structural pair that the Q8 fixture reads at F."""
-    from prsyn.synth import _quartet_polys, _scaled
+    from prsyn.synth import _quartet_polys
     return _scaled("Q8", _quartet_polys("N8", w0, A=1 / g1, B=1 / g2,
                                         C=F / c2, D=F),
                    4, (1 + c2) * w0 ** 4, F)
@@ -526,6 +561,36 @@ class TestResultantFixtures:
             "Q7", {"g1": 2, "g2": 2, "F": Q(1, 3), "omega0": 2})
         p, q = _q7_pair(Q(2), Q(2), Q(1, 3), Q(2))
         assert sylvester_determinant(p, q, 0) == 0
+
+    def test_q7_reads_r0_off_the_int_lists(self, monkeypatch):
+        # the Q7 check takes R_0 of the int lists of _quartet_polys, times
+        # (w0^3 / num(0))^6 F^3: the R_0 of the scaled Polynomial pair, at
+        # random points, g1 = g2 (R_0 = 0) in about a quarter of them
+        import prsyn.synth as synth
+        from prsyn.polyrat import _subresultant
+        seen = []
+
+        def counted(*args):
+            seen.append((args, _subresultant(*args)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(synth, "_subresultant", counted)
+        rng = random.Random(1907)
+        zeros = 0
+        for _ in range(60):
+            g1, g2, F = (rand_q(rng, 1, 9) for _ in range(3))
+            if rng.random() < 0.25:
+                g2 = g1
+            w0 = rand_q(rng, 1, 3)
+            assert resultant_fixture_check(
+                "Q7", dict(g1=g1, g2=g2, F=F, omega0=w0))
+            [((num, den, *degrees), r0)] = seen
+            seen.clear()
+            assert degrees == [3, 3, 0, 0]
+            want = sylvester_determinant(*_q7_pair(g1, g2, F, w0), 0)
+            assert r0 * (w0 ** 3 / num[0]) ** 6 * F ** 3 == want
+            zeros += want == 0
+        assert 5 <= zeros < 60
 
     def test_q8_family(self):
         assert resultant_fixture_check(
@@ -735,7 +800,7 @@ class TestFixtureArms:
     def test_arms_match_the_pair_algebra(self):
         from prsyn.network import tree_pair
         from prsyn.synth import (QuartetParams, _n1112_pair_at, _quartet_arms,
-                                 _quartet_polys, _scaled)
+                                 _quartet_polys)
         rng = random.Random(1961)
 
         def q(zero=False):
@@ -993,8 +1058,7 @@ class TestZxAgainstTheDirectPairs:
         # random points with r1 = 0, g2 = 0, both and neither; N12 is
         # degenerate at r1 = 0 or g2 = 0, so its check stops before the
         # pass there and only the unscaled pair is compared
-        from prsyn.synth import (_N1112_E, _coefficients_in_x,
-                                 _n1112_pair_at, _scaled)
+        from prsyn.synth import _N1112_E, _coefficients_in_x, _n1112_pair_at
         seen = _capturing(monkeypatch)
         rng = random.Random(1971)
         for k in range(16):
