@@ -289,9 +289,6 @@ MALFORMED = [
     (["synth", WORKED, "--omega0", "x"], 2),
     (["check", "(s+1)/(s-s)"], 3),
     (["blocked", "{net}", "--omega0", "-1"], 3),
-    # a negative omega0 is no minimum frequency of a degree-4 function
-    (["synth", "(2s^4+18s^3+22s^2+24s+8)/(s^4+2s^3+12s^2+14s+8)",
-      "--omega0", "-2"], 3),
     # more digits than int() converts, in a coefficient and in a power
     (["check", "1" * 5000 + " s + 1"], 3),
     (["check", "s^" + "2" * 5000], 3),
@@ -304,6 +301,9 @@ MALFORMED = [
     (["phasor", "{net}", "--omega", "1", "--current", "1", "--voltage", "1"], 2),
     # a netlist file that is not UTF-8 text
     (["impedance", "{utf16}"], 3),
+    # a negative omega0 is no minimum frequency of a degree-4 function
+    (["synth", "(2s^4+18s^3+22s^2+24s+8)/(s^4+2s^3+12s^2+14s+8)",
+      "--omega0", "-2"], 3),
 ]
 
 
