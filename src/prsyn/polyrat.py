@@ -694,7 +694,9 @@ def real_roots(p: Polynomial, lo=None,
     leading coefficient.  A rational root's denominator divides L and two
     distinct fractions with denominators <= L lie at least 1/L^2 apart, so
     the only candidate is the fraction nearest the midpoint with
-    denominator <= L, and it is tested exactly."""
+    denominator <= L, and it is tested exactly.  An isolated root is
+    simple, so each halving of its interval reads only the sign of the
+    square-free part at its midpoint and at b, not the chain."""
     if p.is_zero():
         raise ValueError("zero polynomial")
     c, num, chain = p.prim, p.content.numerator, None
@@ -728,7 +730,7 @@ def real_roots(p: Polynomial, lo=None,
     out: List[Union[Fraction, Tuple[Fraction, Fraction]]] = []
     while todo:
         a, va, b, vb = todo.pop()
-        if va - vb > 1 or va - vb == 1 and b - a >= fine:
+        if va - vb > 1:
             m = (a + b) / 2
             vm = _variations(chain, m)
             if vm > vb:
@@ -736,6 +738,17 @@ def real_roots(p: Polynomial, lo=None,
             if va > vm:
                 todo.append((a, va, m, vm))
         elif va - vb == 1:
+            # one simple root r of the square-free c in (a, b]: with sb the
+            # sign of c(b), 0 if r = b, c is -sb left of r and sb from r to
+            # b, so r is in (m, b] iff c(m) is nonzero and not sb
+            sb = _sign_at(c, b)
+            while b - a >= fine:
+                m = (a + b) / 2
+                sm = _sign_at(c, m)
+                if sm and sm != sb:
+                    a = m
+                else:
+                    b = m
             r = ((a + b) / 2).limit_denominator(lead)
             out.append(r if a < r <= b and _sign_at(c, r) == 0 else (a, b))
     return out
@@ -922,12 +935,6 @@ def biquad_params(h: RationalFunction) -> BiquadParams:
     """
     if not is_minimum_function(h):
         raise NotMinimum("not a minimum function")
-    return _biquad_params(h)
-
-
-def _biquad_params(h: RationalFunction) -> BiquadParams:
-    """``biquad_params`` of an h already known to be a minimum function,
-    for a caller that has tested it: the same errors but for the test."""
     if h.mcmillan_degree != 2:
         raise NotBiquadratic("McMillan degree is not two")
     freqs = minimum_frequencies(h)

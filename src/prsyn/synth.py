@@ -27,8 +27,8 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .polyrat import (BiquadParams, InvariantViolation, NotMinimum,
                       NotRationalParams, Polynomial, Q, QComplex,
-                      RationalFunction, _add, _as_q, _biquad_params,
-                      _interpolate, _jomega_quotient, _mul, _poly,
+                      RationalFunction, _add, _as_q, _interpolate,
+                      _jomega_quotient, _mul, _poly,
                       _subresultant, _sylvester_det, _sylvester_r0_r1,
                       biquad_template, count_real_roots, is_minimum_function,
                       is_positive_real, minimum_frequencies, real_roots,
@@ -109,12 +109,6 @@ class SynthesisStep:
                              self.reduced.compose_winv(w2))
 
 
-def _smallest_positive_rational_root(p: Polynomial) -> Optional[Fraction]:
-    """The smallest positive real root of p when it is rational, else None."""
-    roots = real_roots(p, Q(0))
-    return roots[0] if roots and isinstance(roots[0], Fraction) else None
-
-
 def theorem2_step(h: RationalFunction, omega0=None,
                   variant: Optional[str] = None) -> SynthesisStep:
     """One synthesis step for a minimum function with minimum frequency
@@ -123,18 +117,17 @@ def theorem2_step(h: RationalFunction, omega0=None,
     On the X > 0 branch returns the smallest positive mu with H(mu) = mu*X
     and the residue alpha of (mu H(mu) - s H(s))/(mu H(s) - s H(mu)) at
     j*omega0; the reduced function drops the McMillan degree by at least
-    two.  Mirror data on the X < 0 branch.  Requires the minimum frequency,
-    the root and the residue to be exact rationals (always true for
-    biquadratic inputs with rational parameters); raises NotRationalParams
-    otherwise.  A given omega0 that is not positive, or not a minimum
-    frequency, raises NotMinimum."""
+    two.  Mirror data on the X < 0 branch.  mu (nu) is a root of the branch
+    polynomial p - X s q (s p + w0^2 X q) divided by its factor s^2 + w0^2;
+    a biquad's quotient is linear, so a biquadratic step reads its root in
+    closed form, with no Sturm chain.  Requires the minimum frequency, the
+    root and the residue to be exact rationals (always true for biquadratic
+    inputs with rational parameters); raises NotRationalParams otherwise.  A
+    given omega0 that is not positive, or not a minimum frequency, raises
+    NotMinimum.  The step is returned only once ``verify_theorem2_identity``
+    holds."""
     if not is_minimum_function(h):
         raise NotMinimum("theorem2_step requires a minimum function")
-    if h.mcmillan_degree == 2:
-        try:
-            return _theorem2_step_biquad(h, omega0, variant)
-        except NotRationalParams:
-            pass
     if omega0 is None:
         omega0 = minimum_frequencies(h)[0].exact
         if omega0 is None:
@@ -152,13 +145,16 @@ def theorem2_step(h: RationalFunction, omega0=None,
     p, q = h.num, h.den
     if x > 0:
         # H(mu) - mu*X = 0  ->  p(mu) - X*mu*q(mu) = 0
-        mu = _smallest_positive_rational_root(p - Polynomial([0, x]) * q)
+        branch_poly = p - Polynomial([0, x]) * q
     else:
         # H(nu)*nu + w0^2*X = 0  ->  nu*p(nu) + w0^2*X*q(nu) = 0
-        mu = _smallest_positive_rational_root(
-            Polynomial([0, 1]) * p + (w2 * x) * q)
-    if mu is None:
+        branch_poly = Polynomial([0, 1]) * p + (w2 * x) * q
+    # H(j*omega0) = j*omega0*X, so branch_poly vanishes at +-j*omega0: the
+    # division is exact and keeps the positive roots; mu is the smallest
+    roots = real_roots(branch_poly // Polynomial([w2, 0, 1]), Q(0))
+    if not roots or not isinstance(roots[0], Fraction):
         raise NotRationalParams("no exact rational root for mu/nu")
+    mu = roots[0]
     hval = h(mu)
 
     s_poly = Polynomial([0, 1])
@@ -188,49 +184,25 @@ def theorem2_step(h: RationalFunction, omega0=None,
     return step
 
 
-def _inverted_params(p: BiquadParams) -> BiquadParams:
-    """The parameters (K W^2, w0, 1/W, -F/W^2) of H(w0^2/s)."""
-    return BiquadParams(p.K * p.W * p.W, p.omega0, 1 / p.W, -p.F / (p.W * p.W))
-
-
-def _theorem2_step_biquad(h: RationalFunction, omega0,
-                          variant: Optional[str]) -> SynthesisStep:
-    """Closed forms for biquadratic inputs with F > 0: mu = W w0/F, H value
-    KW, residue (F^2+W^2)(1-W) w0/(2 W^2 F), constant reduced function W.
-    With F < 0 the step is the mirror of those of H(w0^2/s).  h is a
-    minimum function (``theorem2_step`` has tested it), so its parameters
-    are read with no second test."""
-    p = _biquad_params(h)
-    if omega0 is not None and _as_q(omega0) != p.omega0:
-        raise NotMinimum(f"omega0={omega0} is not the minimum frequency")
-    branch = "X_positive" if p.F > 0 else "X_negative"
-    if variant is not None and variant != branch:
-        raise WrongBranch(f"requested {variant} but H(j*omega0) gives {branch}")
-    if branch == "X_negative":
-        p = _inverted_params(p)
-    K, w0, W, F = p.K, p.omega0, p.W, p.F
-    step = SynthesisStep("X_positive", w0, K * F / w0, W * w0 / F,
-                         (F * F + W * W) * (1 - W) * w0 / (2 * W * W * F),
-                         K * W, RationalFunction(Polynomial([W])))
-    if branch == "X_negative":
-        step = step.mirrored()
-    if not verify_theorem2_identity(h, step):
-        raise SynthError("cubic composite identity failed")
-    return step
-
-
 def verify_theorem2_identity(h: RationalFunction, step: SynthesisStep) -> bool:
     """Exact check of the cubic composite identity relating H, the reduced
-    function, mu (nu), alpha (beta) and omega0."""
+    function, mu (nu), alpha (beta) and omega0: H = H(mu) N/D on the X > 0
+    branch and H(nu) D/N on the X < 0 one, where, with reduced = a/b,
+    N = (s^3 + w0^2 s) b + (mu w0^2 + (2 alpha + mu) s^2) a and
+    D = (s^3 + (2 alpha mu + w0^2) s) a + mu (s^2 + w0^2) b.  Checked
+    cross-multiplied, as the one polynomial identity h.num D = h.den N H(mu)
+    (N and D swapped on the X < 0 branch), so no quotient is built and no
+    gcd taken."""
     w2 = step.omega0 * step.omega0
-    m, ab, hr = step.mu_or_nu, step.alpha_or_beta, step.reduced
-    s3_s = RationalFunction(Polynomial([0, w2, 0, 1]))      # s^3 + w0^2 s
-    num = s3_s + hr * RationalFunction(Polynomial([m * w2, 0, 2 * ab + m]))
-    den = (hr * RationalFunction(Polynomial([0, 2 * ab * m + w2, 0, 1]))
-           + RationalFunction(Polynomial([m * w2, 0, m])))
+    m, ab = step.mu_or_nu, step.alpha_or_beta
+    a, b = step.reduced.num, step.reduced.den
+    n = (Polynomial([0, w2, 0, 1]) * b
+         + Polynomial([m * w2, 0, 2 * ab + m]) * a)
+    d = (Polynomial([0, 2 * ab * m + w2, 0, 1]) * a
+         + Polynomial([m * w2, 0, m]) * b)
     if step.variant == "X_negative":
-        num, den = den, num
-    return step.h * num / den == h
+        n, d = d, n
+    return h.num * d == h.den * n * step.h
 
 
 # ---------------------------------------------------------------------------
@@ -397,6 +369,11 @@ def classify_biquad(p: BiquadParams) -> Classification:
             return Classification(storage, letter, build_named(name, p))
     step = theorem2_step(biquad_template(p), p.omega0)
     return Classification(5, "none", build_seven_element(step, "rpfg_first"))
+
+
+def _inverted_params(p: BiquadParams) -> BiquadParams:
+    """The parameters (K W^2, w0, 1/W, -F/W^2) of H(w0^2/s)."""
+    return BiquadParams(p.K * p.W * p.W, p.omega0, 1 / p.W, -p.F / (p.W * p.W))
 
 
 def build_named(name: str, p: BiquadParams) -> Network:

@@ -61,15 +61,18 @@ class TestVerdicts:
         assert len(tests) == 2
 
     def test_synth_and_classify_pr_tests(self, run, monkeypatch):
-        # synth tests the parsed function once, though theorem2_step and
-        # biquad_params both ask; classify on a five-storage function tests
-        # it and the template it rebuilds from (K, omega0, W, F)
+        # synth tests the parsed function once, though theorem2_step asks
+        # twice, and then the reduced function of the step: a constant, so
+        # its num + den is a constant too.  classify on a five-storage
+        # function tests the parsed function, the template it rebuilds from
+        # (K, omega0, W, F) for its seven-element witness, and that step's
+        # reduced constant
         tests = count_pr_tests(monkeypatch)
         assert run("synth", WORKED)[0] == 0
-        assert len(tests) == 1
+        assert [p.degree for p in tests] == [2, 0]
         tests.clear()
         assert run("classify", WORKED)[1] == "min_storage=5 condition=none\n"
-        assert len(tests) == 2
+        assert [p.degree for p in tests] == [2, 2, 0]
 
     def test_check_irrational_frequency(self, run):
         # omega^2 = sqrt(2): the printed float is 2**0.25 to the last digit

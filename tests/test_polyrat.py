@@ -1369,6 +1369,32 @@ class TestRealRoots:
         (above,) = self.check(p, Q(2, 3))       # sqrt(2), bracketed afresh
         assert not isinstance(above, Fraction)
 
+    def test_refinement_reads_no_chain(self, monkeypatch):
+        # once an interval holds one root, each halving reads the sign of
+        # the square-free part alone: the chain is read at the ends and at
+        # the isolating midpoints only.  16s^3 - 6s^2 - 8s + 3 has bound 2,
+        # roots 3/8 and 1/sqrt(2) above 0, isolated at 1 and 1/2, and 3/8
+        # is the second midpoint of (0, 1/2], where c(b) turns 0
+        from prsyn import polyrat
+        points = []
+        variations = polyrat._variations
+
+        def counted(chain, x):
+            points.append(x)
+            return variations(chain, x)
+
+        p = Polynomial([3, -8, -6, 16])
+        monkeypatch.setattr(polyrat, "_variations", counted)
+        roots = real_roots(p, Q(0))
+        assert points == [0, 2, 1, Q(1, 2)]
+        assert roots[0] == Q(3, 8) and not isinstance(roots[1], Fraction)
+        for e in scaled_check_profiles():
+            points.clear()
+            (root,) = real_roots(e, Q(0), Fraction(1, 2 ** 60))
+            assert len(points) == 2
+        monkeypatch.undo()
+        self.check(p, Q(0))
+
     def test_closed_forms(self):
         assert real_roots(Polynomial([3])) == []
         assert real_roots(Polynomial([1, 2])) == [Q(-1, 2)]

@@ -58,10 +58,14 @@ class TestTheorem2Step:
         assert verify_theorem2_identity(h, step)
 
     def test_closed_forms_random(self, rng):
-        for _ in range(25):
-            region = rng.choice(["a", "c", "f", "none", "b", "d", "e"])
-            p = sample_region(region, rng)
-            step = theorem2_step(biquad_template(p), p.omega0)
+        # the biquadratic closed forms fall out of the one general step: on
+        # 25 random regions, then on five fixed ones where every
+        # seven-element build must also realize h
+        for fixed in [None] * 25 + ["a", "c", "none", "b", "d"]:
+            p = sample_region(fixed or rng.choice(["a", "c", "f", "none", "b",
+                                                   "d", "e"]), rng)
+            h = biquad_template(p)
+            step = theorem2_step(h, p.omega0)
             K, w0, W, F = p.K, p.omega0, p.W, p.F
             if F > 0:
                 assert step.variant == "X_positive"
@@ -77,6 +81,9 @@ class TestTheorem2Step:
                 assert step.alpha_or_beta == \
                     (F * F + W * W) * (1 - W) * w0 / (2 * W * F)
                 assert step.reduced.constant_value() == 1 / W
+            if fixed:
+                for which in SEVEN_ELEMENT_VARIANTS:
+                    assert impedance(build_seven_element(step, which)) == h
 
     def test_lossless_rejected(self):
         with pytest.raises(NotMinimum):
@@ -84,8 +91,7 @@ class TestTheorem2Step:
 
     def test_one_minimum_function_test_per_biquad_step(self, rng,
                                                          monkeypatch):
-        # theorem2_step tests h once and the closed forms read its
-        # parameters with no second test: one is_minimum_function and one
+        # theorem2_step tests h once: one is_minimum_function and one
         # imaginary-axis root test each of num and den, on both branches
         import prsyn.polyrat as polyrat
         import prsyn.synth as synth
@@ -116,18 +122,51 @@ class TestTheorem2Step:
         with pytest.raises(NotMinimum, match="not a minimum function"):
             biquad_params(parse_ratfunc("(s^2+1)/(s)"))
 
+    def test_biquad_step_asks_only_linear_roots(self, rng, monkeypatch):
+        # the branch polynomial of a biquad is a cubic with roots +-j*w0;
+        # the step divides out s^2 + w0^2 and asks real_roots only of the
+        # linear quotient, which takes its closed form, on both branches
+        import prsyn.synth as synth
+        degrees = []
+        roots = synth.real_roots
+
+        def counted(p, *args):
+            degrees.append(p.degree)
+            return roots(p, *args)
+
+        monkeypatch.setattr(synth, "real_roots", counted)
+        branches = set()
+        for region in ("a", "b", "c", "d", "e", "f", "none"):
+            p = sample_region(region, rng)
+            degrees.clear()
+            branches.add(theorem2_step(biquad_template(p), p.omega0).variant)
+            assert degrees == [1]
+        assert branches == {"X_positive", "X_negative"}
+
     def test_nonpositive_omega0_rejected(self):
-        # off the biquadratic path a step reads only omega0^2, so -omega0
-        # would pass the minimum-frequency test there; it is refused, as
-        # on the biquadratic path
+        # the minimum-frequency test reads only omega0^2, so -omega0 would
+        # pass it; it is refused on its sign, for a biquad too
         h = parse_ratfunc("(2s^4+18s^3+22s^2+24s+8)/(s^4+2s^3+12s^2+14s+8)")
         assert theorem2_step(h, 2).omega0 == 2
         for w0 in (-2, 0, Q(-1, 3)):
             with pytest.raises(NotMinimum, match="not a minimum frequency"):
                 theorem2_step(h, w0)
         biquad = biquad_template(BiquadParams(1, 1, Q(2, 3), 1))
-        with pytest.raises(NotMinimum):
+        with pytest.raises(NotMinimum, match="not a minimum frequency"):
             theorem2_step(biquad, -1)
+
+    def test_biquad_omega0_off_its_minimum_frequency(self):
+        # a positive omega0 where Re H(j*omega0) != 0 is refused on both
+        # branches, in the one text of every minimum function
+        for params in (BiquadParams(1, 1, Q(2, 3), 1),
+                       BiquadParams(1, 1, Q(3, 2), -1)):
+            h = biquad_template(params)
+            assert theorem2_step(h, 1).omega0 == 1
+            for w0 in (2, Q(1, 2)):
+                with pytest.raises(NotMinimum,
+                                   match=f"omega0={w0} is not a minimum "
+                                         "frequency"):
+                    theorem2_step(h, w0)
 
     def test_wrong_branch(self):
         h = biquad_template(BiquadParams(1, 1, Q(2, 3), 1))
@@ -135,12 +174,28 @@ class TestTheorem2Step:
             theorem2_step(h, 1, variant="X_negative")
 
     def test_perturbed_alpha_breaks_identity(self):
-        h = biquad_template(BiquadParams(1, 1, Q(2, 3), 1))
-        step = theorem2_step(h)
-        ab = step.alpha_or_beta + Q(1, 1000)
-        bad = SynthesisStep(step.variant, step.omega0, step.X, step.mu_or_nu,
-                            ab, step.h, step.reduced)
-        assert not verify_theorem2_identity(h, bad)
+        # on both branches, alpha_or_beta, mu_or_nu, h or the reduced
+        # function a little off breaks the identity; X follows h and
+        # mu_or_nu, so each step keeps the theorem2 laws of its own data
+        eps = Q(1, 1000)
+        branches = set()
+        for params in (BiquadParams(1, 1, Q(2, 3), 1),
+                       BiquadParams(1, 1, Q(3, 2), -1)):
+            h = biquad_template(params)
+            step = theorem2_step(h)
+            branches.add(step.variant)
+            assert verify_theorem2_identity(h, step)
+            w2 = step.omega0 * step.omega0
+            for field, value in (("alpha_or_beta", step.alpha_or_beta + eps),
+                                 ("mu_or_nu", step.mu_or_nu + eps),
+                                 ("h", step.h + eps),
+                                 ("reduced", step.reduced + eps)):
+                data = dict(vars(step), **{field: value})
+                m, hv = data["mu_or_nu"], data["h"]
+                data["X"] = (hv / m if step.variant == "X_positive"
+                             else -hv * m / w2)
+                assert not verify_theorem2_identity(h, SynthesisStep(**data))
+        assert branches == {"X_positive", "X_negative"}
 
     def test_theorem2_laws_are_raised(self):
         # on both branches a step with a flipped sign of X, mu_or_nu or
@@ -201,17 +256,18 @@ class TestTheorem2Step:
             "error: invariant even-part violated: numerator=s"]
 
     def test_mirrored_is_the_step_of_the_inverted_function(self, rng):
-        # both branches: mirrored() is an involution between H and H(w0^2/s)
-        for _ in range(40):
-            p = sample_region(rng.choice(["a", "b", "c", "d", "e", "f",
-                                          "none"]), rng)
+        # both branches: mirrored() is an involution between H and H(w0^2/s),
+        # on 40 random regions and then on each region once
+        for fixed in [None] * 40 + ["b", "d", "e", "none", "a", "c", "f"]:
+            p = sample_region(fixed or rng.choice(["a", "b", "c", "d", "e",
+                                                   "f", "none"]), rng)
             h, w0 = biquad_template(p), p.omega0
             step = theorem2_step(h, w0)
             assert step.mirrored() == theorem2_step(h.compose_winv(w0 * w0), w0)
             assert step.mirrored().mirrored() == step
 
     def test_missing_resonant_pole_raises(self, monkeypatch):
-        # the general path's residue quotient has no value at j*omega0
+        # the step's residue quotient has no value at j*omega0
         import prsyn.synth as synth
 
         def pole(num, den, omega2):
@@ -1325,50 +1381,6 @@ class TestFig2Params:
             Fig2Params(1, 1, Q(3, 4), Q(1, 2))   # F above the zeta > 0 bound
         with pytest.raises(ConditionViolated):
             Fig2Params(1, 1, Q(1, 3), Q(1, 8))   # W below 1/2
-
-
-class TestGeneralPathAgainstClosedForms:
-    """Force the general root/residue machinery (bypassing the biquadratic
-    fast path) and require it to reproduce the closed forms exactly."""
-
-    @pytest.fixture
-    def synth_mod(self, monkeypatch):
-        import prsyn.synth as synth_mod
-        from prsyn.polyrat import NotRationalParams
-
-        def _refuse(h, omega0, variant):
-            raise NotRationalParams("forced general path")
-
-        monkeypatch.setattr(synth_mod, "_theorem2_step_biquad", _refuse)
-        return synth_mod
-
-    def test_both_branches(self, rng, synth_mod):
-        for region in ("a", "c", "none", "b", "d"):
-            p = sample_region(region, rng)
-            h = biquad_template(p)
-            step = synth_mod.theorem2_step(h, p.omega0)
-            K, w0, W, F = p.K, p.omega0, p.W, p.F
-            if F > 0:
-                assert step.mu_or_nu == W * w0 / F
-                assert step.alpha_or_beta == \
-                    (F * F + W * W) * (1 - W) * w0 / (2 * W * W * F)
-                assert step.reduced.constant_value() == W
-            else:
-                assert step.mu_or_nu == -F * w0 / W
-                assert step.alpha_or_beta == \
-                    (F * F + W * W) * (1 - W) * w0 / (2 * W * F)
-                assert step.reduced.constant_value() == 1 / W
-            for which in SEVEN_ELEMENT_VARIANTS:
-                assert impedance(build_seven_element(step, which)) == h
-
-    def test_mirrored_is_the_step_of_the_inverted_function(self, rng,
-                                                           synth_mod):
-        for region in ("b", "d", "e", "none", "a", "c", "f"):
-            p = sample_region(region, rng)
-            h, w0 = biquad_template(p), p.omega0
-            step = synth_mod.theorem2_step(h, w0)
-            assert step.mirrored() == \
-                synth_mod.theorem2_step(h.compose_winv(w0 * w0), w0)
 
 
 class TestSpecGapInvariants:
