@@ -58,14 +58,10 @@ class TestTheorem2Step:
         assert verify_theorem2_identity(h, step)
 
     def test_closed_forms_random(self, rng):
-        # the biquadratic closed forms fall out of the one general step: on
-        # 25 random regions, then on five fixed ones where every
-        # seven-element build must also realize h
-        for fixed in [None] * 25 + ["a", "c", "none", "b", "d"]:
-            p = sample_region(fixed or rng.choice(["a", "c", "f", "none", "b",
-                                                   "d", "e"]), rng)
-            h = biquad_template(p)
-            step = theorem2_step(h, p.omega0)
+        for _ in range(25):
+            region = rng.choice(["a", "c", "f", "none", "b", "d", "e"])
+            p = sample_region(region, rng)
+            step = theorem2_step(biquad_template(p), p.omega0)
             K, w0, W, F = p.K, p.omega0, p.W, p.F
             if F > 0:
                 assert step.variant == "X_positive"
@@ -81,9 +77,6 @@ class TestTheorem2Step:
                 assert step.alpha_or_beta == \
                     (F * F + W * W) * (1 - W) * w0 / (2 * W * F)
                 assert step.reduced.constant_value() == 1 / W
-            if fixed:
-                for which in SEVEN_ELEMENT_VARIANTS:
-                    assert impedance(build_seven_element(step, which)) == h
 
     def test_lossless_rejected(self):
         with pytest.raises(NotMinimum):
@@ -256,11 +249,10 @@ class TestTheorem2Step:
             "error: invariant even-part violated: numerator=s"]
 
     def test_mirrored_is_the_step_of_the_inverted_function(self, rng):
-        # both branches: mirrored() is an involution between H and H(w0^2/s),
-        # on 40 random regions and then on each region once
-        for fixed in [None] * 40 + ["b", "d", "e", "none", "a", "c", "f"]:
-            p = sample_region(fixed or rng.choice(["a", "b", "c", "d", "e",
-                                                   "f", "none"]), rng)
+        # both branches: mirrored() is an involution between H and H(w0^2/s)
+        for _ in range(40):
+            p = sample_region(rng.choice(["a", "b", "c", "d", "e", "f",
+                                          "none"]), rng)
             h, w0 = biquad_template(p), p.omega0
             step = theorem2_step(h, w0)
             assert step.mirrored() == theorem2_step(h.compose_winv(w0 * w0), w0)
@@ -1381,6 +1373,38 @@ class TestFig2Params:
             Fig2Params(1, 1, Q(3, 4), Q(1, 2))   # F above the zeta > 0 bound
         with pytest.raises(ConditionViolated):
             Fig2Params(1, 1, Q(1, 3), Q(1, 8))   # W below 1/2
+
+
+class TestGeneralPathAgainstClosedForms:
+    """The one root/residue step reproduces the biquadratic closed forms
+    exactly on fixed regions of both branches, and every seven-element
+    build of its result realizes the input."""
+
+    def test_both_branches(self, rng):
+        for region in ("a", "c", "none", "b", "d"):
+            p = sample_region(region, rng)
+            h = biquad_template(p)
+            step = theorem2_step(h, p.omega0)
+            K, w0, W, F = p.K, p.omega0, p.W, p.F
+            if F > 0:
+                assert step.mu_or_nu == W * w0 / F
+                assert step.alpha_or_beta == \
+                    (F * F + W * W) * (1 - W) * w0 / (2 * W * W * F)
+                assert step.reduced.constant_value() == W
+            else:
+                assert step.mu_or_nu == -F * w0 / W
+                assert step.alpha_or_beta == \
+                    (F * F + W * W) * (1 - W) * w0 / (2 * W * F)
+                assert step.reduced.constant_value() == 1 / W
+            for which in SEVEN_ELEMENT_VARIANTS:
+                assert impedance(build_seven_element(step, which)) == h
+
+    def test_mirrored_is_the_step_of_the_inverted_function(self, rng):
+        for region in ("b", "d", "e", "none", "a", "c", "f"):
+            p = sample_region(region, rng)
+            h, w0 = biquad_template(p), p.omega0
+            step = theorem2_step(h, w0)
+            assert step.mirrored() == theorem2_step(h.compose_winv(w0 * w0), w0)
 
 
 class TestSpecGapInvariants:
