@@ -14,7 +14,7 @@ from .network import (Element, Network, OnePort, OpenCircuit, ShortCircuit,
                       parse_netlist, report_grounded_capacitors,
                       serialize_netlist, short_oneport, to_mechanical)
 from .analysis import (BlockReport, CapacitorLoop, InductorCutset,
-                       InvariantViolation, NoImpedance, PhasorSolution,
+                       InvariantViolation, PhasorSolution,
                        StateSpace, blocked_open_short_check, blocked_report,
                        energy_balance, impedance, mcmillan_gap,
                        pbh_diagnostics, phasor_solve, ss_impedance,

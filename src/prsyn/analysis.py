@@ -14,10 +14,11 @@ convention of ``polyrat``'s elimination, plus a current unknown only for
 an element whose admittance does not exist there (an inductor at
 omega = 0); the state space takes the resistors' c1 and a current
 unknown for each capacitor, which holds its state voltage.  One call
-stamps its network once.  Everything is exact: frequencies are rationals
-(a float is a TypeError), and a phasor stays a Z[j] numerator over the
-last pivot d of its solve until a public type is filled:
-``_phasor_draw`` builds one ``QComplex`` per field of
+stamps its network once.  ``Network`` refuses a bare port, so every
+network here has an element and an impedance.  Everything is exact:
+frequencies are rationals (a float is a TypeError), and a phasor stays a
+Z[j] numerator over the last pivot d of its solve until a public type is
+filled: ``_phasor_draw`` builds one ``QComplex`` per field of
 ``PhasorSolution``, and ``energy_balance`` reads those fields as ints
 over one common denominator.  The blocked test is exact too: an element
 is blocked when its potential numerators are equal lists at its ends on
@@ -55,7 +56,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .polyrat import (ONE, InvariantViolation, Polynomial, Q, QComplex,
                       RationalFunction, _as_q, _gauss, _over_lcd, _parts,
@@ -92,11 +93,6 @@ class CapacitorLoop(ExtractionFailure):
 
 class InductorCutset(ExtractionFailure):
     pass
-
-
-@dataclass(frozen=True)
-class NoImpedance:
-    """Degenerate value: the port current/voltage law collapses (q = 0)."""
 
 
 # ---------------------------------------------------------------------------
@@ -176,8 +172,7 @@ def _min_degree_order(n: Network, idx: Dict[str, int]) -> List[int]:
     return order + [port]
 
 
-def impedance(n: Network, *,
-              _stamped=None) -> Union[RationalFunction, NoImpedance]:
+def impedance(n: Network, *, _stamped=None) -> RationalFunction:
     """Exact driving-point impedance, checked positive-real: a failed check
     raises InvariantViolation("positive-real").
 
@@ -190,16 +185,13 @@ def impedance(n: Network, *,
     H = s * L * M_(n-1) / M_n: the two Polynomials are built at the end.  At
     s = 1 the scaled entries 1/R, 1/L and C are positive and the elements
     connect every vertex, so the matrix is positive definite there and, in
-    any symmetric order, no leading minor vanishes, unless a vertex has no
-    path to ground and the determinant is identically zero: a bare port.
-    ``blocked_report`` passes the stamp it has taken of n as ``_stamped``,
-    so one call stamps n once."""
+    any symmetric order, no leading minor vanishes.  ``blocked_report``
+    passes the stamp it has taken of n as ``_stamped``, so one call stamps
+    n once."""
     scale, _, mat, idx = _stamped or _stamp(n)
     order = _min_degree_order(n, idx)
     minors = [[1]] + leading_minors([[mat[r][c] for c in order]
                                      for r in order])[0]
-    if len(minors) <= len(mat):
-        return NoImpedance()
     h = RationalFunction(_poly([0] + minors[-2], scale), _poly(minors[-1]))
     if not is_positive_real(h):
         raise InvariantViolation("positive-real", impedance=h)
@@ -218,10 +210,7 @@ def storage_count(n: Network) -> int:
 
 
 def mcmillan_gap(n: Network) -> int:
-    h = impedance(n)
-    if isinstance(h, NoImpedance):
-        raise AnalysisError("network has no impedance")
-    return storage_count(n) - h.mcmillan_degree
+    return storage_count(n) - impedance(n).mcmillan_degree
 
 
 # ---------------------------------------------------------------------------
@@ -371,11 +360,9 @@ def phasor_solve(n: Network, omega, drive: Optional[Tuple[str, object]] = None,
     the free modes (from ``seed``) is added so the returned trajectory is
     generic.  ``_phasor_space`` solves the one nodal system over Z[j], on
     one stamp of n for both drives, and ``_phasor_draw`` adds the
-    combination.  A network with no element raises AnalysisError.
+    combination.
     """
     omega = _as_q(omega)
-    if not n.elements:
-        raise AnalysisError("no element joins the port terminals")
     stamp = _stamp(n)
     if drive is not None:
         space = _phasor_space(n, omega, (drive[0], qcomplex(drive[1])), stamp)
@@ -443,8 +430,6 @@ def blocked_report(n: Network, omega0, seed: int = 0) -> BlockReport:
         raise HypothesesNotMet("omega0 must be positive")
     stamp = _stamp(n)
     h = impedance(n, _stamped=stamp)
-    if isinstance(h, NoImpedance):
-        raise HypothesesNotMet("network has no impedance")
     if is_lossless(h):
         raise HypothesesNotMet("impedance is lossless")
     try:
@@ -654,8 +639,6 @@ def state_space(n: Network) -> StateSpace:
     Raises CapacitorLoop when the capacitors contain a circuit (their
     voltages are then linearly dependent) and InductorCutset when the
     inductors contain a cut-set (their currents are then constrained)."""
-    if not n.elements:
-        raise AnalysisError("no element joins the port terminals")
     stamp = _stamp(n)
     scale, laws, _, nidx = stamp
     loop = _find_capacitor_loop(n)

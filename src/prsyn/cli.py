@@ -123,8 +123,6 @@ def _cmd_synth(args) -> int:
 def _cmd_impedance(args) -> int:
     n = _load_network(args.netlist)
     h = analysis.impedance(n)
-    if isinstance(h, analysis.NoImpedance):
-        raise analysis.AnalysisError("no impedance (degenerate port law)")
     _emit(args, {"impedance": format_ratfunc(h)}, format_ratfunc(h))
     return 0
 
@@ -243,10 +241,8 @@ def _cmd_verify(args) -> int:
     n = _load_network(args.netlist)
     target = parse_ratfunc(args.function)
     h = analysis.impedance(n)
-    ok = not isinstance(h, analysis.NoImpedance) and h == target
-    _emit(args, {"match": ok,
-                 "impedance": None if isinstance(h, analysis.NoImpedance)
-                 else format_ratfunc(h)},
+    ok = h == target
+    _emit(args, {"match": ok, "impedance": format_ratfunc(h)},
           f"match={str(ok).lower()}")
     return 0 if ok else 1
 

@@ -10,10 +10,11 @@ analogue and its impedance law -- is one row of ``KINDS``; the analysis
 and the transforms read that row instead of testing the kind.  Asking a
 mechanical kind for an electrical law or partner raises ``NetworkError``.
 
-The graph including a virtual source edge across the port must be
-connected and biconnected; elements outside the source's biconnected
-component are rejected at construction and silently pruned by the
-open/short reductions (where the pruning is part of the operation).
+A network has at least one element, and its graph including a virtual
+source edge across the port must be connected and biconnected; elements
+outside the source's biconnected component are rejected at construction
+and silently pruned by the open/short reductions (where the pruning is
+part of the operation).
 Every graph question -- connectivity, biconnectivity, a driving-point
 path or cut-set, a one-port's connectedness -- and those of ``analysis``
 and ``synth`` read one depth-first search, ``_search``, which numbers the
@@ -136,6 +137,8 @@ def _check_graph(vertices, elements, port):
     for t in port:
         if t not in vset:
             raise MissingPort(f"port terminal {t!r} is not a vertex")
+    if not elements:
+        raise NetworkError("no element joins the port terminals")
     ids = set()
     for e in elements:
         if e.id in ids:
@@ -162,8 +165,8 @@ def _check_graph(vertices, elements, port):
 
 
 class Network:
-    """Immutable one-port; its element kinds all lie in one ``domain``
-    (electrical when it has no elements)."""
+    """Immutable one-port of at least one element; its element kinds all
+    lie in one ``domain``."""
 
     __slots__ = ("vertices", "elements", "port", "domain")
 
@@ -172,7 +175,7 @@ class Network:
         vertices = tuple(sorted(set(vertices)))
         elements = tuple(elements)
         port = (port[0], port[1])
-        domains = {KINDS[e.kind].domain for e in elements} or {ELECTRICAL}
+        domains = {KINDS[e.kind].domain for e in elements}
         if len(domains) > 1:
             raise NetworkError("cannot mix electrical and mechanical kinds")
         _check_graph(vertices, elements, port)
@@ -459,13 +462,12 @@ ReducedNetwork = Union[Network, OpenCircuit, ShortCircuit]
 
 
 def _prune_to_source(elements, port) -> ReducedNetwork:
-    """Drop self-loops and anything outside the source edge's biconnected
-    component; classify degenerate outcomes.  When no element path joins
-    the port terminals, the source edge is a block by itself and nothing
-    is kept: an open circuit."""
+    """Drop anything outside the source edge's biconnected component;
+    classify degenerate outcomes.  When no element path joins the port
+    terminals, the source edge is a block by itself and nothing is kept:
+    an open circuit."""
     if port[0] == port[1]:
         return ShortCircuit()
-    elements = [e for e in elements if e.head != e.tail]
     edges = [(e.head, e.tail, e.id) for e in elements]
     edges.append((port[0], port[1], "__source__"))
     vset = {v for e in elements for v in (e.head, e.tail)} | set(port)
@@ -623,18 +625,33 @@ def tree_impedance(tree) -> RationalFunction:
     return RationalFunction(*tree_pair(tree))
 
 
+# explicit stacks below: a ladder's tree is as deep as the ladder is long
 def tree_elements(tree) -> List[Element]:
-    if isinstance(tree, Leaf):
-        return [tree.element]
-    return [e for p in tree.parts for e in tree_elements(p)]
+    """The elements of the tree's leaves, left to right."""
+    out, stack = [], [tree]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, Leaf):
+            out.append(t.element)
+        else:
+            stack.extend(reversed(t.parts))
+    return out
 
 
 def dual_tree(tree):
-    if isinstance(tree, Leaf):
-        return Leaf(_dual_element(tree.element))
-    if isinstance(tree, Ser):
-        return Par(tuple(dual_tree(p) for p in tree.parts))
-    return Ser(tuple(dual_tree(p) for p in tree.parts))
+    """The dual tree: Ser and Par swapped, leaves dualized left to right."""
+    done, stack = [], [(tree, False)]
+    while stack:
+        t, ready = stack.pop()
+        if isinstance(t, Leaf):
+            done.append(Leaf(_dual_element(t.element)))
+        elif not ready:
+            stack.append((t, True))
+            stack.extend((p, False) for p in reversed(t.parts))
+        else:
+            k = len(t.parts)
+            done[-k:] = [(Par if isinstance(t, Ser) else Ser)(tuple(done[-k:]))]
+    return done[0]
 
 
 class _NodeGen:
@@ -652,17 +669,19 @@ class _NodeGen:
 
 
 def _emit_tree(tree, a: str, b: str, gen: _NodeGen, out: List[Element]):
-    if isinstance(tree, Leaf):
-        e = tree.element
-        out.append(Element(e.id, e.kind, a, b, e.value))
-        return
-    if isinstance(tree, Ser):
-        nodes = [a] + [gen.fresh() for _ in tree.parts[:-1]] + [b]
-        for part, (u, v) in zip(tree.parts, zip(nodes, nodes[1:])):
-            _emit_tree(part, u, v, gen, out)
-        return
-    for part in tree.parts:
-        _emit_tree(part, a, b, gen, out)
+    """Append the tree's elements between a and b to out, depth first; a
+    series node takes its interior names from gen before its parts emit."""
+    stack = [(tree, a, b)]
+    while stack:
+        t, u, v = stack.pop()
+        if isinstance(t, Leaf):
+            e = t.element
+            out.append(Element(e.id, e.kind, u, v, e.value))
+        elif isinstance(t, Ser):
+            nodes = [u] + [gen.fresh() for _ in t.parts[:-1]] + [v]
+            stack.extend(reversed(list(zip(t.parts, nodes, nodes[1:]))))
+        else:
+            stack.extend((p, u, v) for p in reversed(t.parts))
 
 
 def assemble(edge_trees: Sequence[Tuple[str, str, object]],

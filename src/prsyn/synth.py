@@ -151,16 +151,16 @@ def theorem2_step(h: RationalFunction, omega0=None,
         branch_poly = Polynomial([0, 1]) * p + (w2 * x) * q
     # H(j*omega0) = j*omega0*X, so branch_poly vanishes at +-j*omega0: the
     # division is exact and keeps the positive roots; mu is the smallest
-    roots = real_roots(branch_poly // Polynomial([w2, 0, 1]), Q(0))
+    tank = Polynomial([w2, 0, 1])
+    roots = real_roots(branch_poly // tank, Q(0))
     if not roots or not isinstance(roots[0], Fraction):
         raise NotRationalParams("no exact rational root for mu/nu")
     mu = roots[0]
     hval = h(mu)
 
     s_poly = Polynomial([0, 1])
-    y = RationalFunction(mu * hval * q - s_poly * p, mu * p - hval * s_poly * q)
-    if x < 0:
-        y = y.reciprocal()
+    num, den = mu * hval * q - s_poly * p, mu * p - hval * s_poly * q
+    y = RationalFunction(num, den) if x > 0 else RationalFunction(den, num)
     # residue y.num/y.den' of y at s = j*omega0 (a real rational for a
     # genuine step)
     try:
@@ -172,8 +172,9 @@ def theorem2_step(h: RationalFunction, omega0=None,
         raise SynthError("residue at j*omega0 is not real")
     if alpha <= 0:
         raise SynthError("residue at j*omega0 is not positive")
-    resonant = RationalFunction(Polynomial([0, 2 * alpha]), Polynomial([w2, 0, 1]))
-    reduced = (y - resonant).reciprocal()
+    # 1/(y - 2 alpha s/(s^2 + w0^2)) with y = a/b, as one quotient
+    reduced = RationalFunction(tank * y.den,
+                               tank * y.num - Polynomial([0, 2 * alpha]) * y.den)
     if not is_positive_real(reduced):
         raise SynthError("reduced function is not positive-real")
     if reduced.mcmillan_degree > h.mcmillan_degree - 2:
@@ -654,7 +655,7 @@ def match_minimum_structure(n: Network, omega0) -> StructureMatch:
     if analysis.storage_count(n) > 4:
         raise NoMatch("more than four storage elements")
     h = analysis.impedance(n)
-    if isinstance(h, analysis.NoImpedance) or not is_minimum_function(h):
+    if not is_minimum_function(h):
         raise NoMatch("impedance is not a minimum function")
     re, im = h.eval_jomega_pair(w2)
     if w0 <= 0 or re != 0 or im == 0:

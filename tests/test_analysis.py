@@ -11,10 +11,10 @@ from fractions import Fraction
 
 import pytest
 
-from prsyn.analysis import (AnalysisError, CapacitorLoop, ExtractionFailure,
+from prsyn.analysis import (CapacitorLoop, ExtractionFailure,
                             HypothesesNotMet,
                             InconsistentDrive, InductorCutset,
-                            NoImpedance, PBHReport, StateSpace,
+                            PBHReport, StateSpace,
                             _ab_sequence, _annihilator, _char_poly, _krylov,
                             _monic,
                             _min_degree_order,
@@ -23,7 +23,8 @@ from prsyn.analysis import (AnalysisError, CapacitorLoop, ExtractionFailure,
                             impedance_series_parallel, mcmillan_gap,
                             pbh_diagnostics, phasor_solve, ss_impedance,
                             state_space, storage_count)
-from prsyn.network import (Element, Network, NotPlanarDualizable, OnePort,
+from prsyn.network import (Element, Network, NetworkError,
+                           NotPlanarDualizable, OnePort,
                            OpenCircuit, ShortCircuit, dual, one_port_boundary,
                            open_oneport, parse_netlist, short_oneport)
 from prsyn.polyrat import (BiquadParams, Polynomial, Q, QComplex,
@@ -95,8 +96,10 @@ def count_eliminations(monkeypatch):
 
 class TestImpedance:
     def test_bare_port_has_no_impedance(self):
-        # the 1x1 nodal matrix [0]: its only leading minor is zero
-        assert impedance(parse_netlist("PORT a b")) == NoImpedance()
+        # no element joins the terminals, so there is no network to analyse
+        with pytest.raises(NetworkError,
+                           match="^no element joins the port terminals$"):
+            parse_netlist("PORT a b")
 
     def test_single_resistor(self):
         assert impedance(parse_netlist("R r1 a b 5\nPORT a b")) == \
@@ -504,10 +507,7 @@ class TestStateSpace:
                 ss = state_space(n)
             except (CapacitorLoop, InductorCutset):
                 continue
-            h = impedance(n)
-            if isinstance(h, NoImpedance):
-                continue
-            assert ss_impedance(ss) == h
+            assert ss_impedance(ss) == impedance(n)
             done += 1
         assert done >= 20
 
@@ -763,11 +763,13 @@ class TestDriveNormalization:
         assert len(checks) == 1 and eliminations == ["leading_minors"]
 
     def test_network_without_element_rejected(self):
-        n = parse_netlist("PORT a b")
-        for drive in (None, ("current", 1), ("voltage", 1)):
-            with pytest.raises(AnalysisError,
+        # the netlist, and the constructor under it, refuse a bare port
+        # before any drive is tried
+        for build in (lambda: parse_netlist("PORT a b"),
+                      lambda: Network(["a", "b"], [], ("a", "b"))):
+            with pytest.raises(NetworkError,
                                match="^no element joins the port terminals$"):
-                phasor_solve(n, Q(1), drive)
+                build()
 
     def test_no_pole_defaults_to_current_drive(self):
         n = parse_netlist("R r1 a b 3\nPORT a b")

@@ -163,6 +163,29 @@ class TestPipelines:
         code, out, _ = run("invert", str(net), "--omega0", "2")
         assert code == 0 and "C l1 m b 1/12" in out
 
+    def test_dual_of_long_ladder(self, run, tmp_path):
+        # an R-C ladder of 1,000 elements: its series-parallel tree is
+        # nested far deeper than Python's recursion limit
+        lines, top = [], "a"
+        for k in range(500):
+            lines += [f"R r{k} {top} m{k} {k % 7 + 1}", f"C c{k} m{k} b {k % 5 + 1}"]
+            top = f"m{k}"
+        ladder = "\n".join(lines) + "\nPORT a b\n"
+
+        def dual_text(text):
+            net = tmp_path / "n.net"
+            net.write_text(text)
+            code, out, err = run("dual", str(net))
+            assert (code, err) == (0, "")
+            return out
+
+        def ids_and_kinds(text):
+            return sorted((f[1], f[0]) for f in map(str.split, text.splitlines())
+                          if f[0] != "PORT")
+        once = dual_text(ladder)
+        assert {k for _, k in ids_and_kinds(once)} == {"R", "L"}
+        assert ids_and_kinds(dual_text(once)) == ids_and_kinds(ladder)
+
     def test_spoke_dual_ignores_hash_seed(self, tmp_path):
         # two interpreters with different string hashes print one dual
         import os
@@ -383,7 +406,19 @@ class TestDomainMessages:
         net = tmp_path / "port.net"
         net.write_text("PORT a b\n")
         assert run("impedance", str(net)) == (
-            3, "", "error: no impedance (degenerate port law)\n")
+            3, "", "error: no element joins the port terminals\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["impedance"], ["verify", "s"], ["phasor", "--omega", "1"],
+        ["blocked", "--omega0", "1"], ["ss"], ["dual"],
+        ["invert", "--omega0", "1"], ["mech"]], ids=lambda argv: argv[0])
+    def test_bare_port_is_refused_by_every_command(self, run, tmp_path, argv):
+        # the netlist parser refuses the bare port, so every command that
+        # reads a netlist fails alike, before it computes anything
+        net = tmp_path / "port.net"
+        net.write_text("PORT a b\n")
+        assert run(argv[0], str(net), *argv[1:]) == (
+            3, "", "error: no element joins the port terminals\n")
 
 
 MECH_NETLIST = "DAMPER d1 a b 2\nSPRING k1 a b 3\nPORT a b\n"

@@ -50,8 +50,15 @@ annihilator ints (``_annihilator``), and Markov parameters summed over Z
 in ``ss_impedance``, which builds its two polynomials once, through
 ``_poly``; none of them calls ``Fraction``, ``Q`` or ``Polynomial``.  ``Polynomial`` is the
 one polynomial class of ``polyrat``, and the one class with division.  In the graph code of ``network`` and ``analysis`` exactly
-one function runs a stack loop: the depth-first search ``_search``, which
-gives both the connected components and the blocks.  In ``synth`` only
+one function runs a stack loop over the graph: the depth-first search
+``_search``, which gives both the connected components and the blocks;
+the only other stack loops there walk a series-parallel tree
+(``tree_elements``, ``dual_tree`` and ``_emit_tree``).  No function
+calls itself, so no input's depth meets the recursion limit, except the
+two builders whose recursion is one level deep and ``_tree_ints``, kept
+recursive for speed on the small arms it folds.  Only ``network`` names
+the bare-port error: the one place a one-port without an element is
+refused.  In ``synth`` only
 ``bridge_structural_polys``, the one bridge evaluator, reads the bridge's
 spanning-tree tables ``_TREE_OFF`` and ``_TWOTREE_OFF``.  No function
 takes a ``True``/``False`` default: a
@@ -451,6 +458,10 @@ def test_one_polynomial_type():
 # no other stack loop in the graph code of network and analysis, and no
 # fewer (a lost search means the pin itself has gone stale)
 GRAPH_WALKS = {("network.py", "_search")}
+# stack loops over a series-parallel tree, not the graph: a ladder's tree
+# is as deep as the ladder is long
+TREE_WALKS = {("network.py", "tree_elements"), ("network.py", "dual_tree"),
+              ("network.py", "_emit_tree")}
 
 
 def test_one_graph_walk():
@@ -464,7 +475,41 @@ def test_one_graph_walk():
                         and isinstance(c.func, ast.Attribute)
                         and c.func.attr == "pop" for c in ast.walk(loop)):
                     found.add((name, getattr(top, "name", None)))
-    assert found == GRAPH_WALKS
+    assert found == GRAPH_WALKS | TREE_WALKS
+
+
+# functions that call themselves: the seven-element and named builders
+# recurse one level, on the mirrored step or the inverted parameters, and
+# _tree_ints folds the small arms of the fixture route, where a stack fold
+# timed slower
+SELF_CALLS = {("synth.py", "build_seven_element"), ("synth.py", "build_named"),
+              ("network.py", "_tree_ints")}
+
+
+def test_no_unbounded_recursion():
+    # a function that calls itself by name runs as deep as its input: a
+    # long ladder's tree is nested past the recursion limit
+    found = set()
+    for path in MODULES:
+        for top in _tree(path).body:
+            if isinstance(top, ast.FunctionDef) and any(
+                    isinstance(c, ast.Call)
+                    and getattr(c.func, "id", None) == top.name
+                    for c in ast.walk(top)):
+                found.add((path.name, top.name))
+    assert found == SELF_CALLS
+
+
+BARE_PORT = "no element joins the port terminals"
+
+
+def test_bare_port_named_only_by_network():
+    # one module decides that a one-port needs an element; a second copy
+    # of the message is a second check of the same case
+    found = {path.name for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(_tree(path))
+             if isinstance(node, ast.Constant) and node.value == BARE_PORT}
+    assert found == {"network.py"}
 
 
 def test_no_boolean_default_parameters():

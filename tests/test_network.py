@@ -492,6 +492,15 @@ class TestDual:
         n = dual(parse_netlist("R r1 a b 4\nPORT a b"))
         assert n.elements[0].value == Q(1, 4)
 
+    def test_fresh_nodes_named_depth_first(self):
+        # the dual's series nodes take fresh names in depth-first order:
+        # n0 at the root, n1 and then n2 down the first arm, n3 in the second
+        n = parse_netlist("R g p w 1\nR h p w 2\nL i w x 3\nC a p x 4\n"
+                          "C c x n 5\nL d p y 6\nL e p y 7\nR f y n 8\nPORT p n")
+        assert serialize_netlist(dual(n)) == (
+            "C d n0 n3 6\nC e n3 n 7\nC i n1 n0 3\nL a p n1 4\nL c p n0 5\n"
+            "R f n0 n 1/8\nR g n1 n2 1\nR h n2 n0 1/2\nPORT p n\n")
+
     def test_reciprocal_parameter_map(self):
         p = BiquadParams(1, 1, Q(3, 4), Q(1, 8))
         n = build_named("Fig2b", p)
