@@ -60,8 +60,9 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .polyrat import (ONE, InvariantViolation, Polynomial, Q, QComplex,
                       RationalFunction, _as_q, _gauss, _over_lcd, _parts,
-                      _poly, is_lossless, is_positive_real, leading_minors,
-                      qcomplex, real_roots, solve, strict_hurwitz)
+                      _poly, _ratfunc, is_lossless, is_positive_real,
+                      leading_minors, qcomplex, real_roots, solve,
+                      strict_hurwitz)
 from . import network as net
 from .network import (CAPACITOR, INDUCTOR, RESISTOR, Network, OnePort,
                       OpenCircuit, ShortCircuit, one_port_boundary)
@@ -182,7 +183,8 @@ def impedance(n: Network, *, _stamped=None) -> RationalFunction:
     vertex last, the cofactor and the determinant are the last two leading
     minors M_(n-1) and M_n, read from one ``leading_minors`` pass (Bareiss
     over Z[s]).  Those of L*s*Y are L^(n-1) and L^n times those of s*Y, so
-    H = s * L * M_(n-1) / M_n: the two Polynomials are built at the end.  At
+    H = s * L * M_(n-1) / M_n, reduced on the int lists (``_ratfunc``):
+    the two Polynomials are built at the end.  At
     s = 1 the scaled entries 1/R, 1/L and C are positive and the elements
     connect every vertex, so the matrix is positive definite there and, in
     any symmetric order, no leading minor vanishes.  ``blocked_report``
@@ -192,7 +194,7 @@ def impedance(n: Network, *, _stamped=None) -> RationalFunction:
     order = _min_degree_order(n, idx)
     minors = [[1]] + leading_minors([[mat[r][c] for c in order]
                                      for r in order])[0]
-    h = RationalFunction(_poly([0] + minors[-2], scale), _poly(minors[-1]))
+    h = _ratfunc([0] + minors[-2], minors[-1], scale)
     if not is_positive_real(h):
         raise InvariantViolation("positive-real", impedance=h)
     return h
@@ -827,6 +829,6 @@ def pbh_diagnostics(ss: StateSpace) -> PBHReport:
     o_modes = tuple(r for r in real_roots(o) if isinstance(r, Fraction))
     controllable = u.degree < 1
     observable = o.degree < 1
-    stabilizable = controllable or strict_hurwitz(u)
+    stabilizable = controllable or strict_hurwitz(u.prim)
     return PBHReport(u, o, u_modes, o_modes, controllable, observable,
                      stabilizable)

@@ -591,26 +591,49 @@ def par(*parts):
     return Par(tuple(flat))
 
 
+def _leaf_ints(e: Element) -> Tuple[List[int], List[int], int]:
+    """``_tree_ints`` of a leaf of e, of value a/b: ([0]*p + [a], [b], b) on
+    the Z side of its law, with num and den swapped on the Y side."""
+    side, p = e.electrical().law
+    v = e.value
+    w, b = [0] * p + [v.numerator], [v.denominator]
+    return (w, b, v.denominator) if side == "Z" else (b, w, v.denominator)
+
+
+# explicit stacks below: a ladder's tree is as deep as the ladder is long
 def _tree_ints(tree) -> Tuple[List[int], List[int], int]:
     """(num, den, scale): scale times the unreduced (num, den) of a
     two-terminal tree's impedance, as ascending int lists.  A leaf of value
     a/b gives ([0]*p + [a], [b]) on the Z side of its law (the swap on the
     Y side), b times its pair; series parts add, parallel parts add as
     admittances, and the scales multiply, since the pair is linear in each
-    leaf's."""
+    leaf's.  The stack holds a (node, its folded parts) frame per open
+    node: a leaf part folds where it is met, a node part opens a frame of
+    its own, and a frame whose parts are all folded closes into its
+    parent's."""
     if isinstance(tree, Leaf):
-        side, p = tree.element.electrical().law
-        v = tree.element.value
-        w, b = [0] * p + [v.numerator], [v.denominator]
-        return (w, b, v.denominator) if side == "Z" else (b, w, v.denominator)
-    parts = [_tree_ints(p) for p in tree.parts]
-    if isinstance(tree, Par):
-        parts = [(d, n, s) for (n, d, s) in parts]
-    num, den, scale = parts[0]
-    for (n, d, s) in parts[1:]:
-        num, den = _add(_mul(num, d), _mul(n, den)), _mul(den, d)
-        scale *= s
-    return (num, den, scale) if isinstance(tree, Ser) else (den, num, scale)
+        return _leaf_ints(tree.element)
+    stack = [(tree, [])]
+    while True:
+        t, parts = stack[-1]
+        if len(parts) < len(t.parts):
+            p = t.parts[len(parts)]
+            if isinstance(p, Leaf):
+                parts.append(_leaf_ints(p.element))
+            else:
+                stack.append((p, []))
+            continue
+        stack.pop()
+        if isinstance(t, Par):
+            parts = [(d, n, s) for (n, d, s) in parts]
+        num, den, scale = parts[0]
+        for (n, d, s) in parts[1:]:
+            num, den = _add(_mul(num, d), _mul(n, den)), _mul(den, d)
+            scale *= s
+        folded = (num, den, scale) if isinstance(t, Ser) else (den, num, scale)
+        if not stack:
+            return folded
+        stack[-1][1].append(folded)
 
 
 def tree_pair(tree) -> Tuple[Polynomial, Polynomial]:
@@ -625,7 +648,6 @@ def tree_impedance(tree) -> RationalFunction:
     return RationalFunction(*tree_pair(tree))
 
 
-# explicit stacks below: a ladder's tree is as deep as the ladder is long
 def tree_elements(tree) -> List[Element]:
     """The elements of the tree's leaves, left to right."""
     out, stack = [], [tree]

@@ -7,10 +7,16 @@ parts with no gcd, a sum takes one common denominator and one integer gcd,
 and ``coeffs`` builds the ``fractions.Fraction`` coefficients on demand.
 Equality is true equality.  The positive-real / minimum-function
 predicates are decided with Routh's test and Sturm chains, not numerical
-root finding: gcds, Sturm chains and Routh rows read one primitive
-remainder sequence, ``_remainders``, on the integer parts as int lists.  A
-polynomial gets one Sturm chain: its last member is gcd(p, p') up to a
-constant, and divided by it the chain is one of the square-free part.  Only
+root finding: Sturm chains and Routh rows read one primitive remainder
+sequence, ``_remainders``, on the integer parts as int lists.  Gcds come
+from ``_gcd`` on the same lists: the common power of s comes off, and a
+heuristic gcd, checked by exact division, gives the rest, with that
+remainder sequence as its fallback.  A ``RationalFunction`` is reduced on
+the int parts, and the PR test reads num + den and the even-part
+numerator as int sums, so from the impedance's leading minors to the
+verdict no Polynomial arithmetic runs.  A polynomial gets one
+Sturm chain: its last member is gcd(p, p') up to a constant, and divided
+by it the chain is one of the square-free part.  Only
 ``is_positive_real`` runs the PR test and keeps its verdict on the
 ``RationalFunction``, so a function is tested at most once.  Values at
 s = j*w are ``QComplex`` numbers with rational parts.
@@ -331,11 +337,11 @@ class Polynomial:
                      c.numerator, c.denominator)
 
     def gcd(self, other: "Polynomial") -> "Polynomial":
-        """The monic gcd (zero for two zeros): the last member of the
-        primitive remainder sequence of the integer parts over Z[s]
-        (``_remainders``; Collins 1967; Knuth, TAOCP vol. 2, 4.6.1)."""
-        *_, g = _remainders(self.prim, _as_poly(other).prim, 1)
-        return _poly(list(g)).monic()
+        """The monic gcd (zero for two zeros): ``_gcd`` of the integer
+        parts, a heuristic gcd over Z[s] checked by exact division, with
+        the primitive remainder sequence as its fallback."""
+        g = _gcd(self.prim, _as_poly(other).prim)
+        return _poly(g, 1, g[-1]) if g else ZERO
 
     def __call__(self, x):
         """Horner evaluation; works for Fraction and QComplex."""
@@ -361,8 +367,7 @@ class Polynomial:
 
     def flip_sign(self) -> "Polynomial":
         """p(-s)."""
-        return _new(self.content, tuple(-x if k % 2 else x
-                                        for k, x in enumerate(self.prim)))
+        return _new(self.content, tuple(_flip(self.prim)))
 
     def __repr__(self):
         return f"Polynomial({list(self.coeffs)!r})"
@@ -418,6 +423,11 @@ def _add(a: Sequence[int], b: Sequence[int]) -> List[int]:
     return out
 
 
+def _flip(a: Sequence[int]) -> List[int]:
+    """a(-s) of the ascending int list a."""
+    return [-x if k % 2 else x for k, x in enumerate(a)]
+
+
 def _divide(a: Sequence[int], b: Sequence[int]):
     """(quot, rem, scale) with scale * a = quot * b + rem over Z[s], deg rem
     < deg b and scale > 0, for ascending ints a and b (b nonzero).  Long
@@ -456,8 +466,9 @@ S = Polynomial([0, 1])
 
 
 class RationalFunction:
-    """Coprime quotient of two Polynomials with monic denominator; _pr
-    holds the verdict of ``is_positive_real`` once it has been taken."""
+    """Coprime quotient of two Polynomials with monic denominator, reduced
+    on their integer parts (``_reduced``); _pr holds the verdict of
+    ``is_positive_real`` once it has been taken."""
 
     __slots__ = ("num", "den", "_pr")
 
@@ -466,15 +477,9 @@ class RationalFunction:
         den = _as_poly(den)
         if den.is_zero():
             raise ZeroDenominator("rational function with zero denominator")
-        if num.is_zero():
-            object.__setattr__(self, "num", ZERO)
-            object.__setattr__(self, "den", ONE)
-            return
-        g = num.gcd(den)
-        if g.degree >= 1:
-            num, den = num // g, den // g
-        object.__setattr__(self, "num", num * (1 / den.leading()))
-        object.__setattr__(self, "den", den.monic())
+        c = num.content / den.content
+        self.num, self.den = _reduced(num.prim, den.prim, c.numerator,
+                                      c.denominator)
 
     @property
     def mcmillan_degree(self) -> int:
@@ -572,6 +577,35 @@ class RationalFunction:
         return format_ratfunc(self)
 
 
+def _reduced(a: Sequence[int], b: Sequence[int], n: int,
+             d: int) -> Tuple[Polynomial, Polynomial]:
+    """(num, den) of n/d times a/b, for trimmed int lists a and b (b
+    nonzero) and ints n and d > 0: coprime, den monic.  a and b are divided
+    by their ``_gcd``, s^k g: by s^k as a shift, and by g exactly
+    (``_divide``: g is primitive, so by Gauss's lemma no step scales).
+    Each Polynomial is one ``_poly``."""
+    if not a:
+        return ZERO, ONE
+    g = _gcd(a, b)
+    k = next(i for i, x in enumerate(g) if x)
+    a, b, g = a[k:], b[k:], g[k:]
+    if len(g) > 1:
+        a, b = _divide(a, g)[0], _divide(b, g)[0]
+    lead = b[-1]
+    sign = 1 if lead > 0 else -1
+    return (_poly(list(a), n * sign, d * abs(lead)),
+            _poly(list(b), sign, abs(lead)))
+
+
+def _ratfunc(a: Sequence[int], b: Sequence[int], n: int) -> RationalFunction:
+    """The RationalFunction n times a/b of trimmed int lists (b nonzero,
+    n > 0), reduced by ``_reduced`` with no Polynomial built on the way
+    in."""
+    h = object.__new__(RationalFunction)
+    h.num, h.den = _reduced(a, b, n, 1)
+    return h
+
+
 def _jomega_quotient(num: Polynomial, den: Polynomial,
                      omega2: Fraction) -> Tuple[Fraction, Fraction]:
     """num/den at s = j*w0, where w0**2 = omega2, as an exact pair (a, b)
@@ -611,7 +645,8 @@ def eval_ratfunc(f: RationalFunction, z) -> QComplex:
 
 
 # ---------------------------------------------------------------------------
-# Roots on trimmed int lists, as in the kernel: no helper builds a Polynomial
+# Gcds and roots on trimmed int lists, as in the kernel: no helper builds a
+# Polynomial
 # ---------------------------------------------------------------------------
 
 def _remainders(a: Sequence[int], b: Sequence[int], sign: int):
@@ -629,6 +664,74 @@ def _remainders(a: Sequence[int], b: Sequence[int], sign: int):
             if g != 1:
                 r = [x // g for x in r]
         a, b = b, r
+
+
+def _primitive(a: Sequence[int]) -> List[int]:
+    """The nonzero int list a over the gcd of its entries, signed so that
+    its leading coefficient is positive."""
+    g = math.gcd(*a)
+    if a[-1] < 0:
+        g = -g
+    return list(a) if g == 1 else [x // g for x in a]
+
+
+# the heuristic gcd's tries, and the most bits an evaluation may take,
+# before the primitive remainder sequence takes over
+_HEU_TRIES = 6
+_HEU_BITS = 1 << 16
+
+
+def _gcd(a: Sequence[int], b: Sequence[int]) -> List[int]:
+    """gcd(a, b) of the trimmed int lists a and b over Z[s], primitive with
+    a positive leading coefficient, [] for two zeros.
+
+    The common power s^k of s comes off first, and then every power of s,
+    so that s divides neither rest.  The rest's gcd is the heuristic gcd
+    of their primitive parts A and B (Char, Geddes & Gonnet 1989; Geddes,
+    Czapor & Labahn 1992, sec. 7.7): for an integer xi >= 2 min(|A|, |B|)
+    + 2 (max norms), the digits of gcd(A(xi), B(xi)) in symmetric base xi
+    are the coefficients of a candidate, and its primitive part is the gcd
+    when it divides both A and B exactly (``_divide``, no scaling, no
+    remainder).  A failed try grows xi by about 2.73 (the factor 73794 /
+    27011 of the paper); after ``_HEU_TRIES`` of them, or once the bit
+    length of xi times the larger length, about the size of a value,
+    passes ``_HEU_BITS``, the last member of ``_remainders`` with sign 1
+    gives the gcd instead."""
+    if not a or not b:
+        return _primitive(a or b) if a or b else []
+    za = next(i for i, x in enumerate(a) if x)
+    zb = next(i for i, x in enumerate(b) if x)
+    k = min(za, zb)
+    a, b = _primitive(a[za:]), _primitive(b[zb:])
+    if len(a) == 1 or len(b) == 1:
+        return [0] * k + [1]
+    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 2
+    most = min(len(a), len(b))          # no divisor has more coefficients
+    for _ in range(_HEU_TRIES):
+        if xi.bit_length() * max(len(a), len(b)) > _HEU_BITS:
+            break
+        ha = hb = 0
+        for x in reversed(a):
+            ha = ha * xi + x
+        for x in reversed(b):
+            hb = hb * xi + x
+        # xi exceeds the root bound of A or of B, so h > 0
+        h, g = math.gcd(ha, hb), []
+        while h and len(g) < most:
+            d = h % xi
+            if d > xi // 2:
+                d -= xi
+            g.append(d)
+            h = (h - d) // xi
+        if not h:
+            g = _primitive(g)
+            if len(g) == 1 or all(
+                    scale == 1 and not any(rem)
+                    for _, rem, scale in map(_divide, (a, b), (g, g))):
+                return [0] * k + g
+        xi = xi * 73794 // 27011
+    *_, g = _remainders(a, b, 1)
+    return [0] * k + _primitive(g)
 
 
 def sturm_chain(p: Sequence[int]) -> List[Sequence[int]]:
@@ -754,17 +857,18 @@ def real_roots(p: Polynomial, lo=None,
     return out
 
 
-def strict_hurwitz(p: Polynomial) -> bool:
-    """True iff all roots of p lie in the open left half-plane.
+def strict_hurwitz(c: Sequence[int]) -> bool:
+    """True iff all roots of the trimmed int list c lie in the open left
+    half-plane (False for zero).
 
     Routh's test: the rows of the Routh array are the remainders of Euclid
-    on f, the terms of p of the parity of its degree, and g, the others; p
+    on f, the terms of c of the parity of its degree, and g, the others; c
     is strict Hurwitz iff they drop one degree at a time down to a
-    constant, all with leading coefficients of the sign of lc p.
+    constant, all with leading coefficients of the sign of lc c.
     ``_remainders`` with sign 1 gives positive multiples of the rows."""
-    if p.is_zero():
+    if not c:
         return False
-    c, n = p.prim, len(p.prim) - 1
+    n = len(c) - 1
     f, g = ([x if k % 2 == r else 0 for k, x in enumerate(c)]
             for r in (n % 2, 1 - n % 2))
     for k, row in enumerate(_remainders(f, _trimmed(g), 1)):
@@ -774,9 +878,13 @@ def strict_hurwitz(p: Polynomial) -> bool:
 
 
 def even_part_numerator(g: RationalFunction) -> Polynomial:
-    """r(s) = p(s)q(-s) + p(-s)q(s); 2*Re(g(jw)) = r(jw)/|q(jw)|^2."""
-    p, q = g.num, g.den
-    return p * q.flip_sign() + p.flip_sign() * q
+    """r(s) = p(s)q(-s) + p(-s)q(s); 2*Re(g(jw)) = r(jw)/|q(jw)|^2.  The
+    two products are taken on the integer parts and summed as int lists,
+    over the product of the contents."""
+    p, q = g.num.prim, g.den.prim
+    (pn, pd), (qn, qd) = (g.num.content.as_integer_ratio(),
+                          g.den.content.as_integer_ratio())
+    return _poly(_add(_mul(p, _flip(q)), _mul(_flip(p), q)), pn * qn, pd * qd)
 
 
 def even_part_profile(g: RationalFunction) -> Polynomial:
@@ -826,9 +934,18 @@ def is_positive_real(g: RationalFunction) -> bool:
     pr = getattr(g, "_pr", None)
     if pr is None:
         pr = g._pr = g.is_zero() or (
-            strict_hurwitz(g.num + g.den)
+            strict_hurwitz(_num_plus_den(g))
             and _nonnegative_on_nonneg_axis(even_part_profile(g)))
     return pr
+
+
+def _num_plus_den(g: RationalFunction) -> List[int]:
+    """num + den of g as one int list over a common content: den is monic,
+    so its content is 1 over its integer part's leading coefficient."""
+    (n, d), lead = g.num.content.as_integer_ratio(), g.den.prim[-1]
+    m = math.lcm(d, lead)
+    return _add([n * (m // d) * x for x in g.num.prim],
+                [m // lead * y for y in g.den.prim])
 
 
 def is_lossless(g: RationalFunction) -> bool:
@@ -890,7 +1007,7 @@ def _has_imaginary_axis_root(p: Polynomial) -> bool:
         return True
     # p(jw) = even(-w^2) + jw*odd(-w^2); common root u = -w^2 < 0 needed,
     # and u = 0 is none, as even(0) = p(0) != 0
-    *_, g = _remainders(_trimmed(c[0::2]), _trimmed(c[1::2]), 1)
+    g = _gcd(_trimmed(c[0::2]), _trimmed(c[1::2]))
     chain = _square_free_chain(g)[0] if len(g) > 1 else []
     return _variations(chain, "-inf") > _variations(chain, 0)
 

@@ -9,7 +9,8 @@ import pytest
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from prsyn.polyrat import (BiquadParams, Polynomial, Q,  # noqa: E402
-                           leading_minors, sqrt_fraction)
+                           _add, _mul, _poly, _remainders, leading_minors,
+                           sqrt_fraction)
 from prsyn.network import (CAPACITOR, INDUCTOR, RESISTOR, Element,  # noqa: E402
                            Leaf, Network, Par, Ser)
 from prsyn.synth import bridge_structural_polys  # noqa: E402
@@ -266,6 +267,83 @@ def tree_pair_reference(tree):
     return (num, den) if isinstance(tree, Ser) else (den, num)
 
 
+def tree_ints_reference(tree):
+    """The former recursive ``_tree_ints``, kept as a reference for the
+    stack walk: (num, den, scale) of a tree's impedance as int lists, each
+    part folded by a call of its own."""
+    if isinstance(tree, Leaf):
+        side, p = tree.element.electrical().law
+        v = tree.element.value
+        w, b = [0] * p + [v.numerator], [v.denominator]
+        return (w, b, v.denominator) if side == "Z" else (b, w, v.denominator)
+    parts = [tree_ints_reference(p) for p in tree.parts]
+    if isinstance(tree, Par):
+        parts = [(d, n, s) for (n, d, s) in parts]
+    num, den, scale = parts[0]
+    for (n, d, s) in parts[1:]:
+        num, den = _add(_mul(num, d), _mul(n, den)), _mul(den, d)
+        scale *= s
+    return (num, den, scale) if isinstance(tree, Ser) else (den, num, scale)
+
+
+def gcd_prs_reference(p, q):
+    """The former ``Polynomial.gcd``, kept as a reference for ``_gcd``: the
+    last member of the primitive remainder sequence of the integer parts
+    (``_remainders`` with sign 1), made monic."""
+    *_, g = _remainders(p.prim, q.prim, 1)
+    return _poly(list(g)).monic()
+
+
+def reduce_reference(num, den):
+    """The former Polynomial reduction of ``RationalFunction``: the PRS gcd,
+    Q[s] divisions by it, then num over den's leading coefficient and den
+    made monic.  Returns (num, den)."""
+    if num.is_zero():
+        return Polynomial(), Polynomial([1])
+    g = gcd_prs_reference(num, den)
+    if g.degree >= 1:
+        num, den = num // g, den // g
+    return num * (1 / den.leading()), den.monic()
+
+
+def strict_hurwitz_reference(p):
+    """The former Polynomial ``strict_hurwitz``: the Routh rows as the
+    primitive remainder sequence of the two parity parts of p's integer
+    part."""
+    if p.is_zero():
+        return False
+    c, n = p.prim, len(p.prim) - 1
+    f, g = ([x if k % 2 == r else 0 for k, x in enumerate(c)]
+            for r in (n % 2, 1 - n % 2))
+    while g and not g[-1]:
+        g.pop()
+    for k, row in enumerate(_remainders(f, g, 1)):
+        if len(row) != n + 1 - k or (row[-1] > 0) != (c[-1] > 0):
+            return False
+    return len(row) == 1
+
+
+def is_positive_real_reference(num, den):
+    """The former Polynomial PR test of num / den, reduced by
+    ``reduce_reference``: num + den strict Hurwitz by the Polynomial sum,
+    and the even-part numerator p q(-s) + p(-s) q by Polynomial products,
+    its profile nonnegative on (0, oo) by the Polynomial chain tower."""
+    p, q = reduce_reference(num, den)
+    if p.is_zero():
+        return True
+    if not strict_hurwitz_reference(p + q):
+        return False
+    r = p * q.flip_sign() + p.flip_sign() * q
+    if any(r.coeff(k) for k in range(1, len(r.prim), 2)):
+        raise AssertionError(f"odd even-part numerator {r}")
+    e = Polynomial([(-1) ** m * c for m, c in enumerate(r.coeffs[0::2])])
+    if e.is_zero():
+        return True
+    if e.coeff(0) < 0 or e.leading() < 0:
+        return False
+    return odd_multiplicity_reference(e) == 0
+
+
 def sturm_chain_reference(p):
     """The former Polynomial ``sturm_chain``, kept as a reference: p, p',
     then each next member the negated primitive part of the remainder of
@@ -381,7 +459,8 @@ def count_pr_tests(monkeypatch):
     """Record each PR test that ``polyrat`` evaluates, not each call of
     ``is_positive_real``: the test of a nonzero function starts with the
     strict Hurwitz test of num + den, which nothing else in polyrat runs,
-    and a verdict read back from the function runs none."""
+    and a verdict read back from the function runs none.  Each entry is
+    the int list of num + den that the test reads."""
     import prsyn.polyrat as polyrat
     tests = []
 

@@ -1375,7 +1375,7 @@ def _minor_gcd_pbh(ss):
     u_modes = tuple(r for r in real_roots(u) if isinstance(r, Fraction))
     o_modes = tuple(r for r in real_roots(o) if isinstance(r, Fraction))
     return PBHReport(u, o, u_modes, o_modes, u.degree < 1, o.degree < 1,
-                     u.degree < 1 or strict_hurwitz(u))
+                     u.degree < 1 or strict_hurwitz(u.prim))
 
 
 def _leading_minor_char_poly(ss):

@@ -36,11 +36,14 @@ over Z[x], off one pass over the interleaved Sylvester rows; and
 other Sylvester determinant is.  Only ``synth._coefficients_in_x``
 interpolates, reading a fixture pair's coefficients in x off a few bridge
 builds; no check interpolates sampled values of its answer.  Likewise
-one ``while`` loop divides: ``_remainders``, the primitive remainder
-sequence on int lists that ``Polynomial.gcd``, ``sturm_chain`` and the
-Routh rows of ``strict_hurwitz`` read; the real-root code reads gcd(p, p') off the Sturm
-chain rather than running a second.  The root section runs on the same
-int lists, so its helpers (``_remainders``, ``sturm_chain``,
+two ``while`` loops divide: ``_remainders``, the primitive remainder
+sequence on int lists that ``sturm_chain``, the Routh rows of
+``strict_hurwitz`` and the gcd's fallback read, and ``_gcd``, the
+heuristic gcd that rebuilds a candidate from its digits in base xi, which
+``Polynomial.gcd`` and every reduction of a ``RationalFunction`` read; the
+real-root code reads gcd(p, p') off the Sturm chain rather than running a
+gcd.  The root section runs on the same int lists, so its helpers
+(``_remainders``, ``_primitive``, ``_gcd``, ``sturm_chain``,
 ``_square_free_chain``, ``_sign_at``, ``_variations``,
 ``_odd_multiplicity_roots``, ``_has_imaginary_axis_root`` and
 ``strict_hurwitz``) build no ``Polynomial``.  The state space is read
@@ -53,12 +56,11 @@ one polynomial class of ``polyrat``, and the one class with division.  In the gr
 one function runs a stack loop over the graph: the depth-first search
 ``_search``, which gives both the connected components and the blocks;
 the only other stack loops there walk a series-parallel tree
-(``tree_elements``, ``dual_tree`` and ``_emit_tree``).  No function
-calls itself, so no input's depth meets the recursion limit, except the
-two builders whose recursion is one level deep and ``_tree_ints``, kept
-recursive for speed on the small arms it folds.  Only ``network`` names
-the bare-port error: the one place a one-port without an element is
-refused.  In ``synth`` only
+(``_tree_ints``, ``tree_elements``, ``dual_tree`` and ``_emit_tree``).
+No function calls itself, so no input's depth meets the recursion limit,
+except the two builders whose recursion is one level deep.  Only
+``network`` names the bare-port error: the one place a one-port without
+an element is refused.  In ``synth`` only
 ``bridge_structural_polys``, the one bridge evaluator, reads the bridge's
 spanning-tree tables ``_TREE_OFF`` and ``_TWOTREE_OFF``.  No function
 takes a ``True``/``False`` default: a
@@ -359,9 +361,11 @@ def test_spanning_tree_tables_read_only_by_the_bridge_evaluator():
     assert found == {("synth.py", "bridge_structural_polys")}
 
 
-# the one remainder loop, which the gcd, the Sturm chain (whose last member
-# is gcd(p, p') for the root code) and the Routh rows read
-PREM_LOOPS = {("polyrat.py", "_remainders")}
+# the one remainder loop, which the Sturm chain (whose last member is
+# gcd(p, p') for the root code), the Routh rows and the gcd's fallback read,
+# and the heuristic gcd, whose loop rebuilds a candidate from its digits in
+# base xi
+PREM_LOOPS = {("polyrat.py", "_remainders"), ("polyrat.py", "_gcd")}
 
 
 def _divides(node) -> bool:
@@ -375,7 +379,7 @@ def _divides(node) -> bool:
 
 def test_one_remainder_loop():
     # a `while` loop that divides, anywhere else in src/, is a second
-    # remainder sequence
+    # remainder sequence or a second gcd
     found = set()
     for path in MODULES:
         for top in _tree(path).body:
@@ -391,16 +395,18 @@ def test_one_remainder_loop():
     assert found == PREM_LOOPS
 
 
-# the root section on int lists: the remainder loop and what reads it
-ROOT_HELPERS = {"_remainders", "sturm_chain", "_square_free_chain",
-                "_sign_at", "_variations", "_odd_multiplicity_roots",
-                "_has_imaginary_axis_root", "strict_hurwitz"}
+# the root section on int lists: the remainder loop, the heuristic gcd and
+# its primitive parts, and what reads them
+ROOT_HELPERS = {"_remainders", "_primitive", "_gcd", "sturm_chain",
+                "_square_free_chain", "_sign_at", "_variations",
+                "_odd_multiplicity_roots", "_has_imaginary_axis_root",
+                "strict_hurwitz"}
 
 
 def test_no_objects_in_the_root_helpers():
-    # a Polynomial (or Fraction) built per chain member, per remainder or
-    # per sign is the object route that the int lists removed; the public
-    # functions read .prim once, at entry
+    # a Polynomial (or Fraction) built per chain member, per remainder, per
+    # gcd candidate or per sign is the object route that the int lists
+    # removed; the public functions read .prim once, at entry
     fns = [top for top in _tree(PACKAGE / "polyrat.py").body
            if isinstance(top, ast.FunctionDef) and top.name in ROOT_HELPERS]
     assert len(fns) == len(ROOT_HELPERS)
@@ -460,8 +466,8 @@ def test_one_polynomial_type():
 GRAPH_WALKS = {("network.py", "_search")}
 # stack loops over a series-parallel tree, not the graph: a ladder's tree
 # is as deep as the ladder is long
-TREE_WALKS = {("network.py", "tree_elements"), ("network.py", "dual_tree"),
-              ("network.py", "_emit_tree")}
+TREE_WALKS = {("network.py", "_tree_ints"), ("network.py", "tree_elements"),
+              ("network.py", "dual_tree"), ("network.py", "_emit_tree")}
 
 
 def test_one_graph_walk():
@@ -479,11 +485,8 @@ def test_one_graph_walk():
 
 
 # functions that call themselves: the seven-element and named builders
-# recurse one level, on the mirrored step or the inverted parameters, and
-# _tree_ints folds the small arms of the fixture route, where a stack fold
-# timed slower
-SELF_CALLS = {("synth.py", "build_seven_element"), ("synth.py", "build_named"),
-              ("network.py", "_tree_ints")}
+# recurse one level, on the mirrored step or the inverted parameters
+SELF_CALLS = {("synth.py", "build_seven_element"), ("synth.py", "build_named")}
 
 
 def test_no_unbounded_recursion():

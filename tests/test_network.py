@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from prsyn.analysis import impedance
+from prsyn.analysis import impedance, impedance_series_parallel
 from prsyn.network import (CAPACITOR, DUAL_SHAPE, DUAL_SLOT, INDUCTOR,
                            MECHANICAL, RESISTOR, SHAPES, Element, MissingPort,
                            NetlistSyntaxError, Network, NetworkError,
@@ -17,8 +17,8 @@ from prsyn.network import (CAPACITOR, DUAL_SHAPE, DUAL_SLOT, INDUCTOR,
                            assemble_shape, dual, embeddings, frequency_invert,
                            from_mechanical, has_C_cutset, has_C_path,
                            has_L_cutset, has_L_path, incidence_matrix,
-                           is_biconnected, network_from_json, network_to_json,
-                           open_oneport, parse_netlist,
+                           _tree_ints, is_biconnected, network_from_json,
+                           network_to_json, open_oneport, parse_netlist,
                            report_grounded_capacitors, serialize_netlist, par,
                            ser, short_oneport, skeleton, sp_tree,
                            to_mechanical, tree_impedance, tree_pair)
@@ -27,7 +27,8 @@ from prsyn.polyrat import (BiquadParams, Polynomial, Q, RationalFunction,
 from prsyn.synth import build_named
 
 from conftest import (ladder_network, random_biconnected_network,
-                      random_sp_network, tree_pair_reference)
+                      random_sp_network, tree_ints_reference,
+                      tree_pair_reference)
 
 N1_TEXT = """
 # three-storage witness wired as the four-vertex bridge
@@ -350,6 +351,31 @@ class TestTreePair:
             assert any(isinstance(t, cls) for t in trees)
         for tree in trees:
             assert tree_pair(tree) == tree_pair_reference(tree)
+
+
+class TestLongLadders:
+    """A ladder's series-parallel tree is as deep as the ladder is long, so
+    the int-list fold walks it with a stack."""
+
+    def test_fold_matches_the_recursive_fold(self):
+        # 400 elements is about as deep as the recursive fold goes
+        for size in (200, 400):
+            tree = sp_tree(ladder_network(size, random.Random(size)))
+            assert _tree_ints(tree) == tree_ints_reference(tree)
+
+    def test_sp_oracle_on_a_1200_element_ladder(self):
+        # the recursive fold raised RecursionError from 600 elements on;
+        # the value at s = 2 against the ladder folded from its far end
+        n = ladder_network(1200, random.Random(1200))
+        h = impedance_series_parallel(n)
+        z = {RESISTOR: lambda v: v, INDUCTOR: lambda v: 2 * v,
+             CAPACITOR: lambda v: 1 / (2 * v)}
+        arms = [z[e.kind](e.value) for e in n.elements]
+        total = arms[-1]
+        for i in reversed(range(len(arms) - 1)):
+            total = (arms[i] + total if i % 2 == 0
+                     else 1 / (1 / arms[i] + 1 / total))
+        assert h.mcmillan_degree == 600 and h(Q(2)) == total
 
 
 class TestTreeImpedance:

@@ -30,8 +30,10 @@ from prsyn.polyrat import (BiquadParams, DegreeTooSmall, InvariantViolation,
                            PoleAtPoint, _poly)
 
 from conftest import (count_real_roots_reference, dense_gauss_jordan,
+                      gcd_prs_reference, is_positive_real_reference,
                       leading_minors_over_q, odd_multiplicity_reference,
-                      real_roots_reference, variations_reference)
+                      real_roots_reference, reduce_reference,
+                      variations_reference)
 
 S = Polynomial([0, 1])
 
@@ -211,9 +213,10 @@ class TestPositiveReal:
         assert exc.value.context["numerator"] == parse_poly("s^3 + 1")
 
     def test_hurwitz_infrastructure(self):
-        assert strict_hurwitz(parse_poly("s^2 + s + 1"))
-        assert not strict_hurwitz(parse_poly("s^3 + s^2 + s + 1"))
-        assert not strict_hurwitz(parse_poly("s^3 + s^2 + 2 s + 2"))
+        assert strict_hurwitz(parse_poly("s^2 + s + 1").prim)
+        assert not strict_hurwitz(parse_poly("s^3 + s^2 + s + 1").prim)
+        assert not strict_hurwitz(parse_poly("s^3 + s^2 + 2 s + 2").prim)
+        assert not strict_hurwitz([])
 
 
 class TestLossless:
@@ -1598,32 +1601,42 @@ class TestIntegerPRS:
                 p = p + Polynomial([0] * k + [rng.randint(-2, 2)])
             polys.append(p)
         for p in polys:
-            verdicts.append(strict_hurwitz(p))
+            verdicts.append(strict_hurwitz(p.prim))
             assert verdicts[-1] == routh_reference(p), p
         assert 50 < sum(verdicts) < len(verdicts) - 50
 
     def test_no_rational_euclid_in_the_pr_check(self, monkeypatch):
-        # Q[s] division from inside the one remainder sequence means a
-        # Fraction Euclid loop is back; exact divisions elsewhere (p // g)
-        # may stay
+        # the impedance, its reduction and its PR check divide int lists
+        # only: a Q[s] division anywhere in them means a Fraction Euclid
+        # loop, or a Polynomial reduction, is back.  The int remainder
+        # sequence runs instead, for the Routh rows (sign 1) and the Sturm
+        # chains (sign -1), and the reduction's gcd is read off ``_gcd``
         from conftest import ladder_network
         from prsyn import polyrat
         from prsyn.analysis import impedance
-        loops = {polyrat._remainders.__code__}
-        inside, outside = [], []
-        divmod_ = Polynomial.__divmod__
+        rational, remainders, gcds = [], [], []
+        divmod_, sequence, gcd = (Polynomial.__divmod__, polyrat._remainders,
+                                  polyrat._gcd)
 
-        def counted(self, other):
-            frame = sys._getframe(1)
-            while frame is not None and frame.f_code not in loops:
-                frame = frame.f_back
-            (outside if frame is None else inside).append(1)
+        def counted_divmod(self, other):
+            rational.append((self, other))
             return divmod_(self, other)
 
-        monkeypatch.setattr(Polynomial, "__divmod__", counted)
+        def counted_sequence(a, b, sign):
+            remainders.append(sign)
+            return sequence(a, b, sign)
+
+        def counted_gcd(a, b):
+            gcds.append((a, b))
+            return gcd(a, b)
+
+        monkeypatch.setattr(Polynomial, "__divmod__", counted_divmod)
+        monkeypatch.setattr(polyrat, "_remainders", counted_sequence)
+        monkeypatch.setattr(polyrat, "_gcd", counted_gcd)
         h = impedance(ladder_network(32, random.Random(32)))
         assert is_positive_real(h)
-        assert inside == [] and outside
+        assert rational == [] and {1, -1} <= set(remainders)
+        assert len(gcds) == 1
 
 
 def square_free_route(ints):
@@ -1763,7 +1776,8 @@ class TestSquareFreeChain:
     def test_one_remainder_sequence_per_polynomial(self, monkeypatch):
         # a PR check chains each polynomial once: one chain on a square-free
         # E, and two for the double root of a minimum function's E (E, then
-        # the last member of its chain); no PR check runs a gcd, and the
+        # the last member of its chain); no PR check runs a gcd (``_gcd``,
+        # which Polynomial.gcd and every reduction read), and the
         # impedance, blocked report and open/short check run no gcd(p, p')
         from conftest import ladder_network, sample_region
         from prsyn import analysis, polyrat, synth
@@ -1785,18 +1799,18 @@ class TestSquareFreeChain:
         networks += [(synth.build_seven_element(step, which), p.omega0)
                      for which in synth.SEVEN_ELEMENT_VARIANTS]
         chains, gcds = [], []
-        sturm, gcd = polyrat.sturm_chain, Polynomial.gcd
+        sturm, gcd = polyrat.sturm_chain, polyrat._gcd
 
         def counted_chain(p):
             chains.append(p)
             return sturm(p)
 
-        def counted_gcd(self, other):
-            gcds.append((self, other))
-            return gcd(self, other)
+        def counted_gcd(a, b):
+            gcds.append((_poly(list(a)), _poly(list(b))))
+            return gcd(a, b)
 
         monkeypatch.setattr(polyrat, "sturm_chain", counted_chain)
-        monkeypatch.setattr(Polynomial, "gcd", counted_gcd)
+        monkeypatch.setattr(polyrat, "_gcd", counted_gcd)
         for h, e in ladders:
             chains.clear()
             gcds.clear()
@@ -1815,8 +1829,10 @@ class TestSquareFreeChain:
             assert is_positive_real(fresh)
             e = even_part_profile(h)
             assert chains == [e.prim, sturm(e.prim)[-1]] and gcds == []
-        assert analysis_gcds and not any(b == a.derivative()
-                                         for a, b in analysis_gcds if a)
+        # up to a constant: _gcd reads integer parts
+        assert analysis_gcds and not any(
+            b.monic() == a.derivative().monic()
+            for a, b in analysis_gcds if a.degree >= 1)
 
 
 class TestRootSectionAgainstReference:
@@ -1849,7 +1865,7 @@ class TestRootSectionAgainstReference:
             for a, b in [(p, q), (p, p.derivative()),
                          (p * common, q * common)]:
                 assert a.gcd(b) == q_gcd_reference(a, b), (a, b)
-            verdicts.append(strict_hurwitz(p))
+            verdicts.append(strict_hurwitz(p.prim))
             assert verdicts[-1] == routh_reference(p), p
             if p.is_zero():
                 continue
@@ -1865,6 +1881,219 @@ class TestRootSectionAgainstReference:
             assert (_odd_multiplicity_roots(p)
                     == odd_multiplicity_reference(p)), p
         assert brackets and 20 < sum(verdicts) < len(verdicts) - 20
+
+
+def distinct_linear_factors(rng, count):
+    """The product of count factors s - r, r = a/b with a in -40..40 and b
+    in 1..9, no r repeated."""
+    roots = set()
+    while len(roots) < count:
+        roots.add(Fraction(rng.randint(-40, 40), rng.randint(1, 9)))
+    p = Polynomial([1])
+    for r in roots:
+        p = p * Polynomial([-r, 1])
+    return p, roots
+
+
+class TestHeuristicGcd:
+    """``_gcd`` on int lists, heuristic with the primitive remainder
+    sequence as fallback, against that sequence alone
+    (``gcd_prs_reference``, the former ``Polynomial.gcd``)."""
+
+    @staticmethod
+    def check(a, b):
+        from prsyn.polyrat import _gcd
+        want = gcd_prs_reference(a, b)
+        got = _gcd(a.prim, b.prim)
+        assert _poly(list(got)).monic() == want == a.gcd(b), (a, b)
+        assert got == [] if want.is_zero() else (
+            got[-1] > 0 and math.gcd(*got) == 1)
+        return want
+
+    def test_products_with_a_common_factor(self):
+        rng = random.Random(1989)
+        degrees = set()
+        for _ in range(300):
+            common = random_rational_poly(rng) or Polynomial([1, 1])
+            p, q = random_rational_poly(rng), random_rational_poly(rng)
+            g = self.check(p * common, q * common)
+            if p and q:
+                assert (common.monic() * p.gcd(q)).monic() == g
+                degrees.add(int(g.degree))
+        assert {0, 1, 2, 3} <= degrees
+
+    def test_coprime_pairs(self):
+        # no root shared and no common factor: the gcd is 1
+        rng = random.Random(1992)
+        for _ in range(200):
+            p, roots = distinct_linear_factors(rng, rng.randint(1, 8))
+            q, more = distinct_linear_factors(rng, rng.randint(1, 8))
+            if roots & more:
+                continue
+            scale = Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 10 ** 9))
+            q = q * scale + Polynomial([0] * rng.randint(0, 3))
+            assert self.check(p, q) == 1
+
+    def test_common_power_of_s(self):
+        # s^k with k up to 9, as in the impedance minors, times a common
+        # factor or none; the other powers of s are not shared
+        rng = random.Random(1998)
+        for _ in range(200):
+            i, j = rng.randint(0, 9), rng.randint(0, 9)
+            p, q = random_rational_poly(rng), random_rational_poly(rng)
+            common = rng.choice([Polynomial([1]), Polynomial([1, 1]),
+                                 Polynomial([Q(-2, 3), 0, 1])])
+            a, b = S ** i * p * common, S ** j * q * common
+            g = self.check(a, b)
+            if p and q and p.coeff(0) and q.coeff(0):
+                assert g == (S ** min(i, j) * common * p.gcd(q)).monic()
+
+    def test_constants_and_negative_leading_coefficients(self):
+        zero, three = Polynomial(), Polynomial([Q(-3, 7)])
+        p = Polynomial([2, -3, -5])     # -(5 s - 2)(s + 1), a negative lc
+        assert self.check(zero, zero) == zero
+        assert self.check(three, zero) == self.check(zero, three) == 1
+        assert self.check(three, p) == self.check(p, three) == 1
+        assert self.check(p, zero) == self.check(zero, -p) == p.monic()
+        assert self.check(S ** 4, three) == 1
+        assert self.check(S ** 4, -S ** 2 * p) == S ** 2
+        assert self.check(-p * S, p * Polynomial([-1, -1])) == p.monic()
+        rng = random.Random(1877)
+        for _ in range(100):
+            a, b = random_rational_poly(rng), random_rational_poly(rng)
+            common = -Polynomial([rng.randint(-5, 5), rng.randint(1, 5)])
+            self.check(-a * common, b * common * -1)
+
+    def test_large_coefficients_take_the_fallback(self, monkeypatch):
+        # xi above 2 * 2^40000 times three coefficients is past the bits
+        # the heuristic takes, so the remainder sequence answers; pairs of
+        # small coefficients never get there
+        from prsyn import polyrat
+        calls, sequence = [], polyrat._remainders
+
+        def counted(a, b, sign):
+            if sys._getframe(1).f_code.co_name == "_gcd":
+                calls.append(sign)
+            return sequence(a, b, sign)
+
+        monkeypatch.setattr(polyrat, "_remainders", counted)
+        big = 2 ** 40000 + 1
+        a = Polynomial([1, 1]) * Polynomial([big, 1])
+        b = Polynomial([1, 1]) * Polynomial([big + 2, 1])
+        assert polyrat._gcd(a.prim, b.prim) == [1, 1] and calls == [1]
+        calls.clear()
+        a = Polynomial([1, 1]) * Polynomial([5, 1])
+        assert polyrat._gcd(a.prim, (a * Polynomial([2, 1])).prim) == [5, 6, 1]
+        assert calls == []
+
+    def test_ladder_pairs_are_powers_of_s(self, monkeypatch):
+        # each ladder's nodal pair s L M_(n-1), M_n has the gcd s^k, found
+        # by the heuristic at its first xi: no remainder sequence runs
+        from conftest import ladder_network
+        from prsyn import polyrat
+        from prsyn.analysis import impedance
+        gcds, calls = [], []
+        gcd, sequence = polyrat._gcd, polyrat._remainders
+
+        def counted_gcd(a, b):
+            gcds.append(gcd(a, b))
+            return gcds[-1]
+
+        def counted_sequence(a, b, sign):
+            if sys._getframe(1).f_code.co_name == "_gcd":
+                calls.append(sign)
+            return sequence(a, b, sign)
+
+        monkeypatch.setattr(polyrat, "_gcd", counted_gcd)
+        monkeypatch.setattr(polyrat, "_remainders", counted_sequence)
+        rng = random.Random(41)
+        for size in (6, 8, 10, 12, 14, 16, 18, 20, 24, 28, 32):
+            impedance(ladder_network(size, rng))
+        powers = {len(g) - 1 for g in gcds}
+        assert all(g == [0] * (len(g) - 1) + [1] for g in gcds)
+        assert len(gcds) == 11 and max(powers) >= 2 and calls == []
+
+
+def random_ratfunc_pair(rng):
+    """(num, den) of a random rational function: products of linear and
+    quadratic factors with positive coefficients, so that many are PR,
+    some with a coefficient of either sign; contents fractional and of
+    either sign; a common factor (a power of s, a factor with a root in
+    the right half-plane, or a random one) in a third of them; and now and
+    then a zero numerator or a constant."""
+    def factor():
+        k = rng.choice([1, 2])
+        cs = [Fraction(rng.randint(1, 30), rng.randint(1, 12))
+              for _ in range(k)] + [1]
+        if rng.random() < 0.15:
+            cs[rng.randrange(k)] *= -1
+        return Polynomial(cs)
+
+    def side():
+        p = Polynomial([Fraction(rng.choice([1, 1, 1, -1]) * rng.randint(1, 9),
+                                 rng.choice([1, rng.randint(1, 10 ** 9)]))])
+        for _ in range(rng.randint(0, 3)):
+            p = p * factor()
+        return p
+
+    num, den = side(), side()
+    kind = rng.randrange(12)
+    if kind < 4:
+        common = [S ** rng.randint(1, 4), Polynomial([-2, 1]), factor(),
+                  random_rational_poly(rng) or S][kind]
+        num, den = num * common, den * common
+    elif kind == 4:
+        num = Polynomial()
+    elif kind == 5:
+        num = Polynomial([Fraction(rng.randint(-5, 5), rng.randint(1, 5))])
+    return num, den
+
+
+class TestIntegerRoute:
+    """The reduction of a ``RationalFunction`` and its PR test on int lists
+    against the Polynomial route they replaced (``reduce_reference`` and
+    ``is_positive_real_reference`` in conftest)."""
+
+    def test_same_coefficients_and_verdicts(self, monkeypatch):
+        # the Routh test reads num + den up to a positive constant; a
+        # positive weight on either part alone would not change a verdict
+        # (where the real part is nonnegative on the axis, no root of
+        # p + k q crosses it as k > 0 varies), so it is checked by itself
+        from conftest import count_pr_tests
+        sums = count_pr_tests(monkeypatch)
+        rng = random.Random(1989)
+        verdicts, reduced = [], 0
+        for _ in range(2400):
+            num, den = random_ratfunc_pair(rng)
+            h = RationalFunction(num, den)
+            want_num, want_den = reduce_reference(num, den)
+            assert h.num.coeffs == want_num.coeffs, (num, den)
+            assert h.den.coeffs == want_den.coeffs, (num, den)
+            reduced += h.den.degree < den.degree
+            sums.clear()
+            verdicts.append(is_positive_real(h))
+            assert verdicts[-1] == is_positive_real_reference(num, den), h
+            if sums:
+                got, total = _poly(list(sums[0])), h.num + h.den
+                assert got.monic() == total.monic()
+                assert not total or (got.leading() > 0) == (total.leading() > 0)
+        assert 400 < sum(verdicts) < len(verdicts) - 400 and reduced > 400
+
+    def test_nodal_impedances_and_their_sums(self):
+        # the int route from the minors against the Polynomial route on the
+        # same pair, for ladders and for sums of their impedances (gcds of
+        # higher degree)
+        from conftest import ladder_network
+        from prsyn.analysis import impedance
+        rng = random.Random(7)
+        hs = [impedance(ladder_network(size, rng))
+              for size in (6, 8, 10, 12, 16, 20)]
+        for f in hs + [a + b for a in hs for b in hs] + [a * b for a in hs
+                                                           for b in hs[:2]]:
+            want = reduce_reference(f.num * f.den, f.den * f.den)
+            assert (f.num, f.den) == want
+            assert is_positive_real(f) == is_positive_real_reference(f.num,
+                                                                     f.den)
 
 
 class FractionPolynomial:
