@@ -6,15 +6,19 @@ with controllability/observability diagnostics.  Impedance, phasors and
 state space share one integer stamp, ``_stamp``: the modified nodal
 matrix with the port minus terminal grounded, scaled by s and by one
 common denominator L, so that each entry is an int triple (c0, c1, c2)
-meaning c0 + c1 s + c2 s^2.  The impedance eliminates over Z[s] on the
-triples as they are and builds its two Polynomials at the end.  A phasor
-system evaluates the triples at s = j*omega into Gaussian-integer rows,
-Z[j], each element an int list [re, im], [re] or [] (zero), the
-convention of ``polyrat``'s elimination, plus a current unknown only for
-an element whose admittance does not exist there (an inductor at
-omega = 0); the state space takes the resistors' c1 and a current
-unknown for each capacitor, which holds its state voltage.  One call
-stamps its network once.  ``Network`` refuses a bare port, so every
+meaning c0 + c1 s + c2 s^2, and each element's law is the ints (k, p, q)
+of its scaled admittance (p/q) s^k, with no Fraction.  The impedance
+eliminates over Z[s] on the triples as they are and builds its two
+Polynomials at the end.  A phasor system evaluates the triples at
+s = j*omega into Gaussian-integer rows, Z[j], each element an int list
+[re, im], [re] or [] (zero), the convention of ``polyrat``'s
+elimination, plus a current unknown only for an element whose admittance
+does not exist there (an inductor at omega = 0); the drive fixes the
+source current or the port potential, whose column goes to the
+right-hand side, so only the KCL rows are solved, with no drive row.
+The state space takes the resistors' c1 and a current unknown for each
+capacitor, which holds its state voltage.  One call stamps its network
+once.  ``Network`` refuses a bare port, so every
 network here has an element and an impedance.  Everything is exact:
 frequencies are rationals (a float is a TypeError), and a phasor stays a
 Z[j] numerator over the last pivot d of its solve until a public type is
@@ -36,7 +40,11 @@ one matrix, its vertices in minimum-degree order with the port vertex
 last.  The state space is read over Z, with one integer Krylov sequence
 per model, kept on the ``StateSpace`` (``_ab_sequence``): A cleared to
 the int rows dA over d, and the int Krylov columns (dA)^j (e B), d and e
-the lcms of the denominators, give the annihilator ints of B through one
+the least common denominators.  ``state_space`` clears its own int rows
+of A, one gcd a row (``_cleared``), and keeps (d, dA) on its model, so
+A is never read back from its Fractions; a model built by hand is
+cleared from them once, by the same helper.  The sequence gives the
+annihilator ints of B through one
 ``solve`` and the Markov parameters C A^j B, summed over Z, so
 ``ss_impedance`` is D + N / m with no determinant and no Fraction before
 its two polynomials (Kailath 1980, *Linear Systems*, ch. 2 and sec.
@@ -108,18 +116,21 @@ def _stamp(n: Network):
     R -> s/R, L -> 1/L, C -> C s^2.  With L the lcm of the denominators of
     the v, the entries of L*s*Y are int triples (c0, c1, c2), each meaning
     c0 + c1 s + c2 s^2.  Returns (L, laws, triples, idx): laws holds the
-    (k, v) of each element in order, idx the index of every vertex but the
-    grounded one."""
+    ints (k, p, q) of each element in order, v = p/q in lowest terms (the
+    reciprocal of a resistance or an inductance is its value's numerator
+    and denominator swapped, with no Fraction), idx the index of every
+    vertex but the grounded one."""
     ground = n.port[1]
     idx = {v: i for i, v in enumerate(v for v in n.vertices if v != ground)}
     laws = []
     for e in n.elements:
-        side, p = e.electrical().law
-        laws.append((p + 1, e.value) if side == "Y" else (1 - p, 1 / e.value))
-    scale = math.lcm(*(v.denominator for _, v in laws))
+        side, k = e.electrical().law
+        p, q = e.value.numerator, e.value.denominator
+        laws.append((k + 1, p, q) if side == "Y" else (1 - k, q, p))
+    scale = math.lcm(*(q for _, _, q in laws))
     mat = [[[0, 0, 0] for _ in idx] for _ in idx]
-    for e, (k, v) in zip(n.elements, laws):
-        w = v.numerator * (scale // v.denominator)
+    for e, (k, p, q) in zip(n.elements, laws):
+        w = p * (scale // q)
         ends = [(idx[x], sgn) for x, sgn in ((e.head, 1), (e.tail, -1))
                 if x != ground]
         for i, si in ends:
@@ -138,7 +149,7 @@ def _dc_rows(n: Network, stamp, k: int) -> List[List[int]]:
     known sources on the right-hand side (the inductors' state currents)."""
     scale, laws, mat, idx = stamp
     ground = n.port[1]
-    branch = [e for e, (ke, _) in zip(n.elements, laws) if ke == k]
+    branch = [e for e, law in zip(n.elements, laws) if law[0] == k]
     width = len(idx) + len(branch)
     rows = [[t[1] for t in row] + [0] * len(branch) for row in mat]
     for col, e in enumerate(branch, len(idx)):
@@ -247,42 +258,67 @@ def _phasor_space(n: Network, omega: Fraction, drive: Tuple[str, QComplex],
     each KCL row is scaled by j*omega*b^2*L, so an entry is (c0 b^2 - c2 a^2)
     + j c1 a b and the source current's coefficient is -j a b L.  At
     omega = 0 the KCL rows are Y(0)*L and an element with c0 != 0, an
-    inductor, has a current unknown (``_dc_rows``).  Returns (d, particular
-    solution, nullspace basis, stamp), the vectors Z[j] numerators over d
-    (``solve``), or raises InconsistentDrive."""
+    inductor, has a current unknown (``_dc_rows``).
+
+    The drive fixes one unknown, the source current or the port potential,
+    to its phasor, m*drive / m with m the lcm of the phasor's denominators.
+    That unknown's column goes to the right-hand side, times m*drive, and
+    only the KCL rows are solved: a drive row would have had a nonzero in
+    that column alone, so the free columns, the rational particular
+    solution and the nullspace are the same.  The solve gives m times the
+    other unknowns over its last pivot d', so everything is over d = m d'.
+    Returns (d, particular solution, nullspace basis, stamp), the vectors
+    full-length Z[j] numerators over d (``solve``), the source current
+    last, or raises InconsistentDrive."""
     scale, _, mat, idx = stamp
+    port = idx[n.port[0]]
+    mode, value = drive
+    if mode not in ("current", "voltage"):
+        raise ValueError(f"unknown drive mode {mode!r}")
     a, b = omega.numerator, omega.denominator
     if a:
         a2, ab, b2 = a * a, a * b, b * b
         rows = [[_gauss(c0 * b2 - c2 * a2, c1 * ab) if c0 or c1 or c2
-                 else [] for c0, c1, c2 in row] + [[]] for row in mat]
-        source = [0, -ab * scale]
+                 else [] for c0, c1, c2 in row] for row in mat]
+        sr, si = 0, -ab * scale             # the source current's coefficient
     else:
-        rows = [[[x] if x else [] for x in row] + [[]]
+        rows = [[[x] if x else [] for x in row]
                 for row in _dc_rows(n, stamp, 0)]
-        source = [-scale]
-    # the source current, injected at the plus terminal, then the drive row
-    # cleared of the phasor's denominators
-    rows[idx[n.port[0]]][-1] = source
-    row = [[]] * len(rows[0])
-    mode, value = drive
-    m = math.lcm(value.re.denominator, value.im.denominator)
+        sr, si = -scale, 0
+    # the drive cleared of its denominators: vr + j vi = m * value
+    (pr, pd), (qr, qd) = (value.re.as_integer_ratio(),
+                          value.im.as_integer_ratio())
+    m = math.lcm(pd, qd)
+    vr, vi = pr * (m // pd), qr * (m // qd)
     if mode == "current":
-        row[-1] = [m]
-    elif mode == "voltage":
-        row[idx[n.port[0]]] = [m]
+        # the source current, injected at the plus terminal, is known
+        known = len(rows[0])
+        rhs = [[[]] for _ in rows]
+        rhs[port] = [_gauss(si * vi - sr * vr, -sr * vi - si * vr)]
     else:
-        raise ValueError(f"unknown drive mode {mode!r}")
-    rhs = [[[]]] * len(rows) + [[_gauss(int(value.re * m),
-                                        int(value.im * m))]]
-    rows.append(row)
+        # the port potential is known, and the source current is unknown
+        known = port
+        rhs = []
+        for row in rows:
+            cr, ci = _parts(row.pop(port))
+            rhs.append([_gauss(ci * vi - cr * vr, -cr * vi - ci * vr)])
+            row.append([])
+        rows[port][-1] = _gauss(sr, si)
 
     solved = solve(rows, rhs)
     if solved is None:
         raise InconsistentDrive(
             f"no sinusoidal trajectory with drive {mode}={value} at omega={omega}")
     d, particular, basis = solved
-    return d, [x for (x,) in particular], basis, stamp
+    dr, di = _parts(d)
+    vec = [x for (x,) in particular]
+    vec.insert(known, _gauss(vr * dr - vi * di, vr * di + vi * dr))
+    for v in basis:
+        v.insert(known, [])
+    if m != 1:
+        d = [x * m for x in d]
+        basis = [[[x * m for x in y] for y in v] for v in basis]
+    return d, vec, basis, stamp
 
 
 def _phasor_draw(n: Network, omega: Fraction, space, seed) -> PhasorSolution:
@@ -294,8 +330,8 @@ def _phasor_draw(n: Network, omega: Fraction, space, seed) -> PhasorSolution:
     unknowns are numerators x over one D (d, or 3233 d with free modes),
     and x * conj(D) over the int |D|^2 gives each value.  An element's
     voltage is the difference of its ends' numerators; its current is
-    y*v, with y = v_e (j*omega)^(k-1) from its law (k, v_e): for
-    v_e = p/q and omega = a/b, y is p/q, j p a/(q b) or -j p b/(q a) for
+    y*v, with y = v_e (j*omega)^(k-1) from its law (k, p, q), v_e = p/q:
+    for omega = a/b, y is p/q, j p a/(q b) or -j p b/(q a) for
     k = 1, 2 or 0.  An element with no admittance, an inductor at
     omega = 0, has its own unknown.  Each field is one QComplex."""
     d, vec, basis, (_, laws, _, idx) = space
@@ -326,11 +362,11 @@ def _phasor_draw(n: Network, omega: Fraction, space, seed) -> PhasorSolution:
     currents = {}
     voltages = {}
     extra = iter(range(len(idx), len(vec) - 1))   # zero-impedance currents
-    for e, (k, v) in zip(n.elements, laws):
+    for e, (k, p, q) in zip(n.elements, laws):
         (hr, hi), (tr, ti) = pot[e.head], pot[e.tail]
         vr, vi = hr - tr, hi - ti
         voltages[e.id] = value(vr, vi)
-        p, q = v.numerator, v.denominator * norm
+        q *= norm
         if k == 1:                          # v_e
             currents[e.id] = value(p * vr, p * vi, q)
         elif k == 2:                        # j v_e a / b
@@ -640,7 +676,15 @@ def state_space(n: Network) -> StateSpace:
 
     Raises CapacitorLoop when the capacitors contain a circuit (their
     voltages are then linearly dependent) and InductorCutset when the
-    inductors contain a cut-set (their currents are then constrained)."""
+    inductors contain a cut-set (their currents are then constrained).
+
+    One solve over Z gives every potential and capacitor current as int
+    numerators over its last pivot den.  A row of [A | B] is an inductor's
+    voltage times 1/L, or a capacitor's current times 1/C; with the
+    reciprocal u/w from the stamp's int law it is the ints u*x over
+    den*w.  The public Fractions are built from those pairs, and A's rows
+    are cleared to (d, dA), d the least common denominator (``_cleared``),
+    and kept on the model for ``_ab_sequence``."""
     stamp = _stamp(n)
     scale, laws, _, nidx = stamp
     loop = _find_capacitor_loop(n)
@@ -651,10 +695,14 @@ def state_space(n: Network) -> StateSpace:
         raise InductorCutset(cut, f"inductor cut-set: {', '.join(cut)}")
 
     # value * s is the impedance of an inductor (k = 0), the admittance of a
-    # capacitor (k = 2)
-    inductors = [e for e, (k, _) in zip(n.elements, laws) if k == 0]
-    capacitors = [e for e, (k, _) in zip(n.elements, laws) if k == 2]
-    states = [e.id for e in inductors] + [e.id for e in capacitors]
+    # capacitor (k = 2); each is kept with the reciprocal u/w of its value
+    inductors, capacitors = [], []
+    for e, (k, p, q) in zip(n.elements, laws):
+        if k == 0:                          # 1/L = p/q
+            inductors.append((e, p, q))
+        elif k == 2:                        # 1/C = q/p
+            capacitors.append((e, q, p))
+    states = [e.id for e, _, _ in inductors + capacitors]
     nstate = len(states)
     ncols = nstate + 1                     # coefficients over (x..., i)
 
@@ -667,15 +715,17 @@ def state_space(n: Network) -> StateSpace:
     nnode = len(nidx)
     rhs = [[0] * ncols for _ in mat]
     state_col = {eid: i for i, eid in enumerate(states)}
-    for e in inductors:                    # the state current leaves the head
+    for e, _, _ in inductors:              # the state current leaves the head
         for (v, sgn) in ((e.head, 1), (e.tail, -1)):
             if v != ground:
                 rhs[nidx[v]][state_col[e.id]] -= sgn * scale
     rhs[nidx[n.port[0]]][nstate] += scale  # the input current i
-    for j, e in enumerate(capacitors):     # e_head - e_tail = v_C
+    for j, (e, _, _) in enumerate(capacitors):   # e_head - e_tail = v_C
         rhs[nnode + j][state_col[e.id]] += 1
 
-    # the solution rows are int numerators over den, divided once per entry
+    # the solution rows are int numerators over den; a row of [A | B] is an
+    # inductor's voltage over L, or a capacitor's current over C: ints u x
+    # over den w
     solved = solve(mat, rhs)
     if solved is None or solved[2]:
         raise AnalysisError("singular algebraic system in state extraction")
@@ -686,22 +736,30 @@ def state_space(n: Network) -> StateSpace:
             return [0] * ncols
         return sol[nidx[v]]
 
-    a_rows: List[List[Fraction]] = []
-    b_col: List[Fraction] = []
-    for e in inductors:
-        vrow = [h - t for h, t in zip(potential_row(e.head), potential_row(e.tail))]
-        per = den * e.value
-        row = [x / per for x in vrow]
-        a_rows.append(row[:nstate])
-        b_col.append(row[nstate])
-    for j, e in enumerate(capacitors):
-        per = den * e.value
-        row = [x / per for x in sol[nnode + j]]
-        a_rows.append(row[:nstate])
-        b_col.append(row[nstate])
+    rows = [([u * (h - t) for h, t in zip(potential_row(e.head),
+                                          potential_row(e.tail))], den * w)
+            for e, u, w in inductors]
+    rows += [([u * x for x in sol[nnode + j]], den * w)
+             for j, (_, u, w) in enumerate(capacitors)]
     vout = [Fraction(x, den) for x in potential_row(n.port[0])]
-    return StateSpace(tuple(tuple(r) for r in a_rows), tuple(b_col),
-                      tuple(vout[:nstate]), vout[nstate], tuple(states))
+    ss = StateSpace(tuple(tuple(Fraction(x, w) for x in r[:nstate])
+                          for r, w in rows),
+                    tuple(Fraction(r[nstate], w) for r, w in rows),
+                    tuple(vout[:nstate]), vout[nstate], tuple(states))
+    object.__setattr__(ss, "_da", _cleared((r[:nstate], w) for r, w in rows))
+    return ss
+
+
+def _cleared(rows) -> Tuple[int, List[List[int]]]:
+    """(d, dA): rows given as (ints, den) pairs, each row its ints over
+    den, cleared to int rows over d, the least common denominator of all
+    their entries.  A row's own is den / gcd(den, *ints), one gcd a row,
+    and d is the lcm of those, so it is the lcm of the entries' reduced
+    denominators: the least d."""
+    rows = [(den // g, [x // g for x in ints])
+            for ints, den in rows for g in (math.gcd(den, *ints),)]
+    d = math.lcm(*(lcd for lcd, _ in rows))
+    return d, [[x * (d // lcd) for x in ints] for lcd, ints in rows]
 
 
 def _krylov(da: List[List[int]], b) -> Tuple[int, List[List[int]]]:
@@ -735,14 +793,15 @@ def _monic(d: int, c: List[int]) -> Polynomial:
 
 def _ab_sequence(ss: StateSpace):
     """(d, dA, e, columns, c): the model's one (A, B) sequence, built once
-    and kept on it as ``RationalFunction`` keeps its PR verdict.  A is
-    cleared row by row (``_over_lcd``) to int rows dA over d, the lcm of
-    its denominators; then the Krylov columns and annihilator ints."""
+    and kept on it as ``RationalFunction`` keeps its PR verdict.  A is the
+    int rows dA over d, the least common denominator of its entries
+    (``_cleared``): ``state_space`` keeps them on its model from its own
+    int rows, and a model built by hand is cleared here, once, from its
+    Fractions; then the Krylov columns and annihilator ints."""
     seq = getattr(ss, "_ab", None)
     if seq is None:
-        rows = [_over_lcd(row) for row in ss.A]
-        d = math.lcm(*(lcd for _, lcd in rows))
-        da = [[x * (d // lcd) for x in row] for row, lcd in rows]
+        d, da = (getattr(ss, "_da", None)
+                 or _cleared(_over_lcd(row) for row in ss.A))
         e, cols = _krylov(da, ss.B)
         seq = (d, da, e, cols, _annihilator(cols))
         object.__setattr__(ss, "_ab", seq)

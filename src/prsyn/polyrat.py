@@ -7,8 +7,9 @@ parts with no gcd, a sum takes one common denominator and one integer gcd,
 and ``coeffs`` builds the ``fractions.Fraction`` coefficients on demand.
 Equality is true equality.  The positive-real / minimum-function
 predicates are decided with Routh's test and Sturm chains, not numerical
-root finding: Sturm chains and Routh rows read one primitive remainder
-sequence, ``_remainders``, on the integer parts as int lists.  Gcds come
+root finding (an even-part profile of degree two or less by its closed
+form, with no chain): Sturm chains and Routh rows read one primitive
+remainder sequence, ``_remainders``, on the integer parts as int lists.  Gcds come
 from ``_gcd`` on the same lists: the common power of s comes off, and a
 heuristic gcd, checked by exact division, gives the rest, with that
 remainder sequence as its fallback.  A ``RationalFunction`` is reduced on
@@ -756,12 +757,16 @@ def _square_free_chain(p: Sequence[int]) -> Tuple[list, Sequence[int]]:
 def _sign_at(p: Sequence[int], x) -> int:
     """The sign of the int list p at x, "+inf" or "-inf" included.  At x =
     a/b (b > 0) it is the sign of the integer sum p_i a^i b^(n-i), n = deg
-    p, by homogeneous Horner: that is p(x) b^n."""
+    p, by homogeneous Horner: that is p(x) b^n.  An int x is read as x/1,
+    with no Fraction."""
     if type(x) is str and x in ("+inf", "-inf"):
         s = 0 if not p else 1 if p[-1] > 0 else -1
         return s if x == "+inf" or len(p) % 2 else -s
-    x = _as_q(x)
-    a, b = x.numerator, x.denominator
+    if type(x) is int:
+        a, b = x, 1
+    else:
+        x = _as_q(x)
+        a, b = x.numerator, x.denominator
     acc, bpow = 0, 1
     for c in reversed(p):
         acc = acc * a + c * bpow
@@ -897,11 +902,22 @@ def even_part_profile(g: RationalFunction) -> Polynomial:
 
 
 def _nonnegative_on_nonneg_axis(e: Polynomial) -> bool:
+    """Whether the profile e is nonnegative on [0, oo): e(0) >= 0, a
+    positive leading coefficient, and no root of odd multiplicity on
+    (0, oo).  Up to degree two that last test is the closed form that
+    ``real_roots`` also uses there: once c0, c2 >= 0, c0 + c1 v + c2 v^2
+    changes sign on (0, oo) only at two distinct roots there, so it holds
+    iff c1 >= 0 or c1^2 <= 4 c0 c2, with no chain.  Above degree two the
+    alternating count of ``_odd_multiplicity_roots`` decides."""
     if e.is_zero():
         return True
     # the content is positive, so the signs are those of the primitive part
-    if e.prim[0] < 0 or e.prim[-1] < 0:
+    c = e.prim
+    if c[0] < 0 or c[-1] < 0:
         return False
+    if len(c) <= 3:
+        c0, c1, c2 = (*c, 0, 0)[:3]
+        return c1 >= 0 or c1 * c1 <= 4 * c0 * c2
     # no sign change on (0, oo): no root of odd multiplicity there
     return _odd_multiplicity_roots(e) == 0
 
@@ -1138,28 +1154,32 @@ def _gauss(re: int, im: int) -> List[int]:
 
 def _step_gauss(row, top, cols, p, lead, d):
     """``_step_int`` over Z[j]: x / d is x conj(d) / |d|^2, and both parts
-    must divide."""
-    pr, pi = _parts(p)
-    if lead is not None:
-        lr, li = _parts(lead)
+    must divide.  The parts of each entry are read inline; p, lead and d
+    may be [] (zero), and a zero lead is a catch-up."""
+    pr, pi = (p[0] if p else 0), (p[1] if len(p) == 2 else 0)
+    if lead:
+        lr, li = lead[0], (lead[1] if len(lead) == 2 else 0)
+    else:
+        top = None
     if d is not None:
-        dr, di = _parts(d)
+        dr, di = (d[0] if d else 0), (d[1] if len(d) == 2 else 0)
         norm = dr * dr + di * di
     for j in cols:
-        a, b = row[j], top[j] if lead is not None else []
+        a = row[j]
+        b = top[j] if top else None
         if not (a or b):
             continue
-        ar, ai = _parts(a)
+        ar, ai = (a[0] if a else 0), (a[1] if len(a) == 2 else 0)
         xr, xi = ar * pr - ai * pi, ar * pi + ai * pr
         if b:
-            br, bi = _parts(b)
+            br, bi = b[0], (b[1] if len(b) == 2 else 0)
             xr, xi = xr - lr * br + li * bi, xi - lr * bi - li * br
         if d is not None:
             (xr, rr), (xi, ri) = (divmod(xr * dr + xi * di, norm),
                                   divmod(xi * dr - xr * di, norm))
             if rr or ri:
                 raise ArithmeticError(_INEXACT)
-        row[j] = _gauss(xr, xi)
+        row[j] = [xr, xi] if xi else [xr] if xr else []
 
 
 def _signed(x, sign: int):

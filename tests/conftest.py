@@ -337,6 +337,13 @@ def is_positive_real_reference(num, den):
     if any(r.coeff(k) for k in range(1, len(r.prim), 2)):
         raise AssertionError(f"odd even-part numerator {r}")
     e = Polynomial([(-1) ** m * c for m, c in enumerate(r.coeffs[0::2])])
+    return nonnegative_on_nonneg_axis_reference(e)
+
+
+def nonnegative_on_nonneg_axis_reference(e):
+    """The former ``_nonnegative_on_nonneg_axis`` at every degree: e(0) and
+    the leading coefficient nonnegative, and no root of odd multiplicity on
+    (0, oo) by the Polynomial chain tower."""
     if e.is_zero():
         return True
     if e.coeff(0) < 0 or e.leading() < 0:
@@ -475,3 +482,37 @@ def count_pr_tests(monkeypatch):
 @pytest.fixture
 def rng():
     return random.Random(20250808)
+
+
+def phasor_space_reference(n, omega, drive, stamp):
+    """The former ``analysis._phasor_space``, kept as a reference: the KCL
+    rows of the stamp at s = j*omega over Z[j] with the source current as
+    the last unknown, plus a drive row, m at the source current's column
+    (a current drive) or at the port potential's (a voltage drive) and m
+    times the phasor on its right, m the lcm of the phasor's denominators.
+    Returns (d, particular solution, nullspace basis), or raises
+    InconsistentDrive."""
+    from prsyn.analysis import InconsistentDrive, _dc_rows
+    from prsyn.polyrat import _gauss, solve
+    scale, _, mat, idx = stamp
+    a, b = omega.numerator, omega.denominator
+    if a:
+        rows = [[_gauss(c0 * b * b - c2 * a * a, c1 * a * b)
+                 for c0, c1, c2 in row] + [[]] for row in mat]
+        source = [0, -a * b * scale]
+    else:
+        rows = [[[x] if x else [] for x in row] + [[]]
+                for row in _dc_rows(n, stamp, 0)]
+        source = [-scale]
+    rows[idx[n.port[0]]][-1] = source
+    row = [[]] * len(rows[0])
+    mode, value = drive
+    m = math.lcm(value.re.denominator, value.im.denominator)
+    row[-1 if mode == "current" else idx[n.port[0]]] = [m]
+    rhs = [[[]]] * len(rows) + [[_gauss(int(value.re * m),
+                                        int(value.im * m))]]
+    solved = solve(rows + [row], rhs)
+    if solved is None:
+        raise InconsistentDrive(f"drive {mode}={value} at omega={omega}")
+    d, particular, basis = solved
+    return d, [x for (x,) in particular], basis

@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import math
 import os
 import random
 import subprocess
@@ -36,7 +37,8 @@ from prsyn.synth import (SEVEN_ELEMENT_VARIANTS, build_named,
                          build_seven_element, classify_biquad, theorem2_step)
 
 from conftest import (bridge_over_q, count_pr_tests, dense_gauss_jordan,
-                      ladder_network, leading_minors_over_q, rand_q,
+                      ladder_network, leading_minors_over_q,
+                      phasor_space_reference, rand_q,
                       random_biconnected_network, random_sp_network,
                       sample_region)
 
@@ -606,31 +608,61 @@ class TestPBH:
 
     def test_a_cleared_once_per_call(self, rpfg, monkeypatch):
         # chi and both Krylov sequences read one clearing (d, dA) of A, the
-        # (A^T, C) sequence its transpose; the clearing is part of the
-        # model's (A, B) sequence, so ss_impedance after pbh_diagnostics
-        # on the same model clears no row of A again
+        # (A^T, C) sequence its transpose.  A model from state_space keeps
+        # the clearing it made of its own int rows, so pbh_diagnostics and
+        # ss_impedance on it clear A never again; a model built by hand is
+        # cleared once, from its Fractions, by the same helper, to the same
+        # least d and dA
         import prsyn.analysis as analysis
+        from prsyn.analysis import _cleared
         from prsyn.polyrat import _over_lcd
-        ss = state_space(rpfg)
         cleared = []
 
-        def counted(xs):
-            cleared.append(xs)
-            return _over_lcd(xs)
+        def counted(rows):
+            rows = list(rows)
+            cleared.append(rows)
+            return _cleared(rows)
 
-        monkeypatch.setattr(analysis, "_over_lcd", counted)
+        monkeypatch.setattr(analysis, "_cleared", counted)
+        ss = state_space(rpfg)
+        assert len(cleared) == 1
         rep = pbh_diagnostics(ss)
-
-        def a_rows(model):
-            return [x for x in cleared if any(x is row for row in model.A)]
-
-        assert a_rows(ss) == list(ss.A)
-        assert rep == _minor_gcd_pbh(ss)
         h = ss_impedance(ss)
-        assert a_rows(ss) == list(ss.A)
-        fresh = state_space(rpfg)
-        assert ss_impedance(fresh) == h
-        assert a_rows(fresh) == list(fresh.A)
+        assert len(cleared) == 1
+        assert rep == _minor_gcd_pbh(ss)
+        hand = StateSpace(ss.A, ss.B, ss.C, ss.D, ss.state_labels)
+        assert pbh_diagnostics(hand) == rep and ss_impedance(hand) == h
+        assert len(cleared) == 2
+        assert cleared[1] == [_over_lcd(row) for row in ss.A]
+        d, da = _ab_sequence(ss)[:2]
+        assert (d, da) == _ab_sequence(hand)[:2]
+        assert d == math.lcm(*(x.denominator for row in ss.A for x in row))
+        assert [[Fraction(x, d) for x in row] for row in da] \
+            == [list(row) for row in ss.A]
+
+    def test_least_clearing_on_the_corpus(self, rng):
+        # state_space clears its [A | B] rows with one gcd a row to the
+        # least d; it equals the clearing of the public Fractions on the
+        # verify mix and on random networks with states
+        from prsyn.analysis import _cleared
+        from prsyn.polyrat import _over_lcd
+        networks = [classify_biquad(sample_region(r, rng)).witness_network
+                    for r in "abcdef"]
+        step = theorem2_step(biquad_template(BiquadParams(
+            Q(3, 2), Q(2), Q(1, 3), Q(5, 4))))
+        networks += [build_seven_element(step, which)
+                     for which in SEVEN_ELEMENT_VARIANTS]
+        networks += [random_biconnected_network(rng) for _ in range(40)]
+        checked = 0
+        for n in networks:
+            try:
+                ss = state_space(n)
+            except ExtractionFailure:
+                continue
+            assert ss._da == _cleared(_over_lcd(row) for row in ss.A)
+            assert all(type(x) is Fraction for row in ss.A for x in row)
+            checked += ss.n > 1
+        assert checked >= 20
 
     @pytest.mark.parametrize("first", ["ss_impedance", "pbh_diagnostics"])
     def test_one_ab_sequence_per_model(self, rpfg, monkeypatch, first):
@@ -924,6 +956,64 @@ class TestNodalAgainstTableau:
         assert min(seen.values()) >= 5, seen
 
 
+class TestPhasorSpaceAgainstDriveRow:
+    """``_phasor_space`` moves the driven unknown's column to the right-hand
+    side and solves the KCL rows alone; it must give the rational
+    potentials, source values, nullspace and verdicts of the drive-row
+    system it replaced (``conftest.phasor_space_reference``)."""
+
+    def test_same_space_as_the_drive_row_system(self):
+        import prsyn.analysis as analysis
+        rng = random.Random(1968)
+        networks = [parse_netlist(N1_FREE_MODES_TEXT),
+                    parse_netlist(TANKS_TEXT),
+                    parse_netlist("R r1 a m 1\nC c1 m b 2\nPORT a b")]
+        networks += [classify_biquad(sample_region(r, rng)).witness_network
+                     for r in "ace"]
+        networks += [_tank_network(rng) for _ in range(16)]
+        networks += [random_biconnected_network(rng) for _ in range(8)]
+        drives = [("current", QComplex(1, 0)), ("voltage", QComplex(1, 0)),
+                  ("current", QComplex(Q(2, 3), Q(-1, 5))),
+                  ("voltage", QComplex(Q(1, 3), 2)),
+                  ("voltage", QComplex(0, Q(-7, 4)))]
+        seen = dict.fromkeys(("zero", "nonzero", "current", "voltage",
+                              "fraction_drive", "free", "inconsistent"), 0)
+
+        def over(x, d):
+            return _qcomplex_of(x) / _qcomplex_of(d)
+
+        for n in networks:
+            stamp = analysis._stamp(n)
+            for omega in (Q(0), Q(1), Q(1, 2), Q(-1), Q(8, 5)):
+                for drive in drives:
+                    try:
+                        d0, vec0, basis0 = phasor_space_reference(
+                            n, omega, drive, stamp)
+                    except InconsistentDrive:
+                        with pytest.raises(InconsistentDrive):
+                            analysis._phasor_space(n, omega, drive, stamp)
+                        seen["inconsistent"] += 1
+                        continue
+                    d, vec, basis, same = analysis._phasor_space(
+                        n, omega, drive, stamp)
+                    assert same is stamp
+                    assert [over(x, d) for x in vec] \
+                        == [over(x, d0) for x in vec0]
+                    assert [[over(x, d) for x in b] for b in basis] \
+                        == [[over(x, d0) for x in b] for b in basis0]
+                    seen["zero" if omega == 0 else "nonzero"] += 1
+                    seen[drive[0]] += 1
+                    seen["fraction_drive"] += drive[1] != QComplex(1, 0)
+                    seen["free"] += len(basis) > 0
+        assert min(seen.values()) >= 10, seen
+
+    def test_drive_mode_is_checked(self, n1):
+        import prsyn.analysis as analysis
+        with pytest.raises(ValueError, match="unknown drive mode 'power'"):
+            analysis._phasor_space(n1, Q(1), ("power", QComplex(1, 0)),
+                                   analysis._stamp(n1))
+
+
 def _qcomplex_of(z):
     """The QComplex of a Z[j] list [re, im], [re] or []."""
     return QComplex(*(list(z) + [0, 0])[:2])
@@ -933,7 +1023,8 @@ def _reference_draw(n, omega, space, seed):
     """Reference copy of the QComplex arithmetic that ``_phasor_draw``
     replaced, on a ``_phasor_space`` result read over Q(j): the free-mode
     combination r/61 + j*i/53 as QComplex products, each voltage a
-    QComplex difference and each current the QComplex product y * v."""
+    QComplex difference and each current the QComplex product y * v, y
+    from the law (k, p, q) of the stamp, v_e = p/q."""
     import prsyn.analysis as analysis
     d, nums, basis_nums, (_, laws, _, idx) = space
 
@@ -955,7 +1046,8 @@ def _reference_draw(n, omega, space, seed):
     currents = {}
     voltages = {}
     extra = iter(range(len(idx), len(vec) - 1))
-    for e, (k, v) in zip(n.elements, laws):
+    for e, (k, p, q) in zip(n.elements, laws):
+        v = Fraction(p, q)
         volt = voltages[e.id] = potential(e.head) - potential(e.tail)
         if k == 0 and not omega:
             currents[e.id] = vec[next(extra)]

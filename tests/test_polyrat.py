@@ -1132,8 +1132,13 @@ class TestRingSteps:
             return _gauss(int(z.re), int(z.im))
 
         rng = random.Random(1853)
-        for row, top, cols, p, lead, d in _ring_step_cases(
-                rng, _random_gauss, times):
+        cases = list(_ring_step_cases(rng, _random_gauss, times))
+        # the step reads its Z[j] parts inline: [] is zero for p as for the
+        # lead (a zero lead scales the row as a catch-up does)
+        cases += [(row, top, cols, [], lead, d)
+                  for row, top, cols, _, lead, d in cases[:60]]
+        assert sum(lead == [] for *_, lead, _ in cases) >= 50
+        for row, top, cols, p, lead, d in cases:
             want = list(row)
             for j in cols:
                 x = _qcomplex_of(row[j]) * _qcomplex_of(p)
@@ -1583,6 +1588,36 @@ class TestIntegerPRS:
             assert _sign_at(p.prim, "-inf") == (lead * (-1) ** int(p.degree)
                                                 if p else 0)
 
+    def test_no_fraction_at_an_int_point(self, monkeypatch):
+        # the PR check reads its chains at 0 and +inf: an int point is read
+        # as a/1, and no Fraction is built while _variations runs; the
+        # counts equal those at the same points as Fractions.  A string
+        # point builds one, so the pin sees what it looks for
+        from prsyn.polyrat import _sign_at, _square_free_chain, _variations
+        rng = random.Random(1829)
+        chains = [_square_free_chain(p.prim)[0]
+                  for p in (random_rational_poly(rng) for _ in range(80))
+                  if p and p.degree >= 1]
+        points = (0, 3, -2)
+        want = [[_variations(c, Q(x)) for x in points] for c in chains]
+        made = []
+        new = Fraction.__new__
+
+        def counted(cls, *args, **kwargs):
+            made.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counted)
+        got = [[_variations(c, x) for x in points] for c in chains]
+        infinite = [_variations(c, "+inf") for c in chains]
+        quiet = list(made)
+        _sign_at(chains[0][0], "1/3")
+        monkeypatch.undo()
+        assert quiet == [] and made
+        assert got == want and len(chains) >= 40
+        assert infinite == [variations_reference(
+            [_poly(list(p)) for p in c], "+inf") for c in chains]
+
     def test_routh_matches_rational_array(self):
         # products of s + a and s^2 + b s + c: strict Hurwitz exactly when
         # every a, b, c > 0, so both verdicts are common; a tenth of the
@@ -1774,9 +1809,10 @@ class TestSquareFreeChain:
         assert 0 < c and c * c < 2 < d * d
 
     def test_one_remainder_sequence_per_polynomial(self, monkeypatch):
-        # a PR check chains each polynomial once: one chain on a square-free
-        # E, and two for the double root of a minimum function's E (E, then
-        # the last member of its chain); no PR check runs a gcd (``_gcd``,
+        # a PR check chains each polynomial at most once: one chain on a
+        # square-free E above degree two, and none on a quadratic E, such
+        # as the double root of a biquad minimum function's E, which the
+        # closed form decides; no PR check runs a gcd (``_gcd``,
         # which Polynomial.gcd and every reduction read), and the
         # impedance, blocked report and open/short check run no gcd(p, p')
         from conftest import ladder_network, sample_region
@@ -1787,7 +1823,7 @@ class TestSquareFreeChain:
         while len(ladders) < 4:
             h = analysis.impedance(ladder_network(rng.choice([8, 12, 16]), rng))
             e = even_part_profile(h)
-            if e.gcd(e.derivative()).degree < 1:
+            if e.gcd(e.derivative()).degree < 1 and len(e.prim) > 3:
                 ladders.append((RationalFunction(h.num, h.den), e))
         networks = []
         for region in "abcdef":
@@ -1828,11 +1864,68 @@ class TestSquareFreeChain:
             gcds.clear()
             assert is_positive_real(fresh)
             e = even_part_profile(h)
-            assert chains == [e.prim, sturm(e.prim)[-1]] and gcds == []
+            assert len(e.prim) == 3 and chains == [] and gcds == []
         # up to a constant: _gcd reads integer parts
         assert analysis_gcds and not any(
             b.monic() == a.derivative().monic()
             for a, b in analysis_gcds if a.degree >= 1)
+
+
+class TestQuadraticProfiles:
+    """``_nonnegative_on_nonneg_axis`` decides a profile of degree two or
+    less by its closed form, c1 >= 0 or c1^2 <= 4 c0 c2 once c0, c2 >= 0,
+    with no chain; every verdict equals the Sturm reference's
+    (``conftest.nonnegative_on_nonneg_axis_reference``)."""
+
+    def test_closed_form_matches_the_sturm_reference(self, monkeypatch):
+        from conftest import nonnegative_on_nonneg_axis_reference, sample_region
+        from prsyn import polyrat
+        rng = random.Random(1968)
+
+        def q(lo=-9, hi=9):
+            return Fraction(rng.randint(lo, hi), rng.choice([1, 2, 3, 7, 10**9]))
+
+        profiles = []
+        for _ in range(300):
+            # c2 (v - r1)(v - r2), the roots double, at 0, or of either sign
+            c2 = q(1, 9) * rng.choice([1, -1, 1])
+            r1 = rng.choice([q(), q(0, 9), Q(0)])
+            r2 = rng.choice([r1, -r1, q(), Q(0)])
+            profiles.append(Polynomial([c2 * r1 * r2, -c2 * (r1 + r2), c2]))
+        for _ in range(100):
+            # c2 ((v - r)^2 + t), t > 0: no real root
+            c2, r, t = q(1, 9) * rng.choice([1, -1, 1]), q(), q(1, 9)
+            profiles.append(Polynomial([c2 * (r * r + t), -2 * c2 * r, c2]))
+        for _ in range(300):
+            # random coefficients, some zero: c0 = 0, c1 = 0, c2 = 0
+            profiles.append(Polynomial([rng.choice([q(), Q(0)])
+                                        for _ in range(rng.randint(1, 3))]))
+        # minimum functions: E has a double root at omega0^2
+        for region in "abcdef" * 10:
+            profiles.append(even_part_profile(biquad_template(
+                sample_region(region, rng))))
+        seen = dict.fromkeys(("double", "c0_zero", "c1_zero", "c1_pos",
+                              "c1_neg", "disc_neg", "disc_zero", "disc_pos",
+                              "true", "false"), 0)
+        chains = []
+        monkeypatch.setattr(polyrat, "sturm_chain", chains.append)
+        for e in profiles:
+            want = nonnegative_on_nonneg_axis_reference(e)
+            assert polyrat._nonnegative_on_nonneg_axis(e) == want, e
+            seen["true" if want else "false"] += 1
+            if len(e.coeffs) == 3:
+                c0, c1, c2 = e.coeffs
+                disc = c1 * c1 - 4 * c0 * c2
+                seen["c0_zero"] += c0 == 0
+                seen["c1_zero"] += c1 == 0
+                seen["c1_pos"] += c1 > 0
+                seen["c1_neg"] += c1 < 0
+                seen["disc_neg"] += disc < 0
+                seen["disc_zero"] += disc == 0
+                seen["disc_pos"] += disc > 0
+                seen["double"] += disc == 0 and c0 > 0 and c1 < 0 < c2
+        assert chains == []
+        assert min(seen.values()) >= 20, seen
 
 
 class TestRootSectionAgainstReference:
