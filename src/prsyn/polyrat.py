@@ -6,10 +6,15 @@ coefficients (Gauss's lemma).  A product multiplies contents and integer
 parts with no gcd, a sum takes one common denominator and one integer gcd,
 and ``coeffs`` builds the ``fractions.Fraction`` coefficients on demand.
 Equality is true equality.  The positive-real / minimum-function
-predicates are decided with Routh's test and Sturm chains, not numerical
-root finding (an even-part profile of degree two or less by its closed
-form, with no chain): Sturm chains and Routh rows read one primitive
-remainder sequence, ``_remainders``, on the integer parts as int lists.  Gcds come
+predicates are decided with Routh's test, Descartes' rule of signs and
+Sturm chains, not numerical root finding.  The PR test's even-part sign
+is a yes/no question: an even-part profile of degree two or less takes
+its closed form, and above that the profile's odd-multiplicity part, by
+Yun's square-free decomposition, is decided by Descartes' rule with
+Collins-Akritas bisection (integer Taylor shifts, no Sturm chain).
+Sturm chains serve only root counts and isolation; they and the Routh
+rows read one primitive remainder sequence, ``_remainders``, on the
+integer parts as int lists.  Gcds come
 from ``_gcd`` on the same lists: the common power of s comes off, and a
 heuristic gcd, checked by exact division, gives the rest, with that
 remainder sequence as its fallback.  A ``RationalFunction`` is reduced on
@@ -48,6 +53,7 @@ bracket.  No computation here uses floating point.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -735,11 +741,16 @@ def _gcd(a: Sequence[int], b: Sequence[int]) -> List[int]:
     return [0] * k + _primitive(g)
 
 
+def _derivative(a: Sequence[int]) -> List[int]:
+    """The derivative of the ascending int list a."""
+    return [k * x for k, x in enumerate(a)][1:]
+
+
 def sturm_chain(p: Sequence[int]) -> List[Sequence[int]]:
     """Sturm chain of the int list p: p, the primitive part of p', then
     ``_remainders`` with sign -1, each member a positive multiple of the
     chain p, p', -rem(p, p'), ..., so with the same signs."""
-    d = [k * x for k, x in enumerate(p)][1:]
+    d = _derivative(p)
     g = math.gcd(*d)
     return list(_remainders(p, [x // g for x in d] if g > 1 else d, -1))
 
@@ -774,9 +785,16 @@ def _sign_at(p: Sequence[int], x) -> int:
     return (acc > 0) - (acc < 0)
 
 
+def _sign_variations(a: Sequence[int]) -> int:
+    """The sign changes of the int list a, zeros skipped: by Descartes'
+    rule, the positive roots of a, counted with multiplicity, plus an even
+    number."""
+    signs = [x > 0 for x in a if x]
+    return sum(map(operator.ne, signs, signs[1:]))
+
+
 def _variations(chain: Sequence[Sequence[int]], x) -> int:
-    signs = [s for s in (_sign_at(p, x) for p in chain) if s != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+    return _sign_variations([_sign_at(p, x) for p in chain])
 
 
 def count_real_roots(p: Polynomial, a="-inf", b="+inf") -> int:
@@ -907,8 +925,9 @@ def _nonnegative_on_nonneg_axis(e: Polynomial) -> bool:
     (0, oo).  Up to degree two that last test is the closed form that
     ``real_roots`` also uses there: once c0, c2 >= 0, c0 + c1 v + c2 v^2
     changes sign on (0, oo) only at two distinct roots there, so it holds
-    iff c1 >= 0 or c1^2 <= 4 c0 c2, with no chain.  Above degree two the
-    alternating count of ``_odd_multiplicity_roots`` decides."""
+    iff c1 >= 0 or c1^2 <= 4 c0 c2, with no chain.  Above degree two
+    ``_odd_positive_root`` decides, by Descartes' rule and bisection on
+    the odd-multiplicity part: a yes/no answer, with no Sturm chain."""
     if e.is_zero():
         return True
     # the content is positive, so the signs are those of the primitive part
@@ -918,24 +937,82 @@ def _nonnegative_on_nonneg_axis(e: Polynomial) -> bool:
     if len(c) <= 3:
         c0, c1, c2 = (*c, 0, 0)[:3]
         return c1 >= 0 or c1 * c1 <= 4 * c0 * c2
-    # no sign change on (0, oo): no root of odd multiplicity there
-    return _odd_multiplicity_roots(e) == 0
+    return not _odd_positive_root(c)
 
 
-def _odd_multiplicity_roots(p: Polynomial) -> int:
-    """The distinct roots of p on (0, oo) of odd multiplicity, p nonzero.
-    With g_0 = p's primitive part and g_(k+1) the last member of g_k's Sturm
-    chain, gcd(g_k, g_k') up to a constant, that chain divided by g_(k+1)
-    (both from ``_square_free_chain``) counts the roots of g_k, those of p
-    of multiplicity > k; a root of multiplicity m is counted by
-    g_0..g_(m-1), so the alternating sum counts it once if m is odd and not
-    at all if m is even."""
-    count, sign, g = 0, 1, p.prim
-    while len(g) > 1:
-        chain, g = _square_free_chain(g)
-        count += sign * (_variations(chain, 0) - _variations(chain, "+inf"))
-        sign = -sign
-    return count
+def _odd_part(f: Sequence[int]) -> List[int]:
+    """The product of the factors of odd multiplicity of the primitive int
+    list f (lc f > 0), by Yun's square-free decomposition (Yun 1976): with
+    a_0 = gcd(f, f'), b_1 = f / a_0, c_1 = f' / a_0 and d_i = c_i - b_i',
+    each a_i = gcd(b_i, d_i) is the product of the factors of multiplicity
+    exactly i, and b_(i+1) = b_i / a_i, c_(i+1) = d_i / a_i.  Every gcd is
+    ``_gcd``'s, primitive, so every division is exact over Z[s].  f itself
+    when gcd(f, f') = 1."""
+    d = _derivative(f)
+    a = _gcd(f, d)
+    if len(a) == 1:
+        return list(f)
+    b, c = _divide(f, a)[0], _divide(d, a)[0]
+    out, odd = [1], True
+    while len(b) > 1:
+        d = _add(c, [-x for x in _derivative(b)])
+        a = _gcd(b, d)
+        if odd:
+            out = _mul(out, a)
+        b, c, odd = _divide(b, a)[0], _divide(d, a)[0], not odd
+    return out
+
+
+def _taylor_shift(a: Sequence[int]) -> List[int]:
+    """a(x + 1) of the ascending int list a, by additions only."""
+    a = list(a)
+    for i in range(len(a) - 1):
+        for j in reversed(range(i, len(a) - 1)):
+            a[j] += a[j + 1]
+    return a
+
+
+def _odd_positive_root(c: Sequence[int]) -> bool:
+    """Whether the nonzero int list c (lc c > 0) has a root of odd
+    multiplicity on (0, oo): whether it changes sign there.
+
+    The power of v comes off, and then the factors of even multiplicity
+    (``_odd_part``), which leaves a square-free q with q(0) != 0 whose
+    positive roots are the ones asked for.  No sign variation in q means
+    no positive root.  Otherwise Cauchy's bound for positive roots, taken
+    strict and as a power of two, gives k: with l the number of negative
+    coefficients, 2^(k(n - i)) lc > l |q_i| for each q_i < 0, so q > 0 from
+    2^k on, and p(u) = q(2^k u) has every positive root in (0, 1).
+    Collins-Akritas bisection (Collins & Akritas 1976) then decides it on
+    an explicit stack of polynomials, each mapping (0, 1) onto its
+    interval: (1 + x)^n p(1 / (1 + x)) counts p's roots in (0, 1) by
+    Descartes' rule; no variation drops the interval and one is a root;
+    else the halves 2^n p(x / 2) and its Taylor shift by one are pushed,
+    and a zero constant of the second is a root at the midpoint.  A
+    square-free p ends in intervals of 0 or 1 variation (Vincent's
+    theorem), so the loop ends; only integer shifts and additions run."""
+    q = _odd_part(c[next(i for i, x in enumerate(c) if x):])
+    if not _sign_variations(q):
+        return False
+    n, lead = len(q) - 1, q[-1]
+    neg = sum(x < 0 for x in q)
+    # b, the bit length of floor(l |q_i| / lc), has 2^b > l |q_i| / lc, so
+    # k is the least with k (n - i) >= b for every q_i < 0
+    k = max(-(-(neg * -x // lead).bit_length() // (n - i))
+            for i, x in enumerate(q) if x < 0)
+    todo = [[x << (i * k) for i, x in enumerate(q)]]
+    while todo:
+        p = todo.pop()
+        v = _sign_variations(_taylor_shift(p[::-1]))
+        if v == 1:
+            return True
+        if v:
+            left = [x << (n - i) for i, x in enumerate(p)]
+            right = _taylor_shift(left)
+            if not right[0]:
+                return True
+            todo += (left, right)
+    return False
 
 
 def is_positive_real(g: RationalFunction) -> bool:

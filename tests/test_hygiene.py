@@ -36,17 +36,19 @@ over Z[x], off one pass over the interleaved Sylvester rows; and
 other Sylvester determinant is.  Only ``synth._coefficients_in_x``
 interpolates, reading a fixture pair's coefficients in x off a few bridge
 builds; no check interpolates sampled values of its answer.  Likewise
-two ``while`` loops divide: ``_remainders``, the primitive remainder
+three ``while`` loops divide: ``_remainders``, the primitive remainder
 sequence on int lists that ``sturm_chain``, the Routh rows of
-``strict_hurwitz`` and the gcd's fallback read, and ``_gcd``, the
+``strict_hurwitz`` and the gcd's fallback read; ``_gcd``, the
 heuristic gcd that rebuilds a candidate from its digits in base xi, which
-``Polynomial.gcd`` and every reduction of a ``RationalFunction`` read; the
-real-root code reads gcd(p, p') off the Sturm chain rather than running a
-gcd.  The root section runs on the same int lists, so its helpers
-(``_remainders``, ``_primitive``, ``_gcd``, ``sturm_chain``,
-``_square_free_chain``, ``_sign_at``, ``_variations``,
-``_odd_multiplicity_roots``, ``_has_imaginary_axis_root`` and
-``strict_hurwitz``) build no ``Polynomial``.  The state space is read
+``Polynomial.gcd``, every reduction of a ``RationalFunction`` and the PR
+test's odd part read; and ``_odd_part``, Yun's square-free decomposition,
+which divides exactly by those gcds.  The real-root code reads gcd(p, p')
+off the Sturm chain rather than running a gcd.  The root section runs
+on the same int lists, so its helpers (``_remainders``, ``_primitive``,
+``_gcd``, ``_derivative``, ``sturm_chain``, ``_square_free_chain``,
+``_sign_at``, ``_variations``, ``_odd_part``, ``_taylor_shift``,
+``_sign_variations``, ``_odd_positive_root``, ``_has_imaginary_axis_root``
+and ``strict_hurwitz``) build no ``Polynomial`` or ``Fraction``.  The state space is read
 over Z too: one integer Krylov sequence per model, kept on the
 ``StateSpace`` (``analysis._ab_sequence``), its columns (``_krylov``) and
 annihilator ints (``_annihilator``), and Markov parameters summed over Z
@@ -362,10 +364,12 @@ def test_spanning_tree_tables_read_only_by_the_bridge_evaluator():
 
 
 # the one remainder loop, which the Sturm chain (whose last member is
-# gcd(p, p') for the root code), the Routh rows and the gcd's fallback read,
-# and the heuristic gcd, whose loop rebuilds a candidate from its digits in
-# base xi
-PREM_LOOPS = {("polyrat.py", "_remainders"), ("polyrat.py", "_gcd")}
+# gcd(p, p') for the root code), the Routh rows and the gcd's fallback read;
+# the heuristic gcd, whose loop rebuilds a candidate from its digits in
+# base xi; and Yun's loop of the PR test's odd part, which divides exactly
+# by the gcds that ``_gcd`` gives
+PREM_LOOPS = {("polyrat.py", "_remainders"), ("polyrat.py", "_gcd"),
+              ("polyrat.py", "_odd_part")}
 
 
 def _divides(node) -> bool:
@@ -396,10 +400,12 @@ def test_one_remainder_loop():
 
 
 # the root section on int lists: the remainder loop, the heuristic gcd and
-# its primitive parts, and what reads them
-ROOT_HELPERS = {"_remainders", "_primitive", "_gcd", "sturm_chain",
-                "_square_free_chain", "_sign_at", "_variations",
-                "_odd_multiplicity_roots", "_has_imaginary_axis_root",
+# its primitive parts, and what reads them, the PR test's odd part and
+# Descartes bisection included
+ROOT_HELPERS = {"_remainders", "_primitive", "_gcd", "_derivative",
+                "sturm_chain", "_square_free_chain", "_sign_at", "_variations",
+                "_odd_part", "_taylor_shift", "_sign_variations",
+                "_odd_positive_root", "_has_imaginary_axis_root",
                 "strict_hurwitz"}
 
 

@@ -1644,8 +1644,10 @@ class TestIntegerPRS:
         # the impedance, its reduction and its PR check divide int lists
         # only: a Q[s] division anywhere in them means a Fraction Euclid
         # loop, or a Polynomial reduction, is back.  The int remainder
-        # sequence runs instead, for the Routh rows (sign 1) and the Sturm
-        # chains (sign -1), and the reduction's gcd is read off ``_gcd``
+        # sequence runs instead for the Routh rows (sign 1) alone: the
+        # even-part test builds no Sturm chain (sign -1).  ``_gcd`` runs
+        # twice: the reduction's gcd, then gcd(E, E') of the even-part
+        # profile E (degree 14 here, E(0) > 0), the start of its odd part
         from conftest import ladder_network
         from prsyn import polyrat
         from prsyn.analysis import impedance
@@ -1670,8 +1672,10 @@ class TestIntegerPRS:
         monkeypatch.setattr(polyrat, "_gcd", counted_gcd)
         h = impedance(ladder_network(32, random.Random(32)))
         assert is_positive_real(h)
-        assert rational == [] and {1, -1} <= set(remainders)
-        assert len(gcds) == 1
+        assert rational == [] and set(remainders) == {1}
+        e = even_part_profile(h).prim
+        assert len(e) == 15 and e[0] > 0
+        assert len(gcds) == 2 and gcds[1] == (e, polyrat._derivative(e))
 
 
 def square_free_route(ints):
@@ -1777,9 +1781,11 @@ class TestSquareFreeChain:
                    for r in rs)
 
     def test_odd_multiplicity_count_matches_the_gcd_route(self):
-        # the alternating count over the chain tower is the number of
-        # positive roots of the odd part that the gcd route builds
-        from prsyn.polyrat import _odd_multiplicity_roots
+        # Yun's odd part is the one that the gcd route builds, and the
+        # Descartes decision says yes exactly when that part has a root on
+        # (0, oo); the lists are read as the PR test hands them over, with
+        # a positive leading coefficient
+        from prsyn.polyrat import _odd_part, _odd_positive_root
         rng = random.Random(1971)
         polys = [p for p in (random_rational_poly(rng) for _ in range(150))
                  if p]
@@ -1790,9 +1796,12 @@ class TestSquareFreeChain:
                   (S * S - 3 * S + 1) ** 2 * (S - 4) ** 5 * S ** 2]
         counts = set()
         for p in polys:
-            count = _odd_multiplicity_roots(p)
-            assert count == count_real_roots(odd_part_reference(p), Q(0),
-                                             "+inf"), p
+            odd = odd_part_reference(p)
+            c = p.prim if p.leading() > 0 else tuple(-x for x in p.prim)
+            assert _poly(_odd_part(c)).monic() == odd, p
+            count = count_real_roots(odd, Q(0), "+inf")
+            if p.degree >= 1:
+                assert _odd_positive_root(c) == (count > 0), p
             counts.add(count)
         assert {0, 1, 2} <= counts
 
@@ -1809,11 +1818,11 @@ class TestSquareFreeChain:
         assert 0 < c and c * c < 2 < d * d
 
     def test_one_remainder_sequence_per_polynomial(self, monkeypatch):
-        # a PR check chains each polynomial at most once: one chain on a
-        # square-free E above degree two, and none on a quadratic E, such
-        # as the double root of a biquad minimum function's E, which the
-        # closed form decides; no PR check runs a gcd (``_gcd``,
-        # which Polynomial.gcd and every reduction read), and the
+        # a PR check builds no Sturm chain: a square-free E above degree
+        # two takes one gcd, gcd(E, E') = 1 (``_gcd``, which Polynomial.gcd
+        # and every reduction read), the first step of its odd part, and a
+        # quadratic E, such as the double root of a biquad minimum
+        # function's E, which the closed form decides, takes no gcd; the
         # impedance, blocked report and open/short check run no gcd(p, p')
         from conftest import ladder_network, sample_region
         from prsyn import analysis, polyrat, synth
@@ -1851,7 +1860,9 @@ class TestSquareFreeChain:
             chains.clear()
             gcds.clear()
             assert is_positive_real(h)
-            assert chains == [e.prim] and gcds == []
+            f = e.prim[next(i for i, x in enumerate(e.prim) if x):]
+            assert chains == [] and [(a.prim, b.prim) for a, b in gcds] == [
+                (f, _poly(polyrat._derivative(f)).prim)]
         analysis_gcds = []
         for n, omega0 in networks:
             gcds.clear()
@@ -1931,12 +1942,13 @@ class TestQuadraticProfiles:
 class TestRootSectionAgainstReference:
     """The root section on int lists against the Polynomial code it replaced
     (the reference copies in conftest): equal roots with their brackets,
-    counts, odd-multiplicity counts, Routh verdicts and gcds."""
+    counts, Routh verdicts, gcds, and even-part verdicts, which the chain
+    tower's odd-multiplicity count gave."""
 
     def test_same_answers_as_the_polynomial_route(self):
-        from conftest import ladder_network
+        from conftest import ladder_network, nonnegative_on_nonneg_axis_reference
         from prsyn.analysis import impedance
-        from prsyn.polyrat import _odd_multiplicity_roots
+        from prsyn.polyrat import _nonnegative_on_nonneg_axis, _odd_positive_root
         rng = random.Random(1)
         polys = [random_rational_poly(rng) for _ in range(150)]
         polys += [wide_random_poly(rng, d) for d in range(3, 17)]
@@ -1971,9 +1983,117 @@ class TestRootSectionAgainstReference:
                          (Q(0), "+inf")]:
                 assert (count_real_roots(p, a, b)
                         == count_real_roots_reference(p, a, b)), (p, a, b)
-            assert (_odd_multiplicity_roots(p)
-                    == odd_multiplicity_reference(p)), p
+            assert (_nonnegative_on_nonneg_axis(p)
+                    == nonnegative_on_nonneg_axis_reference(p)), p
+            if p.degree >= 1:
+                c = p.prim if p.leading() > 0 else tuple(-x for x in p.prim)
+                assert (_odd_positive_root(c)
+                        == (odd_multiplicity_reference(p) > 0)), p
         assert brackets and 20 < sum(verdicts) < len(verdicts) - 20
+
+
+class TestDescartesDecision:
+    """Above degree two the PR test decides the even-part sign by
+    ``_odd_positive_root``: Yun's odd part, a power-of-two Cauchy bound and
+    Collins-Akritas bisection.  Every verdict equals the Sturm tower's
+    (``conftest.nonnegative_on_nonneg_axis_reference`` and
+    ``odd_multiplicity_reference``), and no Sturm chain is built."""
+
+    @staticmethod
+    def products(rng):
+        """A sign times a definite quadratic (v - a)^2 + b, b > 0, times
+        prod (v - r)^m with r in -6..6 (halves, thirds and 0 included) and
+        m in 1..3; a positive root takes an even m half the time, so that
+        both verdicts are common."""
+        a = Fraction(rng.randint(-12, 12), rng.choice([1, 2, 5]))
+        b = Fraction(rng.randint(1, 9), rng.choice([1, 4, 10 ** 6]))
+        p = Polynomial([rng.choice([1, -1, 1, 1]) * (a * a + b), -2 * a, 1])
+        for _ in range(rng.randint(1, 4)):
+            r = Fraction(rng.randint(-6, 6), rng.choice([1, 1, 2, 3]))
+            m = rng.choice([2, 2] if r > 0 and rng.random() < 0.5
+                           else [1, 2, 3])
+            p = p * Polynomial([-r, 1]) ** m
+        return p
+
+    @staticmethod
+    def grid_cases():
+        """Roots where the bisection looks: at powers of two and dyadic
+        midpoints, single, repeated, or a pair 4^-j apart; complex pairs
+        that close on such a point; and v^n - a, whose Cauchy bound is 2^k
+        for a = 2^(kn) - 1 (a root just below it) and 2^(k+1) for a =
+        2^(kn) and 2^(kn) + 1 (a root at the first midpoint, or just right
+        of it)."""
+        v = Polynomial([0, 1])
+        points = [Fraction(2) ** j for j in range(-3, 5)]
+        points += [Fraction(2 * i + 1, 2 ** j) for j in (1, 2, 3)
+                   for i in range(4)]
+        quad = Polynomial([2, -2, 1])               # (v - 1)^2 + 1
+        out = []
+        for r in points:
+            line = v - r
+            for j in (6, 12, 30):
+                eps = Fraction(1, 4 ** j)
+                out += [(line * line + eps) * (v + 1),
+                        (line * line - eps) * quad,
+                        (line * line + eps) * line ** 2 * quad]
+            out += [line ** m * quad for m in (1, 2, 3)]
+            out += [line * (v - 2 * r) * (v - r / 2), line ** 2 * (v + r),
+                    line ** 2 * (v - 3 * r) ** 2 * (v + 7)]
+        for n in (3, 4, 5, 6):
+            for k in (0, 1, 2, 4):
+                for d in (-1, 0, 1):
+                    q = v ** n - (2 ** (k * n) + d)
+                    if q.coeff(0):
+                        out += [q * quad, q ** 2 * (v + 1), q * q * q]
+        return out
+
+    def test_same_verdicts_as_the_sturm_reference(self, monkeypatch):
+        from conftest import ladder_network, nonnegative_on_nonneg_axis_reference
+        from prsyn import polyrat
+        from prsyn.analysis import impedance
+        rng = random.Random(1976)
+        polys = [self.products(rng) for _ in range(420)]
+        polys += self.grid_cases()
+        polys += [random_rational_poly(rng) for _ in range(200)]
+        polys += [wide_random_poly(rng, d) for d in range(3, 17)
+                  for _ in range(3)]
+        polys += scaled_check_profiles()
+        stream = random.Random(1)
+        for size in (6, 8, 10, 12, 14, 16, 18, 20, 24, 28, 32):
+            polys.append(even_part_profile(impedance(ladder_network(size,
+                                                                    stream))))
+        polys = [p for p in polys if p.degree >= 3]
+        # (c with lc > 0, nonnegative, odd-multiplicity root on (0, oo))
+        cases = [(p.prim if p.leading() > 0 else tuple(-x for x in p.prim),
+                  nonnegative_on_nonneg_axis_reference(p),
+                  odd_multiplicity_reference(p) > 0) for p in polys]
+        chains = []
+        monkeypatch.setattr(polyrat, "sturm_chain", chains.append)
+        for p, (c, nonnegative, root) in zip(polys, cases):
+            assert polyrat._nonnegative_on_nonneg_axis(p) == nonnegative, p
+            assert polyrat._odd_positive_root(c) == root, p
+        assert chains == []
+        roots = sum(root for *_, root in cases)
+        assert min(roots, len(cases) - roots) >= 100, (roots, len(cases))
+        nonnegative = sum(n for _, n, _ in cases)
+        assert min(nonnegative, len(cases) - nonnegative) >= 100
+
+    def test_long_ladders_build_no_sturm_chain(self, monkeypatch):
+        # the 64- and 96-element ladders (profiles of degree 30 and 46) are
+        # PR with no chain built; the 64-element verdict equals the Sturm
+        # reference's (the 96-element one takes seconds there)
+        from conftest import ladder_network, is_positive_real_reference
+        from prsyn import polyrat
+        from prsyn.analysis import impedance
+        chains, hs = [], []
+        monkeypatch.setattr(polyrat, "sturm_chain", chains.append)
+        for size in (64, 96):
+            hs.append(impedance(ladder_network(size, random.Random(size))))
+            assert is_positive_real(hs[-1])
+        monkeypatch.undo()
+        assert chains == []
+        assert [len(even_part_profile(h).prim) - 1 for h in hs] == [30, 46]
+        assert is_positive_real_reference(hs[0].num, hs[0].den)
 
 
 def distinct_linear_factors(rng, count):
@@ -2081,16 +2201,22 @@ class TestHeuristicGcd:
 
     def test_ladder_pairs_are_powers_of_s(self, monkeypatch):
         # each ladder's nodal pair s L M_(n-1), M_n has the gcd s^k, found
-        # by the heuristic at its first xi: no remainder sequence runs
+        # by the heuristic at its first xi: no remainder sequence runs.  The
+        # PR test's gcd(E, E') of the even-part profile, the first step of
+        # its odd part, is counted apart: one for each of the nine profiles
+        # above degree two (the 6- and 8-element ladders have quadratic
+        # ones), each 1, as these profiles are square-free
         from conftest import ladder_network
         from prsyn import polyrat
         from prsyn.analysis import impedance
-        gcds, calls = [], []
+        gcds, profile_gcds, calls = [], [], []
         gcd, sequence = polyrat._gcd, polyrat._remainders
 
         def counted_gcd(a, b):
-            gcds.append(gcd(a, b))
-            return gcds[-1]
+            caller = sys._getframe(1).f_code.co_name
+            out = gcd(a, b)
+            (profile_gcds if caller == "_odd_part" else gcds).append(out)
+            return out
 
         def counted_sequence(a, b, sign):
             if sys._getframe(1).f_code.co_name == "_gcd":
@@ -2105,6 +2231,7 @@ class TestHeuristicGcd:
         powers = {len(g) - 1 for g in gcds}
         assert all(g == [0] * (len(g) - 1) + [1] for g in gcds)
         assert len(gcds) == 11 and max(powers) >= 2 and calls == []
+        assert profile_gcds == [[1]] * 9
 
 
 def random_ratfunc_pair(rng):
