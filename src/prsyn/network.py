@@ -591,46 +591,63 @@ def par(*parts):
     return Par(tuple(flat))
 
 
-def _leaf_ints(e: Element) -> Tuple[List[int], List[int], int]:
-    """``_tree_ints`` of a leaf of e, of value a/b: ([0]*p + [a], [b], b) on
-    the Z side of its law, with num and den swapped on the Y side."""
-    side, p = e.electrical().law
-    v = e.value
-    w, b = [0] * p + [v.numerator], [v.denominator]
-    return (w, b, v.denominator) if side == "Z" else (b, w, v.denominator)
+def _leaf_ints(law: Tuple[str, int], a: int,
+               b: int) -> Tuple[List[int], List[int], int]:
+    """``_tree_ints`` of a leaf of value a/b (b > 0) whose kind has the law
+    (side, p) of ``Kind``: ([0]*p + [a], [b], b) on the Z side, with num and
+    den swapped on the Y side.  The one leaf law of both int routes: the
+    tree walk of ``_tree_ints`` and the quartet arms of the fixture checks,
+    which give their leaves as int pairs with no ``Element``."""
+    side, p = law
+    w, d = [0] * p + [a], [b]
+    return (w, d, b) if side == "Z" else (d, w, b)
+
+
+def _series_ints(parts) -> Tuple[List[int], List[int], int]:
+    """(num, den, scale) of parts (num, den, scale) in series: the pairs add
+    and the scales multiply, since the sum is linear in each part's pair."""
+    num, den, scale = parts[0]
+    for (n, d, s) in parts[1:]:
+        num, den = _add(_mul(num, d), _mul(n, den)), _mul(den, d)
+        scale *= s
+    return num, den, scale
+
+
+def _parallel_ints(parts) -> Tuple[List[int], List[int], int]:
+    """(num, den, scale) of parts (num, den, scale) in parallel: the
+    admittances (den, num) add in series."""
+    den, num, scale = _series_ints([(d, n, s) for (n, d, s) in parts])
+    return num, den, scale
 
 
 # explicit stacks below: a ladder's tree is as deep as the ladder is long
 def _tree_ints(tree) -> Tuple[List[int], List[int], int]:
     """(num, den, scale): scale times the unreduced (num, den) of a
     two-terminal tree's impedance, as ascending int lists.  A leaf of value
-    a/b gives ([0]*p + [a], [b]) on the Z side of its law (the swap on the
-    Y side), b times its pair; series parts add, parallel parts add as
-    admittances, and the scales multiply, since the pair is linear in each
-    leaf's.  The stack holds a (node, its folded parts) frame per open
-    node: a leaf part folds where it is met, a node part opens a frame of
-    its own, and a frame whose parts are all folded closes into its
-    parent's."""
-    if isinstance(tree, Leaf):
-        return _leaf_ints(tree.element)
-    stack = [(tree, [])]
+    a/b gives ``_leaf_ints`` of its kind's law, b times its pair; series
+    parts add, parallel parts add as admittances, and the scales multiply,
+    since the pair is linear in each leaf's (``_series_ints`` and
+    ``_parallel_ints``).  The stack holds a (node, its folded parts) frame
+    per open node: a leaf part folds where it is met, a node part opens a
+    frame of its own, and a frame whose parts are all folded closes into
+    its parent's."""
+    # a one-part series root folds to the tree's own triple, so a bare
+    # leaf is met as a part like any other
+    stack = [(Ser((tree,)), [])]
     while True:
         t, parts = stack[-1]
         if len(parts) < len(t.parts):
             p = t.parts[len(parts)]
             if isinstance(p, Leaf):
-                parts.append(_leaf_ints(p.element))
+                e = p.element
+                parts.append(_leaf_ints(e.electrical().law, e.value.numerator,
+                                        e.value.denominator))
             else:
                 stack.append((p, []))
             continue
         stack.pop()
-        if isinstance(t, Par):
-            parts = [(d, n, s) for (n, d, s) in parts]
-        num, den, scale = parts[0]
-        for (n, d, s) in parts[1:]:
-            num, den = _add(_mul(num, d), _mul(n, den)), _mul(den, d)
-            scale *= s
-        folded = (num, den, scale) if isinstance(t, Ser) else (den, num, scale)
+        fold = _series_ints if isinstance(t, Ser) else _parallel_ints
+        folded = fold(parts)
         if not stack:
             return folded
         stack[-1][1].append(folded)

@@ -4,12 +4,17 @@ One-step synthesis (the classical seven-element networks and the newer
 wheel-shaped alternatives), the minimal-storage classifier for biquadratic
 minimum functions with witness constructors, the quartet family
 constructors, the bridge structural matcher, and the Sylvester-resultant
-fixture checks used to certify the classifier's boundary algebra.  Every
-fixture pair is a quartet member's bridge pair (``_quartet_polys``), a
-Kirchhoff sum over int lists times a scale; times a power of its free
-variable x it has coefficients that are polynomials in x, so a check
-builds the bridge at a few integer nodes only, puts the builds over one
-scale and interpolates each coefficient over Z (``_coefficients_in_x``).
+fixture checks used to certify the classifier's boundary algebra.  One
+arm table, ``_quartet_arms``, gives each quartet member's arms with every
+leaf value a reduced int pair: ``build_quartet`` turns the pairs into
+validated elements, and the fixtures fold them on ints, with no
+``Fraction``, ``Element`` or ``Leaf`` per arm.  Every fixture pair is a
+quartet member's bridge pair (``_quartet_polys``), a Kirchhoff sum over
+int lists, its terms grouped once at import, times a scale; times a
+power of its free variable x it has coefficients that are polynomials in
+x, so a check builds the bridge at a few integer nodes only, puts the
+builds over one scale and interpolates each coefficient over Z
+(``_coefficients_in_x``).
 One Bareiss pass over Z[x] then gives the subresultants R_0(x) and R_1(x),
 up to one positive constant that every reader cancels, and only then are
 Polynomials built: the printed factorizations are checked as identities
@@ -23,7 +28,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .polyrat import (BiquadParams, InvariantViolation, NotMinimum,
                       NotRationalParams, Polynomial, Q, QComplex,
@@ -487,16 +492,40 @@ class QuartetParams:
                 object.__setattr__(self, f, _as_q(v))
 
     def derived_E(self) -> Fraction:
+        """E as a Fraction, from ``E_pair``."""
+        return Fraction(*self.E_pair())
+
+    def E_pair(self) -> Tuple[int, int]:
+        """E as an int pair (a, b) of value a/b, b != 0, unreduced: the
+        derived E of N8/N9/N10, cross-multiplied from the parameters'
+        numerators and denominators, or the free E of N11/N12.  A derived E
+        whose denominator is 0 (C + D, B + D resp. C - D is 0), and a
+        missing free E, raise ConstraintViolated naming the family."""
         base = self.family.rstrip("abdi")
+        if base not in _DERIVED_E:
+            if self.E is None:
+                raise ConstraintViolated(
+                    f"{self.family} needs the E parameter")
+            return self.E.numerator, self.E.denominator
+        A, B, C, D = (None if x is None else (x.numerator, x.denominator)
+                      for x in (self.A, self.B, self.C, self.D))
         if base == "N8":
-            return self.C * self.D / (self.C + self.D)
-        if base == "N9":
-            return (self.A + self.B) / (self.B + self.D)
-        if base == "N10":
-            return (self.B - self.D) / (self.C - self.D)
-        if self.E is None:
-            raise ConstraintViolated(f"{self.family} needs the E parameter")
-        return self.E
+            # 1/E = 1/C + 1/D
+            a, b = C[0] * D[0], C[0] * D[1] + D[0] * C[1]
+        elif base == "N9":
+            a = (A[0] * B[1] + B[0] * A[1]) * D[1]
+            b = A[1] * (B[0] * D[1] + D[0] * B[1])
+        else:
+            a = (B[0] * D[1] - D[0] * B[1]) * C[1]
+            b = B[1] * (C[0] * D[1] - D[0] * C[1])
+        if b == 0:
+            raise ConstraintViolated(f"{self.family}: E = {_DERIVED_E[base]}"
+                                     " has a zero denominator")
+        return a, b
+
+
+# The derived E of each family that has one.
+_DERIVED_E = {"N8": "CD/(C+D)", "N9": "(A+B)/(B+D)", "N10": "(B-D)/(C-D)"}
 
 
 # Each family's requirements, by name (a degenerate N11/N12 member, suffix
@@ -531,43 +560,98 @@ def _check_names(family: str, missing, unknown=()) -> None:
         raise ConstraintViolated(f"{family} {' and '.join(faults)}")
 
 
-def _quartet_arms(fam: str, qp: QuartetParams, w0: Fraction) -> Dict[str, object]:
-    """The bridge arms {slot: tree} of a quartet family member, unvalidated.
-    In N11/N12 the N1 arm is series(R_A, parallel(storage, R_{1/C})):
-    A = 0 omits the series resistor and C = 0 the parallel one."""
-    A, B, C, D = qp.A, qp.B, qp.C, qp.D
+def _arm_leaf(eid: str, kind: str, up, down=()) -> Tuple[str, str, int, int]:
+    """The leaf (eid, kind, a, b) of a quartet arm, of value a/b: the
+    product of the int pairs (numerator, denominator) in up over that of
+    those in down, reduced, with b > 0.  A value that is not positive, or
+    has a zero denominator, raises NonpositiveValue as ``Element`` does."""
+    a = b = 1
+    for n, d in up:
+        a, b = a * n, b * d
+    for n, d in down:
+        a, b = a * d, b * n
+    if b < 0:
+        a, b = -a, -b
+    if a <= 0 or b == 0:
+        raise net.NonpositiveValue(f"element {eid}: value must be positive")
+    g = math.gcd(a, b)
+    return eid, kind, a // g, b // g
+
+
+def _quartet_arms(fam: str, qp: QuartetParams,
+                  w0: Fraction) -> Dict[str, list]:
+    """The bridge arms {slot: arm} of a quartet family member, its row's
+    requirements unchecked, with every leaf value an int pair: the one arm
+    table of both routes.  An arm lists its parts in series, each part its
+    leaves in parallel, and a leaf is ``_arm_leaf``'s (id, kind, a, b), so
+    a nonpositive leaf raises NonpositiveValue here, before either route
+    reads it.  ``build_quartet`` turns each arm into a validated tree
+    (``_arm_tree``), and the fixture checks fold it on ints (``_arm_ints``)
+    with no ``Fraction``, ``Element`` or ``Leaf``.  In N11/N12 the N1 arm
+    is series(R_A, parallel(storage, R_{1/C})): A = 0 omits the series
+    resistor and C = 0 the parallel one."""
+    A, B, C, D = (None if x is None else (x.numerator, x.denominator)
+                  for x in (qp.A, qp.B, qp.C, qp.D))
+    w = (w0.numerator, w0.denominator)
+    leaf = _arm_leaf
     if fam == "N7":
-        return dict(N1=_leaf("r1", RESISTOR, A), N2=_leaf("r2", RESISTOR, B),
-                    N3=_leaf("c3", CAPACITOR, 1 / (C * w0)),
-                    N4=_leaf("l4", INDUCTOR, C / w0),
-                    N5=_leaf("l5", INDUCTOR, C / w0))
-    E = qp.derived_E()
+        return dict(N1=[[leaf("r1", RESISTOR, [A])]],
+                    N2=[[leaf("r2", RESISTOR, [B])]],
+                    N3=[[leaf("c3", CAPACITOR, [], [C, w])]],
+                    N4=[[leaf("l4", INDUCTOR, [C], [w])]],
+                    N5=[[leaf("l5", INDUCTOR, [C], [w])]])
+    E = qp.E_pair()
     if fam == "N8":
-        return dict(N1=_leaf("r1", RESISTOR, A), N2=_leaf("r2", RESISTOR, B),
-                    N3=_leaf("c3", CAPACITOR, 1 / (D * w0)),
-                    N4=par(_leaf("l4", INDUCTOR, E / w0),
-                           _leaf("c4", CAPACITOR, 1 / (C * w0))),
-                    N5=_leaf("l5", INDUCTOR, D / w0))
+        return dict(N1=[[leaf("r1", RESISTOR, [A])]],
+                    N2=[[leaf("r2", RESISTOR, [B])]],
+                    N3=[[leaf("c3", CAPACITOR, [], [D, w])]],
+                    N4=[[leaf("l4", INDUCTOR, [E], [w]),
+                         leaf("c4", CAPACITOR, [], [C, w])]],
+                    N5=[[leaf("l5", INDUCTOR, [D], [w])]])
     if fam == "N9":
-        return dict(N1=_leaf("r1", RESISTOR, C),
-                    N2=_leaf("c2", CAPACITOR, 1 / (B * w0)),
-                    N3=_leaf("c3", CAPACITOR, 1 / (A * w0)),
-                    N4=_leaf("l4", INDUCTOR, A / (E * w0)),
-                    N5=_leaf("l5", INDUCTOR, D * E / w0))
+        return dict(N1=[[leaf("r1", RESISTOR, [C])]],
+                    N2=[[leaf("c2", CAPACITOR, [], [B, w])]],
+                    N3=[[leaf("c3", CAPACITOR, [], [A, w])]],
+                    N4=[[leaf("l4", INDUCTOR, [A], [E, w])]],
+                    N5=[[leaf("l5", INDUCTOR, [D, E], [w])]])
     if fam == "N10":
-        return dict(N1=_leaf("c1", CAPACITOR, 1 / (C * E * w0)),
-                    N2=_leaf("c2", CAPACITOR, E / (B * w0)),
-                    N3=_leaf("r3", RESISTOR, A),
-                    N4=_leaf("l4", INDUCTOR, B / w0),
-                    N5=_leaf("l5", INDUCTOR, C / w0))
-    storage = (_leaf("c1", CAPACITOR, 1 / (D * w0)) if fam.startswith("N11")
-               else _leaf("l1", INDUCTOR, D / w0))
-    inner = storage if C == 0 else par(storage, _leaf("r3", RESISTOR, 1 / C))
-    return dict(N1=inner if A == 0 else ser(_leaf("r1", RESISTOR, A), inner),
-                N2=_leaf("r2", RESISTOR, B),
-                N3=_leaf("c3", CAPACITOR, 1 / (E * w0)),
-                N4=_leaf("l4", INDUCTOR, E / w0),
-                N5=_leaf("l5", INDUCTOR, E / w0))
+        return dict(N1=[[leaf("c1", CAPACITOR, [], [C, E, w])]],
+                    N2=[[leaf("c2", CAPACITOR, [E], [B, w])]],
+                    N3=[[leaf("r3", RESISTOR, [A])]],
+                    N4=[[leaf("l4", INDUCTOR, [B], [w])]],
+                    N5=[[leaf("l5", INDUCTOR, [C], [w])]])
+    inner = [leaf("c1", CAPACITOR, [], [D, w]) if fam.startswith("N11")
+             else leaf("l1", INDUCTOR, [D], [w])]
+    if C[0] != 0:
+        inner.append(leaf("r3", RESISTOR, [], [C]))
+    series = [] if A[0] == 0 else [[leaf("r1", RESISTOR, [A])]]
+    return dict(N1=series + [inner],
+                N2=[[leaf("r2", RESISTOR, [B])]],
+                N3=[[leaf("c3", CAPACITOR, [], [E, w])]],
+                N4=[[leaf("l4", INDUCTOR, [E], [w])]],
+                N5=[[leaf("l5", INDUCTOR, [E], [w])]])
+
+
+def _arm_tree(arm):
+    """The validated tree of a ``_quartet_arms`` arm: a leaf of an
+    ``Element`` of value a/b per int pair, the leaves of a part in parallel
+    and the parts in series, where a lone leaf or part stands alone."""
+    parts = []
+    for leaves in arm:
+        trees = [_leaf(eid, kind, Fraction(a, b))
+                 for (eid, kind, a, b) in leaves]
+        parts.append(trees[0] if len(trees) == 1 else par(*trees))
+    return parts[0] if len(parts) == 1 else ser(*parts)
+
+
+def _arm_ints(arm) -> Tuple[List[int], List[int], int]:
+    """``_tree_ints`` of a ``_quartet_arms`` arm, read off its int pairs:
+    each leaf by the leaf law ``_leaf_ints`` of its kind, the leaves of a
+    part in parallel and the parts in series."""
+    return net._series_ints([
+        net._parallel_ints([net._leaf_ints(net.KINDS[kind].law, a, b)
+                            for (_, kind, a, b) in leaves])
+        for leaves in arm])
 
 
 def build_quartet(qp: QuartetParams, omega0) -> Network:
@@ -575,13 +659,16 @@ def build_quartet(qp: QuartetParams, omega0) -> Network:
 
     Family names: a row of ``_QUARTET_REQUIREMENTS`` (N7/N8/N9/N10/N11/N12
     and the degenerate N11a/N11b/N12a/N12b), with optional suffixes 'i'
-    (frequency inversion), 'd' (dual) and 'di' (both), e.g. "N8di".  The
-    row's requirements are checked exactly (ConstraintViolated)."""
+    (frequency inversion), 'd' (dual) and 'di' (both), e.g. "N8di".  An
+    omega0 that is not positive, and a row's requirements that fail, raise
+    ConstraintViolated (checked exactly) before any arm is built."""
     w0 = _as_q(omega0)
     fam = qp.family.rstrip("di")
     suffix = qp.family[len(fam):]
     if fam not in _QUARTET_REQUIREMENTS or suffix not in ("", "i", "d", "di"):
         raise ValueError(f"unknown quartet family {qp.family!r}")
+    if w0 <= 0:
+        raise ConstraintViolated(f"{fam} requires omega0 > 0")
     zero, positive, further = _QUARTET_REQUIREMENTS[fam]
     named = zero + positive + (further[0] if further else "")
     _check_names(fam, [x for x in "ABCDE"
@@ -596,7 +683,9 @@ def build_quartet(qp: QuartetParams, omega0) -> Network:
         if further:
             needs.append(further[0])
         raise ConstraintViolated(f"{fam} requires {', '.join(needs)}")
-    n = net.assemble_shape("bridge", **_quartet_arms(fam, qp, w0))
+    n = net.assemble_shape("bridge", **{
+        slot: _arm_tree(arm)
+        for slot, arm in _quartet_arms(fam, qp, w0).items()})
     if "d" in suffix:
         n = net.dual(n)
     return net.frequency_invert(n, w0) if "i" in suffix else n
@@ -725,20 +814,27 @@ def _test_conditions(t, z) -> Optional[int]:
 # structural Sylvester-resultant fixtures
 # ---------------------------------------------------------------------------
 
-def _bridge_complements(merge_port: bool) -> List[FrozenSet[str]]:
-    """The bridge slots off each spanning tree (merge_port False) or off
-    each spanning 2-tree that separates a from b: a spanning tree of the
-    bridge with b merged into a."""
+def _bridge_complements(merge_port: bool):
+    """The Kirchhoff terms of the bridge's spanning trees (merge_port
+    False) or of its spanning 2-trees that separate a from b (a spanning
+    tree of the bridge with b merged into a), grouped once.  A term takes
+    the num (choice 0) of each arm off its tree and the den (choice 1) of
+    each arm on it; the terms are grouped by their choices (c1, c2, c5) for
+    N1, N2 and N5, so the table is a tuple of ((c1, c2, c5), ((c3, c4),
+    ...)) entries, each listing its group's choices for N3 and N4."""
     def at(v):
         return "a" if merge_port and v == "b" else v
 
     arms = [(at(u), at(v), slot) for (slot, u, v) in net.SHAPES["bridge"]]
     verts = {x for (u, v, _) in arms for x in (u, v)}
-    slots = frozenset(slot for (_, _, slot) in arms)
+    groups = defaultdict(list)
     # len(verts) - 1 arms that connect every vertex form a spanning tree
-    return [slots - {slot for (_, _, slot) in tree}
-            for tree in combinations(arms, len(verts) - 1)
-            if set(net._search(verts, tree)[0].values()) == {0}]
+    for tree in combinations(arms, len(verts) - 1):
+        if set(net._search(verts, tree)[0].values()) == {0}:
+            on = {slot for (_, _, slot) in tree}
+            c = {slot: int(slot in on) for (_, _, slot) in arms}
+            groups[c["N1"], c["N2"], c["N5"]].append((c["N3"], c["N4"]))
+    return tuple((key, tuple(terms)) for key, terms in groups.items())
 
 
 _TREE_OFF = _bridge_complements(False)
@@ -757,9 +853,10 @@ def bridge_structural_polys(arms: Dict[str, Tuple[List[int], List[int]]]):
     The terms are the spanning-tree sums of the four-vertex bridge graph
     (Kirchhoff): a term takes the den of each arm on the tree and the num
     of each arm off it, the 2-trees that separate the port giving the
-    numerator and the trees the denominator.  The terms are grouped by the
-    num/den choice for N1, N2 and N5: each group sums its N3 x N4 products
-    and multiplies once by its N2 x N5 product, and N1's num and den each
+    numerator and the trees the denominator.  The terms come grouped by
+    the num/den choice for N1, N2 and N5, once at import
+    (``_bridge_complements``): each group sums its N3 x N4 products and
+    multiplies once by its N2 x N5 product, and N1's num and den each
     multiply the sum of their groups once.  All these products serve num
     and den."""
     sides = (0, 1)
@@ -768,16 +865,12 @@ def bridge_structural_polys(arms: Dict[str, Tuple[List[int], List[int]]]):
     p25 = {(c2, c5): _mul(arms["N2"][c2], arms["N5"][c5])
            for c2 in sides for c5 in sides}
 
-    def kirchhoff(offs):
-        groups = defaultdict(list)
-        for off in offs:
-            # the arm at a slot off the tree gives its num (0), else its den
-            c = {slot: 0 if slot in off else 1
-                 for slot in ("N1", "N2", "N3", "N4", "N5")}
-            key = c["N1"], c["N2"], c["N5"]
-            groups[key] = _add(groups[key], p34[c["N3"], c["N4"]])
+    def kirchhoff(groups):
         cofactor = [[], []]
-        for (c1, c2, c5), total in groups.items():
+        for (c1, c2, c5), terms in groups:
+            total = p34[terms[0]]
+            for c in terms[1:]:
+                total = _add(total, p34[c])
             cofactor[c1] = _add(cofactor[c1], _mul(p25[c2, c5], total))
         return _add(_mul(arms["N1"][0], cofactor[0]),
                     _mul(arms["N1"][1], cofactor[1]))
@@ -787,11 +880,14 @@ def bridge_structural_polys(arms: Dict[str, Tuple[List[int], List[int]]]):
 
 def _quartet_polys(fam: str, w0: Fraction, **params):
     """(num, den, scale): scale times the bridge pair of a quartet family
-    member's arms, as ascending int lists, ``bridge_structural_polys`` of
-    each arm's ``_tree_ints``, and scale the product of the arm scales."""
+    member's arms, as ascending int lists: ``bridge_structural_polys`` of
+    each arm's ``_arm_ints``, read off the int pairs of ``_quartet_arms``
+    with no ``Fraction``, ``Element`` or ``Leaf`` per arm, and scale the
+    product of the arm scales."""
     arms, scale = {}, 1
-    for slot, t in _quartet_arms(fam, QuartetParams(fam, **params), w0).items():
-        num, den, s = net._tree_ints(t)
+    for slot, arm in _quartet_arms(fam, QuartetParams(fam, **params),
+                                   w0).items():
+        num, den, s = _arm_ints(arm)
         arms[slot], scale = (num, den), scale * s
     return (*bridge_structural_polys(arms), scale)
 

@@ -20,8 +20,13 @@ it.  Every ring of that section runs on bare ints: an element of Z[s],
 Z[x] or Z[j] is one trimmed int list, so no function of the section
 calls ``Polynomial``, ``Fraction`` (or its alias ``Q``), ``QComplex``,
 ``_poly`` or ``_new``; nor does the fixture route, which runs on the same int lists from the
-bridge builds to R_0 and R_1: ``network._tree_ints`` (an arm's pair),
-``synth.bridge_structural_polys`` (their Kirchhoff sum),
+bridge builds to R_0 and R_1, and which builds no ``Element`` or ``Leaf``
+either: ``synth._quartet_arms`` (the one quartet arm table, its leaf
+values int pairs from ``synth._arm_leaf``), ``synth._arm_ints`` (an arm's
+pair, by the leaf, series and parallel laws ``network._leaf_ints``,
+``_series_ints`` and ``_parallel_ints`` that the tree walk
+``network._tree_ints`` shares), ``synth.bridge_structural_polys`` (their
+Kirchhoff sum, over terms grouped once at import),
 ``synth._quartet_polys`` (a member's pair over its scale),
 ``synth._coefficients_in_x`` (the pair's coefficients in x, from builds
 at integer nodes), ``polyrat._interpolate`` (integer points, an int
@@ -312,9 +317,17 @@ def test_no_objects_in_the_elimination_kernel():
 
 
 # the fixture route on int lists, from the bridge builds to R_0 and R_1:
-# each arm's pair, the Kirchhoff sum, a quartet member's pair over its
-# scale, the coefficients in x, their interpolation and the Z[x] passes
+# the quartet arm table and its int-pair leaves, each arm's pair by the
+# leaf, series and parallel laws that the tree walk shares, the Kirchhoff
+# sum, a quartet member's pair over its scale, the coefficients in x,
+# their interpolation and the Z[x] passes
 BRIDGE_BUILDS = {("network.py", "_tree_ints"),
+                 ("network.py", "_leaf_ints"),
+                 ("network.py", "_series_ints"),
+                 ("network.py", "_parallel_ints"),
+                 ("synth.py", "_quartet_arms"),
+                 ("synth.py", "_arm_leaf"),
+                 ("synth.py", "_arm_ints"),
                  ("synth.py", "bridge_structural_polys"),
                  ("synth.py", "_quartet_polys"),
                  ("synth.py", "_coefficients_in_x"),
@@ -326,13 +339,15 @@ BRIDGE_BUILDS = {("network.py", "_tree_ints"),
 def test_no_objects_in_the_bridge_builds():
     # a Polynomial or Fraction built per arm, per Kirchhoff term or per
     # coefficient is the round trip through Q[x] that the int lists
-    # removed; a fixture pair's Polynomials are built once, after the Z[x]
-    # pass (or by _scaled, at a single point)
+    # removed, and an Element or Leaf per arm the validated route that
+    # only build_quartet takes; a fixture pair's Polynomials are built
+    # once, after the Z[x] pass (or by _scaled, at a single point)
     fns = [top for module, name in BRIDGE_BUILDS
            for top in _tree(PACKAGE / module).body
            if isinstance(top, ast.FunctionDef) and top.name == name]
     assert len(fns) == len(BRIDGE_BUILDS)
-    assert _object_calls(fns) == []
+    assert _object_calls(fns, KERNEL_OBJECTS | {"Element", "Leaf",
+                                                "_leaf"}) == []
 
 
 def test_interpolate_called_only_by_the_coefficients_in_x():

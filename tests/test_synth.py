@@ -461,20 +461,8 @@ class TestQuartets:
         # a member of every family and degenerate member, with each
         # parameter the family reads; leaving any one out must raise
         # ConstraintViolated naming it, not a TypeError from None
-        members = {
-            "N7": dict(A=Q(1, 3), B=Q(7, 2), C=Q(2)),
-            "N8": dict(A=Q(3, 2), B=Q(2), C=Q(5, 4), D=Q(5, 6)),
-            "N9": dict(A=Q(1, 2), B=Q(3), C=Q(5, 4), D=Q(2, 3)),
-            "N10": dict(A=Q(2), B=Q(3), C=Q(5), D=Q(1)),
-            "N11": dict(A=Q(1, 2), B=Q(2), C=Q(3), D=Q(1, 3), E=Q(4, 5)),
-            "N11a": dict(A=0, B=1, C=2, D=3, E=1),
-            "N11b": dict(A=1, B=1, C=0, D=3, E=1),
-            "N12": dict(A=Q(1, 2), B=Q(2), C=Q(3), D=Q(1, 3), E=Q(4, 5)),
-            "N12a": dict(A=0, B=1, C=2, D=3, E=1),
-            "N12b": dict(A=1, B=1, C=0, D=3, E=1),
-        }
-        assert set(members) == set(_QUARTET_REQUIREMENTS)
-        for fam, params in members.items():
+        assert set(QUARTET_MEMBERS) == set(_QUARTET_REQUIREMENTS)
+        for fam, params in QUARTET_MEMBERS.items():
             build_quartet(QuartetParams(fam, **params), 1)
             for x in params:
                 rest = {k: v for k, v in params.items() if k != x}
@@ -485,6 +473,50 @@ class TestQuartets:
         with pytest.raises(ConstraintViolated,
                            match="^N8 needs the C, D parameters$"):
             build_quartet(QuartetParams("N8", A=1, B=1), 1)
+
+    @pytest.mark.parametrize("omega0", [0, -1])
+    def test_nonpositive_omega0_rejected(self, omega0):
+        # one typed error before any arm is built, with or without the
+        # inversion (0 was a bare ZeroDivisionError, -1 a NonpositiveValue
+        # from an arm's element)
+        for fam, params in QUARTET_MEMBERS.items():
+            for name in (fam, fam + "i"):
+                with pytest.raises(ConstraintViolated,
+                                   match=f"^{fam} requires omega0 > 0$"):
+                    build_quartet(QuartetParams(name, **params), omega0)
+
+    def test_derived_E_with_a_zero_denominator_is_named(self):
+        # C - D, C + D resp. B + D = 0 was a bare ZeroDivisionError
+        for fam, params, law in [
+                ("N10", dict(A=1, B=1, C=1, D=1), r"\(B-D\)/\(C-D\)"),
+                ("N8", dict(A=1, B=1, C=1, D=-1), r"CD/\(C\+D\)"),
+                ("N9", dict(A=1, B=1, C=1, D=-1), r"\(A\+B\)/\(B\+D\)")]:
+            for name in (fam, fam + "di"):
+                with pytest.raises(
+                        ConstraintViolated,
+                        match=f"^{name}: E = {law} has a zero denominator$"):
+                    QuartetParams(name, **params).derived_E()
+        # and E itself where it is defined
+        assert QuartetParams("N8", C=2, D=3).derived_E() == Q(6, 5)
+        assert QuartetParams("N9", A=1, B=Q(1, 2), D=3).derived_E() == Q(3, 7)
+        assert QuartetParams("N10", B=3, C=5, D=1).derived_E() == Q(1, 2)
+        assert QuartetParams("N12b", E=Q(4, 6)).derived_E() == Q(2, 3)
+
+
+# a member of every family and degenerate member, with each parameter the
+# family reads
+QUARTET_MEMBERS = {
+    "N7": dict(A=Q(1, 3), B=Q(7, 2), C=Q(2)),
+    "N8": dict(A=Q(3, 2), B=Q(2), C=Q(5, 4), D=Q(5, 6)),
+    "N9": dict(A=Q(1, 2), B=Q(3), C=Q(5, 4), D=Q(2, 3)),
+    "N10": dict(A=Q(2), B=Q(3), C=Q(5), D=Q(1)),
+    "N11": dict(A=Q(1, 2), B=Q(2), C=Q(3), D=Q(1, 3), E=Q(4, 5)),
+    "N11a": dict(A=0, B=1, C=2, D=3, E=1),
+    "N11b": dict(A=1, B=1, C=0, D=3, E=1),
+    "N12": dict(A=Q(1, 2), B=Q(2), C=Q(3), D=Q(1, 3), E=Q(4, 5)),
+    "N12a": dict(A=0, B=1, C=2, D=3, E=1),
+    "N12b": dict(A=1, B=1, C=0, D=3, E=1),
+}
 
 
 def _abcd(qp):
@@ -787,13 +819,25 @@ class TestBridgeStructuralPolys:
             assert bridge_over_q(arms) == bridge_reference(arms)
 
     def test_complements_match_the_literal_tables(self):
+        # the grouped tables, each term read back as the arms off its tree
+        # (choice 0, num), are the literal ones, with no term twice
         from prsyn.synth import _TREE_OFF, _TWOTREE_OFF
 
         def slots(table):
             return sorted(sorted(f"N{k}" for k in combo) for combo in table)
 
-        assert sorted(map(sorted, _TREE_OFF)) == slots(TREE_COMPLEMENTS)
-        assert sorted(map(sorted, _TWOTREE_OFF)) == slots(TWOTREE_COMPLEMENTS)
+        def off(grouped):
+            return sorted(
+                sorted(slot for slot, c in zip(("N1", "N2", "N5", "N3", "N4"),
+                                               key + term) if c == 0)
+                for key, terms in grouped for term in terms)
+
+        assert off(_TREE_OFF) == slots(TREE_COMPLEMENTS)
+        assert off(_TWOTREE_OFF) == slots(TWOTREE_COMPLEMENTS)
+        # one group per (N1, N2, N5) choice
+        for grouped in (_TREE_OFF, _TWOTREE_OFF):
+            keys = [key for key, _ in grouped]
+            assert len(set(keys)) == len(keys)
 
 
 # the former hand-coded arm algebra of the fixtures, kept as a reference:
@@ -840,6 +884,127 @@ def _reference_arms(family, v, w0):
             "N5": _pair_L(F / w0)}
 
 
+def _validated_arms(fam, qp, w0):
+    """The trees that ``build_quartet`` assembles: each arm of the
+    ``_quartet_arms`` table through ``_arm_tree``."""
+    from prsyn.synth import _arm_tree, _quartet_arms
+    return {slot: _arm_tree(arm)
+            for slot, arm in _quartet_arms(fam, qp, w0).items()}
+
+
+def _former_quartet_arms(fam, qp, w0):
+    """The former Fraction arm table of the quartets, kept as a reference
+    for the int-pair one: {slot: tree} of validated leaves."""
+    def leaf(eid, kind, v):
+        return Leaf(Element(eid, kind, "_", "__", v))
+
+    A, B, C, D = qp.A, qp.B, qp.C, qp.D
+    if fam == "N7":
+        return dict(N1=leaf("r1", RESISTOR, A), N2=leaf("r2", RESISTOR, B),
+                    N3=leaf("c3", CAPACITOR, 1 / (C * w0)),
+                    N4=leaf("l4", INDUCTOR, C / w0),
+                    N5=leaf("l5", INDUCTOR, C / w0))
+    E = {"N8": lambda: C * D / (C + D), "N9": lambda: (A + B) / (B + D),
+         "N10": lambda: (B - D) / (C - D)}.get(fam, lambda: qp.E)()
+    if fam == "N8":
+        return dict(N1=leaf("r1", RESISTOR, A), N2=leaf("r2", RESISTOR, B),
+                    N3=leaf("c3", CAPACITOR, 1 / (D * w0)),
+                    N4=par(leaf("l4", INDUCTOR, E / w0),
+                           leaf("c4", CAPACITOR, 1 / (C * w0))),
+                    N5=leaf("l5", INDUCTOR, D / w0))
+    if fam == "N9":
+        return dict(N1=leaf("r1", RESISTOR, C),
+                    N2=leaf("c2", CAPACITOR, 1 / (B * w0)),
+                    N3=leaf("c3", CAPACITOR, 1 / (A * w0)),
+                    N4=leaf("l4", INDUCTOR, A / (E * w0)),
+                    N5=leaf("l5", INDUCTOR, D * E / w0))
+    if fam == "N10":
+        return dict(N1=leaf("c1", CAPACITOR, 1 / (C * E * w0)),
+                    N2=leaf("c2", CAPACITOR, E / (B * w0)),
+                    N3=leaf("r3", RESISTOR, A),
+                    N4=leaf("l4", INDUCTOR, B / w0),
+                    N5=leaf("l5", INDUCTOR, C / w0))
+    storage = (leaf("c1", CAPACITOR, 1 / (D * w0)) if fam.startswith("N11")
+               else leaf("l1", INDUCTOR, D / w0))
+    inner = storage if C == 0 else par(storage, leaf("r3", RESISTOR, 1 / C))
+    return dict(N1=inner if A == 0 else ser(leaf("r1", RESISTOR, A), inner),
+                N2=leaf("r2", RESISTOR, B),
+                N3=leaf("c3", CAPACITOR, 1 / (E * w0)),
+                N4=leaf("l4", INDUCTOR, E / w0),
+                N5=leaf("l5", INDUCTOR, E / w0))
+
+
+# a parameter of each family that is the value of a resistor leaf alone
+_RESISTOR_PARAMETER = {"N7": "A", "N8": "A", "N9": "C", "N10": "A",
+                       "N11": "B", "N12": "B"}
+
+
+class TestIntArmsAgainstTheValidatedRoute:
+    """The fixture route folds the arm table's int pairs with no
+    ``Element``; ``build_quartet`` turns the same pairs into validated
+    elements.  At every row of ``_QUARTET_REQUIREMENTS`` the two give one
+    bridge pair, and a nonpositive leaf is refused on both."""
+
+    @staticmethod
+    def _point(rng, fam):
+        # a point that meets the row's requirements, with denominators up
+        # to 10^9
+        zero, positive, further = _QUARTET_REQUIREMENTS[fam]
+
+        def q():
+            big = 10 ** rng.choice((1, 3, 9))
+            return Fraction(rng.randint(1, big), rng.randint(1, big))
+
+        named = positive + (further[0] if further else "")
+        while True:
+            params = {x: q() for x in "ABCDE" if x in named}
+            params.update({x: Q(0) for x in zero})
+            if further is None or further[1](QuartetParams(fam, **params)):
+                return params, q()
+
+    def test_pairs_equal_the_validated_bridge(self):
+        # and build_quartet's network is the one that the former Fraction
+        # table assembles
+        from prsyn.network import tree_pair
+        from prsyn.synth import _quartet_polys
+        rng = random.Random(4411)
+        for fam in _QUARTET_REQUIREMENTS:
+            for _ in range(50):
+                params, w0 = self._point(rng, fam)
+                qp = QuartetParams(fam, **params)
+                want = bridge_over_q({slot: tree_pair(t) for slot, t
+                                      in _validated_arms(fam, qp, w0).items()})
+                assert pair_over_q(_quartet_polys(fam, w0, **params)) == want
+                n = build_quartet(qp, w0)
+                assert n == assemble_shape(
+                    "bridge", **_former_quartet_arms(fam, qp, w0))
+                assert impedance(n) == RationalFunction(*want)
+
+    def test_nonpositive_leaf_refused_on_both_routes(self):
+        # omega0 of 0 or below makes every storage leaf nonpositive, and a
+        # resistor parameter of 0 or below its resistor; the table raises
+        # before either route reads a leaf, and an element of a
+        # nonpositive pair is refused as well
+        from prsyn.synth import _arm_tree, _quartet_polys
+        rng = random.Random(5813)
+        for fam in _QUARTET_REQUIREMENTS:
+            for _ in range(5):
+                params, w0 = self._point(rng, fam)
+                r = _RESISTOR_PARAMETER[fam[:3]]
+                points = [(params, -w0), (params, Q(0))] + [
+                    (dict(params, **{r: v}), w0) for v in (-params[r], Q(0))]
+                for point, omega0 in points:
+                    with pytest.raises(NonpositiveValue,
+                                       match="value must be positive$"):
+                        _quartet_polys(fam, omega0, **point)
+                    with pytest.raises(NonpositiveValue,
+                                       match="value must be positive$"):
+                        _validated_arms(fam, QuartetParams(fam, **point),
+                                        omega0)
+        with pytest.raises(NonpositiveValue, match="^element r1: "):
+            _arm_tree([[("r1", RESISTOR, -1, 2)]])
+
+
 class TestFixtureArms:
     """The fixtures read the quartet arms: each arm's unreduced pair, and
     the normalised structural polynomials, equal those of the former
@@ -847,8 +1012,7 @@ class TestFixtureArms:
 
     def test_arms_match_the_pair_algebra(self):
         from prsyn.network import tree_pair
-        from prsyn.synth import (QuartetParams, _n1112_pair_at, _quartet_arms,
-                                 _quartet_polys)
+        from prsyn.synth import QuartetParams, _n1112_pair_at, _quartet_polys
         rng = random.Random(1961)
 
         def q(zero=False):
@@ -876,7 +1040,7 @@ class TestFixtureArms:
                  4, None)
                 for fam in ("N11", "N12")]
             for family, fam, v, params, degree, target0 in points:
-                arms = _quartet_arms(fam, QuartetParams(fam, **params), w0)
+                arms = _validated_arms(fam, QuartetParams(fam, **params), w0)
                 want = _reference_arms(family, v, w0)
                 got = {slot: tree_pair(t) for slot, t in arms.items()}
                 assert got == want
@@ -897,7 +1061,7 @@ class TestFixtureArms:
         # reference tree_pair of every arm, term-by-term bridge): equal
         # pairs at Q7, Q8, N11 and N12 points with denominators up to 10^9,
         # r1 = 0 and g2 = 0 included
-        from prsyn.synth import QuartetParams, _quartet_arms, _quartet_polys
+        from prsyn.synth import QuartetParams, _quartet_polys
         rng = random.Random(5077)
 
         def q(zero=False):
@@ -916,7 +1080,7 @@ class TestFixtureArms:
                       ] + [(fam, dict(A=r1, B=1 / g3, C=g2z, D=F / var, E=F))
                            for fam in ("N11", "N12")]
             for fam, params in points:
-                arms = _quartet_arms(fam, QuartetParams(fam, **params), w0)
+                arms = _validated_arms(fam, QuartetParams(fam, **params), w0)
                 want = bridge_reference({slot: tree_pair_reference(t)
                                          for slot, t in arms.items()})
                 assert pair_over_q(_quartet_polys(fam, w0, **params)) == want
@@ -960,7 +1124,7 @@ class TestFixtureArms:
         # pair there
         from prsyn.network import tree_pair
         from prsyn.synth import (_N1112_E, QuartetParams, _coefficients_in_x,
-                                 _n1112_pair_at, _quartet_arms)
+                                 _n1112_pair_at)
         points = [(Q(1, 3), Q(2, 5), Q(7, 4), Q(1, 2), Q(1)),
                   (Q(0), Q(2, 5), Q(7, 4), Q(3, 2), Q(4, 3)),      # r1 = 0
                   (Q(5, 2), Q(0), Q(3), Q(4, 3), Q(2)),            # g2 = 0
@@ -984,7 +1148,7 @@ class TestFixtureArms:
                     qp = QuartetParams(fam, A=r1, B=1 / g3, C=g2, D=F / v,
                                        E=F)
                     arms = {slot: tree_pair(t) for slot, t
-                            in _quartet_arms(fam, qp, w0).items()}
+                            in _validated_arms(fam, qp, w0).items()}
                     want = bridge_over_q(arms)
                     assert want == bridge_reference(arms)
                     got += _read_off(cols, v)
