@@ -32,16 +32,15 @@ trimmed ascending int list ([re, im] in j), [] as zero, and each ring has
 one fused row step with its exact-division check.  Its two entry points
 answer in the ring of their entries: ``leading_minors``, the forward
 half, gives the leading minors and the determinant of one pass, over Z
-on Sylvester rows, over Z[s] on the nodal impedance's stamp triples and
-on sI - A, and over Z[x] on a fixture's Sylvester rows; ``solve`` adds
+or Z[x] on a pair's hybrid Bezout rows, over Z[s] on the nodal
+impedance's stamp triples and on sI - A; ``solve`` adds
 the back half, over Z on cleared rows or over Z[j] (Gaussian integers)
 on the phasor rows it is given: numerators over its last pivot.  A row with a zero in the pivot column skips that
 step and catches up when it is next read, so sparse rows cost little.
-Sylvester rows are built from coefficient sequences, interleaved by
-shift, with one sign rule: the integer primitive parts for a determinant
-over Z, or a fixture pair's coefficients in a parameter x as Z[x] int
-lists, so that one pass of leading minors gives both R_0(x) and R_1(x) of
-a pair as identities in x, in Z[x] too.  Interpolation reads integer
+Up to sign, every subresultant R_k of a pair is a leading minor of its
+hybrid Bezout matrix, built from the integer primitive parts or from a
+fixture pair's coefficients in x as Z[x] int lists, so one pass gives
+R_0(x) and R_1(x) as identities in x.  Interpolation reads integer
 points and gives an int numerator over one int, and Sturm signs stay in Z
 as well.  A law that a computed answer obeys raises ``InvariantViolation``.
 Real roots come from one exact isolator, ``real_roots``: a rational root
@@ -1174,7 +1173,7 @@ def biquad_params(h: RationalFunction) -> BiquadParams:
 # row step, (a p - lead b) / d with its exact-division check.  The forward
 # half gives the leading minors and the determinant of one pass over Z,
 # Z[s] or Z[x] (``leading_minors``: the nodal impedance's minors, the
-# characteristic polynomial, the subresultants of a Sylvester pair), and
+# characteristic polynomial, the subresultants of a pair), and
 # a solve adds the back half, over Z or Z[j] (``solve``).  Every answer is in the ring of
 # the entries; no function here builds a Polynomial, Fraction or QComplex.
 # ---------------------------------------------------------------------------
@@ -1436,62 +1435,65 @@ def solve(rows, rhs):
 
 
 # ---------------------------------------------------------------------------
-# Sylvester determinants and interpolation.  Sylvester rows are built from
-# coefficient sequences, interleaved by shift, with one sign rule: the
-# integer primitive parts for a determinant over Z, or Z[x] int lists, so
-# that one pass of leading minors gives both R_0(x) and R_1(x) of a pair
-# as identities in x.  A pass answers in the ring of its sequences, and
-# interpolation reads integer points and answers over Z as well.
+# Subresultants and interpolation.  Every R_k of a pair is a leading minor
+# of its hybrid Bezout matrix over the ring of its coefficient sequences
+# (ints, or Z[x] int lists), so one pass of leading minors gives R_0(x)
+# and R_1(x) as identities in x.  Interpolation reads integer points and
+# answers over Z.
 # ---------------------------------------------------------------------------
 
-def _sylvester_rows(p: Sequence, q: Sequence, m: int, n: int, k: int,
-                    zero) -> list:
-    """Rows of the k-th truncated Sylvester matrix of the coefficient
-    sequences p and q (ascending, in one ring of the elimination section:
-    ints, or Z[x] int lists), padded with that ring's zero, read at the
-    degrees m >= len(p) - 1 and n >= len(q) - 1 (leading coefficients may
-    vanish): n - k rows of p's and m - k rows of q's, interleaved by shift.
-    The first |m - n| rows of the longer block lead, and the rest follow in
-    pairs (p's, q's).  Then the leading m + n - 2k rows of S_0, cut to as
-    many columns, are the rows of S_k in this order, so one pass of leading
-    minors reads every R_k (``_sylvester_r0_r1``)."""
-    size = m + n - 2 * k
-    pdesc = [zero] * (m + 1 - len(p)) + list(reversed(p))
-    qdesc = [zero] * (n + 1 - len(q)) + list(reversed(q))
-    prows = [([zero] * i + pdesc + [zero] * size)[:size] for i in range(n - k)]
-    qrows = [([zero] * i + qdesc + [zero] * size)[:size] for i in range(m - k)]
-    d = len(prows) - len(qrows)
-    lead, prows, qrows = ((prows[:d], prows[d:], qrows) if d > 0
-                          else (qrows[:-d], prows, qrows[-d:]))
-    return lead + [row for pair in zip(prows, qrows) for row in pair]
+def _bezout_rows(p: Sequence, q: Sequence, m: int, n: int, zero) -> list:
+    """Rows of the hybrid Bezout matrix of the coefficient sequences p and
+    q (ascending, ints or Z[x] int lists, zero that ring's zero) at the
+    degrees m >= len(p) - 1 and n >= len(q) - 1, m >= n (a_m and b_n may
+    vanish), columns from x^(m-1) down to 1: s = m - n rows x^(s-1) q, ...,
+    q, whose leading minors are powers of b_n, then n rows P_k = x P_(k-1)
+    + a_(m-k+1) x^s q - b_(n-k+1) p, P_0 = 0 (the x^m terms cancel).  Up to
+    ``_bezout_sign``, R_k is the leading (m - k) minor (Hou & Wang 2000;
+    Diaz-Toca & Gonzalez-Vega 2004).  A pair with m < n is read as (q, p)."""
+    if m < n:
+        p, q, m, n = q, p, n, m
+    s = m - n
+    a = list(p) + [zero] * (m + 1 - len(p))
+    b = [zero] * s + list(q) + [zero] * (n + 1 - len(q))     # x^s q
+
+    def entry(u, x, y, v, w):                   # u + x y - v w
+        if type(u) is list:
+            return _add(_add(u, _mul(x, y)), _mul([-c for c in v], w))
+        return u + x * y - v * w
+    rows = [([zero] * r + b[:s - 1:-1] + [zero] * m)[:m] for r in range(s)]
+    row = [zero] * m
+    for i in range(m, s, -1):                   # a_(m-k+1), b_(n-k+1)
+        row = [entry(row[t - 1] if t else zero, a[i], b[t], b[i], a[t])
+               for t in range(m)]
+        rows.append(row[::-1])
+    return rows
 
 
-def _interleaving_sign(m: int, n: int, k: int) -> int:
-    """The sign of the row order of ``_sylvester_rows(p, q, m, n, k)``
-    against the block order (n - k = a rows of p's, then m - k = b of
-    q's).  With j = min(a, b), each pair's q row passes the later pairs' p
-    rows, j (j - 1) / 2 inversions, and when q's block is the longer its
-    b - j leading rows pass all j p rows."""
-    a, b = n - k, m - k
-    j = min(a, b)
-    return -1 if (j * (j - 1) // 2 + (b - j) * j) % 2 else 1
+def _bezout_sign(m: int, n: int, k: int) -> int:
+    """The sign that takes the leading j = max(m, n) - k minor of
+    ``_bezout_rows`` to R_k: (-1)^((j (j - 1) + s (s - 1)) / 2) with s =
+    |m - n|, times (-1)^((m - k) (n - k)) when m < n swaps p and q."""
+    j, s = max(m, n) - k, abs(m - n)
+    e = (j * (j - 1) + s * (s - 1)) // 2 + (m < n) * (m - k) * (n - k)
+    return -1 if e % 2 else 1
 
 
 def _subresultant(p: Sequence, q: Sequence, m: int, n: int, k: int, zero):
     """R_k of the coefficient sequences p and q (ascending, ints or Z[x]
     int lists, zero that ring's zero) read at the degrees m and n: the det
-    of one ``leading_minors`` pass over the rows of ``_sylvester_rows``,
-    times ``_interleaving_sign``."""
-    det = leading_minors(_sylvester_rows(p, q, m, n, k, zero))[1]
-    return _signed(det, _interleaving_sign(m, n, k))
+    of one ``leading_minors`` pass over the leading max(m, n) - k block of
+    ``_bezout_rows``, times ``_bezout_sign``."""
+    rows = _bezout_rows(p, q, m, n, zero)[:max(m, n) - k]
+    det = leading_minors([row[:len(rows)] for row in rows])[1]
+    return _signed(det, _bezout_sign(m, n, k))
 
 
 def _sylvester_det(p: Polynomial, q: Polynomial, m: int, n: int,
                    k: int) -> Fraction:
     """R_k of p and q read at the degrees m >= deg p and n >= deg q: the
     ``_subresultant`` of the primitive parts over Z, times each content to
-    the number of its rows (the determinant is linear in each row).  A
-    zero p or q has content 0, and no rows when its exponent is 0."""
+    R_k's degree in that side (n - k for p, m - k for q, and 0^0 = 1)."""
     det = _subresultant(p.prim, q.prim, m, n, k, 0)
     a, b = n - k, m - k
     c, e = p.content, q.content
@@ -1501,9 +1503,9 @@ def _sylvester_det(p: Polynomial, q: Polynomial, m: int, n: int,
 
 def sylvester_determinant(p: Polynomial, q: Polynomial, k: int) -> Fraction:
     """Determinant R_k of the truncated Sylvester matrix of p and q, over Z:
-    Bareiss on the rows of the primitive parts, interleaved by shift, then
-    the sign of the interleaving and the contents, p's to the power n - k
-    and q's to m - k (m = deg p, n = deg q).
+    Bareiss on the leading max(m, n) - k block of the hybrid Bezout rows of
+    the primitive parts, then its sign and the contents, p's to the power
+    n - k and q's to m - k (m = deg p, n = deg q).
 
     R_0 = ... = R_{r-1} = 0 exactly when p and q share at least r roots
     (counted with multiplicity)."""
@@ -1519,24 +1521,22 @@ def _sylvester_r0_r1(p: Sequence, q: Sequence) -> tuple:
     """(R_0, R_1) of the coefficient sequences p and q (ascending, over Z
     or Z[x]: ints, or trimmed int lists in a parameter x), in that ring,
     read at the degrees m = len(p) - 1 and n = len(q) - 1, from one
-    ``leading_minors`` pass over the interleaved S_0 rows
-    (``_sylvester_rows``): R_0 is its det and R_1 its minor m + n - 2, each
-    times ``_interleaving_sign``, since the leading (m + n - 2)-block of S_0
-    is S_1 in the interleaved order (Collins 1967; Brown & Traub 1971).
-    Over Z[x] they are R_0(x) and R_1(x), identities in x.  A run of minors
-    stops short at a zero one; an R_1 past that is the ``_subresultant``
-    of the S_1 rows.  A zero value is the ring's zero, 0 or [].  With
+    ``leading_minors`` pass over ``_bezout_rows``: R_0 is its det and R_1
+    its last but one leading minor, each times ``_bezout_sign``.  Over Z[x]
+    they are R_0(x) and R_1(x), identities in x.  A run of minors stops
+    short at a zero one; an R_1 past that is the ``_subresultant`` of the
+    leading block.  A zero value is the ring's zero, 0 or [].  With
     min(m, n) < 2 there is no R_1 (DegreeTooSmall)."""
     m, n = len(p) - 1, len(q) - 1
     if min(m, n) < 2:
         raise DegreeTooSmall(f"require min(deg p, deg q) >= 2, got {m}, {n}")
     zero = [] if type(p[0]) is list else 0
-    minors, r0 = leading_minors(_sylvester_rows(p, q, m, n, 0, zero))
+    minors, r0 = leading_minors(_bezout_rows(p, q, m, n, zero))
     minors.append(zero)         # the first zero minor, if the run stops
-    size = m + n - 2
+    size = max(m, n) - 1
     r1 = (_subresultant(p, q, m, n, 1, zero) if size > len(minors)
-          else _signed(minors[size - 1], _interleaving_sign(m, n, 1)))
-    return _signed(r0, _interleaving_sign(m, n, 0)), r1
+          else _signed(minors[size - 1], _bezout_sign(m, n, 1)))
+    return _signed(r0, _bezout_sign(m, n, 0)), r1
 
 
 def _interpolate(xs: Sequence[int], ys: Sequence[int]) -> Tuple[List[int], int]:

@@ -15,10 +15,10 @@ power of its free variable x it has coefficients that are polynomials in
 x, so a check builds the bridge at a few integer nodes only, puts the
 builds over one scale and interpolates each coefficient over Z
 (``_coefficients_in_x``).
-One Bareiss pass over Z[x] then gives the subresultants R_0(x) and R_1(x),
-up to one positive constant that every reader cancels, and only then are
-Polynomials built: the printed factorizations are checked as identities
-in x, by exact division.
+One Bareiss pass over Z[x] on the pair's 4 x 4 hybrid Bezout rows then
+gives the subresultants R_0(x) and R_1(x), up to one positive constant that
+every reader cancels, and only then are Polynomials built: the printed
+factorizations are checked as identities in x, by exact division.
 """
 
 from __future__ import annotations
@@ -918,11 +918,11 @@ def _poly_sqrt(p: Polynomial) -> Optional[Polynomial]:
 
 
 def _sylvester_nominal(p: Polynomial, q: Polynomial, m: int, n: int) -> Fraction:
-    """Resultant-style determinant at the nominal degrees (m, n) of the
-    generic family, so that specialization (vanishing leading coefficients)
-    commutes with the determinant; over Z on the primitive parts, as
+    """R_0 at the nominal degrees (m, n) of the generic family, so that
+    specialization (vanishing leading coefficients) commutes with it: the
+    det of the hybrid Bezout rows of the primitive parts over Z, as in
     ``sylvester_determinant``.  A zero p or q (degree -inf) is read as
-    all-zero rows."""
+    all-zero coefficients."""
     if p.degree > m or q.degree > n:
         raise ConstraintViolated("specialized degree exceeds the nominal one")
     return _sylvester_det(p, q, m, n, 0)
@@ -986,7 +986,7 @@ def resultant_fixture_check(family: str, subs: Dict[str, Fraction]) -> bool:
         num, den, _ = _quartet_polys("N7", w0, A=1 / g1, B=1 / g2, C=F)
         _require_nominal("Q7", num, den, 3)
         # the scaled pair is c num and c F den, c = w0^3 / num(0), and R_0
-        # is homogeneous of degree 3 in each side's coefficients
+        # (3 x 3 Bezout rows) is of degree 3 in each side's coefficients
         r0 = (_subresultant(num, den, 3, 3, 0, 0)
               * (w0 ** 3 / num[0]) ** 6 * F ** 3)
         return r0 == F * F * w0 ** 9 * (g1 - g2) ** 2 * (1 + F * F * g1 * g2) ** 4
@@ -1042,8 +1042,8 @@ def _factorization_check(family, pair, scale, cof0, cof1, f1_printed,
     scale^(4-k) R_k(P, Q) / P_0^(2 (4-k)) with scale = target0^2 F, a
     polynomial in x; c cancels there, since R_k(cP, cQ) = c^(2 (4-k))
     R_k(P, Q) and (c P_0)^(2 (4-k)) carries the same power.  R_0 and R_1
-    come from one ``_sylvester_r0_r1`` pass over Z[x], and they and P_0
-    become Polynomials here, once.
+    come from one ``_sylvester_r0_r1`` pass over the 4 x 4 hybrid Bezout
+    rows in Z[x], and they and P_0 become Polynomials here, once.
     R_0(p, q) / cof0 and R_1(p, q) / cof1, over the printed cofactors
     (polynomials in x, nonzero at a physical point), are f1^2 and f2 by
     exact division, and a remainder fails the check.  f1 is f1_printed if
@@ -1161,7 +1161,7 @@ def n12_has_no_feasible_solution(r1, g2, g3, F) -> bool:
         if x1 <= 0:
             return True
         # R_1 is homogeneous in each side: scaling one keeps it zero or not;
-        # one pass over the 6 x 6 S_1 rows reads it
+        # one pass over the leading 3 x 3 block of the Bezout rows reads it
         num, den, _ = _n1112_pair_at("N12", r1, g2, g3, F, Q(1))(x1)
         _require_nominal("N12", num, den, 4)
         return _subresultant(num, den, 4, 4, 1, 0) != 0

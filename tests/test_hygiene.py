@@ -30,17 +30,19 @@ Kirchhoff sum, over terms grouped once at import),
 ``synth._quartet_polys`` (a member's pair over its scale),
 ``synth._coefficients_in_x`` (the pair's coefficients in x, from builds
 at integer nodes), ``polyrat._interpolate`` (integer points, an int
-numerator over one int), ``polyrat._sylvester_r0_r1`` and
-``polyrat._subresultant`` (answers in the ring of their sequences, Z or
-Z[x]).  Four readers call ``leading_minors``: ``analysis.impedance`` over
-Z[s], the one elimination of the nodal matrix; ``analysis._char_poly``,
-det(sI - A) as the det of one pass over Z[s]; ``polyrat._sylvester_r0_r1``,
-which reads R_0 and R_1 of a pair, R_0(x) and R_1(x) of a fixture pair
-over Z[x], off one pass over the interleaved Sylvester rows; and
-``polyrat._subresultant``, one R_k as the det of one pass, which every
-other Sylvester determinant is.  Only ``synth._coefficients_in_x``
-interpolates, reading a fixture pair's coefficients in x off a few bridge
-builds; no check interpolates sampled values of its answer.  Likewise
+numerator over one int), ``polyrat._bezout_rows`` (the hybrid Bezout
+rows of a pair, in the ring of its sequences), ``polyrat._sylvester_r0_r1``
+and ``polyrat._subresultant`` (answers in that ring, Z or Z[x]).  Four
+readers call ``leading_minors``: ``analysis.impedance`` over Z[s], the
+one elimination of the nodal matrix; ``analysis._char_poly``, det(sI - A)
+as the det of one pass over Z[s]; ``polyrat._sylvester_r0_r1``, which
+reads R_0 and R_1 of a pair, R_0(x) and R_1(x) of a fixture pair over
+Z[x], off one pass over the hybrid Bezout rows; and
+``polyrat._subresultant``, one R_k as the det of one pass over their
+leading block, which every other Sylvester determinant is.  Only
+``synth._coefficients_in_x`` interpolates, reading a fixture pair's
+coefficients in x off a few bridge builds; no check interpolates sampled
+values of its answer.  Likewise
 three ``while`` loops divide: ``_remainders``, the primitive remainder
 sequence on int lists that ``sturm_chain``, the Routh rows of
 ``strict_hurwitz`` and the gcd's fallback read; ``_gcd``, the
@@ -228,8 +230,9 @@ def test_bareiss_named_only_by_its_entry_points():
 # the readers of one forward pass: the impedance's leading minors, the one
 # elimination of the nodal matrix over Z[s]; the characteristic polynomial
 # of the state space, the det of one pass over Z[s]; R_0 and R_1 of a
-# Sylvester pair, over Z or Z[x]; and one R_k, the det of a pass over its
-# S_k rows, which every other Sylvester determinant is
+# pair, over Z or Z[x], off one pass over its hybrid Bezout rows; and one
+# R_k, the det of a pass over their leading block, which every other
+# Sylvester determinant is
 LEADING_MINOR_CALLERS = {("analysis.py", "impedance"),
                          ("analysis.py", "_char_poly"),
                          ("polyrat.py", "_sylvester_r0_r1"),
@@ -320,7 +323,7 @@ def test_no_objects_in_the_elimination_kernel():
 # the quartet arm table and its int-pair leaves, each arm's pair by the
 # leaf, series and parallel laws that the tree walk shares, the Kirchhoff
 # sum, a quartet member's pair over its scale, the coefficients in x,
-# their interpolation and the Z[x] passes
+# their interpolation, the hybrid Bezout rows and the Z[x] passes
 BRIDGE_BUILDS = {("network.py", "_tree_ints"),
                  ("network.py", "_leaf_ints"),
                  ("network.py", "_series_ints"),
@@ -332,6 +335,7 @@ BRIDGE_BUILDS = {("network.py", "_tree_ints"),
                  ("synth.py", "_quartet_polys"),
                  ("synth.py", "_coefficients_in_x"),
                  ("polyrat.py", "_interpolate"),
+                 ("polyrat.py", "_bezout_rows"),
                  ("polyrat.py", "_sylvester_r0_r1"),
                  ("polyrat.py", "_subresultant")}
 

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from prsyn.polyrat import (BiquadParams, DegreeTooSmall, InvariantViolation,
                            NotBiquadratic, NotMinimum, Polynomial, Q, QComplex,
                            RationalFunction, ZeroDenominator,
-                           _gauss, _interpolate,
+                           _gauss, _interpolate, _subresultant,
                            _sylvester_r0_r1,
                            biquad_params, biquad_template, count_real_roots,
                            even_part_profile, eval_ratfunc, format_poly,
@@ -572,6 +572,33 @@ class TestSylvester:
                 assert sylvester_determinant(p, q, k) == fraction_determinant(ref)
             if trial % 4 == 0:
                 assert sylvester_determinant(p, q, 0) == 0
+        # every R_k of the coefficient sequences themselves, read at their
+        # nominal degrees off the hybrid Bezout rows: over Z, and over Z[x]
+        # with entries linear in x, compared at more points than R_k's
+        # degree in x; m < n, m = n and m > n, with the nominal leading
+        # coefficient of p or of q zero in two trials of three
+        for trial in range(72):
+            shape, lead, zx = trial % 3, trial // 3 % 3, trial // 9 % 2
+            n = rng.randint(1, 4)
+            m = max(1, n + (shape - 1) * rng.randint(1, 3))
+            zero = [] if zx else 0
+
+            def entry():
+                if not zx:
+                    return rng.randint(-99, 99)
+                c = [rng.randint(-9, 9), rng.randint(-9, 9)]
+                return c if c[1] else c[:1] if c[0] else []
+
+            p, q = ([entry() for _ in range(d + 1)] for d in (m, n))
+            if lead:
+                (p if lead == 1 else q)[-1] = zero
+            for k in range(min(m, n)):
+                got = _subresultant(p, q, m, n, k, zero)
+                for x in range(m + n - 2 * k + 1) if zx else (0,):
+                    ref = sylvester_reference(
+                        *(Polynomial([_at(c, x) for c in side])
+                          for side in (p, q)), m, n, k)
+                    assert _at(got, x) == fraction_determinant(ref)
 
     def test_nominal_degrees_above_the_real_ones(self):
         from prsyn.synth import _sylvester_nominal
@@ -592,11 +619,12 @@ class TestSylvester:
 
     def test_r0_r1_pass_matches_fraction_references(self, monkeypatch):
         # R_0 and R_1 of a (m, n) pair from one leading_minors pass over the
-        # interleaved S_0 rows, against the Fraction Sylvester matrices:
-        # random pairs, pairs with one shared root (R_0 = 0) and with two
-        # (R_0 = R_1 = 0), and (n, n) pairs whose leading 2 x 2 blocks are
-        # equal up to a factor, so M_2 = 0: R_0 is the det of the pass, row
-        # swaps kept, and an R_1 past the run of minors takes a second pass
+        # max(m, n) hybrid Bezout rows, against the Fraction Sylvester
+        # matrices: random pairs, pairs with one shared root (R_0 = 0) and
+        # with two (R_0 = R_1 = 0), and (n, n) pairs q = c p + t with deg t
+        # <= n - 2, whose first Bezout row a_n t makes M_1 = 0: R_0 is the
+        # det of the pass, row swaps kept, and an R_1 past the run of minors
+        # takes a second pass
         passes = count_passes(monkeypatch)
         rng = random.Random(1967)
 
@@ -631,22 +659,23 @@ class TestSylvester:
                             sylvester_determinant(p, q, 1))
             passes.clear()
             assert _r0_r1_of(p, q) == want
+            size = max(m, n)
             if kind in ("random", "one_root"):
-                # one shared root: M_(m+n-1) != 0 and M_(m+n) = R_0 = 0
-                # ends the run; the one pass gives both
+                # one shared root: M_(size-1) = +-R_1 != 0 and M_size =
+                # +-R_0 = 0 ends the run; the one pass gives both
                 one_root = kind == "one_root"
-                assert passes == [(m + n, m + n - one_root)]
+                assert passes == [(size, size - one_root)]
                 assert (want[0] == 0) == one_root and want[1]
             elif kind == "two_roots":
-                # M_(m+n-2) = R_1 = 0 ends the run: R_0 is the det of the
+                # M_(size-1) = +-R_1 = 0 ends the run: R_0 is the det of the
                 # same pass
-                assert want == (0, 0) and passes == [(m + n, m + n - 3)]
+                assert want == (0, 0) and passes == [(size, size - 2)]
             else:
                 # R_0 is the det of the pass, and R_1 takes a pass over the
-                # S_1 rows once they reach past the zero M_2; R_1 = M_2 = 0
-                # for n = 2
-                assert passes == ([(4, 1)] if n == 2
-                                  else [(2 * n, 1), (2 * n - 2, 1)])
+                # leading (n - 1) block once it reaches past the zero M_1;
+                # R_1 = M_1 = 0 for n = 2
+                assert passes == ([(2, 0)] if n == 2
+                                  else [(n, 0), (n - 1, 0)])
                 assert (want[1] == 0) == (n == 2)
 
     def test_r0_r1_pass_on_small_pairs(self, monkeypatch):
@@ -668,8 +697,9 @@ class TestSylvester:
                          for k in (0, 1))
             passes.clear()
             assert _r0_r1_of(p, q) == want
-            # how far the S_0 run stops short of M_(m+n): 0, 1, or more
-            short = min(m + n - passes[0][1], 2)
+            # how far the Bezout run stops short of M_max(m, n): 0, 1, or
+            # more
+            short = min(max(m, n) - passes[0][1], 2)
             seen.add((m, n, len(passes), short, want[0] == 0))
         for m, n in shapes:
             # a full run, R_0 = 0 read off the run, R_0 the det of a pass
@@ -685,12 +715,12 @@ class TestSylvester:
 
     def test_r0_r1_pass_over_zx_takes_the_pivoting_route(self, monkeypatch):
         # the Z[x] analogue of the early_zero pairs: (n, n) pairs of
-        # coefficient lists in x whose leading 2 x 2 blocks are equal up to
-        # a factor c(x), so M_2 is zero in x.  Cleared into Z[x] int lists
-        # by one lcm L of both pairs' denominators, R_0(x) and R_1(x) come
-        # from passes that swap rows over Z[x], equal L^(2n - 2k) times the
-        # Q[x] Bareiss reference on the block-ordered Sylvester matrix, and
-        # at integer and rational x equal the integer route on the pair
+        # coefficient lists in x, q = c(x) p + t with deg t <= n - 2, whose
+        # first Bezout row a_n t makes M_1 zero in x.  Cleared into Z[x] int
+        # lists by one lcm L of both pairs' denominators, R_0(x) and R_1(x)
+        # come from passes that swap rows over Z[x], equal L^(2n - 2k) times
+        # the Q[x] Bareiss reference on the block-ordered Sylvester matrix,
+        # and at integer and rational x equal the integer route on the pair
         # read off at x
         passes = count_passes(monkeypatch)
         rng = random.Random(1968)
@@ -713,10 +743,10 @@ class TestSylvester:
             got = tuple(Polynomial([Fraction(c, lcd ** (2 * n - 2 * k))
                                     for c in r]) for k, r in
                         enumerate(_sylvester_r0_r1(*cleared)))
-            # R_0 is the det of the pass, and R_1 takes a pass over the S_1
-            # rows once they reach past the zero M_2; R_1 = M_2 = 0 for n = 2
-            assert passes == ([(4, 1)] if n == 2
-                              else [(2 * n, 1), (2 * n - 2, 1)])
+            # R_0 is the det of the pass, and R_1 takes a pass over the
+            # leading (n - 1) block once it reaches past the zero M_1; R_1 =
+            # M_1 = 0 for n = 2
+            assert passes == ([(2, 0)] if n == 2 else [(n, 0), (n - 1, 0)])
             zero = Polynomial()
             for k, r in enumerate(got):
                 size = 2 * n - 2 * k
@@ -733,6 +763,11 @@ class TestSylvester:
                 assert got[1](x) == sylvester_determinant(px, qx, 1)
 
 
+def _at(c, x):
+    """The int c, or the Z[x] int list c read at x."""
+    return sum(v * x ** i for i, v in enumerate(c)) if type(c) is list else c
+
+
 def _r0_r1_of(p, q):
     """``_sylvester_r0_r1`` on the primitive parts of p and q, times each
     content to the number of its rows, as ``sylvester_determinant`` reads
@@ -745,8 +780,9 @@ def _r0_r1_of(p, q):
 
 def count_passes(monkeypatch):
     """Record each ``leading_minors`` pass polyrat makes, as (size, number
-    of leading minors in its run): in ``_sylvester_r0_r1``, the S_0 pass
-    and any ``_subresultant`` pass over the S_1 rows."""
+    of leading minors in its run): in ``_sylvester_r0_r1``, the pass over
+    the hybrid Bezout rows and any ``_subresultant`` pass over their leading
+    block."""
     import prsyn.polyrat as polyrat
     passes = []
 

@@ -1419,9 +1419,10 @@ class TestOnceAPoint:
     """A fixture check builds its structural pairs once per point: the
     bridge at F = 1..4 for Q8, and at var = 1 and 2 for N11/N12.  A single
     point, the n12_has_no_feasible_solution x1 > 0 path, is one direct
-    build, whose R_1 is one pass over its S_1 rows.  R0(x) and R1(x) of a
-    check come from one pass of leading minors over Z[x].  The counts are
-    per check: they hold, check by check, over a run of points."""
+    build, whose R_1 is one pass over the leading 3 x 3 block of its
+    hybrid Bezout rows.  R0(x) and R1(x) of a check come from one pass of
+    leading minors over Z[x].  The counts are per check: they hold, check
+    by check, over a run of points."""
 
     @pytest.fixture(params=[24, 30], ids=["24_samples", "30_samples"])
     def samples(self, request):
@@ -1459,7 +1460,7 @@ class TestOnceAPoint:
 
     def test_one_leading_minor_pass_per_sample(self, monkeypatch, samples):
         # R0(x) and R1(x) of a check come from one leading_minors pass over
-        # the interleaved S_0 rows over Z[x]; the one subresultant left is
+        # the hybrid Bezout rows over Z[x]; the one subresultant left is
         # the nominal resultant of f1 and f2, over Z, one pass more
         import prsyn.polyrat as polyrat
         passes = _counting(monkeypatch, polyrat, "leading_minors")
@@ -1496,8 +1497,9 @@ class TestOnceAPoint:
 
     def test_n12_feasibility_reads_r1_off_one_s1_pass(self, monkeypatch):
         # at a positive root x1 of f1, R_1 of the point's pair is the det of
-        # one leading_minors pass over the 6 x 6 S_1 rows, equal to the R_1
-        # that the S_0 pass of _sylvester_r0_r1 reads, and nonzero
+        # one leading_minors pass over the leading 3 x 3 block of its 4 x 4
+        # hybrid Bezout rows, equal to the R_1 that the full pass of
+        # _sylvester_r0_r1 reads, and nonzero
         import prsyn.polyrat as polyrat
         from prsyn.polyrat import _subresultant, _sylvester_r0_r1
         from prsyn.synth import _n1112_pair_at
@@ -1519,7 +1521,7 @@ class TestOnceAPoint:
                 continue
             sizes.clear()
             assert n12_has_no_feasible_solution(r1, g2, g3, F)
-            assert sizes == [6]
+            assert sizes == [3]
             num, den, _ = _n1112_pair_at("N12", r1, g2, g3, F, Q(1))(-b / a)
             r1_of_s1 = _subresultant(num, den, 4, 4, 1, 0)
             assert r1_of_s1 == _sylvester_r0_r1(num, den)[1] != 0
