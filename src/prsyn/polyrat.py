@@ -14,10 +14,10 @@ Yun's square-free decomposition, is decided by Descartes' rule with
 Collins-Akritas bisection (integer Taylor shifts, no Sturm chain).
 Sturm chains serve only root counts and isolation; they and the Routh
 rows read one primitive remainder sequence, ``_remainders``, on the
-integer parts as int lists.  Gcds come
-from ``_gcd`` on the same lists: the common power of s comes off, and a
-heuristic gcd, checked by exact division, gives the rest, with that
-remainder sequence as its fallback.  A ``RationalFunction`` is reduced on
+integer parts as int lists.  Gcds and their cofactors come from ``_gcd``
+on the same lists: the common power of s comes off, and a heuristic gcd,
+checked by exact division, gives the rest, with that remainder sequence as
+its fallback.  A ``RationalFunction`` is reduced on
 the int parts, and the PR test reads num + den and the even-part
 numerator as int sums, so from the impedance's leading minors to the
 verdict no Polynomial arithmetic runs.  A polynomial gets one
@@ -346,7 +346,7 @@ class Polynomial:
         """The monic gcd (zero for two zeros): ``_gcd`` of the integer
         parts, a heuristic gcd over Z[s] checked by exact division, with
         the primitive remainder sequence as its fallback."""
-        g = _gcd(self.prim, _as_poly(other).prim)
+        g = _gcd(self.prim, _as_poly(other).prim)[0]
         return _poly(g, 1, g[-1]) if g else ZERO
 
     def __call__(self, x):
@@ -424,6 +424,23 @@ def _add(a: Sequence[int], b: Sequence[int]) -> List[int]:
     out = list(a)
     for j, y in enumerate(b):
         out[j] += y
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _fma(u: List[int], x, y, v, w) -> List[int]:
+    """u + x y - v w of the ascending int lists, trimmed: both products
+    accumulate into one new list, with no list per product."""
+    out = u + [0] * (max(len(x) + len(y), len(v) + len(w)) - 1 - len(u))
+    for i, c in enumerate(x):
+        if c:
+            for j, d in enumerate(y, i):
+                out[j] += c * d
+    for i, c in enumerate(v):
+        if c:
+            for j, d in enumerate(w, i):
+                out[j] -= c * d
     while out and not out[-1]:
         out.pop()
     return out
@@ -586,17 +603,12 @@ class RationalFunction:
 def _reduced(a: Sequence[int], b: Sequence[int], n: int,
              d: int) -> Tuple[Polynomial, Polynomial]:
     """(num, den) of n/d times a/b, for trimmed int lists a and b (b
-    nonzero) and ints n and d > 0: coprime, den monic.  a and b are divided
-    by their ``_gcd``, s^k g: by s^k as a shift, and by g exactly
-    (``_divide``: g is primitive, so by Gauss's lemma no step scales).
-    Each Polynomial is one ``_poly``."""
+    nonzero) and ints n and d > 0: coprime, den monic.  a and b are the
+    cofactors that their ``_gcd`` gives, so nothing is divided here.  Each
+    Polynomial is one ``_poly``."""
     if not a:
         return ZERO, ONE
-    g = _gcd(a, b)
-    k = next(i for i, x in enumerate(g) if x)
-    a, b, g = a[k:], b[k:], g[k:]
-    if len(g) > 1:
-        a, b = _divide(a, g)[0], _divide(b, g)[0]
+    _, a, b = _gcd(a, b)
     lead = b[-1]
     sign = 1 if lead > 0 else -1
     return (_poly(list(a), n * sign, d * abs(lead)),
@@ -687,39 +699,47 @@ _HEU_TRIES = 6
 _HEU_BITS = 1 << 16
 
 
-def _gcd(a: Sequence[int], b: Sequence[int]) -> List[int]:
-    """gcd(a, b) of the trimmed int lists a and b over Z[s], primitive with
-    a positive leading coefficient, [] for two zeros.
-
-    The common power s^k of s comes off first, and then every power of s,
-    so that s divides neither rest.  The rest's gcd is the heuristic gcd
-    of their primitive parts A and B (Char, Geddes & Gonnet 1989; Geddes,
-    Czapor & Labahn 1992, sec. 7.7): for an integer xi >= 2 min(|A|, |B|)
-    + 2 (max norms), the digits of gcd(A(xi), B(xi)) in symmetric base xi
-    are the coefficients of a candidate, and its primitive part is the gcd
-    when it divides both A and B exactly (``_divide``, no scaling, no
-    remainder).  A failed try grows xi by about 2.73 (the factor 73794 /
-    27011 of the paper); after ``_HEU_TRIES`` of them, or once the bit
-    length of xi times the larger length, about the size of a value,
-    passes ``_HEU_BITS``, the last member of ``_remainders`` with sign 1
-    gives the gcd instead."""
+def _gcd(a: Sequence[int], b: Sequence[int]) -> Tuple[List[int], ...]:
+    """(g, a / g, b / g): g = gcd(a, b) of the trimmed int lists a and b
+    over Z[s], primitive with lc g > 0, and the exact cofactors over Z[s];
+    ([], [], []) for two zeros.  The common power s^k of s comes off, then
+    every power of s, and the rest's gcd is the heuristic gcd of their
+    primitive parts A and B (Char, Geddes & Gonnet 1989; Geddes, Czapor &
+    Labahn 1992, sec. 7.7): for an integer xi >= 2 min(|A|, |B|) + 2 (max
+    norms), the digits of gcd(A(xi), B(xi)) in symmetric base xi are the
+    coefficients of a candidate, and its primitive part is the gcd when it
+    divides both A and B exactly (``_divide``, no scaling, no remainder).
+    A failed try grows xi by about 2.73 (the factor 73794 / 27011 of the
+    paper); after ``_HEU_TRIES`` of them, or once the bit length of xi
+    times the larger length passes ``_HEU_BITS``, the last member of
+    ``_remainders`` with sign 1 gives the gcd, dividing A and B once.  The
+    cofactors are those quotients times the contents and powers of s."""
     if not a or not b:
-        return _primitive(a or b) if a or b else []
+        g = _primitive(a or b) if a or b else []
+        return g, [a[-1] // g[-1]] if a else [], [b[-1] // g[-1]] if b else []
     za = next(i for i, x in enumerate(a) if x)
     zb = next(i for i, x in enumerate(b) if x)
     k = min(za, zb)
-    a, b = _primitive(a[za:]), _primitive(b[zb:])
-    if len(a) == 1 or len(b) == 1:
-        return [0] * k + [1]
-    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 2
-    most = min(len(a), len(b))          # no divisor has more coefficients
+    A, B = _primitive(a[za:]), _primitive(b[zb:])
+
+    def cofactors(g, qa, qb):
+        if len(g) == 1:
+            return [0] * k + [1], list(a[k:]), list(b[k:])
+        ca, cb = a[-1] // A[-1], b[-1] // B[-1]
+        return ([0] * k + g, [0] * (za - k) + [ca * x for x in qa],
+                [0] * (zb - k) + [cb * x for x in qb])
+
+    most = min(len(A), len(B))          # no divisor has more coefficients
+    if most == 1:
+        return cofactors([1], A, B)
+    xi = 2 * min(max(map(abs, A)), max(map(abs, B))) + 2
     for _ in range(_HEU_TRIES):
-        if xi.bit_length() * max(len(a), len(b)) > _HEU_BITS:
+        if xi.bit_length() * max(len(A), len(B)) > _HEU_BITS:
             break
         ha = hb = 0
-        for x in reversed(a):
+        for x in reversed(A):
             ha = ha * xi + x
-        for x in reversed(b):
+        for x in reversed(B):
             hb = hb * xi + x
         # xi exceeds the root bound of A or of B, so h > 0
         h, g = math.gcd(ha, hb), []
@@ -731,13 +751,17 @@ def _gcd(a: Sequence[int], b: Sequence[int]) -> List[int]:
             h = (h - d) // xi
         if not h:
             g = _primitive(g)
-            if len(g) == 1 or all(
-                    scale == 1 and not any(rem)
-                    for _, rem, scale in map(_divide, (a, b), (g, g))):
-                return [0] * k + g
+            if len(g) == 1:
+                return cofactors(g, A, B)
+            qa, rem, scale = _divide(A, g)
+            if scale == 1 and not any(rem):
+                qb, rem, scale = _divide(B, g)
+                if scale == 1 and not any(rem):
+                    return cofactors(g, qa, qb)
         xi = xi * 73794 // 27011
-    *_, g = _remainders(a, b, 1)
-    return [0] * k + _primitive(g)
+    *_, g = _remainders(A, B, 1)
+    g = _primitive(g)
+    return cofactors(g, _divide(A, g)[0], _divide(B, g)[0])
 
 
 def _derivative(a: Sequence[int]) -> List[int]:
@@ -945,20 +969,17 @@ def _odd_part(f: Sequence[int]) -> List[int]:
     a_0 = gcd(f, f'), b_1 = f / a_0, c_1 = f' / a_0 and d_i = c_i - b_i',
     each a_i = gcd(b_i, d_i) is the product of the factors of multiplicity
     exactly i, and b_(i+1) = b_i / a_i, c_(i+1) = d_i / a_i.  Every gcd is
-    ``_gcd``'s, primitive, so every division is exact over Z[s].  f itself
-    when gcd(f, f') = 1."""
-    d = _derivative(f)
-    a = _gcd(f, d)
+    ``_gcd``'s, primitive, and every quotient one of its cofactors, exact
+    over Z[s].  f itself when gcd(f, f') = 1."""
+    a, b, c = _gcd(f, _derivative(f))
     if len(a) == 1:
         return list(f)
-    b, c = _divide(f, a)[0], _divide(d, a)[0]
     out, odd = [1], True
     while len(b) > 1:
-        d = _add(c, [-x for x in _derivative(b)])
-        a = _gcd(b, d)
+        a, b, c = _gcd(b, _add(c, [-x for x in _derivative(b)]))
         if odd:
             out = _mul(out, a)
-        b, c, odd = _divide(b, a)[0], _divide(d, a)[0], not odd
+        odd = not odd
     return out
 
 
@@ -1099,7 +1120,7 @@ def _has_imaginary_axis_root(p: Polynomial) -> bool:
         return True
     # p(jw) = even(-w^2) + jw*odd(-w^2); common root u = -w^2 < 0 needed,
     # and u = 0 is none, as even(0) = p(0) != 0
-    g = _gcd(_trimmed(c[0::2]), _trimmed(c[1::2]))
+    g = _gcd(_trimmed(c[0::2]), _trimmed(c[1::2]))[0]
     chain = _square_free_chain(g)[0] if len(g) > 1 else []
     return _variations(chain, "-inf") > _variations(chain, 0)
 
@@ -1199,18 +1220,11 @@ def _step_int(row, top, cols, p, lead, d):
 
 def _step_poly(row, top, cols, p, lead, d):
     """``_step_int`` over Z[s] or Z[x], on trimmed ascending int lists:
-    products by ``_mul``, and the division by ``_divide``, which scales up
-    only where d does not divide."""
+    products by ``_mul`` and ``_fma``, and the division by ``_divide``,
+    which scales up only where d does not divide."""
     for j in cols:
-        x = _mul(row[j], p)
-        if lead is not None and top[j]:
-            y = _mul(lead, top[j])
-            if len(x) < len(y):
-                x += [0] * (len(y) - len(x))
-            for k, v in enumerate(y):
-                x[k] -= v
-            while x and not x[-1]:
-                x.pop()
+        x = (_mul(row[j], p) if lead is None or not top[j]
+             else _fma([], row[j], p, lead, top[j]))
         if d is not None and x:
             x, rem, scale = _divide(x, d)
             if scale != 1 or any(rem):
@@ -1350,12 +1364,6 @@ def _over_lcd(xs) -> Tuple[List[int], int]:
     return [x.numerator * (lcd // x.denominator) for x in xs], lcd
 
 
-def _int_rows(rows: Sequence[Sequence[Fraction]]):
-    """Each row times the lcm of its denominators, as int rows.  An all-int
-    row is read as it is (``_over_lcd``)."""
-    return [_over_lcd(row)[0] for row in rows]
-
-
 def _list_entries(m) -> bool:
     """Whether the rows m hold int lists (Z[s], Z[x] or Z[j]), not ints."""
     return bool(m and m[0]) and type(m[0][0]) is list
@@ -1416,7 +1424,7 @@ def solve(rows, rhs):
         step, zero, one = _step_gauss, [], [1]
     else:
         step, zero, one = _step_int, 0, 1
-        aug = _int_rows(aug)
+        aug = [_over_lcd(row)[0] for row in aug]
     pivots, _ = _eliminate(aug, ncols, True, step)
     if any(x for row in aug[len(pivots):] for x in row[ncols:]):
         return None
@@ -1458,9 +1466,7 @@ def _bezout_rows(p: Sequence, q: Sequence, m: int, n: int, zero) -> list:
     b = [zero] * s + list(q) + [zero] * (n + 1 - len(q))     # x^s q
 
     def entry(u, x, y, v, w):                   # u + x y - v w
-        if type(u) is list:
-            return _add(_add(u, _mul(x, y)), _mul([-c for c in v], w))
-        return u + x * y - v * w
+        return _fma(u, x, y, v, w) if type(u) is list else u + x * y - v * w
     rows = [([zero] * r + b[:s - 1:-1] + [zero] * m)[:m] for r in range(s)]
     row = [zero] * m
     for i in range(m, s, -1):                   # a_(m-k+1), b_(n-k+1)
@@ -1489,23 +1495,12 @@ def _subresultant(p: Sequence, q: Sequence, m: int, n: int, k: int, zero):
     return _signed(det, _bezout_sign(m, n, k))
 
 
-def _sylvester_det(p: Polynomial, q: Polynomial, m: int, n: int,
-                   k: int) -> Fraction:
-    """R_k of p and q read at the degrees m >= deg p and n >= deg q: the
-    ``_subresultant`` of the primitive parts over Z, times each content to
-    R_k's degree in that side (n - k for p, m - k for q, and 0^0 = 1)."""
-    det = _subresultant(p.prim, q.prim, m, n, k, 0)
-    a, b = n - k, m - k
-    c, e = p.content, q.content
-    return Fraction(det * c.numerator ** a * e.numerator ** b,
-                    c.denominator ** a * e.denominator ** b)
-
-
 def sylvester_determinant(p: Polynomial, q: Polynomial, k: int) -> Fraction:
     """Determinant R_k of the truncated Sylvester matrix of p and q, over Z:
     Bareiss on the leading max(m, n) - k block of the hybrid Bezout rows of
-    the primitive parts, then its sign and the contents, p's to the power
-    n - k and q's to m - k (m = deg p, n = deg q).
+    the primitive parts (``_subresultant``), then its sign and the
+    contents, p's to the power n - k and q's to m - k, its degrees in each
+    side (m = deg p, n = deg q).
 
     R_0 = ... = R_{r-1} = 0 exactly when p and q share at least r roots
     (counted with multiplicity)."""
@@ -1514,7 +1509,10 @@ def sylvester_determinant(p: Polynomial, q: Polynomial, k: int) -> Fraction:
     m, n = int(p.degree), int(q.degree)
     if not 0 <= k < min(m, n):
         raise DegreeTooSmall(f"require 0 <= k < min(deg p, deg q) = {min(m, n)}")
-    return _sylvester_det(p, q, m, n, k)
+    c, e, a, b = p.content, q.content, n - k, m - k
+    return Fraction(_subresultant(p.prim, q.prim, m, n, k, 0)
+                    * c.numerator ** a * e.numerator ** b,
+                    c.denominator ** a * e.denominator ** b)
 
 
 def _sylvester_r0_r1(p: Sequence, q: Sequence) -> tuple:

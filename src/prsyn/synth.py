@@ -10,15 +10,15 @@ leaf value a reduced int pair: ``build_quartet`` turns the pairs into
 validated elements, and the fixtures fold them on ints, with no
 ``Fraction``, ``Element`` or ``Leaf`` per arm.  Every fixture pair is a
 quartet member's bridge pair (``_quartet_polys``), a Kirchhoff sum over
-int lists, its terms grouped once at import, times a scale; times a
-power of its free variable x it has coefficients that are polynomials in
-x, so a check builds the bridge at a few integer nodes only, puts the
-builds over one scale and interpolates each coefficient over Z
-(``_coefficients_in_x``).
-One Bareiss pass over Z[x] on the pair's 4 x 4 hybrid Bezout rows then
-gives the subresultants R_0(x) and R_1(x), up to one positive constant that
-every reader cancels, and only then are Polynomials built: the printed
-factorizations are checked as identities in x, by exact division.
+int lists grouped once at import, times a scale; times a power of its
+free variable x it has coefficients that are polynomials in x, so a check
+builds the bridge at a few integer nodes only (N11/N12 rebuild arm N1
+alone) and interpolates each coefficient over Z (``_coefficients_in_x``).
+One Bareiss pass over Z[x] on the pair's 4 x 4 hybrid Bezout rows gives
+R_0(x) and R_1(x), and the printed factorizations are checked as
+identities in x on int lists over one int each, dividing exactly and
+comparing cross-multiplied: no ``Fraction`` or ``Polynomial`` runs from
+the Z[x] pass to the verdict.
 """
 
 from __future__ import annotations
@@ -32,12 +32,11 @@ from typing import Dict, List, Optional, Tuple
 
 from .polyrat import (BiquadParams, InvariantViolation, NotMinimum,
                       NotRationalParams, Polynomial, Q, QComplex,
-                      RationalFunction, _add, _as_q, _interpolate,
-                      _jomega_quotient, _mul, _poly,
-                      _subresultant, _sylvester_det, _sylvester_r0_r1,
+                      RationalFunction, _add, _as_q, _divide, _interpolate,
+                      _jomega_quotient, _mul, _over_lcd, _poly,
+                      _subresultant, _sylvester_r0_r1, _trimmed,
                       biquad_template, count_real_roots, is_minimum_function,
-                      is_positive_real, minimum_frequencies, real_roots,
-                      sqrt_fraction)
+                      is_positive_real, minimum_frequencies, real_roots)
 from . import network as net
 from .network import (CAPACITOR, INDUCTOR, RESISTOR, Element, Leaf, Network,
                       par, ser)
@@ -582,14 +581,12 @@ def _quartet_arms(fam: str, qp: QuartetParams,
                   w0: Fraction) -> Dict[str, list]:
     """The bridge arms {slot: arm} of a quartet family member, its row's
     requirements unchecked, with every leaf value an int pair: the one arm
-    table of both routes.  An arm lists its parts in series, each part its
-    leaves in parallel, and a leaf is ``_arm_leaf``'s (id, kind, a, b), so
-    a nonpositive leaf raises NonpositiveValue here, before either route
-    reads it.  ``build_quartet`` turns each arm into a validated tree
-    (``_arm_tree``), and the fixture checks fold it on ints (``_arm_ints``)
-    with no ``Fraction``, ``Element`` or ``Leaf``.  In N11/N12 the N1 arm
-    is series(R_A, parallel(storage, R_{1/C})): A = 0 omits the series
-    resistor and C = 0 the parallel one."""
+    table of both routes (N11/N12's arm N1 from ``_n1112_arm``).  An arm
+    lists its parts in series, each part its leaves in parallel, and a leaf
+    is ``_arm_leaf``'s (id, kind, a, b), so a nonpositive leaf raises
+    NonpositiveValue here, before either route reads it.  ``build_quartet``
+    turns each arm into a validated tree (``_arm_tree``), and the fixture
+    checks fold it on ints (``_arm_ints``)."""
     A, B, C, D = (None if x is None else (x.numerator, x.denominator)
                   for x in (qp.A, qp.B, qp.C, qp.D))
     w = (w0.numerator, w0.denominator)
@@ -620,16 +617,21 @@ def _quartet_arms(fam: str, qp: QuartetParams,
                     N3=[[leaf("r3", RESISTOR, [A])]],
                     N4=[[leaf("l4", INDUCTOR, [B], [w])]],
                     N5=[[leaf("l5", INDUCTOR, [C], [w])]])
-    inner = [leaf("c1", CAPACITOR, [], [D, w]) if fam.startswith("N11")
-             else leaf("l1", INDUCTOR, [D], [w])]
-    if C[0] != 0:
-        inner.append(leaf("r3", RESISTOR, [], [C]))
-    series = [] if A[0] == 0 else [[leaf("r1", RESISTOR, [A])]]
-    return dict(N1=series + [inner],
+    return dict(N1=_n1112_arm(fam, A, C, D, w),
                 N2=[[leaf("r2", RESISTOR, [B])]],
                 N3=[[leaf("c3", CAPACITOR, [], [E, w])]],
                 N4=[[leaf("l4", INDUCTOR, [E], [w])]],
                 N5=[[leaf("l5", INDUCTOR, [E], [w])]])
+
+
+def _n1112_arm(fam: str, A, C, D, w) -> list:
+    """N11/N12's arm N1 of ``_quartet_arms`` from the int pairs A, C, D, w:
+    series(R_A, parallel(storage, R_{1/C})), A = 0 or C = 0 omitting R."""
+    inner = [_arm_leaf("c1", CAPACITOR, [], [D, w]) if fam.startswith("N11")
+             else _arm_leaf("l1", INDUCTOR, [D], [w])]
+    if C[0] != 0:
+        inner.append(_arm_leaf("r3", RESISTOR, [], [C]))
+    return ([] if A[0] == 0 else [[_arm_leaf("r1", RESISTOR, [A])]]) + [inner]
 
 
 def _arm_tree(arm):
@@ -842,23 +844,16 @@ _TWOTREE_OFF = _bridge_complements(True)
 
 
 def bridge_structural_polys(arms: Dict[str, Tuple[List[int], List[int]]]):
-    """Unreduced numerator/denominator of the five-arm bridge impedance,
-    with the arm at each slot N1..N5 given as an unreduced (num, den) pair;
-    every polynomial is an ascending int list ([] as zero), so a pair
-    cleared of its denominators gives the bridge pair times the product of
-    the clearing factors.  Clearing all arm denominators keeps the natural
-    polynomial degrees (equal to the number of storage elements for
-    single-storage arms).
-
-    The terms are the spanning-tree sums of the four-vertex bridge graph
-    (Kirchhoff): a term takes the den of each arm on the tree and the num
-    of each arm off it, the 2-trees that separate the port giving the
-    numerator and the trees the denominator.  The terms come grouped by
-    the num/den choice for N1, N2 and N5, once at import
-    (``_bridge_complements``): each group sums its N3 x N4 products and
-    multiplies once by its N2 x N5 product, and N1's num and den each
-    multiply the sum of their groups once.  All these products serve num
-    and den."""
+    """The cofactors of arm N1 in the unreduced numerator and denominator
+    of the five-arm bridge impedance, ((n0, n1), (d0, d1)): with N1's pair
+    (a, b) the bridge pair is (a n0 + b n1, a d0 + b d1) (``_with_n1``).
+    Arms N2..N5 are unreduced (num, den) pairs of ascending int lists ([]
+    as zero).  The terms are the Kirchhoff sums over the 2-trees that
+    separate the port (num) and the spanning trees (den), a term taking
+    the den of each arm on the tree and the num of each arm off it, grouped
+    by the choice for N1, N2 and N5 once at import (``_bridge_complements``):
+    each group sums its N3 x N4 products and multiplies once by its N2 x N5
+    product, and the groups of each N1 choice sum to its cofactor."""
     sides = (0, 1)
     p34 = {(c3, c4): _mul(arms["N3"][c3], arms["N4"][c4])
            for c3 in sides for c4 in sides}
@@ -872,60 +867,52 @@ def bridge_structural_polys(arms: Dict[str, Tuple[List[int], List[int]]]):
             for c in terms[1:]:
                 total = _add(total, p34[c])
             cofactor[c1] = _add(cofactor[c1], _mul(p25[c2, c5], total))
-        return _add(_mul(arms["N1"][0], cofactor[0]),
-                    _mul(arms["N1"][1], cofactor[1]))
+        return cofactor
 
     return kirchhoff(_TWOTREE_OFF), kirchhoff(_TREE_OFF)
 
 
+def _with_n1(n1, cof):
+    """The bridge pair of N1's pair n1 and the other arms' cofactors cof."""
+    return tuple(_add(_mul(n1[0], c0), _mul(n1[1], c1)) for c0, c1 in cof)
+
+
 def _quartet_polys(fam: str, w0: Fraction, **params):
     """(num, den, scale): scale times the bridge pair of a quartet family
-    member's arms, as ascending int lists: ``bridge_structural_polys`` of
-    each arm's ``_arm_ints``, read off the int pairs of ``_quartet_arms``
-    with no ``Fraction``, ``Element`` or ``Leaf`` per arm, and scale the
-    product of the arm scales."""
+    member's arms, as ascending int lists: the bridge of each arm's
+    ``_arm_ints``, read off the int pairs of ``_quartet_arms`` with no
+    ``Fraction``, ``Element`` or ``Leaf`` per arm, and scale the product
+    of the arm scales."""
     arms, scale = {}, 1
     for slot, arm in _quartet_arms(fam, QuartetParams(fam, **params),
                                    w0).items():
         num, den, s = _arm_ints(arm)
         arms[slot], scale = (num, den), scale * s
-    return (*bridge_structural_polys(arms), scale)
+    return (*_with_n1(arms["N1"], bridge_structural_polys(arms)), scale)
 
 
-def _poly_sqrt(p: Polynomial) -> Optional[Polynomial]:
-    """Exact polynomial square root with positive leading coefficient."""
-    if p.is_zero():
-        return Polynomial()
-    deg = int(p.degree)
-    if deg % 2:
-        return None
-    n = deg // 2
-    lead = sqrt_fraction(p.leading())
-    if lead is None:
-        return None
-    a = [Q(0)] * (n + 1)
-    a[n] = lead
-    for k in range(2 * n - 1, n - 1, -1):
-        idx = k - n
-        acc = Q(0)
-        for i in range(idx + 1, n + 1):
-            j = k - i
-            if 0 <= j <= n:
-                acc += a[i] * a[j]
-        a[idx] = (p.coeff(k) - acc) / (2 * a[n])
-    f = Polynomial(a)
-    return f if f * f == p else None
+def _int_sqrt(a: List[int]) -> Optional[List[int]]:
+    """The int list r with r r = a, lc r > 0, for a trimmed int list a, or
+    None.  A square in Q[x] of an int list is one in Z[x] (Gauss's lemma),
+    so r comes from the top by exact division, and r r = a checks it."""
+    n = len(a) // 2                     # the degree of r
+    r = [0] * n + [math.isqrt(a[-1])] if len(a) % 2 and a[-1] > 0 else []
+    for i in reversed(range(n if r else 0)):    # x^(n+i): 2 r_n r_i + known
+        known = sum(r[j] * r[n + i - j] for j in range(i + 1, n))
+        r[i], rem = divmod(a[n + i] - known, 2 * r[n])
+        if rem:
+            return None
+    return r if _mul(r, r) == a else None
 
 
-def _sylvester_nominal(p: Polynomial, q: Polynomial, m: int, n: int) -> Fraction:
-    """R_0 at the nominal degrees (m, n) of the generic family, so that
-    specialization (vanishing leading coefficients) commutes with it: the
-    det of the hybrid Bezout rows of the primitive parts over Z, as in
-    ``sylvester_determinant``.  A zero p or q (degree -inf) is read as
-    all-zero coefficients."""
-    if p.degree > m or q.degree > n:
+def _sylvester_nominal(p, q, m: int, n: int) -> Tuple[int, int]:
+    """R_0 at the nominal degrees (m, n), which specialization commutes
+    with, of p = (P, a) and q = (Q, b), int lists over ints a, b > 0 ([]
+    all-zero): the ``_subresultant`` R_0(P, Q) over a^n b^m."""
+    (pn, a), (qn, b) = p, q
+    if len(pn) > m + 1 or len(qn) > n + 1:
         raise ConstraintViolated("specialized degree exceeds the nominal one")
-    return _sylvester_det(p, q, m, n, 0)
+    return _subresultant(pn, qn, m, n, 0, 0), a ** n * b ** m
 
 
 def _require_physical(point: Dict[str, Fraction], may_vanish=()) -> None:
@@ -944,34 +931,27 @@ _FIXTURE_PARAMETERS = {"Q7": ("g1", "g2", "F"), "Q8": ("g1", "g2", "c2"),
 
 def resultant_fixture_check(family: str, subs: Dict[str, Fraction]) -> bool:
     """Verify the closed-form Sylvester factorizations used in the
-    biquadratic classification proofs, at an exact rational substitution
-    point.
-
-    family "Q7": subs g1, g2, F, omega0; checks the degree-3 structural
-    resultant factorization directly.
-    family "Q8": subs g1, g2, c2, omega0; f1(F)^2 and f2(F) are
-    reconstructed from the structural resultants as polynomials in F, and
-    f1 is the square root of the first.
-    family "N11"/"N12": subs r1, g2, g3, F, omega0; f1 has a known closed
-    form, whose square the reconstruction must give, and f2 is
-    reconstructed, as polynomials in c1 resp. x1.
-    For Q8, N11 and N12 ``_factorization_check`` checks both printed
-    factorizations as identities in that variable, and the final resultant
-    identity of f1 and f2.
+    biquadratic classification proofs, at an exact rational point: "Q7"
+    (subs g1, g2, F, omega0) checks the degree-3 structural resultant
+    factorization directly; "Q8" (g1, g2, c2, omega0) reconstructs f1(F)^2
+    and f2(F) from the structural resultants, f1 the square root of the
+    first; "N11"/"N12" (r1, g2, g3, F, omega0) reconstruct the square of
+    the closed form f1 and f2, in c1 resp. x1.  ``_factorization_check``
+    checks both printed factorizations of Q8, N11 and N12 as identities in
+    that variable, and the final resultant identity of f1 and f2.  Each
+    closed form is an int list over a power of the parameters' common
+    denominator, compared cross-multiplied.
 
     The families are the quartet families N7, N8, N11 and N12 under a
-    change of parameters, built from their arms, and each structural pair
-    is checked for degeneracy (``_require_nominal``) and normalised so
-    that num(0) is the family's closed form target0 and den carries one
-    more factor F: p = c num and q = c F den with c = target0 / num(0),
-    applied as powers of c and F on the resultants of the int lists (the
-    pair's scale cancels in c).  So the point
-    must be physical: every parameter given positive, except r1 and g2 of
-    N11/N12, which may be 0 (a shorted series or an open parallel
-    resistor).  Any other point raises NonpositiveValue before an arm is
-    built; omega0 defaults to 1.
-    Before any of that, an unknown family raises ValueError, and a missing
-    or unknown parameter ConstraintViolated naming it."""
+    change of parameters, and each structural pair is checked for
+    degeneracy (``_require_nominal``) and normalised so that num(0) is the
+    family's closed form target0 and den carries one more factor F, as
+    powers of target0 / num(0) and F on the resultants.  So the point must
+    be physical: every parameter positive, except r1 and g2 of N11/N12,
+    which may be 0 (a shorted series or an open parallel resistor); any
+    other point raises NonpositiveValue before an arm is built.  omega0
+    defaults to 1.  First of all, an unknown family raises ValueError, and
+    a missing or unknown parameter ConstraintViolated naming it."""
     if family not in _FIXTURE_PARAMETERS:
         raise ValueError(f"unknown fixture family {family!r}")
     names = _FIXTURE_PARAMETERS[family]
@@ -985,11 +965,13 @@ def resultant_fixture_check(family: str, subs: Dict[str, Fraction]) -> bool:
         g1, g2, F = subs["g1"], subs["g2"], subs["F"]
         num, den, _ = _quartet_polys("N7", w0, A=1 / g1, B=1 / g2, C=F)
         _require_nominal("Q7", num, den, 3)
-        # the scaled pair is c num and c F den, c = w0^3 / num(0), and R_0
-        # (3 x 3 Bezout rows) is of degree 3 in each side's coefficients
-        r0 = (_subresultant(num, den, 3, 3, 0, 0)
-              * (w0 ** 3 / num[0]) ** 6 * F ** 3)
-        return r0 == F * F * w0 ** 9 * (g1 - g2) ** 2 * (1 + F * F * g1 * g2) ** 4
+        # R_0 of c num and c F den, c = w0^3 / num(0), is R_0 c^6 F^3, over
+        # L^21 num(0)^6 for g1, g2, F, w0 = a, b, f, w over L, and must be
+        # F^2 w0^9 (g1 - g2)^2 (1 + F^2 g1 g2)^4, over L^29
+        (a, b, f, w), L = _over_lcd((g1, g2, F, w0))
+        r0 = _subresultant(num, den, 3, 3, 0, 0) * w ** 18 * f ** 3
+        rhs = f * f * w ** 9 * (a - b) ** 2 * (L ** 4 + f * f * a * b) ** 4
+        return r0 * L ** 8 == rhs * num[0] ** 6
     if family == "Q8":
         return _check_q8(subs, w0)
     return _check_n11_n12(family, subs, w0)
@@ -1006,15 +988,13 @@ def _require_nominal(family, num, den, degree) -> None:
 
 def _coefficients_in_x(pair_at, degree, e):
     """c times the x^e multiple of the structural (num, den) pair at x, as
-    two lists of Z[x] int lists, the coefficient of s^j at index j, for a
-    pair whose x^e multiple has coefficients of degree <= degree in x.
-    pair_at(k) is a ``_quartet_polys`` build (num, den, scale), run at the
-    int nodes k = 1..degree+1 only.  The builds are put over the lcm L of
-    their scales, and interpolation through the int values gives every
-    coefficient as a numerator over one w (von zur Gathen & Gerhard,
-    Modern Computer Algebra, ch. 5), so c = L w > 0, shared by both sides.
-    Each coefficient is a sum of products of positive element values, so
-    it vanishes at an x > 0 only when it is zero in x."""
+    two lists of Z[x] int lists (s^j at index j), their degree in x at
+    most degree, from the bridge builds (num, den, scale) = pair_at(k) at
+    the int nodes k = 1..degree+1 only, put over the lcm L of their scales
+    and interpolated to numerators over one w (von zur Gathen & Gerhard,
+    Modern Computer Algebra, ch. 5), so c = L w > 0.  Each coefficient is
+    a sum of products of positive element values, so it vanishes at an x >
+    0 only when it is zero in x."""
     nodes = range(1, degree + 2)
     builds = [pair_at(k) for k in nodes]
     lcd = math.lcm(*(scale for _, _, scale in builds))
@@ -1032,61 +1012,67 @@ def _coefficients_in_x(pair_at, degree, e):
 
 def _factorization_check(family, pair, scale, cof0, cof1, f1_printed,
                          degrees, rhs) -> bool:
-    """The check of Q8, N11 and N12 as an identity in the one variable x
-    that their scaled structural pair (p, q) varies with.  pair is (P, Q),
-    the x^e multiple of the unscaled pair in coefficients in x, times one
-    positive constant c (``_coefficients_in_x``: Z[x] int lists), of
-    degree 4 in s with P_0 != 0 (``_require_nominal``).  The normalised
-    pair is p = target0 P / P_0 and q = target0 F Q / P_0, and R_k is
-    homogeneous of degree 4 - k in each side's coefficients, so R_k(p, q) =
-    scale^(4-k) R_k(P, Q) / P_0^(2 (4-k)) with scale = target0^2 F, a
-    polynomial in x; c cancels there, since R_k(cP, cQ) = c^(2 (4-k))
-    R_k(P, Q) and (c P_0)^(2 (4-k)) carries the same power.  R_0 and R_1
-    come from one ``_sylvester_r0_r1`` pass over the 4 x 4 hybrid Bezout
-    rows in Z[x], and they and P_0 become Polynomials here, once.
-    R_0(p, q) / cof0 and R_1(p, q) / cof1, over the printed cofactors
-    (polynomials in x, nonzero at a physical point), are f1^2 and f2 by
-    exact division, and a remainder fails the check.  f1 is f1_printed if
-    its square is f1^2, or, with no printed f1 (Q8), the square root of
-    f1^2, which must exist; the resultant of f1 and f2 at the nominal
-    degrees must be rhs."""
-    num, den = pair
+    """The check of Q8, N11 and N12 as an identity in their one variable
+    x, on ints from the Z[x] pass to the verdict.  pair is (P, Q), the x^e
+    multiple of the unscaled pair in coefficients in x times one c > 0
+    (``_coefficients_in_x``), of degree 4 in s with P_0 != 0.  scale, the
+    printed cofactors cof0, cof1 and f1 (None for Q8) are int lists in x
+    over one int d > 0, (ints, d), and rhs an int over one.  R_k is
+    homogeneous of degree j = 4 - k in each side, so with p = target0 P /
+    P_0 and q = target0 F Q / P_0, R_k(p, q) = scale^j R_k(P, Q) / P_0^(2j)
+    (c cancels).  R_k(p, q) / cof_k, f1^2 resp. f2, must divide exactly:
+    cof_k P_0^(2j) is g times a primitive D, and by Gauss's lemma D divides
+    over Q iff ``_divide`` neither scales nor leaves a remainder.  f1 is
+    f1_printed if its square is f1^2, or for Q8 the ``_int_sqrt`` of f1^2's
+    numerator times its denominator, over that denominator; R_0 of f1 and
+    f2 at the nominal degrees must be rhs, all cross-multiplied."""
+    (num, den), (s, d) = pair, scale
     _require_nominal(family, num, den, 4)
-    r0, r1 = map(_poly, _sylvester_r0_r1(num, den))
-    p0sq = _poly(num[0]) ** 2
-    f1sq, rem0 = divmod(r0 * scale ** 4, cof0 * p0sq ** 4)
-    f2, rem1 = divmod(r1 * scale ** 3, cof1 * p0sq ** 3)
-    if rem0 or rem1:
+    p2, quotients = _mul(num[0], num[0]), []
+    for r, (cof, c), j in zip(_sylvester_r0_r1(num, den), (cof0, cof1),
+                              (4, 3)):
+        for _ in range(j):
+            r, cof = _mul(r, s), _mul(cof, p2)
+        g = math.gcd(*cof)
+        quot, rem, k = _divide(r, [x // g for x in cof])
+        if k != 1 or any(rem):
+            return False
+        quotients.append(([x * c for x in quot], d ** j * g))
+    ((sq, e), f2), f1 = quotients, f1_printed
+    if f1 is None:                      # Q8: the square root of f1^2
+        f1 = _int_sqrt([x * e for x in sq]), e
+    if f1[0] is None or ([x * f1[1] ** 2 for x in sq]
+                         != [x * e for x in _mul(f1[0], f1[0])]):
         return False
-    if f1_printed is None:
-        f1 = _poly_sqrt(f1sq)
-    else:
-        f1 = f1_printed if f1sq == f1_printed ** 2 else None
-    return f1 is not None and _sylvester_nominal(f1, f2, *degrees) == rhs
+    got, below = _sylvester_nominal(f1, f2, *degrees)
+    return got * rhs[1] == rhs[0] * below
 
 
 def _check_q8(subs, w0) -> bool:
     """The Q8 check on N8's structural pair, a function of F.  In N8, C =
     F/c2 and D = F make E = F/(1 + c2), so each storage arm's impedance is
-    F times an F-free one: as unreduced pairs, N3 is (F, s/w0) / F and N4,
-    N5 are (F n_k, d_k).  Each Kirchhoff term takes the num or the den of
-    every arm, so F times the bridge pair is a cubic in F, and
-    ``_coefficients_in_x`` builds the bridge at F = 1..4 only.  F is the
-    factor that the normalisation puts on den, so scale = target0^2 F."""
+    F times an F-free one, and F times the bridge pair is a cubic in F:
+    ``_coefficients_in_x`` builds the bridge at F = 1..4 only.  scale =
+    target0^2 F; g1, g2, c2 and w0 are a, b, c and w over one int L."""
     g1, g2, c2 = subs["g1"], subs["g2"], subs["c2"]
     pair = _coefficients_in_x(
         lambda F: _quartet_polys("N8", w0, A=1 / g1, B=1 / g2, C=F / c2, D=F),
         3, 1)
-    target0 = (1 + c2) * w0 ** 4
-    g12, k0, k1 = g1 * g2, c2 * w0 ** 16 * (1 + c2), -c2 * w0 ** 9
-    unit = Polynomial([1, 0, g12])                  # 1 + F^2 g1 g2
-    # the elimination identity at the generic degrees (2, 6); even nominal
+    (a, b, c, w), L = _over_lcd((g1, g2, c2, w0))
+    unit = _mul([L * L, 0, a * b], [L * L, 0, a * b])   # (1 + F^2 g1 g2)^2
+    # target0 = (1 + c2) w0^4, cof0 = c2 (1 + c2) w0^16 unit^2, cof1 =
+    # -c2 w0^9 unit
+    scale = [0, ((L + c) * w ** 4) ** 2], L ** 10
+    cof0 = [x * c * (L + c) * w ** 16 for x in _mul(unit, unit)], L ** 26
+    cof1 = [-x * c * w ** 9 for x in unit], L ** 14
+    # the elimination identity at the generic degrees (2, 6), c2^6 g2^10
+    # (1 + c2)^2 (c2^2 g1 + 2 c2 (g1 - g2) + g1 - 3 g2)^2; even nominal
     # degree of f2 makes the result invariant under the sign of f1
-    rhs = (c2 ** 6 * g2 ** 10 * (1 + c2) ** 2
-           * (c2 * c2 * g1 + 2 * c2 * (g1 - g2) + g1 - 3 * g2) ** 2)
-    return _factorization_check(
-        "Q8", pair, Polynomial([0, target0 * target0]), unit ** 4 * k0,
-        unit ** 2 * k1, None, (2, 6), rhs)
+    rhs = (c ** 6 * b ** 10 * (L + c) ** 2
+           * (c * c * a + 2 * c * L * (a - b) + L * L * (a - 3 * b)) ** 2,
+           L ** 24)
+    return _factorization_check("Q8", pair, scale, cof0, cof1, None, (2, 6),
+                                rhs)
 
 
 # the power of the variable that makes an N11/N12 pair linear in it
@@ -1094,51 +1080,69 @@ _N1112_E = {"N11": 0, "N12": 1}
 
 
 def _n1112_pair_at(family, r1, g2, g3, F, w0):
-    """The unreduced structural (num, den) pair of an N11/N12 point as a
-    function of var: the quartet's bridge pair at D = F/var.  Only arm N1
-    holds var, and var^e times its pair, so var^e times the bridge pair, is
-    linear in var (e = 0 for N11's capacitor, 1 for N12's inductor, r1 = 0
-    and g2 = 0 included)."""
-    # var is c1 (N11) or x1 (N12); r1 = 0 shorts the series resistor and
-    # g2 = 0 opens the parallel one
-    return lambda var: _quartet_polys(family, w0, A=r1, B=1 / g3, C=g2,
-                                      D=F / var, E=F)
+    """The build (num, den, scale) of an N11/N12 point as a function of var
+    (c1 resp. x1), the bridge at D = F/var.  Only arm N1 holds var, so the
+    cofactors of the others are formed once; var^e times the pair is
+    linear in var (e = 0 for N11's capacitor, 1 for N12's inductor)."""
+    arms, scale = {}, 1
+    for slot, arm in _quartet_arms(family, QuartetParams(
+            family, A=r1, B=1 / g3, C=g2, D=F, E=F), w0).items():
+        if slot != "N1":
+            num, den, s = _arm_ints(arm)
+            arms[slot], scale = (num, den), scale * s
+    cofactors = bridge_structural_polys(arms)
+    A, C, w = ((x.numerator, x.denominator) for x in (r1, g2, w0))
+
+    def at(var):
+        D = F.numerator * var.denominator, F.denominator * var.numerator
+        num, den, s = _arm_ints(_n1112_arm(family, A, C, D, w))
+        return (*_with_n1((num, den), cofactors), scale * s)
+    return at
 
 
 def _check_n11_n12(family, subs, w0) -> bool:
-    r1, g2, g3, F = subs["r1"], subs["g2"], subs["g3"], subs["F"]
-    one_m = 1 - r1 * g3
-    # the var-free factors of cof0 = k0 v (v^2 a2 + b2)^2
-    a2 = (r1 + F * F * g3) ** 2
-    b2 = F * F * (1 + r1 * g2 + F * F * g2 * g3) ** 2
+    """The N11/N12 check; r1, g2, g3, F, w0 are r, u, t, f, w over L."""
+    (r, u, t, f, w), L = _over_lcd(
+        [subs["r1"], subs["g2"], subs["g3"], subs["F"], w0])
+    m = L * L - r * t                       # 1 - r1 g3, over L^2
+    alpha = r * L * L + f * f * t           # r1 + F^2 g3, over L^3
+    gamma = t * L * L - u * m               # g3 - g2 (1 - r1 g3), over L^3
+    beta = L ** 4 + r * u * L * L + f * f * u * t   # 1 + r1 g2 + F^2 g2 g3
+    # cof0 = k0 v (v^2 (r1 + F^2 g3)^2 + F^2 (1 + r1 g2 + F^2 g2 g3)^2)^2,
+    # the middle factor over L^10
+    middle = [f * f * beta * beta, 0, L ** 4 * alpha * alpha]
     if family == "N11":
-        f1_printed = Polynomial([F * F * g3 * (g3 - g2 * one_m), one_m])
-        # positive-definite middle factor, so the vanishing locus is carried
-        # by (1 - r1 g3) and the trailing factor alone
-        rhs_final = (F ** 10 * g3 ** 5 * (1 - r1 * g3)
-                     * ((g2 * one_m * (r1 + F * F * g3) + 1 - g3 * r1
-                         - F * F * g3 * g3) ** 2 + g3 * g3 * F * F) ** 2
-                     * (g3 * (3 - r1 * g3 + r1 * g2 * (2 - r1 * g3)) - g2))
-        k0, k1 = F ** 4 * w0 ** 16, -F * F * w0 ** 9
-        t0 = F * (1 + r1 * g2) * w0 ** 4
+        f1_printed = [f * f * t * gamma, m * L ** 4], L ** 6
+        # F^10 g3^5 (1 - r1 g3) ((g2 (1 - r1 g3) alpha + 1 - r1 g3 - F^2
+        # g3^2)^2 + g3^2 F^2)^2 (g3 (3 - r1 g3 + r1 g2 (2 - r1 g3)) - g2):
+        # the middle factor is positive definite
+        delta = u * m * alpha + m * L ** 4 - f * f * t * t * L * L
+        eps = 3 * L ** 4 - r * t * L * L + r * u * (2 * L * L - r * t)
+        rhs = (f ** 10 * t ** 5 * m * (delta ** 2 + (t * f * L ** 4) ** 2)
+               ** 2 * (t * eps - u * L ** 4), L ** 46)
+        # k0, k1, t0 = F^4 w0^16, -F^2 w0^9, F (1 + r1 g2) w0^4
+        k0, k1 = (f ** 4 * w ** 16, L ** 20), (-f * f * w ** 9, L ** 11)
+        t0 = f * (L * L + r * u) * w ** 4, L ** 7
     else:
-        f1_printed = Polynomial([g3 - g2 * one_m, g3 * one_m])
-        rhs_final = (-F * F * g3 ** 5
-                     * ((g2 * one_m * (r1 + F * F * g3) - g3 * r1) ** 2
-                        + g3 * g3 * F * F) ** 2
-                     * (g3 - g2 * one_m)
-                     * (g2 * one_m * one_m + g3 * (1 + r1 * g3)))
-        k0, k1, t0 = -F ** 6 * w0 ** 16, F ** 6 * w0 ** 9, r1 * w0 ** 4
+        f1_printed = [gamma, t * m], L ** 3
+        # -F^2 g3^5 ((g2 (1 - r1 g3) alpha - g3 r1)^2 + g3^2 F^2)^2 gamma
+        # (g2 (1 - r1 g3)^2 + g3 (1 + r1 g3))
+        zeta = u * m * alpha - t * r * L ** 4
+        eta = u * m * m + t * (L * L + r * t) * L * L
+        rhs = (-f * f * t ** 5 * (zeta ** 2 + (t * f * L ** 4) ** 2) ** 2
+               * gamma * eta, L ** 39)
+        k0, k1 = (-f ** 6 * w ** 16, L ** 22), (f ** 6 * w ** 9, L ** 15)
+        t0 = r * w ** 4, L ** 5  # k0, k1, t0 = -F^6 w0^16, F^6 w0^9, r1 w0^4
     # num(0) is target0 = t0 v^e, so scale = t0^2 F v^(2e); R1's cofactor
-    # is k1 v^(1 - e)
+    # is k1 v^(1 - e); the elimination identity is at the degrees (1, 5)
     e = _N1112_E[family]
-    pair = _coefficients_in_x(_n1112_pair_at(family, r1, g2, g3, F, w0), 1,
-                              e)
-    # the elimination identity is at the generic degrees (1, 5)
+    pair = _coefficients_in_x(_n1112_pair_at(
+        family, *(subs[k] for k in ("r1", "g2", "g3", "F")), w0), 1, e)
     return _factorization_check(
-        family, pair, Polynomial([0] * (2 * e) + [t0 * t0 * F]),
-        Polynomial([b2, 0, a2]) ** 2 * Polynomial([0, k0]),
-        Polynomial([0] * (1 - e) + [k1]), f1_printed, (1, 5), rhs_final)
+        family, pair, ([0] * (2 * e) + [t0[0] ** 2 * f], t0[1] ** 2 * L),
+        (_mul(_mul(middle, middle), [0, k0[0]]), L ** 20 * k0[1]),
+        ([0] * (1 - e) + [k1[0]], k1[1]),
+        (_trimmed(f1_printed[0]), f1_printed[1]), (1, 5), rhs)
 
 
 def n12_has_no_feasible_solution(r1, g2, g3, F) -> bool:
@@ -1154,19 +1158,17 @@ def n12_has_no_feasible_solution(r1, g2, g3, F) -> bool:
         return True
     one_m = 1 - r1 * g3
     a, b = g3 * one_m, g3 - g2 * one_m
-    if g2 != 0 and a != 0:
-        # generic case: f1 = a*x1 + b is linear, degree drop needs f1 = 0
-        # together with R1 = 0 at the same point
-        x1 = -b / a
-        if x1 <= 0:
+    if g2 != 0:
+        # generic case: f1 = a*x1 + b is linear (a = 0 leaves f1 = g3 > 0),
+        # and a degree drop needs f1 = 0 together with R1 = 0 at one x1
+        if a == 0 or (x1 := -b / a) <= 0:
             return True
         # R_1 is homogeneous in each side: scaling one keeps it zero or not;
-        # one pass over the leading 3 x 3 block of the Bezout rows reads it
-        num, den, _ = _n1112_pair_at("N12", r1, g2, g3, F, Q(1))(x1)
+        # one pass over the leading 3 x 3 Bezout block of one build reads it
+        num, den, _ = _quartet_polys("N12", Q(1), A=r1, B=1 / g3, C=g2,
+                                     D=F / x1, E=F)
         _require_nominal("N12", num, den, 4)
         return _subresultant(num, den, 4, 4, 1, 0) != 0
-    if g2 != 0 and a == 0:
-        return b != 0          # b = g3 > 0, so always true here
     # boundary g2 = 0 (open parallel resistor): R0 and R1 of x1 times the
     # unscaled pair, as polynomials in x1 up to a positive constant, and a
     # common positive root of theirs directly (x1 > 0, so the factor x1

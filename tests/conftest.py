@@ -13,7 +13,7 @@ from prsyn.polyrat import (BiquadParams, Polynomial, Q,  # noqa: E402
                            sqrt_fraction)
 from prsyn.network import (CAPACITOR, INDUCTOR, RESISTOR, Element,  # noqa: E402
                            Leaf, Network, Par, Ser)
-from prsyn.synth import bridge_structural_polys  # noqa: E402
+from prsyn.synth import _with_n1, bridge_structural_polys  # noqa: E402
 
 
 def rand_q(rng, lo=1, hi=12) -> Fraction:
@@ -200,7 +200,8 @@ def leading_minors_over_q(m):
 
 
 def bridge_over_q(arms):
-    """``bridge_structural_polys`` of Polynomial arm pairs, as Polynomials:
+    """The bridge pair of Polynomial arm pairs (``_with_n1`` of N1 and the
+    ``bridge_structural_polys`` cofactors of the others), as Polynomials:
     each arm's pair cleared into int lists by the lcm L of its two
     members' denominators, and the bridge pair of the cleared arms read
     back over Q divided by the product of the L's (each Kirchhoff term
@@ -212,8 +213,8 @@ def bridge_over_q(arms):
             [c * (x.content.numerator * (lcd // x.content.denominator))
              for c in x.prim] for x in pair)
         scale *= lcd
-    return tuple(Polynomial([Fraction(c, scale) for c in side])
-                 for side in bridge_structural_polys(ints))
+    return tuple(Polynomial([Fraction(c, scale) for c in side]) for side
+                 in _with_n1(ints["N1"], bridge_structural_polys(ints)))
 
 
 def pair_over_q(build):

@@ -20,19 +20,27 @@ it.  Every ring of that section runs on bare ints: an element of Z[s],
 Z[x] or Z[j] is one trimmed int list, so no function of the section
 calls ``Polynomial``, ``Fraction`` (or its alias ``Q``), ``QComplex``,
 ``_poly`` or ``_new``; nor does the fixture route, which runs on the same int lists from the
-bridge builds to R_0 and R_1, and which builds no ``Element`` or ``Leaf``
+bridge builds to the verdict, and which builds no ``Element`` or ``Leaf``
 either: ``synth._quartet_arms`` (the one quartet arm table, its leaf
-values int pairs from ``synth._arm_leaf``), ``synth._arm_ints`` (an arm's
+values int pairs from ``synth._arm_leaf``, N11/N12's arm N1 from
+``synth._n1112_arm``), ``synth._arm_ints`` (an arm's
 pair, by the leaf, series and parallel laws ``network._leaf_ints``,
 ``_series_ints`` and ``_parallel_ints`` that the tree walk
-``network._tree_ints`` shares), ``synth.bridge_structural_polys`` (their
-Kirchhoff sum, over terms grouped once at import),
+``network._tree_ints`` shares), ``synth.bridge_structural_polys`` (the
+Kirchhoff cofactors of arm N1, over terms grouped once at import) and
+``synth._with_n1`` (the bridge pair they give with N1's),
 ``synth._quartet_polys`` (a member's pair over its scale),
+``synth._n1112_pair_at`` (an N11/N12 member's pairs, N1 alone rebuilt),
 ``synth._coefficients_in_x`` (the pair's coefficients in x, from builds
 at integer nodes), ``polyrat._interpolate`` (integer points, an int
 numerator over one int), ``polyrat._bezout_rows`` (the hybrid Bezout
 rows of a pair, in the ring of its sequences), ``polyrat._sylvester_r0_r1``
-and ``polyrat._subresultant`` (answers in that ring, Z or Z[x]).  Four
+and ``polyrat._subresultant`` (answers in that ring, Z or Z[x]), and
+then ``synth._check_q8`` and ``synth._check_n11_n12`` (their closed forms,
+each an int list over one int), ``synth._factorization_check`` (its
+exact divisions), ``synth._int_sqrt`` (Q8's f1) and
+``synth._sylvester_nominal`` (the nominal resultant of f1 and f2,
+compared with rhs cross-multiplied).  Four
 readers call ``leading_minors``: ``analysis.impedance`` over Z[s], the
 one elimination of the nodal matrix; ``analysis._char_poly``, det(sI - A)
 as the det of one pass over Z[s]; ``polyrat._sylvester_r0_r1``, which
@@ -43,13 +51,14 @@ leading block, which every other Sylvester determinant is.  Only
 ``synth._coefficients_in_x`` interpolates, reading a fixture pair's
 coefficients in x off a few bridge builds; no check interpolates sampled
 values of its answer.  Likewise
-three ``while`` loops divide: ``_remainders``, the primitive remainder
+two ``while`` loops divide: ``_remainders``, the primitive remainder
 sequence on int lists that ``sturm_chain``, the Routh rows of
-``strict_hurwitz`` and the gcd's fallback read; ``_gcd``, the
+``strict_hurwitz`` and the gcd's fallback read; and ``_gcd``, the
 heuristic gcd that rebuilds a candidate from its digits in base xi, which
 ``Polynomial.gcd``, every reduction of a ``RationalFunction`` and the PR
-test's odd part read; and ``_odd_part``, Yun's square-free decomposition,
-which divides exactly by those gcds.  The real-root code reads gcd(p, p')
+test's odd part read, and which hands back the cofactors that its exact
+division check computed, so ``_odd_part``, Yun's square-free
+decomposition, and the reduction divide by no gcd again.  The real-root code reads gcd(p, p')
 off the Sturm chain rather than running a gcd.  The root section runs
 on the same int lists, so its helpers (``_remainders``, ``_primitive``,
 ``_gcd``, ``_derivative``, ``sturm_chain``, ``_square_free_chain``,
@@ -319,21 +328,33 @@ def test_no_objects_in_the_elimination_kernel():
     assert _object_calls(fns) == []
 
 
-# the fixture route on int lists, from the bridge builds to R_0 and R_1:
-# the quartet arm table and its int-pair leaves, each arm's pair by the
-# leaf, series and parallel laws that the tree walk shares, the Kirchhoff
-# sum, a quartet member's pair over its scale, the coefficients in x,
-# their interpolation, the hybrid Bezout rows and the Z[x] passes
+# the fixture route on int lists, from the bridge builds to the verdict:
+# the quartet arm table and its int-pair leaves (N11/N12's arm N1 among
+# them), each arm's pair by the leaf, series and parallel laws that the
+# tree walk shares, the Kirchhoff cofactors of N1 and the bridge pair they
+# give, a quartet member's pair over its scale, an N11/N12 member's pairs
+# with N1 alone rebuilt, the coefficients in x, their interpolation, the
+# hybrid Bezout rows and the Z[x] passes, and then the closed forms of the
+# Q8 and N11/N12 checks, the exact divisions, the square root and the
+# nominal resultant of the factorization check
 BRIDGE_BUILDS = {("network.py", "_tree_ints"),
                  ("network.py", "_leaf_ints"),
                  ("network.py", "_series_ints"),
                  ("network.py", "_parallel_ints"),
                  ("synth.py", "_quartet_arms"),
+                 ("synth.py", "_n1112_arm"),
                  ("synth.py", "_arm_leaf"),
                  ("synth.py", "_arm_ints"),
                  ("synth.py", "bridge_structural_polys"),
+                 ("synth.py", "_with_n1"),
                  ("synth.py", "_quartet_polys"),
+                 ("synth.py", "_n1112_pair_at"),
                  ("synth.py", "_coefficients_in_x"),
+                 ("synth.py", "_int_sqrt"),
+                 ("synth.py", "_sylvester_nominal"),
+                 ("synth.py", "_factorization_check"),
+                 ("synth.py", "_check_q8"),
+                 ("synth.py", "_check_n11_n12"),
                  ("polyrat.py", "_interpolate"),
                  ("polyrat.py", "_bezout_rows"),
                  ("polyrat.py", "_sylvester_r0_r1"),
@@ -341,11 +362,11 @@ BRIDGE_BUILDS = {("network.py", "_tree_ints"),
 
 
 def test_no_objects_in_the_bridge_builds():
-    # a Polynomial or Fraction built per arm, per Kirchhoff term or per
-    # coefficient is the round trip through Q[x] that the int lists
-    # removed, and an Element or Leaf per arm the validated route that
-    # only build_quartet takes; a fixture pair's Polynomials are built
-    # once, after the Z[x] pass (or by _scaled, at a single point)
+    # a Polynomial or Fraction built per arm, per Kirchhoff term, per
+    # coefficient or per closed form is the round trip through Q[x] that
+    # the int lists removed, and an Element or Leaf per arm the validated
+    # route that only build_quartet takes; the Q8 and N11/N12 checks build
+    # no Polynomial from the bridge to the verdict
     fns = [top for module, name in BRIDGE_BUILDS
            for top in _tree(PACKAGE / module).body
            if isinstance(top, ast.FunctionDef) and top.name == name]
@@ -384,11 +405,10 @@ def test_spanning_tree_tables_read_only_by_the_bridge_evaluator():
 
 # the one remainder loop, which the Sturm chain (whose last member is
 # gcd(p, p') for the root code), the Routh rows and the gcd's fallback read;
-# the heuristic gcd, whose loop rebuilds a candidate from its digits in
-# base xi; and Yun's loop of the PR test's odd part, which divides exactly
-# by the gcds that ``_gcd`` gives
-PREM_LOOPS = {("polyrat.py", "_remainders"), ("polyrat.py", "_gcd"),
-              ("polyrat.py", "_odd_part")}
+# and the heuristic gcd, whose loop rebuilds a candidate from its digits in
+# base xi and checks it by exact division.  Yun's loop of the PR test's
+# odd part reads the gcd's cofactors, so it divides nothing itself
+PREM_LOOPS = {("polyrat.py", "_remainders"), ("polyrat.py", "_gcd")}
 
 
 def _divides(node) -> bool:

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from prsyn.polyrat import (BiquadParams, DegreeTooSmall, InvariantViolation,
                            NotBiquadratic, NotMinimum, Polynomial, Q, QComplex,
                            RationalFunction, ZeroDenominator,
-                           _gauss, _interpolate, _subresultant,
+                           _gauss, _interpolate, _mul, _subresultant,
                            _sylvester_r0_r1,
                            biquad_params, biquad_template, count_real_roots,
                            even_part_profile, eval_ratfunc, format_poly,
@@ -601,7 +601,14 @@ class TestSylvester:
                     assert _at(got, x) == fraction_determinant(ref)
 
     def test_nominal_degrees_above_the_real_ones(self):
+        # the fixtures' nominal resultant, of int lists over ints, read as
+        # the rational it stands for
         from prsyn.synth import _sylvester_nominal
+
+        def form_of_poly(p):
+            c = p.content
+            return [c.numerator * x for x in p.prim], c.denominator
+
         rng = random.Random(1840)
         for trial in range(30):
             p = (Polynomial() if trial % 5 == 0 else
@@ -610,12 +617,13 @@ class TestSylvester:
             m = int(p.degree) + rng.randint(0, 2) if p else rng.randint(1, 3)
             n = int(q.degree) + rng.randint(0 if m else 1, 2)
             want = fraction_determinant(sylvester_reference(p, q, m, n, 0))
-            assert _sylvester_nominal(p, q, m, n) == want
+            got = _sylvester_nominal(form_of_poly(p), form_of_poly(q), m, n)
+            assert Fraction(*got) == want
             if not p:
                 assert want == 0
         # the Q8 identity's degrees (2, 6) with a zero f1
         f2 = _wide_poly(rng, 5, negative=True)
-        assert _sylvester_nominal(Polynomial(), f2, 2, 6) == 0
+        assert _sylvester_nominal(([], 1), form_of_poly(f2), 2, 6)[0] == 0
 
     def test_r0_r1_pass_matches_fraction_references(self, monkeypatch):
         # R_0 and R_1 of a (m, n) pair from one leading_minors pass over the
@@ -1143,7 +1151,7 @@ class TestRingSteps:
     negative leads, catch-ups and skipped columns."""
 
     def test_poly_step_matches_polynomial_reference(self):
-        from prsyn.polyrat import _mul, _step_poly
+        from prsyn.polyrat import _step_poly
         rng = random.Random(1968)
         for row, top, cols, p, lead, d in _ring_step_cases(
                 rng, _random_int_poly, _mul):
@@ -2147,16 +2155,22 @@ def distinct_linear_factors(rng, count):
 class TestHeuristicGcd:
     """``_gcd`` on int lists, heuristic with the primitive remainder
     sequence as fallback, against that sequence alone
-    (``gcd_prs_reference``, the former ``Polynomial.gcd``)."""
+    (``gcd_prs_reference``, the former ``Polynomial.gcd``); its cofactors
+    times the gcd give the inputs back."""
 
     @staticmethod
     def check(a, b):
         from prsyn.polyrat import _gcd
         want = gcd_prs_reference(a, b)
-        got = _gcd(a.prim, b.prim)
+        got, qa, qb = _gcd(a.prim, b.prim)
         assert _poly(list(got)).monic() == want == a.gcd(b), (a, b)
         assert got == [] if want.is_zero() else (
             got[-1] > 0 and math.gcd(*got) == 1)
+        if got:
+            assert (_mul(got, qa), _mul(got, qb)) == (list(a.prim),
+                                                     list(b.prim))
+        else:
+            assert qa == qb == []
         return want
 
     def test_products_with_a_common_factor(self):
@@ -2229,10 +2243,12 @@ class TestHeuristicGcd:
         big = 2 ** 40000 + 1
         a = Polynomial([1, 1]) * Polynomial([big, 1])
         b = Polynomial([1, 1]) * Polynomial([big + 2, 1])
-        assert polyrat._gcd(a.prim, b.prim) == [1, 1] and calls == [1]
+        assert polyrat._gcd(a.prim, b.prim) == (
+            [1, 1], [big, 1], [big + 2, 1]) and calls == [1]
         calls.clear()
         a = Polynomial([1, 1]) * Polynomial([5, 1])
-        assert polyrat._gcd(a.prim, (a * Polynomial([2, 1])).prim) == [5, 6, 1]
+        assert polyrat._gcd(a.prim, (a * Polynomial([2, 1])).prim) == (
+            [5, 6, 1], [1], [2, 1])
         assert calls == []
 
     def test_ladder_pairs_are_powers_of_s(self, monkeypatch):
@@ -2251,7 +2267,7 @@ class TestHeuristicGcd:
         def counted_gcd(a, b):
             caller = sys._getframe(1).f_code.co_name
             out = gcd(a, b)
-            (profile_gcds if caller == "_odd_part" else gcds).append(out)
+            (profile_gcds if caller == "_odd_part" else gcds).append(out[0])
             return out
 
         def counted_sequence(a, b, sign):

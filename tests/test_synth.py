@@ -14,8 +14,9 @@ from prsyn.network import (CAPACITOR, INDUCTOR, RESISTOR, Element, Leaf,
                            Network, NonpositiveValue, assemble_shape, dual,
                            frequency_invert, par, parse_netlist, ser)
 from prsyn.polyrat import (BiquadParams, InvariantViolation, NotMinimum,
-                           Polynomial, Q, RationalFunction, biquad_params, biquad_template,
-                           is_positive_real, parse_ratfunc,
+                           Polynomial, Q, RationalFunction, _mul, _poly,
+                           _trimmed, biquad_params, biquad_template,
+                           is_positive_real, parse_ratfunc, sqrt_fraction,
                            sylvester_determinant)
 from prsyn.synth import (SEVEN_ELEMENT_VARIANTS, Classification,
                          ConditionViolated, ConstraintViolated, Fig2Params,
@@ -1171,7 +1172,7 @@ class TestFixtureArms:
             family, cols, scale = seen.pop()[:3]
             target0 = (1 + c2) * w0 ** 4
             assert family == "Q8"
-            assert scale == Polynomial([0, target0 * target0])
+            assert poly_of_form(scale) == Polynomial([0, target0 * target0])
             got, direct = [], []
             for F in FORMER_SAMPLES + [Q(31, 5)]:
                 num, den = pair_over_q(synth._quartet_polys(
@@ -1205,6 +1206,21 @@ def _one_constant(got, want):
     return c
 
 
+def poly_of_form(form):
+    """A fixture closed form (ints, d), an int list over an int, as the
+    Polynomial it stands for."""
+    ints, d = form
+    return Polynomial([Fraction(c, d) for c in ints])
+
+
+def form_of_poly(p):
+    """A Polynomial as a fixture closed form (ints, d) over a positive d:
+    its integer part times the numerator of its content, over the
+    content's denominator."""
+    c = p.content
+    return [c.numerator * x for x in p.prim], c.denominator
+
+
 def _capturing(monkeypatch):
     """Record the arguments of every ``_factorization_check`` call, which
     still runs; the list holds them."""
@@ -1230,8 +1246,9 @@ class TestZxAgainstTheDirectPairs:
     def _compare(cols, e, xs, direct, scaled=None):
         # cols is c (P, Q), e the power of x that makes it polynomial, so
         # R_k of cols is c^(m+n-2k) R_k(P, Q); with scaled = (scale,
-        # pair_at), the scaled pair's R_k at x is scale^(4-k) R_k(cP, cQ) /
-        # (c P_0)^(2 (4-k)) too
+        # pair_at), scale being the check's closed form as a Polynomial,
+        # the scaled pair's R_k at x is scale^(4-k) R_k(cP, cQ) / (c
+        # P_0)^(2 (4-k)) too
         from prsyn.polyrat import _sylvester_r0_r1
         r = [Polynomial(v) for v in _sylvester_r0_r1(*cols)]
         pairs = [pair_over_q(direct(x)) for x in xs]
@@ -1264,7 +1281,7 @@ class TestZxAgainstTheDirectPairs:
                 cols, 1, FORMER_SAMPLES + [Q(31, 5)],
                 lambda F: synth._quartet_polys("N8", w0, A=1 / g1, B=1 / g2,
                                                C=F / c2, D=F),
-                (scale, lambda F: _q8_pair(g1, g2, c2, F, w0)))
+                (poly_of_form(scale), lambda F: _q8_pair(g1, g2, c2, F, w0)))
 
     def test_n11_n12_points(self, monkeypatch):
         # random points with r1 = 0, g2 = 0, both and neither; N12 is
@@ -1291,8 +1308,9 @@ class TestZxAgainstTheDirectPairs:
                 assert resultant_fixture_check(fam, subs)
                 _, cols, scale = seen.pop()[:3]
                 t0 = (F * (1 + r1 * g2) if fam == "N11" else r1) * w0 ** 4
-                self._compare(cols, e, xs, pair_at, (scale, lambda v: _scaled(
-                    fam, pair_at(v), 4, t0 * v ** e, F)))
+                self._compare(cols, e, xs, pair_at, (
+                    poly_of_form(scale),
+                    lambda v: _scaled(fam, pair_at(v), 4, t0 * v ** e, F)))
 
     def test_g2_zero_feasibility(self):
         # x1 times the unscaled g2 = 0 pair, of degrees (4, 3) in s
@@ -1311,7 +1329,10 @@ class TestFalseVerdicts:
     ``_factorization_check``, with a printed factor perturbed or a cofactor
     given an extra factor 1 + x, so that the division leaves a remainder.
     Where it can, a perturbed call also gets the rhs that its own f1 and
-    f2 satisfy, so that only the step under test can fail it."""
+    f2 satisfy, so that only the step under test can fail it.  The closed
+    forms are int lists over an int, (ints, d), and rhs an int pair; a
+    perturbation is made on the Polynomial each stands for
+    (``poly_of_form``) and handed back as such a pair (``form_of_poly``)."""
 
     POINTS = [("Q8", {"g1": Q(3, 2), "g2": Q(2, 3), "c2": Q(5, 4),
                       "omega0": Q(4, 3)}),
@@ -1323,13 +1344,14 @@ class TestFalseVerdicts:
                        "F": Q(1, 2), "omega0": Q(3, 2)})]
 
     def _calls(self, monkeypatch):
-        """(arguments, f1, f2) of each point's check, which is True."""
+        """(arguments, f1, f2) of each point's check, which is True; f1
+        and f2 as Polynomials."""
         import prsyn.synth as synth
         seen, factors = _capturing(monkeypatch), []
         inner = synth._sylvester_nominal
 
         def nominal(f1, f2, *degrees):
-            factors.append((f1, f2))
+            factors.append((poly_of_form(f1), poly_of_form(f2)))
             return inner(f1, f2, *degrees)
 
         monkeypatch.setattr(synth, "_sylvester_nominal", nominal)
@@ -1342,42 +1364,45 @@ class TestFalseVerdicts:
     def test_perturbed_printed_factor(self, monkeypatch):
         from prsyn.synth import _factorization_check, _sylvester_nominal
         for args, f1, f2 in self._calls(monkeypatch):
-            degrees, rhs = args[6], args[7]
+            degrees, (rhs, below) = args[6], args[7]
             assert _factorization_check(*args)
             if args[0] == "Q8":
-                # the rhs of the final elimination identity
-                assert not _factorization_check(*args[:7], rhs + 1)
+                # the rhs of the final elimination identity, plus one
+                assert not _factorization_check(*args[:7],
+                                                (rhs + below, below))
                 continue
-            assert args[5] == f1
+            assert poly_of_form(args[5]) == f1
             # the printed f1, in either coefficient, with the rhs it gives
             for bump in (Polynomial([1]), Polynomial([0, Q(1, 3)])):
-                g1 = f1 + bump
+                g1 = form_of_poly(f1 + bump)
                 assert not _factorization_check(
-                    *args[:5], g1, degrees, _sylvester_nominal(g1, f2,
-                                                               *degrees))
+                    *args[:5], g1, degrees,
+                    _sylvester_nominal(g1, form_of_poly(f2), *degrees))
             # -f1 squares to f1^2, but flips the sign of the resultant at
             # the odd nominal degree 5
-            assert rhs and not _factorization_check(*args[:5], -f1,
-                                                    *args[6:])
+            assert rhs and not _factorization_check(
+                *args[:5], form_of_poly(-f1), *args[6:])
 
     def test_cofactor_with_an_extra_factor(self, monkeypatch):
         from prsyn.synth import _factorization_check, _sylvester_nominal
         extra = Polynomial([1, 1])
         for args, f1, f2 in self._calls(monkeypatch):
-            cof0, cof1, degrees = args[3], args[4], args[6]
+            cof0, cof1, degrees = (poly_of_form(args[3]),
+                                   poly_of_form(args[4]), args[6])
             # cof1 (1 + x) leaves the quotient f2 // (1 + x) and the
             # remainder cof1 P_0^6 (f2 mod (1 + x)); with the rhs of that
             # quotient only the remainder fails the check
             assert f2 % extra
             assert not _factorization_check(
-                *args[:4], cof1 * extra, args[5], degrees,
-                _sylvester_nominal(f1, f2 // extra, *degrees))
-            assert not _factorization_check(*args[:3], cof0 * extra,
-                                            *args[4:])
+                *args[:4], form_of_poly(cof1 * extra), args[5], degrees,
+                _sylvester_nominal(form_of_poly(f1),
+                                   form_of_poly(f2 // extra), *degrees))
+            assert not _factorization_check(
+                *args[:3], form_of_poly(cof0 * extra), *args[4:])
             if args[0] == "Q8":
                 # f1^2 over 2: exact, but with no square root
-                assert not _factorization_check(*args[:3], cof0 * 2,
-                                                *args[4:])
+                assert not _factorization_check(
+                    *args[:3], form_of_poly(cof0 * 2), *args[4:])
 
     def test_false_under_optimize(self):
         # the verdict needs no assert: under -O a perturbed rhs still
@@ -1391,7 +1416,8 @@ class TestFalseVerdicts:
             verdict = synth.resultant_fixture_check(
                 "Q8", {"g1": Q(3, 2), "g2": Q(2, 3), "c2": Q(5, 4)})
             args = seen.pop()
-            if not verdict or inner(*args[:7], args[7] + 1):
+            rhs, below = args[7]
+            if not verdict or inner(*args[:7], (rhs + below, below)):
                 sys.exit(1)
             sys.exit(0 if sys.flags.optimize else 2)
             """)
@@ -1400,6 +1426,243 @@ class TestFalseVerdicts:
                               env=dict(os.environ, PYTHONPATH=src),
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
+
+
+def poly_sqrt_reference(p):
+    """The former ``synth._poly_sqrt``, kept as a reference: the exact
+    square root of a Polynomial with a positive leading coefficient, from
+    the top coefficient down over Q, or None."""
+    if p.is_zero():
+        return Polynomial()
+    deg = int(p.degree)
+    if deg % 2:
+        return None
+    n = deg // 2
+    lead = sqrt_fraction(p.leading())
+    if lead is None:
+        return None
+    a = [Q(0)] * (n + 1)
+    a[n] = lead
+    for k in range(2 * n - 1, n - 1, -1):
+        idx = k - n
+        acc = Q(0)
+        for i in range(idx + 1, n + 1):
+            j = k - i
+            if 0 <= j <= n:
+                acc += a[i] * a[j]
+        a[idx] = (p.coeff(k) - acc) / (2 * a[n])
+    f = Polynomial(a)
+    return f if f * f == p else None
+
+
+def sylvester_nominal_reference(p, q, m, n):
+    """The former Polynomial ``synth._sylvester_nominal``: R_0 of the
+    Polynomials p and q at the nominal degrees (m, n), a Fraction: the
+    subresultant of the integer parts times each content to R_0's degree
+    in that side (n for p, m for q)."""
+    from prsyn.polyrat import _subresultant
+    from prsyn.synth import ConstraintViolated
+    if p.degree > m or q.degree > n:
+        raise ConstraintViolated("specialized degree exceeds the nominal one")
+    return (_subresultant(p.prim, q.prim, m, n, 0, 0)
+            * p.content ** n * q.content ** m)
+
+
+def factorization_check_reference(family, pair, scale, cof0, cof1,
+                                  f1_printed, degrees, rhs):
+    """The former Polynomial/Fraction ``synth._factorization_check``, kept
+    as a reference: (verdict, f1, f2), f1 and f2 None where the check
+    stops before it has them.  scale, cof0, cof1 and f1_printed (or None)
+    are Polynomials in x and rhs a Fraction; pair is the Z[x] pair."""
+    from prsyn.polyrat import _sylvester_r0_r1
+    from prsyn.synth import _require_nominal
+    num, den = pair
+    _require_nominal(family, num, den, 4)
+    r0, r1 = map(_poly, _sylvester_r0_r1(num, den))
+    p0sq = _poly(num[0]) ** 2
+    f1sq, rem0 = divmod(r0 * scale ** 4, cof0 * p0sq ** 4)
+    f2, rem1 = divmod(r1 * scale ** 3, cof1 * p0sq ** 3)
+    if rem0 or rem1:
+        return False, None, None
+    if f1_printed is None:
+        f1 = poly_sqrt_reference(f1sq)
+    else:
+        f1 = f1_printed if f1sq == f1_printed ** 2 else None
+    if f1 is None:
+        return False, None, f2
+    return sylvester_nominal_reference(f1, f2, *degrees) == rhs, f1, f2
+
+
+def fixture_forms_reference(family, subs, w0):
+    """The former Fraction closed forms of the Q8, N11 and N12 checks:
+    (scale, cof0, cof1, f1_printed, degrees, rhs), Polynomials in x (F for
+    Q8, c1 resp. x1 for N11/N12) and rhs a Fraction."""
+    if family == "Q8":
+        g1, g2, c2 = subs["g1"], subs["g2"], subs["c2"]
+        target0 = (1 + c2) * w0 ** 4
+        g12, k0, k1 = g1 * g2, c2 * w0 ** 16 * (1 + c2), -c2 * w0 ** 9
+        unit = Polynomial([1, 0, g12])
+        rhs = (c2 ** 6 * g2 ** 10 * (1 + c2) ** 2
+               * (c2 * c2 * g1 + 2 * c2 * (g1 - g2) + g1 - 3 * g2) ** 2)
+        return (Polynomial([0, target0 * target0]), unit ** 4 * k0,
+                unit ** 2 * k1, None, (2, 6), rhs)
+    r1, g2, g3, F = subs["r1"], subs["g2"], subs["g3"], subs["F"]
+    one_m = 1 - r1 * g3
+    a2 = (r1 + F * F * g3) ** 2
+    b2 = F * F * (1 + r1 * g2 + F * F * g2 * g3) ** 2
+    if family == "N11":
+        f1_printed = Polynomial([F * F * g3 * (g3 - g2 * one_m), one_m])
+        rhs = (F ** 10 * g3 ** 5 * (1 - r1 * g3)
+               * ((g2 * one_m * (r1 + F * F * g3) + 1 - g3 * r1
+                   - F * F * g3 * g3) ** 2 + g3 * g3 * F * F) ** 2
+               * (g3 * (3 - r1 * g3 + r1 * g2 * (2 - r1 * g3)) - g2))
+        k0, k1 = F ** 4 * w0 ** 16, -F * F * w0 ** 9
+        t0 = F * (1 + r1 * g2) * w0 ** 4
+    else:
+        f1_printed = Polynomial([g3 - g2 * one_m, g3 * one_m])
+        rhs = (-F * F * g3 ** 5
+               * ((g2 * one_m * (r1 + F * F * g3) - g3 * r1) ** 2
+                  + g3 * g3 * F * F) ** 2
+               * (g3 - g2 * one_m)
+               * (g2 * one_m * one_m + g3 * (1 + r1 * g3)))
+        k0, k1, t0 = -F ** 6 * w0 ** 16, F ** 6 * w0 ** 9, r1 * w0 ** 4
+    e = 0 if family == "N11" else 1
+    return (Polynomial([0] * (2 * e) + [t0 * t0 * F]),
+            Polynomial([b2, 0, a2]) ** 2 * Polynomial([0, k0]),
+            Polynomial([0] * (1 - e) + [k1]), f1_printed, (1, 5), rhs)
+
+
+def q7_check_reference(subs, w0):
+    """The former Fraction Q7 check: R_0 of the scaled N7 pair against
+    F^2 w0^9 (g1 - g2)^2 (1 + F^2 g1 g2)^4."""
+    from prsyn.polyrat import _subresultant
+    from prsyn.synth import _quartet_polys, _require_nominal
+    g1, g2, F = subs["g1"], subs["g2"], subs["F"]
+    num, den, _ = _quartet_polys("N7", w0, A=1 / g1, B=1 / g2, C=F)
+    _require_nominal("Q7", num, den, 3)
+    r0 = (_subresultant(num, den, 3, 3, 0, 0)
+          * (w0 ** 3 / num[0]) ** 6 * F ** 3)
+    return r0 == F * F * w0 ** 9 * (g1 - g2) ** 2 * (1 + F * F * g1 * g2) ** 4
+
+
+class TestIntFormsAgainstTheFractionReference:
+    """The int closed forms and the int ``_factorization_check`` against
+    the former Polynomial/Fraction ones, kept above: at 1,200 random
+    Q8, N11 and N12 points, denominators up to 10^9, with r1 = 0, g2 = 0,
+    both, and r1 g3 = 1 among them, every closed form stands for the
+    former one, and the verdict, f1 and f2 of the int check equal the
+    former check's, on the check's own arguments and, at every other
+    point, with rhs + 1, cof0 (1 + x) or cof1 (1 + x); N12's degenerate
+    points raise in both.  The int
+    Q7 check gives the former verdict at 300 points, g1 = g2 among them,
+    and the int square root the former Polynomial one."""
+
+    @staticmethod
+    def _point(rng, fam, variant):
+        def q():
+            big = 10 ** rng.choice((1, 1, 3, 9))
+            return Fraction(rng.randint(1, big), rng.randint(1, big))
+
+        if fam == "Q8":
+            return dict(g1=q(), g2=q(), c2=q(), omega0=q())
+        r1, g2, g3 = q(), q(), q()
+        if variant in (1, 3):
+            r1 = Q(0)
+        if variant in (2, 3):
+            g2 = Q(0)
+        if variant == 4:
+            g3 = 1 / r1
+        return dict(r1=r1, g2=g2, g3=g3, F=q(), omega0=q())
+
+    def test_int_sqrt_matches_the_polynomial_root(self):
+        # squares of random int lists, with a positive or a negative
+        # leading coefficient, and the same squares with one coefficient
+        # moved (top, middle or bottom), or times 2, -1 or x: the int root
+        # is the former Polynomial root, or None where that is None
+        from prsyn.synth import _int_sqrt
+        rng = random.Random(4647)
+        seen = set()
+        for _ in range(400):
+            r = [rng.randint(-10 ** rng.choice((1, 9)), 10 ** 9)
+                 for _ in range(rng.randint(1, 6))]
+            r[-1] = r[-1] or 1
+            sq = _mul(r, r)
+            moved = list(sq)
+            moved[rng.choice((0, len(sq) // 2, len(sq) - 1))] += 1
+            for a in (sq, moved, [2 * x for x in sq], [-x for x in sq],
+                      [0] + sq, []):
+                want = poly_sqrt_reference(Polynomial(a))
+                got = _int_sqrt(_trimmed(a))
+                assert (got is None) == (want is None), a
+                if got is not None:
+                    assert Polynomial(got) == want and (not got or got[-1] > 0)
+                seen.add(got is None)
+        assert seen == {True, False}
+
+    def test_checks_match_the_reference(self, monkeypatch):
+        import prsyn.synth as synth
+        check, inner = synth._factorization_check, synth._sylvester_nominal
+        seen, factors = _capturing(monkeypatch), []
+
+        def nominal(f1, f2, *degrees):
+            factors.append((poly_of_form(f1), poly_of_form(f2)))
+            return inner(f1, f2, *degrees)
+
+        def compare(args, forms):
+            factors.clear()
+            got = check(*args)
+            want, f1, f2 = factorization_check_reference(*args[:2], *forms)
+            assert got == want
+            assert factors == ([] if f1 is None else [(f1, f2)])
+            return got
+
+        monkeypatch.setattr(synth, "_sylvester_nominal", nominal)
+        rng = random.Random(4646)
+        verdicts, extra = [], Polynomial([1, 1])
+        for k in range(1200):
+            fam, variant = ("Q8", "N11", "N12")[k % 3], (k // 3) % 5
+            point = self._point(rng, fam, variant)
+            subs, w0 = point, point["omega0"]
+            if fam == "N12" and variant in (1, 2, 3):
+                with pytest.raises(ConstraintViolated, match="degenerate"):
+                    resultant_fixture_check(fam, point)
+                with pytest.raises(ConstraintViolated, match="degenerate"):
+                    factorization_check_reference(
+                        fam, seen.pop()[1],
+                        *fixture_forms_reference(fam, subs, w0))
+                continue
+            factors.clear()
+            verdict = resultant_fixture_check(fam, point)
+            args = seen.pop()
+            forms = fixture_forms_reference(fam, subs, w0)
+            scale, cof0, cof1, f1_printed, degrees, rhs = forms
+            assert [poly_of_form(x) for x in args[2:5]] == [scale, cof0, cof1]
+            assert (f1_printed is None if args[5] is None
+                    else poly_of_form(args[5]) == f1_printed)
+            assert args[6] == degrees and Fraction(*args[7]) == rhs
+            assert verdict == compare(args, forms)
+            verdicts.append(verdict)
+            if k % 2:
+                continue
+            # a false rhs, and a cofactor with an extra factor 1 + x
+            below = args[7][1]
+            assert not compare(args[:7] + ((args[7][0] + below, below),),
+                               forms[:5] + (rhs + 1,))
+            assert not compare(
+                args[:3] + (form_of_poly(cof0 * extra),) + args[4:],
+                (scale, cof0 * extra) + forms[2:])
+            assert not compare(
+                args[:4] + (form_of_poly(cof1 * extra),) + args[5:],
+                (scale, cof0, cof1 * extra) + forms[3:])
+        # every non-degenerate point holds, r1 g3 = 1 included
+        assert len(verdicts) == 960 and all(verdicts)
+        for k in range(300):
+            subs = self._point(rng, "Q8", 0)
+            subs["F"] = subs.pop("c2")
+            if k % 10 == 0:
+                subs["g2"] = subs["g1"]
+            assert resultant_fixture_check("Q7", subs) \
+                == q7_check_reference(subs, subs["omega0"])
 
 
 def _counting(monkeypatch, module, name):
@@ -1443,28 +1706,35 @@ class TestOnceAPoint:
             assert 0 < bridges[0] <= 4
 
     def test_n11_n12_build_the_bridge_twice(self, monkeypatch, samples):
+        # the bridge pair is formed at the two interpolation nodes var = 1,
+        # 2, each from N1's pair and the cofactors of arms N2-N5, which
+        # only N1 varies with, so those are formed once
         import prsyn.synth as synth
-        bridges = _counting(monkeypatch, synth, "bridge_structural_polys")
+        cofactors = _counting(monkeypatch, synth, "bridge_structural_polys")
+        bridges = _counting(monkeypatch, synth, "_with_n1")
         # N12 is degenerate at r1 = 0 or g2 = 0
         for omega0 in samples:
             for fam, r1, g2 in (("N11", Q(1, 3), Q(2, 5)),
                                 ("N11", Q(0), Q(2, 5)),
                                 ("N11", Q(1, 3), Q(0)), ("N11", Q(0), Q(0)),
                                 ("N12", Q(1, 3), Q(2, 5))):
-                bridges[0] = 0
+                bridges[0] = cofactors[0] = 0
                 assert resultant_fixture_check(
                     fam, {"r1": r1, "g2": g2, "g3": Q(7, 4), "F": Q(1, 2),
                           "omega0": omega0})
-                # at the two interpolation nodes var = 1, 2
-                assert bridges[0] == 2
+                assert (bridges[0], cofactors[0]) == (2, 1)
 
     def test_one_leading_minor_pass_per_sample(self, monkeypatch, samples):
         # R0(x) and R1(x) of a check come from one leading_minors pass over
         # the hybrid Bezout rows over Z[x]; the one subresultant left is
-        # the nominal resultant of f1 and f2, over Z, one pass more
+        # the nominal resultant of f1 and f2, over Z, one pass more, which
+        # synth reads directly (the fallback of _sylvester_r0_r1 is
+        # counted in polyrat, and never runs here)
         import prsyn.polyrat as polyrat
+        import prsyn.synth as synth
         passes = _counting(monkeypatch, polyrat, "leading_minors")
-        dets = _counting(monkeypatch, polyrat, "_subresultant")
+        fallback = _counting(monkeypatch, polyrat, "_subresultant")
+        nominal = _counting(monkeypatch, synth, "_subresultant")
         for x in samples:
             n1112 = {"g3": Q(7, 4), "F": Q(1, 2), "omega0": x}
             points = [("Q8", {"g1": Q(3, 2), "g2": Q(2, 3), "c2": Q(5, 4),
@@ -1476,16 +1746,16 @@ class TestOnceAPoint:
                                     ("N11", Q(0), Q(0)),
                                     ("N12", Q(1, 3), Q(2, 5)))]
             for fam, point in points:
-                passes[0] = dets[0] = 0
+                passes[0] = fallback[0] = nominal[0] = 0
                 assert resultant_fixture_check(fam, point)
                 assert passes[0] == 2
-                assert dets[0] == 1
+                assert (fallback[0], nominal[0]) == (0, 1)
             # the g2 = 0 feasibility path: one pass over its (4, 3) pair in
             # x1 and no other determinant
-            passes[0] = dets[0] = 0
+            passes[0] = fallback[0] = nominal[0] = 0
             assert n12_has_no_feasible_solution(x, 0, 3, 2)
             assert passes[0] == 1
-            assert dets[0] == 0
+            assert (fallback[0], nominal[0]) == (0, 0)
 
     def test_n12_feasibility_builds_the_bridge_once_at_a_positive_root(
             self, monkeypatch):
